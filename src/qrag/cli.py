@@ -13,12 +13,12 @@ import logging
 import sys
 from pathlib import Path
 
+from . import _records
 from . import corpus as corpus_mod
 from . import engine as engine_mod
 from . import evalkit
 from .quantum import FUSION_MODES
 from .service import serve_forever
-from .tokenizer import train_bpe
 
 
 def _load_config(path: str | None) -> engine_mod.EngineConfig:
@@ -30,26 +30,12 @@ def _load_config(path: str | None) -> engine_mod.EngineConfig:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
-    docs = list(
-        corpus_mod.preprocess(
-            corpus_mod.ingest_jsonl(args.infile, stats), cfg.cleaning, stats
-        )
-    )
-    if not docs:
-        print("error: empty corpus after filtering", file=sys.stderr)
-        return 1
-    tok = train_bpe((d.text for d in docs), cfg.vocab_size)
+    tok, chunks = engine_mod.prepare(args.infile, cfg, stats)
+    out.mkdir(parents=True, exist_ok=True)
     tok.save(out / engine_mod.TOKENIZER_FILE)
-    chunks = []
-    for doc in docs:
-        chunks.extend(corpus_mod.chunk(doc, cfg.cleaning, tok))
-    stats["chunks"] = corpus_mod.write_chunks_jsonl(chunks, out / engine_mod.CHUNKS_FILE)
-    (out / engine_mod.STATS_FILE).write_text(
-        json.dumps(stats, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    corpus_mod.write_chunks_jsonl(chunks, out / engine_mod.CHUNKS_FILE)
+    _records.write_json(stats, out / engine_mod.STATS_FILE)
     print(json.dumps(stats, ensure_ascii=False, sort_keys=True))
     return 0
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import _records
 from .tokenizer import TokenizerModel, normalize
 
 logger = logging.getLogger(__name__)
@@ -265,38 +266,11 @@ def write_chunks_jsonl(chunks: Iterable[Chunk], path: str | Path) -> int:
     n = 0
     with Path(path).open("w", encoding="utf-8") as fh:
         for c in chunks:
-            fh.write(
-                json.dumps(
-                    {
-                        "chunk_id": c.chunk_id,
-                        "doc_id": c.doc_id,
-                        "token_offset": c.token_offset,
-                        "token_count": c.token_count,
-                        "text": c.text,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            record = _records.to_dict(c)
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
             n += 1
     return n
 
 
 def read_chunks_jsonl(path: str | Path) -> list[Chunk]:
-    chunks = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            chunks.append(
-                Chunk(
-                    chunk_id=obj["chunk_id"],
-                    doc_id=obj["doc_id"],
-                    token_offset=int(obj["token_offset"]),
-                    token_count=int(obj["token_count"]),
-                    text=obj["text"],
-                )
-            )
-    return chunks
+    return [_records.from_dict(Chunk, obj) for obj in _records.read_jsonl(path)]

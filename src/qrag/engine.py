@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _records
 from . import corpus as corpus_mod
 from . import lexical, quantum, semantic
 from .corpus import Chunk, CleaningConfig
@@ -55,49 +56,11 @@ class EngineConfig:
             raise ValueError("context_budget_tokens must be >= chunk_size_tokens")
 
     def to_dict(self) -> dict:
-        return {
-            "cleaning": {
-                "min_gurmukhi_fraction": self.cleaning.min_gurmukhi_fraction,
-                "min_tokens": self.cleaning.min_tokens,
-                "max_punct_ratio": self.cleaning.max_punct_ratio,
-                "chunk_size_tokens": self.cleaning.chunk_size_tokens,
-                "chunk_overlap_tokens": self.cleaning.chunk_overlap_tokens,
-            },
-            "bm25": {"k1": self.bm25.k1, "b": self.bm25.b},
-            "embedder": self.embedder.to_dict(),
-            "fusion": self.fusion.to_dict(),
-            "vocab_size": self.vocab_size,
-            "context_budget_tokens": self.context_budget_tokens,
-        }
+        return _records.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EngineConfig":
-        defaults = cls()
-        cleaning = d.get("cleaning", {})
-        bm25 = d.get("bm25", {})
-        return cls(
-            cleaning=CleaningConfig(
-                **{
-                    k: cleaning.get(k, getattr(defaults.cleaning, k))
-                    for k in (
-                        "min_gurmukhi_fraction",
-                        "min_tokens",
-                        "max_punct_ratio",
-                        "chunk_size_tokens",
-                        "chunk_overlap_tokens",
-                    )
-                }
-            ),
-            bm25=BM25Params(
-                k1=bm25.get("k1", defaults.bm25.k1), b=bm25.get("b", defaults.bm25.b)
-            ),
-            embedder=EmbedderSpec.from_dict(d.get("embedder", {})),
-            fusion=FusionConfig.from_dict(d.get("fusion", {})),
-            vocab_size=int(d.get("vocab_size", defaults.vocab_size)),
-            context_budget_tokens=int(
-                d.get("context_budget_tokens", defaults.context_budget_tokens)
-            ),
-        )
+        return _records.from_dict(cls, d)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "EngineConfig":
@@ -115,17 +78,7 @@ class ScoredHit:
     quantum: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "chunk_id": self.chunk_id,
-            "text": self.text,
-            "rank": self.rank,
-            "fused": self.fused,
-        }
-        for name in ("sparse_raw", "dense_cos", "quantum"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return _records.to_dict(self)
 
 
 @dataclass
@@ -137,14 +90,9 @@ class RetrievalResponse:
     timings: dict[str, float]
 
     def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "query": self.query,
-            "mode": self.mode,
-            "hits": [h.to_dict() for h in self.hits],
-            "context": self.context,
-        }
-        if include_timings:
-            out["timings"] = self.timings
+        out = _records.to_dict(self)
+        if not include_timings:
+            del out["timings"]
         return out
 
     def to_json(self, include_timings: bool = True) -> str:
@@ -159,32 +107,16 @@ class IndexManifest:
     created_at: str
     chunk_count: int
     tokenizer_sha256: str
-    embedder: dict
-    config: dict
+    embedder: EmbedderSpec
+    config: EngineConfig
     files: dict[str, str]
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "created_at": self.created_at,
-            "chunk_count": self.chunk_count,
-            "tokenizer_sha256": self.tokenizer_sha256,
-            "embedder": self.embedder,
-            "config": self.config,
-            "files": self.files,
-        }
+        return _records.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "IndexManifest":
-        return cls(
-            format_version=int(d["format_version"]),
-            created_at=d["created_at"],
-            chunk_count=int(d["chunk_count"]),
-            tokenizer_sha256=d["tokenizer_sha256"],
-            embedder=dict(d["embedder"]),
-            config=dict(d["config"]),
-            files=dict(d["files"]),
-        )
+        return _records.from_dict(cls, d)
 
 
 def format_context(hits: Sequence, budget: int, tok: TokenizerModel) -> str:
@@ -293,36 +225,29 @@ class RetrievalEngine:
         use_dense = cfg.mode != "sparse_only"
 
         lex_vector = None
-        sparse_top: list[tuple[str, float]] = []
+        nominated: list[str] = []
         if use_sparse:
             t0 = time.perf_counter()
             lex_vector, touched = lexical.score_rows(
                 self.lexical_index, self.config.bm25, terms
             )
-            best = lexical.top_rows(
-                self.lexical_index.chunk_ids,
-                lex_vector,
-                np.nonzero(touched)[0],
-                cfg.k_sparse,
-            )
-            sparse_top = [
-                (self.lexical_index.chunk_ids[i], float(lex_vector[i])) for i in best
-            ]
+            ids = self.lexical_index.chunk_ids
+            best = lexical.top_rows(ids, lex_vector, np.nonzero(touched)[0], cfg.k_sparse)
+            nominated += [ids[i] for i in best]
             timings["lexical"] = (time.perf_counter() - t0) * 1000.0
 
         dense_scores = None
-        dense_top: list[tuple[str, float]] = []
         q_emb = None
         if use_dense:
             t0 = time.perf_counter()
             q_emb = self.embed_text_tokens(terms)
             dense_scores = self.vector_index.scan(q_emb)
-            dense_top = semantic.top_k(self.vector_index, dense_scores, cfg.k_dense)
+            ids = self.vector_index.ids
+            best = lexical.top_rows(ids, dense_scores, np.arange(len(ids)), cfg.k_dense)
+            nominated += [ids[i] for i in best]
             timings["dense"] = (time.perf_counter() - t0) * 1000.0
 
-        candidate_ids = list(
-            dict.fromkeys([cid for cid, _ in sparse_top] + [cid for cid, _ in dense_top])
-        )
+        candidate_ids = list(dict.fromkeys(nominated))
 
         quantum_overlaps: dict[str, float] = {}
         if cfg.mode in ("fidelity_rerank", "quantum_interference"):
@@ -391,19 +316,11 @@ def _stage(name: str):
         raise RuntimeError(f"build stage '{name}' failed: {exc}") from exc
 
 
-def build_all(
-    corpus_path: str | Path, cfg: EngineConfig, out_dir: str | Path
-) -> IndexManifest:
-    """Run ingest -> clean -> dedup -> quality -> train BPE -> chunk ->
-    lexical build -> embed -> vector build, then persist everything.
-
-    Deterministic: rebuilding from identical inputs writes byte-identical
-    index files (the manifest timestamp aside).
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stats: dict = {}
-
+def prepare(
+    corpus_path: str | Path, cfg: EngineConfig, stats: dict
+) -> tuple[TokenizerModel, list[Chunk]]:
+    """Run ingest -> clean -> dedup -> quality -> train BPE -> chunk,
+    counting what each step kept and dropped in ``stats``."""
     with _stage("ingest+filter"):
         docs = list(
             corpus_mod.preprocess(
@@ -423,6 +340,22 @@ def build_all(
         stats["chunks"] = len(chunks)
         if not chunks:
             raise ValueError("empty corpus after chunking")
+    return tok, chunks
+
+
+def build_all(
+    corpus_path: str | Path, cfg: EngineConfig, out_dir: str | Path
+) -> IndexManifest:
+    """Run ``prepare``, then lexical build -> embed -> vector build, then
+    persist everything.
+
+    Deterministic: rebuilding from identical inputs writes byte-identical
+    index files (the manifest timestamp aside).
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stats: dict = {}
+    tok, chunks = prepare(corpus_path, cfg, stats)
 
     with _stage("lexical_index"):
         lex_index = lexical.build_index(chunks, tok)
@@ -444,13 +377,8 @@ def build_all(
 
     engine = RetrievalEngine(chunks, tok, lex_index, vec_index, cfg)
     manifest = save_index(engine, out)
-    (out / STATS_FILE).write_text(
-        json.dumps(stats, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    logger.info(
-        "built index: %d docs -> %d chunks (%s)", len(docs), len(chunks), out
-    )
+    _records.write_json(stats, out / STATS_FILE)
+    logger.info("built index: %d chunks (%s)", len(chunks), out)
     return manifest
 
 
@@ -484,15 +412,11 @@ def save_index(engine: RetrievalEngine, out_dir: str | Path) -> IndexManifest:
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         chunk_count=engine.chunk_count,
         tokenizer_sha256=files[TOKENIZER_FILE],
-        embedder=engine.config.embedder.to_dict(),
-        config=engine.config.to_dict(),
+        embedder=engine.config.embedder,
+        config=engine.config,
         files=files,
     )
-    (out / MANIFEST_FILE).write_text(
-        json.dumps(manifest.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    _records.write_json(manifest.to_dict(), out / MANIFEST_FILE)
     return manifest
 
 
@@ -502,11 +426,11 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
     manifest_path = src / MANIFEST_FILE
     if not manifest_path.exists():
         raise FileNotFoundError(f"missing file: {manifest_path}")
-    manifest = IndexManifest.from_dict(
-        json.loads(manifest_path.read_text(encoding="utf-8"))
-    )
-    if manifest.format_version != FORMAT_VERSION:
-        raise ValueError(f"unsupported version: {manifest.format_version}")
+    raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    # Check the version first: another version may have other keys.
+    if raw.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported version: {raw.get('format_version')}")
+    manifest = IndexManifest.from_dict(raw)
     for name, expected in manifest.files.items():
         path = src / name
         if not path.exists():
@@ -518,5 +442,4 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
     tok = TokenizerModel.load(src / TOKENIZER_FILE)
     lex_index = lexical.load(src)
     vec_index = semantic.load(src)
-    config = EngineConfig.from_dict(manifest.config)
-    return RetrievalEngine(chunks, tok, lex_index, vec_index, config)
+    return RetrievalEngine(chunks, tok, lex_index, vec_index, manifest.config)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import _records
 from .tokenizer import normalize
 
 QrelSet = dict[str, dict[str, int]]
@@ -107,12 +108,7 @@ class MetricReport:
     skipped_no_relevant: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "per_query": self.per_query,
-            "macro": self.macro,
-            "evaluated": self.evaluated,
-            "skipped_no_relevant": self.skipped_no_relevant,
-        }
+        return _records.to_dict(self)
 
 
 def evaluate_run(
@@ -161,37 +157,20 @@ def evaluate_run(
 
 def load_queries(path: str | Path) -> list[tuple[str, str]]:
     """queries.jsonl: {"qid": str, "text": str} per line."""
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                out.append((str(obj["qid"]), obj["text"]))
-    return out
+    return [(str(obj["qid"]), obj["text"]) for obj in _records.read_jsonl(path)]
 
 
 def load_qrels(path: str | Path) -> QrelSet:
     """qrels.jsonl: {"qid": str, "chunk_id": str, "rel": int} per line."""
     qrels: QrelSet = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                qrels.setdefault(str(obj["qid"]), {})[str(obj["chunk_id"])] = int(
-                    obj["rel"]
-                )
+    for obj in _records.read_jsonl(path):
+        qrels.setdefault(str(obj["qid"]), {})[str(obj["chunk_id"])] = int(obj["rel"])
     return qrels
 
 
 def load_run(path: str | Path) -> dict[str, list[str]]:
     """run.jsonl: {"qid": str, "ranking": [chunk_id, ...]} per line."""
-    run: dict[str, list[str]] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                run[str(obj["qid"])] = list(obj["ranking"])
-    return run
+    return {str(obj["qid"]): list(obj["ranking"]) for obj in _records.read_jsonl(path)}
 
 
 def write_run(run: Mapping[str, Sequence[str]], path: str | Path) -> None:
@@ -204,8 +183,4 @@ def write_run(run: Mapping[str, Sequence[str]], path: str | Path) -> None:
 
 
 def write_report(report: MetricReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    _records.write_json(report.to_dict(), path)

@@ -176,14 +176,6 @@ def score_rows(
     return scores, touched
 
 
-def score_candidates(
-    index: InvertedIndex, p: BM25Params, query_terms: Sequence[str]
-) -> dict[str, float]:
-    """Score every chunk containing at least one query term."""
-    scores, touched = score_rows(index, p, query_terms)
-    return {index._cids[i]: float(scores[i]) for i in np.nonzero(touched)[0]}
-
-
 def top_rows(
     ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int
 ) -> list[int]:
@@ -198,12 +190,6 @@ def top_rows(
         kth = np.partition(vals, len(vals) - k)[len(vals) - k]
         rows = rows[vals >= kth]
     return sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]
-
-
-def rank(scored: dict[str, float], k: int) -> list[tuple[str, float]]:
-    """Top-k by score descending, ties broken by chunk id ascending."""
-    ordered = sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ordered[:k]
 
 
 def search(

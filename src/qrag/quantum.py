@@ -20,6 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _records
+
 FUSION_MODES = (
     "sparse_only",
     "dense_only",
@@ -162,21 +164,11 @@ class FusionConfig:
                 raise ValueError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "w_semantic": self.w_semantic,
-            "w_lexical": self.w_lexical,
-            "rrf_k": self.rrf_k,
-            "k_sparse": self.k_sparse,
-            "k_dense": self.k_dense,
-            "k_final": self.k_final,
-            "signed_fidelity": self.signed_fidelity,
-        }
+        return _records.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FusionConfig":
-        defaults = cls()
-        return cls(**{k: d.get(k, getattr(defaults, k)) for k in defaults.to_dict()})
+        return _records.from_dict(cls, d)
 
 
 @dataclass

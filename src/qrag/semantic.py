@@ -10,7 +10,6 @@ externally computed embeddings can be loaded from JSONL instead.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -18,6 +17,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from . import _records
+from .lexical import top_rows
 
 VECTORS_FILE = "vectors.bin"
 IDS_FILE = "vectors.ids"
@@ -48,18 +50,11 @@ class EmbedderSpec:
             raise ValueError("external_file embedder requires a path")
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "dim": self.dim}
-        if self.path is not None:
-            out["path"] = self.path
-        return out
+        return _records.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EmbedderSpec":
-        return cls(
-            kind=d.get("kind", "hash_projection"),
-            dim=int(d.get("dim", 256)),
-            path=d.get("path"),
-        )
+        return _records.from_dict(cls, d)
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -214,23 +209,15 @@ class VectorIndex:
         return scores
 
 
-def top_k(index: VectorIndex, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Exact top-k rows by (score descending, id ascending)."""
-    rows = np.arange(len(index.ids))
-    if len(rows) > k:
-        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-        rows = rows[scores >= kth]
-    best = sorted(rows, key=lambda i: (-scores[i], index.ids[i]))[:k]
-    return [(index.ids[i], float(scores[i])) for i in best]
-
-
 def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Full-scan top-k by cosine descending, ties broken by chunk id ascending."""
     if len(index) == 0:
         raise ValueError("empty index")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return top_k(index, index.scan(q), k)
+    scores = index.scan(q)
+    best = top_rows(index.ids, scores, np.arange(len(index)), k)
+    return [(index.ids[i], float(scores[i])) for i in best]
 
 
 # -- persistence -------------------------------------------------------------
@@ -267,21 +254,17 @@ def load_external_embeddings(path: str | Path, ids: Sequence[str]) -> VectorInde
     """
     by_id: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            vec = np.asarray(obj["vector"], dtype=np.float64)
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"non-finite vector for id: {obj['id']}")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise ValueError(
-                    f"inconsistent dim for id {obj['id']}: {vec.shape[0]} != {dim}"
-                )
-            by_id[str(obj["id"])] = vec
+    for obj in _records.read_jsonl(path):
+        vec = np.asarray(obj["vector"], dtype=np.float64)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"non-finite vector for id: {obj['id']}")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ValueError(
+                f"inconsistent dim for id {obj['id']}: {vec.shape[0]} != {dim}"
+            )
+        by_id[str(obj["id"])] = vec
     missing = [cid for cid in ids if cid not in by_id]
     if missing:
         raise ValueError(f"missing embedding for id: {missing[0]}")

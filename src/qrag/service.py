@@ -5,7 +5,8 @@ Endpoints:
   POST /v1/search          -> retrieval response JSON
        body: {"query": str, "mode": str?, "k": int?}
 
-Errors are returned as {"error": str} with a 4xx/5xx status. The engine is
+Errors are returned as {"error": str} with a 4xx/5xx status; a request body
+over ``MAX_BODY_BYTES`` gets a 413 without being read. The engine is
 immutable, so one shared instance serves concurrent requests.
 """
 
@@ -19,6 +20,8 @@ from .engine import RetrievalEngine
 from .quantum import FUSION_MODES
 
 logger = logging.getLogger(__name__)
+
+MAX_BODY_BYTES = 1 << 20
 
 
 class SearchHandler(BaseHTTPRequestHandler):
@@ -47,8 +50,15 @@ class SearchHandler(BaseHTTPRequestHandler):
         if self.path != "/v1/search":
             self._send_json(404, {"error": f"not found: {self.path}"})
             return
+        header = self.headers.get("Content-Length", "0")
+        if not header.isdecimal():  # refuses a negative length too
+            self._send_json(400, {"error": "invalid Content-Length"})
+            return
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"})
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._send_json(400, {"error": "invalid JSON body"})
@@ -61,7 +71,7 @@ class SearchHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": f"unknown mode: {mode}"})
             return
         k = payload.get("k")
-        if k is not None and (not isinstance(k, int) or k < 1):
+        if k is not None and (type(k) is not int or k < 1):
             self._send_json(400, {"error": "k must be a positive integer"})
             return
         try:

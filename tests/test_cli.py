@@ -138,3 +138,31 @@ class TestErrors:
         code = main(["query", "x", "--index", str(tmp_path / "nope")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_misspelt_config_key_is_an_error_exit(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"vocab_size": 6000, "fusion": {"mdoe": "rrf"}}), encoding="utf-8"
+        )
+        code = main(
+            [
+                "build",
+                "--corpus",
+                str(root / "corpus.jsonl"),
+                "--out",
+                str(tmp_path / "index"),
+                "--config",
+                str(tmp_path / "cfg.json"),
+            ]
+        )
+        assert code == 1
+        assert "fusion.mdoe" in capsys.readouterr().err
+        assert not (tmp_path / "index").exists()
+
+    def test_ingest_of_empty_corpus_is_an_error_exit(self, tmp_path, capsys):
+        synthetic.write_jsonl(
+            [{"id": "a", "text": "english only text here"}], tmp_path / "c.jsonl"
+        )
+        code = main(["ingest", "--in", str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "empty corpus after filtering" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from qrag.lexical import (
     idf,
     load,
     save,
-    score_candidates,
+    score_rows,
     search,
 )
 from qrag.tokenizer import train_bpe
@@ -237,13 +237,15 @@ class TestPersistence:
                 ix, p, query, 10, word_model
             )
 
-    def test_score_candidates_matches_individual_scores(self, word_model):
+    def test_score_rows_matches_individual_scores(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
         rng = np.random.default_rng(41)
         chunks = _random_corpus(rng, 50, word_model, vocab)
         ix = build_index(chunks, word_model)
         p = BM25Params()
         terms = word_model.encode("w1 w5 w9").surface
-        scored = score_candidates(ix, p, terms)
-        for cid, score in scored.items():
-            assert score == bm25_score(ix, p, terms, cid)
+        scores, touched = score_rows(ix, p, terms)
+        assert touched.any()
+        for i, cid in enumerate(ix.chunk_ids):
+            assert scores[i] == bm25_score(ix, p, terms, cid)
+            assert touched[i] == (scores[i] > 0.0)

@@ -1,0 +1,213 @@
+"""Dataclass <-> JSON conversion of every persisted or served record."""
+
+import json
+
+import pytest
+
+from qrag import _records
+from qrag.corpus import Chunk, CleaningConfig, read_chunks_jsonl, write_chunks_jsonl
+from qrag.engine import (
+    EngineConfig,
+    IndexManifest,
+    RetrievalResponse,
+    ScoredHit,
+    load_index,
+    save_index,
+)
+from qrag.evalkit import MetricReport
+from qrag.lexical import BM25Params
+from qrag.quantum import FusionConfig
+from qrag.semantic import EmbedderSpec
+
+DEFAULT_CONFIG_JSON = (
+    '{"bm25": {"b": 0.75, "k1": 1.2}, "cleaning": {"chunk_overlap_tokens": 64, '
+    '"chunk_size_tokens": 256, "max_punct_ratio": 0.5, "min_gurmukhi_fraction": 0.5, '
+    '"min_tokens": 10}, "context_budget_tokens": 1024, "embedder": {"dim": 256, '
+    '"kind": "hash_projection"}, "fusion": {"k_dense": 50, "k_final": 10, '
+    '"k_sparse": 50, "mode": "quantum_interference", "rrf_k": 60, '
+    '"signed_fidelity": true, "w_lexical": 0.4, "w_semantic": 0.6}, '
+    '"vocab_size": 32000}'
+)
+
+
+def _dumps(d):
+    return json.dumps(d, ensure_ascii=False, sort_keys=True)
+
+
+class TestGoldenBytes:
+    def test_default_config(self):
+        assert _dumps(EngineConfig().to_dict()) == DEFAULT_CONFIG_JSON
+
+    def test_external_embedder_config(self):
+        cfg = EngineConfig(embedder=EmbedderSpec(kind="external_file", path="x"))
+        expected = DEFAULT_CONFIG_JSON.replace(
+            '"kind": "hash_projection"}', '"kind": "external_file", "path": "x"}'
+        )
+        assert _dumps(cfg.to_dict()) == expected
+
+    def test_hit_leaves_out_absent_scores(self):
+        hit = ScoredHit(chunk_id="c", text="t", rank=1, fused=0.5, dense_cos=0.25)
+        assert _dumps(hit.to_dict()) == (
+            '{"chunk_id": "c", "dense_cos": 0.25, "fused": 0.5, "rank": 1, "text": "t"}'
+        )
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "d, key",
+        [
+            ({"vocab_sise": 10}, "vocab_sise"),
+            ({"cleaning": {"min_tokenz": 3}}, "cleaning.min_tokenz"),
+            ({"bm25": {"k2": 1.0}}, "bm25.k2"),
+            ({"embedder": {"dims": 64}}, "embedder.dims"),
+            ({"fusion": {"mdoe": "rrf"}}, "fusion.mdoe"),
+        ],
+    )
+    def test_engine_config_names_the_dotted_key(self, d, key):
+        with pytest.raises(ValueError, match=f"unknown key: {key}$"):
+            EngineConfig.from_dict(d)
+
+    def test_fusion_config(self):
+        with pytest.raises(ValueError, match="unknown key: mdoe"):
+            FusionConfig.from_dict({"mdoe": "rrf"})
+
+    def test_embedder_spec(self):
+        with pytest.raises(ValueError, match="unknown key: dims"):
+            EmbedderSpec.from_dict({"dims": 64})
+
+    def test_manifest_top_level(self, manifest_dict):
+        manifest_dict["extra"] = 1
+        with pytest.raises(ValueError, match="unknown key: extra"):
+            IndexManifest.from_dict(manifest_dict)
+
+    def test_manifest_config_echo(self, manifest_dict):
+        manifest_dict["config"]["fusion"]["mdoe"] = "rrf"
+        with pytest.raises(ValueError, match="unknown key: config.fusion.mdoe"):
+            IndexManifest.from_dict(manifest_dict)
+
+    def test_manifest_missing_key(self, manifest_dict):
+        del manifest_dict["files"]
+        with pytest.raises(ValueError, match="missing key: files"):
+            IndexManifest.from_dict(manifest_dict)
+
+    def test_load_index_rejects_unknown_manifest_key(self, small_engine, tmp_path):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["config"]["bm25"]["k3"] = 1.0
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match="config.bm25.k3"):
+            load_index(tmp_path)
+
+
+class TestWrongTypes:
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"vocab_size": True}, "vocab_size: expected int, got bool"),
+            ({"vocab_size": 8000.0}, "vocab_size: expected int, got float"),
+            ({"bm25": {"k1": "2"}}, "bm25.k1: expected float, got str"),
+            ({"bm25": {"b": False}}, "bm25.b: expected float, got bool"),
+            ({"fusion": {"signed_fidelity": 1}}, "fusion.signed_fidelity: expected bool, got int"),
+            ({"fusion": {"mode": None}}, "fusion.mode: expected str, got NoneType"),
+            ({"embedder": {"path": 3}}, "embedder.path: expected str, got int"),
+            ({"cleaning": []}, "cleaning: expected dict, got list"),
+        ],
+    )
+    def test_engine_config_names_the_dotted_key(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            EngineConfig.from_dict(d)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ValueError, match="EngineConfig: expected dict, got list"):
+            EngineConfig.from_dict([])
+
+    def test_int_is_accepted_for_a_float(self):
+        cfg = EngineConfig.from_dict({"bm25": {"k1": 2}})
+        assert cfg.bm25 == BM25Params(k1=2.0)
+
+    def test_optional_field_accepts_null(self):
+        assert EmbedderSpec.from_dict({"path": None}) == EmbedderSpec()
+
+    def test_list_items_are_named_by_index(self):
+        d = {"per_query": {}, "macro": {}, "evaluated": 0, "skipped_no_relevant": ["a", 2]}
+        with pytest.raises(ValueError, match=r"skipped_no_relevant\[1\]: expected str, got int"):
+            _records.from_dict(MetricReport, d)
+
+
+@pytest.fixture()
+def manifest_dict():
+    cfg = EngineConfig(vocab_size=500, fusion=FusionConfig(mode="rrf", k_final=3))
+    return IndexManifest(
+        format_version=1,
+        created_at="2025-01-01T00:00:00+00:00",
+        chunk_count=2,
+        tokenizer_sha256="ab",
+        embedder=cfg.embedder,
+        config=cfg,
+        files={"chunks.jsonl": "cd"},
+    ).to_dict()
+
+
+class TestRoundTrips:
+    def test_engine_config(self):
+        cfg = EngineConfig(
+            cleaning=CleaningConfig(min_tokens=3, chunk_size_tokens=128),
+            bm25=BM25Params(k1=1.5, b=0.5),
+            embedder=EmbedderSpec(kind="external_file", path="v.jsonl"),
+            fusion=FusionConfig(mode="rrf", w_semantic=0.3, w_lexical=0.7),
+            vocab_size=1234,
+            context_budget_tokens=512,
+        )
+        assert EngineConfig.from_dict(json.loads(_dumps(cfg.to_dict()))) == cfg
+
+    def test_fusion_config(self):
+        cfg = FusionConfig(mode="weighted_sum", signed_fidelity=False, k_dense=7)
+        assert FusionConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_embedder_spec(self):
+        for spec in (EmbedderSpec(dim=64), EmbedderSpec(kind="external_file", path="p")):
+            assert EmbedderSpec.from_dict(spec.to_dict()) == spec
+
+    def test_manifest(self, manifest_dict):
+        manifest = IndexManifest.from_dict(json.loads(_dumps(manifest_dict)))
+        assert manifest.config.fusion.mode == "rrf"
+        assert manifest.to_dict() == manifest_dict
+
+    def test_response(self):
+        response = RetrievalResponse(
+            query="q",
+            mode="rrf",
+            hits=[
+                ScoredHit("a", "ta", 1, 0.5, sparse_raw=2.0, dense_cos=0.1, quantum=0.2),
+                ScoredHit("b", "tb", 2, 0.25),
+            ],
+            context="ta",
+            timings={"total": 1.5},
+        )
+        d = json.loads(response.to_json())
+        assert _records.from_dict(RetrievalResponse, d) == response
+        assert "timings" not in response.to_dict(include_timings=False)
+
+    def test_metric_report(self):
+        report = MetricReport(
+            per_query={"q1": {"mrr": 1.0}}, macro={"mrr": 1.0}, evaluated=1
+        )
+        d = json.loads(_dumps(report.to_dict()))
+        assert _records.from_dict(MetricReport, d) == report
+
+    def test_chunks_jsonl(self, tmp_path):
+        chunks = [
+            Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ"),
+            Chunk("d#1", "d", 2, 1, "ਨਾਮ"),
+        ]
+        assert write_chunks_jsonl(chunks, tmp_path / "c.jsonl") == 2
+        assert read_chunks_jsonl(tmp_path / "c.jsonl") == chunks
+
+    def test_chunk_row_with_unknown_key_is_rejected(self, tmp_path):
+        row = {"chunk_id": "a", "doc_id": "d", "token_offset": 0, "token_count": 1}
+        row.update(text="t", extra=1)
+        (tmp_path / "c.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown key: extra"):
+            read_chunks_jsonl(tmp_path / "c.jsonl")

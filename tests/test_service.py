@@ -1,11 +1,12 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from qrag.service import make_server
+from qrag.service import MAX_BODY_BYTES, make_server
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,22 @@ def server(small_engine):
 def _get(url):
     with urllib.request.urlopen(url, timeout=10) as resp:
         return resp.status, json.loads(resp.read().decode("utf-8"))
+
+
+def _raw_post(base, content_length, body=b""):
+    """POST with a hand-set Content-Length; return (status, payload)."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            b"POST /v1/search HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+            + body
+        )
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, payload = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload.decode("utf-8"))
 
 
 def _post(url, payload, raw=None):
@@ -102,6 +119,39 @@ class TestSearch:
         base, _ = server
         status, payload = _post(base + "/v1/search", {"query": "x", "k": 0})
         assert status == 400
+
+    def test_boolean_k_is_400(self, server):
+        base, bench = server
+        status, payload = _post(
+            base + "/v1/search", {"query": bench.queries[0]["text"], "k": True}
+        )
+        assert status == 400
+        assert "k must be" in payload["error"]
+
+    def test_negative_content_length_is_400_without_reading(self, server):
+        base, _ = server
+        status, payload = _raw_post(base, -1)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_non_numeric_content_length_is_400(self, server):
+        base, _ = server
+        status, payload = _raw_post(base, "ten")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_body_over_cap_is_413(self, server):
+        base, _ = server
+        status, payload = _raw_post(base, MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+
+    def test_body_at_cap_is_read(self, server):
+        base, _ = server
+        body = json.dumps({"query": "x"}).encode("utf-8")
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status, payload = _raw_post(base, MAX_BODY_BYTES, body)
+        assert status != 413
 
     def test_concurrent_requests(self, server):
         base, bench = server
