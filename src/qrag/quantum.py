@@ -176,7 +176,9 @@ class CandidateScore:
     """Per-candidate component scores feeding fusion.
 
     ``quantum`` holds the signed state overlap <psi_q|psi_d> when a quantum
-    mode computed it; ``fused`` is filled by ``rank_candidates``.
+    mode ranks the candidates (the engine reads it off the dense cosine,
+    which it equals for amplitude-encoded unit vectors); ``fused`` is filled
+    by ``rank_candidates``.
     """
 
     chunk_id: str

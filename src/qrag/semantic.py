@@ -31,6 +31,10 @@ _FNV_PRIME = 0x100000001B3
 
 _token_cache: dict[tuple[str, int], np.ndarray] = {}
 
+# Rows per block of ``VectorIndex.scan``: the float64 product of one block
+# with a 256-dim query is 2 MiB, whatever the index size.
+SCAN_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class EmbedderSpec:
@@ -133,7 +137,12 @@ def embed(
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """dot(a, b) / (|a| |b|), clamped to [-1, 1] against rounding."""
+    """sum(a * b) / (|a| |b|), clamped to [-1, 1] against rounding.
+
+    The cross term is the pairwise sum ``np.sum(a * b)``, the kernel that
+    ``VectorIndex.scan`` applies to each row, so the two agree bitwise; a
+    BLAS dot product can differ from it in the last bit.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -142,7 +151,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     nb = math.sqrt(float(np.dot(b, b)))
     if na == 0.0 or nb == 0.0:
         raise ValueError("zero vector")
-    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
+    return min(1.0, max(-1.0, float(np.sum(a * b)) / (na * nb)))
 
 
 class VectorIndex:
@@ -191,8 +200,9 @@ class VectorIndex:
     def scan(self, q: np.ndarray) -> np.ndarray:
         """Cosine of the query against every row (brute force, exact).
 
-        Uses a per-row dot product so each score is bitwise-identical to
-        ``cosine(row, q)``.
+        Each row's dot product is the pairwise sum ``(row * q).sum()``, taken
+        over blocks of ``SCAN_BLOCK_ROWS`` rows to bound the temporary, so
+        each score is bitwise-identical to ``cosine(row, q)``.
         """
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim,):
@@ -201,12 +211,11 @@ class VectorIndex:
         if qn == 0.0:
             raise ValueError("zero vector")
         scores = np.empty(len(self.ids), dtype=np.float64)
-        m64 = self._m64
-        norms = self._norms
-        for i in range(len(self.ids)):
-            c = float(np.dot(m64[i], q)) / (norms[i] * qn)
-            scores[i] = min(1.0, max(-1.0, c))
-        return scores
+        for start in range(0, len(self.ids), SCAN_BLOCK_ROWS):
+            block = self._m64[start : start + SCAN_BLOCK_ROWS]
+            scores[start : start + len(block)] = (block * q).sum(axis=1)
+        scores /= self._norms * qn
+        return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, float]]:

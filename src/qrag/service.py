@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import RetrievalEngine
@@ -94,6 +95,18 @@ class SearchServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], engine: RetrievalEngine) -> None:
         super().__init__(address, SearchHandler)
         self.engine = engine
+
+    def handle_error(self, request, client_address) -> None:
+        """Log a request's uncaught error instead of printing it to stderr.
+
+        A client that drops its connection before the reply is routine, so
+        it is logged at DEBUG without a traceback.
+        """
+        exc = sys.exc_info()[1]
+        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+            logger.debug("client %s dropped the connection: %r", client_address, exc)
+        else:
+            logger.exception("error serving %s", client_address)
 
 
 def make_server(engine: RetrievalEngine, host: str = "127.0.0.1", port: int = 8080) -> SearchServer:

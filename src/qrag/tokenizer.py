@@ -24,6 +24,12 @@ PAD_TOKEN = "<pad>"
 
 _WS_RE = re.compile(r"\s+")
 
+# Words kept in a model's word cache, about 4.5 MiB of entries. Past it, a
+# new word (a query's never-seen word, say) is encoded without being
+# cached, so a long-running server's memory does not grow with the queries
+# it has seen.
+WORD_CACHE_MAX = 8192
+
 
 def normalize(text: str) -> str:
     """NFC-normalize, collapse whitespace runs to single spaces, and trim.
@@ -111,7 +117,9 @@ class TokenizerModel:
     """A trained BPE model: vocabulary, ordered merges, and normalization policy.
 
     The model is immutable after training; ``encode``/``decode`` are pure and
-    safe under concurrent use (the word cache is append-only).
+    safe under concurrent use (the word cache is append-only and bounded by
+    ``WORD_CACHE_MAX``; threads racing on the last slots may overshoot it by
+    one word each).
     """
 
     vocab: dict[str, int]
@@ -156,7 +164,8 @@ class TokenizerModel:
             if best is None:
                 break
             symbols = _merge_occurrences(symbols, best)
-        self._word_cache[word] = symbols
+        if len(self._word_cache) < WORD_CACHE_MAX:
+            self._word_cache[word] = symbols
         return symbols
 
     def encode(self, text: str) -> TokenSeq:

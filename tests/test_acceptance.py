@@ -12,7 +12,14 @@ import pytest
 
 from qrag import evalkit, lexical, quantum, semantic, synthetic
 from qrag.corpus import Chunk
-from qrag.engine import EngineConfig, build_all, format_context, load_index, save_index
+from qrag.engine import (
+    CONTEXT_DELIMITER,
+    EngineConfig,
+    build_all,
+    format_context,
+    load_index,
+    save_index,
+)
 from qrag.lexical import BM25Params, InvertedIndex
 from qrag.tokenizer import normalize, train_bpe
 
@@ -254,6 +261,7 @@ def test_context_budget_fuzz(planted):
         engine, *_ = planted
         tok = engine.tokenizer
         texts = [c.text for c in engine.chunks]
+        sep_cost = tok.token_count(CONTEXT_DELIMITER)
         rng = np.random.default_rng(99)
         worst = 0
         for _ in range(500):
@@ -262,7 +270,8 @@ def test_context_budget_fuzz(planted):
             if n and rng.random() < 0.3:
                 # oversized first hit exercises the truncation path
                 hits[0] = " ".join(texts[int(rng.integers(len(texts)))] for _ in range(30))
-            context = format_context(hits, 1024, tok)
+            counts = [tok.token_count(t) for t in hits]
+            context = format_context(hits, counts, sep_cost, 1024, tok)
             worst = max(worst, tok.token_count(context))
             assert tok.token_count(context) <= 1024
         print(f"context budget fuzz: max tokens {worst}/1024")

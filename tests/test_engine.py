@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qrag import lexical, semantic
+from qrag import lexical, quantum, semantic
 from qrag.engine import (
+    CONTEXT_DELIMITER,
+    INDEX_FILES,
     EngineConfig,
     build_all,
     format_context,
@@ -13,7 +15,7 @@ from qrag.engine import (
 )
 from qrag.quantum import interference_score, normalize_lexical
 from qrag.synthetic import write_jsonl
-from qrag.tokenizer import train_bpe
+from qrag.tokenizer import TokenizerModel, train_bpe
 
 
 class TestEngineConfig:
@@ -233,6 +235,73 @@ class TestRetrieve:
                 engine.config.context_budget_tokens
             )
 
+    def test_quantum_overlap_matches_amplitude_states(self, small_engine):
+        engine, bench, *_ = small_engine
+        for mode in ("fidelity_rerank", "quantum_interference"):
+            for q in bench.queries[:6]:
+                resp = engine.retrieve(q["text"], mode=mode, k_final=50)
+                q_emb = engine.embed_text_tokens(
+                    engine.tokenizer.encode(q["text"]).surface
+                )
+                q_state = quantum.amplitude_encode(q_emb)
+                for h in resp.hits:
+                    d_state = quantum.amplitude_encode(engine.vector_index.row(h.chunk_id))
+                    assert h.quantum == pytest.approx(
+                        quantum.overlap(q_state, d_state), abs=1e-12
+                    )
+
+    def test_retrieve_encodes_only_the_query(self, small_engine, monkeypatch):
+        engine, bench, *_ = small_engine
+        calls = {"encode": 0, "amplitude_encode": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TokenizerModel, "encode", counting("encode", TokenizerModel.encode)
+        )
+        monkeypatch.setattr(
+            quantum,
+            "amplitude_encode",
+            counting("amplitude_encode", quantum.amplitude_encode),
+        )
+        resp = engine.retrieve(bench.queries[0]["text"], mode="quantum_interference")
+        assert resp.hits and resp.context
+        # The one amplitude_encode is the query state's; no candidate state
+        # is built.
+        assert calls == {"encode": 1, "amplitude_encode": 1}
+
+
+class TestTokenCounts:
+    """The counts ``format_context`` budgets with, pinned to the tokenizer."""
+
+    def test_doc_len_is_token_count_of_chunk_text(self, small_engine):
+        engine, *_ = small_engine
+        tok = engine.tokenizer
+        for chunk in engine.chunks:
+            assert engine.lexical_index.doc_len[chunk.chunk_id] == (
+                tok.token_count(chunk.text)
+            )
+
+    def test_counts_add_up_across_the_delimiter(self, small_engine):
+        engine, *_ = small_engine
+        tok = engine.tokenizer
+        sep = f"\n{CONTEXT_DELIMITER}\n"
+        sep_cost = tok.token_count(CONTEXT_DELIMITER)
+        pool = [c.text for c in engine.chunks] + ["", "  \n\t "]
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            texts = [pool[int(i)] for i in rng.integers(len(pool), size=rng.integers(0, 8))]
+            if texts and rng.random() < 0.3:
+                texts[int(rng.integers(len(texts)))] = pool[int(rng.integers(-2, 0))]
+            counts = [tok.token_count(t) for t in texts]
+            expected = sum(counts) + sep_cost * max(len(texts) - 1, 0)
+            assert tok.token_count(sep.join(texts)) == expected
+
 
 @pytest.fixture(scope="module")
 def context_model():
@@ -243,32 +312,37 @@ def _text_of(n_tokens, word="ਕਾ"):
     return (word + " ") * n_tokens
 
 
+def _context(texts, budget, tok):
+    counts = [tok.token_count(t) for t in texts]
+    return format_context(texts, counts, tok.token_count(CONTEXT_DELIMITER), budget, tok)
+
+
 class TestFormatContext:
     def test_greedy_inclusion_under_budget(self, context_model):
         sep_cost = context_model.token_count("---")
         hits = [_text_of(400), _text_of(400), _text_of(400)]
-        context = format_context(hits, 1024, context_model)
+        context = _context(hits, 1024, context_model)
         n = context_model.token_count(context)
         assert n == 800 + sep_cost
         assert context.count("---") == 1  # two chunks included
 
     def test_everything_fits(self, context_model):
         hits = [_text_of(100), _text_of(100)]
-        context = format_context(hits, 1024, context_model)
+        context = _context(hits, 1024, context_model)
         assert context.count("---") == 1
         assert context_model.token_count(context) <= 1024
 
     def test_first_chunk_truncated_to_budget(self, context_model):
-        context = format_context([_text_of(2000)], 1024, context_model)
+        context = _context([_text_of(2000)], 1024, context_model)
         assert context_model.token_count(context) == 1024
         assert context == _text_of(1024).strip()
 
     def test_empty_hits(self, context_model):
-        assert format_context([], 1024, context_model) == ""
+        assert _context([], 1024, context_model) == ""
 
     def test_budget_validated(self, context_model):
         with pytest.raises(ValueError):
-            format_context(["x"], 0, context_model)
+            _context(["x"], 0, context_model)
 
     def test_fuzz_never_exceeds_budget(self, context_model):
         rng = np.random.default_rng(77)
@@ -279,7 +353,7 @@ class TestFormatContext:
                 for _ in range(int(rng.integers(0, 8)))
             ]
             budget = int(rng.integers(1, 1500))
-            context = format_context(hits, budget, context_model)
+            context = _context(hits, budget, context_model)
             assert context_model.token_count(context) <= budget
 
 
@@ -317,6 +391,27 @@ class TestPersistence:
         (tmp_path / "missing" / "vectors.bin").unlink()
         with pytest.raises(FileNotFoundError, match="vectors.bin"):
             load_index(tmp_path / "missing")
+
+    @pytest.mark.parametrize("name", INDEX_FILES)
+    def test_manifest_must_list_every_index_file(self, small_engine, tmp_path, name):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "unlisted")
+        manifest_path = tmp_path / "unlisted" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        del manifest["files"][name]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"manifest does not list: {name}"):
+            load_index(tmp_path / "unlisted")
+
+    def test_manifest_unknown_file_rejected(self, small_engine, tmp_path):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "extra")
+        manifest_path = tmp_path / "extra" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["files"]["notes.txt"] = "00"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown file: notes.txt"):
+            load_index(tmp_path / "extra")
 
     def test_missing_manifest_named(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest.json"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qrag.semantic import (
+    SCAN_BLOCK_ROWS,
     EmbedderSpec,
     VectorIndex,
     cosine,
@@ -149,12 +150,18 @@ class TestSearchExact:
 
     def test_scan_bitwise_matches_pairwise_cosine(self):
         rng = np.random.default_rng(17)
-        vectors = [rng.standard_normal(32) for _ in range(200)]
-        ix = VectorIndex.build([f"c{i:03d}" for i in range(200)], vectors)
-        q = rng.standard_normal(32)
-        scores = ix.scan(q)
-        for i in range(len(ix)):
-            assert scores[i] == cosine(ix._m64[i], q)
+        # Below, at and across the scan block size, and an empty index.
+        for n in (200, SCAN_BLOCK_ROWS, 2 * SCAN_BLOCK_ROWS + 7, 0):
+            ids = [f"c{i:04d}" for i in range(n)]
+            if n:
+                ix = VectorIndex.build(ids, [rng.standard_normal(32) for _ in ids])
+            else:
+                ix = VectorIndex([], np.zeros((0, 32), dtype=np.float32))
+            q = rng.standard_normal(32)
+            scores = ix.scan(q)
+            assert scores.shape == (n,)
+            for i in range(len(ix)):
+                assert scores[i] == cosine(ix._m64[i], q)
 
     def test_ranking_matches_brute_force(self):
         rng = np.random.default_rng(19)

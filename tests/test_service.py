@@ -1,4 +1,5 @@
 import json
+import logging
 import socket
 import threading
 import urllib.error
@@ -6,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from qrag.service import MAX_BODY_BYTES, make_server
+from qrag.service import MAX_BODY_BYTES, SearchHandler, make_server
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +175,55 @@ class TestSearch:
             t.join()
         assert not errors
         assert all(status == 200 for status, _ in results)
+
+
+class TestHandlerErrors:
+    @pytest.fixture
+    def failing_server(self, small_engine, monkeypatch):
+        """A server whose GET handler raises the exception in ``raised``."""
+        engine, *_ = small_engine
+        raised = []
+
+        def do_GET(handler):
+            raise raised[0]
+
+        monkeypatch.setattr(SearchHandler, "do_GET", do_GET)
+        srv = make_server(engine, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        yield srv, raised
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def _get_until_closed(srv):
+        # The server closes the connection only after handle_error returns.
+        with socket.create_connection(srv.server_address, timeout=5) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+            while sock.recv(65536):
+                pass
+
+    @pytest.mark.parametrize("exc", [BrokenPipeError(32, "x"), ConnectionResetError()])
+    def test_dropped_client_is_logged_at_debug_not_printed(
+        self, failing_server, capfd, caplog, exc
+    ):
+        srv, raised = failing_server
+        raised.append(exc)
+        with caplog.at_level(logging.DEBUG, logger="qrag.service"):
+            self._get_until_closed(srv)
+        assert capfd.readouterr().err == ""
+        records = [r for r in caplog.records if r.name == "qrag.service"]
+        assert [r.levelno for r in records] == [logging.DEBUG]
+        assert "dropped the connection" in records[0].getMessage()
+
+    def test_other_errors_are_logged_with_traceback(self, failing_server, capfd, caplog):
+        srv, raised = failing_server
+        raised.append(RuntimeError("boom"))
+        with caplog.at_level(logging.DEBUG, logger="qrag.service"):
+            self._get_until_closed(srv)
+        assert capfd.readouterr().err == ""
+        records = [r for r in caplog.records if r.name == "qrag.service"]
+        assert [r.levelno for r in records] == [logging.ERROR]
+        assert records[0].exc_info[0] is RuntimeError

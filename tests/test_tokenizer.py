@@ -4,6 +4,7 @@ import unicodedata
 import numpy as np
 import pytest
 
+from qrag import tokenizer
 from qrag.tokenizer import (
     TokenSeq,
     TokenizerModel,
@@ -147,6 +148,20 @@ class TestEncode:
             truncated = _truncate_model(full, n_merges)
             lengths.append(sum(len(truncated.encode(line)) for line in synth_lines[:20]))
         assert all(a >= b for a, b in zip(lengths, lengths[1:]))
+
+    def test_word_cache_is_bounded(self, synth_lines, monkeypatch):
+        rng = np.random.default_rng(3)
+        letters = [chr(c) for c in range(0x0A15, 0x0A39)]
+        junk = [
+            "".join(rng.choice(letters, size=int(rng.integers(3, 9))))
+            for _ in range(2000)
+        ]
+        reference = train_bpe(synth_lines[:80], vocab_size=3000)
+        expected = [reference.encode(w).ids for w in junk]
+        monkeypatch.setattr(tokenizer, "WORD_CACHE_MAX", 50, raising=False)
+        model = train_bpe(synth_lines[:80], vocab_size=3000)
+        assert [model.encode(w).ids for w in junk] == expected
+        assert len(model._word_cache) <= 50
 
 
 def _truncate_model(model: TokenizerModel, n_merges: int) -> TokenizerModel:
