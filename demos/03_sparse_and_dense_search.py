@@ -25,7 +25,7 @@ chunks = [Chunk(r["id"] + "#0", r["id"], 0, len(tok.encode(r["text"])), r["text"
 
 index = lexical.build_index(chunks, tok)
 params = BM25Params()
-print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, {len(index.postings)} terms")
+print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, {len(index.terms)} terms")
 
 query = " ".join(lines[7].split()[:3])
 print(f"\nBM25 search for {query!r}:")
@@ -40,7 +40,7 @@ for t in tok.encode(rare_term).surface:
 # -- dense leg -------------------------------------------------------------------
 
 spec = EmbedderSpec(kind="hash_projection", dim=256)
-idf_weights = {t: lexical.idf(index, t) for t in index.postings}
+idf_weights = lexical.idf_weights(index)
 vectors = [semantic.embed(tok.encode(c.text).surface, spec, idf_weights) for c in chunks]
 vindex = VectorIndex.build([c.chunk_id for c in chunks], vectors)
 

@@ -191,9 +191,7 @@ class RetrievalEngine:
         self.lexical_index = lexical_index
         self.vector_index = vector_index
         self.config = config
-        self.idf_weights = {
-            term: lexical.idf(lexical_index, term) for term in lexical_index.postings
-        }
+        self.idf_weights = lexical.idf_weights(lexical_index)
         self._sep_cost = tokenizer.token_count(CONTEXT_DELIMITER)
 
     @property
@@ -387,9 +385,7 @@ def build_all(
                 cfg.embedder.path, [c.chunk_id for c in chunks]
             )
         else:
-            idf_weights = {
-                term: lexical.idf(lex_index, term) for term in lex_index.postings
-            }
+            idf_weights = lexical.idf_weights(lex_index)
             vectors = (
                 semantic.embed(tok.encode(c.text).surface, cfg.embedder, idf_weights)
                 for c in chunks

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, KeysView, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -36,9 +36,13 @@ class BM25Params:
 
 
 class InvertedIndex:
-    """Term -> posting lists plus the length statistics BM25 needs.
+    """Term -> posting arrays plus the length statistics BM25 needs.
 
-    Immutable once built; searches are reentrant and safe concurrently.
+    Each term's postings are held as two arrays: the rows of its chunks (in
+    ``chunk_ids`` order) and their term frequencies as float64, in the order
+    given, which is chunk-id order for a built index. No per-posting Python
+    object is kept. Immutable once built; searches are reentrant and safe
+    concurrently.
     """
 
     def __init__(
@@ -46,8 +50,13 @@ class InvertedIndex:
         N: int,
         avgdl: float,
         doc_len: dict[str, int],
-        postings: dict[str, list[tuple[str, int]]],
+        postings: Mapping[str, Sequence] | Iterable[tuple[str, Sequence]],
     ) -> None:
+        """``postings`` gives each term's ``(chunk_id, tf)`` pairs, as a
+        mapping or as an iterable of ``(term, pairs)``. An iterable is
+        consumed one term at a time, so only one term's decoded postings
+        need be alive at once.
+        """
         if N != len(doc_len):
             raise ValueError(f"N={N} does not match {len(doc_len)} doc_len entries")
         # Doc lengths are ints, so the float64 mean is exact and must match.
@@ -56,25 +65,62 @@ class InvertedIndex:
         self.N = N
         self.avgdl = avgdl
         self.doc_len = doc_len
-        self.postings = postings
-        # Derived arrays for vectorized scoring. Chunk order follows doc_len
-        # insertion order, which is the build input order.
+        # Chunk rows follow doc_len insertion order, which is the build input
+        # order.
         self._cids = list(doc_len.keys())
         self._row_of = {cid: i for i, cid in enumerate(self._cids)}
         self._dl = np.array([doc_len[cid] for cid in self._cids], dtype=np.float64)
         self._term_rows: dict[str, np.ndarray] = {}
         self._term_tfs: dict[str, np.ndarray] = {}
-        for term, plist in postings.items():
-            if any(tf < 1 for _, tf in plist):
-                raise ValueError(f"non-positive tf in postings for term {term!r}")
-            self._term_rows[term] = np.array(
-                [self._row_of[cid] for cid, _ in plist], dtype=np.intp
+        if isinstance(postings, Mapping):
+            postings = postings.items()
+        for term, plist in postings:
+            self._term_rows[term], self._term_tfs[term] = self._posting_arrays(
+                term, plist
             )
-            self._term_tfs[term] = np.array([tf for _, tf in plist], dtype=np.float64)
+
+    def _posting_arrays(
+        self, term: str, plist: Sequence[Sequence]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One term's ``(chunk_id, tf)`` pairs as checked row and tf arrays.
+
+        The loops run in C (map/fromiter), which keeps loading the index
+        cheap; a tf must be an int >= 1, so ``1.5``, ``"2"`` and ``true``
+        from a file are refused rather than coerced.
+        """
+        try:
+            rows = np.fromiter(
+                map(self._row_of.__getitem__, map(itemgetter(0), plist)),
+                dtype=np.intp,
+                count=len(plist),
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"posting for term {term!r} names unknown chunk_id {exc.args[0]!r}"
+            ) from None
+        tf_list = list(map(itemgetter(1), plist))
+        if set(map(type, tf_list)) <= {int}:
+            tfs = np.fromiter(tf_list, dtype=np.float64, count=len(tf_list))
+            if not (tfs < 1).any():
+                return rows, tfs
+        raise ValueError(f"tf in postings for term {term!r} must be an int >= 1")
 
     @property
     def chunk_ids(self) -> list[str]:
         return self._cids
+
+    @property
+    def terms(self) -> KeysView[str]:
+        """Every indexed term, in index order."""
+        return self._term_rows.keys()
+
+    def posting_list(self, term: str) -> list[tuple[str, int]]:
+        """``term``'s ``(chunk_id, tf)`` pairs in stored order; [] if unseen."""
+        rows = self._term_rows.get(term)
+        if rows is None:
+            return []
+        cids = map(self._cids.__getitem__, rows.tolist())
+        return list(zip(cids, self._term_tfs[term].astype(np.int64).tolist()))
 
     def row_index(self, chunk_id: str) -> int:
         return self._row_of[chunk_id]
@@ -104,27 +150,28 @@ def build_index(chunks: Sequence[Chunk], tok: TokenizerModel) -> InvertedIndex:
             counts[t] = counts.get(t, 0) + 1
         for t, tf in counts.items():
             tf_maps.setdefault(t, {})[c.chunk_id] = tf
-    postings = {
-        term: sorted(cid_tf.items()) for term, cid_tf in sorted(tf_maps.items())
-    }
+    postings = ((term, sorted(tf_maps[term].items())) for term in sorted(tf_maps))
     avgdl = sum(doc_len.values()) / len(doc_len)
     return InvertedIndex(N=len(doc_len), avgdl=avgdl, doc_len=doc_len, postings=postings)
 
 
 def idf(index: InvertedIndex, term: str) -> float:
     """ln(1 + (N - df + 0.5) / (df + 0.5)); finite and positive for df <= N."""
-    df = len(index.postings.get(term, ()))
+    df = len(index._term_rows.get(term, ()))
     return math.log(1.0 + (index.N - df + 0.5) / (df + 0.5))
 
 
+def idf_weights(index: InvertedIndex) -> dict[str, float]:
+    """``idf`` of every indexed term: the dense leg's term weights."""
+    return {term: idf(index, term) for term in index.terms}
+
+
 def _tf_in_chunk(index: InvertedIndex, term: str, chunk_id: str) -> int:
-    plist = index.postings.get(term)
-    if not plist:
+    rows = index._term_rows.get(term)
+    if rows is None:
         return 0
-    i = bisect_left(plist, (chunk_id,))
-    if i < len(plist) and plist[i][0] == chunk_id:
-        return plist[i][1]
-    return 0
+    hit = np.flatnonzero(rows == index.row_index(chunk_id))
+    return int(index._term_tfs[term][hit[0]]) if len(hit) else 0
 
 
 def _dedup_terms(query_terms: Iterable[str]) -> list[str]:
@@ -217,13 +264,11 @@ def save(index: InvertedIndex, out_dir: str | Path) -> None:
     out = Path(out_dir)
     with (out / LEXICAL_FILE).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"N": index.N, "avgdl": index.avgdl}) + "\n")
-        for term in sorted(index.postings):
+        for term in sorted(index.terms):
+            # json writes each (chunk_id, tf) tuple as a [chunk_id, tf] array.
             fh.write(
                 json.dumps(
-                    {
-                        "term": term,
-                        "postings": [[cid, tf] for cid, tf in index.postings[term]],
-                    },
+                    {"term": term, "postings": index.posting_list(term)},
                     ensure_ascii=False,
                 )
                 + "\n"
@@ -233,24 +278,26 @@ def save(index: InvertedIndex, out_dir: str | Path) -> None:
             fh.write(json.dumps({"chunk_id": cid, "len": dl}, ensure_ascii=False) + "\n")
 
 
+def _read_postings(fh: TextIO) -> Iterator[tuple[str, list[list]]]:
+    for line in fh:
+        if line.strip():
+            obj = json.loads(line)
+            yield obj["term"], obj["postings"]
+
+
 def load(in_dir: str | Path) -> InvertedIndex:
+    """Read an index written by ``save``, converting one term at a time."""
     src = Path(in_dir)
     doc_len: dict[str, int] = {}
     with (src / DOCLEN_FILE).open("r", encoding="utf-8") as fh:
         for line in fh:
             obj = json.loads(line)
             doc_len[obj["chunk_id"]] = int(obj["len"])
-    postings: dict[str, list[tuple[str, int]]] = {}
     with (src / LEXICAL_FILE).open("r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            postings[obj["term"]] = [(cid, int(tf)) for cid, tf in obj["postings"]]
-    return InvertedIndex(
-        N=int(header["N"]),
-        avgdl=float(header["avgdl"]),
-        doc_len=doc_len,
-        postings=postings,
-    )
+        return InvertedIndex(
+            N=int(header["N"]),
+            avgdl=float(header["avgdl"]),
+            doc_len=doc_len,
+            postings=_read_postings(fh),
+        )

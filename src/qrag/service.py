@@ -6,8 +6,9 @@ Endpoints:
        body: {"query": str, "mode": str?, "k": int?}
 
 Errors are returned as {"error": str} with a 4xx/5xx status; a request body
-over ``MAX_BODY_BYTES`` gets a 413 without being read. The engine is
-immutable, so one shared instance serves concurrent requests.
+over ``MAX_BODY_BYTES`` gets a 413 without being read, and a query over
+``MAX_QUERY_CHARS`` characters a 400. The engine is immutable, so one shared
+instance serves concurrent requests.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .quantum import FUSION_MODES
 logger = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 1 << 20
+# One query's own cap inside the body cap: about eight times the longest
+# planted query (about 70 words, under 500 characters).
+MAX_QUERY_CHARS = 4096
 
 
 class SearchHandler(BaseHTTPRequestHandler):
@@ -66,6 +70,11 @@ class SearchHandler(BaseHTTPRequestHandler):
             return
         if not isinstance(payload, dict) or not isinstance(payload.get("query"), str):
             self._send_json(400, {"error": "body must include a string 'query'"})
+            return
+        if len(payload["query"]) > MAX_QUERY_CHARS:
+            self._send_json(
+                400, {"error": f"query exceeds {MAX_QUERY_CHARS} characters"}
+            )
             return
         mode = payload.get("mode")
         if mode is not None and mode not in FUSION_MODES:

@@ -1,15 +1,21 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qrag import synthetic
 from qrag.corpus import Chunk
 from qrag.lexical import (
+    DOCLEN_FILE,
+    LEXICAL_FILE,
     BM25Params,
     InvertedIndex,
     bm25_score,
     build_index,
     idf,
+    idf_weights,
     load,
     save,
     score_rows,
@@ -46,18 +52,19 @@ class TestBuildIndex:
     def test_repeated_term_single_posting_with_tf(self, word_model):
         ix = build_index([Chunk("c0", "d", 0, 4, "w1 w1 w2 w3")], word_model)
         term = word_model.encode("w1").surface[0]
-        assert ix.postings[term] == [("c0", 2)]
+        assert ix.posting_list(term) == [("c0", 2)]
 
     def test_absent_term_has_no_postings(self, word_model):
         ix = build_index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
         term = word_model.encode("w9").surface[0]
-        assert term not in ix.postings
+        assert term not in ix.terms
+        assert ix.posting_list(term) == []
 
     def test_postings_sorted_by_chunk_id(self, word_model):
         chunks = [Chunk(f"c{i}", "d", 0, 2, "w1 w2") for i in (3, 1, 2)]
         ix = build_index(chunks, word_model)
         term = word_model.encode("w1").surface[0]
-        assert [cid for cid, _ in ix.postings[term]] == ["c1", "c2", "c3"]
+        assert [cid for cid, _ in ix.posting_list(term)] == ["c1", "c2", "c3"]
 
     def test_duplicate_chunk_id_rejected(self, word_model):
         chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c0", "d", 0, 2, "w3 w4")]
@@ -77,8 +84,18 @@ class TestBuildIndex:
             InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": [("c", 0)]})
 
     def test_posting_for_unknown_chunk_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="term 't'.*chunk_id 'x'"):
             InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": [("x", 1)]})
+
+    @pytest.mark.parametrize("tf", [0, -1, 1.5, 2.0, "2", True, None])
+    def test_tf_that_is_not_a_positive_int_rejected(self, tf):
+        with pytest.raises(ValueError, match="term 't'"):
+            InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": [("c", tf)]})
+
+    def test_term_with_no_postings_has_df_zero(self):
+        ix = InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": []})
+        assert ix.posting_list("t") == []
+        assert idf(ix, "t") == idf(ix, "never-seen")
 
 
 class TestIdf:
@@ -91,6 +108,12 @@ class TestIdf:
     def test_unseen_term_df_zero_finite(self):
         ix = _hand_index()
         assert idf(ix, "zzz") == pytest.approx(math.log(1 + 3.5 / 0.5), abs=1e-12)
+
+    def test_idf_weights_cover_every_term_bitwise(self):
+        ix = _hand_index()
+        weights = idf_weights(ix)
+        assert list(weights) == ["t", "u", "v"]
+        assert all(weights[t] == idf(ix, t) for t in weights)
 
     def test_always_positive(self):
         rng = np.random.default_rng(42)
@@ -229,7 +252,8 @@ class TestPersistence:
         assert reloaded.N == ix.N
         assert reloaded.avgdl == ix.avgdl
         assert reloaded.doc_len == ix.doc_len
-        assert reloaded.postings == ix.postings
+        assert list(reloaded.terms) == list(ix.terms)
+        assert all(reloaded.posting_list(t) == ix.posting_list(t) for t in ix.terms)
         p = BM25Params()
         for _ in range(10):
             query = " ".join(rng.choice(vocab, size=4))
@@ -249,3 +273,66 @@ class TestPersistence:
         for i, cid in enumerate(ix.chunk_ids):
             assert scores[i] == bm25_score(ix, p, terms, cid)
             assert touched[i] == (scores[i] > 0.0)
+
+    def test_load_then_save_is_byte_identical(self, word_model, tmp_path):
+        vocab = np.array([f"w{i}" for i in range(30)])
+        chunks = _random_corpus(np.random.default_rng(43), 50, word_model, vocab)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        save(build_index(chunks, word_model), tmp_path / "a")
+        save(load(tmp_path / "a"), tmp_path / "b")
+        for name in (LEXICAL_FILE, DOCLEN_FILE):
+            assert (tmp_path / "b" / name).read_bytes() == (
+                tmp_path / "a" / name
+            ).read_bytes()
+
+    def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
+        records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
+        chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
+        save(build_index(chunks, synth_tokenizer), tmp_path)
+        with (tmp_path / LEXICAL_FILE).open(encoding="utf-8") as fh:
+            next(fh)
+            n_postings = sum(len(json.loads(line)["postings"]) for line in fh)
+        assert n_postings > 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ix = load(tmp_path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ix.N == 3000
+        # Two 8-byte arrays per posting, plus per-chunk and per-term overhead;
+        # a (cid, tf) tuple per posting alone costs more than this bound.
+        assert retained / n_postings < 40
+
+
+def _write_lexical_files(out_dir, postings):
+    """One chunk "c" of length 4 and one term "t" with the given raw postings."""
+    (out_dir / DOCLEN_FILE).write_text(
+        json.dumps({"chunk_id": "c", "len": 4}) + "\n", encoding="utf-8"
+    )
+    (out_dir / LEXICAL_FILE).write_text(
+        json.dumps({"N": 1, "avgdl": 4.0})
+        + "\n"
+        + json.dumps({"term": "t", "postings": postings})
+        + "\n",
+        encoding="utf-8",
+    )
+
+
+class TestLoadValidation:
+    def test_valid_file_loads(self, tmp_path):
+        _write_lexical_files(tmp_path, [["c", 3]])
+        assert load(tmp_path).posting_list("t") == [("c", 3)]
+
+    def test_posting_for_unknown_chunk_names_term_and_chunk(self, tmp_path):
+        _write_lexical_files(tmp_path, [["x", 1]])
+        with pytest.raises(ValueError, match="term 't'.*chunk_id 'x'"):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("tf", [0, 1.5, "2", True])
+    def test_tf_that_is_not_a_positive_int_names_term(self, tmp_path, tf):
+        _write_lexical_files(tmp_path, [["c", tf]])
+        with pytest.raises(ValueError, match="term 't'"):
+            load(tmp_path)

@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from qrag.service import MAX_BODY_BYTES, SearchHandler, make_server
+from qrag.service import MAX_BODY_BYTES, MAX_QUERY_CHARS, SearchHandler, make_server
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +153,23 @@ class TestSearch:
         body += b" " * (MAX_BODY_BYTES - len(body))
         status, payload = _raw_post(base, MAX_BODY_BYTES, body)
         assert status != 413
+
+    def test_query_over_cap_is_400(self, server):
+        base, _ = server
+        status, payload = _post(
+            base + "/v1/search", {"query": "x" * (MAX_QUERY_CHARS + 1)}
+        )
+        assert status == 400
+        assert "query" in payload["error"]
+        assert str(MAX_QUERY_CHARS) in payload["error"]
+
+    def test_query_at_cap_is_served(self, server):
+        base, bench = server
+        text = bench.queries[0]["text"]
+        query = text + " " * (MAX_QUERY_CHARS - len(text))
+        status, payload = _post(base + "/v1/search", {"query": query})
+        assert status == 200
+        assert payload["query"] == query
 
     def test_concurrent_requests(self, server):
         base, bench = server
