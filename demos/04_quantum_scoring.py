@@ -12,7 +12,6 @@ signals reinforce (constructive) and conflicting ones cancel (destructive).
 import numpy as np
 
 from qrag.quantum import (
-    CandidateScore,
     FusionConfig,
     amplitude_encode,
     fidelity,
@@ -53,17 +52,17 @@ for c, l in [(0.6, 0.8), (0.6, 0.0), (-0.6, 0.8), (-1.0, 1.0)]:
 
 # -- fusion modes over one candidate pool -----------------------------------------
 
-raw_bm25 = {"doc-a": 7.1, "doc-b": 2.4, "doc-c": 0.0}
-lex = normalize_lexical({cid: s for cid, s in raw_bm25.items() if s > 0})
-cands = [
-    CandidateScore("doc-a", sparse_raw=7.1, dense_cos=0.35, lexical_norm=lex.get("doc-a", 0.0), quantum=0.35),
-    CandidateScore("doc-b", sparse_raw=2.4, dense_cos=0.80, lexical_norm=lex.get("doc-b", 0.0), quantum=0.80),
-    CandidateScore("doc-c", sparse_raw=0.0, dense_cos=0.62, lexical_norm=0.0, quantum=0.62),
-]
-print("\nranking the same pool under each fusion mode:")
+# One entry per candidate, in the same order: its id, BM25 score and cosine.
+# doc-c holds no query term, so its BM25 score is 0 and its lexical amplitude
+# is 0; the positive scores are min-max normalized onto [0, 1].
+ids = ["doc-a", "doc-b", "doc-c"]
+sparse = np.array([7.1, 2.4, 0.0])
+dense = np.array([0.35, 0.80, 0.62])
+print("\nlexical amplitudes:", dict(zip(ids, normalize_lexical(sparse).tolist())))
+print("ranking the same pool under each fusion mode:")
 for mode in ("sparse_only", "dense_only", "rrf", "weighted_sum", "fidelity_rerank", "quantum_interference"):
-    ranked = rank_candidates(cands, FusionConfig(mode=mode))
-    order = ", ".join(f"{c.chunk_id}({c.fused:.3f})" for c in ranked)
+    ranked = rank_candidates(ids, sparse, dense, FusionConfig(mode=mode))
+    order = ", ".join(f"{ids[i]}({fused:.3f})" for i, fused in ranked)
     print(f"  {mode:21s}: {order}")
 
 print("\nreciprocal rank fusion of two lists:")

@@ -40,7 +40,6 @@ from .evalkit import (
 from .lexical import BM25Params, InvertedIndex, bm25_score, build_index, idf, search
 from .quantum import (
     AmplitudeState,
-    CandidateScore,
     FusionConfig,
     amplitude_encode,
     fidelity,

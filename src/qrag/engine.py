@@ -2,11 +2,12 @@
 retrieve pipeline, assemble generation context under the token budget, and
 persist/load the whole engine.
 
-Candidate generation is union-of-legs then re-score: the lexical and dense
-legs each nominate their top-k, the union is re-scored with all component
-signals, and the configured fusion mode ranks the final list. Single-leg
-modes bypass the other leg entirely, so their rankings are identical to the
-underlying index searches.
+Candidate generation is union-of-legs then re-score, all on row numbers:
+row i of the lexical and of the vector index is chunk i. The two legs each
+nominate their top-k rows, the union's scores are gathered as arrays, and
+the configured fusion mode ranks them. Single-leg modes bypass the other
+leg entirely, so their rankings are identical to the underlying index
+searches.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import corpus as corpus_mod
 from . import lexical, quantum, semantic
 from .corpus import Chunk, CleaningConfig
 from .lexical import BM25Params, InvertedIndex
-from .quantum import CandidateScore, FusionConfig
+from .quantum import FusionConfig
 from .semantic import EmbedderSpec, VectorIndex
 from .tokenizer import TokenizerModel, train_bpe
 
@@ -186,7 +187,14 @@ class RetrievalEngine:
         config: EngineConfig,
     ) -> None:
         self.chunks = list(chunks)
-        self.by_id = {c.chunk_id: c for c in self.chunks}
+        # Row i of both indexes is chunks[i], so retrieve works on rows alone.
+        chunk_ids = [c.chunk_id for c in self.chunks]
+        for name, ids in (
+            ("lexical", lexical_index.chunk_ids),
+            ("vector", vector_index.ids),
+        ):
+            if ids != chunk_ids:
+                raise ValueError(f"{name} index ids do not follow the chunk order")
         self.tokenizer = tokenizer
         self.lexical_index = lexical_index
         self.vector_index = vector_index
@@ -231,30 +239,26 @@ class RetrievalEngine:
         use_sparse = cfg.mode != "dense_only"
         use_dense = cfg.mode != "sparse_only"
 
-        lex_vector = None
-        nominated: list[str] = []
+        ids = self.lexical_index.chunk_ids
+        nominated: list[int] = []
         if use_sparse:
             t0 = time.perf_counter()
             lex_vector, touched = lexical.score_rows(
                 self.lexical_index, self.config.bm25, terms
             )
-            ids = self.lexical_index.chunk_ids
-            best = lexical.top_rows(ids, lex_vector, np.nonzero(touched)[0], cfg.k_sparse)
-            nominated += [ids[i] for i in best]
+            nominated += lexical.top_rows(
+                ids, lex_vector, np.flatnonzero(touched), cfg.k_sparse
+            )
             timings["lexical"] = (time.perf_counter() - t0) * 1000.0
 
-        dense_scores = None
-        q_emb = None
         if use_dense:
             t0 = time.perf_counter()
             q_emb = self.embed_text_tokens(terms)
             dense_scores = self.vector_index.scan(q_emb)
-            ids = self.vector_index.ids
-            best = lexical.top_rows(ids, dense_scores, np.arange(len(ids)), cfg.k_dense)
-            nominated += [ids[i] for i in best]
+            nominated += lexical.top_rows(
+                ids, dense_scores, np.arange(len(ids)), cfg.k_dense
+            )
             timings["dense"] = (time.perf_counter() - t0) * 1000.0
-
-        candidate_ids = list(dict.fromkeys(nominated))
 
         quantum_modes = cfg.mode in ("fidelity_rerank", "quantum_interference")
         if quantum_modes:
@@ -268,43 +272,22 @@ class RetrievalEngine:
             timings["quantum"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        sparse_raw: dict[str, float] = {}
-        if use_sparse:
-            sparse_raw = {
-                cid: float(lex_vector[self.lexical_index.row_index(cid)])
-                for cid in candidate_ids
-            }
-        lex_norm = quantum.normalize_lexical(
-            {cid: s for cid, s in sparse_raw.items() if s > 0.0}
-        )
-        dense_cos: dict[str, float] = {}
-        if use_dense:
-            dense_cos = {
-                cid: float(dense_scores[self.vector_index.row_index(cid)])
-                for cid in candidate_ids
-            }
-        cands = [
-            CandidateScore(
-                chunk_id=cid,
-                sparse_raw=sparse_raw.get(cid),
-                dense_cos=dense_cos.get(cid),
-                lexical_norm=lex_norm.get(cid, 0.0),
-                quantum=dense_cos[cid] if quantum_modes else None,
-            )
-            for cid in candidate_ids
-        ]
-        ranked = quantum.rank_candidates(cands, cfg)
+        rows = list(dict.fromkeys(nominated))
+        cand_ids = [ids[r] for r in rows]
+        sparse = lex_vector[rows] if use_sparse else None
+        dense = dense_scores[rows] if use_dense else None
+        ranked = quantum.rank_candidates(cand_ids, sparse, dense, cfg)
         hits = [
             ScoredHit(
-                chunk_id=c.chunk_id,
-                text=self.by_id[c.chunk_id].text,
+                chunk_id=cand_ids[i],
+                text=self.chunks[rows[i]].text,
                 rank=position,
-                fused=c.fused,
-                sparse_raw=c.sparse_raw,
-                dense_cos=c.dense_cos,
-                quantum=c.quantum,
+                fused=fused,
+                sparse_raw=None if sparse is None else float(sparse[i]),
+                dense_cos=None if dense is None else float(dense[i]),
+                quantum=float(dense[i]) if quantum_modes else None,
             )
-            for position, c in enumerate(ranked, start=1)
+            for position, (i, fused) in enumerate(ranked, start=1)
         ]
         timings["fusion"] = (time.perf_counter() - t0) * 1000.0
 
@@ -329,10 +312,17 @@ class RetrievalEngine:
 
 @contextmanager
 def _stage(name: str):
+    """Run one build stage: name it in any error and log its wall seconds.
+
+    The seconds are logged, not written to ``stats.json``: two builds of one
+    corpus must write byte-identical index directories.
+    """
+    t0 = time.perf_counter()
     try:
         yield
     except Exception as exc:
         raise RuntimeError(f"build stage '{name}' failed: {exc}") from exc
+    logger.info("build stage %s: %.3f s", name, time.perf_counter() - t0)
 
 
 def prepare(
@@ -393,7 +383,8 @@ def build_all(
             vec_index = VectorIndex.build([c.chunk_id for c in chunks], vectors)
 
     engine = RetrievalEngine(chunks, tok, lex_index, vec_index, cfg)
-    manifest = save_index(engine, out)
+    with _stage("save"):
+        manifest = save_index(engine, out)
     _records.write_json(stats, out / STATS_FILE)
     logger.info("built index: %d chunks (%s)", len(chunks), out)
     return manifest

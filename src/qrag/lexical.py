@@ -86,7 +86,8 @@ class InvertedIndex:
 
         The loops run in C (map/fromiter), which keeps loading the index
         cheap; a tf must be an int >= 1, so ``1.5``, ``"2"`` and ``true``
-        from a file are refused rather than coerced.
+        from a file are refused rather than coerced, and a chunk may appear
+        only once, since a repeat would push df past N and idf below 0.
         """
         try:
             rows = np.fromiter(
@@ -98,6 +99,16 @@ class InvertedIndex:
             raise ValueError(
                 f"posting for term {term!r} names unknown chunk_id {exc.args[0]!r}"
             ) from None
+        # Rows usually increase already; only lists out of row order (chunk-id
+        # order differs from input order) pay for a sort.
+        if not (rows[1:] > rows[:-1]).all():
+            ordered = np.sort(rows)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+            if len(repeated):
+                raise ValueError(
+                    f"postings for term {term!r} name chunk_id "
+                    f"{self._cids[repeated[0]]!r} twice"
+                )
         tf_list = list(map(itemgetter(1), plist))
         if set(map(type, tf_list)) <= {int}:
             tfs = np.fromiter(tf_list, dtype=np.float64, count=len(tf_list))

@@ -15,12 +15,13 @@ All functions here are pure and safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _records
+from .lexical import top_rows
 
 FUSION_MODES = (
     "sparse_only",
@@ -96,20 +97,21 @@ def signed_fidelity(a: AmplitudeState, b: AmplitudeState) -> float:
     return min(1.0, max(-1.0, math.copysign(ip * ip, ip)))
 
 
-def normalize_lexical(raw_scores: Mapping[str, float]) -> dict[str, float]:
+def normalize_lexical(raw_scores: np.ndarray) -> np.ndarray:
     """Min-max normalize a per-query pool of lexical scores onto [0, 1].
 
-    A degenerate pool (max == min, including a single candidate) maps every
-    value to 1.0, preserving ties.
+    The positive scores are the pool; a score that is not positive (no query
+    term in the chunk) maps to 0. A degenerate pool (max == min, including a
+    single positive score) maps every positive score to 1.0, preserving ties.
     """
-    if not raw_scores:
-        return {}
-    values = raw_scores.values()
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return {cid: 1.0 for cid in raw_scores}
-    span = hi - lo
-    return {cid: (s - lo) / span for cid, s in raw_scores.items()}
+    raw = np.asarray(raw_scores, dtype=np.float64)
+    out = np.zeros(raw.shape, dtype=np.float64)
+    pool = raw > 0.0
+    if pool.any():
+        values = raw[pool]
+        lo, hi = values.min(), values.max()
+        out[pool] = 1.0 if hi == lo else (values - lo) / (hi - lo)
+    return out
 
 
 def interference_score(
@@ -171,101 +173,53 @@ class FusionConfig:
         return _records.from_dict(cls, d)
 
 
-@dataclass
-class CandidateScore:
-    """Per-candidate component scores feeding fusion.
-
-    ``quantum`` holds the signed state overlap <psi_q|psi_d> when a quantum
-    mode ranks the candidates (the engine reads it off the dense cosine,
-    which it equals for amplitude-encoded unit vectors); ``fused`` is filled
-    by ``rank_candidates``.
-    """
-
-    chunk_id: str
-    sparse_raw: float | None = None
-    dense_cos: float | None = None
-    lexical_norm: float = 0.0
-    quantum: float | None = None
-    fused: float = 0.0
-
-
-def _require_any(cands: Sequence[CandidateScore], attr: str, mode: str) -> None:
-    if cands and all(getattr(c, attr) is None for c in cands):
-        raise ValueError(f"mode {mode} requires {attr}, absent for every candidate")
-
-
 def rank_candidates(
-    cands: Sequence[CandidateScore], cfg: FusionConfig
-) -> list[CandidateScore]:
-    """Fuse per-candidate scores under the configured mode and rank.
+    ids: Sequence[str],
+    sparse: np.ndarray | None,
+    dense: np.ndarray | None,
+    cfg: FusionConfig,
+) -> list[tuple[int, float]]:
+    """Fuse the candidates' scores under the configured mode and rank them.
 
-    Returns the top ``k_final`` candidates sorted by fused score descending,
-    ties broken by chunk id ascending; single-leg modes rank only the
-    candidates carrying that leg's score. For rrf, the two rank lists are
-    reconstructed from the candidate pool: the sparse list holds candidates
-    with a positive BM25 score (a chunk scores > 0 iff it contains a query
-    term), the dense list all candidates with a cosine.
+    ``sparse`` and ``dense`` hold each candidate's BM25 score and cosine, in
+    ``ids`` order, or are None when that leg did not run; a mode that needs
+    an absent leg raises ``ValueError`` naming it. In the quantum modes the
+    cosine is the signed state overlap <psi_q|psi_d>, which it equals for
+    amplitude-encoded unit vectors. Each mode's fused score is one array
+    expression that rounds exactly as the scalar kernels above do.
+
+    Returns the top ``k_final`` as ``(candidate position, fused)`` pairs,
+    sorted by fused score descending, ties broken by id ascending. For rrf,
+    the two rank lists are rebuilt from the candidates: the sparse list holds
+    those with a positive BM25 score (a chunk scores > 0 iff it contains a
+    query term), the dense list every candidate.
     """
     mode = cfg.mode
+    if sparse is None and mode not in ("dense_only", "fidelity_rerank"):
+        raise ValueError(f"mode {mode} requires sparse scores")
+    if dense is None and mode != "sparse_only":
+        raise ValueError(f"mode {mode} requires dense scores")
     if mode == "sparse_only":
-        _require_any(cands, "sparse_raw", mode)
-        pool = [replace(c, fused=c.sparse_raw) for c in cands if c.sparse_raw is not None]
+        fused = sparse
     elif mode == "dense_only":
-        _require_any(cands, "dense_cos", mode)
-        pool = [replace(c, fused=c.dense_cos) for c in cands if c.dense_cos is not None]
+        fused = dense
     elif mode == "weighted_sum":
-        _require_any(cands, "dense_cos", mode)
-        pool = [
-            replace(
-                c,
-                fused=cfg.w_semantic
-                * ((c.dense_cos + 1.0) / 2.0 if c.dense_cos is not None else 0.0)
-                + cfg.w_lexical * c.lexical_norm,
-            )
-            for c in cands
-        ]
+        lex = normalize_lexical(sparse)
+        fused = cfg.w_semantic * ((dense + 1.0) / 2.0) + cfg.w_lexical * lex
     elif mode == "rrf":
-        sparse_ids = [
-            c.chunk_id
-            for c in sorted(
-                (c for c in cands if c.sparse_raw is not None and c.sparse_raw > 0.0),
-                key=lambda c: (-c.sparse_raw, c.chunk_id),
-            )
-        ]
-        dense_ids = [
-            c.chunk_id
-            for c in sorted(
-                (c for c in cands if c.dense_cos is not None),
-                key=lambda c: (-c.dense_cos, c.chunk_id),
-            )
-        ]
-        if cands and not sparse_ids and not dense_ids:
-            raise ValueError("mode rrf requires sparse or dense scores")
-        fused = fuse_rrf([sparse_ids, dense_ids], cfg.rrf_k)
-        pool = [replace(c, fused=fused.get(c.chunk_id, 0.0)) for c in cands]
+        fused = np.zeros(len(ids), dtype=np.float64)
+        for scores, pool in (
+            (sparse, np.flatnonzero(sparse > 0.0)),
+            (dense, np.arange(len(ids))),
+        ):
+            ranked = top_rows(ids, scores, pool, len(pool))
+            fused[ranked] += 1.0 / (cfg.rrf_k + np.arange(1, len(ranked) + 1))
     elif mode == "fidelity_rerank":
-        _require_any(cands, "quantum", mode)
-        pool = []
-        for c in cands:
-            if c.quantum is None:
-                continue
-            ip = c.quantum
-            sq = ip * ip
-            pool.append(replace(c, fused=math.copysign(sq, ip) if cfg.signed_fidelity else sq))
-    elif mode == "quantum_interference":
-        _require_any(cands, "quantum", mode)
-        pool = [
-            replace(
-                c,
-                fused=interference_score(
-                    c.quantum, c.lexical_norm, cfg.w_semantic, cfg.w_lexical
-                ),
-            )
-            for c in cands
-            if c.quantum is not None
-        ]
-    else:  # pragma: no cover - guarded by FusionConfig
-        raise ValueError(f"unknown mode: {mode}")
-
-    pool.sort(key=lambda c: (-c.fused, c.chunk_id))
-    return pool[: cfg.k_final]
+        sq = dense * dense
+        fused = np.copysign(sq, dense) if cfg.signed_fidelity else sq
+    else:  # quantum_interference
+        lex = normalize_lexical(sparse)
+        amp = cfg.w_semantic * dense + cfg.w_lexical * lex
+        fused = amp * amp
+    best = top_rows(ids, fused, np.arange(len(ids)), cfg.k_final)
+    return [(int(i), float(fused[i])) for i in best]

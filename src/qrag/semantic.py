@@ -194,9 +194,6 @@ class VectorIndex:
     def row(self, chunk_id: str) -> np.ndarray:
         return self._m64[self._row_of[chunk_id]]
 
-    def row_index(self, chunk_id: str) -> int:
-        return self._row_of[chunk_id]
-
     def scan(self, q: np.ndarray) -> np.ndarray:
         """Cosine of the query against every row (brute force, exact).
 

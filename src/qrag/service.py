@@ -7,8 +7,10 @@ Endpoints:
 
 Errors are returned as {"error": str} with a 4xx/5xx status; a request body
 over ``MAX_BODY_BYTES`` gets a 413 without being read, and a query over
-``MAX_QUERY_CHARS`` characters a 400. The engine is immutable, so one shared
-instance serves concurrent requests.
+``MAX_QUERY_CHARS`` characters a 400. A connection that sends nothing for
+``REQUEST_TIMEOUT_S`` seconds, say a body shorter than its Content-Length,
+is closed, so a stalled client cannot hold a handler thread. The engine is
+immutable, so one shared instance serves concurrent requests.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ MAX_BODY_BYTES = 1 << 20
 # One query's own cap inside the body cap: about eight times the longest
 # planted query (about 70 words, under 500 characters).
 MAX_QUERY_CHARS = 4096
+# Seconds a socket read or write may block before the connection is dropped.
+REQUEST_TIMEOUT_S = 10.0
 
 
 class SearchHandler(BaseHTTPRequestHandler):
     server: "SearchServer"
+    timeout = REQUEST_TIMEOUT_S
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")

@@ -1,4 +1,6 @@
 import json
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from qrag.engine import (
     CONTEXT_DELIMITER,
     INDEX_FILES,
     EngineConfig,
+    RetrievalEngine,
     build_all,
     format_context,
     load_index,
     save_index,
 )
-from qrag.quantum import interference_score, normalize_lexical
+from qrag.lexical import InvertedIndex
+from qrag.quantum import FUSION_MODES, fuse_rrf, interference_score, normalize_lexical
+from qrag.semantic import VectorIndex
 from qrag.synthetic import write_jsonl
 from qrag.tokenizer import TokenizerModel, train_bpe
 
@@ -52,10 +57,10 @@ class TestBuildAll:
     def test_double_build_byte_identical(self, small_engine, tmp_path):
         _, _, index_dir, corpus_path, cfg = small_engine
         build_all(corpus_path, cfg, tmp_path / "again")
-        for name in ("vectors.bin", "tokenizer.json"):
+        for name in INDEX_FILES:
             assert (tmp_path / "again" / name).read_bytes() == (
                 index_dir / name
-            ).read_bytes()
+            ).read_bytes(), name
 
     def test_all_docs_filtered_is_an_error(self, tmp_path):
         write_jsonl(
@@ -69,6 +74,17 @@ class TestBuildAll:
         stats = json.loads((index_dir / "stats.json").read_text(encoding="utf-8"))
         assert stats["chunks"] > 0
         assert "rejected_by_reason" in stats
+
+    def test_stage_times_logged(self, small_engine, tmp_path, caplog):
+        _, _, _, corpus_path, cfg = small_engine
+        with caplog.at_level(logging.INFO, logger="qrag.engine"):
+            build_all(corpus_path, cfg, tmp_path / "logged")
+        logged = [
+            r.getMessage() for r in caplog.records if r.getMessage().startswith("build stage")
+        ]
+        stages = ["ingest+filter", "train_bpe", "chunk", "lexical_index", "embed", "save"]
+        assert [m.split()[2].rstrip(":") for m in logged] == stages
+        assert all(m.endswith(" s") for m in logged)
 
     def test_stage_errors_carry_stage_name(self, small_engine, tmp_path):
         _, _, _, corpus_path, cfg = small_engine
@@ -133,6 +149,19 @@ class TestExternalEmbeddings:
         assert results[0][0] == target
 
 
+def _scalar_lexical_norms(hits):
+    """Min-max of the hits' positive BM25 scores in Python floats; 0 elsewhere."""
+    pool = [h.sparse_raw for h in hits if h.sparse_raw > 0.0]
+
+    def norm(s):
+        if s <= 0.0:
+            return 0.0
+        lo, hi = min(pool), max(pool)
+        return 1.0 if hi == lo else (s - lo) / (hi - lo)
+
+    return {h.chunk_id: norm(h.sparse_raw) for h in hits}
+
+
 class TestRetrieve:
     def test_planted_term_wins_sparse_only(self, small_engine):
         engine, bench, *_ = small_engine
@@ -171,15 +200,56 @@ class TestRetrieve:
         cfgf = engine.config.fusion
         q = bench.queries[0]
         resp = engine.retrieve(q["text"], mode="quantum_interference", k_final=200)
-        pool = {h.chunk_id: h.sparse_raw for h in resp.hits if h.sparse_raw > 0.0}
-        lex_norm = normalize_lexical(pool)
-        for h in resp.hits:
+        lex_norm = normalize_lexical(np.array([h.sparse_raw for h in resp.hits]))
+        for h, l in zip(resp.hits, lex_norm, strict=True):
             expected = interference_score(
-                h.quantum, lex_norm.get(h.chunk_id, 0.0), cfgf.w_semantic, cfgf.w_lexical
+                h.quantum, float(l), cfgf.w_semantic, cfgf.w_lexical
             )
-            assert h.fused == pytest.approx(expected, abs=1e-12)
+            assert h.fused == expected
         fused = [h.fused for h in resp.hits]
         assert fused == sorted(fused, reverse=True)
+
+    @pytest.mark.parametrize("mode", FUSION_MODES)
+    def test_fused_scores_match_scalar_kernels(self, small_engine, mode):
+        # With k_final covering both legs every candidate is a hit, so each
+        # hit's fused score can be recomputed from the hits' own component
+        # scores with the scalar reference kernels, bit for bit.
+        engine, bench, *_ = small_engine
+        cfgf = engine.config.fusion
+        ws, wl = cfgf.w_semantic, cfgf.w_lexical
+        for q in bench.queries:
+            hits = engine.retrieve(
+                q["text"], mode=mode, k_final=cfgf.k_sparse + cfgf.k_dense
+            ).hits
+            assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
+            order = [(-h.fused, h.chunk_id) for h in hits]
+            assert order == sorted(order)
+            if mode in ("weighted_sum", "quantum_interference"):
+                lex = _scalar_lexical_norms(hits)
+            if mode == "rrf":
+                sparse_list = sorted(
+                    (h for h in hits if h.sparse_raw > 0.0),
+                    key=lambda h: (-h.sparse_raw, h.chunk_id),
+                )
+                dense_list = sorted(hits, key=lambda h: (-h.dense_cos, h.chunk_id))
+                rrf = fuse_rrf(
+                    [[h.chunk_id for h in sparse_list], [h.chunk_id for h in dense_list]],
+                    cfgf.rrf_k,
+                )
+            for h in hits:
+                if mode == "sparse_only":
+                    expected = h.sparse_raw
+                elif mode == "dense_only":
+                    expected = h.dense_cos
+                elif mode == "rrf":
+                    expected = rrf[h.chunk_id]
+                elif mode == "weighted_sum":
+                    expected = ws * ((h.dense_cos + 1.0) / 2.0) + wl * lex[h.chunk_id]
+                elif mode == "fidelity_rerank":
+                    expected = math.copysign(h.quantum * h.quantum, h.quantum)
+                else:
+                    expected = interference_score(h.quantum, lex[h.chunk_id], ws, wl)
+                assert h.fused == expected, (q["qid"], h.chunk_id)
 
     def test_hits_come_from_leg_top_lists(self, small_engine):
         engine, bench, *_ = small_engine
@@ -274,6 +344,34 @@ class TestRetrieve:
         # The one amplitude_encode is the query state's; no candidate state
         # is built.
         assert calls == {"encode": 1, "amplitude_encode": 1}
+
+
+class TestRowSpace:
+    """Row i of both indexes must be chunk i; the engine refuses anything else."""
+
+    def test_vector_index_out_of_chunk_order_rejected(self, small_engine):
+        engine, *_ = small_engine
+        vi = engine.vector_index
+        order = np.roll(np.arange(len(vi)), 1)
+        permuted = VectorIndex([vi.ids[i] for i in order], vi.matrix[order])
+        with pytest.raises(ValueError, match="vector index"):
+            RetrievalEngine(
+                engine.chunks, engine.tokenizer, engine.lexical_index, permuted, engine.config
+            )
+
+    def test_lexical_index_out_of_chunk_order_rejected(self, small_engine):
+        engine, *_ = small_engine
+        li = engine.lexical_index
+        permuted = InvertedIndex(
+            li.N,
+            li.avgdl,
+            dict(reversed(li.doc_len.items())),
+            ((term, li.posting_list(term)) for term in li.terms),
+        )
+        with pytest.raises(ValueError, match="lexical index"):
+            RetrievalEngine(
+                engine.chunks, engine.tokenizer, permuted, engine.vector_index, engine.config
+            )
 
 
 class TestTokenCounts:

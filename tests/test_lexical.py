@@ -87,6 +87,24 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="term 't'.*chunk_id 'x'"):
             InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": [("x", 1)]})
 
+    @pytest.mark.parametrize(
+        "plist", [[("c", 1), ("c", 2)], [("c", 1), ("d", 1), ("c", 2)]]
+    )
+    def test_duplicate_posting_rejected(self, plist):
+        # A chunk named twice would count twice in df, and df > N makes idf
+        # negative.
+        doc_len = {"c": 4, "d": 4}
+        with pytest.raises(ValueError, match="term 't'.*chunk_id 'c' twice"):
+            InvertedIndex(N=2, avgdl=4.0, doc_len=doc_len, postings={"t": plist})
+
+    def test_postings_out_of_row_order_load(self):
+        # Built postings are in chunk-id order, which need not be row order.
+        doc_len = {"c10": 4, "c9": 4}
+        ix = InvertedIndex(
+            N=2, avgdl=4.0, doc_len=doc_len, postings={"t": [("c9", 1), ("c10", 2)]}
+        )
+        assert ix.posting_list("t") == [("c9", 1), ("c10", 2)]
+
     @pytest.mark.parametrize("tf", [0, -1, 1.5, 2.0, "2", True, None])
     def test_tf_that_is_not_a_positive_int_rejected(self, tf):
         with pytest.raises(ValueError, match="term 't'"):
@@ -335,4 +353,9 @@ class TestLoadValidation:
     def test_tf_that_is_not_a_positive_int_names_term(self, tmp_path, tf):
         _write_lexical_files(tmp_path, [["c", tf]])
         with pytest.raises(ValueError, match="term 't'"):
+            load(tmp_path)
+
+    def test_duplicate_posting_names_term_and_chunk(self, tmp_path):
+        _write_lexical_files(tmp_path, [["c", 1], ["c", 2]])
+        with pytest.raises(ValueError, match="term 't'.*chunk_id 'c' twice"):
             load(tmp_path)

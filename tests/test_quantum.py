@@ -5,7 +5,6 @@ import pytest
 
 from qrag.quantum import (
     AmplitudeState,
-    CandidateScore,
     FusionConfig,
     amplitude_encode,
     fidelity,
@@ -104,22 +103,29 @@ class TestFidelity:
 
 class TestNormalizeLexical:
     def test_endpoints(self):
-        assert normalize_lexical({"a": 2.0, "b": 4.0}) == {"a": 0.0, "b": 1.0}
+        assert normalize_lexical(np.array([2.0, 4.0])).tolist() == [0.0, 1.0]
 
     def test_degenerate_range(self):
-        assert normalize_lexical({"a": 3.0, "b": 3.0}) == {"a": 1.0, "b": 1.0}
+        assert normalize_lexical(np.array([3.0, 3.0])).tolist() == [1.0, 1.0]
 
     def test_single_candidate(self):
-        assert normalize_lexical({"a": 5.0}) == {"a": 1.0}
+        assert normalize_lexical(np.array([5.0])).tolist() == [1.0]
 
     def test_empty(self):
-        assert normalize_lexical({}) == {}
+        assert normalize_lexical(np.array([])).tolist() == []
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(8)
-        raw = {f"c{i}": float(rng.uniform(0, 50)) for i in range(30)}
-        for v in normalize_lexical(raw).values():
+        raw = rng.uniform(0, 50, size=30)
+        for v in normalize_lexical(raw):
             assert 0.0 <= v <= 1.0
+
+    def test_non_positive_scores_map_to_zero(self):
+        # The pool is the positive scores only: 3.0 is its min and its max.
+        got = normalize_lexical(np.array([0.0, -1.5, 3.0, 3.0]))
+        assert got.tolist() == [0.0, 0.0, 1.0, 1.0]
+        got = normalize_lexical(np.array([0.0, 2.0, -1.0, 4.0]))
+        assert got.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestInterferenceScore:
@@ -188,90 +194,93 @@ class TestFuseRrf:
             fuse_rrf([["a"]], rrf_k=0)
 
 
-def _cands():
-    return [
-        CandidateScore("a", sparse_raw=2.0, dense_cos=0.9, lexical_norm=0.5, quantum=0.9),
-        CandidateScore("b", sparse_raw=5.0, dense_cos=0.1, lexical_norm=1.0, quantum=0.1),
-        CandidateScore("c", sparse_raw=0.0, dense_cos=0.7, lexical_norm=0.0, quantum=0.7),
-    ]
+IDS = ["a", "b", "c"]
+SPARSE = np.array([2.0, 5.0, 0.0])
+DENSE = np.array([0.9, 0.1, 0.7])
+
+
+def _rank(cfg, ids=IDS, sparse=SPARSE, dense=DENSE):
+    """``rank_candidates`` as (id, fused) pairs."""
+    return [(ids[i], fused) for i, fused in rank_candidates(ids, sparse, dense, cfg)]
 
 
 class TestRankCandidates:
     def test_sparse_only_orders_by_bm25(self):
-        ranked = rank_candidates(_cands(), FusionConfig(mode="sparse_only"))
-        assert [c.chunk_id for c in ranked] == ["b", "a", "c"]
+        ranked = _rank(FusionConfig(mode="sparse_only"))
+        assert [cid for cid, _ in ranked] == ["b", "a", "c"]
 
     def test_dense_only_orders_by_cosine(self):
-        ranked = rank_candidates(_cands(), FusionConfig(mode="dense_only"))
-        assert [c.chunk_id for c in ranked] == ["a", "c", "b"]
+        ranked = _rank(FusionConfig(mode="dense_only"))
+        assert [cid for cid, _ in ranked] == ["a", "c", "b"]
 
     def test_weighted_sum_with_zero_lexical_matches_dense_order(self):
         cfg = FusionConfig(mode="weighted_sum", w_semantic=1.0, w_lexical=0.0)
-        ranked = rank_candidates(_cands(), cfg)
-        dense = rank_candidates(_cands(), FusionConfig(mode="dense_only"))
-        assert [c.chunk_id for c in ranked] == [c.chunk_id for c in dense]
+        ranked = _rank(cfg)
+        dense = _rank(FusionConfig(mode="dense_only"))
+        assert [cid for cid, _ in ranked] == [cid for cid, _ in dense]
 
     def test_equal_scores_tie_break_on_chunk_id(self):
-        cands = [
-            CandidateScore("z", dense_cos=0.5),
-            CandidateScore("a", dense_cos=0.5),
-        ]
-        ranked = rank_candidates(cands, FusionConfig(mode="dense_only"))
-        assert [c.chunk_id for c in ranked] == ["a", "z"]
+        ranked = _rank(
+            FusionConfig(mode="dense_only"),
+            ids=["z", "a"],
+            sparse=None,
+            dense=np.array([0.5, 0.5]),
+        )
+        assert [cid for cid, _ in ranked] == ["a", "z"]
 
     def test_quantum_interference_matches_hand_formula(self):
         cfg = FusionConfig(mode="quantum_interference", w_semantic=0.5, w_lexical=0.5)
-        ranked = rank_candidates(_cands(), cfg)
+        ranked = _rank(cfg)
+        lexical_norm = normalize_lexical(SPARSE)
         expected = {
-            c.chunk_id: interference_score(c.quantum, c.lexical_norm, 0.5, 0.5)
-            for c in _cands()
+            cid: interference_score(float(DENSE[i]), float(lexical_norm[i]), 0.5, 0.5)
+            for i, cid in enumerate(IDS)
         }
-        for c in ranked:
-            assert c.fused == expected[c.chunk_id]
-        assert [c.chunk_id for c in ranked] == sorted(
+        for cid, fused in ranked:
+            assert fused == expected[cid]
+        assert [cid for cid, _ in ranked] == sorted(
             expected, key=lambda cid: (-expected[cid], cid)
         )
 
     def test_fidelity_rerank_signed_vs_unsigned(self):
-        cands = [
-            CandidateScore("pos", quantum=0.8),
-            CandidateScore("neg", quantum=-0.9),
-        ]
-        signed = rank_candidates(cands, FusionConfig(mode="fidelity_rerank"))
-        assert [c.chunk_id for c in signed] == ["pos", "neg"]
-        assert signed[0].fused == pytest.approx(0.64)
-        assert signed[1].fused == pytest.approx(-0.81)
-        unsigned = rank_candidates(
-            cands, FusionConfig(mode="fidelity_rerank", signed_fidelity=False)
+        ids, dense = ["pos", "neg"], np.array([0.8, -0.9])
+        signed = _rank(
+            FusionConfig(mode="fidelity_rerank"), ids=ids, sparse=None, dense=dense
         )
-        assert [c.chunk_id for c in unsigned] == ["neg", "pos"]
+        assert [cid for cid, _ in signed] == ["pos", "neg"]
+        assert signed[0][1] == pytest.approx(0.64)
+        assert signed[1][1] == pytest.approx(-0.81)
+        unsigned = _rank(
+            FusionConfig(mode="fidelity_rerank", signed_fidelity=False),
+            ids=ids,
+            sparse=None,
+            dense=dense,
+        )
+        assert [cid for cid, _ in unsigned] == ["neg", "pos"]
 
     def test_rrf_mode_reconstructs_leg_lists(self):
         # sparse list: b (5.0) then a (2.0); c excluded (score 0 means no
         # query term). dense list: a, c, b.
-        ranked = rank_candidates(_cands(), FusionConfig(mode="rrf", k_final=3))
+        ranked = _rank(FusionConfig(mode="rrf", k_final=3))
         expected = {
             "a": 1 / 62 + 1 / 61,
             "b": 1 / 61 + 1 / 63,
             "c": 1 / 62,
         }
-        for c in ranked:
-            assert c.fused == pytest.approx(expected[c.chunk_id], abs=1e-12)
+        for cid, fused in ranked:
+            assert fused == pytest.approx(expected[cid], abs=1e-12)
 
     def test_truncates_to_k_final(self):
-        ranked = rank_candidates(_cands(), FusionConfig(mode="dense_only", k_final=2))
+        ranked = _rank(FusionConfig(mode="dense_only", k_final=2))
         assert len(ranked) == 2
 
     def test_missing_required_score_rejected(self):
-        cands = [CandidateScore("a", sparse_raw=1.0)]
-        with pytest.raises(ValueError, match="dense_cos"):
-            rank_candidates(cands, FusionConfig(mode="dense_only"))
+        with pytest.raises(ValueError, match="dense"):
+            rank_candidates(["a"], np.array([1.0]), None, FusionConfig(mode="dense_only"))
 
     def test_deterministic(self):
         cfg = FusionConfig(mode="quantum_interference")
-        a = rank_candidates(_cands(), cfg)
-        b = rank_candidates(_cands(), cfg)
-        assert [(c.chunk_id, c.fused) for c in a] == [(c.chunk_id, c.fused) for c in b]
+        assert _rank(cfg) == _rank(cfg)
 
 
 class TestFusionConfig:

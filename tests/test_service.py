@@ -2,12 +2,19 @@ import json
 import logging
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from qrag.service import MAX_BODY_BYTES, MAX_QUERY_CHARS, SearchHandler, make_server
+from qrag.service import (
+    MAX_BODY_BYTES,
+    MAX_QUERY_CHARS,
+    REQUEST_TIMEOUT_S,
+    SearchHandler,
+    make_server,
+)
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +199,26 @@ class TestSearch:
             t.join()
         assert not errors
         assert all(status == 200 for status, _ in results)
+
+
+class TestStalledClient:
+    def test_stalled_body_is_dropped_and_server_keeps_serving(self, server, monkeypatch):
+        base, _ = server
+        assert SearchHandler.timeout == REQUEST_TIMEOUT_S
+        monkeypatch.setattr(SearchHandler, "timeout", 0.5)
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            # Promise a 100-byte body, then send none of it.
+            sock.sendall(
+                b"POST /v1/search HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+            )
+            start = time.monotonic()
+            closed = sock.recv(65536) == b""
+            elapsed = time.monotonic() - start
+        assert closed
+        assert 0.4 <= elapsed < 1.5
+        status, payload = _get(base + "/v1/health")
+        assert status == 200
 
 
 class TestHandlerErrors:
