@@ -4,7 +4,7 @@ The full hybrid engine
 
 Builds every index from a raw JSONL corpus in a temp directory, runs one
 query under each fusion mode, prints the per-hit component scores that make
-ablations readable, andround-trips the whole engine through save/load.
+ablations readable, and round-trips the whole engine through save/load.
 """
 
 import tempfile

@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -35,21 +37,15 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_FILE = "manifest.json"
 CHUNKS_FILE = "chunks.jsonl"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
 CONTEXT_DELIMITER = "---"
 # Every file of an index but the manifest, which lists each one's digest.
-INDEX_FILES = (
-    CHUNKS_FILE,
-    TOKENIZER_FILE,
-    lexical.LEXICAL_FILE,
-    lexical.DOCLEN_FILE,
-    semantic.VECTORS_FILE,
-    semantic.IDS_FILE,
-)
+# Chunk ids are stored only in the chunks file; the others address chunks by row.
+INDEX_FILES = (CHUNKS_FILE, TOKENIZER_FILE, lexical.LEXICAL_FILE, semantic.VECTORS_FILE)
 
 
 @dataclass(frozen=True)
@@ -294,7 +290,7 @@ class RetrievalEngine:
         t0 = time.perf_counter()
         context = format_context(
             [h.text for h in hits],
-            [self.lexical_index.doc_len[h.chunk_id] for h in hits],
+            self.lexical_index.doc_len[[rows[i] for i, _ in ranked]].tolist(),
             self._sep_cost,
             self.config.context_budget_tokens,
             self.tokenizer,
@@ -362,7 +358,7 @@ def build_all(
     index files (the manifest timestamp aside).
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_replaceable(out)
     stats: dict = {}
     tok, chunks = prepare(corpus_path, cfg, stats)
 
@@ -398,25 +394,50 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _check_replaceable(out: Path) -> None:
+    """Refuse a target that is not absent, empty or an index, so that no save
+    deletes unrelated files."""
+    if out.exists() and not (out / MANIFEST_FILE).is_file():
+        if not out.is_dir() or any(out.iterdir()):
+            raise ValueError(f"refusing to replace {out}: not an empty directory or an index")
+
+
 def save_index(engine: RetrievalEngine, out_dir: str | Path) -> IndexManifest:
-    """Persist all engine state; the manifest carries per-file digests."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_mod.write_chunks_jsonl(engine.chunks, out / CHUNKS_FILE)
-    engine.tokenizer.save(out / TOKENIZER_FILE)
-    lexical.save(engine.lexical_index, out)
-    semantic.save(engine.vector_index, out)
-    files = {name: _sha256_file(out / name) for name in INDEX_FILES}
-    manifest = IndexManifest(
-        format_version=FORMAT_VERSION,
-        created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        chunk_count=engine.chunk_count,
-        tokenizer_sha256=files[TOKENIZER_FILE],
-        embedder=engine.config.embedder,
-        config=engine.config,
-        files=files,
-    )
-    _records.write_json(manifest.to_dict(), out / MANIFEST_FILE)
+    """Persist all engine state; the manifest carries per-file digests.
+
+    The files are written into a sibling temp directory that then takes the
+    place of ``out_dir``, so a failure part-way leaves any previous index
+    whole, and no file of an earlier format is left behind.
+    """
+    out = Path(os.path.abspath(out_dir))
+    _check_replaceable(out)
+    tmp = out.with_name(f".{out.name}.tmp-{os.getpid()}")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        corpus_mod.write_chunks_jsonl(engine.chunks, tmp / CHUNKS_FILE)
+        engine.tokenizer.save(tmp / TOKENIZER_FILE)
+        lexical.save(engine.lexical_index, tmp)
+        semantic.save(engine.vector_index, tmp)
+        files = {name: _sha256_file(tmp / name) for name in INDEX_FILES}
+        manifest = IndexManifest(
+            format_version=FORMAT_VERSION,
+            created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            chunk_count=engine.chunk_count,
+            tokenizer_sha256=files[TOKENIZER_FILE],
+            embedder=engine.config.embedder,
+            config=engine.config,
+            files=files,
+        )
+        _records.write_json(manifest.to_dict(), tmp / MANIFEST_FILE)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    old = out.with_name(f".{out.name}.old-{os.getpid()}")
+    if out.exists():
+        out.rename(old)
+    tmp.rename(out)
+    shutil.rmtree(old, ignore_errors=True)
     return manifest
 
 
@@ -430,22 +451,24 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
     raw = json.loads(manifest_path.read_text(encoding="utf-8"))
     # Check the version first: another version may have other keys.
     if raw.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported version: {raw.get('format_version')}")
+        raise ValueError(
+            f"unsupported version: {raw.get('format_version')}; rebuild the index"
+        )
     manifest = IndexManifest.from_dict(raw)
-    for name in INDEX_FILES:
-        if name not in manifest.files:
-            raise ValueError(f"manifest does not list: {name}")
     unknown = sorted(set(manifest.files) - set(INDEX_FILES))
     if unknown:
         raise ValueError(f"manifest lists an unknown file: {unknown[0]}")
     for name in INDEX_FILES:
         path = src / name
+        if name not in manifest.files:
+            raise ValueError(f"manifest does not list: {name}")
         if not path.exists():
             raise FileNotFoundError(f"missing file: {path}")
         if _sha256_file(path) != manifest.files[name]:
             raise ValueError(f"digest mismatch: {name}")
     chunks = corpus_mod.read_chunks_jsonl(src / CHUNKS_FILE)
+    ids = [c.chunk_id for c in chunks]
     tok = TokenizerModel.load(src / TOKENIZER_FILE)
-    lex_index = lexical.load(src)
-    vec_index = semantic.load(src)
+    lex_index = lexical.load(src, ids)
+    vec_index = semantic.load(src, ids)
     return RetrievalEngine(chunks, tok, lex_index, vec_index, manifest.config)

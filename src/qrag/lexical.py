@@ -12,15 +12,14 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, KeysView, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Chunk
 from .tokenizer import TokenizerModel
 
-LEXICAL_FILE = "lexical.jsonl"
-DOCLEN_FILE = "doclen.jsonl"
+LEXICAL_FILE = "lexical.npy"
 
 
 @dataclass(frozen=True)
@@ -36,116 +35,117 @@ class BM25Params:
 
 
 class InvertedIndex:
-    """Term -> posting arrays plus the length statistics BM25 needs.
+    """BM25 postings as shared arrays, addressed by row: row i is chunk_ids[i].
 
-    Each term's postings are held as two arrays: the rows of its chunks (in
-    ``chunk_ids`` order) and their term frequencies as float64, in the order
-    given, which is chunk-id order for a built index. No per-posting Python
-    object is kept. Immutable once built; searches are reentrant and safe
+    Term j's postings are ``rows[offsets[j]:offsets[j + 1]]``, strictly
+    increasing, with their term frequencies at the same positions of
+    ``tfs``. No per-posting Python object is kept, and only a (start, end)
+    pair per term. Immutable once built; searches are reentrant and safe
     concurrently.
     """
 
     def __init__(
         self,
-        N: int,
-        avgdl: float,
-        doc_len: dict[str, int],
-        postings: Mapping[str, Sequence] | Iterable[tuple[str, Sequence]],
+        chunk_ids: Sequence[str],
+        doc_len: np.ndarray,
+        terms: Sequence[str],
+        offsets: np.ndarray,
+        rows: np.ndarray,
+        tfs: np.ndarray,
     ) -> None:
-        """``postings`` gives each term's ``(chunk_id, tf)`` pairs, as a
-        mapping or as an iterable of ``(term, pairs)``. An iterable is
-        consumed one term at a time, so only one term's decoded postings
-        need be alive at once.
-        """
-        if N != len(doc_len):
-            raise ValueError(f"N={N} does not match {len(doc_len)} doc_len entries")
-        # Doc lengths are ints, so the float64 mean is exact and must match.
-        if doc_len and abs(avgdl - sum(doc_len.values()) / len(doc_len)) > 1e-9:
-            raise ValueError("avgdl inconsistent with doc_len")
-        self.N = N
-        self.avgdl = avgdl
-        self.doc_len = doc_len
-        # Chunk rows follow doc_len insertion order, which is the build input
-        # order.
-        self._cids = list(doc_len.keys())
-        self._row_of = {cid: i for i, cid in enumerate(self._cids)}
-        self._dl = np.array([doc_len[cid] for cid in self._cids], dtype=np.float64)
-        self._term_rows: dict[str, np.ndarray] = {}
-        self._term_tfs: dict[str, np.ndarray] = {}
-        if isinstance(postings, Mapping):
-            postings = postings.items()
-        for term, plist in postings:
-            self._term_rows[term], self._term_tfs[term] = self._posting_arrays(
-                term, plist
-            )
+        """Check the arrays once; each refusal is a ``ValueError`` naming the
+        array or the term at fault."""
+        for name, arr in (
+            ("doc_len", doc_len), ("offsets", offsets), ("rows", rows), ("tfs", tfs)
+        ):
+            if arr.ndim != 1 or arr.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be a 1-d integer array")
+        self.chunk_ids = list(chunk_ids)
+        self.N = len(self.chunk_ids)
+        if len(doc_len) != self.N or not self.N:
+            raise ValueError(f"doc_len has {len(doc_len)} entries for {self.N} chunks (N >= 1)")
+        if (doc_len < 0).any():
+            raise ValueError("doc_len must be >= 0")
+        self.terms = list(terms)
+        n = len(rows)
+        if len(offsets) != len(self.terms) + 1 or offsets[0] != 0 or offsets[-1] != n:
+            raise ValueError(f"offsets must run from 0 to the posting count {n}")
+        if (offsets[1:] < offsets[:-1]).any() or len(tfs) != n:
+            raise ValueError("offsets must not decrease, and tfs must match rows")
+        self.offsets = offsets.astype("<i8", copy=False)
+        bounds = self.offsets.tolist()
+        self._span: dict[str, tuple[int, int]] = {}
+        for j, term in enumerate(self.terms):
+            if not isinstance(term, str) or term in self._span:
+                raise ValueError(f"term {j} is not a string listed once: {term!r}")
+            self._span[term] = (bounds[j], bounds[j + 1])
+        # A repeated row would push df past N and idf below 0; increasing rows
+        # also let a chunk's tf be found by bisection.
+        stalls = np.zeros(n, dtype=bool)
+        stalls[1:] = rows[1:] <= rows[:-1]
+        stalls[self.offsets[:-1][self.offsets[:-1] < n]] = False  # term starts
+        for bad, fault in (
+            ((rows < 0) | (rows >= self.N), f"name a row outside 0..{self.N - 1}"),
+            (tfs < 1, "have a tf below 1"),
+            (stalls, "are not in increasing row order"),
+        ):
+            if bad.any():
+                p = int(np.argmax(bad))
+                term = self.terms[int(np.searchsorted(self.offsets, p, "right")) - 1]
+                if bad is stalls and rows[p] == rows[p - 1]:
+                    fault = f"name chunk_id {self.chunk_ids[rows[p]]!r} twice"
+                raise ValueError(f"postings for term {term!r} {fault}")
+        self.doc_len = doc_len.astype("<i4", copy=False)
+        # Held in the types BM25 computes with, so that no query term pays for
+        # a cast; ``save`` narrows them again.
+        self.rows = rows.astype(np.intp, copy=False)
+        self.tfs = tfs.astype(np.float64)
+        # The same Python division as a mean over ints, so scores keep their bits.
+        self.avgdl = int(self.doc_len.sum(dtype=np.int64)) / self.N
 
-    def _posting_arrays(
-        self, term: str, plist: Sequence[Sequence]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One term's ``(chunk_id, tf)`` pairs as checked row and tf arrays.
-
-        The loops run in C (map/fromiter), which keeps loading the index
-        cheap; a tf must be an int >= 1, so ``1.5``, ``"2"`` and ``true``
-        from a file are refused rather than coerced, and a chunk may appear
-        only once, since a repeat would push df past N and idf below 0.
-        """
-        try:
-            rows = np.fromiter(
-                map(self._row_of.__getitem__, map(itemgetter(0), plist)),
-                dtype=np.intp,
-                count=len(plist),
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"posting for term {term!r} names unknown chunk_id {exc.args[0]!r}"
-            ) from None
-        # Rows usually increase already; only lists out of row order (chunk-id
-        # order differs from input order) pay for a sort.
-        if not (rows[1:] > rows[:-1]).all():
-            ordered = np.sort(rows)
-            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-            if len(repeated):
-                raise ValueError(
-                    f"postings for term {term!r} name chunk_id "
-                    f"{self._cids[repeated[0]]!r} twice"
+    @classmethod
+    def from_postings(
+        cls,
+        doc_len: Mapping[str, int],
+        postings: Mapping[str, Sequence[tuple[str, int]]],
+    ) -> "InvertedIndex":
+        """An index from ``{chunk_id: length}`` in row order and each term's
+        ``(chunk_id, tf)`` pairs, in any order. An unknown chunk id is
+        refused, and so is a tf that is not an ``int`` (``1.5``, ``"2"`` and
+        ``True`` are not coerced)."""
+        row_of = {cid: i for i, cid in enumerate(doc_len)}
+        offsets = np.cumsum([0, *map(len, postings.values())])
+        rows = np.empty(offsets[-1], dtype=np.intp)
+        tfs = np.empty(offsets[-1], dtype=np.int32)  # a tf is at most a chunk's length
+        for (term, plist), lo, hi in zip(postings.items(), offsets[:-1], offsets[1:]):
+            try:
+                term_rows = np.fromiter(
+                    map(row_of.__getitem__, map(itemgetter(0), plist)), np.intp, hi - lo
                 )
-        tf_list = list(map(itemgetter(1), plist))
-        if set(map(type, tf_list)) <= {int}:
-            tfs = np.fromiter(tf_list, dtype=np.float64, count=len(tf_list))
-            if not (tfs < 1).any():
-                return rows, tfs
-        raise ValueError(f"tf in postings for term {term!r} must be an int >= 1")
+            except KeyError as exc:
+                raise ValueError(
+                    f"postings for term {term!r} name unknown chunk_id {exc.args[0]!r}"
+                ) from None
+            term_tfs = list(map(itemgetter(1), plist))
+            if not set(map(type, term_tfs)) <= {int}:
+                raise ValueError(f"postings for term {term!r} have a tf that is not an int")
+            order = np.argsort(term_rows, kind="stable")
+            rows[lo:hi] = term_rows[order]
+            tfs[lo:hi] = np.array(term_tfs)[order]
+        lengths = np.array(list(doc_len.values()), dtype=np.int64)
+        return cls(list(doc_len), lengths, list(postings), offsets, rows, tfs)
 
-    @property
-    def chunk_ids(self) -> list[str]:
-        return self._cids
-
-    @property
-    def terms(self) -> KeysView[str]:
-        """Every indexed term, in index order."""
-        return self._term_rows.keys()
-
-    def posting_list(self, term: str) -> list[tuple[str, int]]:
-        """``term``'s ``(chunk_id, tf)`` pairs in stored order; [] if unseen."""
-        rows = self._term_rows.get(term)
-        if rows is None:
-            return []
-        cids = map(self._cids.__getitem__, rows.tolist())
-        return list(zip(cids, self._term_tfs[term].astype(np.int64).tolist()))
-
-    def row_index(self, chunk_id: str) -> int:
-        return self._row_of[chunk_id]
-
-    def length_norm(self, p: BM25Params) -> np.ndarray:
-        """Per-chunk k1 * (1 - b + b * dl / avgdl), the BM25 denominator term."""
-        return p.k1 * (1.0 - p.b + p.b * self._dl / self.avgdl)
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """``term``'s chunk rows (increasing) and tfs, as views into the shared
+        arrays; both empty for an unseen term."""
+        lo, hi = self._span.get(term, (0, 0))
+        return self.rows[lo:hi], self.tfs[lo:hi]
 
 
 def build_index(chunks: Sequence[Chunk], tok: TokenizerModel) -> InvertedIndex:
     """Index the BPE surface tokens of each chunk.
 
-    Postings are sorted by chunk id; term frequency counts every occurrence
-    within a chunk.
+    Terms are sorted; term frequency counts every occurrence within a chunk.
     """
     if not chunks:
         raise ValueError("empty chunk list")
@@ -161,14 +161,14 @@ def build_index(chunks: Sequence[Chunk], tok: TokenizerModel) -> InvertedIndex:
             counts[t] = counts.get(t, 0) + 1
         for t, tf in counts.items():
             tf_maps.setdefault(t, {})[c.chunk_id] = tf
-    postings = ((term, sorted(tf_maps[term].items())) for term in sorted(tf_maps))
-    avgdl = sum(doc_len.values()) / len(doc_len)
-    return InvertedIndex(N=len(doc_len), avgdl=avgdl, doc_len=doc_len, postings=postings)
+    # Views, not copies: the pairs are already held once in tf_maps.
+    postings = {term: tf_maps[term].items() for term in sorted(tf_maps)}
+    return InvertedIndex.from_postings(doc_len, postings)
 
 
 def idf(index: InvertedIndex, term: str) -> float:
     """ln(1 + (N - df + 0.5) / (df + 0.5)); finite and positive for df <= N."""
-    df = len(index._term_rows.get(term, ()))
+    df = len(index.postings(term)[0])
     return math.log(1.0 + (index.N - df + 0.5) / (df + 0.5))
 
 
@@ -177,12 +177,10 @@ def idf_weights(index: InvertedIndex) -> dict[str, float]:
     return {term: idf(index, term) for term in index.terms}
 
 
-def _tf_in_chunk(index: InvertedIndex, term: str, chunk_id: str) -> int:
-    rows = index._term_rows.get(term)
-    if rows is None:
-        return 0
-    hit = np.flatnonzero(rows == index.row_index(chunk_id))
-    return int(index._term_tfs[term][hit[0]]) if len(hit) else 0
+def _tf_in_chunk(index: InvertedIndex, term: str, row: int) -> int:
+    rows, tfs = index.postings(term)
+    i = int(np.searchsorted(rows, row))
+    return int(tfs[i]) if i < len(rows) and rows[i] == row else 0
 
 
 def _dedup_terms(query_terms: Iterable[str]) -> list[str]:
@@ -199,13 +197,15 @@ def bm25_score(
     score = sum over distinct terms of
     idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).
     """
-    if chunk_id not in index.doc_len:
-        raise KeyError(f"unknown chunk_id: {chunk_id}")
-    dl = float(index.doc_len[chunk_id])
+    try:
+        row = index.chunk_ids.index(chunk_id)
+    except ValueError:
+        raise KeyError(f"unknown chunk_id: {chunk_id}") from None
+    dl = float(index.doc_len[row])
     norm = p.k1 * (1.0 - p.b + p.b * dl / index.avgdl)
     score = 0.0
     for term in _dedup_terms(query_terms):
-        tf = _tf_in_chunk(index, term, chunk_id)
+        tf = _tf_in_chunk(index, term, row)
         if tf == 0:
             continue
         score += idf(index, term) * (tf * (p.k1 + 1.0)) / (tf + norm)
@@ -223,12 +223,9 @@ def score_rows(
     terms = _dedup_terms(query_terms)
     scores = np.zeros(index.N, dtype=np.float64)
     touched = np.zeros(index.N, dtype=bool)
-    norm = index.length_norm(p)
+    norm = p.k1 * (1.0 - p.b + p.b * index.doc_len / index.avgdl)
     for term in terms:
-        rows = index._term_rows.get(term)
-        if rows is None:
-            continue
-        tf = index._term_tfs[term]
+        rows, tf = index.postings(term)
         scores[rows] += idf(index, term) * (tf * (p.k1 + 1.0)) / (tf + norm[rows])
         touched[rows] = True
     return scores, touched
@@ -264,51 +261,39 @@ def search(
     if not terms:
         return []
     scores, touched = score_rows(index, p, terms)
-    best = top_rows(index._cids, scores, np.nonzero(touched)[0], k)
-    return [(index._cids[i], float(scores[i])) for i in best]
+    best = top_rows(index.chunk_ids, scores, np.nonzero(touched)[0], k)
+    return [(index.chunk_ids[i], float(scores[i])) for i in best]
 
 
 # -- persistence -------------------------------------------------------------
 
 
 def save(index: InvertedIndex, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    with (out / LEXICAL_FILE).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"N": index.N, "avgdl": index.avgdl}) + "\n")
-        for term in sorted(index.terms):
-            # json writes each (chunk_id, tf) tuple as a [chunk_id, tf] array.
-            fh.write(
-                json.dumps(
-                    {"term": term, "postings": index.posting_list(term)},
-                    ensure_ascii=False,
-                )
-                + "\n"
+    """Write the doc lengths, the terms (UTF-8 JSON bytes), the offsets, the
+    rows and the tfs (in the narrowest unsigned type that holds the largest)
+    as consecutive ``.npy`` arrays of one file."""
+    terms = np.frombuffer(json.dumps(index.terms, ensure_ascii=False).encode(), np.uint8)
+    width = np.min_scalar_type(int(index.tfs.max(initial=1))).newbyteorder("<")
+    rows, tfs = index.rows.astype("<i4"), index.tfs.astype(width)
+    with (Path(out_dir) / LEXICAL_FILE).open("wb") as fh:
+        for arr in (index.doc_len, terms, index.offsets, rows, tfs):
+            np.lib.format.write_array(fh, arr, allow_pickle=False)
+
+
+def load(in_dir: str | Path, chunk_ids: Sequence[str]) -> InvertedIndex:
+    """Read an index written by ``save``; row i is ``chunk_ids[i]``."""
+    with (Path(in_dir) / LEXICAL_FILE).open("rb") as fh:
+        try:
+            doc_len, terms, offsets, rows, tfs = (
+                np.lib.format.read_array(fh, allow_pickle=False) for _ in range(5)
             )
-    with (out / DOCLEN_FILE).open("w", encoding="utf-8") as fh:
-        for cid, dl in index.doc_len.items():
-            fh.write(json.dumps({"chunk_id": cid, "len": dl}, ensure_ascii=False) + "\n")
-
-
-def _read_postings(fh: TextIO) -> Iterator[tuple[str, list[list]]]:
-    for line in fh:
-        if line.strip():
-            obj = json.loads(line)
-            yield obj["term"], obj["postings"]
-
-
-def load(in_dir: str | Path) -> InvertedIndex:
-    """Read an index written by ``save``, converting one term at a time."""
-    src = Path(in_dir)
-    doc_len: dict[str, int] = {}
-    with (src / DOCLEN_FILE).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            doc_len[obj["chunk_id"]] = int(obj["len"])
-    with (src / LEXICAL_FILE).open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        return InvertedIndex(
-            N=int(header["N"]),
-            avgdl=float(header["avgdl"]),
-            doc_len=doc_len,
-            postings=_read_postings(fh),
-        )
+            if fh.read(1):
+                raise ValueError("trailing bytes after the tfs array")
+            if terms.dtype != np.uint8 or terms.ndim != 1:
+                raise ValueError("terms must be a 1-d uint8 array")
+            term_list = json.loads(terms.tobytes().decode("utf-8"))
+            if not isinstance(term_list, list):
+                raise ValueError("terms must be a JSON list")
+        except ValueError as exc:
+            raise ValueError(f"{LEXICAL_FILE}: {exc}") from None
+    return InvertedIndex(chunk_ids, doc_len, term_list, offsets, rows, tfs)

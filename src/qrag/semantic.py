@@ -11,7 +11,6 @@ externally computed embeddings can be loaded from JSONL instead.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -21,9 +20,7 @@ import numpy as np
 from . import _records
 from .lexical import top_rows
 
-VECTORS_FILE = "vectors.bin"
-IDS_FILE = "vectors.ids"
-_MAGIC = b"QRAGVEC1"
+VECTORS_FILE = "vectors.npy"
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -172,7 +169,6 @@ class VectorIndex:
         self._norms = np.array(
             [math.sqrt(float(np.dot(r, r))) for r in self._m64], dtype=np.float64
         )
-        self._row_of = {cid: i for i, cid in enumerate(ids)}
         bad = [i for i, n in enumerate(self._norms) if abs(n - 1.0) > 1e-6]
         if bad:
             raise ValueError(f"rows not unit-norm: {bad[:5]}")
@@ -192,7 +188,7 @@ class VectorIndex:
         return cls(ids, np.stack(rows).astype(np.float32))
 
     def row(self, chunk_id: str) -> np.ndarray:
-        return self._m64[self._row_of[chunk_id]]
+        return self._m64[self.ids.index(chunk_id)]
 
     def scan(self, q: np.ndarray) -> np.ndarray:
         """Cosine of the query against every row (brute force, exact).
@@ -230,27 +226,18 @@ def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, f
 
 
 def save(index: VectorIndex, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    with (out / VECTORS_FILE).open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", index.dim, len(index.ids)))
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
-    (out / IDS_FILE).write_text(
-        "".join(cid + "\n" for cid in index.ids), encoding="utf-8"
-    )
+    np.save(Path(out_dir) / VECTORS_FILE, index.matrix.astype("<f4", copy=False))
 
 
-def load(in_dir: str | Path) -> VectorIndex:
-    src = Path(in_dir)
-    raw = (src / VECTORS_FILE).read_bytes()
-    if raw[:8] != _MAGIC:
-        raise ValueError("bad vectors.bin magic")
-    dim, n = struct.unpack("<IQ", raw[8:20])
-    matrix = np.frombuffer(raw[20:], dtype="<f4").reshape(n, dim)
-    ids = (src / IDS_FILE).read_text(encoding="utf-8").splitlines()
-    if len(ids) != n:
-        raise ValueError(f"vectors.ids has {len(ids)} ids, expected {n}")
-    return VectorIndex(ids, matrix.astype(np.float32))
+def load(in_dir: str | Path, ids: Sequence[str]) -> VectorIndex:
+    """Read a matrix written by ``save``; row i is ``ids[i]``."""
+    try:
+        matrix = np.load(Path(in_dir) / VECTORS_FILE, allow_pickle=False)
+        if matrix.dtype != np.dtype("<f4"):
+            raise ValueError(f"expected a <f4 matrix, got {matrix.dtype.str}")
+        return VectorIndex(list(ids), matrix)
+    except ValueError as exc:
+        raise ValueError(f"{VECTORS_FILE}: {exc}") from None
 
 
 def load_external_embeddings(path: str | Path, ids: Sequence[str]) -> VectorIndex:

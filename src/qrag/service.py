@@ -9,15 +9,19 @@ Errors are returned as {"error": str} with a 4xx/5xx status; a request body
 over ``MAX_BODY_BYTES`` gets a 413 without being read, and a query over
 ``MAX_QUERY_CHARS`` characters a 400. A connection that sends nothing for
 ``REQUEST_TIMEOUT_S`` seconds, say a body shorter than its Content-Length,
-is closed, so a stalled client cannot hold a handler thread. The engine is
-immutable, so one shared instance serves concurrent requests.
+is closed, so a stalled client cannot hold a handler thread. At most
+``MAX_HANDLERS`` connections are handled at once; one more is answered 503
+{"error": "server busy"} and closed. The engine is immutable, so one shared
+instance serves concurrent requests.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import socket
 import sys
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import RetrievalEngine
@@ -31,6 +35,14 @@ MAX_BODY_BYTES = 1 << 20
 MAX_QUERY_CHARS = 4096
 # Seconds a socket read or write may block before the connection is dropped.
 REQUEST_TIMEOUT_S = 10.0
+# Connections handled at once, each on its own thread.
+MAX_HANDLERS = 64
+_BUSY_BODY = json.dumps({"error": "server busy"}).encode("utf-8")
+_BUSY_RESPONSE = (
+    b"HTTP/1.1 503 Service Unavailable\r\n"
+    b"Content-Type: application/json; charset=utf-8\r\n"
+    b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(_BUSY_BODY)
+) + _BUSY_BODY
 
 
 class SearchHandler(BaseHTTPRequestHandler):
@@ -109,6 +121,40 @@ class SearchServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], engine: RetrievalEngine) -> None:
         super().__init__(address, SearchHandler)
         self.engine = engine
+        self._slots = threading.BoundedSemaphore(MAX_HANDLERS)
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to a thread if a slot is free, else refuse it."""
+        if not self._slots.acquire(blocking=False):
+            self._refuse(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+    def _refuse(self, request: socket.socket) -> None:
+        """Answer 503 without reading the request, then close.
+
+        Whatever the client has already sent is drained first, so that the
+        close does not reset the connection before the answer is read.
+        """
+        try:
+            request.setblocking(False)
+            request.sendall(_BUSY_RESPONSE)
+            request.shutdown(socket.SHUT_WR)
+            while request.recv(65536):
+                pass
+        except OSError:  # nothing more to drain, or the client is gone
+            pass
+        request.close()
 
     def handle_error(self, request, client_address) -> None:
         """Log a request's uncaught error instead of printing it to stderr.

@@ -14,6 +14,8 @@ from qrag import evalkit, lexical, quantum, semantic, synthetic
 from qrag.corpus import Chunk
 from qrag.engine import (
     CONTEXT_DELIMITER,
+    INDEX_FILES,
+    STATS_FILE,
     EngineConfig,
     build_all,
     format_context,
@@ -111,12 +113,10 @@ def test_hand_value_suite():
     """Each anchor value reproduced within 1e-4, oracle recomputed in-test."""
     with criterion("hand-values"):
         # IDF: N=3, df=1
-        index = InvertedIndex(
-            N=3,
-            avgdl=4.0,
-            doc_len={"c1": 4, "c2": 4, "c3": 4},
-            postings={"t": [("c1", 2)]},
+        index = InvertedIndex.from_postings(
+            {"c1": 4, "c2": 4, "c3": 4}, {"t": [("c1", 2)]}
         )
+        assert index.avgdl == 4.0
         idf_oracle = math.log(1.0 + (3 - 1 + 0.5) / (1 + 0.5))
         got = lexical.idf(index, "t")
         assert abs(got - 0.98083) < 1e-4 and abs(got - idf_oracle) < 1e-12
@@ -249,10 +249,10 @@ def test_persistence_determinism(planted, tmp_path):
         assert before == after
 
         build_all(corpus_path, cfg, tmp_path / "rebuild")
-        for name in ("vectors.bin", "tokenizer.json"):
+        for name in INDEX_FILES + (STATS_FILE,):
             assert (tmp_path / "rebuild" / name).read_bytes() == (
                 root / "index" / name
-            ).read_bytes()
+            ).read_bytes(), name
 
 
 def test_context_budget_fuzz(planted):

@@ -362,11 +362,13 @@ class TestRowSpace:
     def test_lexical_index_out_of_chunk_order_rejected(self, small_engine):
         engine, *_ = small_engine
         li = engine.lexical_index
-        permuted = InvertedIndex(
-            li.N,
-            li.avgdl,
-            dict(reversed(li.doc_len.items())),
-            ((term, li.posting_list(term)) for term in li.terms),
+        ids = li.chunk_ids
+        postings = {}
+        for term in li.terms:
+            rows, tfs = li.postings(term)
+            postings[term] = [(ids[r], int(tf)) for r, tf in zip(rows.tolist(), tfs.tolist())]
+        permuted = InvertedIndex.from_postings(
+            dict(reversed(list(zip(ids, li.doc_len.tolist())))), postings
         )
         with pytest.raises(ValueError, match="lexical index"):
             RetrievalEngine(
@@ -380,10 +382,8 @@ class TestTokenCounts:
     def test_doc_len_is_token_count_of_chunk_text(self, small_engine):
         engine, *_ = small_engine
         tok = engine.tokenizer
-        for chunk in engine.chunks:
-            assert engine.lexical_index.doc_len[chunk.chunk_id] == (
-                tok.token_count(chunk.text)
-            )
+        for row, chunk in enumerate(engine.chunks):
+            assert engine.lexical_index.doc_len[row] == tok.token_count(chunk.text)
 
     def test_counts_add_up_across_the_delimiter(self, small_engine):
         engine, *_ = small_engine
@@ -486,8 +486,8 @@ class TestPersistence:
     def test_missing_file_named(self, small_engine, tmp_path):
         engine, *_ = small_engine
         save_index(engine, tmp_path / "missing")
-        (tmp_path / "missing" / "vectors.bin").unlink()
-        with pytest.raises(FileNotFoundError, match="vectors.bin"):
+        (tmp_path / "missing" / "vectors.npy").unlink()
+        with pytest.raises(FileNotFoundError, match="vectors.npy"):
             load_index(tmp_path / "missing")
 
     @pytest.mark.parametrize("name", INDEX_FILES)
@@ -514,3 +514,85 @@ class TestPersistence:
     def test_missing_manifest_named(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest.json"):
             load_index(tmp_path)
+
+    def test_version_1_asks_for_a_rebuild(self, small_engine, tmp_path):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "v1")
+        manifest_path = tmp_path / "v1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match="unsupported version: 1; rebuild"):
+            load_index(tmp_path / "v1")
+
+
+class TestAtomicSave:
+    """``save_index`` replaces a directory only once the new index is whole."""
+
+    def test_crash_while_saving_keeps_previous_index(
+        self, small_engine, tmp_path, monkeypatch
+    ):
+        engine, bench, *_ = small_engine
+        target = tmp_path / "index"
+        save_index(engine, target)
+        before = {p.name: p.read_bytes() for p in target.iterdir()}
+        queries = [q["text"] for q in bench.queries[:5]]
+        responses = [engine.retrieve(t).to_json(include_timings=False) for t in queries]
+
+        def failing_save(index, out_dir):
+            (out_dir / semantic.VECTORS_FILE).write_bytes(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(semantic, "save", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(engine, target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index"]
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+        reloaded = load_index(target)
+        assert [
+            reloaded.retrieve(t).to_json(include_timings=False) for t in queries
+        ] == responses
+
+    def test_resave_replaces_every_file(self, small_engine, tmp_path):
+        engine, *_ = small_engine
+        target = tmp_path / "index"
+        save_index(engine, target)
+        # Files an earlier format left behind are gone after the swap.
+        for stale in ("lexical.jsonl", "doclen.jsonl", "vectors.bin", "vectors.ids"):
+            (target / stale).write_text("v1", encoding="utf-8")
+        save_index(engine, target)
+        assert sorted(p.name for p in target.iterdir()) == sorted(
+            INDEX_FILES + ("manifest.json",)
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index"]
+        load_index(target)
+
+    def test_empty_directory_is_replaced(self, small_engine, tmp_path):
+        engine, *_ = small_engine
+        (tmp_path / "index").mkdir()
+        save_index(engine, tmp_path / "index")
+        load_index(tmp_path / "index")
+
+    @pytest.mark.parametrize("kind", ["directory", "file"])
+    def test_unrelated_target_refused_and_kept(self, small_engine, tmp_path, kind):
+        engine, *_ = small_engine
+        target = tmp_path / "home"
+        if kind == "directory":
+            target.mkdir()
+            (target / "notes.txt").write_text("keep me", encoding="utf-8")
+        else:
+            target.write_text("keep me", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"refusing to replace .*home"):
+            save_index(engine, target)
+        kept = target / "notes.txt" if kind == "directory" else target
+        assert kept.read_text(encoding="utf-8") == "keep me"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["home"]
+
+    def test_build_refuses_unrelated_target_before_building(self, tmp_path, monkeypatch):
+        (tmp_path / "home").mkdir()
+        (tmp_path / "home" / "notes.txt").write_text("keep me", encoding="utf-8")
+        monkeypatch.setattr(
+            "qrag.engine.prepare", lambda *a: pytest.fail("built before refusing")
+        )
+        with pytest.raises(ValueError, match="refusing to replace"):
+            build_all(tmp_path / "corpus.jsonl", EngineConfig(), tmp_path / "home")

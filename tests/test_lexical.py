@@ -8,7 +8,6 @@ import pytest
 from qrag import synthetic
 from qrag.corpus import Chunk
 from qrag.lexical import (
-    DOCLEN_FILE,
     LEXICAL_FILE,
     BM25Params,
     InvertedIndex,
@@ -32,7 +31,13 @@ def _hand_index():
         "u": [("c1", 1), ("c2", 1), ("c3", 1)],
         "v": [("c2", 1), ("c3", 2)],
     }
-    return InvertedIndex(N=3, avgdl=4.0, doc_len=doc_len, postings=postings)
+    return InvertedIndex.from_postings(doc_len, postings)
+
+
+def _pairs(ix, term):
+    """``term``'s (chunk_id, tf) pairs in stored (row) order."""
+    rows, tfs = ix.postings(term)
+    return [(ix.chunk_ids[r], int(tf)) for r, tf in zip(rows.tolist(), tfs.tolist())]
 
 
 @pytest.fixture(scope="module")
@@ -47,24 +52,25 @@ class TestBuildIndex:
         chunks = [Chunk(f"c{i}", "d", 0, 4, "w1 w2 w3 w4") for i in range(3)]
         ix = build_index(chunks, word_model)
         assert ix.N == 3
-        assert ix.avgdl == pytest.approx(ix.doc_len["c0"])
+        assert ix.avgdl == pytest.approx(ix.doc_len[0])
 
     def test_repeated_term_single_posting_with_tf(self, word_model):
         ix = build_index([Chunk("c0", "d", 0, 4, "w1 w1 w2 w3")], word_model)
         term = word_model.encode("w1").surface[0]
-        assert ix.posting_list(term) == [("c0", 2)]
+        assert _pairs(ix, term) == [("c0", 2)]
 
     def test_absent_term_has_no_postings(self, word_model):
         ix = build_index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
         term = word_model.encode("w9").surface[0]
         assert term not in ix.terms
-        assert ix.posting_list(term) == []
+        assert _pairs(ix, term) == []
 
-    def test_postings_sorted_by_chunk_id(self, word_model):
+    def test_postings_follow_row_order(self, word_model):
         chunks = [Chunk(f"c{i}", "d", 0, 2, "w1 w2") for i in (3, 1, 2)]
         ix = build_index(chunks, word_model)
         term = word_model.encode("w1").surface[0]
-        assert [cid for cid, _ in ix.posting_list(term)] == ["c1", "c2", "c3"]
+        assert ix.postings(term)[0].tolist() == [0, 1, 2]
+        assert [cid for cid, _ in _pairs(ix, term)] == ["c3", "c1", "c2"]
 
     def test_duplicate_chunk_id_rejected(self, word_model):
         chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c0", "d", 0, 2, "w3 w4")]
@@ -75,17 +81,22 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="empty"):
             build_index([], word_model)
 
-    def test_inconsistent_avgdl_rejected(self):
-        with pytest.raises(ValueError, match="avgdl"):
-            InvertedIndex(N=1, avgdl=99.0, doc_len={"c": 4}, postings={})
+    def test_avgdl_is_the_mean_doc_len(self):
+        ix = InvertedIndex.from_postings({"c": 2, "d": 5}, {})
+        assert ix.avgdl == 3.5
+        assert ix.doc_len.tolist() == [2, 5]
+
+    def test_no_chunks_rejected(self):
+        with pytest.raises(ValueError, match="doc_len has 0 entries for 0 chunks"):
+            InvertedIndex.from_postings({}, {})
 
     def test_nonpositive_tf_rejected(self):
         with pytest.raises(ValueError, match="tf"):
-            InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": [("c", 0)]})
+            InvertedIndex.from_postings({"c": 4}, {"t": [("c", 0)]})
 
     def test_posting_for_unknown_chunk_rejected(self):
         with pytest.raises(ValueError, match="term 't'.*chunk_id 'x'"):
-            InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": [("x", 1)]})
+            InvertedIndex.from_postings({"c": 4}, {"t": [("x", 1)]})
 
     @pytest.mark.parametrize(
         "plist", [[("c", 1), ("c", 2)], [("c", 1), ("d", 1), ("c", 2)]]
@@ -95,24 +106,24 @@ class TestBuildIndex:
         # negative.
         doc_len = {"c": 4, "d": 4}
         with pytest.raises(ValueError, match="term 't'.*chunk_id 'c' twice"):
-            InvertedIndex(N=2, avgdl=4.0, doc_len=doc_len, postings={"t": plist})
+            InvertedIndex.from_postings(doc_len, {"t": plist})
 
     def test_postings_out_of_row_order_load(self):
-        # Built postings are in chunk-id order, which need not be row order.
-        doc_len = {"c10": 4, "c9": 4}
-        ix = InvertedIndex(
-            N=2, avgdl=4.0, doc_len=doc_len, postings={"t": [("c9", 1), ("c10", 2)]}
+        # Postings may be given in any order (here chunk-id order); they are
+        # stored in row order.
+        ix = InvertedIndex.from_postings(
+            {"c10": 4, "c9": 4}, {"t": [("c9", 1), ("c10", 2)]}
         )
-        assert ix.posting_list("t") == [("c9", 1), ("c10", 2)]
+        assert _pairs(ix, "t") == [("c10", 2), ("c9", 1)]
 
     @pytest.mark.parametrize("tf", [0, -1, 1.5, 2.0, "2", True, None])
     def test_tf_that_is_not_a_positive_int_rejected(self, tf):
         with pytest.raises(ValueError, match="term 't'"):
-            InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": [("c", tf)]})
+            InvertedIndex.from_postings({"c": 4}, {"t": [("c", tf)]})
 
     def test_term_with_no_postings_has_df_zero(self):
-        ix = InvertedIndex(N=1, avgdl=4.0, doc_len={"c": 4}, postings={"t": []})
-        assert ix.posting_list("t") == []
+        ix = InvertedIndex.from_postings({"c": 4}, {"t": []})
+        assert _pairs(ix, "t") == []
         assert idf(ix, "t") == idf(ix, "never-seen")
 
 
@@ -154,7 +165,7 @@ class TestBm25Score:
     def test_b_zero_removes_length_dependence(self):
         doc_len = {"c1": 2, "c2": 40}
         postings = {"t": [("c1", 1), ("c2", 1)]}
-        ix = InvertedIndex(N=2, avgdl=21.0, doc_len=doc_len, postings=postings)
+        ix = InvertedIndex.from_postings(doc_len, postings)
         p = BM25Params(k1=1.2, b=0.0)
         assert bm25_score(ix, p, ["t"], "c1") == bm25_score(ix, p, ["t"], "c2")
 
@@ -174,15 +185,9 @@ class TestBm25Score:
             dl = int(rng.integers(5, 100))
             other = int(rng.integers(5, 100))
             doc_len = {"c": dl, "d": other}
-            avgdl = (dl + other) / 2
             prev = None
             for bump in range(4):
-                ix = InvertedIndex(
-                    N=2,
-                    avgdl=avgdl,
-                    doc_len=doc_len,
-                    postings={"t": [("c", tf + bump)]},
-                )
+                ix = InvertedIndex.from_postings(doc_len, {"t": [("c", tf + bump)]})
                 score = bm25_score(ix, BM25Params(), ["t"], "c")
                 if prev is not None:
                     assert score >= prev
@@ -266,12 +271,14 @@ class TestPersistence:
         chunks = _random_corpus(rng, 50, word_model, vocab)
         ix = build_index(chunks, word_model)
         save(ix, tmp_path)
-        reloaded = load(tmp_path)
+        reloaded = load(tmp_path, [c.chunk_id for c in chunks])
         assert reloaded.N == ix.N
         assert reloaded.avgdl == ix.avgdl
-        assert reloaded.doc_len == ix.doc_len
+        assert reloaded.chunk_ids == ix.chunk_ids
         assert list(reloaded.terms) == list(ix.terms)
-        assert all(reloaded.posting_list(t) == ix.posting_list(t) for t in ix.terms)
+        for name in ("doc_len", "offsets", "rows", "tfs"):
+            got, want = getattr(reloaded, name), getattr(ix, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
         p = BM25Params()
         for _ in range(10):
             query = " ".join(rng.choice(vocab, size=4))
@@ -298,64 +305,188 @@ class TestPersistence:
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         save(build_index(chunks, word_model), tmp_path / "a")
-        save(load(tmp_path / "a"), tmp_path / "b")
-        for name in (LEXICAL_FILE, DOCLEN_FILE):
-            assert (tmp_path / "b" / name).read_bytes() == (
-                tmp_path / "a" / name
-            ).read_bytes()
+        save(load(tmp_path / "a", [c.chunk_id for c in chunks]), tmp_path / "b")
+        assert (tmp_path / "b" / LEXICAL_FILE).read_bytes() == (
+            tmp_path / "a" / LEXICAL_FILE
+        ).read_bytes()
+
+    @pytest.mark.parametrize("tf, width", [(1, "|u1"), (255, "|u1"), (256, "<u2")])
+    def test_tfs_stored_in_the_narrowest_width(self, tmp_path, tf, width):
+        save(InvertedIndex.from_postings({"c": tf}, {"t": [("c", tf)]}), tmp_path)
+        with (tmp_path / LEXICAL_FILE).open("rb") as fh:
+            arrays = [np.lib.format.read_array(fh) for _ in range(5)]
+        assert [a.dtype.str for a in arrays] == ["<i4", "|u1", "<i8", "<i4", width]
+        assert arrays[4].tolist() == [tf]
+        assert _pairs(load(tmp_path, ["c"]), "t") == [("c", tf)]
 
     def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
         chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
         save(build_index(chunks, synth_tokenizer), tmp_path)
-        with (tmp_path / LEXICAL_FILE).open(encoding="utf-8") as fh:
-            next(fh)
-            n_postings = sum(len(json.loads(line)["postings"]) for line in fh)
-        assert n_postings > 100_000
+        ids = [c.chunk_id for c in chunks]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ix = load(tmp_path)
+            ix = load(tmp_path, ids)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        n_postings = int(ix.offsets[-1])
+        assert n_postings > 100_000
         assert ix.N == 3000
-        # Two 8-byte arrays per posting, plus per-chunk and per-term overhead;
+        # A row and a tf per posting, plus per-chunk and per-term overhead;
         # a (cid, tf) tuple per posting alone costs more than this bound.
         assert retained / n_postings < 40
 
 
-def _write_lexical_files(out_dir, postings):
-    """One chunk "c" of length 4 and one term "t" with the given raw postings."""
-    (out_dir / DOCLEN_FILE).write_text(
-        json.dumps({"chunk_id": "c", "len": 4}) + "\n", encoding="utf-8"
-    )
-    (out_dir / LEXICAL_FILE).write_text(
-        json.dumps({"N": 1, "avgdl": 4.0})
-        + "\n"
-        + json.dumps({"term": "t", "postings": postings})
-        + "\n",
-        encoding="utf-8",
-    )
+def _write_lexical_file(out_dir, **arrays):
+    """``lexical.npy`` for one chunk of length 4 and one term "t" with one
+    posting of tf 3, with any of the five arrays replaced by keyword."""
+    default = {
+        "doc_len": np.array([4], dtype="<i4"),
+        "terms": ["t"],
+        "offsets": np.array([0, 1], dtype="<i8"),
+        "rows": np.array([0], dtype="<i4"),
+        "tfs": np.array([3], dtype=np.uint8),
+    }
+    default.update(arrays)
+    if isinstance(default["terms"], list):
+        terms = json.dumps(default["terms"]).encode("utf-8")
+        default["terms"] = np.frombuffer(terms, dtype=np.uint8)
+    with (out_dir / LEXICAL_FILE).open("wb") as fh:
+        for arr in default.values():
+            np.lib.format.write_array(fh, np.asarray(arr), allow_pickle=True)
 
 
 class TestLoadValidation:
     def test_valid_file_loads(self, tmp_path):
-        _write_lexical_files(tmp_path, [["c", 3]])
-        assert load(tmp_path).posting_list("t") == [("c", 3)]
+        _write_lexical_file(tmp_path)
+        assert _pairs(load(tmp_path, ["c"]), "t") == [("c", 3)]
 
     def test_posting_for_unknown_chunk_names_term_and_chunk(self, tmp_path):
-        _write_lexical_files(tmp_path, [["x", 1]])
-        with pytest.raises(ValueError, match="term 't'.*chunk_id 'x'"):
-            load(tmp_path)
+        # Row 1 of a one-chunk index names no chunk.
+        _write_lexical_file(tmp_path, rows=np.array([1], dtype="<i4"))
+        with pytest.raises(ValueError, match="term 't' name a row outside 0..0"):
+            load(tmp_path, ["c"])
 
-    @pytest.mark.parametrize("tf", [0, 1.5, "2", True])
-    def test_tf_that_is_not_a_positive_int_names_term(self, tmp_path, tf):
-        _write_lexical_files(tmp_path, [["c", tf]])
-        with pytest.raises(ValueError, match="term 't'"):
-            load(tmp_path)
+    @pytest.mark.parametrize(
+        "tf, match",
+        [
+            pytest.param(0, "term 't'", id="0"),
+            pytest.param(1.5, "tfs must be a 1-d integer array", id="1.5"),
+            pytest.param("2", "tfs must be a 1-d integer array", id="2"),
+            pytest.param(True, "tfs must be a 1-d integer array", id="True"),
+        ],
+    )
+    def test_tf_that_is_not_a_positive_int_names_term(self, tmp_path, tf, match):
+        # A tf below 1 names its term; a tfs array of float, str or bool
+        # dtype is refused as a whole, by name.
+        _write_lexical_file(tmp_path, tfs=np.array([tf]))
+        with pytest.raises(ValueError, match=match):
+            load(tmp_path, ["c"])
 
     def test_duplicate_posting_names_term_and_chunk(self, tmp_path):
-        _write_lexical_files(tmp_path, [["c", 1], ["c", 2]])
+        _write_lexical_file(
+            tmp_path,
+            doc_len=np.array([4, 4], dtype="<i4"),
+            offsets=np.array([0, 2], dtype="<i8"),
+            rows=np.array([0, 0], dtype="<i4"),
+            tfs=np.array([1, 2], dtype=np.uint8),
+        )
         with pytest.raises(ValueError, match="term 't'.*chunk_id 'c' twice"):
-            load(tmp_path)
+            load(tmp_path, ["c", "d"])
+
+    def test_rows_out_of_order_name_term(self, tmp_path):
+        _write_lexical_file(
+            tmp_path,
+            doc_len=np.array([4, 4], dtype="<i4"),
+            terms=["s", "t"],
+            offsets=np.array([0, 1, 3], dtype="<i8"),
+            rows=np.array([1, 1, 0], dtype="<i4"),
+            tfs=np.array([1, 1, 1], dtype=np.uint8),
+        )
+        with pytest.raises(ValueError, match="term 't' are not in increasing row order"):
+            load(tmp_path, ["c", "d"])
+
+    def test_rows_may_restart_at_each_term(self, tmp_path):
+        _write_lexical_file(
+            tmp_path,
+            doc_len=np.array([4, 4], dtype="<i4"),
+            terms=["s", "t", "u"],
+            offsets=np.array([0, 2, 2, 3], dtype="<i8"),
+            rows=np.array([0, 1, 0], dtype="<i4"),
+            tfs=np.array([1, 2, 3], dtype=np.uint8),
+        )
+        ix = load(tmp_path, ["c", "d"])
+        assert [_pairs(ix, t) for t in "stu"] == [[("c", 1), ("d", 2)], [], [("c", 3)]]
+
+    @pytest.mark.parametrize(
+        "terms, offsets",
+        [
+            (["t"], [0, 2]),  # ends past the posting count
+            (["t"], [0, 0]),  # ends before it
+            (["t"], [1, 1]),  # does not start at 0
+            (["t"], [0]),  # one entry short
+            (["s", "t"], [0, 1, 0]),  # ends before the posting count
+            (["s", "t", "u"], [0, 1, 0, 1]),  # decreases
+        ],
+    )
+    def test_bad_offsets_rejected(self, tmp_path, terms, offsets):
+        _write_lexical_file(tmp_path, terms=terms, offsets=np.array(offsets, dtype="<i8"))
+        match = "offsets must (run from 0 to the posting count 1|not decrease)"
+        with pytest.raises(ValueError, match=match):
+            load(tmp_path, ["c"])
+
+    def test_tfs_must_match_rows(self, tmp_path):
+        _write_lexical_file(tmp_path, tfs=np.array([3, 3], dtype=np.uint8))
+        with pytest.raises(ValueError, match="tfs must match rows"):
+            load(tmp_path, ["c"])
+
+    def test_wrong_doc_len_count_rejected(self, tmp_path):
+        _write_lexical_file(tmp_path, doc_len=np.array([4, 4], dtype="<i4"))
+        with pytest.raises(ValueError, match="doc_len has 2 entries for 1 chunks"):
+            load(tmp_path, ["c"])
+
+    def test_negative_doc_len_rejected(self, tmp_path):
+        _write_lexical_file(tmp_path, doc_len=np.array([-1], dtype="<i4"))
+        with pytest.raises(ValueError, match="doc_len must be >= 0"):
+            load(tmp_path, ["c"])
+
+    @pytest.mark.parametrize("name", ["doc_len", "offsets", "rows", "tfs"])
+    def test_non_integer_or_2d_array_named(self, tmp_path, name):
+        good = {
+            "doc_len": [4], "offsets": [0, 1], "rows": [0], "tfs": [3]
+        }[name]
+        for bad in (np.array(good, dtype=np.float64), np.array([good])):
+            _write_lexical_file(tmp_path, **{name: bad})
+            with pytest.raises(ValueError, match=f"{name} must be a 1-d integer array"):
+                load(tmp_path, ["c"])
+
+    def test_object_array_refused_without_unpickling(self, tmp_path):
+        _write_lexical_file(tmp_path, terms=np.array(["t"], dtype=object))
+        with pytest.raises(ValueError, match="lexical.npy: .*allow_pickle"):
+            load(tmp_path, ["c"])
+
+    @pytest.mark.parametrize(
+        "terms, match",
+        [
+            (["t", "t"], "term 1 is not a string listed once: 't'"),
+            ([1], "term 0 is not a string listed once: 1"),
+            ({"t": 1}, "terms must be a JSON list"),
+        ],
+    )
+    def test_bad_terms_rejected(self, tmp_path, terms, match):
+        raw = np.frombuffer(json.dumps(terms).encode("utf-8"), dtype=np.uint8)
+        offsets = np.array([0] * len(terms) + [1], dtype="<i8")
+        _write_lexical_file(tmp_path, terms=raw, offsets=offsets)
+        with pytest.raises(ValueError, match=match):
+            load(tmp_path, ["c"])
+
+    def test_truncated_or_padded_file_rejected(self, tmp_path):
+        _write_lexical_file(tmp_path)
+        path = tmp_path / LEXICAL_FILE
+        whole = path.read_bytes()
+        for damaged, match in ((whole[:-1], "lexical.npy"), (whole + b"\0", "trailing")):
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match=match):
+                load(tmp_path, ["c"])

@@ -6,6 +6,7 @@ import pytest
 
 from qrag.semantic import (
     SCAN_BLOCK_ROWS,
+    VECTORS_FILE,
     EmbedderSpec,
     VectorIndex,
     cosine,
@@ -200,17 +201,35 @@ class TestPersistence:
             [f"c{i}" for i in range(20)], [rng.standard_normal(16) for _ in range(20)]
         )
         save(ix, tmp_path)
-        reloaded = load(tmp_path)
+        reloaded = load(tmp_path, ix.ids)
         assert reloaded.ids == ix.ids
         assert np.array_equal(reloaded.matrix, ix.matrix)
         q = rng.standard_normal(16)
         assert search_exact(reloaded, q, 5) == search_exact(ix, q, 5)
 
     def test_bad_magic_rejected(self, tmp_path):
-        (tmp_path / "vectors.bin").write_bytes(b"NOTMAGIC" + b"\x00" * 12)
-        (tmp_path / "vectors.ids").write_text("a\n")
-        with pytest.raises(ValueError, match="magic"):
-            load(tmp_path)
+        (tmp_path / VECTORS_FILE).write_bytes(b"NOTMAGIC" + b"\x00" * 12)
+        with pytest.raises(ValueError, match=VECTORS_FILE):
+            load(tmp_path, ["a"])
+
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.array([[1.0, 0.0]], dtype=np.float64), "expected a <f4 matrix, got <f8"),
+            (np.array([[1.0, 0.0]], dtype=">f4"), "expected a <f4 matrix, got >f4"),
+            (np.array([1.0, 0.0], dtype="<f4"), "ids must match matrix rows"),
+            (np.array([[1.0, 0.0], [0.0, 1.0]], dtype="<f4"), "ids must match matrix rows"),
+        ],
+    )
+    def test_wrong_dtype_or_shape_rejected(self, tmp_path, matrix, match):
+        np.save(tmp_path / VECTORS_FILE, matrix)
+        with pytest.raises(ValueError, match=f"{VECTORS_FILE}: {match}"):
+            load(tmp_path, ["a"])
+
+    def test_object_array_refused_without_unpickling(self, tmp_path):
+        np.save(tmp_path / VECTORS_FILE, np.array([[1.0]], dtype=object), allow_pickle=True)
+        with pytest.raises(ValueError, match=f"{VECTORS_FILE}: .*allow_pickle"):
+            load(tmp_path, ["a"])
 
 
 class TestLoadExternal:

@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from qrag import service
 from qrag.service import (
     MAX_BODY_BYTES,
     MAX_QUERY_CHARS,
@@ -218,6 +219,49 @@ class TestStalledClient:
         assert closed
         assert 0.4 <= elapsed < 1.5
         status, payload = _get(base + "/v1/health")
+        assert status == 200
+
+
+class TestHandlerCap:
+    @pytest.fixture
+    def capped_server(self, small_engine, monkeypatch):
+        """A server that handles one connection at once, dropping it after 1 s."""
+        engine, *_ = small_engine
+        monkeypatch.setattr(service, "MAX_HANDLERS", 1)
+        monkeypatch.setattr(SearchHandler, "timeout", 1.0)
+        srv = make_server(engine, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        host, port = srv.server_address
+        yield f"http://{host}:{port}"
+        srv.shutdown()
+        srv.server_close()
+
+    def test_full_server_answers_503_then_serves_again(self, capped_server):
+        base = capped_server
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as stalled:
+            # Promise a 100-byte body and send 9 bytes: the one slot is held.
+            stalled.sendall(
+                b"POST /v1/search HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+                + b'{"query":'
+            )
+            time.sleep(0.1)
+            start = time.monotonic()
+            status, payload = _raw_post(base, 20, b'{"query": "x y z"}  ')
+            assert time.monotonic() - start < 0.5
+            assert (status, payload) == (503, {"error": "server busy"})
+            # The server drops the stalled client after its timeout.
+            assert stalled.recv(65536) == b""
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                status, _ = _get(base + "/v1/health")
+            except urllib.error.HTTPError as err:
+                status = err.code
+            if status != 503 or time.monotonic() > deadline:
+                break
+            time.sleep(0.02)
         assert status == 200
 
 
