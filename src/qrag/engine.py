@@ -380,8 +380,7 @@ def build_all(
 
     engine = RetrievalEngine(chunks, tok, lex_index, vec_index, cfg)
     with _stage("save"):
-        manifest = save_index(engine, out)
-    _records.write_json(stats, out / STATS_FILE)
+        manifest = save_index(engine, out, stats)
     logger.info("built index: %d chunks (%s)", len(chunks), out)
     return manifest
 
@@ -402,8 +401,11 @@ def _check_replaceable(out: Path) -> None:
             raise ValueError(f"refusing to replace {out}: not an empty directory or an index")
 
 
-def save_index(engine: RetrievalEngine, out_dir: str | Path) -> IndexManifest:
-    """Persist all engine state; the manifest carries per-file digests.
+def save_index(
+    engine: RetrievalEngine, out_dir: str | Path, stats: dict | None = None
+) -> IndexManifest:
+    """Persist all engine state, and ``stats`` as ``stats.json`` when given;
+    the manifest carries per-file digests.
 
     The files are written into a sibling temp directory that then takes the
     place of ``out_dir``, so a failure part-way leaves any previous index
@@ -430,6 +432,8 @@ def save_index(engine: RetrievalEngine, out_dir: str | Path) -> IndexManifest:
             files=files,
         )
         _records.write_json(manifest.to_dict(), tmp / MANIFEST_FILE)
+        if stats is not None:
+            _records.write_json(stats, tmp / STATS_FILE)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -448,7 +452,12 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
     manifest_path = src / MANIFEST_FILE
     if not manifest_path.exists():
         raise FileNotFoundError(f"missing file: {manifest_path}")
-    raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{MANIFEST_FILE}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{MANIFEST_FILE}: expected a JSON object")
     # Check the version first: another version may have other keys.
     if raw.get("format_version") != FORMAT_VERSION:
         raise ValueError(

@@ -28,9 +28,10 @@ _FNV_PRIME = 0x100000001B3
 
 _token_cache: dict[tuple[str, int], np.ndarray] = {}
 
-# Rows per block of ``VectorIndex.scan``: the float64 product of one block
-# with a 256-dim query is 2 MiB, whatever the index size.
-SCAN_BLOCK_ROWS = 1024
+# Most chunks per block of ``VectorIndex.scan``. Its scratch arrays are a
+# few ``(8, SCAN_BLOCK_ROWS)`` float64 arrays (512 KiB each), whatever the
+# index size or the dim.
+SCAN_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,9 @@ def embed(
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) / (|a| |b|), clamped to [-1, 1] against rounding.
 
-    The cross term is the pairwise sum ``np.sum(a * b)``, the kernel that
-    ``VectorIndex.scan`` applies to each row, so the two agree bitwise; a
-    BLAS dot product can differ from it in the last bit.
+    The cross term is the pairwise sum ``np.sum(a * b)``, whose order of
+    additions ``VectorIndex.scan`` repeats for each row, so the two agree
+    bitwise; a BLAS dot product can differ from it in the last bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -154,24 +155,31 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 class VectorIndex:
     """Exact-scan index over L2-normalized chunk embeddings.
 
-    The canonical representation is the float32 matrix that persistence
-    stores, so a freshly built index and a reloaded one score identically;
-    scoring upcasts to float64 once at construction.
+    The embeddings are held once, as the C-contiguous float64 ``(dim, N)``
+    matrix ``cols``: row ``d`` is embedding dimension ``d`` across all
+    chunks. Its values are float32 numbers, the precision persistence
+    stores, so a freshly built index and a reloaded one score identically.
     """
 
     def __init__(self, ids: list[str], matrix: np.ndarray) -> None:
+        """``matrix`` holds one embedding per row, in the order of ``ids``;
+        it is rounded to float32 as ``save`` would store it."""
         if matrix.ndim != 2 or len(ids) != matrix.shape[0]:
             raise ValueError("ids must match matrix rows")
         self.ids = ids
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.dim = int(matrix.shape[1])
-        self._m64 = self.matrix.astype(np.float64)
-        self._norms = np.array(
-            [math.sqrt(float(np.dot(r, r))) for r in self._m64], dtype=np.float64
-        )
-        bad = [i for i, n in enumerate(self._norms) if abs(n - 1.0) > 1e-6]
-        if bad:
-            raise ValueError(f"rows not unit-norm: {bad[:5]}")
+        self.cols = np.empty((self.dim, len(ids)), dtype=np.float64)
+        self._norms = np.empty(len(ids), dtype=np.float64)
+        for start in range(0, len(ids), 256):
+            b = np.asarray(matrix[start : start + 256], dtype=np.float32).astype(np.float64)
+            # One BLAS dot per row: the kernel ``cosine`` takes a norm with,
+            # so the two agree bitwise.
+            dots = np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0]
+            self._norms[start : start + len(b)] = np.sqrt(dots)
+            self.cols[:, start : start + len(b)] = b.T
+        bad = np.flatnonzero(np.abs(self._norms - 1.0) > 1e-6)
+        if len(bad):
+            raise ValueError(f"rows not unit-norm: {bad[:5].tolist()}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -184,18 +192,21 @@ class VectorIndex:
             norm = math.sqrt(float(np.dot(v, v)))
             if norm < 1e-12:
                 raise ValueError("degenerate_embedding")
-            rows.append(v / norm)
-        return cls(ids, np.stack(rows).astype(np.float32))
+            rows.append((v / norm).astype(np.float32))
+        return cls(ids, np.stack(rows))
 
     def row(self, chunk_id: str) -> np.ndarray:
-        return self._m64[self.ids.index(chunk_id)]
+        """A copy of the embedding of ``chunk_id``, in float64."""
+        return self.cols[:, self.ids.index(chunk_id)].copy()
 
     def scan(self, q: np.ndarray) -> np.ndarray:
         """Cosine of the query against every row (brute force, exact).
 
-        Each row's dot product is the pairwise sum ``(row * q).sum()``, taken
-        over blocks of ``SCAN_BLOCK_ROWS`` rows to bound the temporary, so
-        each score is bitwise-identical to ``cosine(row, q)``.
+        The chunks are split into blocks of equal width, at most
+        ``SCAN_BLOCK_ROWS``; a narrow last block would cost more per chunk.
+        Each block is scored by ``_column_dots``, which adds each chunk's
+        products in the order of ``np.sum(row * q)``, so each score is
+        bitwise-identical to ``cosine(row, q)``.
         """
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim,):
@@ -203,12 +214,56 @@ class VectorIndex:
         qn = math.sqrt(float(np.dot(q, q)))
         if qn == 0.0:
             raise ValueError("zero vector")
-        scores = np.empty(len(self.ids), dtype=np.float64)
-        for start in range(0, len(self.ids), SCAN_BLOCK_ROWS):
-            block = self._m64[start : start + SCAN_BLOCK_ROWS]
-            scores[start : start + len(block)] = (block * q).sum(axis=1)
-        scores /= self._norms * qn
+        n = len(self.ids)
+        scores = np.empty(n, dtype=np.float64)
+        blocks = -(-n // SCAN_BLOCK_ROWS)
+        width = -(-n // blocks) if blocks else 1
+        buf = np.empty((8, width), dtype=np.float64)
+        for start in range(0, n, width):
+            end = min(start + width, n)
+            scores[start:end] = _column_dots(self.cols[:, start:end], q, buf[:, : end - start])
+            scores[start:end] /= self._norms[start:end] * qn
         return np.clip(scores, -1.0, 1.0, out=scores)
+
+
+def _column_dots(cols: np.ndarray, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``np.sum(cols[:, j] * q)`` for every column ``j``, bit for bit.
+
+    numpy's reduce adds its pairwise sum of the products to the identity
+    0.0, which turns a sum of -0.0 into +0.0. ``buf`` is an ``(8, B)``
+    scratch array for ``B`` columns.
+    """
+    res = _pairwise(cols, q, buf)
+    res += 0.0
+    return res
+
+
+def _pairwise(cols: np.ndarray, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """numpy's ``pairwise_sum`` (``_core/src/umath/loops_utils.h.src``) of
+    ``cols[i] * q[i]`` along axis 0, for all columns at once."""
+    n = len(q)
+    if n < 8:
+        res = np.zeros(cols.shape[1], dtype=np.float64)
+        for i in range(n):
+            res += cols[i] * q[i]
+        return res
+    if n <= 128:
+        # Eight accumulators over steps of eight terms, combined as a tree,
+        # then the remainder added in order.
+        r = cols[:8] * q[:8, None]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            np.multiply(cols[i : i + 8], q[i : i + 8, None], out=buf)
+            r += buf
+        np.add(r[0::2], r[1::2], out=r[0::2])
+        np.add(r[0::4], r[2::4], out=r[0::4])
+        res = r[0] + r[4]
+        for i in range(tail, n):
+            res += cols[i] * q[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(cols[:half], q[:half], buf) + _pairwise(cols[half:], q[half:], buf)
 
 
 def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -226,7 +281,7 @@ def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, f
 
 
 def save(index: VectorIndex, out_dir: str | Path) -> None:
-    np.save(Path(out_dir) / VECTORS_FILE, index.matrix.astype("<f4", copy=False))
+    np.save(Path(out_dir) / VECTORS_FILE, np.ascontiguousarray(index.cols.T, dtype="<f4"))
 
 
 def load(in_dir: str | Path, ids: Sequence[str]) -> VectorIndex:

@@ -139,6 +139,13 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_manifest_that_is_not_an_object_is_an_error_exit(self, tmp_path, capsys):
+        (tmp_path / "index").mkdir()
+        (tmp_path / "index" / "manifest.json").write_text("[]", encoding="utf-8")
+        code = main(["query", "x", "--index", str(tmp_path / "index")])
+        assert code == 1
+        assert "error: manifest.json: expected a JSON object" in capsys.readouterr().err
+
     def test_misspelt_config_key_is_an_error_exit(self, workspace, tmp_path, capsys):
         root, _ = workspace
         (tmp_path / "cfg.json").write_text(

@@ -1,11 +1,12 @@
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrag import lexical, quantum, semantic
+from qrag import _records, lexical, quantum, semantic
 from qrag.engine import (
     CONTEXT_DELIMITER,
     INDEX_FILES,
@@ -353,7 +354,7 @@ class TestRowSpace:
         engine, *_ = small_engine
         vi = engine.vector_index
         order = np.roll(np.arange(len(vi)), 1)
-        permuted = VectorIndex([vi.ids[i] for i in order], vi.matrix[order])
+        permuted = VectorIndex([vi.ids[i] for i in order], vi.cols[:, order].T)
         with pytest.raises(ValueError, match="vector index"):
             RetrievalEngine(
                 engine.chunks, engine.tokenizer, engine.lexical_index, permuted, engine.config
@@ -515,6 +516,22 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError, match="manifest.json"):
             load_index(tmp_path)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[]", "manifest.json: expected a JSON object"),
+            ("null", "manifest.json: expected a JSON object"),
+            ('"v2"', "manifest.json: expected a JSON object"),
+            ("{", "manifest.json: Expecting property name"),
+        ],
+    )
+    def test_manifest_that_is_not_an_object_named(self, small_engine, tmp_path, text, match):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "bad")
+        (tmp_path / "bad" / "manifest.json").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            load_index(tmp_path / "bad")
+
     def test_version_1_asks_for_a_rebuild(self, small_engine, tmp_path):
         engine, *_ = small_engine
         save_index(engine, tmp_path / "v1")
@@ -552,6 +569,28 @@ class TestAtomicSave:
         assert [
             reloaded.retrieve(t).to_json(include_timings=False) for t in queries
         ] == responses
+
+    def test_failed_stats_write_keeps_previous_index(
+        self, small_engine, tmp_path, monkeypatch
+    ):
+        _, _, _, corpus_path, cfg = small_engine
+        target = tmp_path / "index"
+        build_all(corpus_path, cfg, target)
+        before = {p.name: p.read_bytes() for p in target.iterdir()}
+        assert "stats.json" in before
+        write_json = _records.write_json
+
+        def failing_write_json(obj, path):
+            if Path(path).name == "stats.json":
+                raise OSError("disk full")
+            write_json(obj, path)
+
+        monkeypatch.setattr(_records, "write_json", failing_write_json)
+        with pytest.raises(RuntimeError, match="disk full"):
+            build_all(corpus_path, cfg, target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index"]
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+        load_index(target)
 
     def test_resave_replaces_every_file(self, small_engine, tmp_path):
         engine, *_ = small_engine

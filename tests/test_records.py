@@ -205,6 +205,35 @@ class TestRoundTrips:
         assert write_chunks_jsonl(chunks, tmp_path / "c.jsonl") == 2
         assert read_chunks_jsonl(tmp_path / "c.jsonl") == chunks
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"extra": 1}, "unknown key: extra"),
+            ({"token_count": "1"}, "token_count: expected int, got str"),
+            ({"token_offset": True}, "token_offset: expected int, got bool"),
+            ({"token_count": 1.0}, "token_count: expected int, got float"),
+            ({"text": None}, "text: expected str, got NoneType"),
+            ({"doc_id": ["d"]}, "doc_id: expected str, got list"),
+        ],
+    )
+    def test_chunk_row_fault_is_named(self, tmp_path, change, match):
+        good = {"chunk_id": "a", "doc_id": "d", "token_offset": 0, "token_count": 1, "text": "t"}
+        bad = {**good, **change}
+        (tmp_path / "c.jsonl").write_text(
+            json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            read_chunks_jsonl(tmp_path / "c.jsonl")
+
+    @pytest.mark.parametrize(
+        "last, match", [({}, "missing key: text"), ({"txet": "t"}, "unknown key: txet")]
+    )
+    def test_chunk_row_missing_key_is_named(self, tmp_path, last, match):
+        row = {"chunk_id": "a", "doc_id": "d", "token_offset": 0, "token_count": 1, **last}
+        (tmp_path / "c.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            read_chunks_jsonl(tmp_path / "c.jsonl")
+
     def test_chunk_row_with_unknown_key_is_rejected(self, tmp_path):
         row = {"chunk_id": "a", "doc_id": "d", "token_offset": 0, "token_count": 1}
         row.update(text="t", extra=1)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qrag.semantic import (
     VECTORS_FILE,
     EmbedderSpec,
     VectorIndex,
+    _column_dots,
     cosine,
     embed,
     load,
@@ -116,6 +118,20 @@ class TestCosine:
             assert -1.0 <= cosine(a, b) <= 1.0
 
 
+def _row_major_scan(ix, q):
+    """The scan before the column-major kernel: per-row norms, and each row's
+    dot product as ``(block * q).sum(axis=1)`` over a row-major matrix."""
+    matrix = np.ascontiguousarray(ix.cols.T)
+    norms = np.array([math.sqrt(float(np.dot(r, r))) for r in matrix])
+    qn = math.sqrt(float(np.dot(q, q)))
+    scores = np.empty(len(matrix))
+    for start in range(0, len(matrix), 1024):
+        block = matrix[start : start + 1024]
+        scores[start : start + len(block)] = (block * q).sum(axis=1)
+    scores /= norms * qn
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
 def _hand_vector_index():
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], dtype=np.float32)
     return VectorIndex(["d1", "d2", "d3"], rows)
@@ -150,19 +166,52 @@ class TestSearchExact:
             search_exact(_hand_vector_index(), np.ones(3), 1)
 
     def test_scan_bitwise_matches_pairwise_cosine(self):
+        # Each branch of the pairwise sum (under 8 terms, up to 128, split)
+        # and its edges; an empty index, one row, and below, at and across
+        # the scan block size.
         rng = np.random.default_rng(17)
-        # Below, at and across the scan block size, and an empty index.
-        for n in (200, SCAN_BLOCK_ROWS, 2 * SCAN_BLOCK_ROWS + 7, 0):
-            ids = [f"c{i:04d}" for i in range(n)]
-            if n:
-                ix = VectorIndex.build(ids, [rng.standard_normal(32) for _ in ids])
-            else:
-                ix = VectorIndex([], np.zeros((0, 32), dtype=np.float32))
-            q = rng.standard_normal(32)
-            scores = ix.scan(q)
-            assert scores.shape == (n,)
-            for i in range(len(ix)):
-                assert scores[i] == cosine(ix._m64[i], q)
+        dims = [*range(1, 10), 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300, 512]
+        for dim in dims:
+            for n in (0, 1, 200, SCAN_BLOCK_ROWS, 2 * SCAN_BLOCK_ROWS + 7):
+                ids = [f"c{i:04d}" for i in range(n)]
+                if n:
+                    vectors = rng.standard_normal((n, dim), dtype=np.float32)
+                    ix = VectorIndex.build(ids, vectors)
+                    del vectors
+                else:
+                    ix = VectorIndex([], np.zeros((0, dim), dtype=np.float32))
+                q = rng.standard_normal(dim)
+                scores = ix.scan(q)
+                assert scores.shape == (n,)
+                # ``row`` looks its id up in a list, so most rows are read
+                # straight off the columns; the last one goes through ``row``.
+                if n:
+                    assert np.array_equal(ix.row(ids[-1]), ix.cols[:, -1])
+                expected = np.array(
+                    [
+                        cosine(row, q)
+                        for start in range(0, n, 1024)
+                        for row in np.ascontiguousarray(ix.cols[:, start : start + 1024].T)
+                    ],
+                    dtype=np.float64,
+                )
+                assert scores.tobytes() == expected.tobytes(), (dim, n)
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 128, 129, 256, 300])
+    def test_kernel_sums_negative_zeros_to_positive_zero(self, dim):
+        cols = np.zeros((dim, 5))
+        q = -np.ones(dim)
+        got = _column_dots(cols, q, np.empty((8, 5)))
+        expected = np.sum(cols[:, 0] * q)
+        assert got.tobytes() == np.full(5, expected).tobytes()
+        assert not np.signbit(expected)
+
+    def test_scan_matches_row_major_reference(self, small_engine):
+        engine, bench, *_ = small_engine
+        ix = engine.vector_index
+        for query in bench.queries:
+            q = engine.embed_text_tokens(engine.tokenizer.encode(query["text"]).surface)
+            assert np.array_equal(ix.scan(q), _row_major_scan(ix, q))
 
     def test_ranking_matches_brute_force(self):
         rng = np.random.default_rng(19)
@@ -182,8 +231,38 @@ class TestVectorIndexInvariants:
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(21)
         ix = VectorIndex.build(["a", "b"], [rng.standard_normal(8) * 9 for _ in range(2)])
-        for row in ix._m64:
+        for row in map(ix.row, ix.ids):
             assert abs(math.sqrt(float(np.dot(row, row))) - 1.0) < 1e-6
+
+    def test_index_holds_one_float64_matrix(self):
+        rng = np.random.default_rng(25)
+        n, dim = 3000, 64
+        vectors = rng.standard_normal((n, dim))
+        ids = [f"c{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            ix = VectorIndex.build(ids, vectors)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ix) == n
+        # The (dim, N) columns and the N norms, plus a little slack.
+        assert held <= 8 * dim * n + 8 * n + 64 * 1024
+
+    def test_scan_scratch_does_not_grow_with_the_index(self):
+        rng = np.random.default_rng(27)
+        dim = 136
+        for n in (SCAN_BLOCK_ROWS, 2 * SCAN_BLOCK_ROWS + 5):
+            ix = VectorIndex.build([f"c{i}" for i in range(n)], rng.standard_normal((n, dim)))
+            q = rng.standard_normal(dim)
+            tracemalloc.start()
+            try:
+                scores = ix.scan(q)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # Beyond the N scores, a few (8, SCAN_BLOCK_ROWS) scratch arrays.
+            assert peak - scores.nbytes <= 24 * 8 * SCAN_BLOCK_ROWS, n
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError, match="unit-norm"):
@@ -203,7 +282,7 @@ class TestPersistence:
         save(ix, tmp_path)
         reloaded = load(tmp_path, ix.ids)
         assert reloaded.ids == ix.ids
-        assert np.array_equal(reloaded.matrix, ix.matrix)
+        assert np.array_equal(reloaded.cols, ix.cols)
         q = rng.standard_normal(16)
         assert search_exact(reloaded, q, 5) == search_exact(ix, q, 5)
 
