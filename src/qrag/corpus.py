@@ -56,7 +56,7 @@ class CleanDocument:
     dedup_digest: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     """A retrievable passage: a token window over a cleaned document."""
 

@@ -196,6 +196,8 @@ class RetrievalEngine:
         self.vector_index = vector_index
         self.config = config
         self.idf_weights = lexical.idf_weights(lexical_index)
+        # Paid here, by load_index, rather than by the first query.
+        lexical_index.impacts(config.bm25)
         self._sep_cost = tokenizer.token_count(CONTEXT_DELIMITER)
 
     @property

@@ -21,6 +21,12 @@ from .tokenizer import TokenizerModel
 
 LEXICAL_FILE = "lexical.npy"
 
+# Postings per block of ``InvertedIndex.impacts``: its scratch is a few
+# arrays of this length (256 KiB each in float64), whatever the index size.
+IMPACT_BLOCK = 1 << 15
+# Params whose impacts an index keeps; impacts for one more clear them.
+IMPACT_CACHE_MAX = 4
+
 
 @dataclass(frozen=True)
 class BM25Params:
@@ -28,8 +34,8 @@ class BM25Params:
     b: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
+        if not 0 <= self.k1 < math.inf:
+            raise ValueError("k1 must be finite and >= 0")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 
@@ -39,8 +45,11 @@ class InvertedIndex:
 
     Term j's postings are ``rows[offsets[j]:offsets[j + 1]]``, strictly
     increasing, with their term frequencies at the same positions of
-    ``tfs``. No per-posting Python object is kept, and only a (start, end)
-    pair per term. Immutable once built; searches are reentrant and safe
+    ``tfs``. Both are held as ``save`` writes them (``<i4`` rows, tfs in the
+    narrowest unsigned type), plus, for each ``BM25Params`` a query has
+    used, one float64 impact per posting (``impacts``). No per-posting
+    Python object is kept, and only a (start, end) pair per term. The
+    postings are immutable once built; searches are reentrant and safe
     concurrently.
     """
 
@@ -84,24 +93,30 @@ class InvertedIndex:
         stalls = np.zeros(n, dtype=bool)
         stalls[1:] = rows[1:] <= rows[:-1]
         stalls[self.offsets[:-1][self.offsets[:-1] < n]] = False  # term starts
+        # A posting on a chunk of length 0 is refused too, so every impact is
+        # finite and positive (an index of such chunks has avgdl 0).
+        empty = np.take(doc_len, rows, mode="clip") == 0
         for bad, fault in (
             ((rows < 0) | (rows >= self.N), f"name a row outside 0..{self.N - 1}"),
             (tfs < 1, "have a tf below 1"),
             (stalls, "are not in increasing row order"),
+            (empty, "name a chunk of length 0"),
         ):
             if bad.any():
                 p = int(np.argmax(bad))
                 term = self.terms[int(np.searchsorted(self.offsets, p, "right")) - 1]
                 if bad is stalls and rows[p] == rows[p - 1]:
                     fault = f"name chunk_id {self.chunk_ids[rows[p]]!r} twice"
+                elif bad is empty:
+                    fault = f"name chunk_id {self.chunk_ids[rows[p]]!r} of length 0"
                 raise ValueError(f"postings for term {term!r} {fault}")
         self.doc_len = doc_len.astype("<i4", copy=False)
-        # Held in the types BM25 computes with, so that no query term pays for
-        # a cast; ``save`` narrows them again.
-        self.rows = rows.astype(np.intp, copy=False)
-        self.tfs = tfs.astype(np.float64)
+        self.rows = rows.astype("<i4", copy=False)
+        width = np.min_scalar_type(int(tfs.max(initial=1))).newbyteorder("<")
+        self.tfs = tfs.astype(width, copy=False)
         # The same Python division as a mean over ints, so scores keep their bits.
         self.avgdl = int(self.doc_len.sum(dtype=np.int64)) / self.N
+        self._impacts: dict[BM25Params, np.ndarray] = {}
 
     @classmethod
     def from_postings(
@@ -115,7 +130,7 @@ class InvertedIndex:
         ``True`` are not coerced)."""
         row_of = {cid: i for i, cid in enumerate(doc_len)}
         offsets = np.cumsum([0, *map(len, postings.values())])
-        rows = np.empty(offsets[-1], dtype=np.intp)
+        rows = np.empty(offsets[-1], dtype="<i4")
         tfs = np.empty(offsets[-1], dtype=np.int32)  # a tf is at most a chunk's length
         for (term, plist), lo, hi in zip(postings.items(), offsets[:-1], offsets[1:]):
             try:
@@ -140,6 +155,37 @@ class InvertedIndex:
         arrays; both empty for an unseen term."""
         lo, hi = self._span.get(term, (0, 0))
         return self.rows[lo:hi], self.tfs[lo:hi]
+
+    def impacts(self, p: BM25Params) -> np.ndarray:
+        """Each posting's whole BM25 term score under ``p``, one float64 per
+        posting at its position in ``rows``: ``bm25_score``'s term
+        expression, with its operands in its order.
+
+        Computed once per params, in blocks of ``IMPACT_BLOCK`` postings,
+        and kept on the index for up to ``IMPACT_CACHE_MAX`` params.
+        """
+        found = self._impacts.get(p)
+        if found is not None:
+            return found
+        n = len(self.rows)
+        found = np.empty(n, dtype=np.float64)
+        for start in range(0, n, IMPACT_BLOCK):
+            end = min(start + IMPACT_BLOCK, n)
+            # The terms whose postings meet [start, end), and how many each
+            # has there.
+            first = int(np.searchsorted(self.offsets, start, "right")) - 1
+            last = int(np.searchsorted(self.offsets, end, "left"))
+            counts = np.diff(np.clip(self.offsets[first : last + 1], start, end))
+            weights = np.repeat([idf(self, t) for t in self.terms[first:last]], counts)
+            tf = self.tfs[start:end].astype(np.float64)
+            norm = p.k1 * (1.0 - p.b + p.b * self.doc_len[self.rows[start:end]] / self.avgdl)
+            found[start:end] = weights * (tf * (p.k1 + 1.0)) / (tf + norm)
+        # Threads racing here compute equal arrays, and either may be kept.
+        cache = self._impacts
+        if len(cache) >= IMPACT_CACHE_MAX:
+            cache = self._impacts = {}
+        cache[p] = found
+        return found
 
 
 def build_index(chunks: Sequence[Chunk], tok: TokenizerModel) -> InvertedIndex:
@@ -217,18 +263,18 @@ def score_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row BM25 scores and a touched mask (True iff a query term hit).
 
-    Term-at-a-time accumulation over posting lists; per-chunk addition order
-    matches ``bm25_score``, so the two produce bitwise-identical scores.
+    Each distinct term, in first-appearance order, adds its postings'
+    ``index.impacts(p)`` into their rows with one scatter-add, so every
+    row's additions happen in ``bm25_score``'s order and the two agree
+    bitwise. Every impact is finite and positive, so a row is touched
+    exactly when its score is above 0.
     """
-    terms = _dedup_terms(query_terms)
+    impacts = index.impacts(p)
     scores = np.zeros(index.N, dtype=np.float64)
-    touched = np.zeros(index.N, dtype=bool)
-    norm = p.k1 * (1.0 - p.b + p.b * index.doc_len / index.avgdl)
-    for term in terms:
-        rows, tf = index.postings(term)
-        scores[rows] += idf(index, term) * (tf * (p.k1 + 1.0)) / (tf + norm[rows])
-        touched[rows] = True
-    return scores, touched
+    for term in _dedup_terms(query_terms):
+        lo, hi = index._span.get(term, (0, 0))
+        np.add.at(scores, index.rows[lo:hi], impacts[lo:hi])
+    return scores, scores > 0.0
 
 
 def top_rows(
@@ -271,12 +317,10 @@ def search(
 def save(index: InvertedIndex, out_dir: str | Path) -> None:
     """Write the doc lengths, the terms (UTF-8 JSON bytes), the offsets, the
     rows and the tfs (in the narrowest unsigned type that holds the largest)
-    as consecutive ``.npy`` arrays of one file."""
+    as consecutive ``.npy`` arrays of one file, each as the index holds it."""
     terms = np.frombuffer(json.dumps(index.terms, ensure_ascii=False).encode(), np.uint8)
-    width = np.min_scalar_type(int(index.tfs.max(initial=1))).newbyteorder("<")
-    rows, tfs = index.rows.astype("<i4"), index.tfs.astype(width)
     with (Path(out_dir) / LEXICAL_FILE).open("wb") as fh:
-        for arr in (index.doc_len, terms, index.offsets, rows, tfs):
+        for arr in (index.doc_len, terms, index.offsets, index.rows, index.tfs):
             np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 

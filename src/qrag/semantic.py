@@ -186,14 +186,27 @@ class VectorIndex:
 
     @classmethod
     def build(cls, ids: list[str], vectors: Iterable[np.ndarray]) -> "VectorIndex":
-        rows = []
+        """An index of ``vectors``, one per id in order, each L2-normalised
+        into its row of one float32 matrix sized from ``len(ids)``."""
+        matrix: np.ndarray | None = None
+        count = 0
         for v in vectors:
             v = np.asarray(v, dtype=np.float64)
+            if matrix is None:
+                matrix = np.empty((len(ids), v.size), dtype=np.float32)
+            if v.shape != matrix.shape[1:]:
+                raise ValueError(
+                    f"vector {count} has shape {v.shape}, expected {matrix.shape[1:]}"
+                )
             norm = math.sqrt(float(np.dot(v, v)))
             if norm < 1e-12:
                 raise ValueError("degenerate_embedding")
-            rows.append((v / norm).astype(np.float32))
-        return cls(ids, np.stack(rows))
+            if count < len(ids):
+                matrix[count] = v / norm
+            count += 1
+        if matrix is None or count != len(ids):
+            raise ValueError(f"{count} vectors for {len(ids)} ids")
+        return cls(ids, matrix)
 
     def row(self, chunk_id: str) -> np.ndarray:
         """A copy of the embedding of ``chunk_id``, in float64."""

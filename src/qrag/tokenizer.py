@@ -24,7 +24,7 @@ PAD_TOKEN = "<pad>"
 
 _WS_RE = re.compile(r"\s+")
 
-# Words kept in a model's word cache, about 4.5 MiB of entries. Past it, a
+# Words kept in a model's word cache, about 1.7 MiB of entries. Past it, a
 # new word (a query's never-seen word, say) is encoded without being
 # cached, so a long-running server's memory does not grow with the queries
 # it has seen.
@@ -129,13 +129,15 @@ class TokenizerModel:
     unk_token: str = UNK_TOKEN
     pad_token: str = PAD_TOKEN
     _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    _word_cache: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    _tokens: list[str] = field(default_factory=list, repr=False)
+    _word_cache: dict[str, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
         ids = sorted(self.vocab.values())
         if ids != list(range(len(ids))):
             raise ValueError("vocabulary ids must be dense from 0")
+        self._tokens = sorted(self.vocab, key=self.vocab.__getitem__)  # by id
 
     @property
     def special_tokens(self) -> list[str]:
@@ -150,7 +152,10 @@ class TokenizerModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def _encode_word(self, word: str) -> list[str]:
+    def _encode_word(self, word: str) -> list[int]:
+        """The vocab ids of a word's symbols, unk for a symbol outside the
+        vocab. A cached list holds the vocab dict's own int objects, not
+        fresh symbol strings."""
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
@@ -164,9 +169,11 @@ class TokenizerModel:
             if best is None:
                 break
             symbols = _merge_occurrences(symbols, best)
+        unk = self.unk_id
+        ids = [self.vocab.get(sym, unk) for sym in symbols]
         if len(self._word_cache) < WORD_CACHE_MAX:
-            self._word_cache[word] = symbols
-        return symbols
+            self._word_cache[word] = ids
+        return ids
 
     def encode(self, text: str) -> TokenSeq:
         """Tokenize text, applying merges in training order per word.
@@ -175,18 +182,9 @@ class TokenizerModel:
         Deterministic: identical (model, text) always yields the same sequence.
         """
         ids: list[int] = []
-        surface: list[str] = []
-        unk = self.unk_id
         for word in pretokenize(text):
-            for sym in self._encode_word(word):
-                tok_id = self.vocab.get(sym)
-                if tok_id is None:
-                    ids.append(unk)
-                    surface.append(self.unk_token)
-                else:
-                    ids.append(tok_id)
-                    surface.append(sym)
-        return TokenSeq(ids, surface)
+            ids += self._encode_word(word)
+        return TokenSeq(ids, list(map(self._tokens.__getitem__, ids)))
 
     def decode(self, seq: TokenSeq) -> str:
         """Invert ``encode``: word-end markers become spaces, then trim.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -256,6 +257,14 @@ class TestConfigValidation:
     def test_fraction_range(self):
         with pytest.raises(ValueError):
             CleaningConfig(min_gurmukhi_fraction=1.5)
+
+
+class TestChunkRecord:
+    def test_chunk_has_slots_and_stays_frozen(self):
+        c = Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ")
+        assert not hasattr(c, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.text = "x"
 
 
 class TestChunkPersistence:

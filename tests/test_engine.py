@@ -466,6 +466,11 @@ class TestPersistence:
         after = [reloaded.retrieve(t).to_json(include_timings=False) for t in queries]
         assert before == after
 
+    def test_load_computes_the_bm25_impacts(self, small_engine):
+        engine, _, index_dir, *_ = small_engine
+        reloaded = load_index(index_dir)
+        assert reloaded.config.bm25 in reloaded.lexical_index._impacts
+
     def test_unsupported_version_rejected(self, small_engine, tmp_path):
         engine, *_ = small_engine
         save_index(engine, tmp_path / "v99")

@@ -8,6 +8,8 @@ import pytest
 from qrag import synthetic
 from qrag.corpus import Chunk
 from qrag.lexical import (
+    IMPACT_BLOCK,
+    IMPACT_CACHE_MAX,
     LEXICAL_FILE,
     BM25Params,
     InvertedIndex,
@@ -32,6 +34,20 @@ def _hand_index():
         "v": [("c2", 1), ("c3", 2)],
     }
     return InvertedIndex.from_postings(doc_len, postings)
+
+
+def _reference_score_rows(index, p, query_terms):
+    """The per-term BM25 formula ``score_rows`` computed before impacts:
+    each term's scores from its tfs and the doc lengths, at query time."""
+    scores = np.zeros(index.N, dtype=np.float64)
+    touched = np.zeros(index.N, dtype=bool)
+    norm = p.k1 * (1.0 - p.b + p.b * index.doc_len / index.avgdl)
+    for term in dict.fromkeys(query_terms):
+        rows, tf = index.postings(term)
+        tf = tf.astype(np.float64)
+        scores[rows] += idf(index, term) * (tf * (p.k1 + 1.0)) / (tf + norm[rows])
+        touched[rows] = True
+    return scores, touched
 
 
 def _pairs(ix, term):
@@ -120,6 +136,23 @@ class TestBuildIndex:
     def test_tf_that_is_not_a_positive_int_rejected(self, tf):
         with pytest.raises(ValueError, match="term 't'"):
             InvertedIndex.from_postings({"c": 4}, {"t": [("c", tf)]})
+
+    def test_posting_on_a_chunk_of_length_0_rejected(self):
+        # Its impact would divide by a norm built from avgdl, which is 0 when
+        # every chunk is empty.
+        with pytest.raises(ValueError, match="term 't' name chunk_id 'c' of length 0"):
+            InvertedIndex.from_postings({"c": 0, "d": 4}, {"t": [("d", 1), ("c", 1)]})
+
+    def test_chunks_of_length_0_without_postings_score_0(self):
+        ix = InvertedIndex.from_postings({"c": 0, "d": 0}, {})
+        assert ix.avgdl == 0.0
+        scores, touched = score_rows(ix, BM25Params(), ["t"])
+        assert scores.tolist() == [0.0, 0.0] and not touched.any()
+
+    @pytest.mark.parametrize("k1", [-1.0, math.nan, math.inf])
+    def test_k1_that_is_not_finite_and_nonnegative_rejected(self, k1):
+        with pytest.raises(ValueError, match="k1 must be finite and >= 0"):
+            BM25Params(k1=k1)
 
     def test_term_with_no_postings_has_df_zero(self):
         ix = InvertedIndex.from_postings({"c": 4}, {"t": []})
@@ -264,6 +297,74 @@ class TestSearch:
                 assert score >= 0.0
 
 
+class TestImpacts:
+    @pytest.mark.parametrize("k1", [0.0, 1.2, 2.0])
+    @pytest.mark.parametrize("b", [0.0, 0.75, 1.0])
+    def test_score_rows_matches_reference_bytes(self, word_model, tmp_path, k1, b):
+        vocab = np.array([f"w{i}" for i in range(30)])
+        rng = np.random.default_rng(47)
+        chunks = _random_corpus(rng, 80, word_model, vocab)
+        built = build_index(chunks, word_model)
+        save(built, tmp_path)
+        reloaded = load(tmp_path, [c.chunk_id for c in chunks])
+        p = BM25Params(k1=k1, b=b)
+        for ix in (built, reloaded):
+            for _ in range(20):
+                words = list(rng.choice(vocab, size=int(rng.integers(1, 8))))
+                # Repeated words, a word of unseen symbols and a raw term
+                # that no chunk holds.
+                text = " ".join(words + words[:2] + ["zz9"])
+                terms = word_model.encode(text).surface + ["never-indexed"]
+                scores, touched = score_rows(ix, p, terms)
+                want_scores, want_touched = _reference_score_rows(ix, p, terms)
+                assert scores.tobytes() == want_scores.tobytes()
+                assert np.array_equal(touched, want_touched)
+                assert touched.any()
+
+    def test_each_impact_is_its_terms_bm25_score(self):
+        ix = _hand_index()
+        p = BM25Params(k1=1.5, b=0.5)
+        impacts = ix.impacts(p)
+        assert impacts.dtype == np.float64 and len(impacts) == len(ix.rows)
+        for term in ix.terms:
+            lo, hi = ix.offsets[ix.terms.index(term)], ix.offsets[ix.terms.index(term) + 1]
+            for row, impact in zip(ix.rows[lo:hi].tolist(), impacts[lo:hi].tolist()):
+                assert impact == bm25_score(ix, p, [term], ix.chunk_ids[row]) > 0.0
+
+    def test_impacts_are_kept_per_params(self):
+        ix = _hand_index()
+        first = ix.impacts(BM25Params())
+        assert ix.impacts(BM25Params(k1=1.2, b=0.75)) is first
+        assert ix.impacts(BM25Params(k1=2.0)) is not first
+        for i in range(2 * IMPACT_CACHE_MAX):
+            ix.impacts(BM25Params(k1=float(i)))
+        assert len(ix._impacts) <= IMPACT_CACHE_MAX
+
+    def test_impacts_scratch_does_not_grow_with_the_index(self):
+        rng = np.random.default_rng(53)
+        n_terms = 64
+        for n_rows in (3_000, 12_000):
+            # Row-major nonzeros: rows increase within each term.
+            term_of, rows = np.nonzero(rng.random((n_terms, n_rows)) < 0.5)
+            ix = InvertedIndex(
+                [f"c{i}" for i in range(n_rows)],
+                rng.integers(1, 50, n_rows),
+                [f"t{j}" for j in range(n_terms)],
+                np.searchsorted(term_of, np.arange(n_terms + 1)),
+                rows,
+                rng.integers(1, 5, len(rows)),
+            )
+            assert len(rows) > 2 * IMPACT_BLOCK
+            tracemalloc.start()
+            try:
+                impacts = ix.impacts(BM25Params())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # Beyond the result, a few IMPACT_BLOCK-long arrays.
+            assert peak - impacts.nbytes <= 12 * 8 * IMPACT_BLOCK, n_rows
+
+
 class TestPersistence:
     def test_round_trip_bitwise_scores(self, word_model, tmp_path):
         vocab = np.array([f"w{i}" for i in range(30)])
@@ -317,7 +418,10 @@ class TestPersistence:
             arrays = [np.lib.format.read_array(fh) for _ in range(5)]
         assert [a.dtype.str for a in arrays] == ["<i4", "|u1", "<i8", "<i4", width]
         assert arrays[4].tolist() == [tf]
-        assert _pairs(load(tmp_path, ["c"]), "t") == [("c", tf)]
+        reloaded = load(tmp_path, ["c"])
+        assert _pairs(reloaded, "t") == [("c", tf)]
+        # Held as stored: no wider copy of the rows or tfs is kept.
+        assert (reloaded.rows.dtype.str, reloaded.tfs.dtype.str) == ("<i4", width)
 
     def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
@@ -445,6 +549,11 @@ class TestLoadValidation:
     def test_wrong_doc_len_count_rejected(self, tmp_path):
         _write_lexical_file(tmp_path, doc_len=np.array([4, 4], dtype="<i4"))
         with pytest.raises(ValueError, match="doc_len has 2 entries for 1 chunks"):
+            load(tmp_path, ["c"])
+
+    def test_posting_on_a_chunk_of_length_0_names_term_and_chunk(self, tmp_path):
+        _write_lexical_file(tmp_path, doc_len=np.array([0], dtype="<i4"))
+        with pytest.raises(ValueError, match="term 't' name chunk_id 'c' of length 0"):
             load(tmp_path, ["c"])
 
     def test_negative_doc_len_rejected(self, tmp_path):

@@ -249,6 +249,35 @@ class TestVectorIndexInvariants:
         # The (dim, N) columns and the N norms, plus a little slack.
         assert held <= 8 * dim * n + 8 * n + 64 * 1024
 
+    def test_build_peak_is_one_float32_matrix_beyond_the_index(self):
+        rng = np.random.default_rng(31)
+        n, dim = 8000, 64
+        vectors = rng.standard_normal((n, dim))
+        ids = [f"c{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            ix = VectorIndex.build(ids, vectors)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ix) == n
+        # The float32 rows the index is made from, one 256-row float64 block
+        # of the conversion and the unit-norm check over N norms; a list of
+        # rows and its stack cost twice the rows.
+        assert peak - held <= 4 * dim * n + 8 * dim * 256 + 3 * 8 * n + 64 * 1024
+
+    @pytest.mark.parametrize("n_vectors", [0, 1, 3])
+    def test_vector_count_must_match_the_ids(self, n_vectors):
+        vectors = np.random.default_rng(33).standard_normal((n_vectors, 4))
+        with pytest.raises(ValueError, match=f"{n_vectors} vectors for 2 ids"):
+            VectorIndex.build(["a", "b"], vectors)
+
+    def test_vectors_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"vector 1 has shape \(1,\), expected \(4,\)"):
+            VectorIndex.build(["a", "b"], [np.ones(4), np.ones(1)])
+        with pytest.raises(ValueError, match=r"vector 0 has shape \(1, 4\), expected \(4,\)"):
+            VectorIndex.build(["a"], [np.ones((1, 4))])
+
     def test_scan_scratch_does_not_grow_with_the_index(self):
         rng = np.random.default_rng(27)
         dim = 136

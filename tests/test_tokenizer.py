@@ -135,6 +135,20 @@ class TestEncode:
         seq = model.encode("zzz")
         assert all(i == model.unk_id for i in seq.ids)
 
+    def test_symbol_outside_the_vocab_gives_unk_id_and_surface(self):
+        seq = _hand_model().encode("abz c")
+        assert seq.ids == [3, 0, 5]
+        assert seq.surface == ["ab", "<unk>", "c</w>"]
+
+    def test_word_cache_holds_the_vocab_dicts_ids(self, synth_tokenizer, synth_lines):
+        model = TokenizerModel(vocab=synth_tokenizer.vocab, merges=synth_tokenizer.merges)
+        seq = model.encode(" ".join(synth_lines[:5]))
+        assert seq.surface == synth_tokenizer.encode(" ".join(synth_lines[:5])).surface
+        # The vocab's own int objects, not fresh ints or symbol strings.
+        vocab_ints = {id(v) for v in model.vocab.values()}
+        cached = [i for ids in model._word_cache.values() for i in ids]
+        assert cached and all(id(i) in vocab_ints for i in cached)
+
     def test_deterministic(self, synth_tokenizer, synth_lines):
         a = synth_tokenizer.encode(synth_lines[0])
         b = synth_tokenizer.encode(synth_lines[0])
