@@ -2,9 +2,9 @@
 Sparse and dense retrieval legs
 ===============================
 
-Builds the BM25 inverted index and the exact-scan vector index over the same
-chunks (they share one tokenizer), then contrasts what each leg is good at:
-exact term matches versus bag-of-subwords similarity.
+Encodes each chunk once and builds both the BM25 inverted index and the
+exact-scan vector index from its terms, then contrasts what each leg is good
+at: exact term matches versus bag-of-subwords similarity.
 """
 
 import numpy as np
@@ -19,17 +19,21 @@ from qrag.tokenizer import train_bpe
 records = make_corpus(50, seed=9, lexicon_size=120, words_per_doc=(10, 18))
 lines = [r["text"] for r in records]
 tok = train_bpe(lines, vocab_size=2000)
-chunks = [Chunk(r["id"] + "#0", r["id"], 0, len(tok.encode(r["text"])), r["text"]) for r in records]
+chunk_terms = [tok.encode(r["text"]).surface for r in records]
+chunks = [
+    Chunk(r["id"] + "#0", r["id"], 0, len(terms), r["text"])
+    for r, terms in zip(records, chunk_terms)
+]
 
 # -- BM25 ----------------------------------------------------------------------
 
-index = lexical.build_index(chunks, tok)
+index = lexical.build_index([c.chunk_id for c in chunks], chunk_terms)
 params = BM25Params()
 print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, {len(index.terms)} terms")
 
 query = " ".join(lines[7].split()[:3])
 print(f"\nBM25 search for {query!r}:")
-for cid, score in lexical.search(index, params, query, 3, tok):
+for cid, score in lexical.search(index, params, tok.encode(query).surface, 3):
     print(f"  {cid}: {score:.4f}")
 
 rare_term = lines[7].split()[0]
@@ -41,7 +45,7 @@ for t in tok.encode(rare_term).surface:
 
 spec = EmbedderSpec(kind="hash_projection", dim=256)
 idf_weights = lexical.idf_weights(index)
-vectors = [semantic.embed(tok.encode(c.text).surface, spec, idf_weights) for c in chunks]
+vectors = [semantic.embed(terms, spec, idf_weights) for terms in chunk_terms]
 vindex = VectorIndex.build([c.chunk_id for c in chunks], vectors)
 
 # A paraphrase-like query: most of the words of doc 7, shuffled.

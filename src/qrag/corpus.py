@@ -78,8 +78,11 @@ class CleaningConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_gurmukhi_fraction <= 1.0:
             raise ValueError("min_gurmukhi_fraction must be in [0, 1]")
-        if self.chunk_overlap_tokens >= self.chunk_size_tokens:
-            raise ValueError("chunk_overlap_tokens must be < chunk_size_tokens")
+        if not 0.0 <= self.max_punct_ratio <= 1.0:
+            raise ValueError("max_punct_ratio must be in [0, 1]")
+        # A negative overlap would stride past the window and skip tokens.
+        if not 0 <= self.chunk_overlap_tokens < self.chunk_size_tokens:
+            raise ValueError("chunk_overlap_tokens must be >= 0 and < chunk_size_tokens")
         if self.min_tokens < 1:
             raise ValueError("min_tokens must be >= 1")
 

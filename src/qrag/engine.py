@@ -18,6 +18,7 @@ import logging
 import os
 import shutil
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -353,8 +354,8 @@ def prepare(
 def build_all(
     corpus_path: str | Path, cfg: EngineConfig, out_dir: str | Path
 ) -> IndexManifest:
-    """Run ``prepare``, then lexical build -> embed -> vector build, then
-    persist everything.
+    """Run ``prepare``, then encode each chunk once and build the lexical
+    index and the vectors from its terms, then persist everything.
 
     Deterministic: rebuilding from identical inputs writes byte-identical
     index files (the manifest timestamp aside).
@@ -363,22 +364,24 @@ def build_all(
     _check_replaceable(out)
     stats: dict = {}
     tok, chunks = prepare(corpus_path, cfg, stats)
+    ids = [c.chunk_id for c in chunks]
 
     with _stage("lexical_index"):
-        lex_index = lexical.build_index(chunks, tok)
+        chunk_terms = deque(tok.encode(c.text).surface for c in chunks)
+        lex_index = lexical.build_index(ids, chunk_terms)
 
     with _stage("embed"):
         if cfg.embedder.kind == "external_file":
-            vec_index = semantic.load_external_embeddings(
-                cfg.embedder.path, [c.chunk_id for c in chunks]
-            )
+            chunk_terms.clear()
+            vec_index = semantic.load_external_embeddings(cfg.embedder.path, ids)
         else:
             idf_weights = lexical.idf_weights(lex_index)
+            # popleft drops each chunk's terms once they are embedded.
             vectors = (
-                semantic.embed(tok.encode(c.text).surface, cfg.embedder, idf_weights)
-                for c in chunks
+                semantic.embed(chunk_terms.popleft(), cfg.embedder, idf_weights)
+                for _ in ids
             )
-            vec_index = VectorIndex.build([c.chunk_id for c in chunks], vectors)
+            vec_index = VectorIndex.build(ids, vectors)
 
     engine = RetrievalEngine(chunks, tok, lex_index, vec_index, cfg)
     with _stage("save"):

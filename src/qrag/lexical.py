@@ -1,7 +1,8 @@
 """BM25 sparse retrieval over an inverted index of BPE subword terms.
 
-The index shares its tokenizer with the dense leg, so both retrieval legs
-score the same term space. Scoring uses the +1-inside-log IDF variant,
+The engine tokenizes; this module indexes and searches the terms it is
+given, the same terms the dense leg embeds, so both retrieval legs score
+the same term space. Scoring uses the +1-inside-log IDF variant,
 which keeps every term weight strictly positive.
 """
 
@@ -9,15 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .corpus import Chunk
-from .tokenizer import TokenizerModel
 
 LEXICAL_FILE = "lexical.npy"
 
@@ -188,25 +187,24 @@ class InvertedIndex:
         return found
 
 
-def build_index(chunks: Sequence[Chunk], tok: TokenizerModel) -> InvertedIndex:
-    """Index the BPE surface tokens of each chunk.
+def build_index(
+    chunk_ids: Sequence[str], chunk_terms: Iterable[Sequence[str]]
+) -> InvertedIndex:
+    """Index each chunk's terms: row i is ``chunk_ids[i]``, whose terms are
+    the i-th list of ``chunk_terms`` (a count mismatch is a ``ValueError``).
 
     Terms are sorted; term frequency counts every occurrence within a chunk.
     """
-    if not chunks:
+    if not chunk_ids:
         raise ValueError("empty chunk list")
     doc_len: dict[str, int] = {}
     tf_maps: dict[str, dict[str, int]] = {}
-    for c in chunks:
-        if c.chunk_id in doc_len:
-            raise ValueError(f"duplicate chunk_id: {c.chunk_id}")
-        terms = tok.encode(c.text).surface
-        doc_len[c.chunk_id] = len(terms)
-        counts: dict[str, int] = {}
-        for t in terms:
-            counts[t] = counts.get(t, 0) + 1
-        for t, tf in counts.items():
-            tf_maps.setdefault(t, {})[c.chunk_id] = tf
+    for cid, terms in zip(chunk_ids, chunk_terms, strict=True):
+        if cid in doc_len:
+            raise ValueError(f"duplicate chunk_id: {cid}")
+        doc_len[cid] = len(terms)
+        for t, tf in Counter(terms).items():
+            tf_maps.setdefault(t, {})[cid] = tf
     # Views, not copies: the pairs are already held once in tf_maps.
     postings = {term: tf_maps[term].items() for term in sorted(tf_maps)}
     return InvertedIndex.from_postings(doc_len, postings)
@@ -294,16 +292,11 @@ def top_rows(
 
 
 def search(
-    index: InvertedIndex,
-    p: BM25Params,
-    query: str,
-    k: int,
-    tok: TokenizerModel,
+    index: InvertedIndex, p: BM25Params, terms: Sequence[str], k: int
 ) -> list[tuple[str, float]]:
-    """BM25 top-k for a raw query string (empty after tokenization -> [])."""
+    """BM25 top-k for a query's terms (no terms -> [])."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    terms = tok.encode(query).surface
     if not terms:
         return []
     scores, touched = score_rows(index, p, terms)

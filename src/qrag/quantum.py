@@ -157,8 +157,10 @@ class FusionConfig:
     def __post_init__(self) -> None:
         if self.mode not in FUSION_MODES:
             raise ValueError(f"unknown mode: {self.mode}")
-        if self.w_semantic < 0 or self.w_lexical < 0:
-            raise ValueError("fusion weights must be >= 0")
+        for name in ("w_semantic", "w_lexical"):
+            # Written so that NaN, for which every comparison is False, fails.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if abs(self.w_semantic + self.w_lexical - 1.0) > 1e-9:
             raise ValueError("w_semantic + w_lexical must equal 1")
         for name in ("rrf_k", "k_sparse", "k_dense", "k_final"):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+NORMALIZATION = "nfc_collapse"
 WORD_END = "</w>"
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
@@ -114,7 +115,9 @@ class TokenSeq:
 
 @dataclass
 class TokenizerModel:
-    """A trained BPE model: vocabulary, ordered merges, and normalization policy.
+    """A trained BPE model: vocabulary and ordered merges. Normalization
+    (``NORMALIZATION``), the word-end marker and the special tokens are
+    this module's constants.
 
     The model is immutable after training; ``encode``/``decode`` are pure and
     safe under concurrent use (the word cache is append-only and bounded by
@@ -124,13 +127,12 @@ class TokenizerModel:
 
     vocab: dict[str, int]
     merges: list[tuple[str, str]]
-    normalization: str = "nfc_collapse"
-    word_end_marker: str = WORD_END
-    unk_token: str = UNK_TOKEN
-    pad_token: str = PAD_TOKEN
-    _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    _tokens: list[str] = field(default_factory=list, repr=False)
-    _word_cache: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    # Caches derived from the two fields above: no part of a model's value.
+    _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    _tokens: list[str] = field(init=False, repr=False, compare=False)
+    _word_cache: dict[str, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
@@ -141,11 +143,11 @@ class TokenizerModel:
 
     @property
     def special_tokens(self) -> list[str]:
-        return [self.unk_token, self.pad_token]
+        return [UNK_TOKEN, PAD_TOKEN]
 
     @property
     def unk_id(self) -> int:
-        return self.vocab[self.unk_token]
+        return self.vocab[UNK_TOKEN]
 
     def vocab_size(self) -> int:
         return len(self.vocab)
@@ -196,9 +198,8 @@ class TokenizerModel:
         for tok_id in seq.ids:
             if not 0 <= tok_id < n:
                 raise ValueError(f"token id out of range: {tok_id}")
-        marker = self.word_end_marker
         parts = [
-            s[: -len(marker)] + " " if s.endswith(marker) else s for s in seq.surface
+            s[: -len(WORD_END)] + " " if s.endswith(WORD_END) else s for s in seq.surface
         ]
         return "".join(parts).strip()
 
@@ -210,11 +211,11 @@ class TokenizerModel:
     def to_json(self) -> str:
         payload = {
             "version": 1,
-            "normalization": self.normalization,
-            "word_end_marker": self.word_end_marker,
+            "normalization": NORMALIZATION,
+            "word_end_marker": WORD_END,
             "vocab": self.vocab,
             "merges": [list(pair) for pair in self.merges],
-            "special": {"unk": self.vocab[self.unk_token], "pad": self.vocab[self.pad_token]},
+            "special": {"unk": self.vocab[UNK_TOKEN], "pad": self.vocab[PAD_TOKEN]},
         }
         return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
@@ -227,13 +228,13 @@ class TokenizerModel:
         version = payload.get("version")
         if version != 1:
             raise ValueError(f"unsupported version: {version}")
-        model = cls(
+        for key, fixed in (("normalization", NORMALIZATION), ("word_end_marker", WORD_END)):
+            if payload.get(key) != fixed:
+                raise ValueError(f"unsupported {key}: {payload.get(key)!r} (only {fixed!r})")
+        return cls(
             vocab={str(k): int(v) for k, v in payload["vocab"].items()},
             merges=[(pair[0], pair[1]) for pair in payload["merges"]],
-            normalization=payload["normalization"],
-            word_end_marker=payload["word_end_marker"],
         )
-        return model
 
     @classmethod
     def load(cls, path: str | Path) -> "TokenizerModel":

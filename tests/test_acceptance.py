@@ -89,12 +89,14 @@ def test_bm25_brute_force_oracle():
             for i in range(n_chunks):
                 words = [lexicon[j] for j in rng.integers(0, len(lexicon), size=rng.integers(4, 25))]
                 chunks.append(Chunk(f"c{i:03d}", "d", 0, len(words), " ".join(words)))
-            index = lexical.build_index(chunks, tok)
+            index = lexical.build_index(
+                [c.chunk_id for c in chunks], [tok.encode(c.text).surface for c in chunks]
+            )
             params = BM25Params()
             for _ in range(5):
                 query = " ".join(lexicon[j] for j in rng.integers(0, len(lexicon), size=3))
                 terms = tok.encode(query).surface
-                got = lexical.search(index, params, query, 10, tok)
+                got = lexical.search(index, params, terms, 10)
                 brute = sorted(
                     (
                         (c.chunk_id, lexical.bm25_score(index, params, terms, c.chunk_id))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -257,6 +258,16 @@ class TestConfigValidation:
     def test_fraction_range(self):
         with pytest.raises(ValueError):
             CleaningConfig(min_gurmukhi_fraction=1.5)
+
+    def test_negative_overlap_rejected(self):
+        # Stride 12 over windows of 8 would leave tokens 8-11 in no chunk.
+        with pytest.raises(ValueError, match="chunk_overlap_tokens must be >= 0"):
+            CleaningConfig(chunk_size_tokens=8, chunk_overlap_tokens=-4)
+
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5, math.nan])
+    def test_punct_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(ValueError, match="max_punct_ratio must be in"):
+            CleaningConfig(max_punct_ratio=ratio)
 
 
 class TestChunkRecord:

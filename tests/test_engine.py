@@ -39,6 +39,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="context_budget_tokens"):
             EngineConfig(context_budget_tokens=100)
 
+    def test_nan_fusion_weights_in_a_config_file_rejected(self):
+        # json.loads takes the NaN literal, so a config file can carry one.
+        raw = json.loads('{"fusion": {"w_semantic": NaN, "w_lexical": NaN}}')
+        with pytest.raises(ValueError, match="w_semantic must be finite"):
+            EngineConfig.from_dict(raw)
+
     def test_json_file_round_trip(self, tmp_path):
         cfg = EngineConfig(vocab_size=500)
         path = tmp_path / "cfg.json"
@@ -62,6 +68,23 @@ class TestBuildAll:
             assert (tmp_path / "again" / name).read_bytes() == (
                 index_dir / name
             ).read_bytes(), name
+
+    def test_each_chunk_is_encoded_once(self, small_engine, tmp_path, monkeypatch):
+        _, _, _, corpus_path, cfg = small_engine
+        encode = TokenizerModel.encode
+        texts: list[str] = []
+
+        def counted(model, text):
+            texts.append(text)
+            return encode(model, text)
+
+        monkeypatch.setattr(TokenizerModel, "encode", counted)
+        build_all(corpus_path, cfg, tmp_path / "counted")
+        stats = json.loads((tmp_path / "counted" / "stats.json").read_text(encoding="utf-8"))
+        kept = stats["ingested"] - stats["deduped"] - sum(stats["rejected_by_reason"].values())
+        # Once per kept document (to chunk it), once per chunk (its terms
+        # feed both legs) and once for the context delimiter.
+        assert len(texts) == kept + stats["chunks"] + 1
 
     def test_all_docs_filtered_is_an_error(self, tmp_path):
         write_jsonl(
@@ -183,9 +206,8 @@ class TestRetrieve:
         engine, bench, *_ = small_engine
         for q in bench.queries[:8]:
             resp = engine.retrieve(q["text"], mode="sparse_only", k_final=10)
-            direct = lexical.search(
-                engine.lexical_index, engine.config.bm25, q["text"], 10, engine.tokenizer
-            )
+            terms = engine.tokenizer.encode(q["text"]).surface
+            direct = lexical.search(engine.lexical_index, engine.config.bm25, terms, 10)
             assert [(h.chunk_id, h.fused) for h in resp.hits] == direct
 
     def test_dense_only_equals_search_exact(self, small_engine):
@@ -262,9 +284,8 @@ class TestRetrieve:
                 for cid, _ in lexical.search(
                     engine.lexical_index,
                     engine.config.bm25,
-                    q["text"],
+                    engine.tokenizer.encode(q["text"]).surface,
                     cfgf.k_sparse,
-                    engine.tokenizer,
                 )
             }
             q_emb = engine.embed_text_tokens(engine.tokenizer.encode(q["text"]).surface)

@@ -50,6 +50,14 @@ def _reference_score_rows(index, p, query_terms):
     return scores, touched
 
 
+def _index(chunks, model):
+    """``build_index`` over each chunk's BPE surface terms, as ``build_all``
+    builds it."""
+    return build_index(
+        [c.chunk_id for c in chunks], [model.encode(c.text).surface for c in chunks]
+    )
+
+
 def _pairs(ix, term):
     """``term``'s (chunk_id, tf) pairs in stored (row) order."""
     rows, tfs = ix.postings(term)
@@ -66,24 +74,24 @@ def word_model():
 class TestBuildIndex:
     def test_equal_lengths_give_avgdl(self, word_model):
         chunks = [Chunk(f"c{i}", "d", 0, 4, "w1 w2 w3 w4") for i in range(3)]
-        ix = build_index(chunks, word_model)
+        ix = _index(chunks, word_model)
         assert ix.N == 3
         assert ix.avgdl == pytest.approx(ix.doc_len[0])
 
     def test_repeated_term_single_posting_with_tf(self, word_model):
-        ix = build_index([Chunk("c0", "d", 0, 4, "w1 w1 w2 w3")], word_model)
+        ix = _index([Chunk("c0", "d", 0, 4, "w1 w1 w2 w3")], word_model)
         term = word_model.encode("w1").surface[0]
         assert _pairs(ix, term) == [("c0", 2)]
 
     def test_absent_term_has_no_postings(self, word_model):
-        ix = build_index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
+        ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
         term = word_model.encode("w9").surface[0]
         assert term not in ix.terms
         assert _pairs(ix, term) == []
 
     def test_postings_follow_row_order(self, word_model):
         chunks = [Chunk(f"c{i}", "d", 0, 2, "w1 w2") for i in (3, 1, 2)]
-        ix = build_index(chunks, word_model)
+        ix = _index(chunks, word_model)
         term = word_model.encode("w1").surface[0]
         assert ix.postings(term)[0].tolist() == [0, 1, 2]
         assert [cid for cid, _ in _pairs(ix, term)] == ["c3", "c1", "c2"]
@@ -91,11 +99,15 @@ class TestBuildIndex:
     def test_duplicate_chunk_id_rejected(self, word_model):
         chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c0", "d", 0, 2, "w3 w4")]
         with pytest.raises(ValueError, match="duplicate"):
-            build_index(chunks, word_model)
+            _index(chunks, word_model)
 
     def test_empty_chunk_list_rejected(self, word_model):
         with pytest.raises(ValueError, match="empty"):
-            build_index([], word_model)
+            build_index([], [])
+
+    def test_fewer_term_lists_than_ids_rejected(self):
+        with pytest.raises(ValueError):
+            build_index(["c0", "c1"], [["w1"]])
 
     def test_avgdl_is_the_mean_doc_len(self):
         ix = InvertedIndex.from_postings({"c": 2, "d": 5}, {})
@@ -242,8 +254,8 @@ class TestSearch:
             Chunk("c1", "d", 0, 3, "w9 w2 w3"),
             Chunk("c2", "d", 0, 3, "w4 w5 w6"),
         ]
-        ix = build_index(chunks, word_model)
-        results = search(ix, BM25Params(), "w9", 3, word_model)
+        ix = _index(chunks, word_model)
+        results = search(ix, BM25Params(), word_model.encode("w9").surface, 3)
         assert results[0][0] == "c1"
 
     def test_matches_brute_force_exactly(self, word_model):
@@ -252,10 +264,10 @@ class TestSearch:
         p = BM25Params()
         for trial in range(5):
             chunks = _random_corpus(rng, 60, word_model, vocab)
-            ix = build_index(chunks, word_model)
+            ix = _index(chunks, word_model)
             query = " ".join(rng.choice(vocab, size=4))
             terms = word_model.encode(query).surface
-            got = search(ix, p, query, 10, word_model)
+            got = search(ix, p, terms, 10)
             brute = sorted(
                 (
                     (c.chunk_id, bm25_score(ix, p, terms, c.chunk_id))
@@ -268,32 +280,33 @@ class TestSearch:
 
     def test_k_larger_than_candidates_returns_all(self, word_model):
         chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c1", "d", 0, 2, "w3 w4")]
-        ix = build_index(chunks, word_model)
-        assert len(search(ix, BM25Params(), "w1", 50, word_model)) == 1
+        ix = _index(chunks, word_model)
+        assert len(search(ix, BM25Params(), word_model.encode("w1").surface, 50)) == 1
 
     def test_empty_query_returns_empty(self, word_model):
-        ix = build_index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
-        assert search(ix, BM25Params(), "   ", 5, word_model) == []
+        ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
+        assert search(ix, BM25Params(), word_model.encode("   ").surface, 5) == []
 
     def test_prefix_property(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
         rng = np.random.default_rng(29)
         chunks = _random_corpus(rng, 40, word_model, vocab)
-        ix = build_index(chunks, word_model)
+        ix = _index(chunks, word_model)
         p = BM25Params()
+        terms = word_model.encode("w1 w2 w3").surface
         for k in (1, 3, 7):
-            small = search(ix, p, "w1 w2 w3", k, word_model)
-            bigger = search(ix, p, "w1 w2 w3", k + 1, word_model)
+            small = search(ix, p, terms, k)
+            bigger = search(ix, p, terms, k + 1)
             assert bigger[:k] == small
 
     def test_scores_nonnegative(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
         rng = np.random.default_rng(31)
         chunks = _random_corpus(rng, 40, word_model, vocab)
-        ix = build_index(chunks, word_model)
+        ix = _index(chunks, word_model)
         for _ in range(10):
-            query = " ".join(rng.choice(vocab, size=3))
-            for _, score in search(ix, BM25Params(), query, 20, word_model):
+            terms = word_model.encode(" ".join(rng.choice(vocab, size=3))).surface
+            for _, score in search(ix, BM25Params(), terms, 20):
                 assert score >= 0.0
 
 
@@ -304,7 +317,7 @@ class TestImpacts:
         vocab = np.array([f"w{i}" for i in range(30)])
         rng = np.random.default_rng(47)
         chunks = _random_corpus(rng, 80, word_model, vocab)
-        built = build_index(chunks, word_model)
+        built = _index(chunks, word_model)
         save(built, tmp_path)
         reloaded = load(tmp_path, [c.chunk_id for c in chunks])
         p = BM25Params(k1=k1, b=b)
@@ -370,7 +383,7 @@ class TestPersistence:
         vocab = np.array([f"w{i}" for i in range(30)])
         rng = np.random.default_rng(37)
         chunks = _random_corpus(rng, 50, word_model, vocab)
-        ix = build_index(chunks, word_model)
+        ix = _index(chunks, word_model)
         save(ix, tmp_path)
         reloaded = load(tmp_path, [c.chunk_id for c in chunks])
         assert reloaded.N == ix.N
@@ -383,15 +396,14 @@ class TestPersistence:
         p = BM25Params()
         for _ in range(10):
             query = " ".join(rng.choice(vocab, size=4))
-            assert search(reloaded, p, query, 10, word_model) == search(
-                ix, p, query, 10, word_model
-            )
+            terms = word_model.encode(query).surface
+            assert search(reloaded, p, terms, 10) == search(ix, p, terms, 10)
 
     def test_score_rows_matches_individual_scores(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
         rng = np.random.default_rng(41)
         chunks = _random_corpus(rng, 50, word_model, vocab)
-        ix = build_index(chunks, word_model)
+        ix = _index(chunks, word_model)
         p = BM25Params()
         terms = word_model.encode("w1 w5 w9").surface
         scores, touched = score_rows(ix, p, terms)
@@ -405,7 +417,7 @@ class TestPersistence:
         chunks = _random_corpus(np.random.default_rng(43), 50, word_model, vocab)
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        save(build_index(chunks, word_model), tmp_path / "a")
+        save(_index(chunks, word_model), tmp_path / "a")
         save(load(tmp_path / "a", [c.chunk_id for c in chunks]), tmp_path / "b")
         assert (tmp_path / "b" / LEXICAL_FILE).read_bytes() == (
             tmp_path / "a" / LEXICAL_FILE
@@ -426,7 +438,7 @@ class TestPersistence:
     def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
         chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
-        save(build_index(chunks, synth_tokenizer), tmp_path)
+        save(_index(chunks, synth_tokenizer), tmp_path)
         ids = [c.chunk_id for c in chunks]
         tracemalloc.start()
         try:

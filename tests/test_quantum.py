@@ -288,6 +288,12 @@ class TestFusionConfig:
         with pytest.raises(ValueError):
             FusionConfig(w_semantic=0.5, w_lexical=0.4)
 
+    @pytest.mark.parametrize("name", ["w_semantic", "w_lexical"])
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_weight_that_is_not_finite_and_nonnegative_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            FusionConfig(**{name: bad})
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             FusionConfig(mode="psychic")

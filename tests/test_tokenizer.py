@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import unicodedata
 
@@ -6,6 +7,7 @@ import pytest
 
 from qrag import tokenizer
 from qrag.tokenizer import (
+    WORD_END,
     TokenSeq,
     TokenizerModel,
     normalize,
@@ -184,7 +186,7 @@ def _truncate_model(model: TokenizerModel, n_merges: int) -> TokenizerModel:
     singles = sorted(
         s
         for s in model.vocab
-        if s not in model.special_tokens and _is_initial(s, model.word_end_marker)
+        if s not in model.special_tokens and _is_initial(s, WORD_END)
     )
     vocab: dict[str, int] = {}
     for tok in model.special_tokens + singles:
@@ -247,3 +249,23 @@ class TestSerialization:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError, match="unsupported version"):
             TokenizerModel.from_json('{"version": 99}')
+
+    @pytest.mark.parametrize("key, value", [("normalization", "nfkc"), ("word_end_marker", "@@")])
+    def test_other_normalization_or_marker_rejected(self, key, value):
+        # A model always encodes and decodes with NFC collapsing and WORD_END,
+        # so a file naming others is refused rather than read and not followed.
+        payload = json.loads(train_bpe(["ab ab cd"], vocab_size=20).to_json())
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"unsupported {key}"):
+            TokenizerModel.from_json(json.dumps(payload))
+
+    def test_only_vocab_and_merges_are_settable(self):
+        settable = [f.name for f in dataclasses.fields(TokenizerModel) if f.init]
+        assert settable == ["vocab", "merges"]
+
+    def test_equality_ignores_the_caches(self):
+        a = train_bpe(["ab ab cd"], vocab_size=20)
+        b = TokenizerModel.from_json(a.to_json())
+        assert a == b
+        a.encode("ab")
+        assert a == b
