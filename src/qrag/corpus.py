@@ -12,14 +12,16 @@ import hashlib
 import html
 import json
 import logging
+import math
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import _records
-from .tokenizer import TokenizerModel, normalize
+from .tokenizer import TokenizerModel, _is_punct, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +85,7 @@ class CleaningConfig:
         # A negative overlap would stride past the window and skip tokens.
         if not 0 <= self.chunk_overlap_tokens < self.chunk_size_tokens:
             raise ValueError("chunk_overlap_tokens must be >= 0 and < chunk_size_tokens")
-        if self.min_tokens < 1:
+        if not 1 <= self.min_tokens < math.inf:
             raise ValueError("min_tokens must be >= 1")
 
 
@@ -166,12 +168,11 @@ def gurmukhi_fraction(text: str) -> float:
     """
     letters = 0
     gurmukhi = 0
-    for ch in text:
-        cat = unicodedata.category(ch)
-        if cat[0] in ("L", "M"):
-            letters += 1
+    for ch, n in Counter(text).items():
+        if unicodedata.category(ch)[0] in ("L", "M"):
+            letters += n
             if GURMUKHI_LO <= ord(ch) <= GURMUKHI_HI:
-                gurmukhi += 1
+                gurmukhi += n
     return gurmukhi / letters if letters else 0.0
 
 
@@ -189,7 +190,7 @@ def quality_check(doc: CleanDocument, cfg: CleaningConfig) -> str | None:
     """
     if len(doc.text.split()) < cfg.min_tokens:
         return "too_short"
-    punct = sum(1 for ch in doc.text if unicodedata.category(ch).startswith("P"))
+    punct = sum(n for ch, n in Counter(doc.text).items() if _is_punct(ch))
     if punct / len(doc.text) > cfg.max_punct_ratio:
         return "punct"
     if doc.gurmukhi_fraction < cfg.min_gurmukhi_fraction:

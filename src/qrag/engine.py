@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import time
@@ -59,7 +60,7 @@ class EngineConfig:
     context_budget_tokens: int = 1024
 
     def __post_init__(self) -> None:
-        if self.context_budget_tokens < self.cleaning.chunk_size_tokens:
+        if not self.cleaning.chunk_size_tokens <= self.context_budget_tokens < math.inf:
             raise ValueError("context_budget_tokens must be >= chunk_size_tokens")
 
     def to_dict(self) -> dict:

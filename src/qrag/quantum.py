@@ -121,7 +121,8 @@ def interference_score(
 
     With ``w_lexical == 0`` this reduces exactly to the fidelity c^2.
     """
-    if w_semantic < 0 or w_lexical < 0 or abs(w_semantic + w_lexical - 1.0) > 1e-9:
+    # Written so that NaN, for which every comparison is False, fails.
+    if not (0 <= w_semantic and 0 <= w_lexical and abs(w_semantic + w_lexical - 1.0) <= 1e-9):
         raise ValueError("weights must be >= 0 and sum to 1")
     amp = w_semantic * c + w_lexical * l
     return amp * amp
@@ -164,7 +165,7 @@ class FusionConfig:
         if abs(self.w_semantic + self.w_lexical - 1.0) > 1e-9:
             raise ValueError("w_semantic + w_lexical must equal 1")
         for name in ("rrf_k", "k_sparse", "k_dense", "k_final"):
-            if getattr(self, name) < 1:
+            if not 1 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:

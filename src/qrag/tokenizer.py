@@ -15,6 +15,7 @@ import unicodedata
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable
 
@@ -25,8 +26,9 @@ PAD_TOKEN = "<pad>"
 
 _WS_RE = re.compile(r"\s+")
 
-# Words kept in a model's word cache, about 1.7 MiB of entries. Past it, a
-# new word (a query's never-seen word, say) is encoded without being
+# Whitespace tokens kept in a model's word cache, about 1.5 MiB of entries
+# (tracemalloc, 8,192 synthetic Gurmukhi tokens of 2.8 ids each). Past it, a
+# new token (a query's never-seen word, say) is encoded without being
 # cached, so a long-running server's memory does not grow with the queries
 # it has seen.
 WORD_CACHE_MAX = 8192
@@ -44,40 +46,22 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def pretokenize(text: str) -> list[str]:
-    """Split normalized text into BPE words.
+def _split(token: str) -> list[list[str]]:
+    """The codepoint symbols of a whitespace token's BPE words.
 
-    Words are whitespace-delimited tokens, further split at punctuation
-    class boundaries. Only the last piece of each whitespace token carries
-    the word-end marker, so decoding restores the original spacing exactly
-    (a punctuation split does not reinsert a space).
+    The token splits at punctuation class boundaries, and only its last
+    codepoint carries the word-end marker, so decoding restores the original
+    spacing exactly (a punctuation split does not reinsert a space).
     """
-    words: list[str] = []
-    for token in normalize(text).split(" "):
-        if not token:
-            continue
-        pieces: list[str] = []
-        run = [token[0]]
-        for prev, ch in zip(token, token[1:]):
-            if _is_punct(ch) != _is_punct(prev):
-                pieces.append("".join(run))
-                run = [ch]
-            else:
-                run.append(ch)
-        pieces.append("".join(run))
-        words.extend(pieces[:-1])
-        words.append(pieces[-1] + WORD_END)
+    words = [list(run) for _, run in groupby(token, _is_punct)]
+    words[-1][-1] += WORD_END
     return words
 
 
-def _initial_symbols(word: str) -> list[str]:
-    """Codepoint symbols of a word, the marker fused into the final one."""
-    if word.endswith(WORD_END):
-        stem = word[: -len(WORD_END)]
-        symbols = list(stem)
-        symbols[-1] += WORD_END
-        return symbols
-    return list(word)
+def pretokenize(text: str) -> list[str]:
+    """Split normalized text into BPE words: each whitespace token's runs of
+    punctuation and non-punctuation, the last one marked with ``WORD_END``."""
+    return ["".join(word) for token in normalize(text).split() for word in _split(token)]
 
 
 def _merge_occurrences(symbols: list[str], pair: tuple[str, str]) -> list[str]:
@@ -119,10 +103,14 @@ class TokenizerModel:
     (``NORMALIZATION``), the word-end marker and the special tokens are
     this module's constants.
 
+    ``encode`` splits each whitespace token and applies its merges once: the
+    word cache maps the token to the ids of all its pieces, so a token seen
+    before costs one dict lookup.
+
     The model is immutable after training; ``encode``/``decode`` are pure and
     safe under concurrent use (the word cache is append-only and bounded by
     ``WORD_CACHE_MAX``; threads racing on the last slots may overshoot it by
-    one word each).
+    one token each).
     """
 
     vocab: dict[str, int]
@@ -154,27 +142,28 @@ class TokenizerModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def _encode_word(self, word: str) -> list[int]:
-        """The vocab ids of a word's symbols, unk for a symbol outside the
-        vocab. A cached list holds the vocab dict's own int objects, not
-        fresh symbol strings."""
-        cached = self._word_cache.get(word)
+    def _encode_token(self, token: str) -> list[int]:
+        """The vocab ids of a whitespace token's pieces, unk for a symbol
+        outside the vocab. A cached list holds the vocab dict's own int
+        objects, not fresh symbol strings."""
+        cached = self._word_cache.get(token)
         if cached is not None:
             return cached
-        symbols = _initial_symbols(word)
-        while len(symbols) > 1:
-            best = min(
-                (pair for pair in zip(symbols, symbols[1:]) if pair in self._ranks),
-                key=self._ranks.__getitem__,
-                default=None,
-            )
-            if best is None:
-                break
-            symbols = _merge_occurrences(symbols, best)
         unk = self.unk_id
-        ids = [self.vocab.get(sym, unk) for sym in symbols]
+        ids: list[int] = []
+        for symbols in _split(token):
+            while len(symbols) > 1:
+                best = min(
+                    (pair for pair in zip(symbols, symbols[1:]) if pair in self._ranks),
+                    key=self._ranks.__getitem__,
+                    default=None,
+                )
+                if best is None:
+                    break
+                symbols = _merge_occurrences(symbols, best)
+            ids += [self.vocab.get(sym, unk) for sym in symbols]
         if len(self._word_cache) < WORD_CACHE_MAX:
-            self._word_cache[word] = ids
+            self._word_cache[token] = ids
         return ids
 
     def encode(self, text: str) -> TokenSeq:
@@ -184,8 +173,8 @@ class TokenizerModel:
         Deterministic: identical (model, text) always yields the same sequence.
         """
         ids: list[int] = []
-        for word in pretokenize(text):
-            ids += self._encode_word(word)
+        for token in normalize(text).split():
+            ids += self._encode_token(token)
         return TokenSeq(ids, list(map(self._tokens.__getitem__, ids)))
 
     def decode(self, seq: TokenSeq) -> str:
@@ -244,21 +233,25 @@ class TokenizerModel:
 def train_bpe(corpus: Iterable[str], vocab_size: int) -> TokenizerModel:
     """Train a BPE model by iterative most-frequent-pair merging.
 
-    Each word starts as codepoint symbols with the word-end marker fused to
-    the final codepoint. The most frequent adjacent pair is merged until
+    Whitespace tokens are counted first, and each distinct one is split once
+    into words of codepoint symbols, the word-end marker fused to the final
+    codepoint. The most frequent adjacent pair is merged until
     ``vocab_size`` is reached or no pair occurs at least twice; ties between
     equal counts break lexicographically on the pair, so training is
     deterministic across platforms and runs.
     """
-    word_freqs: Counter[str] = Counter()
+    token_freqs: Counter[str] = Counter()
     for line in corpus:
-        word_freqs.update(pretokenize(line))
-    if not word_freqs:
+        token_freqs.update(normalize(line).split())
+    if not token_freqs:
         raise ValueError("empty corpus")
 
-    words = list(word_freqs.keys())
-    freqs = [word_freqs[w] for w in words]
-    symbol_lists = [_initial_symbols(w) for w in words]
+    word_freqs: Counter[tuple[str, ...]] = Counter()
+    for token, f in token_freqs.items():
+        for symbols in _split(token):
+            word_freqs[tuple(symbols)] += f
+    symbol_lists = [list(w) for w in word_freqs]
+    freqs = list(word_freqs.values())
 
     initial_symbols = sorted({s for syms in symbol_lists for s in syms})
     specials = [UNK_TOKEN, PAD_TOKEN]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import unicodedata
 
 import numpy as np
 import pytest
@@ -148,6 +149,16 @@ class TestGurmukhiFraction:
             shuffled = "".join(rng.permutation(list(s)))
             assert gurmukhi_fraction(s) == gurmukhi_fraction(shuffled)
 
+    def test_equals_the_per_character_count(self):
+        rng = np.random.default_rng(4)
+        chars = list("ਸਤਿਨਾਮਖ਼੧ab xy.!é\u0a3c")
+        for _ in range(100):
+            s = "".join(rng.choice(chars, size=int(rng.integers(1, 40))))
+            marks = [unicodedata.category(ch)[0] in "LM" for ch in s]
+            inside = [m and 0x0A00 <= ord(ch) <= 0x0A7F for m, ch in zip(marks, s)]
+            expected = sum(inside) / sum(marks) if any(marks) else 0.0
+            assert gurmukhi_fraction(s) == expected
+
 
 class TestDedup:
     def test_identical_texts_same_digest(self):
@@ -263,6 +274,11 @@ class TestConfigValidation:
         # Stride 12 over windows of 8 would leave tokens 8-11 in no chunk.
         with pytest.raises(ValueError, match="chunk_overlap_tokens must be >= 0"):
             CleaningConfig(chunk_size_tokens=8, chunk_overlap_tokens=-4)
+
+    @pytest.mark.parametrize("min_tokens", [0, math.nan])
+    def test_min_tokens_below_one_rejected(self, min_tokens):
+        with pytest.raises(ValueError, match="min_tokens must be >= 1"):
+            CleaningConfig(min_tokens=min_tokens)
 
     @pytest.mark.parametrize("ratio", [-0.1, 1.5, math.nan])
     def test_punct_ratio_outside_unit_interval_rejected(self, ratio):

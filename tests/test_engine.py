@@ -38,6 +38,8 @@ class TestEngineConfig:
     def test_budget_must_cover_chunk_size(self):
         with pytest.raises(ValueError, match="context_budget_tokens"):
             EngineConfig(context_budget_tokens=100)
+        with pytest.raises(ValueError, match="context_budget_tokens"):
+            EngineConfig(context_budget_tokens=math.nan)
 
     def test_nan_fusion_weights_in_a_config_file_rejected(self):
         # json.loads takes the NaN literal, so a config file can carry one.

@@ -160,6 +160,8 @@ class TestInterferenceScore:
             interference_score(0.5, 0.5, 0.7, 0.7)
         with pytest.raises(ValueError, match=">= 0"):
             interference_score(0.5, 0.5, 1.5, -0.5)
+        with pytest.raises(ValueError, match=">= 0"):
+            interference_score(0.5, 0.5, math.nan, math.nan)
 
 
 class TestFuseRrf:
@@ -301,6 +303,9 @@ class TestFusionConfig:
     def test_k_values_positive(self):
         with pytest.raises(ValueError):
             FusionConfig(k_final=0)
+        for name in ("rrf_k", "k_sparse", "k_dense", "k_final"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                FusionConfig(**{name: math.nan})
 
     def test_dict_round_trip(self):
         cfg = FusionConfig(mode="rrf", w_semantic=0.7, w_lexical=0.3, k_final=5)

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -64,6 +66,10 @@ class TestPretokenize:
         # U+0A3F is a vowel sign (Mc); it must not split from its consonant.
         assert pretokenize("ਸਿ.") == ["ਸਿ", ".</w>"]
 
+    def test_split_gives_codepoint_symbols_marker_fused_into_the_last(self):
+        assert tokenizer._split("a!!bc") == [["a"], ["!", "!"], ["b", "c</w>"]]
+        assert tokenizer._split("!") == [["!</w>"]]
+
 
 class TestTrainBpe:
     def test_first_merge_most_frequent_pair(self):
@@ -105,6 +111,27 @@ class TestTrainBpe:
         assert sorted(model.vocab.values()) == list(range(model.vocab_size()))
         for left, right in model.merges:
             assert left + right in model.vocab
+
+    def test_training_matches_the_pinned_model(self, synth_lines):
+        # Pinned from a trainer that counted every pretokenized piece of
+        # every line: counting whitespace tokens first must not change it.
+        model = train_bpe(synth_lines[:80], vocab_size=3000)
+        digest = hashlib.sha256(model.to_json().encode("utf-8")).hexdigest()
+        assert digest == "155ee6da0aad5d0f6ad287c6bd58b1b2c9e4cd3fd034866647c614270c2d38b9"
+
+    def test_training_splits_each_distinct_token_once(self, synth_lines, monkeypatch):
+        calls: Counter[str] = Counter()
+        split = tokenizer._split
+
+        def counting_split(token):
+            calls[token] += 1
+            return split(token)
+
+        monkeypatch.setattr(tokenizer, "_split", counting_split)
+        train_bpe(synth_lines[:80], vocab_size=3000)
+        tokens = {t for line in synth_lines[:80] for t in normalize(line).split()}
+        assert set(calls) == tokens
+        assert set(calls.values()) == {1}
 
     def test_training_is_deterministic(self, synth_lines):
         a = train_bpe(synth_lines[:100], vocab_size=2000)
@@ -178,6 +205,125 @@ class TestEncode:
         model = train_bpe(synth_lines[:80], vocab_size=3000)
         assert [model.encode(w).ids for w in junk] == expected
         assert len(model._word_cache) <= 50
+
+
+def _reference_encode(model: TokenizerModel, text: str) -> TokenSeq:
+    """The per-piece encoder the token-keyed one replaced, with no cache:
+    a per-character run loop splits each whitespace token at punctuation
+    boundaries, the last piece gets the marker, and each piece is split into
+    codepoints (marker fused back into the last) and merged on its own."""
+
+    def punct(ch: str) -> bool:
+        return unicodedata.category(ch).startswith("P")
+
+    ranks = {pair: i for i, pair in enumerate(model.merges)}
+    by_id = {i: tok for tok, i in model.vocab.items()}
+    ids: list[int] = []
+    for token in normalize(text).split(" "):
+        if not token:
+            continue
+        pieces: list[str] = []
+        run = [token[0]]
+        for prev, ch in zip(token, token[1:]):
+            if punct(ch) != punct(prev):
+                pieces.append("".join(run))
+                run = [ch]
+            else:
+                run.append(ch)
+        pieces.append("".join(run))
+        for word in pieces[:-1] + [pieces[-1] + WORD_END]:
+            if word.endswith(WORD_END):
+                symbols = list(word[: -len(WORD_END)])
+                symbols[-1] += WORD_END
+            else:
+                symbols = list(word)
+            while len(symbols) > 1:
+                pairs = [p for p in zip(symbols, symbols[1:]) if p in ranks]
+                if not pairs:
+                    break
+                a, b = min(pairs, key=ranks.__getitem__)
+                merged: list[str] = []
+                i = 0
+                while i < len(symbols):
+                    if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == (a, b):
+                        merged.append(a + b)
+                        i += 2
+                    else:
+                        merged.append(symbols[i])
+                        i += 1
+                symbols = merged
+            ids += [model.vocab.get(sym, model.unk_id) for sym in symbols]
+    return TokenSeq(ids, [by_id[i] for i in ids])
+
+
+REFERENCE_CASES = {
+    "punct_run": "a!!b",
+    "punct_edges": "ਸਤ!!ਨਾਮ ..ਸਤ ਨਾਮ.. ! ?? (ਸਤਿ)",
+    "vowel_sign": "ਸਿ ਕਿ. ਿਸ \u0a3f",
+    "nukta": "ਖ਼ਾਲਸਾ ਸ਼ਬਦ ਲ਼ ਗ਼ ਜ਼ ਫ਼ \u0a33 \u0a36 \u0a59 \u0a5e",
+    "outside_vocab": "zzz ਸਤ€ ਙਞ \u00e9 q!q",
+    "unicode_space": "ਸਤ\u00a0ਨਾਮ\u2028ਕਰ\u0085ਤਾ \u00a0 \u2028",
+    "literal_marker": "a</w>b",
+    "empty": "",
+    "spaces": "   ",
+    "unicode_spaces": "\u00a0\u2028\u0085",
+}
+
+
+@pytest.fixture(scope="module")
+def boundary_model(synth_tokenizer):
+    """The synthetic model plus a merge of every adjacent codepoint pair in
+    the hard cases, across punctuation boundaries too, so an encoder that
+    splits a token anywhere the reference does not merges differently."""
+    vocab = dict(synth_tokenizer.vocab)
+    merges = list(synth_tokenizer.merges)
+    for text in REFERENCE_CASES.values():
+        for token in normalize(text).split():
+            symbols = list(token)
+            symbols[-1] += WORD_END
+            for pair in zip(symbols, symbols[1:]):
+                if pair not in merges:
+                    merges.append(pair)
+                    vocab.setdefault(pair[0] + pair[1], len(vocab))
+    return TokenizerModel(vocab=vocab, merges=merges)
+
+
+class TestAgainstReferenceEncoder:
+    @pytest.mark.parametrize("text", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+    @pytest.mark.parametrize("which", ["trained", "boundary"])
+    def test_hard_cases(self, synth_tokenizer, boundary_model, which, text):
+        base = synth_tokenizer if which == "trained" else boundary_model
+        model = TokenizerModel(vocab=base.vocab, merges=base.merges)
+        expected = _reference_encode(model, text)
+        for _ in range(2):  # cold, then from the cache
+            seq = model.encode(text)
+            assert seq.ids == expected.ids and seq.surface == expected.surface
+
+    def test_corpus_lines(self, synth_tokenizer, synth_lines):
+        model = TokenizerModel(vocab=synth_tokenizer.vocab, merges=synth_tokenizer.merges)
+        for line in synth_lines + [" ".join(synth_lines[:40])]:
+            expected = _reference_encode(model, line)
+            seq = model.encode(line)
+            assert seq.ids == expected.ids and seq.surface == expected.surface
+
+
+class TestWordCache:
+    def test_keyed_on_the_whitespace_token(self):
+        model = _hand_model()
+        model.encode("abz c")
+        assert model._word_cache == {"abz": [3, 0], "c": [5]}
+
+    def test_cached_tokens_are_not_split_again(self, synth_tokenizer, synth_lines, monkeypatch):
+        model = TokenizerModel(vocab=synth_tokenizer.vocab, merges=synth_tokenizer.merges)
+        text = " ".join(synth_lines[:5])
+        first = model.encode(text)
+        calls: list[str] = []
+        is_punct = tokenizer._is_punct
+        monkeypatch.setattr(tokenizer, "_is_punct", lambda ch: calls.append(ch) or is_punct(ch))
+        assert model.encode(text).ids == first.ids
+        assert calls == []
+        model.encode("ਙਞ!")  # a token not yet seen is split
+        assert calls == ["ਙ", "ਞ", "!"]
 
 
 def _truncate_model(model: TokenizerModel, n_merges: int) -> TokenizerModel:
