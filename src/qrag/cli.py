@@ -34,7 +34,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     tok, chunks = engine_mod.prepare(args.infile, cfg, stats)
     out.mkdir(parents=True, exist_ok=True)
     tok.save(out / engine_mod.TOKENIZER_FILE)
-    corpus_mod.write_chunks_jsonl(chunks, out / engine_mod.CHUNKS_FILE)
+    corpus_mod.save_chunks(chunks, out)
     _records.write_json(stats, out / engine_mod.STATS_FILE)
     print(json.dumps(stats, ensure_ascii=False, sort_keys=True))
     return 0

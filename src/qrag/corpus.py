@@ -13,14 +13,16 @@ import html
 import json
 import logging
 import math
+import os
 import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from . import _records
+import numpy as np
+
 from .tokenizer import TokenizerModel, _is_punct, normalize
 
 logger = logging.getLogger(__name__)
@@ -32,6 +34,8 @@ _CTRL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
 
 GURMUKHI_LO = 0x0A00
 GURMUKHI_HI = 0x0A7F
+
+CHUNKS_FILE = "chunks.npy"
 
 
 @dataclass(frozen=True)
@@ -266,15 +270,106 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
 # -- persistence -------------------------------------------------------------
 
 
-def write_chunks_jsonl(chunks: Iterable[Chunk], path: str | Path) -> int:
-    n = 0
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for c in chunks:
-            record = _records.to_dict(c)
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-            n += 1
-    return n
+def save_chunks(chunks: Sequence[Chunk], out_dir: str | Path) -> None:
+    """Write the chunks as five consecutive ``.npy`` arrays of one file: the
+    UTF-8 bytes of a JSON list of ``[chunk_id, doc_id]`` pairs (``uint8``),
+    the token offsets and the token counts (``<i4``), the N + 1 byte offsets
+    of each text in the last array (``<i8``), and every text in UTF-16-LE
+    (``uint8``).
+
+    A Gurmukhi codepoint takes 2 bytes in UTF-16-LE against 3 in UTF-8, and
+    CPython holds such text in 2-byte units, so decoding is close to a copy.
+    """
+    ids = json.dumps([[c.chunk_id, c.doc_id] for c in chunks], ensure_ascii=False)
+    texts = [c.text.encode("utf-16-le") for c in chunks]
+    arrays = (
+        np.frombuffer(ids.encode(), np.uint8),
+        np.array([c.token_offset for c in chunks], dtype="<i4"),
+        np.array([c.token_count for c in chunks], dtype="<i4"),
+        np.cumsum([0, *map(len, texts)], dtype="<i8"),
+        np.frombuffer(b"".join(texts), np.uint8),
+    )
+    with (Path(out_dir) / CHUNKS_FILE).open("wb") as fh:
+        for arr in arrays:
+            np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
-def read_chunks_jsonl(path: str | Path) -> list[Chunk]:
-    return [_records.from_dict(Chunk, obj) for obj in _records.read_jsonl(path)]
+def load_chunks(in_dir: str | Path) -> list[Chunk]:
+    """Read the chunks written by ``save_chunks``; each refusal is a
+    ``ValueError`` naming ``chunks.npy``.
+
+    The texts are read from the file and decoded one chunk at a time, so the
+    text bytes are never held as one array. Freeing such an array (12.8 MB on
+    the benchmark index) left a loaded server 2.5 MiB larger: glibc raises
+    its mmap threshold on that free, so the next large arrays come from a
+    heap it cannot trim.
+    """
+    with (Path(in_dir) / CHUNKS_FILE).open("rb") as fh:
+        try:
+            ids, token_offset, token_count, ends = (
+                np.lib.format.read_array(fh, allow_pickle=False) for _ in range(4)
+            )
+            pairs = _check_arrays(ids, token_offset, token_count, ends, _text_bytes(fh))
+            bounds = ends.tolist()
+            return [
+                Chunk(cid, did, offset, count, str(fh.read(hi - lo), "utf-16-le"))
+                for (cid, did), offset, count, lo, hi in zip(
+                    pairs, token_offset.tolist(), token_count.tolist(), bounds, bounds[1:]
+                )
+            ]
+        except ValueError as exc:
+            raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
+
+
+def _text_bytes(fh: BinaryIO) -> int:
+    """Read the text array's header: the length of a 1-d ``uint8`` array
+    that must fill the rest of the file."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("texts must be an array of .npy format 1.0")
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    if len(shape) != 1 or dtype != np.uint8:
+        raise ValueError("texts must be a 1-d uint8 array")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left > shape[0]:
+        raise ValueError("trailing bytes after the text array")
+    if left < shape[0]:
+        raise ValueError(f"the text array is cut short: {left} of {shape[0]} bytes")
+    return shape[0]
+
+
+def _check_arrays(
+    ids: np.ndarray,
+    token_offset: np.ndarray,
+    token_count: np.ndarray,
+    ends: np.ndarray,
+    text_bytes: int,
+) -> list[list[str]]:
+    """The ``[chunk_id, doc_id]`` pairs, once the arrays are found to agree."""
+    if ids.ndim != 1 or ids.dtype != np.uint8:
+        raise ValueError("ids must be a 1-d uint8 array")
+    for name, arr in (
+        ("token_offset", token_offset), ("token_count", token_count), ("text offsets", ends)
+    ):
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be a 1-d integer array")
+    pairs = json.loads(str(ids.data, "utf-8"))
+    if type(pairs) is not list or not all(
+        type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
+        for p in pairs
+    ):
+        raise ValueError("ids must be a JSON list of [chunk_id, doc_id] string pairs")
+    n = len(pairs)
+    if not len(token_offset) == len(token_count) == len(ends) - 1 == n:
+        raise ValueError(
+            f"array lengths disagree: {n} id pairs, {len(token_offset)} token offsets, "
+            f"{len(token_count)} token counts and {len(ends)} text offsets (N + 1)"
+        )
+    if (token_offset < 0).any() or (token_count < 0).any():
+        raise ValueError("token_offset and token_count must be >= 0")
+    if ends[0] != 0 or ends[-1] != text_bytes:
+        raise ValueError(f"text offsets must run from 0 to the text byte count {text_bytes}")
+    if (ends[1:] < ends[:-1]).any():
+        raise ValueError("text offsets must not decrease")
+    if (ends % 2).any():
+        raise ValueError("text offsets must be even: a UTF-16 code unit is 2 bytes")
+    return pairs

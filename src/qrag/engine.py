@@ -39,15 +39,16 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_FILE = "manifest.json"
-CHUNKS_FILE = "chunks.jsonl"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
 CONTEXT_DELIMITER = "---"
 # Every file of an index but the manifest, which lists each one's digest.
 # Chunk ids are stored only in the chunks file; the others address chunks by row.
-INDEX_FILES = (CHUNKS_FILE, TOKENIZER_FILE, lexical.LEXICAL_FILE, semantic.VECTORS_FILE)
+INDEX_FILES = (
+    corpus_mod.CHUNKS_FILE, TOKENIZER_FILE, lexical.LEXICAL_FILE, semantic.VECTORS_FILE
+)
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,9 @@ class EngineConfig:
     context_budget_tokens: int = 1024
 
     def __post_init__(self) -> None:
+        # A bool is an int and NaN fails every comparison: both are refused.
+        if type(self.vocab_size) is not int or not 1 <= self.vocab_size < math.inf:
+            raise ValueError(f"vocab_size must be an int >= 1, got {self.vocab_size!r}")
         if not self.cleaning.chunk_size_tokens <= self.context_budget_tokens < math.inf:
             raise ValueError("context_budget_tokens must be >= chunk_size_tokens")
 
@@ -423,7 +427,7 @@ def save_index(
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir(parents=True)
     try:
-        corpus_mod.write_chunks_jsonl(engine.chunks, tmp / CHUNKS_FILE)
+        corpus_mod.save_chunks(engine.chunks, tmp)
         engine.tokenizer.save(tmp / TOKENIZER_FILE)
         lexical.save(engine.lexical_index, tmp)
         semantic.save(engine.vector_index, tmp)
@@ -481,7 +485,7 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
             raise FileNotFoundError(f"missing file: {path}")
         if _sha256_file(path) != manifest.files[name]:
             raise ValueError(f"digest mismatch: {name}")
-    chunks = corpus_mod.read_chunks_jsonl(src / CHUNKS_FILE)
+    chunks = corpus_mod.load_chunks(src)
     ids = [c.chunk_id for c in chunks]
     tok = TokenizerModel.load(src / TOKENIZER_FILE)
     lex_index = lexical.load(src, ids)

@@ -47,9 +47,9 @@ class InvertedIndex:
     ``tfs``. Both are held as ``save`` writes them (``<i4`` rows, tfs in the
     narrowest unsigned type), plus, for each ``BM25Params`` a query has
     used, one float64 impact per posting (``impacts``). No per-posting
-    Python object is kept, and only a (start, end) pair per term. The
-    postings are immutable once built; searches are reentrant and safe
-    concurrently.
+    Python object is kept, only a (start, end) pair and an idf
+    (``idfs[j]``) per term. The postings are immutable once built;
+    searches are reentrant and safe concurrently.
     """
 
     def __init__(
@@ -115,6 +115,12 @@ class InvertedIndex:
         self.tfs = tfs.astype(width, copy=False)
         # The same Python division as a mean over ints, so scores keep their bits.
         self.avgdl = int(self.doc_len.sum(dtype=np.int64)) / self.N
+        # Each term's idf, in term order: ``idf``'s scalar expression, so every
+        # weight keeps its bits (np.log and np.log1p may differ in the last).
+        self.idfs = [
+            math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
+            for df in np.diff(self.offsets).tolist()
+        ]
         self._impacts: dict[BM25Params, np.ndarray] = {}
 
     @classmethod
@@ -175,7 +181,7 @@ class InvertedIndex:
             first = int(np.searchsorted(self.offsets, start, "right")) - 1
             last = int(np.searchsorted(self.offsets, end, "left"))
             counts = np.diff(np.clip(self.offsets[first : last + 1], start, end))
-            weights = np.repeat([idf(self, t) for t in self.terms[first:last]], counts)
+            weights = np.repeat(self.idfs[first:last], counts)
             tf = self.tfs[start:end].astype(np.float64)
             norm = p.k1 * (1.0 - p.b + p.b * self.doc_len[self.rows[start:end]] / self.avgdl)
             found[start:end] = weights * (tf * (p.k1 + 1.0)) / (tf + norm)
@@ -211,14 +217,16 @@ def build_index(
 
 
 def idf(index: InvertedIndex, term: str) -> float:
-    """ln(1 + (N - df + 0.5) / (df + 0.5)); finite and positive for df <= N."""
+    """ln(1 + (N - df + 0.5) / (df + 0.5)); finite and positive for df <= N.
+
+    The reference for ``InvertedIndex.idfs``, which holds it for every term."""
     df = len(index.postings(term)[0])
     return math.log(1.0 + (index.N - df + 0.5) / (df + 0.5))
 
 
 def idf_weights(index: InvertedIndex) -> dict[str, float]:
     """``idf`` of every indexed term: the dense leg's term weights."""
-    return {term: idf(index, term) for term in index.terms}
+    return dict(zip(index.terms, index.idfs))
 
 
 def _tf_in_chunk(index: InvertedIndex, term: str, row: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import unicodedata
 import re
 from collections import Counter
@@ -240,6 +241,8 @@ def train_bpe(corpus: Iterable[str], vocab_size: int) -> TokenizerModel:
     equal counts break lexicographically on the pair, so training is
     deterministic across platforms and runs.
     """
+    if type(vocab_size) is not int or not 1 <= vocab_size < math.inf:
+        raise ValueError(f"vocab_size must be an int >= 1, got {vocab_size!r}")
     token_freqs: Counter[str] = Counter()
     for line in corpus:
         token_freqs.update(normalize(line).split())

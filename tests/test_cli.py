@@ -129,7 +129,7 @@ class TestIngest:
         assert code == 0
         stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
         assert stats["chunks"] == 120
-        assert (out / "chunks.jsonl").exists()
+        assert (out / "chunks.npy").exists()
         assert (out / "tokenizer.json").exists()
 
 

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import random
+import sys
+import tracemalloc
 import unicodedata
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,9 +21,9 @@ from qrag.corpus import (
     gurmukhi_fraction,
     ingest_jsonl,
     preprocess,
+    load_chunks,
     quality_check,
-    read_chunks_jsonl,
-    write_chunks_jsonl,
+    save_chunks,
 )
 from qrag.tokenizer import train_bpe
 
@@ -294,12 +298,145 @@ class TestChunkRecord:
             c.text = "x"
 
 
+STORE = [
+    Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
+    Chunk("d#1", "d", 2, 2, "ਹੈ ਜੀ"),
+    Chunk("e#0", "e", 0, 0, ""),
+    # A codepoint beyond U+FFFF takes two UTF-16 code units.
+    Chunk("ਕ#0", "ਕ", 7, 1, "𝄞 ਕ"),
+]
+
+
+def _store_arrays(tmp_path):
+    save_chunks(STORE, tmp_path)
+    with (tmp_path / "chunks.npy").open("rb") as fh:
+        return [np.lib.format.read_array(fh) for _ in range(5)]
+
+
+def _write_arrays(tmp_path, arrays):
+    with (tmp_path / "chunks.npy").open("wb") as fh:
+        for arr in arrays:
+            np.lib.format.write_array(fh, arr, allow_pickle=True)
+
+
+def _ids(value):
+    return np.frombuffer(json.dumps(value).encode(), np.uint8)
+
+
+def _texts(arrays, blob):
+    """``arrays`` with the text offsets and bytes replaced by ``blob``'s."""
+    ends = np.array([0, len(blob), len(blob), len(blob), len(blob)], "<i8")
+    return [*arrays[:3], ends, np.frombuffer(blob, np.uint8)]
+
+
+# Each fault: a change to the five arrays of STORE, and what the refusal says.
+STORE_FAULTS = {
+    "too_few_arrays": (lambda a: a[:4], "EOF"),
+    "object_array": (lambda a: [a[0].astype(object), *a[1:]], "Object arrays cannot be"),
+    "ids_not_uint8": (lambda a: [a[0].astype(np.int32), *a[1:]], "ids must be a 1-d uint8"),
+    "texts_not_uint8": (lambda a: [*a[:4], a[4].astype("<u2")], "texts must be a 1-d uint8"),
+    "float_text_offsets": (
+        lambda a: [*a[:3], a[3].astype(float), a[4]], "text offsets must be a 1-d integer"
+    ),
+    "token_offset_2d": (lambda a: [a[0], a[1].reshape(2, 2), *a[2:]], "token_offset must be"),
+    "short_token_offset": (lambda a: [a[0], a[1][:3], *a[2:]], "array lengths disagree"),
+    "long_token_count": (
+        lambda a: [*a[:2], np.append(a[2], 1), *a[3:]], "array lengths disagree"
+    ),
+    "short_text_offsets": (lambda a: [*a[:3], a[3][:4], a[4][:30]], "array lengths disagree"),
+    "negative_token_offset": (
+        lambda a: [a[0], a[1] - 1, *a[2:]], "token_offset and token_count must be >= 0"
+    ),
+    "negative_token_count": (
+        lambda a: [*a[:2], a[2] - 1, *a[3:]], "token_offset and token_count must be >= 0"
+    ),
+    "offsets_not_from_0": (
+        lambda a: [*a[:3], a[3] + 2, a[4]], "text offsets must run from 0 to the text"
+    ),
+    "offsets_short_of_the_text": (
+        lambda a: [*a[:3], a[3], a[4][:36]], "text offsets must run from 0 to the text"
+    ),
+    "decreasing_offsets": (
+        lambda a: [*a[:3], a[3][[0, 2, 1, 3, 4]], a[4]], "text offsets must not decrease"
+    ),
+    "odd_offset": (
+        lambda a: [*a[:3], a[3] + [0, 1, 1, 1, 0], a[4]], "text offsets must be even"
+    ),
+    "lone_high_surrogate": (lambda a: _texts(a, b"\x00\xd8"), "'utf-16-le' codec can't"),
+    "lone_low_surrogate": (lambda a: _texts(a, b"\x00\xdca\x00"), "'utf-16-le' codec can't"),
+    "ids_bad_json": (lambda a: [np.frombuffer(b"[[", np.uint8), *a[1:]], "Expecting value"),
+    "ids_bad_utf8": (lambda a: [np.frombuffer(b"\xff", np.uint8), *a[1:]], "'utf-8' codec"),
+    "ids_an_object": (lambda a: [_ids({"d#0": "d"}), *a[1:]], "ids must be a JSON list"),
+    "ids_a_short_pair": (lambda a: [_ids([["a", "d"]] * 3 + [["a"]]), *a[1:]], "ids must"),
+    "ids_an_int_doc_id": (lambda a: [_ids([["a", "d"]] * 3 + [["a", 1]]), *a[1:]], "ids must"),
+    "ids_a_null_chunk_id": (
+        lambda a: [_ids([["a", "d"]] * 3 + [[None, "d"]]), *a[1:]], "ids must"
+    ),
+    "ids_a_string": (lambda a: [_ids([["a", "d"]] * 3 + ["ad"]), *a[1:]], "ids must"),
+    "ids_a_triple": (lambda a: [_ids([["a", "d", "e"]] * 4), *a[1:]], "ids must"),
+}
+
+
 class TestChunkPersistence:
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_store_round_trip(self, tmp_path):
+        save_chunks(STORE, tmp_path)
+        assert load_chunks(tmp_path) == STORE
+
+    def test_empty_store_round_trip(self, tmp_path):
+        save_chunks([], tmp_path)
+        assert load_chunks(tmp_path) == []
+
+    def test_text_is_utf_16_le(self, tmp_path):
+        ids, token_offset, token_count, ends, blob = _store_arrays(tmp_path)
+        assert blob.tobytes() == "".join(c.text for c in STORE).encode("utf-16-le")
+        assert ends.tolist() == [0, 20, 30, 30, 38]
+        assert (ends.dtype.str, token_offset.dtype.str, token_count.dtype.str) == (
+            "<i8", "<i4", "<i4"
+        )
+        assert json.loads(ids.tobytes()) == [[c.chunk_id, c.doc_id] for c in STORE]
+
+    def test_load_holds_no_copy_of_the_text_bytes(self, tmp_path):
+        rng = random.Random(0)
+        letters = [chr(c) for c in range(0x0A15, 0x0A39)]
+        words = ("".join(rng.choices(letters, k=5)) for _ in range(400 * 600))
         chunks = [
-            Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
-            Chunk("d#1", "d", 2, 2, "ਹੈ ਜੀ"),
+            Chunk(f"d{i}#0", f"d{i}", 0, 600, " ".join(islice(words, 600)))
+            for i in range(400)
         ]
-        path = tmp_path / "chunks.jsonl"
-        assert write_chunks_jsonl(chunks, path) == 2
-        assert read_chunks_jsonl(path) == chunks
+        save_chunks(chunks, tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = load_chunks(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == chunks
+        strings = sum(sys.getsizeof(c.text) for c in loaded)
+        # The texts are read a chunk at a time, so besides the strings only the
+        # ids, the offset lists and the Chunk objects count: about 450 bytes
+        # per chunk, far below the 2.9 MB of text bytes that a whole text
+        # array (or a copy of it) would add.
+        assert peak <= strings + 64 * 1024 + 1024 * len(chunks)
+
+    @pytest.mark.parametrize("fault", STORE_FAULTS, ids=list(STORE_FAULTS))
+    def test_each_fault_is_a_value_error_naming_the_file(self, tmp_path, fault):
+        change, match = STORE_FAULTS[fault]
+        _write_arrays(tmp_path, change(_store_arrays(tmp_path)))
+        with pytest.raises(ValueError, match=r"^chunks\.npy: .*" + match):
+            load_chunks(tmp_path)
+
+    @pytest.mark.parametrize(
+        "resize, match",
+        [
+            (lambda data: data + b"\0", "trailing bytes after the text array$"),
+            (lambda data: data[:-3], "the text array is cut short: 35 of 38 bytes$"),
+            (lambda data: data[:150], "Failed to read all data for array"),
+        ],
+        ids=["trailing", "cut_in_the_texts", "cut_in_the_ids"],
+    )
+    def test_trailing_or_missing_bytes_are_refused(self, tmp_path, resize, match):
+        save_chunks(STORE, tmp_path)
+        path = tmp_path / "chunks.npy"
+        path.write_bytes(resize(path.read_bytes()))
+        with pytest.raises(ValueError, match=r"^chunks\.npy: " + match):
+            load_chunks(tmp_path)

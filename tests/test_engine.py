@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qrag import _records, lexical, quantum, semantic
+from qrag.corpus import load_chunks
 from qrag.engine import (
     CONTEXT_DELIMITER,
     INDEX_FILES,
@@ -47,6 +48,11 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="w_semantic must be finite"):
             EngineConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("vocab_size", [math.nan, 0, -5, True, 500.0, math.inf])
+    def test_vocab_size_that_is_not_a_positive_int_rejected(self, vocab_size):
+        with pytest.raises(ValueError, match="vocab_size must be an int >= 1"):
+            EngineConfig(vocab_size=vocab_size)
+
     def test_json_file_round_trip(self, tmp_path):
         cfg = EngineConfig(vocab_size=500)
         path = tmp_path / "cfg.json"
@@ -58,10 +64,9 @@ class TestBuildAll:
     def test_manifest_matches_chunks_file(self, small_engine):
         engine, bench, index_dir, _, _ = small_engine
         manifest = json.loads((index_dir / "manifest.json").read_text(encoding="utf-8"))
-        n_lines = sum(
-            1 for line in (index_dir / "chunks.jsonl").open(encoding="utf-8") if line.strip()
-        )
-        assert manifest["chunk_count"] == n_lines == engine.chunk_count
+        stored = load_chunks(index_dir)
+        assert manifest["chunk_count"] == len(stored) == engine.chunk_count
+        assert stored == engine.chunks
 
     def test_double_build_byte_identical(self, small_engine, tmp_path):
         _, _, index_dir, corpus_path, cfg = small_engine
@@ -569,6 +574,21 @@ class TestPersistence:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match="unsupported version: 1; rebuild"):
             load_index(tmp_path / "v1")
+
+    def test_version_2_asks_for_a_rebuild(self, small_engine, tmp_path):
+        # Version 2 kept the chunks in chunks.jsonl, one JSON object a line.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "v2")
+        manifest_path = tmp_path / "v2" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["format_version"] = 2
+        manifest["files"] = {
+            ("chunks.jsonl" if name == "chunks.npy" else name): digest
+            for name, digest in manifest["files"].items()
+        }
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match="^unsupported version: 2; rebuild the index$"):
+            load_index(tmp_path / "v2")
 
 
 class TestAtomicSave:

@@ -189,6 +189,17 @@ class TestIdf:
         assert list(weights) == ["t", "u", "v"]
         assert all(weights[t] == idf(ix, t) for t in weights)
 
+    def test_kept_idfs_are_idf_bitwise(self, synth_tokenizer, tmp_path):
+        records = synthetic.make_corpus(400, seed=7, lexicon_size=300)
+        chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
+        built = _index(chunks, synth_tokenizer)
+        save(built, tmp_path)
+        for ix in (built, load(tmp_path, built.chunk_ids)):
+            dfs = {len(ix.postings(t)[0]) for t in ix.terms}
+            assert len(dfs) > 20 and max(dfs) > ix.N / 2
+            oracle = np.array([idf(ix, t) for t in ix.terms])
+            assert np.array(ix.idfs).tobytes() == oracle.tobytes()
+
     def test_always_positive(self):
         rng = np.random.default_rng(42)
         for _ in range(200):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qrag import _records
-from qrag.corpus import Chunk, CleaningConfig, read_chunks_jsonl, write_chunks_jsonl
+from qrag.corpus import Chunk, CleaningConfig
 from qrag.engine import (
     EngineConfig,
     IndexManifest,
@@ -197,14 +197,6 @@ class TestRoundTrips:
         d = json.loads(_dumps(report.to_dict()))
         assert _records.from_dict(MetricReport, d) == report
 
-    def test_chunks_jsonl(self, tmp_path):
-        chunks = [
-            Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ"),
-            Chunk("d#1", "d", 2, 1, "ਨਾਮ"),
-        ]
-        assert write_chunks_jsonl(chunks, tmp_path / "c.jsonl") == 2
-        assert read_chunks_jsonl(tmp_path / "c.jsonl") == chunks
-
     @pytest.mark.parametrize(
         "change, match",
         [
@@ -216,27 +208,23 @@ class TestRoundTrips:
             ({"doc_id": ["d"]}, "doc_id: expected str, got list"),
         ],
     )
-    def test_chunk_row_fault_is_named(self, tmp_path, change, match):
+    def test_chunk_row_fault_is_named(self, change, match):
+        # Chunk stands for a flat record of str and int fields.
         good = {"chunk_id": "a", "doc_id": "d", "token_offset": 0, "token_count": 1, "text": "t"}
-        bad = {**good, **change}
-        (tmp_path / "c.jsonl").write_text(
-            json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8"
-        )
+        assert _records.from_dict(Chunk, good) == Chunk("a", "d", 0, 1, "t")
         with pytest.raises(ValueError, match=f"^{match}$"):
-            read_chunks_jsonl(tmp_path / "c.jsonl")
+            _records.from_dict(Chunk, {**good, **change})
 
     @pytest.mark.parametrize(
         "last, match", [({}, "missing key: text"), ({"txet": "t"}, "unknown key: txet")]
     )
-    def test_chunk_row_missing_key_is_named(self, tmp_path, last, match):
+    def test_chunk_row_missing_key_is_named(self, last, match):
         row = {"chunk_id": "a", "doc_id": "d", "token_offset": 0, "token_count": 1, **last}
-        (tmp_path / "c.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{match}$"):
-            read_chunks_jsonl(tmp_path / "c.jsonl")
+            _records.from_dict(Chunk, row)
 
-    def test_chunk_row_with_unknown_key_is_rejected(self, tmp_path):
+    def test_chunk_row_with_unknown_key_is_rejected(self):
         row = {"chunk_id": "a", "doc_id": "d", "token_offset": 0, "token_count": 1}
         row.update(text="t", extra=1)
-        (tmp_path / "c.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown key: extra"):
-            read_chunks_jsonl(tmp_path / "c.jsonl")
+            _records.from_dict(Chunk, row)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import unicodedata
 from collections import Counter
 
@@ -105,6 +106,11 @@ class TestTrainBpe:
     def test_vocab_size_too_small_rejected(self):
         with pytest.raises(ValueError, match="vocab_size too small"):
             train_bpe(["ab ab"], vocab_size=3)
+
+    @pytest.mark.parametrize("vocab_size", [math.nan, 0, -5, True, 500.0, math.inf])
+    def test_vocab_size_that_is_not_a_positive_int_rejected(self, vocab_size):
+        with pytest.raises(ValueError, match="vocab_size must be an int >= 1"):
+            train_bpe(["ab ab"], vocab_size=vocab_size)
 
     def test_ids_dense_and_merge_outputs_in_vocab(self, synth_tokenizer):
         model = synth_tokenizer
