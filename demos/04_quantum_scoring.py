@@ -11,6 +11,7 @@ signals reinforce (constructive) and conflicting ones cancel (destructive).
 
 import numpy as np
 
+from qrag.lexical import id_ranks
 from qrag.quantum import (
     FusionConfig,
     amplitude_encode,
@@ -61,7 +62,7 @@ dense = np.array([0.35, 0.80, 0.62])
 print("\nlexical amplitudes:", dict(zip(ids, normalize_lexical(sparse).tolist())))
 print("ranking the same pool under each fusion mode:")
 for mode in ("sparse_only", "dense_only", "rrf", "weighted_sum", "fidelity_rerank", "quantum_interference"):
-    ranked = rank_candidates(ids, sparse, dense, FusionConfig(mode=mode))
+    ranked = rank_candidates(id_ranks(ids), sparse, dense, FusionConfig(mode=mode))
     order = ", ".join(f"{ids[i]}({fused:.3f})" for i, fused in ranked)
     print(f"  {mode:21s}: {order}")
 

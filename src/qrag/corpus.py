@@ -358,6 +358,11 @@ def _check_arrays(
         for p in pairs
     ):
         raise ValueError("ids must be a JSON list of [chunk_id, doc_id] string pairs")
+    seen: set[str] = set()
+    for cid, _ in pairs:
+        if cid in seen:
+            raise ValueError(f"chunk_id {cid!r} is listed twice")
+        seen.add(cid)
     n = len(pairs)
     if not len(token_offset) == len(token_count) == len(ends) - 1 == n:
         raise ValueError(

@@ -202,8 +202,6 @@ class RetrievalEngine:
         self.vector_index = vector_index
         self.config = config
         self.idf_weights = lexical.idf_weights(lexical_index)
-        # Paid here, by load_index, rather than by the first query.
-        lexical_index.impacts(config.bm25)
         self._sep_cost = tokenizer.token_count(CONTEXT_DELIMITER)
 
     @property
@@ -243,7 +241,7 @@ class RetrievalEngine:
         use_sparse = cfg.mode != "dense_only"
         use_dense = cfg.mode != "sparse_only"
 
-        ids = self.lexical_index.chunk_ids
+        rank = self.lexical_index.id_rank
         nominated: list[int] = []
         if use_sparse:
             t0 = time.perf_counter()
@@ -251,7 +249,7 @@ class RetrievalEngine:
                 self.lexical_index, self.config.bm25, terms
             )
             nominated += lexical.top_rows(
-                ids, lex_vector, np.flatnonzero(touched), cfg.k_sparse
+                rank, lex_vector, np.flatnonzero(touched), cfg.k_sparse
             )
             timings["lexical"] = (time.perf_counter() - t0) * 1000.0
 
@@ -260,7 +258,7 @@ class RetrievalEngine:
             q_emb = self.embed_text_tokens(terms)
             dense_scores = self.vector_index.scan(q_emb)
             nominated += lexical.top_rows(
-                ids, dense_scores, np.arange(len(ids)), cfg.k_dense
+                rank, dense_scores, np.arange(len(rank)), cfg.k_dense
             )
             timings["dense"] = (time.perf_counter() - t0) * 1000.0
 
@@ -277,13 +275,12 @@ class RetrievalEngine:
 
         t0 = time.perf_counter()
         rows = list(dict.fromkeys(nominated))
-        cand_ids = [ids[r] for r in rows]
         sparse = lex_vector[rows] if use_sparse else None
         dense = dense_scores[rows] if use_dense else None
-        ranked = quantum.rank_candidates(cand_ids, sparse, dense, cfg)
+        ranked = quantum.rank_candidates(rank[rows], sparse, dense, cfg)
         hits = [
             ScoredHit(
-                chunk_id=cand_ids[i],
+                chunk_id=self.chunks[rows[i]].chunk_id,
                 text=self.chunks[rows[i]].text,
                 rank=position,
                 fused=fused,
@@ -490,4 +487,7 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
     tok = TokenizerModel.load(src / TOKENIZER_FILE)
     lex_index = lexical.load(src, ids)
     vec_index = semantic.load(src, ids)
+    # Paid here rather than by the first query; build_all, which never
+    # queries, does not pay for them.
+    lex_index.impacts(manifest.config.bm25)
     return RetrievalEngine(chunks, tok, lex_index, vec_index, manifest.config)

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,13 @@ LEXICAL_FILE = "lexical.npy"
 IMPACT_BLOCK = 1 << 15
 # Params whose impacts an index keeps; impacts for one more clear them.
 IMPACT_CACHE_MAX = 4
+# A term in at least 1 / DENSE_DF of the chunks is scored from a dense row
+# of N impacts. On 2 vCPUs with numpy 2.4, ``np.add.at`` costs about 4 ns a
+# scattered posting and a contiguous row add about 1 ns a row, so at df >= N/4
+# the row is the cheaper of the two; N/8 was no faster on the benchmark
+# queries and held three times the rows.
+DENSE_DF = 4
+_UNSEEN = (0, 0, -1)  # the ``InvertedIndex._span`` of a term no chunk holds
 
 
 @dataclass(frozen=True)
@@ -39,17 +46,29 @@ class BM25Params:
             raise ValueError("b must be in [0, 1]")
 
 
+class Impacts(NamedTuple):
+    """The term scores under one ``BM25Params``, kept by
+    ``InvertedIndex.impacts`` as one cache entry, so that no thread sees one
+    array without the other."""
+
+    postings: np.ndarray  # one float64 per posting, at its position in ``rows``
+    dense: np.ndarray  # (dense term count, N) float64: a row per frequent term
+
+
 class InvertedIndex:
     """BM25 postings as shared arrays, addressed by row: row i is chunk_ids[i].
 
     Term j's postings are ``rows[offsets[j]:offsets[j + 1]]``, strictly
     increasing, with their term frequencies at the same positions of
     ``tfs``. Both are held as ``save`` writes them (``<i4`` rows, tfs in the
-    narrowest unsigned type), plus, for each ``BM25Params`` a query has
-    used, one float64 impact per posting (``impacts``). No per-posting
-    Python object is kept, only a (start, end) pair and an idf
-    (``idfs[j]``) per term. The postings are immutable once built;
-    searches are reentrant and safe concurrently.
+    narrowest unsigned type). For each ``BM25Params`` a query has used, the
+    index also keeps its ``impacts``: one float64 per posting, and one dense
+    float64 row of N impacts for each term in at least 1 / ``DENSE_DF`` of
+    the chunks (at most ``DENSE_DF`` times the bytes of those terms' posting
+    impacts). No per-posting Python object is kept, only a (start, end,
+    dense row) triple and an idf (``idfs[j]``) per term, and ``id_rank``,
+    each chunk id's rank in ascending id order. The postings are immutable
+    once built; searches are reentrant and safe concurrently.
     """
 
     def __init__(
@@ -82,11 +101,16 @@ class InvertedIndex:
             raise ValueError("offsets must not decrease, and tfs must match rows")
         self.offsets = offsets.astype("<i8", copy=False)
         bounds = self.offsets.tolist()
-        self._span: dict[str, tuple[int, int]] = {}
+        # Each term's postings and its dense row, -1 for a term scored sparsely.
+        self._span: dict[str, tuple[int, int, int]] = {}
+        dense = 0
         for j, term in enumerate(self.terms):
             if not isinstance(term, str) or term in self._span:
                 raise ValueError(f"term {j} is not a string listed once: {term!r}")
-            self._span[term] = (bounds[j], bounds[j + 1])
+            lo, hi = bounds[j], bounds[j + 1]
+            frequent = (hi - lo) * DENSE_DF >= self.N
+            self._span[term] = (lo, hi, dense if frequent else -1)
+            dense += frequent
         # A repeated row would push df past N and idf below 0; increasing rows
         # also let a chunk's tf be found by bisection.
         stalls = np.zeros(n, dtype=bool)
@@ -121,7 +145,8 @@ class InvertedIndex:
             math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
             for df in np.diff(self.offsets).tolist()
         ]
-        self._impacts: dict[BM25Params, np.ndarray] = {}
+        self.id_rank = id_ranks(self.chunk_ids)
+        self._impacts: dict[BM25Params, Impacts] = {}
 
     @classmethod
     def from_postings(
@@ -158,13 +183,15 @@ class InvertedIndex:
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """``term``'s chunk rows (increasing) and tfs, as views into the shared
         arrays; both empty for an unseen term."""
-        lo, hi = self._span.get(term, (0, 0))
+        lo, hi, _ = self._span.get(term, _UNSEEN)
         return self.rows[lo:hi], self.tfs[lo:hi]
 
-    def impacts(self, p: BM25Params) -> np.ndarray:
-        """Each posting's whole BM25 term score under ``p``, one float64 per
-        posting at its position in ``rows``: ``bm25_score``'s term
-        expression, with its operands in its order.
+    def impacts(self, p: BM25Params) -> Impacts:
+        """Each posting's whole BM25 term score under ``p``: ``bm25_score``'s
+        term expression, with its operands in its order. ``postings`` holds
+        one float64 per posting at its position in ``rows``; ``dense`` holds
+        the same values spread over one row of N per frequent term, in term
+        order, with 0.0 where the term is absent.
 
         Computed once per params, in blocks of ``IMPACT_BLOCK`` postings,
         and kept on the index for up to ``IMPACT_CACHE_MAX`` params.
@@ -173,7 +200,7 @@ class InvertedIndex:
         if found is not None:
             return found
         n = len(self.rows)
-        found = np.empty(n, dtype=np.float64)
+        impacts = np.empty(n, dtype=np.float64)
         for start in range(0, n, IMPACT_BLOCK):
             end = min(start + IMPACT_BLOCK, n)
             # The terms whose postings meet [start, end), and how many each
@@ -184,8 +211,15 @@ class InvertedIndex:
             weights = np.repeat(self.idfs[first:last], counts)
             tf = self.tfs[start:end].astype(np.float64)
             norm = p.k1 * (1.0 - p.b + p.b * self.doc_len[self.rows[start:end]] / self.avgdl)
-            found[start:end] = weights * (tf * (p.k1 + 1.0)) / (tf + norm)
-        # Threads racing here compute equal arrays, and either may be kept.
+            impacts[start:end] = weights * (tf * (p.k1 + 1.0)) / (tf + norm)
+        spans = [(lo, hi) for lo, hi, slot in self._span.values() if slot >= 0]
+        dense = np.zeros((len(spans), self.N), dtype=np.float64)
+        for row, (lo, hi) in zip(dense, spans):
+            for start in range(lo, hi, IMPACT_BLOCK):
+                end = min(start + IMPACT_BLOCK, hi)
+                row[self.rows[start:end]] = impacts[start:end]
+        # Threads racing here compute equal pairs, and either may be kept.
+        found = Impacts(impacts, dense)
         cache = self._impacts
         if len(cache) >= IMPACT_CACHE_MAX:
             cache = self._impacts = {}
@@ -269,34 +303,48 @@ def score_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row BM25 scores and a touched mask (True iff a query term hit).
 
-    Each distinct term, in first-appearance order, adds its postings'
-    ``index.impacts(p)`` into their rows with one scatter-add, so every
-    row's additions happen in ``bm25_score``'s order and the two agree
-    bitwise. Every impact is finite and positive, so a row is touched
-    exactly when its score is above 0.
+    Each distinct term, in first-appearance order, adds its impacts
+    (``index.impacts(p)``) into every row: a frequent term adds its dense row
+    to all N scores, any other term scatter-adds its postings into their
+    rows. So every row's additions happen in ``bm25_score``'s order and the
+    two agree bitwise: a row the frequent term misses gains +0.0, which
+    leaves a score that is never -0.0 unchanged. Every impact is finite and
+    positive, so a row is touched exactly when its score is above 0.
     """
-    impacts = index.impacts(p)
+    impacts, dense = index.impacts(p)
     scores = np.zeros(index.N, dtype=np.float64)
     for term in _dedup_terms(query_terms):
-        lo, hi = index._span.get(term, (0, 0))
-        np.add.at(scores, index.rows[lo:hi], impacts[lo:hi])
+        lo, hi, slot = index._span.get(term, _UNSEEN)
+        if slot >= 0:
+            scores += dense[slot]
+        else:
+            np.add.at(scores, index.rows[lo:hi], impacts[lo:hi])
     return scores, scores > 0.0
 
 
+def id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's position among the ids sorted ascending: integer keys that
+    order rows as their ids do."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
 def top_rows(
-    ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int
+    rank: np.ndarray, scores: np.ndarray, rows: np.ndarray, k: int
 ) -> list[int]:
-    """Exact top-k of ``rows`` by (score descending, id ascending).
+    """Exact top-k of ``rows`` by (score descending, id ascending), where
+    ``rank[i]`` orders row i's id among the ids (``id_ranks``).
 
     A partition pass narrows the pool to everything at or above the k-th
-    largest score before the exact tie-breaking sort, so selection cost is
-    O(n) instead of O(n log n) for large n.
+    largest score, then one ``np.lexsort`` on (-score, rank) orders it, so
+    no Python sort key is built per row.
     """
     if len(rows) > k:
         vals = scores[rows]
         kth = np.partition(vals, len(vals) - k)[len(vals) - k]
         rows = rows[vals >= kth]
-    return sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]
+    return rows[np.lexsort((rank[rows], -scores[rows]))[:k]].tolist()
 
 
 def search(
@@ -308,7 +356,7 @@ def search(
     if not terms:
         return []
     scores, touched = score_rows(index, p, terms)
-    best = top_rows(index.chunk_ids, scores, np.nonzero(touched)[0], k)
+    best = top_rows(index.id_rank, scores, np.flatnonzero(touched), k)
     return [(index.chunk_ids[i], float(scores[i])) for i in best]
 
 

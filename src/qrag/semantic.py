@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import _records
-from .lexical import top_rows
+from .lexical import id_ranks, top_rows
 
 VECTORS_FILE = "vectors.npy"
 
@@ -184,6 +185,12 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each id's rank in ascending id order, computed at first use: the
+        engine ranks on the BM25 index's, so a load does not pay for it."""
+        return id_ranks(self.ids)
+
     @classmethod
     def build(cls, ids: list[str], vectors: Iterable[np.ndarray]) -> "VectorIndex":
         """An index of ``vectors``, one per id in order, each L2-normalised
@@ -286,7 +293,7 @@ def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, f
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = index.scan(q)
-    best = top_rows(index.ids, scores, np.arange(len(index)), k)
+    best = top_rows(index.id_rank, scores, np.arange(len(index)), k)
     return [(index.ids[i], float(scores[i])) for i in best]
 
 

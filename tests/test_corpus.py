@@ -374,6 +374,10 @@ STORE_FAULTS = {
     ),
     "ids_a_string": (lambda a: [_ids([["a", "d"]] * 3 + ["ad"]), *a[1:]], "ids must"),
     "ids_a_triple": (lambda a: [_ids([["a", "d", "e"]] * 4), *a[1:]], "ids must"),
+    "ids_a_repeated_chunk_id": (
+        lambda a: [_ids([["a", "d"], ["b", "d"], ["a", "e"], ["c", "e"]]), *a[1:]],
+        "chunk_id 'a' is listed twice$",
+    ),
 }
 
 

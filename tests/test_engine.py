@@ -1,13 +1,15 @@
+import hashlib
 import json
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qrag import _records, lexical, quantum, semantic
-from qrag.corpus import load_chunks
+from qrag.corpus import load_chunks, save_chunks
 from qrag.engine import (
     CONTEXT_DELIMITER,
     INDEX_FILES,
@@ -498,6 +500,25 @@ class TestPersistence:
         engine, _, index_dir, *_ = small_engine
         reloaded = load_index(index_dir)
         assert reloaded.config.bm25 in reloaded.lexical_index._impacts
+
+    def test_repeated_chunk_id_rejected(self, small_engine, tmp_path):
+        # Re-saved with chunk 1 carrying chunk 0's id, and a digest to match.
+        engine, *_ = small_engine
+        index_dir = tmp_path / "repeated"
+        save_index(engine, index_dir)
+        chunks = load_chunks(index_dir)
+        chunks[1] = replace(chunks[1], chunk_id=chunks[0].chunk_id)
+        save_chunks(chunks, index_dir)
+        manifest_path = index_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["files"]["chunks.npy"] = hashlib.sha256(
+            (index_dir / "chunks.npy").read_bytes()
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=f"^chunks.npy: chunk_id '{chunks[0].chunk_id}' is listed twice$"
+        ):
+            load_index(index_dir)
 
     def test_unsupported_version_rejected(self, small_engine, tmp_path):
         engine, *_ = small_engine

@@ -1,13 +1,18 @@
+import ast
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qrag.lexical
 from qrag import synthetic
 from qrag.corpus import Chunk
 from qrag.lexical import (
+    DENSE_DF,
     IMPACT_BLOCK,
     IMPACT_CACHE_MAX,
     LEXICAL_FILE,
@@ -15,13 +20,17 @@ from qrag.lexical import (
     InvertedIndex,
     bm25_score,
     build_index,
+    id_ranks,
     idf,
     idf_weights,
     load,
     save,
     score_rows,
     search,
+    top_rows,
 )
+from qrag.quantum import FusionConfig, fuse_rrf, rank_candidates
+from qrag.semantic import VectorIndex, search_exact
 from qrag.tokenizer import train_bpe
 
 
@@ -348,12 +357,31 @@ class TestImpacts:
     def test_each_impact_is_its_terms_bm25_score(self):
         ix = _hand_index()
         p = BM25Params(k1=1.5, b=0.5)
-        impacts = ix.impacts(p)
+        impacts = ix.impacts(p).postings
         assert impacts.dtype == np.float64 and len(impacts) == len(ix.rows)
         for term in ix.terms:
             lo, hi = ix.offsets[ix.terms.index(term)], ix.offsets[ix.terms.index(term) + 1]
             for row, impact in zip(ix.rows[lo:hi].tolist(), impacts[lo:hi].tolist()):
                 assert impact == bm25_score(ix, p, [term], ix.chunk_ids[row]) > 0.0
+
+    def test_dense_rows_spread_each_frequent_terms_impacts(self):
+        # N = 8: a term is frequent at df >= 2.
+        doc_len = {f"c{i}": 3 + i for i in range(8)}
+        postings = {
+            "a": [("c1", 1)],
+            "b": [("c0", 2), ("c5", 1)],
+            "c": [("c2", 1)],
+            "d": [(f"c{i}", 1 + i % 3) for i in range(8)],
+        }
+        ix = InvertedIndex.from_postings(doc_len, postings)
+        impacts, dense = ix.impacts(BM25Params())
+        assert dense.shape == (2, ix.N) and dense.dtype == np.float64
+        for row, term in zip(dense, ["b", "d"]):
+            rows, _ = ix.postings(term)
+            lo = ix.offsets[ix.terms.index(term)]
+            want = np.zeros(ix.N)
+            want[rows] = impacts[lo : lo + len(rows)]
+            assert row.tobytes() == want.tobytes()
 
     def test_impacts_are_kept_per_params(self):
         ix = _hand_index()
@@ -381,12 +409,216 @@ class TestImpacts:
             assert len(rows) > 2 * IMPACT_BLOCK
             tracemalloc.start()
             try:
-                impacts = ix.impacts(BM25Params())
+                impacts, dense = ix.impacts(BM25Params())
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            # Every term is in about half the chunks, so each has a dense row;
+            # those rows are kept, part of the result.
+            assert dense.shape == (n_terms, n_rows)
+            assert dense.nbytes <= DENSE_DF * impacts.nbytes
             # Beyond the result, a few IMPACT_BLOCK-long arrays.
-            assert peak - impacts.nbytes <= 12 * 8 * IMPACT_BLOCK, n_rows
+            assert peak - impacts.nbytes - dense.nbytes <= 12 * 8 * IMPACT_BLOCK, n_rows
+
+
+def _assert_bm25_bytes(ix, p, terms):
+    """``score_rows`` against ``bm25_score`` of every chunk, byte for byte."""
+    scores, touched = score_rows(ix, p, terms)
+    want = np.array([bm25_score(ix, p, terms, cid) for cid in ix.chunk_ids])
+    assert scores.tobytes() == want.tobytes()
+    assert np.array_equal(touched, want > 0.0)
+
+
+def _random_index(rng, n_chunks, dfs):
+    """An index whose term ``t{j}`` is in ``dfs[j]`` random chunks, with
+    random tfs, plus a filler term so that no chunk has length 0."""
+    ids = [f"c{i}" for i in rng.permutation(n_chunks)]
+    postings = {
+        f"t{j}": [(ids[i], int(rng.integers(1, 4))) for i in rng.choice(n_chunks, df, False)]
+        for j, df in enumerate(dfs)
+    }
+    postings["filler"] = [(cid, 1) for cid in ids[::2]]
+    tf_sum = dict.fromkeys(ids, 1)
+    for plist in postings.values():
+        for cid, tf in plist:
+            tf_sum[cid] += tf
+    return InvertedIndex.from_postings(tf_sum, postings)
+
+
+def _is_dense(ix, term):
+    return ix._span[term][2] >= 0
+
+
+class TestDenseRows:
+    """``score_rows`` with frequent terms scored from dense rows equals
+    ``bm25_score`` bitwise, however the query mixes them."""
+
+    @pytest.mark.parametrize("n_chunks", [40, 41, 43])
+    def test_df_at_and_just_below_the_threshold(self, n_chunks):
+        rng = np.random.default_rng(n_chunks)
+        at = -(-n_chunks // DENSE_DF)  # the least df with df * DENSE_DF >= N
+        ix = _random_index(rng, n_chunks, [at, at - 1, 1])
+        assert _is_dense(ix, "t0") and not _is_dense(ix, "t1")
+        assert not _is_dense(ix, "t2")
+        p = BM25Params(k1=1.3, b=0.6)
+        for terms in (["t0"], ["t1"], ["t1", "t0", "t2"], ["t0", "t1", "t0", "filler"]):
+            _assert_bm25_bytes(ix, p, terms)
+
+    def test_every_term_frequent(self):
+        rng = np.random.default_rng(5)
+        n = 24
+        ix = _random_index(rng, n, rng.integers(n // DENSE_DF, n + 1, 12))
+        assert all(_is_dense(ix, term) for term in ix.terms)
+        assert ix.impacts(BM25Params()).dense.shape == (len(ix.terms), n)
+        for _ in range(20):
+            terms = list(rng.choice(ix.terms, int(rng.integers(1, 10))))
+            _assert_bm25_bytes(ix, BM25Params(), terms)
+
+    def test_no_term_frequent(self):
+        rng = np.random.default_rng(6)
+        n = 120
+        ix = _random_index(rng, n, rng.integers(1, n // DENSE_DF, 15))
+        dense_terms = [t for t in ix.terms if _is_dense(ix, t)]
+        assert dense_terms == ["filler"]  # in every other chunk
+        terms = [t for t in ix.terms if t != "filler"]
+        assert ix.impacts(BM25Params()).dense.shape == (1, n)
+        for _ in range(20):
+            _assert_bm25_bytes(ix, BM25Params(), list(rng.choice(terms, 6)))
+
+    def test_queries_mixing_dense_sparse_repeated_and_unseen_terms(self):
+        rng = np.random.default_rng(7)
+        n = 60
+        ix = _random_index(rng, n, [50, 2, 30, 5, 15, 1, 45, 9])
+        dense = [t for t in ix.terms if _is_dense(ix, t)]
+        sparse = [t for t in ix.terms if not _is_dense(ix, t)]
+        assert len(dense) >= 3 and len(sparse) >= 3
+        alternating = [t for pair in zip(dense, sparse) for t in pair]
+        for terms in (
+            alternating,
+            alternating[::-1],
+            dense + dense[:2] + sparse + sparse[:1],
+            ["never-indexed", *alternating, "never-indexed"],
+            ["never-indexed"],
+        ):
+            for p in (BM25Params(), BM25Params(k1=0.0), BM25Params(k1=2.0, b=1.0)):
+                _assert_bm25_bytes(ix, p, terms)
+
+    def test_long_queries_with_words_in_no_chunk(self, small_engine):
+        engine, bench, *_ = small_engine
+        ix, p = engine.lexical_index, engine.config.bm25
+        corpus_words = {w for rec in bench.records for w in rec["text"].split()}
+        rng = np.random.default_rng(11)
+        semantic = [q["text"] for q in bench.queries if q["kind"] == "semantic"]
+        kinds = set()
+        for text in semantic[:4]:
+            words = text.split()
+            fresh = [w for w in synthetic.gurmukhi_lexicon(rng, 8) if w not in corpus_words]
+            for w in fresh:
+                words.insert(int(rng.integers(len(words) + 1)), w)
+            terms = engine.tokenizer.encode(" ".join(words)).surface
+            kinds.update(_is_dense(ix, t) if t in ix._span else None for t in terms)
+            _assert_bm25_bytes(ix, p, terms)
+        assert kinds == {True, False, None}
+
+
+def _sorted_top(ids, scores, rows, k):
+    """``top_rows`` as it was before integer id ranks: a Python sort of the
+    pool keyed on (-score, id)."""
+    return [int(i) for i in sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]]
+
+
+def _shuffled_ids(rng, n):
+    """``n`` distinct ids whose ascending order is not their row order."""
+    return [f"{'zab'[i % 3]}{i}" for i in rng.permutation(n)]
+
+
+class TestTopRows:
+    def test_matches_the_sorted_oracle(self):
+        rng = np.random.default_rng(17)
+        values = np.array([0.0, -0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, -2.0])
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            ids = _shuffled_ids(rng, n)
+            scores = rng.choice(values, n)
+            rows = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+            for k in (1, 2, 5, len(rows), len(rows) + 3):
+                if k >= 1:
+                    got = top_rows(id_ranks(ids), scores, rows, k)
+                    assert got == _sorted_top(ids, scores, rows, k)
+
+    def test_negative_zero_ties_positive_zero(self):
+        ids = ["b", "a", "c"]
+        rows = np.arange(3)
+        for scores in ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]):
+            scores = np.array(scores)
+            assert top_rows(id_ranks(ids), scores, rows, 3) == [1, 0, 2]
+            assert top_rows(id_ranks(ids), scores, rows, 1) == [1]
+
+    def test_k_at_least_the_pool_returns_it_all_in_order(self):
+        ids = ["d", "c", "b", "a"]
+        scores = np.array([1.0, 2.0, 1.0, 2.0])
+        rows = np.array([0, 1, 2, 3])
+        for k in (4, 9):
+            assert top_rows(id_ranks(ids), scores, rows, k) == [3, 1, 2, 0]
+
+    def test_empty_pool(self):
+        ids = ["b", "a"]
+        empty = np.flatnonzero(np.zeros(2, dtype=bool))
+        assert top_rows(id_ranks(ids), np.ones(2), empty, 5) == []
+
+    def test_id_ranks_order_rows_as_their_ids(self):
+        ids = ["c9", "a10", "a9", "b", "a1"]
+        assert id_ranks(ids).tolist() == [4, 1, 2, 3, 0]
+        assert id_ranks([]).tolist() == []
+
+    def test_rrf_ranking_matches_the_sorted_oracle(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            ids = _shuffled_ids(rng, n)
+            sparse = rng.choice([0.0, 1.0, 2.0, 4.0], n)
+            dense = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.75], n)
+            cfg = FusionConfig(mode="rrf", k_final=int(rng.integers(1, n + 3)))
+            got = [
+                (ids[i], fused)
+                for i, fused in rank_candidates(id_ranks(ids), sparse, dense, cfg)
+            ]
+            lists = [
+                [ids[i] for i in _sorted_top(ids, sparse, np.flatnonzero(sparse > 0), n)],
+                [ids[i] for i in _sorted_top(ids, dense, range(n), n)],
+            ]
+            fused = fuse_rrf(lists, cfg.rrf_k)
+            want = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.k_final]
+            assert got == want
+
+    def test_search_exact_ranking_matches_the_sorted_oracle(self):
+        rng = np.random.default_rng(23)
+        basis = rng.normal(size=(4, 6))
+        basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+        ids = _shuffled_ids(rng, 30)
+        # Four distinct vectors over 30 rows: every score ties with others.
+        ix = VectorIndex(ids, basis[rng.integers(0, 4, 30)])
+        for _ in range(10):
+            q = rng.normal(size=6)
+            scores = ix.scan(q)
+            for k in (1, 7, 30, 40):
+                want = [(ids[i], float(scores[i])) for i in _sorted_top(ids, scores, range(30), k)]
+                assert search_exact(ix, q, k) == want
+
+
+def test_lexical_imports_only_numpy_and_the_stdlib():
+    """``lexical`` stands alone: no other ``qrag`` module, nothing beyond
+    numpy and the standard library."""
+    tree = ast.parse(Path(qrag.lexical.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import from {node.module!r}"
+            imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - {"numpy"} <= set(sys.stdlib_module_names)
 
 
 class TestPersistence:

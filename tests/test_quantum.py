@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qrag.lexical import id_ranks
 from qrag.quantum import (
     AmplitudeState,
     FusionConfig,
@@ -203,7 +204,8 @@ DENSE = np.array([0.9, 0.1, 0.7])
 
 def _rank(cfg, ids=IDS, sparse=SPARSE, dense=DENSE):
     """``rank_candidates`` as (id, fused) pairs."""
-    return [(ids[i], fused) for i, fused in rank_candidates(ids, sparse, dense, cfg)]
+    ranked = rank_candidates(id_ranks(ids), sparse, dense, cfg)
+    return [(ids[i], fused) for i, fused in ranked]
 
 
 class TestRankCandidates:
@@ -278,7 +280,7 @@ class TestRankCandidates:
 
     def test_missing_required_score_rejected(self):
         with pytest.raises(ValueError, match="dense"):
-            rank_candidates(["a"], np.array([1.0]), None, FusionConfig(mode="dense_only"))
+            rank_candidates(np.arange(1), np.array([1.0]), None, FusionConfig(mode="dense_only"))
 
     def test_deterministic(self):
         cfg = FusionConfig(mode="quantum_interference")
