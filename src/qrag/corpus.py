@@ -8,6 +8,7 @@ state (the set of digests already seen).
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import html
 import json
@@ -36,6 +37,23 @@ GURMUKHI_LO = 0x0A00
 GURMUKHI_HI = 0x0A7F
 
 CHUNKS_FILE = "chunks.npy"
+
+# The one-byte code page of the chunk texts in ``chunks.npy``; editing it
+# changes the index format. Bytes 0x80-0xFF are the Gurmukhi block
+# U+0A00-U+0A7F. Bytes 0x00-0x7F are ASCII, except the C0 controls that
+# cleaning strips (``_CTRL_RE``): four of their slots carry the danda, the
+# double danda, ZWNJ and ZWJ, and the rest are undefined (U+FFFE), so a
+# decode of one is refused. NUL stays defined because the stdlib builds its
+# fast encoding map only when byte 0 is U+0000.
+_PAGE_SLOTS = {0x01: "\u0964", 0x02: "\u0965", 0x03: "\u200c", 0x04: "\u200d"}
+GURMUKHI_PAGE = "".join(
+    _PAGE_SLOTS.get(b, "\ufffe" if b and _CTRL_RE.match(chr(b)) else chr(b))
+    for b in range(0x80)
+) + "".join(map(chr, range(GURMUKHI_LO, GURMUKHI_HI + 1)))
+_PAGE_MAP = codecs.charmap_build(GURMUKHI_PAGE)
+# Each chunk's text encoding in ``chunks.npy``: the page, or UTF-16-LE for a
+# text with a character outside it.
+PAGE, UTF16 = 0, 1
 
 
 @dataclass(frozen=True)
@@ -271,22 +289,33 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
 
 
 def save_chunks(chunks: Sequence[Chunk], out_dir: str | Path) -> None:
-    """Write the chunks as five consecutive ``.npy`` arrays of one file: the
+    """Write the chunks as six consecutive ``.npy`` arrays of one file: the
     UTF-8 bytes of a JSON list of ``[chunk_id, doc_id]`` pairs (``uint8``),
     the token offsets and the token counts (``<i4``), the N + 1 byte offsets
-    of each text in the last array (``<i8``), and every text in UTF-16-LE
-    (``uint8``).
+    of each text in the last array (``<i8``), each text's encoding
+    (``uint8``: ``PAGE`` or ``UTF16``), and every text (``uint8``).
 
-    A Gurmukhi codepoint takes 2 bytes in UTF-16-LE against 3 in UTF-8, and
-    CPython holds such text in 2-byte units, so decoding is close to a copy.
+    A text is stored in ``GURMUKHI_PAGE``, one byte per codepoint, when the
+    page holds each of its characters, and in UTF-16-LE otherwise. Chunks
+    are at least half Gurmukhi, which takes 2 bytes a codepoint in UTF-16
+    and 3 in UTF-8.
     """
     ids = json.dumps([[c.chunk_id, c.doc_id] for c in chunks], ensure_ascii=False)
-    texts = [c.text.encode("utf-16-le") for c in chunks]
+    encodings: list[int] = []
+    texts: list[bytes] = []
+    for c in chunks:
+        try:
+            texts.append(codecs.charmap_encode(c.text, "strict", _PAGE_MAP)[0])
+            encodings.append(PAGE)
+        except UnicodeEncodeError:
+            texts.append(c.text.encode("utf-16-le"))
+            encodings.append(UTF16)
     arrays = (
         np.frombuffer(ids.encode(), np.uint8),
         np.array([c.token_offset for c in chunks], dtype="<i4"),
         np.array([c.token_count for c in chunks], dtype="<i4"),
         np.cumsum([0, *map(len, texts)], dtype="<i8"),
+        np.array(encodings, dtype=np.uint8),
         np.frombuffer(b"".join(texts), np.uint8),
     )
     with (Path(out_dir) / CHUNKS_FILE).open("wb") as fh:
@@ -296,29 +325,43 @@ def save_chunks(chunks: Sequence[Chunk], out_dir: str | Path) -> None:
 
 def load_chunks(in_dir: str | Path) -> list[Chunk]:
     """Read the chunks written by ``save_chunks``; each refusal is a
-    ``ValueError`` naming ``chunks.npy``.
+    ``ValueError`` naming ``chunks.npy``, a byte the page leaves undefined
+    and invalid UTF-16-LE included.
 
     The texts are read from the file and decoded one chunk at a time, so the
     text bytes are never held as one array. Freeing such an array (12.8 MB on
-    the benchmark index) left a loaded server 2.5 MiB larger: glibc raises
-    its mmap threshold on that free, so the next large arrays come from a
-    heap it cannot trim.
+    the benchmark index in UTF-16) left a loaded server 2.5 MiB larger: glibc
+    raises its mmap threshold on that free, so the next large arrays come
+    from a heap it cannot trim.
     """
     with (Path(in_dir) / CHUNKS_FILE).open("rb") as fh:
         try:
-            ids, token_offset, token_count, ends = (
-                np.lib.format.read_array(fh, allow_pickle=False) for _ in range(4)
+            ids, token_offset, token_count, ends, encodings = (
+                np.lib.format.read_array(fh, allow_pickle=False) for _ in range(5)
             )
-            pairs = _check_arrays(ids, token_offset, token_count, ends, _text_bytes(fh))
+            pairs = _check_arrays(
+                ids, token_offset, token_count, ends, encodings, _text_bytes(fh)
+            )
             bounds = ends.tolist()
             return [
-                Chunk(cid, did, offset, count, str(fh.read(hi - lo), "utf-16-le"))
-                for (cid, did), offset, count, lo, hi in zip(
-                    pairs, token_offset.tolist(), token_count.tolist(), bounds, bounds[1:]
+                Chunk(cid, did, offset, count, _decode(fh.read(hi - lo), encoding))
+                for (cid, did), offset, count, lo, hi, encoding in zip(
+                    pairs,
+                    token_offset.tolist(),
+                    token_count.tolist(),
+                    bounds,
+                    bounds[1:],
+                    encodings.tolist(),
                 )
             ]
         except ValueError as exc:
             raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
+
+
+def _decode(data: bytes, encoding: int) -> str:
+    if encoding == UTF16:
+        return str(data, "utf-16-le")
+    return codecs.charmap_decode(data, "strict", GURMUKHI_PAGE)[0]
 
 
 def _text_bytes(fh: BinaryIO) -> int:
@@ -342,13 +385,17 @@ def _check_arrays(
     token_offset: np.ndarray,
     token_count: np.ndarray,
     ends: np.ndarray,
+    encodings: np.ndarray,
     text_bytes: int,
 ) -> list[list[str]]:
     """The ``[chunk_id, doc_id]`` pairs, once the arrays are found to agree."""
     if ids.ndim != 1 or ids.dtype != np.uint8:
         raise ValueError("ids must be a 1-d uint8 array")
     for name, arr in (
-        ("token_offset", token_offset), ("token_count", token_count), ("text offsets", ends)
+        ("token_offset", token_offset),
+        ("token_count", token_count),
+        ("text offsets", ends),
+        ("text encodings", encodings),
     ):
         if arr.ndim != 1 or arr.dtype.kind not in "iu":
             raise ValueError(f"{name} must be a 1-d integer array")
@@ -364,10 +411,11 @@ def _check_arrays(
             raise ValueError(f"chunk_id {cid!r} is listed twice")
         seen.add(cid)
     n = len(pairs)
-    if not len(token_offset) == len(token_count) == len(ends) - 1 == n:
+    if not len(token_offset) == len(token_count) == len(ends) - 1 == len(encodings) == n:
         raise ValueError(
             f"array lengths disagree: {n} id pairs, {len(token_offset)} token offsets, "
-            f"{len(token_count)} token counts and {len(ends)} text offsets (N + 1)"
+            f"{len(token_count)} token counts, {len(ends)} text offsets (N + 1) and "
+            f"{len(encodings)} text encodings"
         )
     if (token_offset < 0).any() or (token_count < 0).any():
         raise ValueError("token_offset and token_count must be >= 0")
@@ -375,6 +423,10 @@ def _check_arrays(
         raise ValueError(f"text offsets must run from 0 to the text byte count {text_bytes}")
     if (ends[1:] < ends[:-1]).any():
         raise ValueError("text offsets must not decrease")
-    if (ends % 2).any():
-        raise ValueError("text offsets must be even: a UTF-16 code unit is 2 bytes")
+    if not np.isin(encodings, (PAGE, UTF16)).all():
+        raise ValueError(f"text encodings must be {PAGE} (the page) or {UTF16} (UTF-16-LE)")
+    odd = (np.diff(ends) % 2 == 1) & (encodings == UTF16)
+    if odd.any():
+        cid = pairs[int(np.argmax(odd))][0]
+        raise ValueError(f"chunk {cid!r} has an odd byte count: a UTF-16 code unit is 2 bytes")
     return pairs

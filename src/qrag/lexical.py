@@ -60,15 +60,16 @@ class InvertedIndex:
 
     Term j's postings are ``rows[offsets[j]:offsets[j + 1]]``, strictly
     increasing, with their term frequencies at the same positions of
-    ``tfs``. Both are held as ``save`` writes them (``<i4`` rows, tfs in the
-    narrowest unsigned type). For each ``BM25Params`` a query has used, the
-    index also keeps its ``impacts``: one float64 per posting, and one dense
-    float64 row of N impacts for each term in at least 1 / ``DENSE_DF`` of
-    the chunks (at most ``DENSE_DF`` times the bytes of those terms' posting
-    impacts). No per-posting Python object is kept, only a (start, end,
-    dense row) triple and an idf (``idfs[j]``) per term, and ``id_rank``,
-    each chunk id's rank in ascending id order. The postings are immutable
-    once built; searches are reentrant and safe concurrently.
+    ``tfs``. The rows are held as ``<i4``, however narrow ``save`` wrote
+    them, and the tfs as written, in the narrowest unsigned type. For each
+    ``BM25Params`` a query has used, the index also keeps its ``impacts``:
+    one float64 per posting, and one dense float64 row of N impacts for each
+    term in at least 1 / ``DENSE_DF`` of the chunks (at most ``DENSE_DF``
+    times the bytes of those terms' posting impacts). No per-posting Python
+    object is kept, only a (start, end, dense row) triple and an idf
+    (``idfs[j]``) per term, and ``id_rank``, each chunk id's rank in
+    ascending id order. The postings are immutable once built; searches are
+    reentrant and safe concurrently.
     """
 
     def __init__(
@@ -87,6 +88,13 @@ class InvertedIndex:
         ):
             if arr.ndim != 1 or arr.dtype.kind not in "iu":
                 raise ValueError(f"{name} must be a 1-d integer array")
+        # Rows that fit losslessly (as ``save`` writes them) are widened before
+        # the checks, while the heap is small. Made after the checks' freed
+        # temporaries, the copy landed in glibc's heap above them and left a
+        # loaded server about 1 MiB larger. Wider rows are checked first, so
+        # none wraps into range.
+        if np.can_cast(rows.dtype, "<i4"):
+            rows = rows.astype("<i4", copy=False)
         self.chunk_ids = list(chunk_ids)
         self.N = len(self.chunk_ids)
         if len(doc_len) != self.N or not self.N:
@@ -365,11 +373,15 @@ def search(
 
 def save(index: InvertedIndex, out_dir: str | Path) -> None:
     """Write the doc lengths, the terms (UTF-8 JSON bytes), the offsets, the
-    rows and the tfs (in the narrowest unsigned type that holds the largest)
-    as consecutive ``.npy`` arrays of one file, each as the index holds it."""
+    rows and the tfs as consecutive ``.npy`` arrays of one file. The rows are
+    written in the narrowest unsigned type that holds N - 1 (``uint16`` up to
+    65,536 chunks), and load widens them back to ``<i4``; the other arrays
+    are written as the index holds them, the tfs in the narrowest unsigned
+    type that holds the largest."""
     terms = np.frombuffer(json.dumps(index.terms, ensure_ascii=False).encode(), np.uint8)
+    rows = index.rows.astype(np.min_scalar_type(index.N - 1).newbyteorder("<"))
     with (Path(out_dir) / LEXICAL_FILE).open("wb") as fh:
-        for arr in (index.doc_len, terms, index.offsets, index.rows, index.tfs):
+        for arr in (index.doc_len, terms, index.offsets, rows, index.tfs):
             np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from qrag import synthetic
 from qrag.cli import main
+from qrag.corpus import PAGE, load_chunks
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +131,14 @@ class TestIngest:
         assert code == 0
         stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
         assert stats["chunks"] == 120
-        assert (out / "chunks.npy").exists()
         assert (out / "tokenizer.json").exists()
+        # The chunk store of format 4: six arrays, every planted text in the
+        # one-byte Gurmukhi page.
+        with (out / "chunks.npy").open("rb") as fh:
+            *_, encodings, texts = [np.lib.format.read_array(fh) for _ in range(6)]
+        assert encodings.tolist() == [PAGE] * 120
+        chunks = load_chunks(out)
+        assert len(texts) == sum(len(c.text) for c in chunks)
 
 
 class TestErrors:

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from qrag.corpus import (
+    GURMUKHI_PAGE,
+    PAGE,
+    UTF16,
     Chunk,
     CleanDocument,
     CleaningConfig,
@@ -24,6 +27,7 @@ from qrag.corpus import (
     load_chunks,
     quality_check,
     save_chunks,
+    _strip_markup,
 )
 from qrag.tokenizer import train_bpe
 
@@ -302,15 +306,20 @@ STORE = [
     Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
     Chunk("d#1", "d", 2, 2, "ਹੈ ਜੀ"),
     Chunk("e#0", "e", 0, 0, ""),
-    # A codepoint beyond U+FFFF takes two UTF-16 code units.
+    # Outside the page: UTF-16-LE, where a codepoint beyond U+FFFF takes two
+    # code units.
     Chunk("ਕ#0", "ਕ", 7, 1, "𝄞 ਕ"),
 ]
 
 
+def _read_arrays(tmp_path):
+    with (tmp_path / "chunks.npy").open("rb") as fh:
+        return [np.lib.format.read_array(fh) for _ in range(6)]
+
+
 def _store_arrays(tmp_path):
     save_chunks(STORE, tmp_path)
-    with (tmp_path / "chunks.npy").open("rb") as fh:
-        return [np.lib.format.read_array(fh) for _ in range(5)]
+    return _read_arrays(tmp_path)
 
 
 def _write_arrays(tmp_path, arrays):
@@ -323,27 +332,31 @@ def _ids(value):
     return np.frombuffer(json.dumps(value).encode(), np.uint8)
 
 
-def _texts(arrays, blob):
-    """``arrays`` with the text offsets and bytes replaced by ``blob``'s."""
+def _texts(arrays, blob, encoding=UTF16):
+    """``arrays`` with the text offsets and bytes replaced by ``blob``'s, all
+    in the first chunk, and every text in ``encoding``."""
     ends = np.array([0, len(blob), len(blob), len(blob), len(blob)], "<i8")
-    return [*arrays[:3], ends, np.frombuffer(blob, np.uint8)]
+    encodings = np.full(4, encoding, np.uint8)
+    return [*arrays[:3], ends, encodings, np.frombuffer(blob, np.uint8)]
 
 
-# Each fault: a change to the five arrays of STORE, and what the refusal says.
+# Each fault: a change to the six arrays of STORE, and what the refusal says.
 STORE_FAULTS = {
     "too_few_arrays": (lambda a: a[:4], "EOF"),
     "object_array": (lambda a: [a[0].astype(object), *a[1:]], "Object arrays cannot be"),
     "ids_not_uint8": (lambda a: [a[0].astype(np.int32), *a[1:]], "ids must be a 1-d uint8"),
-    "texts_not_uint8": (lambda a: [*a[:4], a[4].astype("<u2")], "texts must be a 1-d uint8"),
+    "texts_not_uint8": (lambda a: [*a[:5], a[5].astype("<u2")], "texts must be a 1-d uint8"),
     "float_text_offsets": (
-        lambda a: [*a[:3], a[3].astype(float), a[4]], "text offsets must be a 1-d integer"
+        lambda a: [*a[:3], a[3].astype(float), *a[4:]], "text offsets must be a 1-d integer"
     ),
     "token_offset_2d": (lambda a: [a[0], a[1].reshape(2, 2), *a[2:]], "token_offset must be"),
     "short_token_offset": (lambda a: [a[0], a[1][:3], *a[2:]], "array lengths disagree"),
     "long_token_count": (
         lambda a: [*a[:2], np.append(a[2], 1), *a[3:]], "array lengths disagree"
     ),
-    "short_text_offsets": (lambda a: [*a[:3], a[3][:4], a[4][:30]], "array lengths disagree"),
+    "short_text_offsets": (
+        lambda a: [*a[:3], a[3][:4], a[4], a[5][:15]], "array lengths disagree"
+    ),
     "negative_token_offset": (
         lambda a: [a[0], a[1] - 1, *a[2:]], "token_offset and token_count must be >= 0"
     ),
@@ -351,19 +364,37 @@ STORE_FAULTS = {
         lambda a: [*a[:2], a[2] - 1, *a[3:]], "token_offset and token_count must be >= 0"
     ),
     "offsets_not_from_0": (
-        lambda a: [*a[:3], a[3] + 2, a[4]], "text offsets must run from 0 to the text"
+        lambda a: [*a[:3], a[3] + 2, *a[4:]], "text offsets must run from 0 to the text"
     ),
     "offsets_short_of_the_text": (
-        lambda a: [*a[:3], a[3], a[4][:36]], "text offsets must run from 0 to the text"
+        lambda a: [*a[:5], a[5][:21]], "text offsets must run from 0 to the text"
     ),
     "decreasing_offsets": (
-        lambda a: [*a[:3], a[3][[0, 2, 1, 3, 4]], a[4]], "text offsets must not decrease"
+        lambda a: [*a[:3], a[3][[0, 2, 1, 3, 4]], *a[4:]], "text offsets must not decrease"
     ),
+    # The last chunk, in UTF-16-LE, keeps 7 of its 8 bytes.
     "odd_offset": (
-        lambda a: [*a[:3], a[3] + [0, 1, 1, 1, 0], a[4]], "text offsets must be even"
+        lambda a: [*a[:3], a[3] + [0, 0, 0, 1, 0], *a[4:]],
+        "chunk 'ਕ#0' has an odd byte count: a UTF-16 code unit is 2 bytes$",
     ),
+    "odd_utf16_text": (lambda a: _texts(a, b"a\x00b"), "chunk 'd#0' has an odd byte count"),
     "lone_high_surrogate": (lambda a: _texts(a, b"\x00\xd8"), "'utf-16-le' codec can't"),
     "lone_low_surrogate": (lambda a: _texts(a, b"\x00\xdca\x00"), "'utf-16-le' codec can't"),
+    "undefined_page_byte": (
+        lambda a: _texts(a, b"\xa8\x05", PAGE),
+        "'charmap' codec can't decode byte 0x05 in position 1",
+    ),
+    "encoding_2": (
+        lambda a: [*a[:4], np.array([0, 0, 2, 1], np.uint8), a[5]],
+        r"text encodings must be 0 \(the page\) or 1 \(UTF-16-LE\)$",
+    ),
+    "float_encodings": (
+        lambda a: [*a[:4], a[4].astype(float), a[5]], "text encodings must be a 1-d integer"
+    ),
+    "short_encodings": (lambda a: [*a[:4], a[4][:3], a[5]], "and 3 text encodings$"),
+    "long_encodings": (
+        lambda a: [*a[:4], np.append(a[4], 0), a[5]], "and 5 text encodings$"
+    ),
     "ids_bad_json": (lambda a: [np.frombuffer(b"[[", np.uint8), *a[1:]], "Expecting value"),
     "ids_bad_utf8": (lambda a: [np.frombuffer(b"\xff", np.uint8), *a[1:]], "'utf-8' codec"),
     "ids_an_object": (lambda a: [_ids({"d#0": "d"}), *a[1:]], "ids must be a JSON list"),
@@ -381,6 +412,54 @@ STORE_FAULTS = {
 }
 
 
+class TestGurmukhiPage:
+    def test_the_page_is_pinned(self):
+        # The page is part of the index format: an edit to it needs a new
+        # engine.FORMAT_VERSION, and then a new table here.
+        table = {0x00: 0x00, 0x01: 0x0964, 0x02: 0x0965, 0x03: 0x200C, 0x04: 0x200D}
+        table.update((b, b) for b in (0x09, 0x0A, 0x0D, *range(0x20, 0x7F)))
+        table.update((b, 0x0A00 + b - 0x80) for b in range(0x80, 0x100))
+        assert [ord(ch) for ch in GURMUKHI_PAGE] == [table.get(b, 0xFFFE) for b in range(256)]
+
+    def test_every_page_byte_round_trips_both_ways(self, tmp_path):
+        defined = bytes(b for b, ch in enumerate(GURMUKHI_PAGE) if ch != "\ufffe")
+        text = "".join(GURMUKHI_PAGE[b] for b in defined)
+        assert len(defined) == 256 - 25
+        save_chunks([Chunk("p#0", "p", 0, 0, text)], tmp_path)
+        *_, ends, encodings, blob = _read_arrays(tmp_path)
+        assert (ends.tolist(), encodings.tolist()) == ([0, len(defined)], [PAGE])
+        assert blob.tobytes() == defined
+        assert load_chunks(tmp_path)[0].text == text
+
+    def test_only_controls_that_cleaning_strips_give_up_their_slots(self):
+        # So no cleaned text has a character that lost its byte to the page.
+        moved = [chr(b) for b in range(0x80) if GURMUKHI_PAGE[b] != chr(b)]
+        assert len(moved) == 4 + 25
+        assert all(_strip_markup(ch) == "" for ch in moved)
+
+    def test_chunks_outside_the_page_fall_back_to_utf_16(self, tmp_path):
+        chunks = [
+            Chunk("a#0", "a", 0, 2, "ਸਤਿ ਨਾਮ। ੴ ੧੨੩॥"),
+            Chunk("b#0", "b", 0, 1, "café ਕ"),  # a Latin-1 letter
+            Chunk("c#0", "c", 0, 1, "ਹੈ\u200cਜੀ\u200d 42 ok\n"),
+            Chunk("d#0", "d", 0, 1, "𝄞 ਕ"),  # an astral character
+            Chunk("e#0", "e", 0, 1, "ਕ\x07ਖ"),  # a C0 control
+            Chunk("f#0", "f", 0, 0, ""),
+            Chunk("g#0", "g", 0, 1, "\ufffe"),  # the page's undefined marker
+            Chunk("h#0", "h", 0, 1, "ਕ\x00ਖ"),
+        ]
+        save_chunks(chunks, tmp_path)
+        *_, ends, encodings, blob = _read_arrays(tmp_path)
+        assert encodings.dtype == np.uint8
+        assert encodings.tolist() == [PAGE, UTF16, PAGE, UTF16, UTF16, PAGE, UTF16, PAGE]
+        sizes = np.diff(ends).tolist()
+        assert sizes == [
+            len(c.text) if e == PAGE else len(c.text.encode("utf-16-le"))
+            for c, e in zip(chunks, encodings.tolist())
+        ]
+        assert load_chunks(tmp_path) == chunks
+
+
 class TestChunkPersistence:
     def test_store_round_trip(self, tmp_path):
         save_chunks(STORE, tmp_path)
@@ -390,10 +469,16 @@ class TestChunkPersistence:
         save_chunks([], tmp_path)
         assert load_chunks(tmp_path) == []
 
-    def test_text_is_utf_16_le(self, tmp_path):
-        ids, token_offset, token_count, ends, blob = _store_arrays(tmp_path)
-        assert blob.tobytes() == "".join(c.text for c in STORE).encode("utf-16-le")
-        assert ends.tolist() == [0, 20, 30, 30, 38]
+    def test_page_text_takes_one_byte_per_codepoint(self, tmp_path):
+        ids, token_offset, token_count, ends, encodings, blob = _store_arrays(tmp_path)
+        assert encodings.tolist() == [PAGE, PAGE, PAGE, UTF16]
+        assert ends.tolist() == [0, 10, 15, 15, 23]
+        assert [len(c.text) for c in STORE[:3]] == [10, 5, 0]
+        assert blob.tobytes() == (
+            bytes([0xB8, 0xA4, 0xBF, 0x20, 0xA8, 0xBE, 0xAE, 0x20, 0xB9, 0xC8])
+            + bytes([0xB9, 0xC8, 0x20, 0x9C, 0xC0])
+            + STORE[3].text.encode("utf-16-le")
+        )
         assert (ends.dtype.str, token_offset.dtype.str, token_count.dtype.str) == (
             "<i8", "<i4", "<i4"
         )
@@ -433,7 +518,7 @@ class TestChunkPersistence:
         "resize, match",
         [
             (lambda data: data + b"\0", "trailing bytes after the text array$"),
-            (lambda data: data[:-3], "the text array is cut short: 35 of 38 bytes$"),
+            (lambda data: data[:-3], "the text array is cut short: 20 of 23 bytes$"),
             (lambda data: data[:150], "Failed to read all data for array"),
         ],
         ids=["trailing", "cut_in_the_texts", "cut_in_the_ids"],

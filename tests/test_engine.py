@@ -70,6 +70,17 @@ class TestBuildAll:
         assert manifest["chunk_count"] == len(stored) == engine.chunk_count
         assert stored == engine.chunks
 
+    def test_chunks_file_takes_one_byte_per_codepoint_of_text(self, small_engine):
+        # Besides six 128-byte array headers, the ids and one more text
+        # offset, each chunk costs 17 bytes (token offset and count, text
+        # offset, encoding), then a byte per codepoint of its Gurmukhi text.
+        engine, _, index_dir, _, _ = small_engine
+        chunks = engine.chunks
+        ids = json.dumps([[c.chunk_id, c.doc_id] for c in chunks], ensure_ascii=False)
+        fixed = 6 * 128 + len(ids.encode()) + 8 + 17 * len(chunks)
+        size = (index_dir / "chunks.npy").stat().st_size
+        assert size <= fixed + sum(len(c.text) for c in chunks)
+
     def test_double_build_byte_identical(self, small_engine, tmp_path):
         _, _, index_dir, corpus_path, cfg = small_engine
         build_all(corpus_path, cfg, tmp_path / "again")
@@ -610,6 +621,18 @@ class TestPersistence:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match="^unsupported version: 2; rebuild the index$"):
             load_index(tmp_path / "v2")
+
+    def test_version_3_asks_for_a_rebuild(self, small_engine, tmp_path):
+        # Version 3 kept every chunk text in UTF-16-LE and the postings rows
+        # as <i4, under the file names of version 4.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "v3")
+        manifest_path = tmp_path / "v3" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["format_version"] = 3
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match="^unsupported version: 3; rebuild the index$"):
+            load_index(tmp_path / "v3")
 
 
 class TestAtomicSave:

@@ -671,12 +671,46 @@ class TestPersistence:
         save(InvertedIndex.from_postings({"c": tf}, {"t": [("c", tf)]}), tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
             arrays = [np.lib.format.read_array(fh) for _ in range(5)]
-        assert [a.dtype.str for a in arrays] == ["<i4", "|u1", "<i8", "<i4", width]
+        assert [a.dtype.str for a in arrays] == ["<i4", "|u1", "<i8", "|u1", width]
         assert arrays[4].tolist() == [tf]
         reloaded = load(tmp_path, ["c"])
         assert _pairs(reloaded, "t") == [("c", tf)]
-        # Held as stored: no wider copy of the rows or tfs is kept.
+        # The tfs are held as stored, the rows widened to <i4.
         assert (reloaded.rows.dtype.str, reloaded.tfs.dtype.str) == ("<i4", width)
+
+    @pytest.mark.parametrize(
+        "n, width",
+        [(1, "|u1"), (256, "|u1"), (257, "<u2"), (65_536, "<u2"), (70_000, "<u4")],
+    )
+    def test_rows_stored_in_the_narrowest_width(self, tmp_path, n, width):
+        # One term on the first and the last of n chunks.
+        ids = [f"c{i}" for i in range(n)]
+        rows = np.unique(np.array([0, n - 1], dtype="<i4"))
+        tfs = np.ones(len(rows), np.uint8)
+        ix = InvertedIndex(ids, np.ones(n, "<i4"), ["t"], np.array([0, len(rows)]), rows, tfs)
+        save(ix, tmp_path)
+        with (tmp_path / LEXICAL_FILE).open("rb") as fh:
+            arrays = [np.lib.format.read_array(fh) for _ in range(5)]
+        assert (arrays[3].dtype.str, arrays[3].tolist()) == (width, rows.tolist())
+        reloaded = load(tmp_path, ids)
+        assert reloaded.rows.dtype.str == "<i4"
+        assert np.array_equal(reloaded.rows, ix.rows)
+
+    def test_scores_of_a_loaded_index_with_uint16_rows_match_bm25_score(
+        self, word_model, tmp_path
+    ):
+        vocab = np.array([f"w{i}" for i in range(40)])
+        rng = np.random.default_rng(47)
+        chunks = _random_corpus(rng, 300, word_model, vocab)
+        save(_index(chunks, word_model), tmp_path)
+        with (tmp_path / LEXICAL_FILE).open("rb") as fh:
+            assert [np.lib.format.read_array(fh) for _ in range(5)][3].dtype.str == "<u2"
+        ix = load(tmp_path, [c.chunk_id for c in chunks])
+        p = BM25Params()
+        for _ in range(5):
+            terms = word_model.encode(" ".join(rng.choice(vocab, size=6))).surface
+            scores, _ = score_rows(ix, p, terms)
+            assert scores.tolist() == [bm25_score(ix, p, terms, cid) for cid in ix.chunk_ids]
 
     def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
@@ -725,6 +759,13 @@ class TestLoadValidation:
     def test_posting_for_unknown_chunk_names_term_and_chunk(self, tmp_path):
         # Row 1 of a one-chunk index names no chunk.
         _write_lexical_file(tmp_path, rows=np.array([1], dtype="<i4"))
+        with pytest.raises(ValueError, match="term 't' name a row outside 0..0"):
+            load(tmp_path, ["c"])
+
+    @pytest.mark.parametrize("dtype", ["<i8", "<u8"])
+    def test_a_row_beyond_int32_is_refused_not_wrapped(self, tmp_path, dtype):
+        # 2**32 would wrap to row 0 as <i4.
+        _write_lexical_file(tmp_path, rows=np.array([2**32], dtype=dtype))
         with pytest.raises(ValueError, match="term 't' name a row outside 0..0"):
             load(tmp_path, ["c"])
 
