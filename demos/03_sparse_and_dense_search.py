@@ -2,9 +2,9 @@
 Sparse and dense retrieval legs
 ===============================
 
-Encodes each chunk once and builds both the BM25 inverted index and the
-exact-scan vector index from its terms, then contrasts what each leg is good
-at: exact term matches versus bag-of-subwords similarity.
+Encodes each chunk once and builds the BM25 inverted index from its terms
+and the exact-scan vector index from its vocab ids, then contrasts what
+each leg is good at: exact term matches versus bag-of-subwords similarity.
 """
 
 import numpy as np
@@ -19,15 +19,15 @@ from qrag.tokenizer import train_bpe
 records = make_corpus(50, seed=9, lexicon_size=120, words_per_doc=(10, 18))
 lines = [r["text"] for r in records]
 tok = train_bpe(lines, vocab_size=2000)
-chunk_terms = [tok.encode(r["text"]).surface for r in records]
+seqs = [tok.encode(r["text"]) for r in records]
 chunks = [
-    Chunk(r["id"] + "#0", r["id"], 0, len(terms), r["text"])
-    for r, terms in zip(records, chunk_terms)
+    Chunk(r["id"] + "#0", r["id"], 0, len(seq), r["text"])
+    for r, seq in zip(records, seqs)
 ]
 
 # -- BM25 ----------------------------------------------------------------------
 
-index = lexical.build_index([c.chunk_id for c in chunks], chunk_terms)
+index = lexical.build_index([c.chunk_id for c in chunks], [s.surface for s in seqs])
 params = BM25Params()
 print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, {len(index.terms)} terms")
 
@@ -43,20 +43,23 @@ for t in tok.encode(rare_term).surface:
 
 # -- dense leg -------------------------------------------------------------------
 
+# One row of token vectors per vocab id, filled as embeds first need them,
+# and each id's idf as its weight.
 spec = EmbedderSpec(kind="hash_projection", dim=256)
-idf_weights = lexical.idf_weights(index)
-vectors = [semantic.embed(terms, spec, idf_weights) for terms in chunk_terms]
+table = semantic.TokenTable(tok.tokens, lexical.idf_weights(index), spec.dim)
+vectors = [semantic.embed(seq.ids, table) for seq in seqs]
 vindex = VectorIndex.build([c.chunk_id for c in chunks], vectors)
 
 # A paraphrase-like query: most of the words of doc 7, shuffled.
 words = lines[7].split()
 rng = np.random.default_rng(0)
 paraphrase = " ".join(rng.permutation(words)[: int(0.7 * len(words))])
-q = semantic.embed(tok.encode(paraphrase).surface, spec, idf_weights)
+q = semantic.embed(tok.encode(paraphrase).ids, table)
 print(f"\ndense search for a shuffled subset of doc 7's words:")
 for cid, score in semantic.search_exact(vindex, q, 3):
     print(f"  {cid}: cosine={score:.4f}")
 
+print(f"\ntoken table: {table.filled.sum()} of {len(table.tokens)} rows filled")
 print("\nexact self-match:")
-q_self = semantic.embed(tok.encode(lines[7]).surface, spec, idf_weights)
+q_self = semantic.embed(tok.encode(lines[7]).ids, table)
 print(" ", semantic.search_exact(vindex, q_self, 1)[0])

@@ -51,12 +51,14 @@ from .quantum import (
 )
 from .semantic import (
     EmbedderSpec,
+    TokenTable,
     VectorIndex,
     cosine,
     embed,
     load_external_embeddings,
     search_exact,
     token_vector,
+    token_vectors,
 )
 from .tokenizer import TokenizerModel, TokenSeq, normalize, train_bpe
 

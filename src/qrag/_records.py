@@ -58,16 +58,6 @@ def to_dict(record: Any) -> dict:
 def from_dict(cls: type, d: Any, key: str = "") -> Any:
     """Build ``cls`` from the JSON object ``d`` found at the dotted ``key``."""
     fields, required = _schema(cls)
-    # One pass for the common record: every field present, each value of a
-    # type taken as is. Anything else takes the loop below, which names the
-    # fault.
-    if type(d) is dict and len(d) == len(fields):
-        for name, value in d.items():
-            spec = fields.get(name)
-            if spec is None or type(value) not in spec[1]:
-                break
-        else:
-            return cls(**d)
     if not isinstance(d, Mapping):
         raise ValueError(_mismatch(key or cls.__name__, dict, d))
     kwargs = {}

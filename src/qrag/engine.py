@@ -201,15 +201,17 @@ class RetrievalEngine:
         self.lexical_index = lexical_index
         self.vector_index = vector_index
         self.config = config
-        self.idf_weights = lexical.idf_weights(lexical_index)
+        # The dense leg's token vectors, one row per vocab id; an engine
+        # whose chunk vectors come from a file has no text encoder.
+        self.token_table = None
+        if config.embedder.kind == "hash_projection":
+            idf = lexical.idf_weights(lexical_index)
+            self.token_table = semantic.TokenTable(tokenizer.tokens, idf, config.embedder.dim)
         self._sep_cost = tokenizer.token_count(CONTEXT_DELIMITER)
 
     @property
     def chunk_count(self) -> int:
         return len(self.chunks)
-
-    def embed_text_tokens(self, tokens: Sequence[str]):
-        return semantic.embed(tokens, self.config.embedder, self.idf_weights)
 
     def retrieve(
         self,
@@ -233,7 +235,8 @@ class RetrievalEngine:
         t_start = time.perf_counter()
 
         t0 = time.perf_counter()
-        terms = self.tokenizer.encode(query).surface
+        seq = self.tokenizer.encode(query)
+        terms = seq.surface
         timings["tokenize"] = (time.perf_counter() - t0) * 1000.0
         if not terms:
             raise ValueError("empty query")
@@ -255,7 +258,7 @@ class RetrievalEngine:
 
         if use_dense:
             t0 = time.perf_counter()
-            q_emb = self.embed_text_tokens(terms)
+            q_emb = semantic.embed(seq.ids, self.token_table)
             dense_scores = self.vector_index.scan(q_emb)
             nominated += lexical.top_rows(
                 rank, dense_scores, np.arange(len(rank)), cfg.k_dense
@@ -369,21 +372,26 @@ def build_all(
     ids = [c.chunk_id for c in chunks]
 
     with _stage("lexical_index"):
-        chunk_terms = deque(tok.encode(c.text).surface for c in chunks)
-        lex_index = lexical.build_index(ids, chunk_terms)
+        # Only each chunk's ids are kept; its terms are looked up from them.
+        chunk_ids = deque(tok.encode(c.text).ids for c in chunks)
+        lex_index = lexical.build_index(
+            ids, (list(map(tok.tokens.__getitem__, i)) for i in chunk_ids)
+        )
 
     with _stage("embed"):
         if cfg.embedder.kind == "external_file":
-            chunk_terms.clear()
+            chunk_ids.clear()
             vec_index = semantic.load_external_embeddings(cfg.embedder.path, ids)
         else:
-            idf_weights = lexical.idf_weights(lex_index)
-            # popleft drops each chunk's terms once they are embedded.
-            vectors = (
-                semantic.embed(chunk_terms.popleft(), cfg.embedder, idf_weights)
-                for _ in ids
+            table = semantic.TokenTable(
+                tok.tokens, lexical.idf_weights(lex_index), cfg.embedder.dim
             )
+            # popleft drops each chunk's ids once they are embedded.
+            vectors = (semantic.embed(chunk_ids.popleft(), table) for _ in ids)
             vec_index = VectorIndex.build(ids, vectors)
+            # Freed before the engine below makes its own, so that the two
+            # tables are never held at once.
+            del table, vectors
 
     engine = RetrievalEngine(chunks, tok, lex_index, vec_index, cfg)
     with _stage("save"):

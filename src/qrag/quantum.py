@@ -165,8 +165,9 @@ class FusionConfig:
         if abs(self.w_semantic + self.w_lexical - 1.0) > 1e-9:
             raise ValueError("w_semantic + w_lexical must equal 1")
         for name in ("rrf_k", "k_sparse", "k_dense", "k_final"):
-            if not 1 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a bool is an int: refused too
+                raise ValueError(f"{name} must be >= 1 and an int, got {value!r}")
 
     def to_dict(self) -> dict:
         return _records.to_dict(self)

@@ -1,16 +1,19 @@
 """Dense retrieval leg: deterministic hash-projection embeddings and an
 exact-scan vector index.
 
-The built-in embedder maps each token to a pseudo-random unit vector seeded
-by an FNV-1a hash of its bytes, then L2-normalizes the (optionally
-IDF-weighted) bag-of-tokens sum. It is fully deterministic across platforms,
-which makes the whole retrieval stack testable without any ML dependency;
+The built-in embedder maps each vocabulary token to a pseudo-random unit
+vector seeded by an FNV-1a hash of its bytes, then L2-normalizes the
+IDF-weighted bag-of-tokens sum. A ``TokenTable`` holds one vocabulary's
+vectors and weights, keyed by vocab id, and each engine owns its own: the
+module keeps no state. It is fully deterministic across platforms, which
+makes the whole retrieval stack testable without any ML dependency;
 externally computed embeddings can be loaded from JSONL instead.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,8 +29,6 @@ VECTORS_FILE = "vectors.npy"
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-
-_token_cache: dict[tuple[str, int], np.ndarray] = {}
 
 # Most chunks per block of ``VectorIndex.scan``. Its scratch arrays are a
 # few ``(8, SCAN_BLOCK_ROWS)`` float64 arrays (512 KiB each), whatever the
@@ -46,6 +47,8 @@ class EmbedderSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("hash_projection", "external_file"):
             raise ValueError(f"unknown embedder kind: {self.kind}")
+        if type(self.dim) is not int:  # a bool is an int: refused too
+            raise ValueError(f"dim must be an int, got {self.dim!r}")
         if self.kind == "hash_projection":
             if self.dim < 2 or self.dim & (self.dim - 1):
                 raise ValueError("hash_projection dim must be a power of two >= 2")
@@ -68,67 +71,76 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31), state
+def token_vectors(tokens: Sequence[str], dim: int) -> np.ndarray:
+    """Deterministic unit vectors, one row per token.
 
-
-def token_vector(token: str, dim: int) -> np.ndarray:
-    """Deterministic unit vector for a token.
-
-    The FNV-1a hash of the token's UTF-8 bytes seeds a SplitMix64 stream;
-    each output maps to uniform [-1, 1) via its top 53 bits. Identical on
-    every platform.
+    The FNV-1a hash of a token's UTF-8 bytes seeds a SplitMix64 stream;
+    each output maps to uniform [-1, 1) via its top 53 bits. SplitMix64 is
+    counter-based, so output ``i`` mixes ``seed + i * gamma``, and every
+    stream is one ``uint64`` array expression whose products wrap mod 2^64.
+    Identical on every platform.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    cached = _token_cache.get((token, dim))
-    if cached is not None:
-        return cached
-    state = _fnv1a64(token.encode("utf-8"))
-    values = np.empty(dim, dtype=np.float64)
-    for i in range(dim):
-        word, state = _splitmix64(state)
-        values[i] = (word >> 11) * (2.0 ** -53) * 2.0 - 1.0
-    values /= math.sqrt(float(np.dot(values, values)))
-    values.flags.writeable = False
-    if len(_token_cache) < 500_000:
-        _token_cache[(token, dim)] = values
+    seeds = np.array([_fnv1a64(t.encode("utf-8")) for t in tokens], dtype=np.uint64)
+    z = seeds[:, None] + np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    values = ((z ^ (z >> 31)) >> 11).astype(np.float64) * 2.0**-53 * 2.0 - 1.0
+    # One BLAS dot per row, the kernel of ``np.dot(v, v)`` for one vector.
+    values /= np.sqrt(np.matmul(values[:, None, :], values[:, :, None]))[:, 0]
     return values
 
 
-def embed(
-    tokens: Sequence[str],
-    spec: EmbedderSpec,
-    idf_weights: Mapping[str, float] | None = None,
-) -> np.ndarray:
-    """L2-normalized weighted sum of token vectors (weight = IDF when given).
+def token_vector(token: str, dim: int) -> np.ndarray:
+    """The unit vector of one token: its row of ``token_vectors``."""
+    return token_vectors([token], dim)[0]
 
-    Raises ``ValueError("degenerate_embedding")`` when the weighted sum
-    vanishes (all-zero weights or antipodal cancellation).
+
+class TokenTable:
+    """One vocabulary's token vectors and dense-leg weights, by vocab id.
+
+    Row ``i`` of ``rows`` is ``token_vector(tokens[i], dim)``, computed the
+    first time an embed needs it, so memory grows with the ids embedded and
+    never past the vocabulary. ``weights[i]`` is the token's idf, or 1.0 for
+    a token that ``idf`` does not hold. Safe under concurrent use: a row is
+    written before it is marked filled, and threads racing on one row write
+    the same bytes.
     """
-    if spec.kind != "hash_projection":
+
+    def __init__(self, tokens: Sequence[str], idf: Mapping[str, float], dim: int) -> None:
+        self.tokens = tokens
+        self.weights = np.array([idf.get(t, 1.0) for t in tokens], dtype=np.float64)
+        self.rows = np.zeros((len(tokens), dim), dtype=np.float64)
+        self.filled = np.zeros(len(tokens), dtype=bool)
+
+
+def embed(ids: Sequence[int], table: TokenTable | None) -> np.ndarray:
+    """L2-normalized sum of the ids' token vectors, each weighted by its
+    count times its table weight, in first-appearance order.
+
+    ``table`` is None for an engine without a text encoder. Raises
+    ``ValueError("degenerate_embedding")`` when the weighted sum vanishes
+    (all-zero weights or antipodal cancellation).
+    """
+    if table is None:
         raise ValueError(
             "external_file embedder has no text encoder; use hash_projection "
             "or supply query vectors directly"
         )
-    if not tokens:
+    if not ids:
         raise ValueError("empty token list")
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    mat = np.stack([token_vector(t, spec.dim) for t in counts])
-    weights = np.array(
-        [
-            counts[t] * (idf_weights.get(t, 1.0) if idf_weights is not None else 1.0)
-            for t in counts
-        ],
-        dtype=np.float64,
-    )
-    vec = weights @ mat
+    counts = Counter(ids)
+    order = np.fromiter(counts, dtype=np.intp, count=len(counts))
+    if order.min() < 0 or order.max() >= len(table.tokens):
+        raise ValueError("token id out of range")
+    missing = order[~table.filled[order]]
+    if len(missing):
+        new = [table.tokens[i] for i in missing]
+        table.rows[missing] = token_vectors(new, table.rows.shape[1])
+        table.filled[missing] = True
+    weights = np.fromiter(counts.values(), dtype=np.float64, count=len(order))
+    vec = (weights * table.weights[order]) @ table.rows[order]
     norm = math.sqrt(float(np.dot(vec, vec)))
     if norm < 1e-12:
         raise ValueError("degenerate_embedding")
@@ -214,10 +226,6 @@ class VectorIndex:
         if matrix is None or count != len(ids):
             raise ValueError(f"{count} vectors for {len(ids)} ids")
         return cls(ids, matrix)
-
-    def row(self, chunk_id: str) -> np.ndarray:
-        """A copy of the embedding of ``chunk_id``, in float64."""
-        return self.cols[:, self.ids.index(chunk_id)].copy()
 
     def scan(self, q: np.ndarray) -> np.ndarray:
         """Cosine of the query against every row (brute force, exact).

@@ -59,12 +59,6 @@ def _split(token: str) -> list[list[str]]:
     return words
 
 
-def pretokenize(text: str) -> list[str]:
-    """Split normalized text into BPE words: each whitespace token's runs of
-    punctuation and non-punctuation, the last one marked with ``WORD_END``."""
-    return ["".join(word) for token in normalize(text).split() for word in _split(token)]
-
-
 def _merge_occurrences(symbols: list[str], pair: tuple[str, str]) -> list[str]:
     """Replace all non-overlapping occurrences of a pair, left to right."""
     a, b = pair
@@ -118,7 +112,7 @@ class TokenizerModel:
     merges: list[tuple[str, str]]
     # Caches derived from the two fields above: no part of a model's value.
     _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    _tokens: list[str] = field(init=False, repr=False, compare=False)
+    tokens: list[str] = field(init=False, repr=False, compare=False)
     _word_cache: dict[str, list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -128,7 +122,7 @@ class TokenizerModel:
         ids = sorted(self.vocab.values())
         if ids != list(range(len(ids))):
             raise ValueError("vocabulary ids must be dense from 0")
-        self._tokens = sorted(self.vocab, key=self.vocab.__getitem__)  # by id
+        self.tokens = sorted(self.vocab, key=self.vocab.__getitem__)  # by id
 
     @property
     def special_tokens(self) -> list[str]:
@@ -176,7 +170,7 @@ class TokenizerModel:
         ids: list[int] = []
         for token in normalize(text).split():
             ids += self._encode_token(token)
-        return TokenSeq(ids, list(map(self._tokens.__getitem__, ids)))
+        return TokenSeq(ids, list(map(self.tokens.__getitem__, ids)))
 
     def decode(self, seq: TokenSeq) -> str:
         """Invert ``encode``: word-end markers become spaces, then trim.

@@ -2,6 +2,9 @@ import hashlib
 import json
 import logging
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -155,8 +158,8 @@ class TestExternalEmbeddings:
 
         ext_path = tmp_path / "external.jsonl"
         with ext_path.open("w", encoding="utf-8") as fh:
-            for c in engine.chunks:
-                vec = engine.vector_index.row(c.chunk_id)
+            for i, c in enumerate(engine.chunks):
+                vec = engine.vector_index.cols[:, i]
                 fh.write(
                     json.dumps({"id": c.chunk_id, "vector": [float(x) for x in vec]})
                     + "\n"
@@ -189,7 +192,7 @@ class TestExternalEmbeddings:
         # and search the vector index directly.
         ext, _ = external_engine
         target = ext.chunks[5].chunk_id
-        results = semantic.search_exact(ext.vector_index, ext.vector_index.row(target), 1)
+        results = semantic.search_exact(ext.vector_index, ext.vector_index.cols[:, 5], 1)
         assert results[0][0] == target
 
 
@@ -204,6 +207,10 @@ def _scalar_lexical_norms(hits):
         return 1.0 if hi == lo else (s - lo) / (hi - lo)
 
     return {h.chunk_id: norm(h.sparse_raw) for h in hits}
+
+
+def _embed_query(engine, text):
+    return semantic.embed(engine.tokenizer.encode(text).ids, engine.token_table)
 
 
 class TestRetrieve:
@@ -234,7 +241,7 @@ class TestRetrieve:
         engine, bench, *_ = small_engine
         for q in bench.queries[:8]:
             resp = engine.retrieve(q["text"], mode="dense_only", k_final=10)
-            q_emb = engine.embed_text_tokens(engine.tokenizer.encode(q["text"]).surface)
+            q_emb = _embed_query(engine, q["text"])
             direct = semantic.search_exact(engine.vector_index, q_emb, 10)
             assert [(h.chunk_id, h.fused) for h in resp.hits] == direct
 
@@ -308,7 +315,7 @@ class TestRetrieve:
                     cfgf.k_sparse,
                 )
             }
-            q_emb = engine.embed_text_tokens(engine.tokenizer.encode(q["text"]).surface)
+            q_emb = _embed_query(engine, q["text"])
             dense_ids = {
                 cid
                 for cid, _ in semantic.search_exact(
@@ -332,6 +339,11 @@ class TestRetrieve:
         with pytest.raises(ValueError, match="empty query"):
             engine.retrieve("   ")
 
+    def test_fractional_k_final_rejected_by_name(self, small_engine):
+        engine, bench, *_ = small_engine
+        with pytest.raises(ValueError, match="k_final must be >= 1 and an int"):
+            engine.retrieve(bench.queries[0]["text"], k_final=1.5)
+
     def test_deterministic_response(self, small_engine):
         engine, bench, *_ = small_engine
         text = bench.queries[3]["text"]
@@ -352,12 +364,11 @@ class TestRetrieve:
         for mode in ("fidelity_rerank", "quantum_interference"):
             for q in bench.queries[:6]:
                 resp = engine.retrieve(q["text"], mode=mode, k_final=50)
-                q_emb = engine.embed_text_tokens(
-                    engine.tokenizer.encode(q["text"]).surface
-                )
+                q_emb = _embed_query(engine, q["text"])
                 q_state = quantum.amplitude_encode(q_emb)
                 for h in resp.hits:
-                    d_state = quantum.amplitude_encode(engine.vector_index.row(h.chunk_id))
+                    row = engine.vector_index.ids.index(h.chunk_id)
+                    d_state = quantum.amplitude_encode(engine.vector_index.cols[:, row])
                     assert h.quantum == pytest.approx(
                         quantum.overlap(q_state, d_state), abs=1e-12
                     )
@@ -416,6 +427,117 @@ class TestRowSpace:
             RetrievalEngine(
                 engine.chunks, engine.tokenizer, permuted, engine.vector_index, engine.config
             )
+
+
+def _fifty_queries(engine, bench):
+    """50 distinct queries: the planted ones, windows of chunk words, and
+    words of codepoints the tokenizer never saw (its unk piece)."""
+    queries = [q["text"] for q in bench.queries]
+    words = " ".join(c.text for c in engine.chunks[:40]).split()
+    queries += [" ".join(words[i : i + 5]) for i in range(0, 20 * 7, 7)]
+    queries += [f"{w} qzx{i} ഷ" for i, w in enumerate(words[:6])]
+    queries = list(dict.fromkeys(queries))[:50]
+    assert len(queries) == 50
+    return queries
+
+
+def _answer(engine, queries, i):
+    """Query ``i``'s response, in the fusion mode its position picks."""
+    mode = FUSION_MODES[i % len(FUSION_MODES)]
+    return engine.retrieve(queries[i], mode=mode).to_json(include_timings=False)
+
+
+def _answers(engine, queries):
+    return [_answer(engine, queries, i) for i in range(len(queries))]
+
+
+@pytest.fixture(scope="module")
+def dim16_index(small_engine, tmp_path_factory):
+    """The small engine's corpus indexed again with 16-dim token vectors."""
+    _, _, _, corpus_path, cfg = small_engine
+    out = tmp_path_factory.mktemp("dim16") / "index"
+    build_all(corpus_path, replace(cfg, embedder=semantic.EmbedderSpec(dim=16)), out)
+    return out
+
+
+class TestTokenTables:
+    """Each engine owns its token vectors; the package keeps no state."""
+
+    def test_table_covers_the_vocabulary_with_idf_weights(self, small_engine):
+        _, _, index_dir, *_ = small_engine
+        engine = load_index(index_dir)
+        table = engine.token_table
+        vocab = engine.tokenizer.vocab
+        assert table.rows.shape == (len(vocab), engine.config.embedder.dim)
+        assert not table.filled.any()
+        idf = lexical.idf_weights(engine.lexical_index)
+        assert table.weights.tolist() == [idf.get(t, 1.0) for t in engine.tokenizer.tokens]
+        _answers(engine, _fifty_queries(engine, small_engine[1]))
+        assert 0 < table.filled.sum() <= len(vocab)
+
+    def test_engines_of_two_dims_answer_as_each_does_alone(self, small_engine, dim16_index):
+        _, bench, index_dir, *_ = small_engine
+        queries = _fifty_queries(small_engine[0], bench)
+        dirs = (index_dir, dim16_index)
+        alone = [_answers(load_index(d), queries) for d in dirs]
+        engines = [load_index(d) for d in dirs]
+        assert [e.config.embedder.dim for e in engines] == [256, 16]
+        together = [[], []]
+        for i in range(len(queries)):
+            for answers, engine in zip(together, engines):
+                answers.append(_answer(engine, queries, i))
+        assert together == alone
+        assert alone[0] != alone[1]
+
+    def test_threads_racing_on_row_fills_answer_as_a_sequential_run(self, small_engine):
+        _, bench, index_dir, *_ = small_engine
+        queries = _fifty_queries(small_engine[0], bench)
+        expected = _answers(load_index(index_dir), queries)
+        engine = load_index(index_dir)
+        start = threading.Barrier(4, timeout=60)
+
+        def run(t):
+            order = [(i + 13 * t) % 50 for i in range(50)]
+            start.wait()
+            got = {i: _answer(engine, queries, i) for i in order}
+            return [got[i] for i in range(50)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(run, t) for t in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
+        # No row is marked filled before its vector is written.
+        table = engine.token_table
+        filled = np.flatnonzero(table.filled)
+        tokens = [engine.tokenizer.tokens[i] for i in filled]
+        assert table.rows[filled].tobytes() == semantic.token_vectors(tokens, 256).tobytes()
+
+    def test_retrieves_leave_module_level_containers_unchanged(
+        self, small_engine, dim16_index
+    ):
+        # A process-wide cache in any qrag module would grow here: the
+        # queries carry pieces that no build embedded.
+        def sizes():
+            return {
+                (name, key): len(value)
+                for name, module in list(sys.modules.items())
+                if name == "qrag" or name.startswith("qrag.")
+                for key, value in vars(module).items()
+                if not key.startswith("__") and type(value) in (dict, list, set)
+            }
+
+        _, bench, index_dir, *_ = small_engine
+        queries = _fifty_queries(small_engine[0], bench)
+        before = sizes()
+        for d in (index_dir, dim16_index):
+            engine = load_index(d)
+            _answers(engine, queries + queries)
+        assert sizes() == before
 
 
 class TestTokenCounts:

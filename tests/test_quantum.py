@@ -309,6 +309,12 @@ class TestFusionConfig:
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 FusionConfig(**{name: math.nan})
 
+    @pytest.mark.parametrize("name", ["rrf_k", "k_sparse", "k_dense", "k_final"])
+    @pytest.mark.parametrize("bad", [1.5, 10.0, True, "10", None])
+    def test_k_value_that_is_not_an_int_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1 and an int"):
+            FusionConfig(**{name: bad})
+
     def test_dict_round_trip(self):
         cfg = FusionConfig(mode="rrf", w_semantic=0.7, w_lexical=0.3, k_final=5)
         assert FusionConfig.from_dict(cfg.to_dict()) == cfg

@@ -9,8 +9,10 @@ from qrag.semantic import (
     SCAN_BLOCK_ROWS,
     VECTORS_FILE,
     EmbedderSpec,
+    TokenTable,
     VectorIndex,
     _column_dots,
+    _fnv1a64,
     cosine,
     embed,
     load,
@@ -18,9 +20,26 @@ from qrag.semantic import (
     save,
     search_exact,
     token_vector,
+    token_vectors,
 )
 
 SPEC = EmbedderSpec(kind="hash_projection", dim=256)
+
+_MASK64 = (1 << 64) - 1
+
+
+def _scalar_token_vector(token, dim):
+    """The reference: one SplitMix64 step per output, in Python ints."""
+    state = _fnv1a64(token.encode("utf-8"))
+    values = np.empty(dim, dtype=np.float64)
+    for i in range(dim):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        values[i] = ((z ^ (z >> 31)) >> 11) * (2.0**-53) * 2.0 - 1.0
+    values /= math.sqrt(float(np.dot(values, values)))
+    return values
 
 
 class TestTokenVector:
@@ -52,41 +71,88 @@ class TestTokenVector:
         with pytest.raises(ValueError):
             token_vector("x", 1)
 
+    @pytest.mark.parametrize("dim", [*range(2, 10), 127, 128, 129, 256, 300, 512])
+    def test_array_stream_equals_the_scalar_loop_bitwise(self, dim):
+        tokens = ["", "ab", "ਸਤਿ", "𝄞", "<unk>", "ਨ" * 300]
+        got = token_vectors(tokens, dim)
+        for token, row in zip(tokens, got, strict=True):
+            assert row.tobytes() == _scalar_token_vector(token, dim).tobytes(), token
+
+    def test_pinned_values(self):
+        # Taken from the scalar loop, so a drift shared by both
+        # implementations fails here.
+        assert [float(x).hex() for x in token_vector("ਸਤਿ", 256)[:4]] == [
+            "0x1.de7d5913efd9cp-7",
+            "-0x1.39786363f4001p-7",
+            "0x1.65edf21e97a20p-4",
+            "0x1.5bec46d46e3bbp-4",
+        ]
+
 
 class TestEmbed:
     def test_single_token_equals_its_vector(self):
-        v = embed(["ਸਤਿ"], SPEC)
+        v = embed([0], TokenTable(["ਸਤਿ"], {}, 256))
         assert np.array_equal(v, token_vector("ਸਤਿ", 256))
 
     def test_repeated_token_same_direction(self):
-        one = embed(["ਸਤਿ"], SPEC)
-        two = embed(["ਸਤਿ", "ਸਤਿ"], SPEC)
+        table = TokenTable(["ਸਤਿ"], {}, 256)
+        one = embed([0], table)
+        two = embed([0, 0], table)
         assert np.allclose(one, two, atol=1e-12)
 
     def test_idf_weights_change_direction(self):
-        tokens = ["a", "b"]
-        unweighted = embed(tokens, SPEC)
-        weighted = embed(tokens, SPEC, idf_weights={"a": 10.0, "b": 0.1})
+        unweighted = embed([0, 1], TokenTable(["a", "b"], {}, 256))
+        weighted = embed([0, 1], TokenTable(["a", "b"], {"a": 10.0, "b": 0.1}, 256))
         assert cosine(weighted, token_vector("a", 256)) > cosine(
             unweighted, token_vector("a", 256)
         )
 
     def test_all_zero_weights_degenerate(self):
         with pytest.raises(ValueError, match="degenerate_embedding"):
-            embed(["a", "b"], SPEC, idf_weights={"a": 0.0, "b": 0.0})
+            embed([0, 1], TokenTable(["a", "b"], {"a": 0.0, "b": 0.0}, 256))
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(ValueError, match="empty token list"):
-            embed([], SPEC)
+            embed([], TokenTable(["a"], {}, 256))
 
     def test_external_spec_cannot_embed_text(self):
-        spec = EmbedderSpec(kind="external_file", path="vectors.jsonl")
+        # An engine over an external_file embedder has no token table.
         with pytest.raises(ValueError, match="hash_projection"):
-            embed(["a"], spec)
+            embed([0], None)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_id_outside_the_table_rejected(self, bad):
+        with pytest.raises(ValueError, match="token id out of range"):
+            embed([0, bad], TokenTable(["a", "b"], {}, 8))
 
     def test_dim_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             EmbedderSpec(kind="hash_projection", dim=100)
+
+    @pytest.mark.parametrize("dim", [256.0, "256", None, True])
+    def test_dim_that_is_not_an_int_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be an int"):
+            EmbedderSpec(dim=dim)
+
+    def test_rows_fill_on_first_use_and_never_pass_the_vocabulary(self):
+        tokens = [f"t{i}" for i in range(10)]
+        table = TokenTable(tokens, {"t3": 2.5}, 16)
+        assert table.rows.shape == (10, 16) and not table.filled.any()
+        embed([3, 1, 3], table)
+        assert np.flatnonzero(table.filled).tolist() == [1, 3]
+        for start in range(0, 40, 4):
+            embed([i % 10 for i in range(start, start + 7)], table)
+        assert table.filled.sum() == len(tokens) == len(table.rows)
+        assert table.rows.tobytes() == token_vectors(tokens, 16).tobytes()
+        assert table.weights.tolist() == [1.0, 1.0, 1.0, 2.5] + [1.0] * 6
+
+    def test_weights_are_count_times_idf_in_first_appearance_order(self):
+        tokens = ["a", "b", "c"]
+        idf = {"a": 0.5, "c": 3.0}
+        v = embed([2, 0, 2, 1], TokenTable(tokens, idf, 32))
+        vectors = token_vectors(["c", "a", "b"], 32)
+        expected = np.array([2 * 3.0, 1 * 0.5, 1 * 1.0]) @ vectors
+        assert v.tobytes() == (expected / math.sqrt(float(np.dot(expected, expected)))).tobytes()
 
 
 class TestCosine:
@@ -147,7 +213,7 @@ class TestSearchExact:
 
     def test_indexed_row_self_match(self):
         ix = _hand_vector_index()
-        results = search_exact(ix, ix.row("d3"), 1)
+        results = search_exact(ix, ix.cols[:, 2], 1)
         assert results[0][0] == "d3"
         assert results[0][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -183,10 +249,6 @@ class TestSearchExact:
                 q = rng.standard_normal(dim)
                 scores = ix.scan(q)
                 assert scores.shape == (n,)
-                # ``row`` looks its id up in a list, so most rows are read
-                # straight off the columns; the last one goes through ``row``.
-                if n:
-                    assert np.array_equal(ix.row(ids[-1]), ix.cols[:, -1])
                 expected = np.array(
                     [
                         cosine(row, q)
@@ -210,7 +272,7 @@ class TestSearchExact:
         engine, bench, *_ = small_engine
         ix = engine.vector_index
         for query in bench.queries:
-            q = engine.embed_text_tokens(engine.tokenizer.encode(query["text"]).surface)
+            q = embed(engine.tokenizer.encode(query["text"]).ids, engine.token_table)
             assert np.array_equal(ix.scan(q), _row_major_scan(ix, q))
 
     def test_ranking_matches_brute_force(self):
@@ -221,7 +283,7 @@ class TestSearchExact:
         q = rng.standard_normal(16)
         got = search_exact(ix, q, 10)
         brute = sorted(
-            ((cid, cosine(ix.row(cid), q)) for cid in ids),
+            ((cid, cosine(ix.cols[:, i], q)) for i, cid in enumerate(ids)),
             key=lambda kv: (-kv[1], kv[0]),
         )[:10]
         assert got == brute
@@ -231,7 +293,7 @@ class TestVectorIndexInvariants:
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(21)
         ix = VectorIndex.build(["a", "b"], [rng.standard_normal(8) * 9 for _ in range(2)])
-        for row in map(ix.row, ix.ids):
+        for row in ix.cols.T:
             assert abs(math.sqrt(float(np.dot(row, row))) - 1.0) < 1e-6
 
     def test_index_holds_one_float64_matrix(self):
@@ -363,7 +425,7 @@ class TestLoadExternal:
     def test_rows_normalized_on_load(self, tmp_path):
         path = self._write(tmp_path, [{"id": "a", "vector": [3.0, 4.0, 0.0, 0.0]}])
         ix = load_external_embeddings(path, ["a"])
-        assert np.allclose(ix.row("a"), [0.6, 0.8, 0.0, 0.0], atol=1e-7)
+        assert np.allclose(ix.cols[:, 0], [0.6, 0.8, 0.0, 0.0], atol=1e-7)
 
     def test_missing_id_named(self, tmp_path):
         path = self._write(tmp_path, [{"id": "a", "vector": [1.0, 0.0]}])
