@@ -14,16 +14,16 @@ import html
 import json
 import logging
 import math
-import os
 import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .lexical import npy_arrays
 from .tokenizer import TokenizerModel, _is_punct, normalize
 
 logger = logging.getLogger(__name__)
@@ -287,33 +287,93 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
 
 # -- persistence -------------------------------------------------------------
 
+# The arrays of ``chunks.npy``, in file order.
+CHUNK_ARRAYS = ("ids", "token_offset", "token_count", "text offsets", "text encodings", "text")
 
-def save_chunks(chunks: Sequence[Chunk], out_dir: str | Path) -> None:
-    """Write the chunks as six consecutive ``.npy`` arrays of one file: the
-    UTF-8 bytes of a JSON list of ``[chunk_id, doc_id]`` pairs (``uint8``),
-    the token offsets and the token counts (``<i4``), the N + 1 byte offsets
-    of each text in the last array (``<i8``), each text's encoding
-    (``uint8``: ``PAGE`` or ``UTF16``), and every text (``uint8``).
+
+@dataclass(eq=False, repr=False, slots=True)
+class ChunkTable(Sequence[Chunk]):
+    """Chunks held as columns: row i of each is chunk i. This is how a chunk
+    store is saved and loaded, and how an engine keeps its chunks, with no
+    object per chunk; indexing makes a ``Chunk`` (a slice, a ``ChunkTable``).
+    """
+
+    chunk_ids: list[str]
+    doc_ids: list[str]
+    token_offsets: np.ndarray
+    token_counts: np.ndarray
+    texts: list[str]
+
+    @classmethod
+    def from_chunks(cls, chunks: Iterable[Chunk]) -> "ChunkTable":
+        chunks = list(chunks)
+        return cls(
+            [c.chunk_id for c in chunks],
+            [c.doc_id for c in chunks],
+            np.array([c.token_offset for c in chunks], dtype="<i4"),
+            np.array([c.token_count for c in chunks], dtype="<i4"),
+            [c.text for c in chunks],
+        )
+
+    def __len__(self) -> int:
+        return len(self.chunk_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ChunkTable(
+                self.chunk_ids[i],
+                self.doc_ids[i],
+                self.token_offsets[i],
+                self.token_counts[i],
+                self.texts[i],
+            )
+        return Chunk(
+            self.chunk_ids[i],
+            self.doc_ids[i],
+            int(self.token_offsets[i]),
+            int(self.token_counts[i]),
+            self.texts[i],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChunkTable):
+            return NotImplemented
+        return (
+            self.chunk_ids == other.chunk_ids
+            and self.doc_ids == other.doc_ids
+            and np.array_equal(self.token_offsets, other.token_offsets)
+            and np.array_equal(self.token_counts, other.token_counts)
+            and self.texts == other.texts
+        )
+
+
+def save_chunks(chunks: ChunkTable, out_dir: str | Path) -> None:
+    """Write the chunks as six consecutive ``.npy`` arrays of one file
+    (``CHUNK_ARRAYS``): the UTF-8 bytes of a JSON list of
+    ``[chunk_id, doc_id]`` pairs (``uint8``), the token offsets and the token
+    counts (``<i4``), the N + 1 byte offsets of each text in the last array
+    (``<i8``), each text's encoding (``uint8``: ``PAGE`` or ``UTF16``), and
+    every text (``uint8``).
 
     A text is stored in ``GURMUKHI_PAGE``, one byte per codepoint, when the
     page holds each of its characters, and in UTF-16-LE otherwise. Chunks
     are at least half Gurmukhi, which takes 2 bytes a codepoint in UTF-16
     and 3 in UTF-8.
     """
-    ids = json.dumps([[c.chunk_id, c.doc_id] for c in chunks], ensure_ascii=False)
+    ids = json.dumps(list(zip(chunks.chunk_ids, chunks.doc_ids)), ensure_ascii=False)
     encodings: list[int] = []
     texts: list[bytes] = []
-    for c in chunks:
+    for text in chunks.texts:
         try:
-            texts.append(codecs.charmap_encode(c.text, "strict", _PAGE_MAP)[0])
+            texts.append(codecs.charmap_encode(text, "strict", _PAGE_MAP)[0])
             encodings.append(PAGE)
         except UnicodeEncodeError:
-            texts.append(c.text.encode("utf-16-le"))
+            texts.append(text.encode("utf-16-le"))
             encodings.append(UTF16)
     arrays = (
         np.frombuffer(ids.encode(), np.uint8),
-        np.array([c.token_offset for c in chunks], dtype="<i4"),
-        np.array([c.token_count for c in chunks], dtype="<i4"),
+        np.asarray(chunks.token_offsets, dtype="<i4"),
+        np.asarray(chunks.token_counts, dtype="<i4"),
         np.cumsum([0, *map(len, texts)], dtype="<i8"),
         np.array(encodings, dtype=np.uint8),
         np.frombuffer(b"".join(texts), np.uint8),
@@ -323,61 +383,50 @@ def save_chunks(chunks: Sequence[Chunk], out_dir: str | Path) -> None:
             np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
-def load_chunks(in_dir: str | Path) -> list[Chunk]:
-    """Read the chunks written by ``save_chunks``; each refusal is a
-    ``ValueError`` naming ``chunks.npy``, a byte the page leaves undefined
+def load_chunks(in_dir: str | Path) -> ChunkTable:
+    """Read the chunks that ``save_chunks`` wrote: ``parse_chunks`` of the
+    file's bytes."""
+    return parse_chunks((Path(in_dir) / CHUNKS_FILE).read_bytes())
+
+
+def parse_chunks(data: bytes) -> ChunkTable:
+    """The chunks in ``data``, the bytes of a ``chunks.npy``; each refusal is
+    a ``ValueError`` naming ``chunks.npy``, a byte the page leaves undefined
     and invalid UTF-16-LE included.
 
-    The texts are read from the file and decoded one chunk at a time, so the
-    text bytes are never held as one array. Freeing such an array (12.8 MB on
-    the benchmark index in UTF-16) left a loaded server 2.5 MiB larger: glibc
-    raises its mmap threshold on that free, so the next large arrays come
-    from a heap it cannot trim.
+    Every text is decoded here, from a view of the text array in ``data``,
+    and the table keeps no view of ``data``. Freeing ``data`` (6.6 MB on the
+    benchmark index) raises glibc's mmap threshold to its size, so the BM25
+    arrays loaded next, and their scratch, come from the heap, whose freed
+    space stays resident: a loaded ``serve`` child peaks 3-4 MiB higher
+    than when each text was read on its own. Reading each file into an
+    anonymous mapping instead avoided that, but paid about 10 ms of page
+    faults on every load.
     """
-    with (Path(in_dir) / CHUNKS_FILE).open("rb") as fh:
-        try:
-            ids, token_offset, token_count, ends, encodings = (
-                np.lib.format.read_array(fh, allow_pickle=False) for _ in range(5)
-            )
-            pairs = _check_arrays(
-                ids, token_offset, token_count, ends, encodings, _text_bytes(fh)
-            )
-            bounds = ends.tolist()
-            return [
-                Chunk(cid, did, offset, count, _decode(fh.read(hi - lo), encoding))
-                for (cid, did), offset, count, lo, hi, encoding in zip(
-                    pairs,
-                    token_offset.tolist(),
-                    token_count.tolist(),
-                    bounds,
-                    bounds[1:],
-                    encodings.tolist(),
-                )
-            ]
-        except ValueError as exc:
-            raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
+    try:
+        ids, token_offset, token_count, ends, encodings, text = npy_arrays(data, CHUNK_ARRAYS)
+        pairs = _check_arrays(ids, token_offset, token_count, ends, encodings, text)
+        view = text.data
+        bounds = ends.tolist()
+        texts = [
+            _decode(view[lo:hi], encoding)
+            for lo, hi, encoding in zip(bounds, bounds[1:], encodings.tolist())
+        ]
+    except ValueError as exc:
+        raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
+    return ChunkTable(
+        [cid for cid, _ in pairs],
+        [did for _, did in pairs],
+        token_offset.copy(),
+        token_count.copy(),
+        texts,
+    )
 
 
-def _decode(data: bytes, encoding: int) -> str:
+def _decode(data: memoryview, encoding: int) -> str:
     if encoding == UTF16:
         return str(data, "utf-16-le")
     return codecs.charmap_decode(data, "strict", GURMUKHI_PAGE)[0]
-
-
-def _text_bytes(fh: BinaryIO) -> int:
-    """Read the text array's header: the length of a 1-d ``uint8`` array
-    that must fill the rest of the file."""
-    if np.lib.format.read_magic(fh) != (1, 0):
-        raise ValueError("texts must be an array of .npy format 1.0")
-    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-    if len(shape) != 1 or dtype != np.uint8:
-        raise ValueError("texts must be a 1-d uint8 array")
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if left > shape[0]:
-        raise ValueError("trailing bytes after the text array")
-    if left < shape[0]:
-        raise ValueError(f"the text array is cut short: {left} of {shape[0]} bytes")
-    return shape[0]
 
 
 def _check_arrays(
@@ -386,11 +435,12 @@ def _check_arrays(
     token_count: np.ndarray,
     ends: np.ndarray,
     encodings: np.ndarray,
-    text_bytes: int,
+    text: np.ndarray,
 ) -> list[list[str]]:
     """The ``[chunk_id, doc_id]`` pairs, once the arrays are found to agree."""
-    if ids.ndim != 1 or ids.dtype != np.uint8:
-        raise ValueError("ids must be a 1-d uint8 array")
+    for name, arr in (("ids", ids), ("texts", text)):
+        if arr.ndim != 1 or arr.dtype != np.uint8:
+            raise ValueError(f"{name} must be a 1-d uint8 array")
     for name, arr in (
         ("token_offset", token_offset),
         ("token_count", token_count),
@@ -419,8 +469,8 @@ def _check_arrays(
         )
     if (token_offset < 0).any() or (token_count < 0).any():
         raise ValueError("token_offset and token_count must be >= 0")
-    if ends[0] != 0 or ends[-1] != text_bytes:
-        raise ValueError(f"text offsets must run from 0 to the text byte count {text_bytes}")
+    if ends[0] != 0 or ends[-1] != len(text):
+        raise ValueError(f"text offsets must run from 0 to the text byte count {len(text)}")
     if (ends[1:] < ends[:-1]).any():
         raise ValueError("text offsets must not decrease")
     if not np.isin(encodings, (PAGE, UTF16)).all():

@@ -20,18 +20,19 @@ import os
 import shutil
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import _records
 from . import corpus as corpus_mod
 from . import lexical, quantum, semantic
-from .corpus import Chunk, CleaningConfig
+from .corpus import Chunk, ChunkTable, CleaningConfig
 from .lexical import BM25Params, InvertedIndex
 from .quantum import FusionConfig
 from .semantic import EmbedderSpec, VectorIndex
@@ -182,20 +183,19 @@ class RetrievalEngine:
 
     def __init__(
         self,
-        chunks: Sequence[Chunk],
+        chunks: ChunkTable,
         tokenizer: TokenizerModel,
         lexical_index: InvertedIndex,
         vector_index: VectorIndex,
         config: EngineConfig,
     ) -> None:
-        self.chunks = list(chunks)
+        self.chunks = chunks
         # Row i of both indexes is chunks[i], so retrieve works on rows alone.
-        chunk_ids = [c.chunk_id for c in self.chunks]
         for name, ids in (
             ("lexical", lexical_index.chunk_ids),
             ("vector", vector_index.ids),
         ):
-            if ids != chunk_ids:
+            if ids != chunks.chunk_ids:
                 raise ValueError(f"{name} index ids do not follow the chunk order")
         self.tokenizer = tokenizer
         self.lexical_index = lexical_index
@@ -281,10 +281,11 @@ class RetrievalEngine:
         sparse = lex_vector[rows] if use_sparse else None
         dense = dense_scores[rows] if use_dense else None
         ranked = quantum.rank_candidates(rank[rows], sparse, dense, cfg)
+        ids, texts = self.chunks.chunk_ids, self.chunks.texts
         hits = [
             ScoredHit(
-                chunk_id=self.chunks[rows[i]].chunk_id,
-                text=self.chunks[rows[i]].text,
+                chunk_id=ids[rows[i]],
+                text=texts[rows[i]],
                 rank=position,
                 fused=fused,
                 sparse_raw=None if sparse is None else float(sparse[i]),
@@ -331,7 +332,7 @@ def _stage(name: str):
 
 def prepare(
     corpus_path: str | Path, cfg: EngineConfig, stats: dict
-) -> tuple[TokenizerModel, list[Chunk]]:
+) -> tuple[TokenizerModel, ChunkTable]:
     """Run ingest -> clean -> dedup -> quality -> train BPE -> chunk,
     counting what each step kept and dropped in ``stats``."""
     with _stage("ingest+filter"):
@@ -353,7 +354,7 @@ def prepare(
         stats["chunks"] = len(chunks)
         if not chunks:
             raise ValueError("empty corpus after chunking")
-    return tok, chunks
+    return tok, ChunkTable.from_chunks(chunks)
 
 
 def build_all(
@@ -369,11 +370,11 @@ def build_all(
     _check_replaceable(out)
     stats: dict = {}
     tok, chunks = prepare(corpus_path, cfg, stats)
-    ids = [c.chunk_id for c in chunks]
+    ids = chunks.chunk_ids
 
     with _stage("lexical_index"):
         # Only each chunk's ids are kept; its terms are looked up from them.
-        chunk_ids = deque(tok.encode(c.text).ids for c in chunks)
+        chunk_ids = deque(tok.encode(text).ids for text in chunks.texts)
         lex_index = lexical.build_index(
             ids, (list(map(tok.tokens.__getitem__, i)) for i in chunk_ids)
         )
@@ -460,10 +461,9 @@ def save_index(
     return manifest
 
 
-def load_index(in_dir: str | Path) -> RetrievalEngine:
-    """Load a persisted engine, verifying the format version, that the
-    manifest lists exactly ``INDEX_FILES``, and each file's digest."""
-    src = Path(in_dir)
+def _read_manifest(src: Path) -> IndexManifest:
+    """The manifest of the index at ``src``, once its format version, its
+    file list and the fields that repeat one another are found to agree."""
     manifest_path = src / MANIFEST_FILE
     if not manifest_path.exists():
         raise FileNotFoundError(f"missing file: {manifest_path}")
@@ -483,19 +483,93 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
     if unknown:
         raise ValueError(f"manifest lists an unknown file: {unknown[0]}")
     for name in INDEX_FILES:
-        path = src / name
         if name not in manifest.files:
             raise ValueError(f"manifest does not list: {name}")
-        if not path.exists():
-            raise FileNotFoundError(f"missing file: {path}")
-        if _sha256_file(path) != manifest.files[name]:
+    if manifest.tokenizer_sha256 != manifest.files[TOKENIZER_FILE]:
+        raise ValueError(f"manifest tokenizer_sha256 is not the digest of {TOKENIZER_FILE}")
+    if manifest.embedder != manifest.config.embedder:
+        raise ValueError("manifest embedder is not config.embedder")
+    return manifest
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _check_digests(manifest: IndexManifest, digests: Mapping[str, Future]) -> None:
+    """Wait for each digest, in read order; refuse the first that differs
+    from the manifest's."""
+    for name, digest in digests.items():
+        if digest.result() != manifest.files[name]:
             raise ValueError(f"digest mismatch: {name}")
-    chunks = corpus_mod.load_chunks(src)
-    ids = [c.chunk_id for c in chunks]
-    tok = TokenizerModel.load(src / TOKENIZER_FILE)
-    lex_index = lexical.load(src, ids)
-    vec_index = semantic.load(src, ids)
-    # Paid here rather than by the first query; build_all, which never
-    # queries, does not pay for them.
-    lex_index.impacts(manifest.config.bm25)
-    return RetrievalEngine(chunks, tok, lex_index, vec_index, manifest.config)
+
+
+def load_index(in_dir: str | Path) -> RetrievalEngine:
+    """Load a persisted engine, verifying the format version, that the
+    manifest lists exactly ``INDEX_FILES`` and agrees with itself and with
+    the files, and each file's digest.
+
+    Each file is read once, in ``INDEX_FILES`` order, and parsed from the
+    bytes read while one worker thread hashes the same bytes (``hashlib``
+    releases the GIL), so the digests cover exactly what was parsed. A
+    digest mismatch is reported ahead of any parse error. The worker does
+    nothing but hash, and it is joined before the load returns or raises.
+    Logs one INFO line with each file's read and parse seconds, the
+    impacts' seconds and the wait for the digests.
+    """
+    src = Path(in_dir)
+    manifest = _read_manifest(src)
+    config = manifest.config
+    seconds: dict[str, tuple[float, float]] = {}
+    digests: dict[str, Future] = {}
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="qrag-digest") as hasher:
+
+        def load(name: str, parse: Callable[[bytes], Any]) -> Any:
+            path = src / name
+            t0 = time.perf_counter()
+            try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            except FileNotFoundError:
+                raise FileNotFoundError(f"missing file: {path}") from None
+            digests[name] = hasher.submit(_sha256, data)
+            t1 = time.perf_counter()
+            parsed = parse(data)
+            seconds[name] = (t1 - t0, time.perf_counter() - t1)
+            return parsed
+
+        try:
+            chunks = load(corpus_mod.CHUNKS_FILE, corpus_mod.parse_chunks)
+            if len(chunks) != manifest.chunk_count:
+                raise ValueError(
+                    f"manifest chunk_count is {manifest.chunk_count}, but "
+                    f"{corpus_mod.CHUNKS_FILE} holds {len(chunks)} chunks"
+                )
+            ids = chunks.chunk_ids
+            tok = load(TOKENIZER_FILE, lambda data: TokenizerModel.from_json(data.decode("utf-8")))
+            lex_index = load(lexical.LEXICAL_FILE, lambda data: lexical.parse(data, ids))
+            vec_index = load(semantic.VECTORS_FILE, lambda data: semantic.parse(data, ids))
+            if config.embedder.kind == "hash_projection" and vec_index.dim != config.embedder.dim:
+                raise ValueError(
+                    f"manifest config.embedder.dim is {config.embedder.dim}, but "
+                    f"{semantic.VECTORS_FILE} holds {vec_index.dim}-dim vectors"
+                )
+            # Paid here rather than by the first query; build_all, which never
+            # queries, does not pay for them.
+            t0 = time.perf_counter()
+            lex_index.impacts(config.bm25)
+            impacts_s = time.perf_counter() - t0
+        except Exception:
+            _check_digests(manifest, digests)
+            raise
+        t0 = time.perf_counter()
+        _check_digests(manifest, digests)
+        wait_s = time.perf_counter() - t0
+    logger.info(
+        "loaded index %s: %s; impacts %.3f s; digest wait %.3f s",
+        src,
+        "; ".join(f"{name} read {r:.3f} s parse {p:.3f} s" for name, (r, p) in seconds.items()),
+        impacts_s,
+        wait_s,
+    )
+    return RetrievalEngine(chunks, tok, lex_index, vec_index, config)

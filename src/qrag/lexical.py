@@ -8,6 +8,7 @@ which keeps every term weight strictly positive.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections import Counter
@@ -19,6 +20,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 LEXICAL_FILE = "lexical.npy"
+# The arrays of ``lexical.npy``, in file order.
+LEXICAL_ARRAYS = ("doc_len", "terms", "offsets", "rows", "tfs")
 
 # Postings per block of ``InvertedIndex.impacts``: its scratch is a few
 # arrays of this length (256 KiB each in float64), whatever the index size.
@@ -385,20 +388,52 @@ def save(index: InvertedIndex, out_dir: str | Path) -> None:
             np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
+def npy_arrays(data: bytes, names: Sequence[str]) -> list[np.ndarray]:
+    """The consecutive ``.npy`` arrays (format 1.0) that fill ``data``, one
+    per name, as read-only views of ``data``: nothing is copied, so a caller
+    copies what it keeps. Every array file of an index is read with it.
+    Object arrays are refused without unpickling; each refusal is a
+    ``ValueError``, naming the array that is cut short or followed by bytes.
+    """
+    stream = io.BytesIO(data)  # shares the bytes object until written to
+    arrays = []
+    for name in names:
+        if np.lib.format.read_magic(stream) != (1, 0):
+            raise ValueError(f"{name} must be an array of .npy format 1.0")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+        if dtype.hasobject:
+            raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+        if min(shape, default=0) < 0:
+            raise ValueError(f"{name} has a negative dimension: {shape}")
+        start, count = stream.tell(), math.prod(shape)
+        size, left = count * dtype.itemsize, len(data) - start
+        if left < size:
+            raise ValueError(f"the {name} array is cut short: {left} of {size} bytes")
+        arr = np.frombuffer(data, dtype, count, start)
+        arrays.append(arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape))
+        stream.seek(start + size)
+    if stream.tell() < len(data):
+        raise ValueError(f"trailing bytes after the {names[-1]} array")
+    return arrays
+
+
 def load(in_dir: str | Path, chunk_ids: Sequence[str]) -> InvertedIndex:
     """Read an index written by ``save``; row i is ``chunk_ids[i]``."""
-    with (Path(in_dir) / LEXICAL_FILE).open("rb") as fh:
-        try:
-            doc_len, terms, offsets, rows, tfs = (
-                np.lib.format.read_array(fh, allow_pickle=False) for _ in range(5)
-            )
-            if fh.read(1):
-                raise ValueError("trailing bytes after the tfs array")
-            if terms.dtype != np.uint8 or terms.ndim != 1:
-                raise ValueError("terms must be a 1-d uint8 array")
-            term_list = json.loads(terms.tobytes().decode("utf-8"))
-            if not isinstance(term_list, list):
-                raise ValueError("terms must be a JSON list")
-        except ValueError as exc:
-            raise ValueError(f"{LEXICAL_FILE}: {exc}") from None
-    return InvertedIndex(chunk_ids, doc_len, term_list, offsets, rows, tfs)
+    return parse((Path(in_dir) / LEXICAL_FILE).read_bytes(), chunk_ids)
+
+
+def parse(data: bytes, chunk_ids: Sequence[str]) -> InvertedIndex:
+    """The index in ``data``, the bytes of a ``lexical.npy``; row i is
+    ``chunk_ids[i]``. The index keeps no view of ``data``."""
+    try:
+        doc_len, terms, offsets, rows, tfs = npy_arrays(data, LEXICAL_ARRAYS)
+        if terms.dtype != np.uint8 or terms.ndim != 1:
+            raise ValueError("terms must be a 1-d uint8 array")
+        term_list = json.loads(str(terms.data, "utf-8"))
+        if not isinstance(term_list, list):
+            raise ValueError("terms must be a JSON list")
+    except ValueError as exc:
+        raise ValueError(f"{LEXICAL_FILE}: {exc}") from None
+    # The rows are widened to <i4 from the narrower type ``save`` writes, so
+    # only the other three arrays need a copy to hold no view of ``data``.
+    return InvertedIndex(chunk_ids, doc_len.copy(), term_list, offsets.copy(), rows, tfs.copy())

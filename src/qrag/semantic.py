@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _records
-from .lexical import id_ranks, top_rows
+from .lexical import id_ranks, npy_arrays, top_rows
 
 VECTORS_FILE = "vectors.npy"
 
@@ -34,6 +34,9 @@ _FNV_PRIME = 0x100000001B3
 # few ``(8, SCAN_BLOCK_ROWS)`` float64 arrays (512 KiB each), whatever the
 # index size or the dim.
 SCAN_BLOCK_ROWS = 8192
+# Rows per block that ``save`` converts to ``<f4`` and writes: its scratch,
+# 256 KiB at dim 256, whatever the index size.
+SAVE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -309,13 +312,29 @@ def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, f
 
 
 def save(index: VectorIndex, out_dir: str | Path) -> None:
-    np.save(Path(out_dir) / VECTORS_FILE, np.ascontiguousarray(index.cols.T, dtype="<f4"))
+    """Write ``vectors.npy``: the ``.npy`` header of a ``<f4`` ``(N, dim)``
+    matrix, then its rows, converted from ``cols`` ``SAVE_BLOCK_ROWS`` at a
+    time, so no whole copy of the matrix is made. The bytes are those of
+    ``np.save`` of the whole matrix."""
+    n = len(index)
+    header = {"descr": "<f4", "fortran_order": False, "shape": (n, index.dim)}
+    with (Path(out_dir) / VECTORS_FILE).open("wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for start in range(0, n, SAVE_BLOCK_ROWS):
+            block = index.cols[:, start : start + SAVE_BLOCK_ROWS].T
+            fh.write(np.ascontiguousarray(block, dtype="<f4"))
 
 
 def load(in_dir: str | Path, ids: Sequence[str]) -> VectorIndex:
     """Read a matrix written by ``save``; row i is ``ids[i]``."""
+    return parse((Path(in_dir) / VECTORS_FILE).read_bytes(), ids)
+
+
+def parse(data: bytes, ids: Sequence[str]) -> VectorIndex:
+    """The index of the matrix in ``data``, the bytes of a ``vectors.npy``;
+    row i is ``ids[i]``. The index keeps no view of ``data``."""
     try:
-        matrix = np.load(Path(in_dir) / VECTORS_FILE, allow_pickle=False)
+        (matrix,) = npy_arrays(data, ("vectors",))
         if matrix.dtype != np.dtype("<f4"):
             raise ValueError(f"expected a <f4 matrix, got {matrix.dtype.str}")
         return VectorIndex(list(ids), matrix)

@@ -154,6 +154,23 @@ class TestErrors:
         assert code == 1
         assert "error: manifest.json: expected a JSON object" in capsys.readouterr().err
 
+    def test_manifest_that_disagrees_with_the_vectors_is_an_error_exit(
+        self, workspace, tmp_path, capsys
+    ):
+        # Loaded, such an index would answer every hybrid query with an error.
+        root, bench = workspace
+        index = tmp_path / "index"
+        args = ["--out", str(index), "--config", str(root / "cfg.json")]
+        assert main(["build", "--corpus", str(root / "corpus.jsonl"), *args]) == 0
+        manifest = json.loads((index / "manifest.json").read_text(encoding="utf-8"))
+        manifest["config"]["embedder"]["dim"] = manifest["embedder"]["dim"] = 128
+        (index / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["query", bench.queries[0]["text"], "--index", str(index)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: manifest config.embedder.dim is 128, but vectors.npy holds 256" in err
+
     def test_misspelt_config_key_is_an_error_exit(self, workspace, tmp_path, capsys):
         root, _ = workspace
         (tmp_path / "cfg.json").write_text(

@@ -15,6 +15,7 @@ from qrag.corpus import (
     PAGE,
     UTF16,
     Chunk,
+    ChunkTable,
     CleanDocument,
     CleaningConfig,
     RawDocument,
@@ -302,14 +303,16 @@ class TestChunkRecord:
             c.text = "x"
 
 
-STORE = [
-    Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
-    Chunk("d#1", "d", 2, 2, "ਹੈ ਜੀ"),
-    Chunk("e#0", "e", 0, 0, ""),
-    # Outside the page: UTF-16-LE, where a codepoint beyond U+FFFF takes two
-    # code units.
-    Chunk("ਕ#0", "ਕ", 7, 1, "𝄞 ਕ"),
-]
+STORE = ChunkTable.from_chunks(
+    [
+        Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
+        Chunk("d#1", "d", 2, 2, "ਹੈ ਜੀ"),
+        Chunk("e#0", "e", 0, 0, ""),
+        # Outside the page: UTF-16-LE, where a codepoint beyond U+FFFF takes
+        # two code units.
+        Chunk("ਕ#0", "ਕ", 7, 1, "𝄞 ਕ"),
+    ]
+)
 
 
 def _read_arrays(tmp_path):
@@ -425,7 +428,7 @@ class TestGurmukhiPage:
         defined = bytes(b for b, ch in enumerate(GURMUKHI_PAGE) if ch != "\ufffe")
         text = "".join(GURMUKHI_PAGE[b] for b in defined)
         assert len(defined) == 256 - 25
-        save_chunks([Chunk("p#0", "p", 0, 0, text)], tmp_path)
+        save_chunks(ChunkTable.from_chunks([Chunk("p#0", "p", 0, 0, text)]), tmp_path)
         *_, ends, encodings, blob = _read_arrays(tmp_path)
         assert (ends.tolist(), encodings.tolist()) == ([0, len(defined)], [PAGE])
         assert blob.tobytes() == defined
@@ -448,7 +451,7 @@ class TestGurmukhiPage:
             Chunk("g#0", "g", 0, 1, "\ufffe"),  # the page's undefined marker
             Chunk("h#0", "h", 0, 1, "ਕ\x00ਖ"),
         ]
-        save_chunks(chunks, tmp_path)
+        save_chunks(ChunkTable.from_chunks(chunks), tmp_path)
         *_, ends, encodings, blob = _read_arrays(tmp_path)
         assert encodings.dtype == np.uint8
         assert encodings.tolist() == [PAGE, UTF16, PAGE, UTF16, UTF16, PAGE, UTF16, PAGE]
@@ -457,7 +460,7 @@ class TestGurmukhiPage:
             len(c.text) if e == PAGE else len(c.text.encode("utf-16-le"))
             for c, e in zip(chunks, encodings.tolist())
         ]
-        assert load_chunks(tmp_path) == chunks
+        assert list(load_chunks(tmp_path)) == chunks
 
 
 class TestChunkPersistence:
@@ -466,8 +469,8 @@ class TestChunkPersistence:
         assert load_chunks(tmp_path) == STORE
 
     def test_empty_store_round_trip(self, tmp_path):
-        save_chunks([], tmp_path)
-        assert load_chunks(tmp_path) == []
+        save_chunks(ChunkTable.from_chunks([]), tmp_path)
+        assert list(load_chunks(tmp_path)) == []
 
     def test_page_text_takes_one_byte_per_codepoint(self, tmp_path):
         ids, token_offset, token_count, ends, encodings, blob = _store_arrays(tmp_path)
@@ -492,20 +495,23 @@ class TestChunkPersistence:
             Chunk(f"d{i}#0", f"d{i}", 0, 600, " ".join(islice(words, 600)))
             for i in range(400)
         ]
-        save_chunks(chunks, tmp_path)
+        save_chunks(ChunkTable.from_chunks(chunks), tmp_path)
+        size = (tmp_path / "chunks.npy").stat().st_size
         tracemalloc.start()
         try:
             loaded = load_chunks(tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert loaded == chunks
-        strings = sum(sys.getsizeof(c.text) for c in loaded)
-        # The texts are read a chunk at a time, so besides the strings only the
-        # ids, the offset lists and the Chunk objects count: about 450 bytes
-        # per chunk, far below the 2.9 MB of text bytes that a whole text
-        # array (or a copy of it) would add.
-        assert peak <= strings + 64 * 1024 + 1024 * len(chunks)
+        assert list(loaded) == chunks
+        strings = sum(map(sys.getsizeof, loaded.texts))
+        # The file is read once and its texts are decoded from views of it,
+        # so besides the strings the load peaks at the file's bytes plus the
+        # ids and offsets, about 450 bytes per chunk: a copy of the 2.9 MB of
+        # text bytes would add as much again. Once loaded, the table holds
+        # no part of the file.
+        assert peak <= strings + size + 64 * 1024 + 1024 * len(chunks)
+        assert held <= strings + 64 * 1024 + 256 * len(chunks)
 
     @pytest.mark.parametrize("fault", STORE_FAULTS, ids=list(STORE_FAULTS))
     def test_each_fault_is_a_value_error_naming_the_file(self, tmp_path, fault):
@@ -519,7 +525,7 @@ class TestChunkPersistence:
         [
             (lambda data: data + b"\0", "trailing bytes after the text array$"),
             (lambda data: data[:-3], "the text array is cut short: 20 of 23 bytes$"),
-            (lambda data: data[:150], "Failed to read all data for array"),
+            (lambda data: data[:150], r"the ids array is cut short: 22 of \d+ bytes$"),
         ],
         ids=["trailing", "cut_in_the_texts", "cut_in_the_ids"],
     )

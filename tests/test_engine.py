@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -640,7 +641,7 @@ class TestPersistence:
         index_dir = tmp_path / "repeated"
         save_index(engine, index_dir)
         chunks = load_chunks(index_dir)
-        chunks[1] = replace(chunks[1], chunk_id=chunks[0].chunk_id)
+        chunks.chunk_ids[1] = chunks.chunk_ids[0]
         save_chunks(chunks, index_dir)
         manifest_path = index_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -755,6 +756,182 @@ class TestPersistence:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match="^unsupported version: 3; rebuild the index$"):
             load_index(tmp_path / "v3")
+
+
+def _edit_manifest(index_dir, edit):
+    path = index_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _set_dim(dim):
+    def edit(manifest):
+        manifest["config"]["embedder"]["dim"] = manifest["embedder"]["dim"] = dim
+
+    return edit
+
+
+# Each way a manifest can disagree with itself or with the files it lists,
+# and the refusal, which names the field.
+MANIFEST_FAULTS = {
+    "dim_below_the_vectors": (
+        _set_dim(128),
+        "^manifest config.embedder.dim is 128, but vectors.npy holds 256-dim vectors$",
+    ),
+    "chunk_count_below_the_chunks": (
+        lambda m: m.update(chunk_count=5),
+        "^manifest chunk_count is 5, but chunks.npy holds {n} chunks$",
+    ),
+    "chunk_count_above_the_chunks": (
+        lambda m: m.update(chunk_count=m["chunk_count"] + 1),
+        "^manifest chunk_count is {m}, but chunks.npy holds {n} chunks$",
+    ),
+    "tokenizer_sha256_not_the_file_digest": (
+        lambda m: m.update(tokenizer_sha256="0" * 64),
+        "^manifest tokenizer_sha256 is not the digest of tokenizer.json$",
+    ),
+    "embedder_not_config_embedder": (
+        lambda m: m["embedder"].update(dim=128),
+        "^manifest embedder is not config.embedder$",
+    ),
+}
+
+
+def _flip(offset):
+    def change(data):
+        return data[:offset] + bytes([data[offset] ^ 0xFF]) + data[offset + 1 :]
+
+    return change
+
+
+# Byte 8 is the header length of a .npy array, and a letter of tokenizer.json.
+TAMPERS = {
+    "header_byte": _flip(8),
+    "data_byte": _flip(-1),
+    "truncation": lambda data: data[:-1],
+}
+
+
+def _owner(arr):
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+class TestLoad:
+    """``load_index`` reads each file once, hashes it on a worker thread and
+    checks the manifest against the files."""
+
+    @pytest.mark.parametrize("fault", MANIFEST_FAULTS, ids=list(MANIFEST_FAULTS))
+    def test_manifest_that_disagrees_is_refused_by_field(self, small_engine, tmp_path, fault):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        edit, match = MANIFEST_FAULTS[fault]
+        _edit_manifest(tmp_path / "index", edit)
+        n = engine.chunk_count
+        with pytest.raises(ValueError, match=match.format(n=n, m=n + 1)):
+            load_index(tmp_path / "index")
+
+    def test_a_dim_that_matches_the_vectors_loads(self, small_engine, tmp_path):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        _edit_manifest(tmp_path / "index", _set_dim(256))
+        assert load_index(tmp_path / "index").config.embedder.dim == 256
+
+    @pytest.mark.parametrize("tamper", TAMPERS, ids=list(TAMPERS))
+    @pytest.mark.parametrize("name", INDEX_FILES)
+    def test_tampered_file_is_a_digest_mismatch(self, small_engine, tmp_path, name, tamper):
+        # Reported ahead of whatever error parsing the same bytes gives.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        path = tmp_path / "index" / name
+        path.write_bytes(TAMPERS[tamper](path.read_bytes()))
+        with pytest.raises(ValueError, match=f"^digest mismatch: {name}$"):
+            load_index(tmp_path / "index")
+
+    def test_an_earlier_digest_mismatch_comes_before_a_later_parse_error(
+        self, small_engine, tmp_path
+    ):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        tok = tmp_path / "index" / "tokenizer.json"
+        tok.write_bytes(tok.read_bytes() + b" ")
+        vectors = tmp_path / "index" / "vectors.npy"
+        vectors.write_bytes(vectors.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="^digest mismatch: tokenizer.json$"):
+            load_index(tmp_path / "index")
+
+    def test_each_index_file_is_opened_once(self, small_engine, monkeypatch):
+        import builtins
+        import io
+
+        _, _, index_dir, *_ = small_engine
+        opened: list[str] = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        load_index(index_dir)
+        assert {name: opened.count(name) for name in INDEX_FILES} == dict.fromkeys(
+            INDEX_FILES, 1
+        )
+
+    @pytest.mark.parametrize("outcome", ["loads", "digest_mismatch", "parse_error", "missing"])
+    def test_no_thread_outlives_the_load(self, small_engine, tmp_path, outcome):
+        engine, *_ = small_engine
+        index_dir = tmp_path / "index"
+        save_index(engine, index_dir)
+        lexical_path = index_dir / "lexical.npy"
+        if outcome == "digest_mismatch":
+            lexical_path.write_bytes(lexical_path.read_bytes()[:-1])
+        elif outcome == "parse_error":
+            # A repeated chunk id, with the digest to match.
+            chunks = load_chunks(index_dir)
+            chunks.chunk_ids[1] = chunks.chunk_ids[0]
+            save_chunks(chunks, index_dir)
+            digest = hashlib.sha256((index_dir / "chunks.npy").read_bytes()).hexdigest()
+            _edit_manifest(index_dir, lambda m: m["files"].update({"chunks.npy": digest}))
+        elif outcome == "missing":
+            lexical_path.unlink()
+        before = threading.enumerate()
+        try:
+            load_index(index_dir)
+        except (ValueError, FileNotFoundError):
+            assert outcome != "loads"
+        else:
+            assert outcome == "loads"
+        assert set(threading.enumerate()) <= set(before)
+
+    def test_a_loaded_engine_holds_no_view_of_the_file_bytes(self, small_engine):
+        engine, _, index_dir, *_ = small_engine
+        loaded = load_index(index_dir)
+        li, vi = loaded.lexical_index, loaded.vector_index
+        for arr in (
+            loaded.chunks.token_offsets,
+            loaded.chunks.token_counts,
+            li.doc_len,
+            li.offsets,
+            li.rows,
+            li.tfs,
+            vi.cols,
+        ):
+            assert isinstance(_owner(arr), np.ndarray)
+        assert loaded.chunks == engine.chunks
+
+    def test_one_info_line_times_each_file_and_the_digest_wait(self, small_engine, caplog):
+        _, _, index_dir, *_ = small_engine
+        with caplog.at_level(logging.INFO, logger="qrag.engine"):
+            load_index(index_dir)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith(f"loaded index {index_dir}: ")
+        for name in INDEX_FILES:
+            assert re.search(rf"{re.escape(name)} read \d+\.\d{{3}} s parse \d+\.\d{{3}} s", line)
+        assert re.search(r"; impacts \d+\.\d{3} s; digest wait \d+\.\d{3} s$", line)
 
 
 class TestAtomicSave:

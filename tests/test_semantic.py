@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qrag.semantic import (
+    SAVE_BLOCK_ROWS,
     SCAN_BLOCK_ROWS,
     VECTORS_FILE,
     EmbedderSpec,
@@ -376,6 +377,23 @@ class TestPersistence:
         assert np.array_equal(reloaded.cols, ix.cols)
         q = rng.standard_normal(16)
         assert search_exact(reloaded, q, 5) == search_exact(ix, q, 5)
+
+    def test_save_writes_the_bytes_of_np_save_in_bounded_scratch(self, tmp_path):
+        rng = np.random.default_rng(29)
+        n, dim = 16 * SAVE_BLOCK_ROWS + 3, 64
+        ix = VectorIndex.build([f"c{i}" for i in range(n)], rng.standard_normal((n, dim)))
+        tracemalloc.start()
+        try:
+            save(ix, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        whole = np.ascontiguousarray(ix.cols.T, dtype="<f4")
+        np.save(tmp_path / "whole.npy", whole)
+        assert (tmp_path / VECTORS_FILE).read_bytes() == (tmp_path / "whole.npy").read_bytes()
+        # A block of SAVE_BLOCK_ROWS rows at a time: a sixteenth of the matrix,
+        # which a whole copy would take.
+        assert peak <= 2 * SAVE_BLOCK_ROWS * dim * 4 + 64 * 1024 < whole.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / VECTORS_FILE).write_bytes(b"NOTMAGIC" + b"\x00" * 12)
