@@ -252,7 +252,7 @@ class RetrievalEngine:
                 self.lexical_index, self.config.bm25, terms
             )
             nominated += lexical.top_rows(
-                rank, lex_vector, np.flatnonzero(touched), cfg.k_sparse
+                rank, lex_vector, lexical.touched_rows(touched, cfg.k_sparse), cfg.k_sparse
             )
             timings["lexical"] = (time.perf_counter() - t0) * 1000.0
 
@@ -260,9 +260,7 @@ class RetrievalEngine:
             t0 = time.perf_counter()
             q_emb = semantic.embed(seq.ids, self.token_table)
             dense_scores = self.vector_index.scan(q_emb)
-            nominated += lexical.top_rows(
-                rank, dense_scores, np.arange(len(rank)), cfg.k_dense
-            )
+            nominated += lexical.top_rows(rank, dense_scores, None, cfg.k_dense)
             timings["dense"] = (time.perf_counter() - t0) * 1000.0
 
         quantum_modes = cfg.mode in ("fidelity_rerank", "quantum_interference")

@@ -34,7 +34,7 @@ IMPACT_CACHE_MAX = 4
 # the row is the cheaper of the two; N/8 was no faster on the benchmark
 # queries and held three times the rows.
 DENSE_DF = 4
-_UNSEEN = (0, 0, -1)  # the ``InvertedIndex._span`` of a term no chunk holds
+_UNSEEN = (0, 0, -1, 0)  # the ``InvertedIndex._span`` of a term no chunk holds
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class Impacts(NamedTuple):
     ``InvertedIndex.impacts`` as one cache entry, so that no thread sees one
     array without the other."""
 
-    postings: np.ndarray  # one float64 per posting, at its position in ``rows``
+    postings: np.ndarray  # one float64 per posting of a sparsely scored term
     dense: np.ndarray  # (dense term count, N) float64: a row per frequent term
 
 
@@ -63,16 +63,16 @@ class InvertedIndex:
 
     Term j's postings are ``rows[offsets[j]:offsets[j + 1]]``, strictly
     increasing, with their term frequencies at the same positions of
-    ``tfs``. The rows are held as ``<i4``, however narrow ``save`` wrote
-    them, and the tfs as written, in the narrowest unsigned type. For each
-    ``BM25Params`` a query has used, the index also keeps its ``impacts``:
-    one float64 per posting, and one dense float64 row of N impacts for each
-    term in at least 1 / ``DENSE_DF`` of the chunks (at most ``DENSE_DF``
-    times the bytes of those terms' posting impacts). No per-posting Python
-    object is kept, only a (start, end, dense row) triple and an idf
-    (``idfs[j]``) per term, and ``id_rank``, each chunk id's rank in
-    ascending id order. The postings are immutable once built; searches are
-    reentrant and safe concurrently.
+    ``tfs``. Both are held in the narrowest unsigned type, the rows in the
+    one that holds N - 1, as ``save`` writes them. For each ``BM25Params`` a
+    query has used, the index also keeps its ``impacts``: one dense float64
+    row of N impacts for each term in at least 1 / ``DENSE_DF`` of the
+    chunks (at most ``DENSE_DF`` times the bytes of those terms' posting
+    impacts), and one float64 per posting of every other term. No
+    per-posting Python object is kept, only a (start, end, dense row,
+    impacts start) tuple and an idf (``idfs[j]``) per term, and ``id_rank``,
+    each chunk id's rank in ascending id order. The postings are immutable
+    once built; searches are reentrant and safe concurrently.
     """
 
     def __init__(
@@ -91,13 +91,6 @@ class InvertedIndex:
         ):
             if arr.ndim != 1 or arr.dtype.kind not in "iu":
                 raise ValueError(f"{name} must be a 1-d integer array")
-        # Rows that fit losslessly (as ``save`` writes them) are widened before
-        # the checks, while the heap is small. Made after the checks' freed
-        # temporaries, the copy landed in glibc's heap above them and left a
-        # loaded server about 1 MiB larger. Wider rows are checked first, so
-        # none wraps into range.
-        if np.can_cast(rows.dtype, "<i4"):
-            rows = rows.astype("<i4", copy=False)
         self.chunk_ids = list(chunk_ids)
         self.N = len(self.chunk_ids)
         if len(doc_len) != self.N or not self.N:
@@ -112,16 +105,24 @@ class InvertedIndex:
             raise ValueError("offsets must not decrease, and tfs must match rows")
         self.offsets = offsets.astype("<i8", copy=False)
         bounds = self.offsets.tolist()
-        # Each term's postings and its dense row, -1 for a term scored sparsely.
-        self._span: dict[str, tuple[int, int, int]] = {}
-        dense = 0
+        # Each term's postings, its dense row (-1 for a term scored sparsely)
+        # and where its impacts start among the sparse terms' ``postings``.
+        self._span: dict[str, tuple[int, int, int, int]] = {}
+        slots = []
+        dense = at = 0
         for j, term in enumerate(self.terms):
             if not isinstance(term, str) or term in self._span:
                 raise ValueError(f"term {j} is not a string listed once: {term!r}")
             lo, hi = bounds[j], bounds[j + 1]
             frequent = (hi - lo) * DENSE_DF >= self.N
-            self._span[term] = (lo, hi, dense if frequent else -1)
-            dense += frequent
+            slots.append(dense if frequent else -1)
+            self._span[term] = (lo, hi, slots[-1], at)
+            if frequent:
+                dense += 1
+            else:
+                at += hi - lo
+        self._slots = np.array(slots, dtype=np.intp)
+        self._sparse_postings = at
         # A repeated row would push df past N and idf below 0; increasing rows
         # also let a chunk's tf be found by bisection.
         stalls = np.zeros(n, dtype=bool)
@@ -145,7 +146,7 @@ class InvertedIndex:
                     fault = f"name chunk_id {self.chunk_ids[rows[p]]!r} of length 0"
                 raise ValueError(f"postings for term {term!r} {fault}")
         self.doc_len = doc_len.astype("<i4", copy=False)
-        self.rows = rows.astype("<i4", copy=False)
+        self.rows = rows.astype(_row_type(self.N), copy=False)
         width = np.min_scalar_type(int(tfs.max(initial=1))).newbyteorder("<")
         self.tfs = tfs.astype(width, copy=False)
         # The same Python division as a mean over ints, so scores keep their bits.
@@ -171,7 +172,7 @@ class InvertedIndex:
         ``True`` are not coerced)."""
         row_of = {cid: i for i, cid in enumerate(doc_len)}
         offsets = np.cumsum([0, *map(len, postings.values())])
-        rows = np.empty(offsets[-1], dtype="<i4")
+        rows = np.empty(offsets[-1], dtype=_row_type(len(row_of)))
         tfs = np.empty(offsets[-1], dtype=np.int32)  # a tf is at most a chunk's length
         for (term, plist), lo, hi in zip(postings.items(), offsets[:-1], offsets[1:]):
             try:
@@ -194,24 +195,28 @@ class InvertedIndex:
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """``term``'s chunk rows (increasing) and tfs, as views into the shared
         arrays; both empty for an unseen term."""
-        lo, hi, _ = self._span.get(term, _UNSEEN)
+        lo, hi, _, _ = self._span.get(term, _UNSEEN)
         return self.rows[lo:hi], self.tfs[lo:hi]
 
     def impacts(self, p: BM25Params) -> Impacts:
         """Each posting's whole BM25 term score under ``p``: ``bm25_score``'s
-        term expression, with its operands in its order. ``postings`` holds
-        one float64 per posting at its position in ``rows``; ``dense`` holds
-        the same values spread over one row of N per frequent term, in term
-        order, with 0.0 where the term is absent.
+        term expression, with its operands in its order. ``dense`` holds a
+        frequent term's scores spread over one row of N, in term order, with
+        0.0 where the term is absent; ``postings`` holds every other term's,
+        in ``rows`` order, so term ``t``'s are ``postings[at:at + hi - lo]``
+        for its ``_span`` ``(lo, hi, -1, at)``.
 
-        Computed once per params, in blocks of ``IMPACT_BLOCK`` postings,
-        and kept on the index for up to ``IMPACT_CACHE_MAX`` params.
+        Computed once per params, in blocks of ``IMPACT_BLOCK`` postings
+        written straight to where they are kept, and kept on the index for
+        up to ``IMPACT_CACHE_MAX`` params.
         """
         found = self._impacts.get(p)
         if found is not None:
             return found
         n = len(self.rows)
-        impacts = np.empty(n, dtype=np.float64)
+        sparse = np.empty(self._sparse_postings, dtype=np.float64)
+        dense = np.zeros((int(np.count_nonzero(self._slots >= 0)), self.N), dtype=np.float64)
+        at = 0
         for start in range(0, n, IMPACT_BLOCK):
             end = min(start + IMPACT_BLOCK, n)
             # The terms whose postings meet [start, end), and how many each
@@ -222,20 +227,27 @@ class InvertedIndex:
             weights = np.repeat(self.idfs[first:last], counts)
             tf = self.tfs[start:end].astype(np.float64)
             norm = p.k1 * (1.0 - p.b + p.b * self.doc_len[self.rows[start:end]] / self.avgdl)
-            impacts[start:end] = weights * (tf * (p.k1 + 1.0)) / (tf + norm)
-        spans = [(lo, hi) for lo, hi, slot in self._span.values() if slot >= 0]
-        dense = np.zeros((len(spans), self.N), dtype=np.float64)
-        for row, (lo, hi) in zip(dense, spans):
-            for start in range(lo, hi, IMPACT_BLOCK):
-                end = min(start + IMPACT_BLOCK, hi)
-                row[self.rows[start:end]] = impacts[start:end]
+            scores = weights * (tf * (p.k1 + 1.0)) / (tf + norm)
+            slots = self._slots[first:last]
+            kept = scores[np.repeat(slots < 0, counts)]
+            sparse[at : at + len(kept)] = kept
+            at += len(kept)
+            for j in np.flatnonzero(slots >= 0) + first:
+                lo = max(int(self.offsets[j]), start)
+                hi = min(int(self.offsets[j + 1]), end)
+                dense[self._slots[j], self.rows[lo:hi]] = scores[lo - start : hi - start]
         # Threads racing here compute equal pairs, and either may be kept.
-        found = Impacts(impacts, dense)
+        found = Impacts(sparse, dense)
         cache = self._impacts
         if len(cache) >= IMPACT_CACHE_MAX:
             cache = self._impacts = {}
         cache[p] = found
         return found
+
+
+def _row_type(n: int) -> np.dtype:
+    """The narrowest unsigned type that holds every row of ``n`` chunks."""
+    return np.min_scalar_type(max(n - 1, 0)).newbyteorder("<")
 
 
 def build_index(
@@ -325,11 +337,11 @@ def score_rows(
     impacts, dense = index.impacts(p)
     scores = np.zeros(index.N, dtype=np.float64)
     for term in _dedup_terms(query_terms):
-        lo, hi, slot = index._span.get(term, _UNSEEN)
+        lo, hi, slot, at = index._span.get(term, _UNSEEN)
         if slot >= 0:
             scores += dense[slot]
         else:
-            np.add.at(scores, index.rows[lo:hi], impacts[lo:hi])
+            np.add.at(scores, index.rows[lo:hi], impacts[at : at + hi - lo])
     return scores, scores > 0.0
 
 
@@ -342,20 +354,37 @@ def id_ranks(ids: Sequence[str]) -> np.ndarray:
 
 
 def top_rows(
-    rank: np.ndarray, scores: np.ndarray, rows: np.ndarray, k: int
+    rank: np.ndarray, scores: np.ndarray, rows: np.ndarray | None, k: int
 ) -> list[int]:
     """Exact top-k of ``rows`` by (score descending, id ascending), where
-    ``rank[i]`` orders row i's id among the ids (``id_ranks``).
+    ``rank[i]`` orders row i's id among the ids (``id_ranks``). ``rows`` of
+    None stands for every row, whose scores are partitioned as they are,
+    with no gather.
 
     A partition pass narrows the pool to everything at or above the k-th
     largest score, then one ``np.lexsort`` on (-score, rank) orders it, so
     no Python sort key is built per row.
     """
-    if len(rows) > k:
-        vals = scores[rows]
+    vals = scores if rows is None else scores[rows]
+    if len(vals) > k:
         kth = np.partition(vals, len(vals) - k)[len(vals) - k]
-        rows = rows[vals >= kth]
+        pool = vals >= kth
+        rows = np.flatnonzero(pool) if rows is None else rows[pool]
+    elif rows is None:
+        rows = np.arange(len(vals))
     return rows[np.lexsort((rank[rows], -scores[rows]))[:k]].tolist()
+
+
+def touched_rows(touched: np.ndarray, k: int) -> np.ndarray | None:
+    """The rows of a ``score_rows`` result that ``top_rows`` should rank for
+    its top k: the touched ones, or None (every row) when at least k and
+    most rows are touched. Then the k-th largest score is above 0, so no
+    untouched row, scored 0.0, reaches the pool, and partitioning all the
+    scores costs less than gathering the touched ones."""
+    count = int(np.count_nonzero(touched))
+    if count >= k and 2 * count > len(touched):
+        return None
+    return np.flatnonzero(touched)
 
 
 def search(
@@ -367,7 +396,7 @@ def search(
     if not terms:
         return []
     scores, touched = score_rows(index, p, terms)
-    best = top_rows(index.id_rank, scores, np.flatnonzero(touched), k)
+    best = top_rows(index.id_rank, scores, touched_rows(touched, k), k)
     return [(index.chunk_ids[i], float(scores[i])) for i in best]
 
 
@@ -376,15 +405,13 @@ def search(
 
 def save(index: InvertedIndex, out_dir: str | Path) -> None:
     """Write the doc lengths, the terms (UTF-8 JSON bytes), the offsets, the
-    rows and the tfs as consecutive ``.npy`` arrays of one file. The rows are
-    written in the narrowest unsigned type that holds N - 1 (``uint16`` up to
-    65,536 chunks), and load widens them back to ``<i4``; the other arrays
-    are written as the index holds them, the tfs in the narrowest unsigned
-    type that holds the largest."""
+    rows and the tfs as consecutive ``.npy`` arrays of one file, each as the
+    index holds it: the rows in the narrowest unsigned type that holds N - 1
+    (``uint16`` up to 65,536 chunks), the tfs in the narrowest unsigned type
+    that holds the largest."""
     terms = np.frombuffer(json.dumps(index.terms, ensure_ascii=False).encode(), np.uint8)
-    rows = index.rows.astype(np.min_scalar_type(index.N - 1).newbyteorder("<"))
     with (Path(out_dir) / LEXICAL_FILE).open("wb") as fh:
-        for arr in (index.doc_len, terms, index.offsets, rows, index.tfs):
+        for arr in (index.doc_len, terms, index.offsets, index.rows, index.tfs):
             np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
@@ -434,6 +461,6 @@ def parse(data: bytes, chunk_ids: Sequence[str]) -> InvertedIndex:
             raise ValueError("terms must be a JSON list")
     except ValueError as exc:
         raise ValueError(f"{LEXICAL_FILE}: {exc}") from None
-    # The rows are widened to <i4 from the narrower type ``save`` writes, so
-    # only the other three arrays need a copy to hold no view of ``data``.
-    return InvertedIndex(chunk_ids, doc_len.copy(), term_list, offsets.copy(), rows, tfs.copy())
+    return InvertedIndex(
+        chunk_ids, doc_len.copy(), term_list, offsets.copy(), rows.copy(), tfs.copy()
+    )

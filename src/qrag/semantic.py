@@ -16,8 +16,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,11 +33,13 @@ _FNV_PRIME = 0x100000001B3
 
 # Most chunks per block of ``VectorIndex.scan``. Its scratch arrays are a
 # few ``(8, SCAN_BLOCK_ROWS)`` float64 arrays (512 KiB each), whatever the
-# index size or the dim.
+# index size or the dim: the float32 columns are cast to float64 eight
+# dimensions at a time, into one of them.
 SCAN_BLOCK_ROWS = 8192
-# Rows per block that ``save`` converts to ``<f4`` and writes: its scratch,
-# 256 KiB at dim 256, whatever the index size.
-SAVE_BLOCK_ROWS = 256
+# Rows per block that an index converts between row order and its columns
+# (filling them in ``build`` and ``__init__``, writing them in ``save``):
+# its scratch, 512 KiB of float64 at dim 256, whatever the index size.
+ROW_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -171,10 +174,11 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 class VectorIndex:
     """Exact-scan index over L2-normalized chunk embeddings.
 
-    The embeddings are held once, as the C-contiguous float64 ``(dim, N)``
-    matrix ``cols``: row ``d`` is embedding dimension ``d`` across all
-    chunks. Its values are float32 numbers, the precision persistence
-    stores, so a freshly built index and a reloaded one score identically.
+    The embeddings are held once, at the width ``save`` stores them, as the
+    C-contiguous float32 ``(dim, N)`` matrix ``cols``: row ``d`` is
+    embedding dimension ``d`` across all chunks. So a freshly built index
+    and a reloaded one score identically. Each chunk's norm is kept as a
+    float64 beside it.
     """
 
     def __init__(self, ids: list[str], matrix: np.ndarray) -> None:
@@ -182,17 +186,30 @@ class VectorIndex:
         it is rounded to float32 as ``save`` would store it."""
         if matrix.ndim != 2 or len(ids) != matrix.shape[0]:
             raise ValueError("ids must match matrix rows")
+        blocks = (
+            matrix[start : start + ROW_BLOCK_ROWS]
+            for start in range(0, len(ids), ROW_BLOCK_ROWS)
+        )
+        self._fill(ids, matrix.shape[1], blocks)
+
+    def _fill(self, ids: list[str], dim: int, blocks: Iterable[np.ndarray]) -> None:
+        """Hold ``ids`` and the rows of ``blocks``, consecutive row blocks of
+        the ``(len(ids), dim)`` matrix, rounded to float32; refuse a row that
+        is not unit-norm."""
         self.ids = ids
-        self.dim = int(matrix.shape[1])
-        self.cols = np.empty((self.dim, len(ids)), dtype=np.float64)
+        self.dim = int(dim)
+        self.cols = np.empty((self.dim, len(ids)), dtype=np.float32)
         self._norms = np.empty(len(ids), dtype=np.float64)
-        for start in range(0, len(ids), 256):
-            b = np.asarray(matrix[start : start + 256], dtype=np.float32).astype(np.float64)
-            # One BLAS dot per row: the kernel ``cosine`` takes a norm with,
-            # so the two agree bitwise.
+        start = 0
+        for block in blocks:
+            rows = np.asarray(block, dtype=np.float32)
+            self.cols[:, start : start + len(rows)] = rows.T
+            b = rows.astype(np.float64, order="C")
+            # One BLAS dot per float64 row: the kernel ``cosine`` takes a norm
+            # with, so the two agree bitwise.
             dots = np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0]
-            self._norms[start : start + len(b)] = np.sqrt(dots)
-            self.cols[:, start : start + len(b)] = b.T
+            self._norms[start : start + len(rows)] = np.sqrt(dots)
+            start += len(rows)
         bad = np.flatnonzero(np.abs(self._norms - 1.0) > 1e-6)
         if len(bad):
             raise ValueError(f"rows not unit-norm: {bad[:5].tolist()}")
@@ -209,33 +226,24 @@ class VectorIndex:
     @classmethod
     def build(cls, ids: list[str], vectors: Iterable[np.ndarray]) -> "VectorIndex":
         """An index of ``vectors``, one per id in order, each L2-normalised
-        into its row of one float32 matrix sized from ``len(ids)``."""
-        matrix: np.ndarray | None = None
-        count = 0
-        for v in vectors:
-            v = np.asarray(v, dtype=np.float64)
-            if matrix is None:
-                matrix = np.empty((len(ids), v.size), dtype=np.float32)
-            if v.shape != matrix.shape[1:]:
-                raise ValueError(
-                    f"vector {count} has shape {v.shape}, expected {matrix.shape[1:]}"
-                )
-            norm = math.sqrt(float(np.dot(v, v)))
-            if norm < 1e-12:
-                raise ValueError("degenerate_embedding")
-            if count < len(ids):
-                matrix[count] = v / norm
-            count += 1
-        if matrix is None or count != len(ids):
-            raise ValueError(f"{count} vectors for {len(ids)} ids")
-        return cls(ids, matrix)
+        into a float32 block of ``ROW_BLOCK_ROWS`` rows that fills its part
+        of the columns, so no whole row-major matrix is made."""
+        vectors = iter(vectors)
+        first = next(vectors, None)
+        if first is None:
+            raise ValueError(f"0 vectors for {len(ids)} ids")
+        dim = np.asarray(first).size
+        index = cls.__new__(cls)
+        index._fill(ids, dim, _unit_blocks(chain([first], vectors), len(ids), dim))
+        return index
 
     def scan(self, q: np.ndarray) -> np.ndarray:
         """Cosine of the query against every row (brute force, exact).
 
         The chunks are split into blocks of equal width, at most
         ``SCAN_BLOCK_ROWS``; a narrow last block would cost more per chunk.
-        Each block is scored by ``_column_dots``, which adds each chunk's
+        Each block is scored by ``_column_dots``, which casts the float32
+        columns to float64 eight dimensions at a time and adds each chunk's
         products in the order of ``np.sum(row * q)``, so each score is
         bitwise-identical to ``cosine(row, q)``.
         """
@@ -257,6 +265,30 @@ class VectorIndex:
         return np.clip(scores, -1.0, 1.0, out=scores)
 
 
+def _unit_blocks(vectors: Iterable[np.ndarray], n: int, dim: int) -> Iterator[np.ndarray]:
+    """Each of ``n`` vectors of shape ``(dim,)`` divided by its norm, as
+    consecutive float32 blocks of at most ``ROW_BLOCK_ROWS`` rows. Every
+    block is the same buffer, so a caller copies it before the next."""
+    block = np.empty((ROW_BLOCK_ROWS, dim), dtype=np.float32)
+    count = 0
+    for v in vectors:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (dim,):
+            raise ValueError(f"vector {count} has shape {v.shape}, expected {(dim,)}")
+        norm = math.sqrt(float(np.dot(v, v)))
+        if norm < 1e-12:
+            raise ValueError("degenerate_embedding")
+        if count < n:
+            block[count % ROW_BLOCK_ROWS] = v / norm
+            if count % ROW_BLOCK_ROWS == ROW_BLOCK_ROWS - 1:
+                yield block
+        count += 1
+    if count != n:
+        raise ValueError(f"{count} vectors for {n} ids")
+    if n % ROW_BLOCK_ROWS:
+        yield block[: n % ROW_BLOCK_ROWS]
+
+
 def _column_dots(cols: np.ndarray, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``np.sum(cols[:, j] * q)`` for every column ``j``, bit for bit.
 
@@ -271,30 +303,46 @@ def _column_dots(cols: np.ndarray, q: np.ndarray, buf: np.ndarray) -> np.ndarray
 
 def _pairwise(cols: np.ndarray, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """numpy's ``pairwise_sum`` (``_core/src/umath/loops_utils.h.src``) of
-    ``cols[i] * q[i]`` along axis 0, for all columns at once."""
+    ``float64(cols[i]) * q[i]`` along axis 0, for all columns at once.
+
+    Up to eight rows of ``cols`` at a time are cast into ``buf`` and
+    multiplied there in place: each product is ``cosine``'s, of the float64
+    row, and a mixed-dtype multiply would be several times slower.
+    """
     n = len(q)
     if n < 8:
         res = np.zeros(cols.shape[1], dtype=np.float64)
-        for i in range(n):
-            res += cols[i] * q[i]
+        _add_rows(res, cols, q, buf)
         return res
     if n <= 128:
         # Eight accumulators over steps of eight terms, combined as a tree,
         # then the remainder added in order.
-        r = cols[:8] * q[:8, None]
+        r = np.empty_like(buf)
+        np.copyto(r, cols[:8])
+        r *= q[:8, None]
         tail = n - n % 8
         for i in range(8, tail, 8):
-            np.multiply(cols[i : i + 8], q[i : i + 8, None], out=buf)
+            np.copyto(buf, cols[i : i + 8])
+            buf *= q[i : i + 8, None]
             r += buf
         np.add(r[0::2], r[1::2], out=r[0::2])
         np.add(r[0::4], r[2::4], out=r[0::4])
         res = r[0] + r[4]
-        for i in range(tail, n):
-            res += cols[i] * q[i]
+        _add_rows(res, cols[tail:], q[tail:], buf)
         return res
     half = n // 2
     half -= half % 8
     return _pairwise(cols[:half], q[:half], buf) + _pairwise(cols[half:], q[half:], buf)
+
+
+def _add_rows(res: np.ndarray, cols: np.ndarray, q: np.ndarray, buf: np.ndarray) -> None:
+    """Add ``float64(cols[i]) * q[i]`` to ``res`` for each of the fewer than
+    eight rows of ``cols``, in order."""
+    m = len(q)
+    np.copyto(buf[:m], cols)
+    buf[:m] *= q[:, None]
+    for i in range(m):
+        res += buf[i]
 
 
 def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -304,7 +352,7 @@ def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, f
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = index.scan(q)
-    best = top_rows(index.id_rank, scores, np.arange(len(index)), k)
+    best = top_rows(index.id_rank, scores, None, k)
     return [(index.ids[i], float(scores[i])) for i in best]
 
 
@@ -313,15 +361,15 @@ def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, f
 
 def save(index: VectorIndex, out_dir: str | Path) -> None:
     """Write ``vectors.npy``: the ``.npy`` header of a ``<f4`` ``(N, dim)``
-    matrix, then its rows, converted from ``cols`` ``SAVE_BLOCK_ROWS`` at a
+    matrix, then its rows, transposed from ``cols`` ``ROW_BLOCK_ROWS`` at a
     time, so no whole copy of the matrix is made. The bytes are those of
     ``np.save`` of the whole matrix."""
     n = len(index)
     header = {"descr": "<f4", "fortran_order": False, "shape": (n, index.dim)}
     with (Path(out_dir) / VECTORS_FILE).open("wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for start in range(0, n, SAVE_BLOCK_ROWS):
-            block = index.cols[:, start : start + SAVE_BLOCK_ROWS].T
+        for start in range(0, n, ROW_BLOCK_ROWS):
+            block = index.cols[:, start : start + ROW_BLOCK_ROWS].T
             fh.write(np.ascontiguousarray(block, dtype="<f4"))
 
 

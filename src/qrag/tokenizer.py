@@ -13,7 +13,6 @@ import heapq
 import json
 import math
 import unicodedata
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -24,8 +23,6 @@ NORMALIZATION = "nfc_collapse"
 WORD_END = "</w>"
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
-
-_WS_RE = re.compile(r"\s+")
 
 # Whitespace tokens kept in a model's word cache, about 1.5 MiB of entries
 # (tracemalloc, 8,192 synthetic Gurmukhi tokens of 2.8 ids each). Past it, a
@@ -38,9 +35,11 @@ WORD_CACHE_MAX = 8192
 def normalize(text: str) -> str:
     """NFC-normalize, collapse whitespace runs to single spaces, and trim.
 
-    Idempotent: ``normalize(normalize(x)) == normalize(x)``.
+    Whitespace is what ``str.split`` splits at, the characters whose
+    ``isspace()`` is true: the same set as a ``re`` pattern's whitespace
+    class. Idempotent: ``normalize(normalize(x)) == normalize(x)``.
     """
-    return _WS_RE.sub(" ", unicodedata.normalize("NFC", text)).strip()
+    return " ".join(unicodedata.normalize("NFC", text).split())
 
 
 def _is_punct(ch: str) -> bool:
@@ -168,7 +167,8 @@ class TokenizerModel:
         Deterministic: identical (model, text) always yields the same sequence.
         """
         ids: list[int] = []
-        for token in normalize(text).split():
+        # The whitespace tokens of ``normalize(text)``, without the join.
+        for token in unicodedata.normalize("NFC", text).split():
             ids += self._encode_token(token)
         return TokenSeq(ids, list(map(self.tokens.__getitem__, ids)))
 

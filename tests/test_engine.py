@@ -923,6 +923,24 @@ class TestLoad:
             assert isinstance(_owner(arr), np.ndarray)
         assert loaded.chunks == engine.chunks
 
+    def test_a_loaded_engine_holds_each_array_once_at_its_stored_width(self, small_engine):
+        _, _, index_dir, *_ = small_engine
+        loaded = load_index(index_dir)
+        li, vi = loaded.lexical_index, loaded.vector_index
+        n, dim = loaded.chunk_count, loaded.config.embedder.dim
+        # The float32 columns, as vectors.npy stores them: no float64 copy.
+        assert vi.cols.dtype == np.float32 and vi.cols.shape == (dim, n)
+        assert vi.cols.flags.c_contiguous and vi.cols.nbytes == n * dim * 4
+        # The rows in the narrowest unsigned type that holds n - 1.
+        assert li.rows.dtype == np.min_scalar_type(n - 1)
+        # Each posting's impact is held once: in its term's dense row, or
+        # else in the sparse terms' postings.
+        impacts, dense = li.impacts(loaded.config.bm25)
+        spans = li._span.values()
+        assert len(dense) == sum(slot >= 0 for _, _, slot, _ in spans) > 0
+        assert len(impacts) == sum(hi - lo for lo, hi, slot, _ in spans if slot < 0) > 0
+        assert len(impacts) < len(li.rows)
+
     def test_one_info_line_times_each_file_and_the_digest_wait(self, small_engine, caplog):
         _, _, index_dir, *_ = small_engine
         with caplog.at_level(logging.INFO, logger="qrag.engine"):

@@ -28,6 +28,7 @@ from qrag.lexical import (
     score_rows,
     search,
     top_rows,
+    touched_rows,
 )
 from qrag.quantum import FusionConfig, fuse_rrf, rank_candidates
 from qrag.semantic import VectorIndex, search_exact
@@ -41,6 +42,19 @@ def _hand_index():
         "t": [("c1", 2)],
         "u": [("c1", 1), ("c2", 1), ("c3", 1)],
         "v": [("c2", 1), ("c3", 2)],
+    }
+    return InvertedIndex.from_postings(doc_len, postings)
+
+
+def _mixed_index():
+    """Eight chunks, so a term is frequent at df >= 2: "b" and "d" are, and
+    "a" and "c" are scored sparsely."""
+    doc_len = {f"c{i}": 3 + i for i in range(8)}
+    postings = {
+        "a": [("c1", 1)],
+        "b": [("c0", 2), ("c5", 1)],
+        "c": [("c2", 1)],
+        "d": [(f"c{i}", 1 + i % 3) for i in range(8)],
     }
     return InvertedIndex.from_postings(doc_len, postings)
 
@@ -355,32 +369,31 @@ class TestImpacts:
                 assert touched.any()
 
     def test_each_impact_is_its_terms_bm25_score(self):
-        ix = _hand_index()
         p = BM25Params(k1=1.5, b=0.5)
-        impacts = ix.impacts(p).postings
-        assert impacts.dtype == np.float64 and len(impacts) == len(ix.rows)
-        for term in ix.terms:
-            lo, hi = ix.offsets[ix.terms.index(term)], ix.offsets[ix.terms.index(term) + 1]
-            for row, impact in zip(ix.rows[lo:hi].tolist(), impacts[lo:hi].tolist()):
-                assert impact == bm25_score(ix, p, [term], ix.chunk_ids[row]) > 0.0
+        for ix in (_hand_index(), _mixed_index()):
+            impacts, dense = ix.impacts(p)
+            assert impacts.dtype == np.float64
+            # Only the sparsely scored terms' impacts: a frequent term's are
+            # in its dense row alone.
+            sparse = [term for term in ix.terms if not _is_dense(ix, term)]
+            assert len(impacts) == sum(len(ix.postings(term)[0]) for term in sparse)
+            for term in ix.terms:
+                lo, hi, slot, at = ix._span[term]
+                rows = ix.rows[lo:hi].tolist()
+                got = dense[slot, rows] if slot >= 0 else impacts[at : at + hi - lo]
+                for row, impact in zip(rows, got.tolist()):
+                    assert impact == bm25_score(ix, p, [term], ix.chunk_ids[row]) > 0.0
 
     def test_dense_rows_spread_each_frequent_terms_impacts(self):
-        # N = 8: a term is frequent at df >= 2.
-        doc_len = {f"c{i}": 3 + i for i in range(8)}
-        postings = {
-            "a": [("c1", 1)],
-            "b": [("c0", 2), ("c5", 1)],
-            "c": [("c2", 1)],
-            "d": [(f"c{i}", 1 + i % 3) for i in range(8)],
-        }
-        ix = InvertedIndex.from_postings(doc_len, postings)
-        impacts, dense = ix.impacts(BM25Params())
+        ix = _mixed_index()
+        p = BM25Params()
+        impacts, dense = ix.impacts(p)
         assert dense.shape == (2, ix.N) and dense.dtype == np.float64
+        assert len(impacts) == 2  # the postings of "a" and "c"
         for row, term in zip(dense, ["b", "d"]):
             rows, _ = ix.postings(term)
-            lo = ix.offsets[ix.terms.index(term)]
             want = np.zeros(ix.N)
-            want[rows] = impacts[lo : lo + len(rows)]
+            want[rows] = [bm25_score(ix, p, [term], ix.chunk_ids[r]) for r in rows]
             assert row.tobytes() == want.tobytes()
 
     def test_impacts_are_kept_per_params(self):
@@ -395,9 +408,12 @@ class TestImpacts:
     def test_impacts_scratch_does_not_grow_with_the_index(self):
         rng = np.random.default_rng(53)
         n_terms = 64
-        for n_rows in (3_000, 12_000):
+        # Every odd term is in about half the chunks and has a dense row;
+        # every even one is in about a tenth and is scored sparsely.
+        density = np.where(np.arange(n_terms) % 2, 0.5, 0.1)[:, None]
+        for n_rows in (4_000, 12_000):
             # Row-major nonzeros: rows increase within each term.
-            term_of, rows = np.nonzero(rng.random((n_terms, n_rows)) < 0.5)
+            term_of, rows = np.nonzero(rng.random((n_terms, n_rows)) < density)
             ix = InvertedIndex(
                 [f"c{i}" for i in range(n_rows)],
                 rng.integers(1, 50, n_rows),
@@ -413,11 +429,13 @@ class TestImpacts:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            # Every term is in about half the chunks, so each has a dense row;
-            # those rows are kept, part of the result.
-            assert dense.shape == (n_terms, n_rows)
-            assert dense.nbytes <= DENSE_DF * impacts.nbytes
-            # Beyond the result, a few IMPACT_BLOCK-long arrays.
+            # Those rows and the sparse terms' impacts are kept, the result.
+            sparse_postings = np.count_nonzero(term_of % 2 == 0)
+            assert dense.shape == (n_terms // 2, n_rows)
+            assert impacts.shape == (sparse_postings,)
+            assert dense.nbytes <= DENSE_DF * 8 * (len(rows) - sparse_postings)
+            # Beyond the result, a few IMPACT_BLOCK-long arrays: no array as
+            # long as the postings.
             assert peak - impacts.nbytes - dense.nbytes <= 12 * 8 * IMPACT_BLOCK, n_rows
 
 
@@ -545,6 +563,34 @@ class TestTopRows:
                 if k >= 1:
                     got = top_rows(id_ranks(ids), scores, rows, k)
                     assert got == _sorted_top(ids, scores, rows, k)
+
+    def test_every_row_path_matches_the_sorted_oracle(self):
+        # ``rows`` of None partitions the scores themselves, with no gather.
+        rng = np.random.default_rng(23)
+        values = np.array([0.0, -0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, -2.0])
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            ids = _shuffled_ids(rng, n)
+            scores = rng.choice(values, n)
+            for k in (1, 2, 5, n, n + 3):
+                want = _sorted_top(ids, scores, range(n), k)
+                assert top_rows(id_ranks(ids), scores, None, k) == want
+
+    def test_touched_rows_rank_as_the_touched_pool(self):
+        # As from ``score_rows``: 0.0 exactly on the rows no term touched.
+        rng = np.random.default_rng(29)
+        pools = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            ids = _shuffled_ids(rng, n)
+            scores = rng.choice([1.0, 2.0, 2.5, 4.0], n) * (rng.random(n) < rng.random())
+            touched = scores > 0.0
+            for k in (1, 2, 5, n, n + 3):
+                pool = touched_rows(touched, k)
+                pools.add(pool is None)
+                want = _sorted_top(ids, scores, np.flatnonzero(touched), k)
+                assert top_rows(id_ranks(ids), scores, pool, k) == want
+        assert pools == {True, False}
 
     def test_negative_zero_ties_positive_zero(self):
         ids = ["b", "a", "c"]
@@ -675,8 +721,8 @@ class TestPersistence:
         assert arrays[4].tolist() == [tf]
         reloaded = load(tmp_path, ["c"])
         assert _pairs(reloaded, "t") == [("c", tf)]
-        # The tfs are held as stored, the rows widened to <i4.
-        assert (reloaded.rows.dtype.str, reloaded.tfs.dtype.str) == ("<i4", width)
+        # The rows and the tfs are held as stored.
+        assert (reloaded.rows.dtype.str, reloaded.tfs.dtype.str) == ("|u1", width)
 
     @pytest.mark.parametrize(
         "n, width",
@@ -693,7 +739,8 @@ class TestPersistence:
             arrays = [np.lib.format.read_array(fh) for _ in range(5)]
         assert (arrays[3].dtype.str, arrays[3].tolist()) == (width, rows.tolist())
         reloaded = load(tmp_path, ids)
-        assert reloaded.rows.dtype.str == "<i4"
+        # Held as stored, as the index built from <i4 rows holds them too.
+        assert reloaded.rows.dtype.str == ix.rows.dtype.str == width
         assert np.array_equal(reloaded.rows, ix.rows)
 
     def test_scores_of_a_loaded_index_with_uint16_rows_match_bm25_score(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qrag.semantic import (
-    SAVE_BLOCK_ROWS,
+    ROW_BLOCK_ROWS,
     SCAN_BLOCK_ROWS,
     VECTORS_FILE,
     EmbedderSpec,
@@ -18,6 +18,7 @@ from qrag.semantic import (
     embed,
     load,
     load_external_embeddings,
+    parse,
     save,
     search_exact,
     token_vector,
@@ -187,8 +188,9 @@ class TestCosine:
 
 def _row_major_scan(ix, q):
     """The scan before the column-major kernel: per-row norms, and each row's
-    dot product as ``(block * q).sum(axis=1)`` over a row-major matrix."""
-    matrix = np.ascontiguousarray(ix.cols.T)
+    dot product as ``(block * q).sum(axis=1)`` over a row-major matrix. The
+    rows are cast to float64, as ``cosine`` casts them."""
+    matrix = np.ascontiguousarray(ix.cols.T, dtype=np.float64)
     norms = np.array([math.sqrt(float(np.dot(r, r))) for r in matrix])
     qn = math.sqrt(float(np.dot(q, q)))
     scores = np.empty(len(matrix))
@@ -297,7 +299,7 @@ class TestVectorIndexInvariants:
         for row in ix.cols.T:
             assert abs(math.sqrt(float(np.dot(row, row))) - 1.0) < 1e-6
 
-    def test_index_holds_one_float64_matrix(self):
+    def test_index_holds_one_float32_matrix(self):
         rng = np.random.default_rng(25)
         n, dim = 3000, 64
         vectors = rng.standard_normal((n, dim))
@@ -309,10 +311,12 @@ class TestVectorIndexInvariants:
         finally:
             tracemalloc.stop()
         assert len(ix) == n
+        assert ix.cols.dtype == np.float32 and ix.cols.shape == (dim, n)
+        assert ix.cols.flags.c_contiguous and ix.cols.nbytes == n * dim * 4
         # The (dim, N) columns and the N norms, plus a little slack.
-        assert held <= 8 * dim * n + 8 * n + 64 * 1024
+        assert held <= 4 * dim * n + 8 * n + 64 * 1024
 
-    def test_build_peak_is_one_float32_matrix_beyond_the_index(self):
+    def test_build_peak_is_a_row_block_beyond_the_index(self):
         rng = np.random.default_rng(31)
         n, dim = 8000, 64
         vectors = rng.standard_normal((n, dim))
@@ -324,10 +328,27 @@ class TestVectorIndexInvariants:
         finally:
             tracemalloc.stop()
         assert len(ix) == n
-        # The float32 rows the index is made from, one 256-row float64 block
-        # of the conversion and the unit-norm check over N norms; a list of
-        # rows and its stack cost twice the rows.
-        assert peak - held <= 4 * dim * n + 8 * dim * 256 + 3 * 8 * n + 64 * 1024
+        # One float32 block of rows, its float64 cast for the norms and the
+        # unit-norm check over N norms; a whole row-major matrix would add
+        # 4 * dim * n.
+        assert peak - held <= 12 * dim * ROW_BLOCK_ROWS + 3 * 8 * n + 64 * 1024 < 4 * dim * n
+
+    def test_parse_peak_is_the_matrix_and_a_row_block(self, tmp_path):
+        rng = np.random.default_rng(35)
+        n, dim = 8000, 64
+        ix = VectorIndex.build([f"c{i}" for i in range(n)], rng.standard_normal((n, dim)))
+        save(ix, tmp_path)
+        data = (tmp_path / VECTORS_FILE).read_bytes()
+        tracemalloc.start()
+        try:
+            parsed = parse(data, ix.ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed.cols.tobytes() == ix.cols.tobytes()
+        # The float32 columns and the N norms that are kept, one float64 row
+        # block of the norms and the unit-norm check over N norms.
+        assert peak <= 4 * dim * n + 8 * n + 8 * dim * ROW_BLOCK_ROWS + 3 * 8 * n + 64 * 1024
 
     @pytest.mark.parametrize("n_vectors", [0, 1, 3])
     def test_vector_count_must_match_the_ids(self, n_vectors):
@@ -374,13 +395,14 @@ class TestPersistence:
         save(ix, tmp_path)
         reloaded = load(tmp_path, ix.ids)
         assert reloaded.ids == ix.ids
+        assert reloaded.cols.dtype == ix.cols.dtype == np.float32
         assert np.array_equal(reloaded.cols, ix.cols)
         q = rng.standard_normal(16)
         assert search_exact(reloaded, q, 5) == search_exact(ix, q, 5)
 
     def test_save_writes_the_bytes_of_np_save_in_bounded_scratch(self, tmp_path):
         rng = np.random.default_rng(29)
-        n, dim = 16 * SAVE_BLOCK_ROWS + 3, 64
+        n, dim = 16 * ROW_BLOCK_ROWS + 3, 64
         ix = VectorIndex.build([f"c{i}" for i in range(n)], rng.standard_normal((n, dim)))
         tracemalloc.start()
         try:
@@ -391,9 +413,9 @@ class TestPersistence:
         whole = np.ascontiguousarray(ix.cols.T, dtype="<f4")
         np.save(tmp_path / "whole.npy", whole)
         assert (tmp_path / VECTORS_FILE).read_bytes() == (tmp_path / "whole.npy").read_bytes()
-        # A block of SAVE_BLOCK_ROWS rows at a time: a sixteenth of the matrix,
+        # A block of ROW_BLOCK_ROWS rows at a time: a sixteenth of the matrix,
         # which a whole copy would take.
-        assert peak <= 2 * SAVE_BLOCK_ROWS * dim * 4 + 64 * 1024 < whole.nbytes
+        assert peak <= 2 * ROW_BLOCK_ROWS * dim * 4 + 64 * 1024 < whole.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / VECTORS_FILE).write_bytes(b"NOTMAGIC" + b"\x00" * 12)

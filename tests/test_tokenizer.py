@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import sys
 import unicodedata
 from collections import Counter
 
@@ -45,6 +47,25 @@ class TestNormalize:
     def test_whitespace_collapse_and_trim(self):
         assert normalize("  a  b ") == "a b"
         assert normalize("a\t\n b") == "a b"
+
+    def test_every_whitespace_codepoint_is_collapsed_as_the_regex_did(self):
+        # ``normalize`` splits with ``str.split``; before, it collapsed runs of
+        # the regex ``\s+``. Both test ``str.isspace``, so they must agree on
+        # every codepoint, alone and in mixed runs.
+        spaces = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+        assert re.fullmatch(r"\s+", "".join(spaces))
+        assert not re.search(r"\s", "".join(
+            chr(cp) for cp in range(sys.maxunicode + 1) if not chr(cp).isspace()
+        ))
+        rng = np.random.default_rng(44)
+        texts = [f"a{ch}ਸ" for ch in spaces] + [f"{ch}x{ch}{ch}y{ch}" for ch in spaces]
+        pool = [*spaces, "a", "ਸਤਿ", "ਖ਼", ".", "\u0a3c"]
+        texts += ["".join(rng.choice(pool, size=rng.integers(0, 30))) for _ in range(500)]
+        model = _hand_model()
+        for text in texts:
+            want = re.sub(r"\s+", " ", unicodedata.normalize("NFC", text)).strip()
+            assert normalize(text) == want, ascii(text)
+            assert model.encode(text) == model.encode(want), ascii(text)
 
     def test_idempotent_on_random_strings(self):
         rng = np.random.default_rng(42)
