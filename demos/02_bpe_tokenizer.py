@@ -27,11 +27,13 @@ print("\nfirst merges:", model.merges[:6])
 
 # -- encoding ------------------------------------------------------------------
 
+# A term is its vocab id; ``model.tokens[i]`` is id i's string.
 sample = lines[0].split()[0]
-seq = model.encode(sample)
+ids = model.encode(sample)
 print(f"\nencode({sample!r}):")
-print("  surface:", seq.surface)
-print("  ids:    ", seq.ids)
+print("  ids:    ", ids)
+print("  tokens: ", [model.tokens[i] for i in ids])
+print("  decode: ", model.decode(ids))
 
 # -- normalization and round-trip ----------------------------------------------
 
@@ -46,7 +48,7 @@ print("  exact round-trip:", model.decode(model.encode(probe)) == normalize(prob
 # Codepoints never seen in training fall back to the unk token, so only
 # covered text round-trips exactly.
 oov = model.encode("ਅਜਨਬੀ xyz")
-print("  out-of-vocab surfaces:", oov.surface[:8])
+print("  out-of-vocab tokens:", [model.tokens[i] for i in oov[:8]])
 
 # -- serialization ---------------------------------------------------------------
 
@@ -58,6 +60,6 @@ with tempfile.TemporaryDirectory() as td:
     model.save(path)
     reloaded = TokenizerModel.load(path)
     same = all(
-        reloaded.encode(line).ids == model.encode(line).ids for line in lines[:20]
+        reloaded.encode(line) == model.encode(line) for line in lines[:20]
     )
     print("\nreloaded model encodes identically:", same)

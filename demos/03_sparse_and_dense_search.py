@@ -2,9 +2,10 @@
 Sparse and dense retrieval legs
 ===============================
 
-Encodes each chunk once and builds the BM25 inverted index from its terms
-and the exact-scan vector index from its vocab ids, then contrasts what
-each leg is good at: exact term matches versus bag-of-subwords similarity.
+Encodes each chunk once and builds both the BM25 inverted index and the
+exact-scan vector index from its vocab ids, the one term space of both
+legs, then contrasts what each leg is good at: exact term matches versus
+bag-of-subwords similarity.
 """
 
 import numpy as np
@@ -19,47 +20,51 @@ from qrag.tokenizer import train_bpe
 records = make_corpus(50, seed=9, lexicon_size=120, words_per_doc=(10, 18))
 lines = [r["text"] for r in records]
 tok = train_bpe(lines, vocab_size=2000)
-seqs = [tok.encode(r["text"]) for r in records]
+chunk_terms = [tok.encode(r["text"]) for r in records]
 chunks = [
-    Chunk(r["id"] + "#0", r["id"], 0, len(seq), r["text"])
-    for r, seq in zip(records, seqs)
+    Chunk(r["id"] + "#0", r["id"], 0, len(ids), r["text"])
+    for r, ids in zip(records, chunk_terms)
 ]
 
 # -- BM25 ----------------------------------------------------------------------
 
-index = lexical.build_index([c.chunk_id for c in chunks], [s.surface for s in seqs])
+# Term j of the index is vocab id j, held by a chunk or not.
+index = lexical.build_index([c.chunk_id for c in chunks], chunk_terms, tok.vocab_size())
 params = BM25Params()
-print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, {len(index.terms)} terms")
+held = int(np.count_nonzero(np.diff(index.offsets)))
+print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, "
+      f"{held} of {tok.vocab_size()} vocab ids held")
 
 query = " ".join(lines[7].split()[:3])
 print(f"\nBM25 search for {query!r}:")
-for cid, score in lexical.search(index, params, tok.encode(query).surface, 3):
+for cid, score in lexical.search(index, params, tok.encode(query), 3):
     print(f"  {cid}: {score:.4f}")
 
 rare_term = lines[7].split()[0]
 print(f"idf({rare_term!r} tokens):")
-for t in tok.encode(rare_term).surface:
-    print(f"  {t!r}: {lexical.idf(index, t):.4f}")
+for t in tok.encode(rare_term):
+    print(f"  {tok.tokens[t]!r} (id {t}): {lexical.idf(index, t):.4f}")
 
 # -- dense leg -------------------------------------------------------------------
 
 # One row of token vectors per vocab id, filled as embeds first need them,
-# and each id's idf as its weight.
+# and each id's weight: its idf where a chunk holds it, 1.0 where none does.
 spec = EmbedderSpec(kind="hash_projection", dim=256)
-table = semantic.TokenTable(tok.tokens, lexical.idf_weights(index), spec.dim)
-vectors = [semantic.embed(seq.ids, table) for seq in seqs]
+weights = np.where(np.diff(index.offsets) > 0, index.idfs, 1.0)
+table = semantic.TokenTable(tok.tokens, weights, spec.dim)
+vectors = [semantic.embed(ids, table) for ids in chunk_terms]
 vindex = VectorIndex.build([c.chunk_id for c in chunks], vectors)
 
 # A paraphrase-like query: most of the words of doc 7, shuffled.
 words = lines[7].split()
 rng = np.random.default_rng(0)
 paraphrase = " ".join(rng.permutation(words)[: int(0.7 * len(words))])
-q = semantic.embed(tok.encode(paraphrase).ids, table)
+q = semantic.embed(tok.encode(paraphrase), table)
 print(f"\ndense search for a shuffled subset of doc 7's words:")
 for cid, score in semantic.search_exact(vindex, q, 3):
     print(f"  {cid}: cosine={score:.4f}")
 
 print(f"\ntoken table: {table.filled.sum()} of {len(table.tokens)} rows filled")
 print("\nexact self-match:")
-q_self = semantic.embed(tok.encode(lines[7]).ids, table)
+q_self = semantic.embed(tok.encode(lines[7]), table)
 print(" ", semantic.search_exact(vindex, q_self, 1)[0])

@@ -60,6 +60,6 @@ from .semantic import (
     token_vector,
     token_vectors,
 )
-from .tokenizer import TokenizerModel, TokenSeq, normalize, train_bpe
+from .tokenizer import TokenizerModel, normalize, train_bpe
 
 __version__ = "0.1.0"

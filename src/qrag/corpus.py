@@ -257,8 +257,8 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
     The final partial window is emitted only when it holds at least
     ``min_tokens`` tokens; chunk text is the decode of its token span.
     """
-    seq = tok.encode(doc.text)
-    n = len(seq)
+    ids = tok.encode(doc.text)
+    n = len(ids)
     if n == 0:
         return []
     stride = cfg.chunk_size_tokens - cfg.chunk_overlap_tokens
@@ -275,7 +275,7 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
                     doc_id=doc.doc_id,
                     token_offset=offset,
                     token_count=count,
-                    text=tok.decode(seq.slice(offset, end)),
+                    text=tok.decode(ids[offset:end]),
                 )
             )
             index += 1

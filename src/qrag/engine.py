@@ -40,7 +40,7 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MANIFEST_FILE = "manifest.json"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
@@ -166,12 +166,12 @@ def format_context(
 
 
 def _truncate_to_budget(text: str, budget: int, tok: TokenizerModel) -> str:
-    seq = tok.encode(text)
-    k = min(budget, len(seq))
+    ids = tok.encode(text)
+    k = min(budget, len(ids))
     # Re-encoding a decoded mid-word prefix can change the token count, so
     # back off until the decoded prefix fits.
     while k > 0:
-        candidate = tok.decode(seq.slice(0, k))
+        candidate = tok.decode(ids[:k])
         if tok.token_count(candidate) <= budget:
             return candidate
         k -= 1
@@ -197,6 +197,9 @@ class RetrievalEngine:
         ):
             if ids != chunks.chunk_ids:
                 raise ValueError(f"{name} index ids do not follow the chunk order")
+        # Term j of the lexical index is vocab id j.
+        if len(lexical_index.offsets) != tokenizer.vocab_size() + 1:
+            raise ValueError("lexical index terms do not follow the vocabulary")
         self.tokenizer = tokenizer
         self.lexical_index = lexical_index
         self.vector_index = vector_index
@@ -205,8 +208,7 @@ class RetrievalEngine:
         # whose chunk vectors come from a file has no text encoder.
         self.token_table = None
         if config.embedder.kind == "hash_projection":
-            idf = lexical.idf_weights(lexical_index)
-            self.token_table = semantic.TokenTable(tokenizer.tokens, idf, config.embedder.dim)
+            self.token_table = _token_table(tokenizer, lexical_index, config.embedder.dim)
         self._sep_cost = tokenizer.token_count(CONTEXT_DELIMITER)
 
     @property
@@ -235,8 +237,7 @@ class RetrievalEngine:
         t_start = time.perf_counter()
 
         t0 = time.perf_counter()
-        seq = self.tokenizer.encode(query)
-        terms = seq.surface
+        terms = self.tokenizer.encode(query)
         timings["tokenize"] = (time.perf_counter() - t0) * 1000.0
         if not terms:
             raise ValueError("empty query")
@@ -258,7 +259,7 @@ class RetrievalEngine:
 
         if use_dense:
             t0 = time.perf_counter()
-            q_emb = semantic.embed(seq.ids, self.token_table)
+            q_emb = semantic.embed(terms, self.token_table)
             dense_scores = self.vector_index.scan(q_emb)
             nominated += lexical.top_rows(rank, dense_scores, None, cfg.k_dense)
             timings["dense"] = (time.perf_counter() - t0) * 1000.0
@@ -355,11 +356,18 @@ def prepare(
     return tok, ChunkTable.from_chunks(chunks)
 
 
+def _token_table(tok: TokenizerModel, index: InvertedIndex, dim: int) -> semantic.TokenTable:
+    """The dense leg's token table: each vocab id's weight is its idf where a
+    chunk holds it, and 1.0 where none does."""
+    weights = np.where(np.diff(index.offsets) > 0, index.idfs, 1.0)
+    return semantic.TokenTable(tok.tokens, weights, dim)
+
+
 def build_all(
     corpus_path: str | Path, cfg: EngineConfig, out_dir: str | Path
 ) -> IndexManifest:
     """Run ``prepare``, then encode each chunk once and build the lexical
-    index and the vectors from its terms, then persist everything.
+    index and the vectors from its vocab ids, then persist everything.
 
     Deterministic: rebuilding from identical inputs writes byte-identical
     index files (the manifest timestamp aside).
@@ -371,20 +379,15 @@ def build_all(
     ids = chunks.chunk_ids
 
     with _stage("lexical_index"):
-        # Only each chunk's ids are kept; its terms are looked up from them.
-        chunk_ids = deque(tok.encode(text).ids for text in chunks.texts)
-        lex_index = lexical.build_index(
-            ids, (list(map(tok.tokens.__getitem__, i)) for i in chunk_ids)
-        )
+        chunk_ids = deque(tok.encode(text) for text in chunks.texts)
+        lex_index = lexical.build_index(ids, chunk_ids, tok.vocab_size())
 
     with _stage("embed"):
         if cfg.embedder.kind == "external_file":
             chunk_ids.clear()
             vec_index = semantic.load_external_embeddings(cfg.embedder.path, ids)
         else:
-            table = semantic.TokenTable(
-                tok.tokens, lexical.idf_weights(lex_index), cfg.embedder.dim
-            )
+            table = _token_table(tok, lex_index, cfg.embedder.dim)
             # popleft drops each chunk's ids once they are embedded.
             vectors = (semantic.embed(chunk_ids.popleft(), table) for _ in ids)
             vec_index = VectorIndex.build(ids, vectors)
@@ -545,7 +548,10 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
                 )
             ids = chunks.chunk_ids
             tok = load(TOKENIZER_FILE, lambda data: TokenizerModel.from_json(data.decode("utf-8")))
-            lex_index = load(lexical.LEXICAL_FILE, lambda data: lexical.parse(data, ids))
+            lex_index = load(
+                lexical.LEXICAL_FILE,
+                lambda data: lexical.parse(data, ids, tok.vocab_size()),
+            )
             vec_index = load(semantic.VECTORS_FILE, lambda data: semantic.parse(data, ids))
             if config.embedder.kind == "hash_projection" and vec_index.dim != config.embedder.dim:
                 raise ValueError(

@@ -1,27 +1,24 @@
 """BM25 sparse retrieval over an inverted index of BPE subword terms.
 
 The engine tokenizes; this module indexes and searches the terms it is
-given, the same terms the dense leg embeds, so both retrieval legs score
-the same term space. Scoring uses the +1-inside-log IDF variant,
-which keeps every term weight strictly positive.
+given, the same vocab ids the dense leg embeds, so both retrieval legs
+score the same term space: term j is vocab id j. Scoring uses the
++1-inside-log IDF variant, which keeps every term weight strictly positive.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 LEXICAL_FILE = "lexical.npy"
 # The arrays of ``lexical.npy``, in file order.
-LEXICAL_ARRAYS = ("doc_len", "terms", "offsets", "rows", "tfs")
+LEXICAL_ARRAYS = ("doc_len", "offsets", "rows", "tfs")
 
 # Postings per block of ``InvertedIndex.impacts``: its scratch is a few
 # arrays of this length (256 KiB each in float64), whatever the index size.
@@ -34,7 +31,6 @@ IMPACT_CACHE_MAX = 4
 # the row is the cheaper of the two; N/8 was no faster on the benchmark
 # queries and held three times the rows.
 DENSE_DF = 4
-_UNSEEN = (0, 0, -1, 0)  # the ``InvertedIndex._span`` of a term no chunk holds
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,9 @@ class Impacts(NamedTuple):
 
 
 class InvertedIndex:
-    """BM25 postings as shared arrays, addressed by row: row i is chunk_ids[i].
+    """BM25 postings as shared arrays, addressed by row and by term: row i
+    is chunk_ids[i], and term j is vocab id j, for each of the
+    ``len(offsets) - 1`` ids of the vocabulary, held by a chunk or not.
 
     Term j's postings are ``rows[offsets[j]:offsets[j + 1]]``, strictly
     increasing, with their term frequencies at the same positions of
@@ -79,7 +77,6 @@ class InvertedIndex:
         self,
         chunk_ids: Sequence[str],
         doc_len: np.ndarray,
-        terms: Sequence[str],
         offsets: np.ndarray,
         rows: np.ndarray,
         tfs: np.ndarray,
@@ -97,32 +94,27 @@ class InvertedIndex:
             raise ValueError(f"doc_len has {len(doc_len)} entries for {self.N} chunks (N >= 1)")
         if (doc_len < 0).any():
             raise ValueError("doc_len must be >= 0")
-        self.terms = list(terms)
         n = len(rows)
-        if len(offsets) != len(self.terms) + 1 or offsets[0] != 0 or offsets[-1] != n:
+        if not len(offsets) or offsets[0] != 0 or offsets[-1] != n:
             raise ValueError(f"offsets must run from 0 to the posting count {n}")
         if (offsets[1:] < offsets[:-1]).any() or len(tfs) != n:
             raise ValueError("offsets must not decrease, and tfs must match rows")
         self.offsets = offsets.astype("<i8", copy=False)
-        bounds = self.offsets.tolist()
+        df = np.diff(self.offsets)
         # Each term's postings, its dense row (-1 for a term scored sparsely)
         # and where its impacts start among the sparse terms' ``postings``.
-        self._span: dict[str, tuple[int, int, int, int]] = {}
-        slots = []
-        dense = at = 0
-        for j, term in enumerate(self.terms):
-            if not isinstance(term, str) or term in self._span:
-                raise ValueError(f"term {j} is not a string listed once: {term!r}")
-            lo, hi = bounds[j], bounds[j + 1]
-            frequent = (hi - lo) * DENSE_DF >= self.N
-            slots.append(dense if frequent else -1)
-            self._span[term] = (lo, hi, slots[-1], at)
-            if frequent:
-                dense += 1
-            else:
-                at += hi - lo
-        self._slots = np.array(slots, dtype=np.intp)
-        self._sparse_postings = at
+        frequent = df * DENSE_DF >= self.N
+        self._slots = np.where(frequent, np.cumsum(frequent) - 1, -1)
+        sparse_df = np.where(frequent, 0, df)
+        self._sparse_postings = int(sparse_df.sum())
+        self._spans = list(
+            zip(
+                self.offsets[:-1].tolist(),
+                self.offsets[1:].tolist(),
+                self._slots.tolist(),
+                (np.cumsum(sparse_df) - sparse_df).tolist(),
+            )
+        )
         # A repeated row would push df past N and idf below 0; increasing rows
         # also let a chunk's tf be found by bisection.
         stalls = np.zeros(n, dtype=bool)
@@ -130,7 +122,7 @@ class InvertedIndex:
         stalls[self.offsets[:-1][self.offsets[:-1] < n]] = False  # term starts
         # A posting on a chunk of length 0 is refused too, so every impact is
         # finite and positive (an index of such chunks has avgdl 0).
-        empty = np.take(doc_len, rows, mode="clip") == 0
+        empty = np.take(doc_len == 0, rows, mode="clip")
         for bad, fault in (
             ((rows < 0) | (rows >= self.N), f"name a row outside 0..{self.N - 1}"),
             (tfs < 1, "have a tf below 1"),
@@ -139,12 +131,12 @@ class InvertedIndex:
         ):
             if bad.any():
                 p = int(np.argmax(bad))
-                term = self.terms[int(np.searchsorted(self.offsets, p, "right")) - 1]
+                term = int(np.searchsorted(self.offsets, p, "right")) - 1
                 if bad is stalls and rows[p] == rows[p - 1]:
                     fault = f"name chunk_id {self.chunk_ids[rows[p]]!r} twice"
                 elif bad is empty:
                     fault = f"name chunk_id {self.chunk_ids[rows[p]]!r} of length 0"
-                raise ValueError(f"postings for term {term!r} {fault}")
+                raise ValueError(f"postings for term {term} {fault}")
         self.doc_len = doc_len.astype("<i4", copy=False)
         self.rows = rows.astype(_row_type(self.N), copy=False)
         width = np.min_scalar_type(int(tfs.max(initial=1))).newbyteorder("<")
@@ -153,49 +145,18 @@ class InvertedIndex:
         self.avgdl = int(self.doc_len.sum(dtype=np.int64)) / self.N
         # Each term's idf, in term order: ``idf``'s scalar expression, so every
         # weight keeps its bits (np.log and np.log1p may differ in the last).
-        self.idfs = [
-            math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
-            for df in np.diff(self.offsets).tolist()
-        ]
+        self.idfs = np.array(
+            [math.log(1.0 + (self.N - d + 0.5) / (d + 0.5)) for d in df.tolist()],
+            dtype=np.float64,
+        )
         self.id_rank = id_ranks(self.chunk_ids)
         self._impacts: dict[BM25Params, Impacts] = {}
 
-    @classmethod
-    def from_postings(
-        cls,
-        doc_len: Mapping[str, int],
-        postings: Mapping[str, Sequence[tuple[str, int]]],
-    ) -> "InvertedIndex":
-        """An index from ``{chunk_id: length}`` in row order and each term's
-        ``(chunk_id, tf)`` pairs, in any order. An unknown chunk id is
-        refused, and so is a tf that is not an ``int`` (``1.5``, ``"2"`` and
-        ``True`` are not coerced)."""
-        row_of = {cid: i for i, cid in enumerate(doc_len)}
-        offsets = np.cumsum([0, *map(len, postings.values())])
-        rows = np.empty(offsets[-1], dtype=_row_type(len(row_of)))
-        tfs = np.empty(offsets[-1], dtype=np.int32)  # a tf is at most a chunk's length
-        for (term, plist), lo, hi in zip(postings.items(), offsets[:-1], offsets[1:]):
-            try:
-                term_rows = np.fromiter(
-                    map(row_of.__getitem__, map(itemgetter(0), plist)), np.intp, hi - lo
-                )
-            except KeyError as exc:
-                raise ValueError(
-                    f"postings for term {term!r} name unknown chunk_id {exc.args[0]!r}"
-                ) from None
-            term_tfs = list(map(itemgetter(1), plist))
-            if not set(map(type, term_tfs)) <= {int}:
-                raise ValueError(f"postings for term {term!r} have a tf that is not an int")
-            order = np.argsort(term_rows, kind="stable")
-            rows[lo:hi] = term_rows[order]
-            tfs[lo:hi] = np.array(term_tfs)[order]
-        lengths = np.array(list(doc_len.values()), dtype=np.int64)
-        return cls(list(doc_len), lengths, list(postings), offsets, rows, tfs)
-
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+    def postings(self, term: int) -> tuple[np.ndarray, np.ndarray]:
         """``term``'s chunk rows (increasing) and tfs, as views into the shared
-        arrays; both empty for an unseen term."""
-        lo, hi, _, _ = self._span.get(term, _UNSEEN)
+        arrays; both empty for a term no chunk holds."""
+        (term,) = _distinct(self, (term,))
+        lo, hi, _, _ = self._spans[term]
         return self.rows[lo:hi], self.tfs[lo:hi]
 
     def impacts(self, p: BM25Params) -> Impacts:
@@ -204,7 +165,7 @@ class InvertedIndex:
         frequent term's scores spread over one row of N, in term order, with
         0.0 where the term is absent; ``postings`` holds every other term's,
         in ``rows`` order, so term ``t``'s are ``postings[at:at + hi - lo]``
-        for its ``_span`` ``(lo, hi, -1, at)``.
+        for its ``_spans[t]`` of ``(lo, hi, -1, at)``.
 
         Computed once per params, in blocks of ``IMPACT_BLOCK`` postings
         written straight to where they are kept, and kept on the index for
@@ -251,29 +212,51 @@ def _row_type(n: int) -> np.dtype:
 
 
 def build_index(
-    chunk_ids: Sequence[str], chunk_terms: Iterable[Sequence[str]]
+    chunk_ids: Sequence[str], chunk_terms: Iterable[Sequence[int]], term_count: int
 ) -> InvertedIndex:
-    """Index each chunk's terms: row i is ``chunk_ids[i]``, whose terms are
-    the i-th list of ``chunk_terms`` (a count mismatch is a ``ValueError``).
+    """Index each chunk's term ids: row i is ``chunk_ids[i]``, whose terms are
+    the i-th sequence of ``chunk_terms`` (a count mismatch is a
+    ``ValueError``), and term j is id j of ``term_count``.
 
-    Terms are sorted; term frequency counts every occurrence within a chunk.
+    Each chunk's distinct ids and their counts, its term frequencies, come
+    from one ``np.unique`` and are kept in the narrowest types that hold
+    them, so no array as long as the corpus's tokens is made. One stable
+    argsort of the whole term column then orders the postings by term, each
+    term's in row order.
     """
     if not chunk_ids:
         raise ValueError("empty chunk list")
-    doc_len: dict[str, int] = {}
-    tf_maps: dict[str, dict[str, int]] = {}
-    for cid, terms in zip(chunk_ids, chunk_terms, strict=True):
-        if cid in doc_len:
+    seen: set[str] = set()
+    for cid in chunk_ids:
+        if cid in seen:
             raise ValueError(f"duplicate chunk_id: {cid}")
-        doc_len[cid] = len(terms)
-        for t, tf in Counter(terms).items():
-            tf_maps.setdefault(t, {})[cid] = tf
-    # Views, not copies: the pairs are already held once in tf_maps.
-    postings = {term: tf_maps[term].items() for term in sorted(tf_maps)}
-    return InvertedIndex.from_postings(doc_len, postings)
+        seen.add(cid)
+    term_type = np.min_scalar_type(max(term_count - 1, 0))
+    doc_len: list[int] = []
+    terms: list[np.ndarray] = []
+    tfs: list[np.ndarray] = []
+    for cid, ids in zip(chunk_ids, chunk_terms, strict=True):
+        term, tf = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
+        if len(term) and not (0 <= term[0] and term[-1] < term_count):
+            raise ValueError(f"chunk {cid!r} holds a term id outside 0..{term_count - 1}")
+        doc_len.append(len(ids))
+        terms.append(term.astype(term_type))
+        tfs.append(tf.astype(np.min_scalar_type(len(ids))))
+    distinct = list(map(len, terms))
+    term_col = np.concatenate(terms)
+    del terms
+    order = np.argsort(term_col, kind="stable")
+    offsets = np.zeros(term_count + 1, dtype="<i8")
+    np.cumsum(np.bincount(term_col, minlength=term_count), out=offsets[1:])
+    del term_col
+    rows = np.repeat(np.arange(len(chunk_ids), dtype=_row_type(len(chunk_ids))), distinct)
+    return InvertedIndex(
+        chunk_ids, np.array(doc_len, dtype=np.int64), offsets, rows[order],
+        np.concatenate(tfs)[order],
+    )
 
 
-def idf(index: InvertedIndex, term: str) -> float:
+def idf(index: InvertedIndex, term: int) -> float:
     """ln(1 + (N - df + 0.5) / (df + 0.5)); finite and positive for df <= N.
 
     The reference for ``InvertedIndex.idfs``, which holds it for every term."""
@@ -281,25 +264,26 @@ def idf(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.N - df + 0.5) / (df + 0.5))
 
 
-def idf_weights(index: InvertedIndex) -> dict[str, float]:
-    """``idf`` of every indexed term: the dense leg's term weights."""
-    return dict(zip(index.terms, index.idfs))
-
-
-def _tf_in_chunk(index: InvertedIndex, term: str, row: int) -> int:
+def _tf_in_chunk(index: InvertedIndex, term: int, row: int) -> int:
     rows, tfs = index.postings(term)
     i = int(np.searchsorted(rows, row))
     return int(tfs[i]) if i < len(rows) and rows[i] == row else 0
 
 
-def _dedup_terms(query_terms: Iterable[str]) -> list[str]:
-    # Set-of-terms semantics, preserving first-appearance order so that the
-    # floating-point accumulation order is identical everywhere.
-    return list(dict.fromkeys(query_terms))
+def _distinct(index: InvertedIndex, terms: Iterable[int]) -> list[int]:
+    """The distinct term ids, in first-appearance order: set-of-terms
+    semantics, in one floating-point accumulation order everywhere. An id
+    that is not a term of the index is a ``ValueError``."""
+    distinct = list(dict.fromkeys(terms))
+    count = len(index._spans)
+    if distinct and not (0 <= min(distinct) and max(distinct) < count):
+        bad = next(t for t in distinct if not 0 <= t < count)
+        raise ValueError(f"term id out of range: {bad}")
+    return distinct
 
 
 def bm25_score(
-    index: InvertedIndex, p: BM25Params, query_terms: Sequence[str], chunk_id: str
+    index: InvertedIndex, p: BM25Params, query_terms: Sequence[int], chunk_id: str
 ) -> float:
     """BM25 score of one chunk for a set of query terms.
 
@@ -313,7 +297,7 @@ def bm25_score(
     dl = float(index.doc_len[row])
     norm = p.k1 * (1.0 - p.b + p.b * dl / index.avgdl)
     score = 0.0
-    for term in _dedup_terms(query_terms):
+    for term in _distinct(index, query_terms):
         tf = _tf_in_chunk(index, term, row)
         if tf == 0:
             continue
@@ -322,7 +306,7 @@ def bm25_score(
 
 
 def score_rows(
-    index: InvertedIndex, p: BM25Params, query_terms: Sequence[str]
+    index: InvertedIndex, p: BM25Params, query_terms: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row BM25 scores and a touched mask (True iff a query term hit).
 
@@ -336,8 +320,9 @@ def score_rows(
     """
     impacts, dense = index.impacts(p)
     scores = np.zeros(index.N, dtype=np.float64)
-    for term in _dedup_terms(query_terms):
-        lo, hi, slot, at = index._span.get(term, _UNSEEN)
+    spans = index._spans
+    for term in _distinct(index, query_terms):
+        lo, hi, slot, at = spans[term]
         if slot >= 0:
             scores += dense[slot]
         else:
@@ -388,9 +373,9 @@ def touched_rows(touched: np.ndarray, k: int) -> np.ndarray | None:
 
 
 def search(
-    index: InvertedIndex, p: BM25Params, terms: Sequence[str], k: int
+    index: InvertedIndex, p: BM25Params, terms: Sequence[int], k: int
 ) -> list[tuple[str, float]]:
-    """BM25 top-k for a query's terms (no terms -> [])."""
+    """BM25 top-k for a query's term ids (no terms -> [])."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not terms:
@@ -404,14 +389,13 @@ def search(
 
 
 def save(index: InvertedIndex, out_dir: str | Path) -> None:
-    """Write the doc lengths, the terms (UTF-8 JSON bytes), the offsets, the
-    rows and the tfs as consecutive ``.npy`` arrays of one file, each as the
-    index holds it: the rows in the narrowest unsigned type that holds N - 1
-    (``uint16`` up to 65,536 chunks), the tfs in the narrowest unsigned type
-    that holds the largest."""
-    terms = np.frombuffer(json.dumps(index.terms, ensure_ascii=False).encode(), np.uint8)
+    """Write the doc lengths, the offsets, the rows and the tfs as
+    consecutive ``.npy`` arrays of one file, each as the index holds it: the
+    rows in the narrowest unsigned type that holds N - 1 (``uint16`` up to
+    65,536 chunks), the tfs in the narrowest unsigned type that holds the
+    largest."""
     with (Path(out_dir) / LEXICAL_FILE).open("wb") as fh:
-        for arr in (index.doc_len, terms, index.offsets, index.rows, index.tfs):
+        for arr in (index.doc_len, index.offsets, index.rows, index.tfs):
             np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
@@ -444,23 +428,19 @@ def npy_arrays(data: bytes, names: Sequence[str]) -> list[np.ndarray]:
     return arrays
 
 
-def load(in_dir: str | Path, chunk_ids: Sequence[str]) -> InvertedIndex:
-    """Read an index written by ``save``; row i is ``chunk_ids[i]``."""
-    return parse((Path(in_dir) / LEXICAL_FILE).read_bytes(), chunk_ids)
-
-
-def parse(data: bytes, chunk_ids: Sequence[str]) -> InvertedIndex:
+def parse(data: bytes, chunk_ids: Sequence[str], term_count: int) -> InvertedIndex:
     """The index in ``data``, the bytes of a ``lexical.npy``; row i is
-    ``chunk_ids[i]``. The index keeps no view of ``data``."""
+    ``chunk_ids[i]`` and term j is vocab id j of ``term_count``, so
+    ``offsets`` must hold ``term_count + 1`` entries. The index keeps no view
+    of ``data``."""
     try:
-        doc_len, terms, offsets, rows, tfs = npy_arrays(data, LEXICAL_ARRAYS)
-        if terms.dtype != np.uint8 or terms.ndim != 1:
-            raise ValueError("terms must be a 1-d uint8 array")
-        term_list = json.loads(str(terms.data, "utf-8"))
-        if not isinstance(term_list, list):
-            raise ValueError("terms must be a JSON list")
+        doc_len, offsets, rows, tfs = npy_arrays(data, LEXICAL_ARRAYS)
+        # Offsets that are not 1-d are refused by name with the other arrays.
+        if offsets.ndim == 1 and len(offsets) != term_count + 1:
+            raise ValueError(
+                f"offsets has {len(offsets)} entries for a vocabulary of {term_count} "
+                f"(vocab size + 1 = {term_count + 1})"
+            )
+        return InvertedIndex(chunk_ids, doc_len.copy(), offsets.copy(), rows.copy(), tfs.copy())
     except ValueError as exc:
         raise ValueError(f"{LEXICAL_FILE}: {exc}") from None
-    return InvertedIndex(
-        chunk_ids, doc_len.copy(), term_list, offsets.copy(), rows.copy(), tfs.copy()
-    )

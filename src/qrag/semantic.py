@@ -108,15 +108,16 @@ class TokenTable:
 
     Row ``i`` of ``rows`` is ``token_vector(tokens[i], dim)``, computed the
     first time an embed needs it, so memory grows with the ids embedded and
-    never past the vocabulary. ``weights[i]`` is the token's idf, or 1.0 for
-    a token that ``idf`` does not hold. Safe under concurrent use: a row is
-    written before it is marked filled, and threads racing on one row write
-    the same bytes.
+    never past the vocabulary. ``weights[i]`` is id ``i``'s weight, one
+    float64 per token. Safe under concurrent use: a row is written before it
+    is marked filled, and threads racing on one row write the same bytes.
     """
 
-    def __init__(self, tokens: Sequence[str], idf: Mapping[str, float], dim: int) -> None:
+    def __init__(self, tokens: Sequence[str], weights: np.ndarray, dim: int) -> None:
         self.tokens = tokens
-        self.weights = np.array([idf.get(t, 1.0) for t in tokens], dtype=np.float64)
+        self.weights = np.asarray(weights, dtype=np.float64)
+        if self.weights.shape != (len(tokens),):
+            raise ValueError(f"{len(self.weights)} weights for {len(tokens)} tokens")
         self.rows = np.zeros((len(tokens), dim), dtype=np.float64)
         self.filled = np.zeros(len(tokens), dtype=bool)
 
@@ -371,11 +372,6 @@ def save(index: VectorIndex, out_dir: str | Path) -> None:
         for start in range(0, n, ROW_BLOCK_ROWS):
             block = index.cols[:, start : start + ROW_BLOCK_ROWS].T
             fh.write(np.ascontiguousarray(block, dtype="<f4"))
-
-
-def load(in_dir: str | Path, ids: Sequence[str]) -> VectorIndex:
-    """Read a matrix written by ``save``; row i is ``ids[i]``."""
-    return parse((Path(in_dir) / VECTORS_FILE).read_bytes(), ids)
 
 
 def parse(data: bytes, ids: Sequence[str]) -> VectorIndex:

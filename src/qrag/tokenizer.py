@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 NORMALIZATION = "nfc_collapse"
 WORD_END = "</w>"
@@ -74,24 +74,6 @@ def _merge_occurrences(symbols: list[str], pair: tuple[str, str]) -> list[str]:
 
 
 @dataclass
-class TokenSeq:
-    """A token sequence: parallel lists of vocabulary ids and surface strings."""
-
-    ids: list[int]
-    surface: list[str]
-
-    def __post_init__(self) -> None:
-        if len(self.ids) != len(self.surface):
-            raise ValueError("ids and surface must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def slice(self, start: int, stop: int) -> "TokenSeq":
-        return TokenSeq(self.ids[start:stop], self.surface[start:stop])
-
-
-@dataclass
 class TokenizerModel:
     """A trained BPE model: vocabulary and ordered merges. Normalization
     (``NORMALIZATION``), the word-end marker and the special tokens are
@@ -99,7 +81,8 @@ class TokenizerModel:
 
     ``encode`` splits each whitespace token and applies its merges once: the
     word cache maps the token to the ids of all its pieces, so a token seen
-    before costs one dict lookup.
+    before costs one dict lookup. A term is its vocab id; ``tokens[i]`` is
+    id ``i``'s string.
 
     The model is immutable after training; ``encode``/``decode`` are pure and
     safe under concurrent use (the word cache is append-only and bounded by
@@ -112,6 +95,8 @@ class TokenizerModel:
     # Caches derived from the two fields above: no part of a model's value.
     _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     tokens: list[str] = field(init=False, repr=False, compare=False)
+    # Each id's decoded text: its token with the word-end marker a space.
+    _pieces: list[str] = field(init=False, repr=False, compare=False)
     _word_cache: dict[str, list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -122,6 +107,9 @@ class TokenizerModel:
         if ids != list(range(len(ids))):
             raise ValueError("vocabulary ids must be dense from 0")
         self.tokens = sorted(self.vocab, key=self.vocab.__getitem__)  # by id
+        self._pieces = [
+            t[: -len(WORD_END)] + " " if t.endswith(WORD_END) else t for t in self.tokens
+        ]
 
     @property
     def special_tokens(self) -> list[str]:
@@ -160,35 +148,34 @@ class TokenizerModel:
             self._word_cache[token] = ids
         return ids
 
-    def encode(self, text: str) -> TokenSeq:
-        """Tokenize text, applying merges in training order per word.
+    def encode(self, text: str) -> list[int]:
+        """Tokenize text into vocab ids, applying merges in training order
+        per word.
 
         Residual symbols absent from the vocabulary map to the unk token.
-        Deterministic: identical (model, text) always yields the same sequence.
+        Deterministic: identical (model, text) always yields the same ids.
         """
         ids: list[int] = []
         # The whitespace tokens of ``normalize(text)``, without the join.
         for token in unicodedata.normalize("NFC", text).split():
             ids += self._encode_token(token)
-        return TokenSeq(ids, list(map(self.tokens.__getitem__, ids)))
+        return ids
 
-    def decode(self, seq: TokenSeq) -> str:
-        """Invert ``encode``: word-end markers become spaces, then trim.
+    def decode(self, ids: Sequence[int]) -> str:
+        """Invert ``encode``: join each id's piece, the word-end marker made a
+        space, then trim.
 
         For text whose codepoints all occur in the training data,
         ``decode(encode(text)) == normalize(text)``.
         """
-        n = len(self.vocab)
-        for tok_id in seq.ids:
-            if not 0 <= tok_id < n:
-                raise ValueError(f"token id out of range: {tok_id}")
-        parts = [
-            s[: -len(WORD_END)] + " " if s.endswith(WORD_END) else s for s in seq.surface
-        ]
-        return "".join(parts).strip()
+        n = len(self._pieces)
+        if len(ids) and not (0 <= min(ids) and max(ids) < n):
+            bad = next(i for i in ids if not 0 <= i < n)
+            raise ValueError(f"token id out of range: {bad}")
+        return "".join(map(self._pieces.__getitem__, ids)).strip()
 
     def token_count(self, text: str) -> int:
-        return len(self.encode(text).ids)
+        return len(self.encode(text))
 
     # -- serialization -----------------------------------------------------
 

@@ -246,9 +246,9 @@ class TestChunk:
 
     def test_chunk_text_is_decode_of_span(self, unit_token_model):
         doc = _doc_of_tokens(300, unit_token_model)
-        seq = unit_token_model.encode(doc.text)
+        ids = unit_token_model.encode(doc.text)
         for c in chunk(doc, CFG, unit_token_model):
-            span = seq.slice(c.token_offset, c.token_offset + c.token_count)
+            span = ids[c.token_offset : c.token_offset + c.token_count]
             assert c.text == unit_token_model.decode(span)
 
     def test_spans_cover_document_with_fixed_overlap(self, unit_token_model):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qrag.engine import INDEX_FILES, MANIFEST_FILE, STATS_FILE
+from qrag.engine import FORMAT_VERSION, INDEX_FILES, MANIFEST_FILE, STATS_FILE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +26,7 @@ def test_index_layout_names_every_file(name):
 )
 def test_index_layout_names_no_version_1_file(name):
     assert name not in _section("Index layout")
+
+
+def test_index_layout_states_the_format_version():
+    assert f"format version {FORMAT_VERSION}:" in _section("Index layout")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrag import _records, lexical, quantum, semantic
+from qrag import _records, lexical, quantum, semantic, synthetic
 from qrag.corpus import load_chunks, save_chunks
 from qrag.engine import (
     CONTEXT_DELIMITER,
@@ -24,7 +24,6 @@ from qrag.engine import (
     load_index,
     save_index,
 )
-from qrag.lexical import InvertedIndex
 from qrag.quantum import FUSION_MODES, fuse_rrf, interference_score, normalize_lexical
 from qrag.semantic import VectorIndex
 from qrag.synthetic import write_jsonl
@@ -211,7 +210,7 @@ def _scalar_lexical_norms(hits):
 
 
 def _embed_query(engine, text):
-    return semantic.embed(engine.tokenizer.encode(text).ids, engine.token_table)
+    return semantic.embed(engine.tokenizer.encode(text), engine.token_table)
 
 
 class TestRetrieve:
@@ -234,7 +233,7 @@ class TestRetrieve:
         engine, bench, *_ = small_engine
         for q in bench.queries[:8]:
             resp = engine.retrieve(q["text"], mode="sparse_only", k_final=10)
-            terms = engine.tokenizer.encode(q["text"]).surface
+            terms = engine.tokenizer.encode(q["text"])
             direct = lexical.search(engine.lexical_index, engine.config.bm25, terms, 10)
             assert [(h.chunk_id, h.fused) for h in resp.hits] == direct
 
@@ -312,7 +311,7 @@ class TestRetrieve:
                 for cid, _ in lexical.search(
                     engine.lexical_index,
                     engine.config.bm25,
-                    engine.tokenizer.encode(q["text"]).surface,
+                    engine.tokenizer.encode(q["text"]),
                     cfgf.k_sparse,
                 )
             }
@@ -415,19 +414,21 @@ class TestRowSpace:
 
     def test_lexical_index_out_of_chunk_order_rejected(self, small_engine):
         engine, *_ = small_engine
-        li = engine.lexical_index
-        ids = li.chunk_ids
-        postings = {}
-        for term in li.terms:
-            rows, tfs = li.postings(term)
-            postings[term] = [(ids[r], int(tf)) for r, tf in zip(rows.tolist(), tfs.tolist())]
-        permuted = InvertedIndex.from_postings(
-            dict(reversed(list(zip(ids, li.doc_len.tolist())))), postings
+        tok, chunks = engine.tokenizer, engine.chunks
+        permuted = lexical.build_index(
+            chunks.chunk_ids[::-1], [tok.encode(t) for t in chunks.texts[::-1]], tok.vocab_size()
         )
-        with pytest.raises(ValueError, match="lexical index"):
-            RetrievalEngine(
-                engine.chunks, engine.tokenizer, permuted, engine.vector_index, engine.config
-            )
+        with pytest.raises(ValueError, match="lexical index ids"):
+            RetrievalEngine(chunks, tok, permuted, engine.vector_index, engine.config)
+
+    def test_lexical_index_of_another_vocabulary_rejected(self, small_engine):
+        # Term j of the lexical index is vocab id j, so its term count is V.
+        engine, *_ = small_engine
+        tok, chunks = engine.tokenizer, engine.chunks
+        terms = [tok.encode(t) for t in chunks.texts]
+        other = lexical.build_index(chunks.chunk_ids, terms, tok.vocab_size() + 1)
+        with pytest.raises(ValueError, match="lexical index terms do not follow the vocab"):
+            RetrievalEngine(chunks, tok, other, engine.vector_index, engine.config)
 
 
 def _fifty_queries(engine, bench):
@@ -471,10 +472,30 @@ class TestTokenTables:
         vocab = engine.tokenizer.vocab
         assert table.rows.shape == (len(vocab), engine.config.embedder.dim)
         assert not table.filled.any()
-        idf = lexical.idf_weights(engine.lexical_index)
-        assert table.weights.tolist() == [idf.get(t, 1.0) for t in engine.tokenizer.tokens]
+        li = engine.lexical_index
+        # An id's idf where a chunk holds it, 1.0 (not the idf of df 0) where none does.
+        want = [
+            lexical.idf(li, i) if len(li.postings(i)[0]) else 1.0
+            for i in range(len(vocab))
+        ]
+        assert table.weights.tolist() == want
+        assert 1.0 in want and len(set(want)) > 2
         _answers(engine, _fifty_queries(engine, small_engine[1]))
         assert 0 < table.filled.sum() <= len(vocab)
+
+    def test_a_query_id_no_chunk_holds_weighs_1_and_has_no_postings(self, small_engine):
+        # Fresh words' pieces and <unk> (a Malayalam letter): df = 0, so no
+        # postings, and table weight 1.0, not the idf of df 0.
+        engine, bench, *_ = small_engine
+        li, tok, table = engine.lexical_index, engine.tokenizer, engine.token_table
+        corpus_words = {w for rec in bench.records for w in rec["text"].split()}
+        rng = np.random.default_rng(3)
+        fresh = [w for w in synthetic.gurmukhi_lexicon(rng, 20) if w not in corpus_words]
+        ids = tok.encode(" ".join(fresh) + " ഷ")
+        unheld = {i for i in ids if not len(li.postings(i)[0])}
+        assert tok.unk_id in unheld and len(unheld) > 1
+        for i in unheld:
+            assert table.weights[i] == 1.0 != lexical.idf(li, i)
 
     def test_engines_of_two_dims_answer_as_each_does_alone(self, small_engine, dim16_index):
         _, bench, index_dir, *_ = small_engine
@@ -620,6 +641,12 @@ class TestFormatContext:
             assert context_model.token_count(context) <= budget
 
 
+# The files of a version 1 index.
+V1_FILES = (
+    "chunks.jsonl", "tokenizer.json", "lexical.jsonl", "doclen.jsonl", "vectors.bin", "vectors.ids"
+)
+
+
 class TestPersistence:
     def test_save_load_responses_byte_identical(self, small_engine, tmp_path):
         engine, bench, *_ = small_engine
@@ -663,6 +690,26 @@ class TestPersistence:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match="unsupported version"):
             load_index(tmp_path / "v99")
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_lexical_offsets_that_do_not_fit_the_vocab_refused(
+        self, small_engine, tmp_path, extra
+    ):
+        # Term j is vocab id j: lexical.npy holds one offset per vocab id and
+        # one more. Drop the last, or add a term no chunk holds.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        li, v = engine.lexical_index, engine.tokenizer.vocab_size()
+        offsets = li.offsets[:-1] if extra < 0 else np.append(li.offsets, li.offsets[-1])
+        path = tmp_path / "index" / "lexical.npy"
+        with path.open("wb") as fh:
+            for arr in (li.doc_len, offsets, li.rows, li.tfs):
+                np.lib.format.write_array(fh, arr)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        _edit_manifest(tmp_path / "index", lambda m: m["files"].update({"lexical.npy": digest}))
+        match = f"^lexical.npy: offsets has {v + 1 + extra} entries for a vocabulary of {v} "
+        with pytest.raises(ValueError, match=match):
+            load_index(tmp_path / "index")
 
     def test_tampered_file_digest_mismatch(self, small_engine, tmp_path):
         engine, *_ = small_engine
@@ -720,42 +767,41 @@ class TestPersistence:
         with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "bad")
 
-    def test_version_1_asks_for_a_rebuild(self, small_engine, tmp_path):
+    @pytest.mark.parametrize(
+        "version, files",
+        [
+            # Version 1 kept JSONL and raw binary files under other names.
+            (1, lambda files: dict.fromkeys(V1_FILES, "0" * 64)),
+            # Version 2 kept the chunks in chunks.jsonl, one JSON object a line.
+            (
+                2,
+                lambda files: {
+                    ("chunks.jsonl" if name == "chunks.npy" else name): digest
+                    for name, digest in files.items()
+                },
+            ),
+            # Version 3 kept every chunk text in UTF-16-LE and the postings
+            # rows as <i4, under the file names of version 4.
+            (3, None),
+            # Version 4 kept each term's string in lexical.npy, and an offset
+            # per term held by a chunk, under the file names of version 5.
+            (4, None),
+        ],
+        ids=["v1", "v2", "v3", "v4"],
+    )
+    def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version, files):
         engine, *_ = small_engine
-        save_index(engine, tmp_path / "v1")
-        manifest_path = tmp_path / "v1" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format_version"] = 1
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match="unsupported version: 1; rebuild"):
-            load_index(tmp_path / "v1")
+        save_index(engine, tmp_path / "old")
 
-    def test_version_2_asks_for_a_rebuild(self, small_engine, tmp_path):
-        # Version 2 kept the chunks in chunks.jsonl, one JSON object a line.
-        engine, *_ = small_engine
-        save_index(engine, tmp_path / "v2")
-        manifest_path = tmp_path / "v2" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format_version"] = 2
-        manifest["files"] = {
-            ("chunks.jsonl" if name == "chunks.npy" else name): digest
-            for name, digest in manifest["files"].items()
-        }
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match="^unsupported version: 2; rebuild the index$"):
-            load_index(tmp_path / "v2")
+        def edit(manifest):
+            manifest["format_version"] = version
+            if files is not None:
+                manifest["files"] = files(manifest["files"])
 
-    def test_version_3_asks_for_a_rebuild(self, small_engine, tmp_path):
-        # Version 3 kept every chunk text in UTF-16-LE and the postings rows
-        # as <i4, under the file names of version 4.
-        engine, *_ = small_engine
-        save_index(engine, tmp_path / "v3")
-        manifest_path = tmp_path / "v3" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format_version"] = 3
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match="^unsupported version: 3; rebuild the index$"):
-            load_index(tmp_path / "v3")
+        _edit_manifest(tmp_path / "old", edit)
+        match = f"^unsupported version: {version}; rebuild the index$"
+        with pytest.raises(ValueError, match=match):
+            load_index(tmp_path / "old")
 
 
 def _edit_manifest(index_dir, edit):
@@ -936,7 +982,7 @@ class TestLoad:
         # Each posting's impact is held once: in its term's dense row, or
         # else in the sparse terms' postings.
         impacts, dense = li.impacts(loaded.config.bm25)
-        spans = li._span.values()
+        spans = li._spans
         assert len(dense) == sum(slot >= 0 for _, _, slot, _ in spans) > 0
         assert len(impacts) == sum(hi - lo for lo, hi, slot, _ in spans if slot < 0) > 0
         assert len(impacts) < len(li.rows)

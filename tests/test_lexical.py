@@ -1,8 +1,8 @@
 import ast
-import json
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,7 @@ from qrag.lexical import (
     build_index,
     id_ranks,
     idf,
-    idf_weights,
-    load,
+    parse,
     save,
     score_rows,
     search,
@@ -34,29 +33,36 @@ from qrag.quantum import FusionConfig, fuse_rrf, rank_candidates
 from qrag.semantic import VectorIndex, search_exact
 from qrag.tokenizer import train_bpe
 
+EMPTY = np.array([], dtype=np.int64)
+
 
 def _hand_index():
-    """Three chunks of length 4; term "t" appears twice in c1 only."""
-    doc_len = {"c1": 4, "c2": 4, "c3": 4}
-    postings = {
-        "t": [("c1", 2)],
-        "u": [("c1", 1), ("c2", 1), ("c3", 1)],
-        "v": [("c2", 1), ("c3", 2)],
-    }
-    return InvertedIndex.from_postings(doc_len, postings)
+    """Three chunks of length 4: term 0 is twice in c1 only, term 1 once in
+    each, term 2 once in c2 and twice in c3, and term 3 in none."""
+    return InvertedIndex(
+        ["c1", "c2", "c3"],
+        np.array([4, 4, 4]),
+        np.array([0, 1, 4, 6, 6]),
+        np.array([0, 0, 1, 2, 1, 2]),
+        np.array([2, 1, 1, 1, 1, 2]),
+    )
 
 
 def _mixed_index():
-    """Eight chunks, so a term is frequent at df >= 2: "b" and "d" are, and
-    "a" and "c" are scored sparsely."""
-    doc_len = {f"c{i}": 3 + i for i in range(8)}
-    postings = {
-        "a": [("c1", 1)],
-        "b": [("c0", 2), ("c5", 1)],
-        "c": [("c2", 1)],
-        "d": [(f"c{i}", 1 + i % 3) for i in range(8)],
-    }
-    return InvertedIndex.from_postings(doc_len, postings)
+    """Eight chunks, so a term is frequent at df >= 2: terms 1 and 3 are,
+    and terms 0 and 2 are scored sparsely."""
+    return InvertedIndex(
+        [f"c{i}" for i in range(8)],
+        np.arange(3, 11),
+        np.array([0, 1, 3, 4, 12]),
+        np.array([1, 0, 5, 2, *range(8)]),
+        np.array([1, 2, 1, 1, *(1 + i % 3 for i in range(8))]),
+    )
+
+
+def _terms(ix):
+    """Every term id of ``ix``, held by a chunk or not."""
+    return range(len(ix.offsets) - 1)
 
 
 def _reference_score_rows(index, p, query_terms):
@@ -74,11 +80,18 @@ def _reference_score_rows(index, p, query_terms):
 
 
 def _index(chunks, model):
-    """``build_index`` over each chunk's BPE surface terms, as ``build_all``
-    builds it."""
+    """``build_index`` over each chunk's vocab ids, as ``build_all`` builds
+    it."""
     return build_index(
-        [c.chunk_id for c in chunks], [model.encode(c.text).surface for c in chunks]
+        [c.chunk_id for c in chunks],
+        [model.encode(c.text) for c in chunks],
+        model.vocab_size(),
     )
+
+
+def _reload(out_dir, chunk_ids, term_count):
+    """``parse`` of the ``lexical.npy`` in ``out_dir``."""
+    return parse((out_dir / LEXICAL_FILE).read_bytes(), chunk_ids, term_count)
 
 
 def _pairs(ix, term):
@@ -103,21 +116,47 @@ class TestBuildIndex:
 
     def test_repeated_term_single_posting_with_tf(self, word_model):
         ix = _index([Chunk("c0", "d", 0, 4, "w1 w1 w2 w3")], word_model)
-        term = word_model.encode("w1").surface[0]
+        (term,) = word_model.encode("w1")
         assert _pairs(ix, term) == [("c0", 2)]
 
     def test_absent_term_has_no_postings(self, word_model):
         ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
-        term = word_model.encode("w9").surface[0]
-        assert term not in ix.terms
+        (term,) = word_model.encode("w9")
+        # Term j is vocab id j, held by a chunk or not.
+        assert len(ix.offsets) == word_model.vocab_size() + 1
         assert _pairs(ix, term) == []
 
     def test_postings_follow_row_order(self, word_model):
         chunks = [Chunk(f"c{i}", "d", 0, 2, "w1 w2") for i in (3, 1, 2)]
         ix = _index(chunks, word_model)
-        term = word_model.encode("w1").surface[0]
+        (term,) = word_model.encode("w1")
         assert ix.postings(term)[0].tolist() == [0, 1, 2]
         assert [cid for cid, _ in _pairs(ix, term)] == ["c3", "c1", "c2"]
+
+    @pytest.mark.parametrize("term_count", [7, 200, 300, 70_000])
+    def test_postings_equal_a_counter_oracle(self, term_count):
+        # Ids in one byte, in two and in four, repeated within chunks, and
+        # empty chunks.
+        rng = np.random.default_rng(term_count)
+        ids = [f"c{i}" for i in rng.permutation(60)]
+        chunk_terms = [
+            rng.integers(0, term_count, int(rng.integers(0, 40))).tolist() for _ in ids
+        ]
+        chunk_terms[3] = []
+        ix = build_index(ids, chunk_terms, term_count)
+        want: dict[int, list[tuple[str, int]]] = {}
+        for cid, terms in zip(ids, chunk_terms):
+            for term, tf in sorted(Counter(terms).items()):
+                want.setdefault(term, []).append((cid, tf))
+        assert len(ix.offsets) == term_count + 1
+        assert ix.doc_len.tolist() == list(map(len, chunk_terms))
+        for term in range(term_count):
+            assert _pairs(ix, term) == want.get(term, [])
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_term_id_outside_the_vocab_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"chunk 'd' holds a term id outside 0\.\.4"):
+            build_index(["c", "d"], [[0, 4], [1, bad]], 5)
 
     def test_duplicate_chunk_id_rejected(self, word_model):
         chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c0", "d", 0, 2, "w3 w4")]
@@ -126,62 +165,64 @@ class TestBuildIndex:
 
     def test_empty_chunk_list_rejected(self, word_model):
         with pytest.raises(ValueError, match="empty"):
-            build_index([], [])
+            build_index([], [], 10)
 
     def test_fewer_term_lists_than_ids_rejected(self):
         with pytest.raises(ValueError):
-            build_index(["c0", "c1"], [["w1"]])
+            build_index(["c0", "c1"], [[1]], 10)
 
     def test_avgdl_is_the_mean_doc_len(self):
-        ix = InvertedIndex.from_postings({"c": 2, "d": 5}, {})
+        ix = InvertedIndex(["c", "d"], np.array([2, 5]), np.array([0]), EMPTY, EMPTY)
         assert ix.avgdl == 3.5
         assert ix.doc_len.tolist() == [2, 5]
 
     def test_no_chunks_rejected(self):
         with pytest.raises(ValueError, match="doc_len has 0 entries for 0 chunks"):
-            InvertedIndex.from_postings({}, {})
+            InvertedIndex([], EMPTY, np.array([0]), EMPTY, EMPTY)
 
     def test_nonpositive_tf_rejected(self):
         with pytest.raises(ValueError, match="tf"):
-            InvertedIndex.from_postings({"c": 4}, {"t": [("c", 0)]})
+            InvertedIndex(["c"], np.array([4]), np.array([0, 1]), np.array([0]), np.array([0]))
 
     def test_posting_for_unknown_chunk_rejected(self):
-        with pytest.raises(ValueError, match="term 't'.*chunk_id 'x'"):
-            InvertedIndex.from_postings({"c": 4}, {"t": [("x", 1)]})
+        with pytest.raises(ValueError, match=r"term 0 name a row outside 0\.\.0"):
+            InvertedIndex(["c"], np.array([4]), np.array([0, 1]), np.array([1]), np.array([1]))
 
     @pytest.mark.parametrize(
-        "plist", [[("c", 1), ("c", 2)], [("c", 1), ("d", 1), ("c", 2)]]
+        "plist", [[(0, 1), (0, 2)], [(0, 1), (0, 2), (1, 1)]]
     )
     def test_duplicate_posting_rejected(self, plist):
         # A chunk named twice would count twice in df, and df > N makes idf
         # negative.
-        doc_len = {"c": 4, "d": 4}
-        with pytest.raises(ValueError, match="term 't'.*chunk_id 'c' twice"):
-            InvertedIndex.from_postings(doc_len, {"t": plist})
+        rows, tfs = map(np.array, zip(*plist))
+        with pytest.raises(ValueError, match="term 0.*chunk_id 'c' twice"):
+            InvertedIndex(["c", "d"], np.array([4, 4]), np.array([0, len(rows)]), rows, tfs)
 
     def test_postings_out_of_row_order_load(self):
-        # Postings may be given in any order (here chunk-id order); they are
-        # stored in row order.
-        ix = InvertedIndex.from_postings(
-            {"c10": 4, "c9": 4}, {"t": [("c9", 1), ("c10", 2)]}
-        )
-        assert _pairs(ix, "t") == [("c10", 2), ("c9", 1)]
+        # Rows follow the chunk order given (here not chunk-id order), and
+        # each term's postings are stored in row order.
+        ix = build_index(["c10", "c9"], [[0, 0, 1, 1], [1, 1, 1, 0]], 2)
+        assert _pairs(ix, 0) == [("c10", 2), ("c9", 1)]
 
     @pytest.mark.parametrize("tf", [0, -1, 1.5, 2.0, "2", True, None])
     def test_tf_that_is_not_a_positive_int_rejected(self, tf):
-        with pytest.raises(ValueError, match="term 't'"):
-            InvertedIndex.from_postings({"c": 4}, {"t": [("c", tf)]})
+        # A tf below 1 names its term; a tfs array of float, str, bool or
+        # object dtype is refused as a whole, by name.
+        with pytest.raises(ValueError, match="term 0|tfs must be a 1-d integer array"):
+            InvertedIndex(["c"], np.array([4]), np.array([0, 1]), np.array([0]), np.array([tf]))
 
     def test_posting_on_a_chunk_of_length_0_rejected(self):
         # Its impact would divide by a norm built from avgdl, which is 0 when
         # every chunk is empty.
-        with pytest.raises(ValueError, match="term 't' name chunk_id 'c' of length 0"):
-            InvertedIndex.from_postings({"c": 0, "d": 4}, {"t": [("d", 1), ("c", 1)]})
+        with pytest.raises(ValueError, match="term 0 name chunk_id 'c' of length 0"):
+            InvertedIndex(
+                ["c", "d"], np.array([0, 4]), np.array([0, 2]), np.array([0, 1]), np.array([1, 1])
+            )
 
     def test_chunks_of_length_0_without_postings_score_0(self):
-        ix = InvertedIndex.from_postings({"c": 0, "d": 0}, {})
+        ix = InvertedIndex(["c", "d"], np.array([0, 0]), np.array([0, 0]), EMPTY, EMPTY)
         assert ix.avgdl == 0.0
-        scores, touched = score_rows(ix, BM25Params(), ["t"])
+        scores, touched = score_rows(ix, BM25Params(), [0])
         assert scores.tolist() == [0.0, 0.0] and not touched.any()
 
     @pytest.mark.parametrize("k1", [-1.0, math.nan, math.inf])
@@ -190,38 +231,39 @@ class TestBuildIndex:
             BM25Params(k1=k1)
 
     def test_term_with_no_postings_has_df_zero(self):
-        ix = InvertedIndex.from_postings({"c": 4}, {"t": []})
-        assert _pairs(ix, "t") == []
-        assert idf(ix, "t") == idf(ix, "never-seen")
+        ix = InvertedIndex(["c"], np.array([4]), np.array([0, 0, 0]), EMPTY, EMPTY)
+        assert _pairs(ix, 0) == []
+        assert idf(ix, 0) == idf(ix, 1)
 
 
 class TestIdf:
     def test_df_one_of_three(self):
-        assert idf(_hand_index(), "t") == pytest.approx(math.log(8.0 / 3.0), abs=1e-12)
+        assert idf(_hand_index(), 0) == pytest.approx(math.log(8.0 / 3.0), abs=1e-12)
 
     def test_df_equals_n(self):
-        assert idf(_hand_index(), "u") == pytest.approx(math.log(1 + 0.5 / 3.5), abs=1e-12)
+        assert idf(_hand_index(), 1) == pytest.approx(math.log(1 + 0.5 / 3.5), abs=1e-12)
 
     def test_unseen_term_df_zero_finite(self):
         ix = _hand_index()
-        assert idf(ix, "zzz") == pytest.approx(math.log(1 + 3.5 / 0.5), abs=1e-12)
+        assert idf(ix, 3) == pytest.approx(math.log(1 + 3.5 / 0.5), abs=1e-12)
 
     def test_idf_weights_cover_every_term_bitwise(self):
+        # One weight per term id, held by a chunk or not (term 3).
         ix = _hand_index()
-        weights = idf_weights(ix)
-        assert list(weights) == ["t", "u", "v"]
-        assert all(weights[t] == idf(ix, t) for t in weights)
+        assert ix.idfs.dtype == np.float64 and len(ix.idfs) == 4
+        assert all(ix.idfs[t] == idf(ix, t) for t in _terms(ix))
 
     def test_kept_idfs_are_idf_bitwise(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(400, seed=7, lexicon_size=300)
         chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
         built = _index(chunks, synth_tokenizer)
         save(built, tmp_path)
-        for ix in (built, load(tmp_path, built.chunk_ids)):
-            dfs = {len(ix.postings(t)[0]) for t in ix.terms}
-            assert len(dfs) > 20 and max(dfs) > ix.N / 2
-            oracle = np.array([idf(ix, t) for t in ix.terms])
-            assert np.array(ix.idfs).tobytes() == oracle.tobytes()
+        reloaded = _reload(tmp_path, built.chunk_ids, synth_tokenizer.vocab_size())
+        for ix in (built, reloaded):
+            dfs = {len(ix.postings(t)[0]) for t in _terms(ix)}
+            assert len(dfs) > 20 and max(dfs) > ix.N / 2 and 0 in dfs
+            oracle = np.array([idf(ix, t) for t in _terms(ix)])
+            assert ix.idfs.tobytes() == oracle.tobytes()
 
     def test_always_positive(self):
         rng = np.random.default_rng(42)
@@ -235,27 +277,27 @@ class TestIdf:
 class TestBm25Score:
     def test_hand_value(self):
         # idf(df=1, N=3) * (2 * 2.2) / (2 + 1.2 * (1 - 0.75 + 0.75 * 1))
-        score = bm25_score(_hand_index(), BM25Params(), ["t"], "c1")
+        score = bm25_score(_hand_index(), BM25Params(), [0], "c1")
         assert score == pytest.approx(math.log(8.0 / 3.0) * 4.4 / 3.2, abs=1e-12)
 
     def test_no_matching_terms_scores_zero(self):
-        assert bm25_score(_hand_index(), BM25Params(), ["t"], "c2") == 0.0
+        assert bm25_score(_hand_index(), BM25Params(), [0], "c2") == 0.0
 
     def test_b_zero_removes_length_dependence(self):
-        doc_len = {"c1": 2, "c2": 40}
-        postings = {"t": [("c1", 1), ("c2", 1)]}
-        ix = InvertedIndex.from_postings(doc_len, postings)
+        ix = InvertedIndex(
+            ["c1", "c2"], np.array([2, 40]), np.array([0, 2]), np.array([0, 1]), np.array([1, 1])
+        )
         p = BM25Params(k1=1.2, b=0.0)
-        assert bm25_score(ix, p, ["t"], "c1") == bm25_score(ix, p, ["t"], "c2")
+        assert bm25_score(ix, p, [0], "c1") == bm25_score(ix, p, [0], "c2")
 
     def test_duplicate_query_terms_counted_once(self):
         ix = _hand_index()
         p = BM25Params()
-        assert bm25_score(ix, p, ["t", "t", "t"], "c1") == bm25_score(ix, p, ["t"], "c1")
+        assert bm25_score(ix, p, [0, 0, 0], "c1") == bm25_score(ix, p, [0], "c1")
 
     def test_unknown_chunk_rejected(self):
         with pytest.raises(KeyError, match="unknown chunk_id"):
-            bm25_score(_hand_index(), BM25Params(), ["t"], "nope")
+            bm25_score(_hand_index(), BM25Params(), [0], "nope")
 
     def test_tf_monotonicity(self):
         rng = np.random.default_rng(11)
@@ -263,11 +305,16 @@ class TestBm25Score:
             tf = int(rng.integers(1, 20))
             dl = int(rng.integers(5, 100))
             other = int(rng.integers(5, 100))
-            doc_len = {"c": dl, "d": other}
             prev = None
             for bump in range(4):
-                ix = InvertedIndex.from_postings(doc_len, {"t": [("c", tf + bump)]})
-                score = bm25_score(ix, BM25Params(), ["t"], "c")
+                ix = InvertedIndex(
+                    ["c", "d"],
+                    np.array([dl, other]),
+                    np.array([0, 1]),
+                    np.array([0]),
+                    np.array([tf + bump]),
+                )
+                score = bm25_score(ix, BM25Params(), [0], "c")
                 if prev is not None:
                     assert score >= prev
                 prev = score
@@ -289,7 +336,7 @@ class TestSearch:
             Chunk("c2", "d", 0, 3, "w4 w5 w6"),
         ]
         ix = _index(chunks, word_model)
-        results = search(ix, BM25Params(), word_model.encode("w9").surface, 3)
+        results = search(ix, BM25Params(), word_model.encode("w9"), 3)
         assert results[0][0] == "c1"
 
     def test_matches_brute_force_exactly(self, word_model):
@@ -300,7 +347,7 @@ class TestSearch:
             chunks = _random_corpus(rng, 60, word_model, vocab)
             ix = _index(chunks, word_model)
             query = " ".join(rng.choice(vocab, size=4))
-            terms = word_model.encode(query).surface
+            terms = word_model.encode(query)
             got = search(ix, p, terms, 10)
             brute = sorted(
                 (
@@ -315,11 +362,11 @@ class TestSearch:
     def test_k_larger_than_candidates_returns_all(self, word_model):
         chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c1", "d", 0, 2, "w3 w4")]
         ix = _index(chunks, word_model)
-        assert len(search(ix, BM25Params(), word_model.encode("w1").surface, 50)) == 1
+        assert len(search(ix, BM25Params(), word_model.encode("w1"), 50)) == 1
 
     def test_empty_query_returns_empty(self, word_model):
         ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
-        assert search(ix, BM25Params(), word_model.encode("   ").surface, 5) == []
+        assert search(ix, BM25Params(), word_model.encode("   "), 5) == []
 
     def test_prefix_property(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
@@ -327,11 +374,39 @@ class TestSearch:
         chunks = _random_corpus(rng, 40, word_model, vocab)
         ix = _index(chunks, word_model)
         p = BM25Params()
-        terms = word_model.encode("w1 w2 w3").surface
+        terms = word_model.encode("w1 w2 w3")
         for k in (1, 3, 7):
             small = search(ix, p, terms, k)
             bigger = search(ix, p, terms, k + 1)
             assert bigger[:k] == small
+
+    @pytest.mark.parametrize("bad", [-1, 4, 2**40])
+    def test_id_outside_the_terms_rejected(self, bad):
+        # Term j is vocab id j; an id past the vocabulary is refused, and a
+        # negative one is not read from the end.
+        ix, p = _hand_index(), BM25Params()
+        calls = (
+            lambda: search(ix, p, [0, bad], 3),
+            lambda: bm25_score(ix, p, [bad, 0], "c1"),
+            lambda: score_rows(ix, p, [bad]),
+            lambda: ix.postings(bad),
+            lambda: idf(ix, bad),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^term id out of range: {bad}$"):
+                call()
+
+    def test_unheld_ids_have_no_postings(self, word_model):
+        # A word of a fresh symbol is <unk>, and a word of known symbols
+        # that no chunk holds is its own pieces: neither scores a chunk.
+        ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
+        fresh = word_model.encode("w9 ਙ")
+        assert word_model.unk_id in fresh
+        for term in fresh:
+            assert _pairs(ix, term) == []
+        scores, touched = score_rows(ix, BM25Params(), fresh)
+        assert scores.tolist() == [0.0] and not touched.any()
+        assert search(ix, BM25Params(), fresh, 3) == []
 
     def test_scores_nonnegative(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
@@ -339,7 +414,7 @@ class TestSearch:
         chunks = _random_corpus(rng, 40, word_model, vocab)
         ix = _index(chunks, word_model)
         for _ in range(10):
-            terms = word_model.encode(" ".join(rng.choice(vocab, size=3))).surface
+            terms = word_model.encode(" ".join(rng.choice(vocab, size=3)))
             for _, score in search(ix, BM25Params(), terms, 20):
                 assert score >= 0.0
 
@@ -353,15 +428,15 @@ class TestImpacts:
         chunks = _random_corpus(rng, 80, word_model, vocab)
         built = _index(chunks, word_model)
         save(built, tmp_path)
-        reloaded = load(tmp_path, [c.chunk_id for c in chunks])
+        reloaded = _reload(tmp_path, [c.chunk_id for c in chunks], word_model.vocab_size())
         p = BM25Params(k1=k1, b=b)
         for ix in (built, reloaded):
             for _ in range(20):
                 words = list(rng.choice(vocab, size=int(rng.integers(1, 8))))
-                # Repeated words, a word of unseen symbols and a raw term
-                # that no chunk holds.
+                # Repeated words, a word of unseen symbols and a term that
+                # no chunk holds.
                 text = " ".join(words + words[:2] + ["zz9"])
-                terms = word_model.encode(text).surface + ["never-indexed"]
+                terms = word_model.encode(text) + [word_model.vocab["<pad>"]]
                 scores, touched = score_rows(ix, p, terms)
                 want_scores, want_touched = _reference_score_rows(ix, p, terms)
                 assert scores.tobytes() == want_scores.tobytes()
@@ -375,10 +450,10 @@ class TestImpacts:
             assert impacts.dtype == np.float64
             # Only the sparsely scored terms' impacts: a frequent term's are
             # in its dense row alone.
-            sparse = [term for term in ix.terms if not _is_dense(ix, term)]
+            sparse = [term for term in _terms(ix) if not _is_dense(ix, term)]
             assert len(impacts) == sum(len(ix.postings(term)[0]) for term in sparse)
-            for term in ix.terms:
-                lo, hi, slot, at = ix._span[term]
+            for term in _terms(ix):
+                lo, hi, slot, at = ix._spans[term]
                 rows = ix.rows[lo:hi].tolist()
                 got = dense[slot, rows] if slot >= 0 else impacts[at : at + hi - lo]
                 for row, impact in zip(rows, got.tolist()):
@@ -389,8 +464,8 @@ class TestImpacts:
         p = BM25Params()
         impacts, dense = ix.impacts(p)
         assert dense.shape == (2, ix.N) and dense.dtype == np.float64
-        assert len(impacts) == 2  # the postings of "a" and "c"
-        for row, term in zip(dense, ["b", "d"]):
+        assert len(impacts) == 2  # the postings of terms 0 and 2
+        for row, term in zip(dense, [1, 3]):
             rows, _ = ix.postings(term)
             want = np.zeros(ix.N)
             want[rows] = [bm25_score(ix, p, [term], ix.chunk_ids[r]) for r in rows]
@@ -417,7 +492,6 @@ class TestImpacts:
             ix = InvertedIndex(
                 [f"c{i}" for i in range(n_rows)],
                 rng.integers(1, 50, n_rows),
-                [f"t{j}" for j in range(n_terms)],
                 np.searchsorted(term_of, np.arange(n_terms + 1)),
                 rows,
                 rng.integers(1, 5, len(rows)),
@@ -448,23 +522,22 @@ def _assert_bm25_bytes(ix, p, terms):
 
 
 def _random_index(rng, n_chunks, dfs):
-    """An index whose term ``t{j}`` is in ``dfs[j]`` random chunks, with
-    random tfs, plus a filler term so that no chunk has length 0."""
+    """An index whose term j is in ``dfs[j]`` random chunks, with random
+    tfs, then a filler term (``len(dfs)``) in every other chunk, then a term
+    (``len(dfs) + 1``) in none. Each chunk is one longer than its tfs add
+    up to, so none has length 0."""
     ids = [f"c{i}" for i in rng.permutation(n_chunks)]
-    postings = {
-        f"t{j}": [(ids[i], int(rng.integers(1, 4))) for i in rng.choice(n_chunks, df, False)]
-        for j, df in enumerate(dfs)
-    }
-    postings["filler"] = [(cid, 1) for cid in ids[::2]]
-    tf_sum = dict.fromkeys(ids, 1)
-    for plist in postings.values():
-        for cid, tf in plist:
-            tf_sum[cid] += tf
-    return InvertedIndex.from_postings(tf_sum, postings)
+    term_rows = [np.sort(rng.choice(n_chunks, df, False)) for df in dfs]
+    term_rows += [np.arange(0, n_chunks, 2), EMPTY]
+    rows = np.concatenate(term_rows)
+    tfs = rng.integers(1, 4, len(rows))
+    doc_len = 1 + np.bincount(rows, weights=tfs, minlength=n_chunks).astype(np.int64)
+    offsets = np.cumsum([0, *map(len, term_rows)])
+    return InvertedIndex(ids, doc_len, offsets, rows, tfs)
 
 
 def _is_dense(ix, term):
-    return ix._span[term][2] >= 0
+    return ix._spans[term][2] >= 0
 
 
 class TestDenseRows:
@@ -476,29 +549,30 @@ class TestDenseRows:
         rng = np.random.default_rng(n_chunks)
         at = -(-n_chunks // DENSE_DF)  # the least df with df * DENSE_DF >= N
         ix = _random_index(rng, n_chunks, [at, at - 1, 1])
-        assert _is_dense(ix, "t0") and not _is_dense(ix, "t1")
-        assert not _is_dense(ix, "t2")
+        assert _is_dense(ix, 0) and not _is_dense(ix, 1)
+        assert not _is_dense(ix, 2)
         p = BM25Params(k1=1.3, b=0.6)
-        for terms in (["t0"], ["t1"], ["t1", "t0", "t2"], ["t0", "t1", "t0", "filler"]):
+        for terms in ([0], [1], [1, 0, 2], [0, 1, 0, 3]):
             _assert_bm25_bytes(ix, p, terms)
 
     def test_every_term_frequent(self):
         rng = np.random.default_rng(5)
         n = 24
         ix = _random_index(rng, n, rng.integers(n // DENSE_DF, n + 1, 12))
-        assert all(_is_dense(ix, term) for term in ix.terms)
-        assert ix.impacts(BM25Params()).dense.shape == (len(ix.terms), n)
+        held = _terms(ix)[:-1]  # the last term is in no chunk
+        assert all(_is_dense(ix, term) for term in held)
+        assert ix.impacts(BM25Params()).dense.shape == (len(held), n)
         for _ in range(20):
-            terms = list(rng.choice(ix.terms, int(rng.integers(1, 10))))
+            terms = list(rng.choice(held, int(rng.integers(1, 10))))
             _assert_bm25_bytes(ix, BM25Params(), terms)
 
     def test_no_term_frequent(self):
         rng = np.random.default_rng(6)
         n = 120
         ix = _random_index(rng, n, rng.integers(1, n // DENSE_DF, 15))
-        dense_terms = [t for t in ix.terms if _is_dense(ix, t)]
-        assert dense_terms == ["filler"]  # in every other chunk
-        terms = [t for t in ix.terms if t != "filler"]
+        dense_terms = [t for t in _terms(ix) if _is_dense(ix, t)]
+        assert dense_terms == [15]  # the filler, in every other chunk
+        terms = [t for t in _terms(ix) if t != 15]
         assert ix.impacts(BM25Params()).dense.shape == (1, n)
         for _ in range(20):
             _assert_bm25_bytes(ix, BM25Params(), list(rng.choice(terms, 6)))
@@ -507,16 +581,18 @@ class TestDenseRows:
         rng = np.random.default_rng(7)
         n = 60
         ix = _random_index(rng, n, [50, 2, 30, 5, 15, 1, 45, 9])
-        dense = [t for t in ix.terms if _is_dense(ix, t)]
-        sparse = [t for t in ix.terms if not _is_dense(ix, t)]
+        unseen = 9  # in no chunk
+        held = _terms(ix)[:unseen]
+        dense = [t for t in held if _is_dense(ix, t)]
+        sparse = [t for t in held if not _is_dense(ix, t)]
         assert len(dense) >= 3 and len(sparse) >= 3
         alternating = [t for pair in zip(dense, sparse) for t in pair]
         for terms in (
             alternating,
             alternating[::-1],
             dense + dense[:2] + sparse + sparse[:1],
-            ["never-indexed", *alternating, "never-indexed"],
-            ["never-indexed"],
+            [unseen, *alternating, unseen],
+            [unseen],
         ):
             for p in (BM25Params(), BM25Params(k1=0.0), BM25Params(k1=2.0, b=1.0)):
                 _assert_bm25_bytes(ix, p, terms)
@@ -533,8 +609,8 @@ class TestDenseRows:
             fresh = [w for w in synthetic.gurmukhi_lexicon(rng, 8) if w not in corpus_words]
             for w in fresh:
                 words.insert(int(rng.integers(len(words) + 1)), w)
-            terms = engine.tokenizer.encode(" ".join(words)).surface
-            kinds.update(_is_dense(ix, t) if t in ix._span else None for t in terms)
+            terms = engine.tokenizer.encode(" ".join(words))
+            kinds.update(_is_dense(ix, t) if len(ix.postings(t)[0]) else None for t in terms)
             _assert_bm25_bytes(ix, p, terms)
         assert kinds == {True, False, None}
 
@@ -674,18 +750,17 @@ class TestPersistence:
         chunks = _random_corpus(rng, 50, word_model, vocab)
         ix = _index(chunks, word_model)
         save(ix, tmp_path)
-        reloaded = load(tmp_path, [c.chunk_id for c in chunks])
+        reloaded = _reload(tmp_path, [c.chunk_id for c in chunks], word_model.vocab_size())
         assert reloaded.N == ix.N
         assert reloaded.avgdl == ix.avgdl
         assert reloaded.chunk_ids == ix.chunk_ids
-        assert list(reloaded.terms) == list(ix.terms)
         for name in ("doc_len", "offsets", "rows", "tfs"):
             got, want = getattr(reloaded, name), getattr(ix, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         p = BM25Params()
         for _ in range(10):
             query = " ".join(rng.choice(vocab, size=4))
-            terms = word_model.encode(query).surface
+            terms = word_model.encode(query)
             assert search(reloaded, p, terms, 10) == search(ix, p, terms, 10)
 
     def test_score_rows_matches_individual_scores(self, word_model):
@@ -694,7 +769,7 @@ class TestPersistence:
         chunks = _random_corpus(rng, 50, word_model, vocab)
         ix = _index(chunks, word_model)
         p = BM25Params()
-        terms = word_model.encode("w1 w5 w9").surface
+        terms = word_model.encode("w1 w5 w9")
         scores, touched = score_rows(ix, p, terms)
         assert touched.any()
         for i, cid in enumerate(ix.chunk_ids):
@@ -707,20 +782,22 @@ class TestPersistence:
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         save(_index(chunks, word_model), tmp_path / "a")
-        save(load(tmp_path / "a", [c.chunk_id for c in chunks]), tmp_path / "b")
+        ids = [c.chunk_id for c in chunks]
+        save(_reload(tmp_path / "a", ids, word_model.vocab_size()), tmp_path / "b")
         assert (tmp_path / "b" / LEXICAL_FILE).read_bytes() == (
             tmp_path / "a" / LEXICAL_FILE
         ).read_bytes()
 
     @pytest.mark.parametrize("tf, width", [(1, "|u1"), (255, "|u1"), (256, "<u2")])
     def test_tfs_stored_in_the_narrowest_width(self, tmp_path, tf, width):
-        save(InvertedIndex.from_postings({"c": tf}, {"t": [("c", tf)]}), tmp_path)
+        one = np.array([0, 1])
+        save(InvertedIndex(["c"], np.array([tf]), one, one[:1], np.array([tf])), tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
-            arrays = [np.lib.format.read_array(fh) for _ in range(5)]
-        assert [a.dtype.str for a in arrays] == ["<i4", "|u1", "<i8", "|u1", width]
-        assert arrays[4].tolist() == [tf]
-        reloaded = load(tmp_path, ["c"])
-        assert _pairs(reloaded, "t") == [("c", tf)]
+            arrays = [np.lib.format.read_array(fh) for _ in range(4)]
+        assert [a.dtype.str for a in arrays] == ["<i4", "<i8", "|u1", width]
+        assert arrays[3].tolist() == [tf]
+        reloaded = _reload(tmp_path, ["c"], 1)
+        assert _pairs(reloaded, 0) == [("c", tf)]
         # The rows and the tfs are held as stored.
         assert (reloaded.rows.dtype.str, reloaded.tfs.dtype.str) == ("|u1", width)
 
@@ -733,12 +810,12 @@ class TestPersistence:
         ids = [f"c{i}" for i in range(n)]
         rows = np.unique(np.array([0, n - 1], dtype="<i4"))
         tfs = np.ones(len(rows), np.uint8)
-        ix = InvertedIndex(ids, np.ones(n, "<i4"), ["t"], np.array([0, len(rows)]), rows, tfs)
+        ix = InvertedIndex(ids, np.ones(n, "<i4"), np.array([0, len(rows)]), rows, tfs)
         save(ix, tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
-            arrays = [np.lib.format.read_array(fh) for _ in range(5)]
-        assert (arrays[3].dtype.str, arrays[3].tolist()) == (width, rows.tolist())
-        reloaded = load(tmp_path, ids)
+            arrays = [np.lib.format.read_array(fh) for _ in range(4)]
+        assert (arrays[2].dtype.str, arrays[2].tolist()) == (width, rows.tolist())
+        reloaded = _reload(tmp_path, ids, 1)
         # Held as stored, as the index built from <i4 rows holds them too.
         assert reloaded.rows.dtype.str == ix.rows.dtype.str == width
         assert np.array_equal(reloaded.rows, ix.rows)
@@ -751,11 +828,11 @@ class TestPersistence:
         chunks = _random_corpus(rng, 300, word_model, vocab)
         save(_index(chunks, word_model), tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
-            assert [np.lib.format.read_array(fh) for _ in range(5)][3].dtype.str == "<u2"
-        ix = load(tmp_path, [c.chunk_id for c in chunks])
+            assert [np.lib.format.read_array(fh) for _ in range(4)][2].dtype.str == "<u2"
+        ix = _reload(tmp_path, [c.chunk_id for c in chunks], word_model.vocab_size())
         p = BM25Params()
         for _ in range(5):
-            terms = word_model.encode(" ".join(rng.choice(vocab, size=6))).surface
+            terms = word_model.encode(" ".join(rng.choice(vocab, size=6)))
             scores, _ = score_rows(ix, p, terms)
             assert scores.tolist() == [bm25_score(ix, p, terms, cid) for cid in ix.chunk_ids]
 
@@ -764,10 +841,11 @@ class TestPersistence:
         chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
         save(_index(chunks, synth_tokenizer), tmp_path)
         ids = [c.chunk_id for c in chunks]
+        data = (tmp_path / LEXICAL_FILE).read_bytes()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ix = load(tmp_path, ids)
+            ix = parse(data, ids, synth_tokenizer.vocab_size())
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -780,19 +858,15 @@ class TestPersistence:
 
 
 def _write_lexical_file(out_dir, **arrays):
-    """``lexical.npy`` for one chunk of length 4 and one term "t" with one
-    posting of tf 3, with any of the five arrays replaced by keyword."""
+    """``lexical.npy`` for one chunk of length 4 and one term, term 0, with
+    one posting of tf 3, with any of the four arrays replaced by keyword."""
     default = {
         "doc_len": np.array([4], dtype="<i4"),
-        "terms": ["t"],
         "offsets": np.array([0, 1], dtype="<i8"),
         "rows": np.array([0], dtype="<i4"),
         "tfs": np.array([3], dtype=np.uint8),
     }
     default.update(arrays)
-    if isinstance(default["terms"], list):
-        terms = json.dumps(default["terms"]).encode("utf-8")
-        default["terms"] = np.frombuffer(terms, dtype=np.uint8)
     with (out_dir / LEXICAL_FILE).open("wb") as fh:
         for arr in default.values():
             np.lib.format.write_array(fh, np.asarray(arr), allow_pickle=True)
@@ -801,25 +875,25 @@ def _write_lexical_file(out_dir, **arrays):
 class TestLoadValidation:
     def test_valid_file_loads(self, tmp_path):
         _write_lexical_file(tmp_path)
-        assert _pairs(load(tmp_path, ["c"]), "t") == [("c", 3)]
+        assert _pairs(_reload(tmp_path, ["c"], 1), 0) == [("c", 3)]
 
     def test_posting_for_unknown_chunk_names_term_and_chunk(self, tmp_path):
         # Row 1 of a one-chunk index names no chunk.
         _write_lexical_file(tmp_path, rows=np.array([1], dtype="<i4"))
-        with pytest.raises(ValueError, match="term 't' name a row outside 0..0"):
-            load(tmp_path, ["c"])
+        with pytest.raises(ValueError, match=r"^lexical.npy: postings for term 0 name a row outside 0\.\.0$"):
+            _reload(tmp_path, ["c"], 1)
 
     @pytest.mark.parametrize("dtype", ["<i8", "<u8"])
     def test_a_row_beyond_int32_is_refused_not_wrapped(self, tmp_path, dtype):
         # 2**32 would wrap to row 0 as <i4.
         _write_lexical_file(tmp_path, rows=np.array([2**32], dtype=dtype))
-        with pytest.raises(ValueError, match="term 't' name a row outside 0..0"):
-            load(tmp_path, ["c"])
+        with pytest.raises(ValueError, match=r"term 0 name a row outside 0\.\.0"):
+            _reload(tmp_path, ["c"], 1)
 
     @pytest.mark.parametrize(
         "tf, match",
         [
-            pytest.param(0, "term 't'", id="0"),
+            pytest.param(0, "term 0", id="0"),
             pytest.param(1.5, "tfs must be a 1-d integer array", id="1.5"),
             pytest.param("2", "tfs must be a 1-d integer array", id="2"),
             pytest.param(True, "tfs must be a 1-d integer array", id="True"),
@@ -830,7 +904,7 @@ class TestLoadValidation:
         # dtype is refused as a whole, by name.
         _write_lexical_file(tmp_path, tfs=np.array([tf]))
         with pytest.raises(ValueError, match=match):
-            load(tmp_path, ["c"])
+            _reload(tmp_path, ["c"], 1)
 
     def test_duplicate_posting_names_term_and_chunk(self, tmp_path):
         _write_lexical_file(
@@ -840,32 +914,30 @@ class TestLoadValidation:
             rows=np.array([0, 0], dtype="<i4"),
             tfs=np.array([1, 2], dtype=np.uint8),
         )
-        with pytest.raises(ValueError, match="term 't'.*chunk_id 'c' twice"):
-            load(tmp_path, ["c", "d"])
+        with pytest.raises(ValueError, match="term 0.*chunk_id 'c' twice"):
+            _reload(tmp_path, ["c", "d"], 1)
 
     def test_rows_out_of_order_name_term(self, tmp_path):
         _write_lexical_file(
             tmp_path,
             doc_len=np.array([4, 4], dtype="<i4"),
-            terms=["s", "t"],
             offsets=np.array([0, 1, 3], dtype="<i8"),
             rows=np.array([1, 1, 0], dtype="<i4"),
             tfs=np.array([1, 1, 1], dtype=np.uint8),
         )
-        with pytest.raises(ValueError, match="term 't' are not in increasing row order"):
-            load(tmp_path, ["c", "d"])
+        with pytest.raises(ValueError, match="term 1 are not in increasing row order"):
+            _reload(tmp_path, ["c", "d"], 2)
 
     def test_rows_may_restart_at_each_term(self, tmp_path):
         _write_lexical_file(
             tmp_path,
             doc_len=np.array([4, 4], dtype="<i4"),
-            terms=["s", "t", "u"],
             offsets=np.array([0, 2, 2, 3], dtype="<i8"),
             rows=np.array([0, 1, 0], dtype="<i4"),
             tfs=np.array([1, 2, 3], dtype=np.uint8),
         )
-        ix = load(tmp_path, ["c", "d"])
-        assert [_pairs(ix, t) for t in "stu"] == [[("c", 1), ("d", 2)], [], [("c", 3)]]
+        ix = _reload(tmp_path, ["c", "d"], 3)
+        assert [_pairs(ix, t) for t in range(3)] == [[("c", 1), ("d", 2)], [], [("c", 3)]]
 
     @pytest.mark.parametrize(
         "terms, offsets",
@@ -879,30 +951,55 @@ class TestLoadValidation:
         ],
     )
     def test_bad_offsets_rejected(self, tmp_path, terms, offsets):
-        _write_lexical_file(tmp_path, terms=terms, offsets=np.array(offsets, dtype="<i8"))
-        match = "offsets must (run from 0 to the posting count 1|not decrease)"
+        # ``terms`` names the vocabulary the offsets are read for.
+        _write_lexical_file(tmp_path, offsets=np.array(offsets, dtype="<i8"))
+        match = (
+            "offsets must (run from 0 to the posting count 1|not decrease)"
+            "|offsets has 1 entries for a vocabulary of 1"
+        )
         with pytest.raises(ValueError, match=match):
-            load(tmp_path, ["c"])
+            _reload(tmp_path, ["c"], len(terms))
+
+    @pytest.mark.parametrize("term_count", [0, 2, 2500])
+    def test_offsets_that_do_not_fit_the_vocab_rejected(self, tmp_path, term_count):
+        # One offset per vocab id, and one more: term j is vocab id j.
+        _write_lexical_file(tmp_path)
+        match = (
+            f"^lexical.npy: offsets has 2 entries for a vocabulary of {term_count} "
+            rf"\(vocab size \+ 1 = {term_count + 1}\)$"
+        )
+        with pytest.raises(ValueError, match=match):
+            _reload(tmp_path, ["c"], term_count)
+
+    def test_an_index_of_the_earlier_layout_rejected(self, tmp_path):
+        # Before term j was vocab id j, a terms array of JSON bytes came
+        # second, so the file holds five arrays: it is refused by name.
+        terms = np.frombuffer(b'["t"]', dtype=np.uint8)
+        with (tmp_path / LEXICAL_FILE).open("wb") as fh:
+            for arr in ([4], terms, [0, 1], [0], [3]):
+                np.lib.format.write_array(fh, np.asarray(arr))
+        with pytest.raises(ValueError, match="^lexical.npy: trailing bytes after the tfs array$"):
+            _reload(tmp_path, ["c"], 1)
 
     def test_tfs_must_match_rows(self, tmp_path):
         _write_lexical_file(tmp_path, tfs=np.array([3, 3], dtype=np.uint8))
         with pytest.raises(ValueError, match="tfs must match rows"):
-            load(tmp_path, ["c"])
+            _reload(tmp_path, ["c"], 1)
 
     def test_wrong_doc_len_count_rejected(self, tmp_path):
         _write_lexical_file(tmp_path, doc_len=np.array([4, 4], dtype="<i4"))
         with pytest.raises(ValueError, match="doc_len has 2 entries for 1 chunks"):
-            load(tmp_path, ["c"])
+            _reload(tmp_path, ["c"], 1)
 
     def test_posting_on_a_chunk_of_length_0_names_term_and_chunk(self, tmp_path):
         _write_lexical_file(tmp_path, doc_len=np.array([0], dtype="<i4"))
-        with pytest.raises(ValueError, match="term 't' name chunk_id 'c' of length 0"):
-            load(tmp_path, ["c"])
+        with pytest.raises(ValueError, match="term 0 name chunk_id 'c' of length 0"):
+            _reload(tmp_path, ["c"], 1)
 
     def test_negative_doc_len_rejected(self, tmp_path):
         _write_lexical_file(tmp_path, doc_len=np.array([-1], dtype="<i4"))
         with pytest.raises(ValueError, match="doc_len must be >= 0"):
-            load(tmp_path, ["c"])
+            _reload(tmp_path, ["c"], 1)
 
     @pytest.mark.parametrize("name", ["doc_len", "offsets", "rows", "tfs"])
     def test_non_integer_or_2d_array_named(self, tmp_path, name):
@@ -912,27 +1009,12 @@ class TestLoadValidation:
         for bad in (np.array(good, dtype=np.float64), np.array([good])):
             _write_lexical_file(tmp_path, **{name: bad})
             with pytest.raises(ValueError, match=f"{name} must be a 1-d integer array"):
-                load(tmp_path, ["c"])
+                _reload(tmp_path, ["c"], 1)
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
-        _write_lexical_file(tmp_path, terms=np.array(["t"], dtype=object))
+        _write_lexical_file(tmp_path, offsets=np.array([0, 1], dtype=object))
         with pytest.raises(ValueError, match="lexical.npy: .*allow_pickle"):
-            load(tmp_path, ["c"])
-
-    @pytest.mark.parametrize(
-        "terms, match",
-        [
-            (["t", "t"], "term 1 is not a string listed once: 't'"),
-            ([1], "term 0 is not a string listed once: 1"),
-            ({"t": 1}, "terms must be a JSON list"),
-        ],
-    )
-    def test_bad_terms_rejected(self, tmp_path, terms, match):
-        raw = np.frombuffer(json.dumps(terms).encode("utf-8"), dtype=np.uint8)
-        offsets = np.array([0] * len(terms) + [1], dtype="<i8")
-        _write_lexical_file(tmp_path, terms=raw, offsets=offsets)
-        with pytest.raises(ValueError, match=match):
-            load(tmp_path, ["c"])
+            _reload(tmp_path, ["c"], 1)
 
     def test_truncated_or_padded_file_rejected(self, tmp_path):
         _write_lexical_file(tmp_path)
@@ -941,4 +1023,4 @@ class TestLoadValidation:
         for damaged, match in ((whole[:-1], "lexical.npy"), (whole + b"\0", "trailing")):
             path.write_bytes(damaged)
             with pytest.raises(ValueError, match=match):
-                load(tmp_path, ["c"])
+                _reload(tmp_path, ["c"], 1)

@@ -16,7 +16,6 @@ from qrag.semantic import (
     _fnv1a64,
     cosine,
     embed,
-    load,
     load_external_embeddings,
     parse,
     save,
@@ -93,29 +92,34 @@ class TestTokenVector:
 
 class TestEmbed:
     def test_single_token_equals_its_vector(self):
-        v = embed([0], TokenTable(["ਸਤਿ"], {}, 256))
+        v = embed([0], TokenTable(["ਸਤਿ"], [1.0], 256))
         assert np.array_equal(v, token_vector("ਸਤਿ", 256))
 
     def test_repeated_token_same_direction(self):
-        table = TokenTable(["ਸਤਿ"], {}, 256)
+        table = TokenTable(["ਸਤਿ"], [1.0], 256)
         one = embed([0], table)
         two = embed([0, 0], table)
         assert np.allclose(one, two, atol=1e-12)
 
     def test_idf_weights_change_direction(self):
-        unweighted = embed([0, 1], TokenTable(["a", "b"], {}, 256))
-        weighted = embed([0, 1], TokenTable(["a", "b"], {"a": 10.0, "b": 0.1}, 256))
+        unweighted = embed([0, 1], TokenTable(["a", "b"], [1.0, 1.0], 256))
+        weighted = embed([0, 1], TokenTable(["a", "b"], [10.0, 0.1], 256))
         assert cosine(weighted, token_vector("a", 256)) > cosine(
             unweighted, token_vector("a", 256)
         )
 
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_one_weight_per_token(self, weights):
+        with pytest.raises(ValueError, match="weights for 2 tokens"):
+            TokenTable(["a", "b"], weights, 8)
+
     def test_all_zero_weights_degenerate(self):
         with pytest.raises(ValueError, match="degenerate_embedding"):
-            embed([0, 1], TokenTable(["a", "b"], {"a": 0.0, "b": 0.0}, 256))
+            embed([0, 1], TokenTable(["a", "b"], [0.0, 0.0], 256))
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(ValueError, match="empty token list"):
-            embed([], TokenTable(["a"], {}, 256))
+            embed([], TokenTable(["a"], [1.0], 256))
 
     def test_external_spec_cannot_embed_text(self):
         # An engine over an external_file embedder has no token table.
@@ -125,7 +129,7 @@ class TestEmbed:
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_id_outside_the_table_rejected(self, bad):
         with pytest.raises(ValueError, match="token id out of range"):
-            embed([0, bad], TokenTable(["a", "b"], {}, 8))
+            embed([0, bad], TokenTable(["a", "b"], [1.0, 1.0], 8))
 
     def test_dim_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -138,7 +142,8 @@ class TestEmbed:
 
     def test_rows_fill_on_first_use_and_never_pass_the_vocabulary(self):
         tokens = [f"t{i}" for i in range(10)]
-        table = TokenTable(tokens, {"t3": 2.5}, 16)
+        weights = [1.0, 1.0, 1.0, 2.5] + [1.0] * 6
+        table = TokenTable(tokens, weights, 16)
         assert table.rows.shape == (10, 16) and not table.filled.any()
         embed([3, 1, 3], table)
         assert np.flatnonzero(table.filled).tolist() == [1, 3]
@@ -146,12 +151,11 @@ class TestEmbed:
             embed([i % 10 for i in range(start, start + 7)], table)
         assert table.filled.sum() == len(tokens) == len(table.rows)
         assert table.rows.tobytes() == token_vectors(tokens, 16).tobytes()
-        assert table.weights.tolist() == [1.0, 1.0, 1.0, 2.5] + [1.0] * 6
+        assert table.weights.tolist() == weights
 
     def test_weights_are_count_times_idf_in_first_appearance_order(self):
         tokens = ["a", "b", "c"]
-        idf = {"a": 0.5, "c": 3.0}
-        v = embed([2, 0, 2, 1], TokenTable(tokens, idf, 32))
+        v = embed([2, 0, 2, 1], TokenTable(tokens, [0.5, 1.0, 3.0], 32))
         vectors = token_vectors(["c", "a", "b"], 32)
         expected = np.array([2 * 3.0, 1 * 0.5, 1 * 1.0]) @ vectors
         assert v.tobytes() == (expected / math.sqrt(float(np.dot(expected, expected)))).tobytes()
@@ -275,7 +279,7 @@ class TestSearchExact:
         engine, bench, *_ = small_engine
         ix = engine.vector_index
         for query in bench.queries:
-            q = embed(engine.tokenizer.encode(query["text"]).ids, engine.token_table)
+            q = embed(engine.tokenizer.encode(query["text"]), engine.token_table)
             assert np.array_equal(ix.scan(q), _row_major_scan(ix, q))
 
     def test_ranking_matches_brute_force(self):
@@ -393,7 +397,7 @@ class TestPersistence:
             [f"c{i}" for i in range(20)], [rng.standard_normal(16) for _ in range(20)]
         )
         save(ix, tmp_path)
-        reloaded = load(tmp_path, ix.ids)
+        reloaded = parse((tmp_path / VECTORS_FILE).read_bytes(), ix.ids)
         assert reloaded.ids == ix.ids
         assert reloaded.cols.dtype == ix.cols.dtype == np.float32
         assert np.array_equal(reloaded.cols, ix.cols)
@@ -420,7 +424,7 @@ class TestPersistence:
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / VECTORS_FILE).write_bytes(b"NOTMAGIC" + b"\x00" * 12)
         with pytest.raises(ValueError, match=VECTORS_FILE):
-            load(tmp_path, ["a"])
+            parse((tmp_path / VECTORS_FILE).read_bytes(), ["a"])
 
     @pytest.mark.parametrize(
         "matrix, match",
@@ -434,12 +438,12 @@ class TestPersistence:
     def test_wrong_dtype_or_shape_rejected(self, tmp_path, matrix, match):
         np.save(tmp_path / VECTORS_FILE, matrix)
         with pytest.raises(ValueError, match=f"{VECTORS_FILE}: {match}"):
-            load(tmp_path, ["a"])
+            parse((tmp_path / VECTORS_FILE).read_bytes(), ["a"])
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
         np.save(tmp_path / VECTORS_FILE, np.array([[1.0]], dtype=object), allow_pickle=True)
         with pytest.raises(ValueError, match=f"{VECTORS_FILE}: .*allow_pickle"):
-            load(tmp_path, ["a"])
+            parse((tmp_path / VECTORS_FILE).read_bytes(), ["a"])
 
 
 class TestLoadExternal:

@@ -13,7 +13,6 @@ import pytest
 from qrag import tokenizer
 from qrag.tokenizer import (
     WORD_END,
-    TokenSeq,
     TokenizerModel,
     normalize,
     train_bpe,
@@ -178,41 +177,37 @@ def _hand_model():
 
 class TestEncode:
     def test_merge_application(self):
-        seq = _hand_model().encode("abc")
-        assert seq.surface == ["ab", "c</w>"]
+        model = _hand_model()
+        assert [model.tokens[i] for i in model.encode("abc")] == ["ab", "c</w>"]
 
     def test_empty_string(self):
-        seq = _hand_model().encode("")
-        assert len(seq) == 0
+        assert _hand_model().encode("") == []
 
     def test_training_word_encodes_to_merged_form(self):
         model = train_bpe(["ਸਤ ਸਤ ਸਤ"], vocab_size=50)
-        seq = model.encode("ਸਤ")
-        assert seq.surface == ["ਸਤ</w>"]
+        assert [model.tokens[i] for i in model.encode("ਸਤ")] == ["ਸਤ</w>"]
 
     def test_out_of_vocab_maps_to_unk(self):
         model = train_bpe(["ab ab"], vocab_size=20)
-        seq = model.encode("zzz")
-        assert all(i == model.unk_id for i in seq.ids)
+        assert all(i == model.unk_id for i in model.encode("zzz"))
 
     def test_symbol_outside_the_vocab_gives_unk_id_and_surface(self):
-        seq = _hand_model().encode("abz c")
-        assert seq.ids == [3, 0, 5]
-        assert seq.surface == ["ab", "<unk>", "c</w>"]
+        model = _hand_model()
+        ids = model.encode("abz c")
+        assert ids == [3, 0, 5]
+        assert [model.tokens[i] for i in ids] == ["ab", "<unk>", "c</w>"]
 
     def test_word_cache_holds_the_vocab_dicts_ids(self, synth_tokenizer, synth_lines):
         model = TokenizerModel(vocab=synth_tokenizer.vocab, merges=synth_tokenizer.merges)
-        seq = model.encode(" ".join(synth_lines[:5]))
-        assert seq.surface == synth_tokenizer.encode(" ".join(synth_lines[:5])).surface
+        ids = model.encode(" ".join(synth_lines[:5]))
+        assert ids == synth_tokenizer.encode(" ".join(synth_lines[:5]))
         # The vocab's own int objects, not fresh ints or symbol strings.
         vocab_ints = {id(v) for v in model.vocab.values()}
         cached = [i for ids in model._word_cache.values() for i in ids]
         assert cached and all(id(i) in vocab_ints for i in cached)
 
     def test_deterministic(self, synth_tokenizer, synth_lines):
-        a = synth_tokenizer.encode(synth_lines[0])
-        b = synth_tokenizer.encode(synth_lines[0])
-        assert a.ids == b.ids and a.surface == b.surface
+        assert synth_tokenizer.encode(synth_lines[0]) == synth_tokenizer.encode(synth_lines[0])
 
     def test_merge_monotonicity(self, synth_lines):
         # Appending merges never increases the token count of any text.
@@ -231,14 +226,14 @@ class TestEncode:
             for _ in range(2000)
         ]
         reference = train_bpe(synth_lines[:80], vocab_size=3000)
-        expected = [reference.encode(w).ids for w in junk]
+        expected = [reference.encode(w) for w in junk]
         monkeypatch.setattr(tokenizer, "WORD_CACHE_MAX", 50, raising=False)
         model = train_bpe(synth_lines[:80], vocab_size=3000)
-        assert [model.encode(w).ids for w in junk] == expected
+        assert [model.encode(w) for w in junk] == expected
         assert len(model._word_cache) <= 50
 
 
-def _reference_encode(model: TokenizerModel, text: str) -> TokenSeq:
+def _reference_encode(model: TokenizerModel, text: str) -> list[int]:
     """The per-piece encoder the token-keyed one replaced, with no cache:
     a per-character run loop splits each whitespace token at punctuation
     boundaries, the last piece gets the marker, and each piece is split into
@@ -248,7 +243,6 @@ def _reference_encode(model: TokenizerModel, text: str) -> TokenSeq:
         return unicodedata.category(ch).startswith("P")
 
     ranks = {pair: i for i, pair in enumerate(model.merges)}
-    by_id = {i: tok for tok, i in model.vocab.items()}
     ids: list[int] = []
     for token in normalize(text).split(" "):
         if not token:
@@ -284,7 +278,7 @@ def _reference_encode(model: TokenizerModel, text: str) -> TokenSeq:
                         i += 1
                 symbols = merged
             ids += [model.vocab.get(sym, model.unk_id) for sym in symbols]
-    return TokenSeq(ids, [by_id[i] for i in ids])
+    return ids
 
 
 REFERENCE_CASES = {
@@ -327,15 +321,12 @@ class TestAgainstReferenceEncoder:
         model = TokenizerModel(vocab=base.vocab, merges=base.merges)
         expected = _reference_encode(model, text)
         for _ in range(2):  # cold, then from the cache
-            seq = model.encode(text)
-            assert seq.ids == expected.ids and seq.surface == expected.surface
+            assert model.encode(text) == expected
 
     def test_corpus_lines(self, synth_tokenizer, synth_lines):
         model = TokenizerModel(vocab=synth_tokenizer.vocab, merges=synth_tokenizer.merges)
         for line in synth_lines + [" ".join(synth_lines[:40])]:
-            expected = _reference_encode(model, line)
-            seq = model.encode(line)
-            assert seq.ids == expected.ids and seq.surface == expected.surface
+            assert model.encode(line) == _reference_encode(model, line)
 
 
 class TestWordCache:
@@ -351,7 +342,7 @@ class TestWordCache:
         calls: list[str] = []
         is_punct = tokenizer._is_punct
         monkeypatch.setattr(tokenizer, "_is_punct", lambda ch: calls.append(ch) or is_punct(ch))
-        assert model.encode(text).ids == first.ids
+        assert model.encode(text) == first
         assert calls == []
         model.encode("ਙਞ!")  # a token not yet seen is split
         assert calls == ["ਙ", "ਞ", "!"]
@@ -383,14 +374,30 @@ def _is_initial(symbol: str, marker: str) -> bool:
 class TestDecode:
     def test_inverse_of_encode_example(self):
         model = _hand_model()
-        assert model.decode(TokenSeq([3, 5], ["ab", "c</w>"])) == "abc"
+        assert model.decode([3, 5]) == "abc"
 
     def test_empty_sequence(self):
-        assert _hand_model().decode(TokenSeq([], [])) == ""
+        assert _hand_model().decode([]) == ""
 
     def test_id_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            _hand_model().decode(TokenSeq([99], ["ab"]))
+        for ids, bad in (([99], 99), ([3, -1, 5], -1), ([3, 6], 6)):
+            with pytest.raises(ValueError, match=f"token id out of range: {bad}$"):
+                _hand_model().decode(ids)
+
+    def test_equals_each_tokens_piece_joined(self, synth_tokenizer, synth_lines):
+        # The rule the per-id table holds: a token's word-end marker is a space.
+        def reference(model, ids):
+            pieces = [model.tokens[i] for i in ids]
+            return "".join(
+                t[: -len(WORD_END)] + " " if t.endswith(WORD_END) else t for t in pieces
+            ).strip()
+
+        marker = train_bpe(["ab, xy . a</w>b a</w>b ab"], vocab_size=200)
+        cases = [(synth_tokenizer, synth_tokenizer.encode(line)) for line in synth_lines[:50]]
+        # Every id, the special tokens and any holding a literal marker too.
+        cases += [(m, list(range(m.vocab_size()))) for m in (synth_tokenizer, marker)]
+        for model, ids in cases:
+            assert model.decode(ids) == reference(model, ids)
 
     def test_round_trip_on_corpus_lines(self, synth_tokenizer, synth_lines):
         for line in synth_lines[:100]:
@@ -408,9 +415,7 @@ class TestSerialization:
         synth_tokenizer.save(path)
         reloaded = TokenizerModel.load(path)
         for line in synth_lines[200:250]:
-            a = synth_tokenizer.encode(line)
-            b = reloaded.encode(line)
-            assert a.ids == b.ids and a.surface == b.surface
+            assert synth_tokenizer.encode(line) == reloaded.encode(line)
 
     def test_wire_format_fields(self, synth_tokenizer, tmp_path):
         path = tmp_path / "tokenizer.json"
