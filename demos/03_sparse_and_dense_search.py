@@ -5,7 +5,9 @@ Sparse and dense retrieval legs
 Encodes each chunk once and builds both the BM25 inverted index and the
 exact-scan vector index from its vocab ids, the one term space of both
 legs, then contrasts what each leg is good at: exact term matches versus
-bag-of-subwords similarity.
+bag-of-subwords similarity. Both indexes address a chunk by its row, and
+the chunks are listed in chunk-id order, so a search maps each row it
+returns to its chunk's id.
 """
 
 import numpy as np
@@ -25,11 +27,14 @@ chunks = [
     Chunk(r["id"] + "#0", r["id"], 0, len(ids), r["text"])
     for r, ids in zip(records, chunk_terms)
 ]
+# Row i of both indexes is chunks[i], in chunk-id order, as the engine
+# keeps them; only this list holds the ids.
+assert [c.chunk_id for c in chunks] == sorted(c.chunk_id for c in chunks)
 
 # -- BM25 ----------------------------------------------------------------------
 
 # Term j of the index is vocab id j, held by a chunk or not.
-index = lexical.build_index([c.chunk_id for c in chunks], chunk_terms, tok.vocab_size())
+index = lexical.build_index(chunk_terms, tok.vocab_size())
 params = BM25Params()
 held = int(np.count_nonzero(np.diff(index.offsets)))
 print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, "
@@ -37,8 +42,8 @@ print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, "
 
 query = " ".join(lines[7].split()[:3])
 print(f"\nBM25 search for {query!r}:")
-for cid, score in lexical.search(index, params, tok.encode(query), 3):
-    print(f"  {cid}: {score:.4f}")
+for row, score in lexical.search(index, params, tok.encode(query), 3):
+    print(f"  row {row} = {chunks[row].chunk_id}: {score:.4f}")
 
 rare_term = lines[7].split()[0]
 print(f"idf({rare_term!r} tokens):")
@@ -53,7 +58,7 @@ spec = EmbedderSpec(kind="hash_projection", dim=256)
 weights = np.where(np.diff(index.offsets) > 0, index.idfs, 1.0)
 table = semantic.TokenTable(tok.tokens, weights, spec.dim)
 vectors = [semantic.embed(ids, table) for ids in chunk_terms]
-vindex = VectorIndex.build([c.chunk_id for c in chunks], vectors)
+vindex = VectorIndex.build(len(chunks), vectors)
 
 # A paraphrase-like query: most of the words of doc 7, shuffled.
 words = lines[7].split()
@@ -61,10 +66,11 @@ rng = np.random.default_rng(0)
 paraphrase = " ".join(rng.permutation(words)[: int(0.7 * len(words))])
 q = semantic.embed(tok.encode(paraphrase), table)
 print(f"\ndense search for a shuffled subset of doc 7's words:")
-for cid, score in semantic.search_exact(vindex, q, 3):
-    print(f"  {cid}: cosine={score:.4f}")
+for row, score in semantic.search_exact(vindex, q, 3):
+    print(f"  row {row} = {chunks[row].chunk_id}: cosine={score:.4f}")
 
 print(f"\ntoken table: {table.filled.sum()} of {len(table.tokens)} rows filled")
 print("\nexact self-match:")
 q_self = semantic.embed(tok.encode(lines[7]), table)
-print(" ", semantic.search_exact(vindex, q_self, 1)[0])
+row, score = semantic.search_exact(vindex, q_self, 1)[0]
+print(f"  row {row} = {chunks[row].chunk_id}: cosine={score:.4f}")

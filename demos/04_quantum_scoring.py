@@ -11,7 +11,6 @@ signals reinforce (constructive) and conflicting ones cancel (destructive).
 
 import numpy as np
 
-from qrag.lexical import id_ranks
 from qrag.quantum import (
     FusionConfig,
     amplitude_encode,
@@ -53,16 +52,20 @@ for c, l in [(0.6, 0.8), (0.6, 0.0), (-0.6, 0.8), (-1.0, 1.0)]:
 
 # -- fusion modes over one candidate pool -----------------------------------------
 
-# One entry per candidate, in the same order: its id, BM25 score and cosine.
-# doc-c holds no query term, so its BM25 score is 0 and its lexical amplitude
-# is 0; the positive scores are min-max normalized onto [0, 1].
+# One entry per candidate, in the same order: its id, its row, its BM25 score
+# and its cosine. An index holds its chunks in id order, so the candidates,
+# listed in id order here, have increasing rows, on which equal fused scores
+# break their ties. doc-c holds no query term, so its BM25 score is 0 and its
+# lexical amplitude is 0; the positive scores are min-max normalized onto
+# [0, 1].
 ids = ["doc-a", "doc-b", "doc-c"]
+rows = np.array([0, 1, 2])
 sparse = np.array([7.1, 2.4, 0.0])
 dense = np.array([0.35, 0.80, 0.62])
 print("\nlexical amplitudes:", dict(zip(ids, normalize_lexical(sparse).tolist())))
 print("ranking the same pool under each fusion mode:")
 for mode in ("sparse_only", "dense_only", "rrf", "weighted_sum", "fidelity_rerank", "quantum_interference"):
-    ranked = rank_candidates(id_ranks(ids), sparse, dense, FusionConfig(mode=mode))
+    ranked = rank_candidates(rows, sparse, dense, FusionConfig(mode=mode))
     order = ", ".join(f"{ids[i]}({fused:.3f})" for i, fused in ranked)
     print(f"  {mode:21s}: {order}")
 

@@ -14,6 +14,7 @@ import html
 import json
 import logging
 import math
+import operator
 import re
 import unicodedata
 from collections import Counter
@@ -296,6 +297,10 @@ class ChunkTable(Sequence[Chunk]):
     """Chunks held as columns: row i of each is chunk i. This is how a chunk
     store is saved and loaded, and how an engine keeps its chunks, with no
     object per chunk; indexing makes a ``Chunk`` (a slice, a ``ChunkTable``).
+
+    The chunk ids strictly increase, so a row's number is its id's rank, and
+    an index that addresses chunks by row orders them as their ids do. The
+    table is the only holder of the ids.
     """
 
     chunk_ids: list[str]
@@ -303,6 +308,16 @@ class ChunkTable(Sequence[Chunk]):
     token_offsets: np.ndarray
     token_counts: np.ndarray
     texts: list[str]
+
+    def __post_init__(self) -> None:
+        ids = self.chunk_ids
+        if not all(map(operator.lt, ids, ids[1:])):
+            i = next(i for i in range(1, len(ids)) if ids[i - 1] >= ids[i])
+            if ids[i] in ids[:i]:
+                raise ValueError(f"chunk_id {ids[i]!r} is listed twice")
+            raise ValueError(
+                f"chunk_id {ids[i]!r} follows {ids[i - 1]!r}: chunk ids must increase"
+            )
 
     @classmethod
     def from_chunks(cls, chunks: Iterable[Chunk]) -> "ChunkTable":
@@ -383,12 +398,6 @@ def save_chunks(chunks: ChunkTable, out_dir: str | Path) -> None:
             np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
-def load_chunks(in_dir: str | Path) -> ChunkTable:
-    """Read the chunks that ``save_chunks`` wrote: ``parse_chunks`` of the
-    file's bytes."""
-    return parse_chunks((Path(in_dir) / CHUNKS_FILE).read_bytes())
-
-
 def parse_chunks(data: bytes) -> ChunkTable:
     """The chunks in ``data``, the bytes of a ``chunks.npy``; each refusal is
     a ``ValueError`` naming ``chunks.npy``, a byte the page leaves undefined
@@ -412,15 +421,15 @@ def parse_chunks(data: bytes) -> ChunkTable:
             _decode(view[lo:hi], encoding)
             for lo, hi, encoding in zip(bounds, bounds[1:], encodings.tolist())
         ]
+        return ChunkTable(
+            [cid for cid, _ in pairs],
+            [did for _, did in pairs],
+            token_offset.copy(),
+            token_count.copy(),
+            texts,
+        )
     except ValueError as exc:
         raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
-    return ChunkTable(
-        [cid for cid, _ in pairs],
-        [did for _, did in pairs],
-        token_offset.copy(),
-        token_count.copy(),
-        texts,
-    )
 
 
 def _decode(data: memoryview, encoding: int) -> str:
@@ -455,11 +464,6 @@ def _check_arrays(
         for p in pairs
     ):
         raise ValueError("ids must be a JSON list of [chunk_id, doc_id] string pairs")
-    seen: set[str] = set()
-    for cid, _ in pairs:
-        if cid in seen:
-            raise ValueError(f"chunk_id {cid!r} is listed twice")
-        seen.add(cid)
     n = len(pairs)
     if not len(token_offset) == len(token_count) == len(ends) - 1 == len(encodings) == n:
         raise ValueError(

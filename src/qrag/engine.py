@@ -3,7 +3,10 @@ retrieve pipeline, assemble generation context under the token budget, and
 persist/load the whole engine.
 
 Candidate generation is union-of-legs then re-score, all on row numbers:
-row i of the lexical and of the vector index is chunk i. The two legs each
+row i of the chunk table, of the lexical and of the vector index is chunk
+i, and rows are in chunk-id order, so a row number is its chunk's id rank
+and ties between equal scores go to the lower row. Only the chunk table
+holds the ids; a hit's row is mapped to its id last. The two legs each
 nominate their top-k rows, the union's scores are gathered as arrays, and
 the configured fusion mode ranks them. Single-leg modes bypass the other
 leg entirely, so their rankings are identical to the underlying index
@@ -24,6 +27,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -40,13 +44,14 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 MANIFEST_FILE = "manifest.json"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
 CONTEXT_DELIMITER = "---"
 # Every file of an index but the manifest, which lists each one's digest.
-# Chunk ids are stored only in the chunks file; the others address chunks by row.
+# Chunk ids are stored only in the chunks file, in increasing order; the others
+# address chunks by row.
 INDEX_FILES = (
     corpus_mod.CHUNKS_FILE, TOKENIZER_FILE, lexical.LEXICAL_FILE, semantic.VECTORS_FILE
 )
@@ -191,12 +196,9 @@ class RetrievalEngine:
     ) -> None:
         self.chunks = chunks
         # Row i of both indexes is chunks[i], so retrieve works on rows alone.
-        for name, ids in (
-            ("lexical", lexical_index.chunk_ids),
-            ("vector", vector_index.ids),
-        ):
-            if ids != chunks.chunk_ids:
-                raise ValueError(f"{name} index ids do not follow the chunk order")
+        for name, rows in (("lexical", lexical_index.N), ("vector", len(vector_index))):
+            if rows != len(chunks):
+                raise ValueError(f"{name} index has {rows} rows for {len(chunks)} chunks")
         # Term j of the lexical index is vocab id j.
         if len(lexical_index.offsets) != tokenizer.vocab_size() + 1:
             raise ValueError("lexical index terms do not follow the vocabulary")
@@ -245,7 +247,6 @@ class RetrievalEngine:
         use_sparse = cfg.mode != "dense_only"
         use_dense = cfg.mode != "sparse_only"
 
-        rank = self.lexical_index.id_rank
         nominated: list[int] = []
         if use_sparse:
             t0 = time.perf_counter()
@@ -253,7 +254,7 @@ class RetrievalEngine:
                 self.lexical_index, self.config.bm25, terms
             )
             nominated += lexical.top_rows(
-                rank, lex_vector, lexical.touched_rows(touched, cfg.k_sparse), cfg.k_sparse
+                lex_vector, lexical.touched_rows(touched, cfg.k_sparse), cfg.k_sparse
             )
             timings["lexical"] = (time.perf_counter() - t0) * 1000.0
 
@@ -261,7 +262,7 @@ class RetrievalEngine:
             t0 = time.perf_counter()
             q_emb = semantic.embed(terms, self.token_table)
             dense_scores = self.vector_index.scan(q_emb)
-            nominated += lexical.top_rows(rank, dense_scores, None, cfg.k_dense)
+            nominated += lexical.top_rows(dense_scores, None, cfg.k_dense)
             timings["dense"] = (time.perf_counter() - t0) * 1000.0
 
         quantum_modes = cfg.mode in ("fidelity_rerank", "quantum_interference")
@@ -276,29 +277,30 @@ class RetrievalEngine:
             timings["quantum"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        rows = list(dict.fromkeys(nominated))
+        rows = np.fromiter(dict.fromkeys(nominated), dtype=np.intp)
         sparse = lex_vector[rows] if use_sparse else None
         dense = dense_scores[rows] if use_dense else None
-        ranked = quantum.rank_candidates(rank[rows], sparse, dense, cfg)
+        ranked = quantum.rank_candidates(rows, sparse, dense, cfg)
+        hit_rows = rows[[i for i, _ in ranked]].tolist()
         ids, texts = self.chunks.chunk_ids, self.chunks.texts
         hits = [
             ScoredHit(
-                chunk_id=ids[rows[i]],
-                text=texts[rows[i]],
+                chunk_id=ids[row],
+                text=texts[row],
                 rank=position,
                 fused=fused,
                 sparse_raw=None if sparse is None else float(sparse[i]),
                 dense_cos=None if dense is None else float(dense[i]),
                 quantum=float(dense[i]) if quantum_modes else None,
             )
-            for position, (i, fused) in enumerate(ranked, start=1)
+            for position, (row, (i, fused)) in enumerate(zip(hit_rows, ranked), start=1)
         ]
         timings["fusion"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
         context = format_context(
             [h.text for h in hits],
-            self.lexical_index.doc_len[[rows[i] for i, _ in ranked]].tolist(),
+            self.lexical_index.doc_len[hit_rows].tolist(),
             self._sep_cost,
             self.config.context_budget_tokens,
             self.tokenizer,
@@ -333,7 +335,8 @@ def prepare(
     corpus_path: str | Path, cfg: EngineConfig, stats: dict
 ) -> tuple[TokenizerModel, ChunkTable]:
     """Run ingest -> clean -> dedup -> quality -> train BPE -> chunk,
-    counting what each step kept and dropped in ``stats``."""
+    counting what each step kept and dropped in ``stats``. The chunks come
+    back in chunk-id order, the row order of every index."""
     with _stage("ingest+filter"):
         docs = list(
             corpus_mod.preprocess(
@@ -353,7 +356,9 @@ def prepare(
         stats["chunks"] = len(chunks)
         if not chunks:
             raise ValueError("empty corpus after chunking")
-    return tok, ChunkTable.from_chunks(chunks)
+        chunks.sort(key=attrgetter("chunk_id"))
+        table = ChunkTable.from_chunks(chunks)
+    return tok, table
 
 
 def _token_table(tok: TokenizerModel, index: InvertedIndex, dim: int) -> semantic.TokenTable:
@@ -376,21 +381,21 @@ def build_all(
     _check_replaceable(out)
     stats: dict = {}
     tok, chunks = prepare(corpus_path, cfg, stats)
-    ids = chunks.chunk_ids
 
     with _stage("lexical_index"):
-        chunk_ids = deque(tok.encode(text) for text in chunks.texts)
-        lex_index = lexical.build_index(ids, chunk_ids, tok.vocab_size())
+        chunk_terms = deque(tok.encode(text) for text in chunks.texts)
+        lex_index = lexical.build_index(chunk_terms, tok.vocab_size())
 
     with _stage("embed"):
         if cfg.embedder.kind == "external_file":
-            chunk_ids.clear()
-            vec_index = semantic.load_external_embeddings(cfg.embedder.path, ids)
+            chunk_terms.clear()
+            vec_index = semantic.load_external_embeddings(cfg.embedder.path, chunks.chunk_ids)
         else:
             table = _token_table(tok, lex_index, cfg.embedder.dim)
             # popleft drops each chunk's ids once they are embedded.
-            vectors = (semantic.embed(chunk_ids.popleft(), table) for _ in ids)
-            vec_index = VectorIndex.build(ids, vectors)
+            n = len(chunks)
+            vectors = (semantic.embed(chunk_terms.popleft(), table) for _ in range(n))
+            vec_index = VectorIndex.build(n, vectors)
             # Freed before the engine below makes its own, so that the two
             # tables are never held at once.
             del table, vectors
@@ -546,13 +551,12 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
                     f"manifest chunk_count is {manifest.chunk_count}, but "
                     f"{corpus_mod.CHUNKS_FILE} holds {len(chunks)} chunks"
                 )
-            ids = chunks.chunk_ids
+            n = len(chunks)
             tok = load(TOKENIZER_FILE, lambda data: TokenizerModel.from_json(data.decode("utf-8")))
             lex_index = load(
-                lexical.LEXICAL_FILE,
-                lambda data: lexical.parse(data, ids, tok.vocab_size()),
+                lexical.LEXICAL_FILE, lambda data: lexical.parse(data, n, tok.vocab_size())
             )
-            vec_index = load(semantic.VECTORS_FILE, lambda data: semantic.parse(data, ids))
+            vec_index = load(semantic.VECTORS_FILE, lambda data: semantic.parse(data, n))
             if config.embedder.kind == "hash_projection" and vec_index.dim != config.embedder.dim:
                 raise ValueError(
                     f"manifest config.embedder.dim is {config.embedder.dim}, but "

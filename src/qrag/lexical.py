@@ -23,8 +23,6 @@ LEXICAL_ARRAYS = ("doc_len", "offsets", "rows", "tfs")
 # Postings per block of ``InvertedIndex.impacts``: its scratch is a few
 # arrays of this length (256 KiB each in float64), whatever the index size.
 IMPACT_BLOCK = 1 << 15
-# Params whose impacts an index keeps; impacts for one more clear them.
-IMPACT_CACHE_MAX = 4
 # A term in at least 1 / DENSE_DF of the chunks is scored from a dense row
 # of N impacts. On 2 vCPUs with numpy 2.4, ``np.add.at`` costs about 4 ns a
 # scattered posting and a contiguous row add about 1 ns a row, so at df >= N/4
@@ -47,8 +45,8 @@ class BM25Params:
 
 class Impacts(NamedTuple):
     """The term scores under one ``BM25Params``, kept by
-    ``InvertedIndex.impacts`` as one cache entry, so that no thread sees one
-    array without the other."""
+    ``InvertedIndex.impacts`` with those params in one tuple, so that no
+    thread sees one array without the other."""
 
     postings: np.ndarray  # one float64 per posting of a sparsely scored term
     dense: np.ndarray  # (dense term count, N) float64: a row per frequent term
@@ -56,30 +54,26 @@ class Impacts(NamedTuple):
 
 class InvertedIndex:
     """BM25 postings as shared arrays, addressed by row and by term: row i
-    is chunk_ids[i], and term j is vocab id j, for each of the
-    ``len(offsets) - 1`` ids of the vocabulary, held by a chunk or not.
+    is chunk i, one per entry of ``doc_len``, and term j is vocab id j, for
+    each of the ``len(offsets) - 1`` ids of the vocabulary, held by a chunk
+    or not.
 
     Term j's postings are ``rows[offsets[j]:offsets[j + 1]]``, strictly
     increasing, with their term frequencies at the same positions of
     ``tfs``. Both are held in the narrowest unsigned type, the rows in the
-    one that holds N - 1, as ``save`` writes them. For each ``BM25Params`` a
-    query has used, the index also keeps its ``impacts``: one dense float64
-    row of N impacts for each term in at least 1 / ``DENSE_DF`` of the
-    chunks (at most ``DENSE_DF`` times the bytes of those terms' posting
-    impacts), and one float64 per posting of every other term. No
-    per-posting Python object is kept, only a (start, end, dense row,
-    impacts start) tuple and an idf (``idfs[j]``) per term, and ``id_rank``,
-    each chunk id's rank in ascending id order. The postings are immutable
-    once built; searches are reentrant and safe concurrently.
+    one that holds N - 1, as ``save`` writes them. For the last
+    ``BM25Params`` it scored under, the index also keeps the ``impacts``: one
+    dense float64 row of N impacts for each term in at least 1 /
+    ``DENSE_DF`` of the chunks (at most ``DENSE_DF`` times the bytes of those
+    terms' posting impacts), and one float64 per posting of every other
+    term. No per-posting Python object is kept, only a (start, end, dense
+    row, impacts start) tuple and an idf (``idfs[j]``) per term. The
+    postings are immutable once built; searches are reentrant and safe
+    concurrently.
     """
 
     def __init__(
-        self,
-        chunk_ids: Sequence[str],
-        doc_len: np.ndarray,
-        offsets: np.ndarray,
-        rows: np.ndarray,
-        tfs: np.ndarray,
+        self, doc_len: np.ndarray, offsets: np.ndarray, rows: np.ndarray, tfs: np.ndarray
     ) -> None:
         """Check the arrays once; each refusal is a ``ValueError`` naming the
         array or the term at fault."""
@@ -88,10 +82,9 @@ class InvertedIndex:
         ):
             if arr.ndim != 1 or arr.dtype.kind not in "iu":
                 raise ValueError(f"{name} must be a 1-d integer array")
-        self.chunk_ids = list(chunk_ids)
-        self.N = len(self.chunk_ids)
-        if len(doc_len) != self.N or not self.N:
-            raise ValueError(f"doc_len has {len(doc_len)} entries for {self.N} chunks (N >= 1)")
+        self.N = len(doc_len)
+        if not self.N:
+            raise ValueError("doc_len has 0 entries: an index holds at least 1 chunk")
         if (doc_len < 0).any():
             raise ValueError("doc_len must be >= 0")
         n = len(rows)
@@ -133,9 +126,9 @@ class InvertedIndex:
                 p = int(np.argmax(bad))
                 term = int(np.searchsorted(self.offsets, p, "right")) - 1
                 if bad is stalls and rows[p] == rows[p - 1]:
-                    fault = f"name chunk_id {self.chunk_ids[rows[p]]!r} twice"
+                    fault = f"name row {rows[p]} twice"
                 elif bad is empty:
-                    fault = f"name chunk_id {self.chunk_ids[rows[p]]!r} of length 0"
+                    fault = f"name row {rows[p]}, a chunk of length 0"
                 raise ValueError(f"postings for term {term} {fault}")
         self.doc_len = doc_len.astype("<i4", copy=False)
         self.rows = rows.astype(_row_type(self.N), copy=False)
@@ -149,8 +142,7 @@ class InvertedIndex:
             [math.log(1.0 + (self.N - d + 0.5) / (d + 0.5)) for d in df.tolist()],
             dtype=np.float64,
         )
-        self.id_rank = id_ranks(self.chunk_ids)
-        self._impacts: dict[BM25Params, Impacts] = {}
+        self._impacts: tuple[BM25Params, Impacts] | None = None
 
     def postings(self, term: int) -> tuple[np.ndarray, np.ndarray]:
         """``term``'s chunk rows (increasing) and tfs, as views into the shared
@@ -167,13 +159,13 @@ class InvertedIndex:
         in ``rows`` order, so term ``t``'s are ``postings[at:at + hi - lo]``
         for its ``_spans[t]`` of ``(lo, hi, -1, at)``.
 
-        Computed once per params, in blocks of ``IMPACT_BLOCK`` postings
-        written straight to where they are kept, and kept on the index for
-        up to ``IMPACT_CACHE_MAX`` params.
+        Computed in blocks of ``IMPACT_BLOCK`` postings written straight to
+        where they are kept, and kept on the index until it scores under
+        other params: an engine scores under one.
         """
-        found = self._impacts.get(p)
-        if found is not None:
-            return found
+        kept = self._impacts
+        if kept is not None and kept[0] == p:
+            return kept[1]
         n = len(self.rows)
         sparse = np.empty(self._sparse_postings, dtype=np.float64)
         dense = np.zeros((int(np.count_nonzero(self._slots >= 0)), self.N), dtype=np.float64)
@@ -197,12 +189,10 @@ class InvertedIndex:
                 lo = max(int(self.offsets[j]), start)
                 hi = min(int(self.offsets[j + 1]), end)
                 dense[self._slots[j], self.rows[lo:hi]] = scores[lo - start : hi - start]
-        # Threads racing here compute equal pairs, and either may be kept.
+        # One assignment, so no thread sees the params of one pair with the
+        # arrays of another; threads racing here compute equal pairs.
         found = Impacts(sparse, dense)
-        cache = self._impacts
-        if len(cache) >= IMPACT_CACHE_MAX:
-            cache = self._impacts = {}
-        cache[p] = found
+        self._impacts = (p, found)
         return found
 
 
@@ -211,12 +201,9 @@ def _row_type(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0)).newbyteorder("<")
 
 
-def build_index(
-    chunk_ids: Sequence[str], chunk_terms: Iterable[Sequence[int]], term_count: int
-) -> InvertedIndex:
-    """Index each chunk's term ids: row i is ``chunk_ids[i]``, whose terms are
-    the i-th sequence of ``chunk_terms`` (a count mismatch is a
-    ``ValueError``), and term j is id j of ``term_count``.
+def build_index(chunk_terms: Iterable[Sequence[int]], term_count: int) -> InvertedIndex:
+    """Index each chunk's term ids: row i holds the i-th sequence of
+    ``chunk_terms``, and term j is id j of ``term_count``.
 
     Each chunk's distinct ids and their counts, its term frequencies, come
     from one ``np.unique`` and are kept in the narrowest types that hold
@@ -224,24 +211,19 @@ def build_index(
     argsort of the whole term column then orders the postings by term, each
     term's in row order.
     """
-    if not chunk_ids:
-        raise ValueError("empty chunk list")
-    seen: set[str] = set()
-    for cid in chunk_ids:
-        if cid in seen:
-            raise ValueError(f"duplicate chunk_id: {cid}")
-        seen.add(cid)
     term_type = np.min_scalar_type(max(term_count - 1, 0))
     doc_len: list[int] = []
     terms: list[np.ndarray] = []
     tfs: list[np.ndarray] = []
-    for cid, ids in zip(chunk_ids, chunk_terms, strict=True):
+    for row, ids in enumerate(chunk_terms):
         term, tf = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
         if len(term) and not (0 <= term[0] and term[-1] < term_count):
-            raise ValueError(f"chunk {cid!r} holds a term id outside 0..{term_count - 1}")
+            raise ValueError(f"row {row} holds a term id outside 0..{term_count - 1}")
         doc_len.append(len(ids))
         terms.append(term.astype(term_type))
         tfs.append(tf.astype(np.min_scalar_type(len(ids))))
+    if not terms:
+        raise ValueError("empty chunk list")
     distinct = list(map(len, terms))
     term_col = np.concatenate(terms)
     del terms
@@ -249,10 +231,10 @@ def build_index(
     offsets = np.zeros(term_count + 1, dtype="<i8")
     np.cumsum(np.bincount(term_col, minlength=term_count), out=offsets[1:])
     del term_col
-    rows = np.repeat(np.arange(len(chunk_ids), dtype=_row_type(len(chunk_ids))), distinct)
+    n = len(distinct)
+    rows = np.repeat(np.arange(n, dtype=_row_type(n)), distinct)
     return InvertedIndex(
-        chunk_ids, np.array(doc_len, dtype=np.int64), offsets, rows[order],
-        np.concatenate(tfs)[order],
+        np.array(doc_len, dtype=np.int64), offsets, rows[order], np.concatenate(tfs)[order]
     )
 
 
@@ -283,17 +265,15 @@ def _distinct(index: InvertedIndex, terms: Iterable[int]) -> list[int]:
 
 
 def bm25_score(
-    index: InvertedIndex, p: BM25Params, query_terms: Sequence[int], chunk_id: str
+    index: InvertedIndex, p: BM25Params, query_terms: Sequence[int], row: int
 ) -> float:
-    """BM25 score of one chunk for a set of query terms.
+    """BM25 score of the chunk at ``row`` for a set of query terms.
 
     score = sum over distinct terms of
     idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).
     """
-    try:
-        row = index.chunk_ids.index(chunk_id)
-    except ValueError:
-        raise KeyError(f"unknown chunk_id: {chunk_id}") from None
+    if not 0 <= row < index.N:
+        raise IndexError(f"row out of range: {row}")
     dl = float(index.doc_len[row])
     norm = p.k1 * (1.0 - p.b + p.b * dl / index.avgdl)
     score = 0.0
@@ -330,24 +310,14 @@ def score_rows(
     return scores, scores > 0.0
 
 
-def id_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Each id's position among the ids sorted ascending: integer keys that
-    order rows as their ids do."""
-    ranks = np.empty(len(ids), dtype=np.intp)
-    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return ranks
-
-
-def top_rows(
-    rank: np.ndarray, scores: np.ndarray, rows: np.ndarray | None, k: int
-) -> list[int]:
-    """Exact top-k of ``rows`` by (score descending, id ascending), where
-    ``rank[i]`` orders row i's id among the ids (``id_ranks``). ``rows`` of
+def top_rows(scores: np.ndarray, rows: np.ndarray | None, k: int) -> list[int]:
+    """Exact top-k of ``rows`` by (score descending, row ascending): rows
+    are in chunk-id order, so ties go to the lower chunk id. ``rows`` of
     None stands for every row, whose scores are partitioned as they are,
     with no gather.
 
     A partition pass narrows the pool to everything at or above the k-th
-    largest score, then one ``np.lexsort`` on (-score, rank) orders it, so
+    largest score, then one ``np.lexsort`` on (-score, row) orders it, so
     no Python sort key is built per row.
     """
     vals = scores if rows is None else scores[rows]
@@ -357,7 +327,7 @@ def top_rows(
         rows = np.flatnonzero(pool) if rows is None else rows[pool]
     elif rows is None:
         rows = np.arange(len(vals))
-    return rows[np.lexsort((rank[rows], -scores[rows]))[:k]].tolist()
+    return rows[np.lexsort((rows, -scores[rows]))[:k]].tolist()
 
 
 def touched_rows(touched: np.ndarray, k: int) -> np.ndarray | None:
@@ -374,15 +344,16 @@ def touched_rows(touched: np.ndarray, k: int) -> np.ndarray | None:
 
 def search(
     index: InvertedIndex, p: BM25Params, terms: Sequence[int], k: int
-) -> list[tuple[str, float]]:
-    """BM25 top-k for a query's term ids (no terms -> [])."""
+) -> list[tuple[int, float]]:
+    """BM25 top-k as (row, score) pairs for a query's term ids (no terms ->
+    [])."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not terms:
         return []
     scores, touched = score_rows(index, p, terms)
-    best = top_rows(index.id_rank, scores, touched_rows(touched, k), k)
-    return [(index.chunk_ids[i], float(scores[i])) for i in best]
+    best = top_rows(scores, touched_rows(touched, k), k)
+    return [(i, float(scores[i])) for i in best]
 
 
 # -- persistence -------------------------------------------------------------
@@ -428,19 +399,20 @@ def npy_arrays(data: bytes, names: Sequence[str]) -> list[np.ndarray]:
     return arrays
 
 
-def parse(data: bytes, chunk_ids: Sequence[str], term_count: int) -> InvertedIndex:
-    """The index in ``data``, the bytes of a ``lexical.npy``; row i is
-    ``chunk_ids[i]`` and term j is vocab id j of ``term_count``, so
-    ``offsets`` must hold ``term_count + 1`` entries. The index keeps no view
-    of ``data``."""
+def parse(data: bytes, n: int, term_count: int) -> InvertedIndex:
+    """The index in ``data``, the bytes of a ``lexical.npy``, of ``n``
+    chunks; term j is vocab id j of ``term_count``, so ``offsets`` must hold
+    ``term_count + 1`` entries. The index keeps no view of ``data``."""
     try:
         doc_len, offsets, rows, tfs = npy_arrays(data, LEXICAL_ARRAYS)
+        if doc_len.ndim == 1 and len(doc_len) != n:
+            raise ValueError(f"doc_len has {len(doc_len)} entries for {n} chunks")
         # Offsets that are not 1-d are refused by name with the other arrays.
         if offsets.ndim == 1 and len(offsets) != term_count + 1:
             raise ValueError(
                 f"offsets has {len(offsets)} entries for a vocabulary of {term_count} "
                 f"(vocab size + 1 = {term_count + 1})"
             )
-        return InvertedIndex(chunk_ids, doc_len.copy(), offsets.copy(), rows.copy(), tfs.copy())
+        return InvertedIndex(doc_len.copy(), offsets.copy(), rows.copy(), tfs.copy())
     except ValueError as exc:
         raise ValueError(f"{LEXICAL_FILE}: {exc}") from None

@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _records
-from .lexical import top_rows
 
 FUSION_MODES = (
     "sparse_only",
@@ -178,25 +177,24 @@ class FusionConfig:
 
 
 def rank_candidates(
-    rank: np.ndarray,
+    rows: np.ndarray,
     sparse: np.ndarray | None,
     dense: np.ndarray | None,
     cfg: FusionConfig,
 ) -> list[tuple[int, float]]:
     """Fuse the candidates' scores under the configured mode and rank them.
 
-    ``rank`` holds distinct integers that order the candidates as their
-    chunk ids do, such as the ids' ``lexical.id_ranks`` or an index's
-    ``id_rank`` at their rows. ``sparse`` and ``dense`` hold each
-    candidate's BM25 score and cosine, in the same order, or are None when
-    that leg did not run; a mode that needs an absent leg raises
-    ``ValueError`` naming it. In the quantum modes the cosine is the signed
-    state overlap <psi_q|psi_d>, which it equals for amplitude-encoded unit
-    vectors. Each mode's fused score is one array expression that rounds
-    exactly as the scalar kernels above do.
+    ``rows`` holds the candidates' distinct rows, which order them as their
+    chunk ids do. ``sparse`` and ``dense`` hold each candidate's BM25 score
+    and cosine, in the same order, or are None when that leg did not run; a
+    mode that needs an absent leg raises ``ValueError`` naming it. In the
+    quantum modes the cosine is the signed state overlap <psi_q|psi_d>,
+    which it equals for amplitude-encoded unit vectors. Each mode's fused
+    score is one array expression that rounds exactly as the scalar kernels
+    above do.
 
     Returns the top ``k_final`` as ``(candidate position, fused)`` pairs,
-    sorted by fused score descending, ties broken by id ascending. For rrf,
+    sorted by fused score descending, ties broken by row ascending. For rrf,
     the two rank lists are rebuilt from the candidates: the sparse list holds
     those with a positive BM25 score (a chunk scores > 0 iff it contains a
     query term), the dense list every candidate.
@@ -214,12 +212,12 @@ def rank_candidates(
         lex = normalize_lexical(sparse)
         fused = cfg.w_semantic * ((dense + 1.0) / 2.0) + cfg.w_lexical * lex
     elif mode == "rrf":
-        fused = np.zeros(len(rank), dtype=np.float64)
+        fused = np.zeros(len(rows), dtype=np.float64)
         for scores, pool in (
             (sparse, np.flatnonzero(sparse > 0.0)),
-            (dense, np.arange(len(rank))),
+            (dense, np.arange(len(rows))),
         ):
-            ranked = top_rows(rank, scores, pool, len(pool))
+            ranked = pool[np.lexsort((rows[pool], -scores[pool]))]
             fused[ranked] += 1.0 / (cfg.rrf_k + np.arange(1, len(ranked) + 1))
     elif mode == "fidelity_rerank":
         sq = dense * dense
@@ -228,5 +226,5 @@ def rank_candidates(
         lex = normalize_lexical(sparse)
         amp = cfg.w_semantic * dense + cfg.w_lexical * lex
         fused = amp * amp
-    best = top_rows(rank, fused, np.arange(len(rank)), cfg.k_final)
+    best = np.lexsort((rows, -fused))[: cfg.k_final]
     return [(int(i), float(fused[i])) for i in best]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -23,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import _records
-from .lexical import id_ranks, npy_arrays, top_rows
+from .lexical import npy_arrays, top_rows
 
 VECTORS_FILE = "vectors.npy"
 
@@ -173,7 +172,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class VectorIndex:
-    """Exact-scan index over L2-normalized chunk embeddings.
+    """Exact-scan index over L2-normalized chunk embeddings, one per row:
+    row i is chunk i.
 
     The embeddings are held once, at the width ``save`` stores them, as the
     C-contiguous float32 ``(dim, N)`` matrix ``cols``: row ``d`` is
@@ -182,25 +182,22 @@ class VectorIndex:
     float64 beside it.
     """
 
-    def __init__(self, ids: list[str], matrix: np.ndarray) -> None:
-        """``matrix`` holds one embedding per row, in the order of ``ids``;
-        it is rounded to float32 as ``save`` would store it."""
-        if matrix.ndim != 2 or len(ids) != matrix.shape[0]:
-            raise ValueError("ids must match matrix rows")
-        blocks = (
-            matrix[start : start + ROW_BLOCK_ROWS]
-            for start in range(0, len(ids), ROW_BLOCK_ROWS)
-        )
-        self._fill(ids, matrix.shape[1], blocks)
+    def __init__(self, matrix: np.ndarray) -> None:
+        """``matrix`` holds one embedding per row; it is rounded to float32
+        as ``save`` would store it."""
+        if matrix.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got {matrix.ndim} dimensions")
+        n = matrix.shape[0]
+        blocks = (matrix[start : start + ROW_BLOCK_ROWS] for start in range(0, n, ROW_BLOCK_ROWS))
+        self._fill(n, matrix.shape[1], blocks)
 
-    def _fill(self, ids: list[str], dim: int, blocks: Iterable[np.ndarray]) -> None:
-        """Hold ``ids`` and the rows of ``blocks``, consecutive row blocks of
-        the ``(len(ids), dim)`` matrix, rounded to float32; refuse a row that
-        is not unit-norm."""
-        self.ids = ids
+    def _fill(self, n: int, dim: int, blocks: Iterable[np.ndarray]) -> None:
+        """Hold the rows of ``blocks``, consecutive row blocks of the
+        ``(n, dim)`` matrix, rounded to float32; refuse a row that is not
+        unit-norm."""
         self.dim = int(dim)
-        self.cols = np.empty((self.dim, len(ids)), dtype=np.float32)
-        self._norms = np.empty(len(ids), dtype=np.float64)
+        self.cols = np.empty((self.dim, n), dtype=np.float32)
+        self._norms = np.empty(n, dtype=np.float64)
         start = 0
         for block in blocks:
             rows = np.asarray(block, dtype=np.float32)
@@ -216,26 +213,20 @@ class VectorIndex:
             raise ValueError(f"rows not unit-norm: {bad[:5].tolist()}")
 
     def __len__(self) -> int:
-        return len(self.ids)
-
-    @cached_property
-    def id_rank(self) -> np.ndarray:
-        """Each id's rank in ascending id order, computed at first use: the
-        engine ranks on the BM25 index's, so a load does not pay for it."""
-        return id_ranks(self.ids)
+        return self.cols.shape[1]
 
     @classmethod
-    def build(cls, ids: list[str], vectors: Iterable[np.ndarray]) -> "VectorIndex":
-        """An index of ``vectors``, one per id in order, each L2-normalised
-        into a float32 block of ``ROW_BLOCK_ROWS`` rows that fills its part
-        of the columns, so no whole row-major matrix is made."""
+    def build(cls, n: int, vectors: Iterable[np.ndarray]) -> "VectorIndex":
+        """An index of ``n`` rows, the ``vectors`` in order, each
+        L2-normalised into a float32 block of ``ROW_BLOCK_ROWS`` rows that
+        fills its part of the columns, so no whole row-major matrix is made."""
         vectors = iter(vectors)
         first = next(vectors, None)
         if first is None:
-            raise ValueError(f"0 vectors for {len(ids)} ids")
+            raise ValueError(f"0 vectors for {n} rows")
         dim = np.asarray(first).size
         index = cls.__new__(cls)
-        index._fill(ids, dim, _unit_blocks(chain([first], vectors), len(ids), dim))
+        index._fill(n, dim, _unit_blocks(chain([first], vectors), n, dim))
         return index
 
     def scan(self, q: np.ndarray) -> np.ndarray:
@@ -254,7 +245,7 @@ class VectorIndex:
         qn = math.sqrt(float(np.dot(q, q)))
         if qn == 0.0:
             raise ValueError("zero vector")
-        n = len(self.ids)
+        n = len(self)
         scores = np.empty(n, dtype=np.float64)
         blocks = -(-n // SCAN_BLOCK_ROWS)
         width = -(-n // blocks) if blocks else 1
@@ -285,7 +276,7 @@ def _unit_blocks(vectors: Iterable[np.ndarray], n: int, dim: int) -> Iterator[np
                 yield block
         count += 1
     if count != n:
-        raise ValueError(f"{count} vectors for {n} ids")
+        raise ValueError(f"{count} vectors for {n} rows")
     if n % ROW_BLOCK_ROWS:
         yield block[: n % ROW_BLOCK_ROWS]
 
@@ -346,15 +337,16 @@ def _add_rows(res: np.ndarray, cols: np.ndarray, q: np.ndarray, buf: np.ndarray)
         res += buf[i]
 
 
-def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Full-scan top-k by cosine descending, ties broken by chunk id ascending."""
+def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """Full-scan top-k as (row, cosine) pairs, by cosine descending, ties
+    broken by row ascending."""
     if len(index) == 0:
         raise ValueError("empty index")
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = index.scan(q)
-    best = top_rows(index.id_rank, scores, None, k)
-    return [(index.ids[i], float(scores[i])) for i in best]
+    best = top_rows(scores, None, k)
+    return [(i, float(scores[i])) for i in best]
 
 
 # -- persistence -------------------------------------------------------------
@@ -374,20 +366,23 @@ def save(index: VectorIndex, out_dir: str | Path) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f4"))
 
 
-def parse(data: bytes, ids: Sequence[str]) -> VectorIndex:
-    """The index of the matrix in ``data``, the bytes of a ``vectors.npy``;
-    row i is ``ids[i]``. The index keeps no view of ``data``."""
+def parse(data: bytes, n: int) -> VectorIndex:
+    """The index of the matrix in ``data``, the bytes of a ``vectors.npy``
+    of ``n`` chunks. The index keeps no view of ``data``."""
     try:
         (matrix,) = npy_arrays(data, ("vectors",))
         if matrix.dtype != np.dtype("<f4"):
             raise ValueError(f"expected a <f4 matrix, got {matrix.dtype.str}")
-        return VectorIndex(list(ids), matrix)
+        if matrix.ndim == 2 and len(matrix) != n:
+            raise ValueError(f"the matrix has {len(matrix)} rows for {n} chunks")
+        return VectorIndex(matrix)
     except ValueError as exc:
         raise ValueError(f"{VECTORS_FILE}: {exc}") from None
 
 
 def load_external_embeddings(path: str | Path, ids: Sequence[str]) -> VectorIndex:
-    """Build a VectorIndex from JSONL rows {"id": str, "vector": [float, ...]}.
+    """Build a VectorIndex from JSONL rows {"id": str, "vector": [float, ...]}:
+    row i is the vector of ``ids[i]``.
 
     Every expected id must be present; rows are L2-normalized on load.
     """
@@ -407,4 +402,4 @@ def load_external_embeddings(path: str | Path, ids: Sequence[str]) -> VectorInde
     missing = [cid for cid in ids if cid not in by_id]
     if missing:
         raise ValueError(f"missing embedding for id: {missing[0]}")
-    return VectorIndex.build(list(ids), (by_id[cid] for cid in ids))
+    return VectorIndex.build(len(ids), (by_id[cid] for cid in ids))

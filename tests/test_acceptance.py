@@ -89,11 +89,7 @@ def test_bm25_brute_force_oracle():
             for i in range(n_chunks):
                 words = [lexicon[j] for j in rng.integers(0, len(lexicon), size=rng.integers(4, 25))]
                 chunks.append(Chunk(f"c{i:03d}", "d", 0, len(words), " ".join(words)))
-            index = lexical.build_index(
-                [c.chunk_id for c in chunks],
-                [tok.encode(c.text) for c in chunks],
-                tok.vocab_size(),
-            )
+            index = lexical.build_index([tok.encode(c.text) for c in chunks], tok.vocab_size())
             params = BM25Params()
             for _ in range(5):
                 query = " ".join(lexicon[j] for j in rng.integers(0, len(lexicon), size=3))
@@ -101,13 +97,13 @@ def test_bm25_brute_force_oracle():
                 got = lexical.search(index, params, terms, 10)
                 brute = sorted(
                     (
-                        (c.chunk_id, lexical.bm25_score(index, params, terms, c.chunk_id))
-                        for c in chunks
-                        if lexical.bm25_score(index, params, terms, c.chunk_id) > 0.0
+                        (row, lexical.bm25_score(index, params, terms, row))
+                        for row in range(n_chunks)
+                        if lexical.bm25_score(index, params, terms, row) > 0.0
                     ),
                     key=lambda kv: (-kv[1], kv[0]),
                 )[:10]
-                assert got == brute  # ids and bitwise-equal scores
+                assert got == brute  # rows and bitwise-equal scores
         elapsed = time.perf_counter() - t0
         print(f"bm25 oracle: 20 corpora, {elapsed:.2f}s")
         assert elapsed < 5.0
@@ -116,10 +112,8 @@ def test_bm25_brute_force_oracle():
 def test_hand_value_suite():
     """Each anchor value reproduced within 1e-4, oracle recomputed in-test."""
     with criterion("hand-values"):
-        # IDF: N=3, df=1; term 0 is in c1 twice
-        index = InvertedIndex(
-            ["c1", "c2", "c3"], np.array([4, 4, 4]), np.array([0, 1]), np.array([0]), np.array([2])
-        )
+        # IDF: N=3, df=1; term 0 is in row 0 twice
+        index = InvertedIndex(np.array([4, 4, 4]), np.array([0, 1]), np.array([0]), np.array([2]))
         assert index.avgdl == 4.0
         idf_oracle = math.log(1.0 + (3 - 1 + 0.5) / (1 + 0.5))
         got = lexical.idf(index, 0)
@@ -127,7 +121,7 @@ def test_hand_value_suite():
 
         # BM25: tf=2, dl=avgdl=4, k1=1.2, b=0.75
         bm25_oracle = idf_oracle * (2 * (1.2 + 1)) / (2 + 1.2 * (1 - 0.75 + 0.75 * 4 / 4))
-        got = lexical.bm25_score(index, BM25Params(k1=1.2, b=0.75), [0], "c1")
+        got = lexical.bm25_score(index, BM25Params(k1=1.2, b=0.75), [0], 0)
         assert abs(got - 1.34864) < 1e-4 and abs(got - bm25_oracle) < 1e-12
 
         # RRF: rank 1 and rank 3 with k=60

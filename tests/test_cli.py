@@ -5,7 +5,7 @@ import pytest
 
 from qrag import synthetic
 from qrag.cli import main
-from qrag.corpus import PAGE, load_chunks
+from qrag.corpus import CHUNKS_FILE, PAGE, parse_chunks
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ class TestIngest:
         with (out / "chunks.npy").open("rb") as fh:
             *_, encodings, texts = [np.lib.format.read_array(fh) for _ in range(6)]
         assert encodings.tolist() == [PAGE] * 120
-        chunks = load_chunks(out)
+        chunks = parse_chunks((out / CHUNKS_FILE).read_bytes())
         assert len(texts) == sum(len(c.text) for c in chunks)
 
 

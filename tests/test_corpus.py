@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qrag.corpus import (
+    CHUNKS_FILE,
     GURMUKHI_PAGE,
     PAGE,
     UTF16,
@@ -24,8 +25,8 @@ from qrag.corpus import (
     dedup_key,
     gurmukhi_fraction,
     ingest_jsonl,
+    parse_chunks,
     preprocess,
-    load_chunks,
     quality_check,
     save_chunks,
     _strip_markup,
@@ -303,6 +304,32 @@ class TestChunkRecord:
             c.text = "x"
 
 
+class TestChunkTable:
+    """A table's chunk ids strictly increase: a row's number is its id's
+    rank."""
+
+    def test_increasing_ids_accepted(self):
+        # Ordered as strings: "d#10" sorts before "d#2".
+        ids = ["d#0", "d#1", "d#10", "d#2", "e#0"]
+        table = ChunkTable.from_chunks([Chunk(cid, "d", 0, 1, "ਕ") for cid in ids])
+        assert table.chunk_ids == ids
+        assert table[1:4].chunk_ids == ids[1:4]
+        assert ChunkTable.from_chunks([]).chunk_ids == []
+
+    def test_decreasing_id_rejected(self):
+        ids = ["d#0", "d#1", "d#2", "d#10"]
+        with pytest.raises(
+            ValueError, match="^chunk_id 'd#10' follows 'd#2': chunk ids must increase$"
+        ):
+            ChunkTable.from_chunks([Chunk(cid, "d", 0, 1, "ਕ") for cid in ids])
+
+    @pytest.mark.parametrize("ids", [["a", "a"], ["a", "b", "a"], ["a", "b", "c", "b"]])
+    def test_repeated_id_rejected(self, ids):
+        repeated = next(cid for cid in ids if ids.count(cid) > 1)
+        with pytest.raises(ValueError, match=f"^chunk_id '{repeated}' is listed twice$"):
+            ChunkTable.from_chunks([Chunk(cid, "d", 0, 1, "ਕ") for cid in ids])
+
+
 STORE = ChunkTable.from_chunks(
     [
         Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
@@ -412,6 +439,10 @@ STORE_FAULTS = {
         lambda a: [_ids([["a", "d"], ["b", "d"], ["a", "e"], ["c", "e"]]), *a[1:]],
         "chunk_id 'a' is listed twice$",
     ),
+    "ids_out_of_order": (
+        lambda a: [_ids([["a", "d"], ["c", "d"], ["b", "e"], ["d", "e"]]), *a[1:]],
+        "chunk_id 'b' follows 'c': chunk ids must increase$",
+    ),
 }
 
 
@@ -432,7 +463,7 @@ class TestGurmukhiPage:
         *_, ends, encodings, blob = _read_arrays(tmp_path)
         assert (ends.tolist(), encodings.tolist()) == ([0, len(defined)], [PAGE])
         assert blob.tobytes() == defined
-        assert load_chunks(tmp_path)[0].text == text
+        assert parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())[0].text == text
 
     def test_only_controls_that_cleaning_strips_give_up_their_slots(self):
         # So no cleaned text has a character that lost its byte to the page.
@@ -460,17 +491,17 @@ class TestGurmukhiPage:
             len(c.text) if e == PAGE else len(c.text.encode("utf-16-le"))
             for c, e in zip(chunks, encodings.tolist())
         ]
-        assert list(load_chunks(tmp_path)) == chunks
+        assert list(parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())) == chunks
 
 
 class TestChunkPersistence:
     def test_store_round_trip(self, tmp_path):
         save_chunks(STORE, tmp_path)
-        assert load_chunks(tmp_path) == STORE
+        assert parse_chunks((tmp_path / CHUNKS_FILE).read_bytes()) == STORE
 
     def test_empty_store_round_trip(self, tmp_path):
         save_chunks(ChunkTable.from_chunks([]), tmp_path)
-        assert list(load_chunks(tmp_path)) == []
+        assert list(parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())) == []
 
     def test_page_text_takes_one_byte_per_codepoint(self, tmp_path):
         ids, token_offset, token_count, ends, encodings, blob = _store_arrays(tmp_path)
@@ -492,14 +523,14 @@ class TestChunkPersistence:
         letters = [chr(c) for c in range(0x0A15, 0x0A39)]
         words = ("".join(rng.choices(letters, k=5)) for _ in range(400 * 600))
         chunks = [
-            Chunk(f"d{i}#0", f"d{i}", 0, 600, " ".join(islice(words, 600)))
+            Chunk(f"d{i:03d}#0", f"d{i:03d}", 0, 600, " ".join(islice(words, 600)))
             for i in range(400)
         ]
         save_chunks(ChunkTable.from_chunks(chunks), tmp_path)
         size = (tmp_path / "chunks.npy").stat().st_size
         tracemalloc.start()
         try:
-            loaded = load_chunks(tmp_path)
+            loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -518,7 +549,7 @@ class TestChunkPersistence:
         change, match = STORE_FAULTS[fault]
         _write_arrays(tmp_path, change(_store_arrays(tmp_path)))
         with pytest.raises(ValueError, match=r"^chunks\.npy: .*" + match):
-            load_chunks(tmp_path)
+            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
 
     @pytest.mark.parametrize(
         "resize, match",
@@ -534,4 +565,4 @@ class TestChunkPersistence:
         path = tmp_path / "chunks.npy"
         path.write_bytes(resize(path.read_bytes()))
         with pytest.raises(ValueError, match=r"^chunks\.npy: " + match):
-            load_chunks(tmp_path)
+            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qrag import _records, lexical, quantum, semantic, synthetic
-from qrag.corpus import load_chunks, save_chunks
+from qrag.corpus import CHUNKS_FILE, CleaningConfig, parse_chunks, save_chunks
 from qrag.engine import (
     CONTEXT_DELIMITER,
     INDEX_FILES,
@@ -69,7 +69,7 @@ class TestBuildAll:
     def test_manifest_matches_chunks_file(self, small_engine):
         engine, bench, index_dir, _, _ = small_engine
         manifest = json.loads((index_dir / "manifest.json").read_text(encoding="utf-8"))
-        stored = load_chunks(index_dir)
+        stored = parse_chunks((index_dir / CHUNKS_FILE).read_bytes())
         assert manifest["chunk_count"] == len(stored) == engine.chunk_count
         assert stored == engine.chunks
 
@@ -173,7 +173,8 @@ class TestExternalEmbeddings:
     def test_build_uses_external_vectors(self, external_engine, small_engine):
         ext, _ = external_engine
         base, *_ = small_engine
-        assert ext.vector_index.ids == base.vector_index.ids
+        assert ext.chunks.chunk_ids == base.chunks.chunk_ids
+        assert len(ext.vector_index) == len(base.vector_index)
         assert ext.vector_index.dim == base.vector_index.dim
 
     def test_sparse_retrieval_still_works(self, external_engine):
@@ -191,9 +192,8 @@ class TestExternalEmbeddings:
         # Callers with their own query embeddings bypass the text encoder
         # and search the vector index directly.
         ext, _ = external_engine
-        target = ext.chunks[5].chunk_id
         results = semantic.search_exact(ext.vector_index, ext.vector_index.cols[:, 5], 1)
-        assert results[0][0] == target
+        assert results[0][0] == 5
 
 
 def _scalar_lexical_norms(hits):
@@ -235,7 +235,8 @@ class TestRetrieve:
             resp = engine.retrieve(q["text"], mode="sparse_only", k_final=10)
             terms = engine.tokenizer.encode(q["text"])
             direct = lexical.search(engine.lexical_index, engine.config.bm25, terms, 10)
-            assert [(h.chunk_id, h.fused) for h in resp.hits] == direct
+            ids = engine.chunks.chunk_ids
+            assert [(h.chunk_id, h.fused) for h in resp.hits] == [(ids[r], s) for r, s in direct]
 
     def test_dense_only_equals_search_exact(self, small_engine):
         engine, bench, *_ = small_engine
@@ -243,7 +244,8 @@ class TestRetrieve:
             resp = engine.retrieve(q["text"], mode="dense_only", k_final=10)
             q_emb = _embed_query(engine, q["text"])
             direct = semantic.search_exact(engine.vector_index, q_emb, 10)
-            assert [(h.chunk_id, h.fused) for h in resp.hits] == direct
+            ids = engine.chunks.chunk_ids
+            assert [(h.chunk_id, h.fused) for h in resp.hits] == [(ids[r], s) for r, s in direct]
 
     def test_interference_scores_follow_formula(self, small_engine):
         engine, bench, *_ = small_engine
@@ -306,9 +308,10 @@ class TestRetrieve:
         cfgf = engine.config.fusion
         for q in bench.queries[:6]:
             resp = engine.retrieve(q["text"], mode="rrf")
+            ids = engine.chunks.chunk_ids
             sparse_ids = {
-                cid
-                for cid, _ in lexical.search(
+                ids[row]
+                for row, _ in lexical.search(
                     engine.lexical_index,
                     engine.config.bm25,
                     engine.tokenizer.encode(q["text"]),
@@ -317,8 +320,8 @@ class TestRetrieve:
             }
             q_emb = _embed_query(engine, q["text"])
             dense_ids = {
-                cid
-                for cid, _ in semantic.search_exact(
+                ids[row]
+                for row, _ in semantic.search_exact(
                     engine.vector_index, q_emb, cfgf.k_dense
                 )
             }
@@ -367,7 +370,7 @@ class TestRetrieve:
                 q_emb = _embed_query(engine, q["text"])
                 q_state = quantum.amplitude_encode(q_emb)
                 for h in resp.hits:
-                    row = engine.vector_index.ids.index(h.chunk_id)
+                    row = engine.chunks.chunk_ids.index(h.chunk_id)
                     d_state = quantum.amplitude_encode(engine.vector_index.cols[:, row])
                     assert h.quantum == pytest.approx(
                         quantum.overlap(q_state, d_state), abs=1e-12
@@ -400,35 +403,79 @@ class TestRetrieve:
 
 
 class TestRowSpace:
-    """Row i of both indexes must be chunk i; the engine refuses anything else."""
+    """Row i of both indexes must be chunk i, so each holds one row per
+    chunk; the engine refuses anything else."""
 
-    def test_vector_index_out_of_chunk_order_rejected(self, small_engine):
+    def test_vector_index_of_another_row_count_rejected(self, small_engine):
         engine, *_ = small_engine
-        vi = engine.vector_index
-        order = np.roll(np.arange(len(vi)), 1)
-        permuted = VectorIndex([vi.ids[i] for i in order], vi.cols[:, order].T)
-        with pytest.raises(ValueError, match="vector index"):
+        n = engine.chunk_count
+        short = VectorIndex(engine.vector_index.cols[:, 1:].T)
+        with pytest.raises(ValueError, match=f"^vector index has {n - 1} rows for {n} chunks$"):
             RetrievalEngine(
-                engine.chunks, engine.tokenizer, engine.lexical_index, permuted, engine.config
+                engine.chunks, engine.tokenizer, engine.lexical_index, short, engine.config
             )
 
-    def test_lexical_index_out_of_chunk_order_rejected(self, small_engine):
+    def test_lexical_index_of_another_row_count_rejected(self, small_engine):
         engine, *_ = small_engine
-        tok, chunks = engine.tokenizer, engine.chunks
-        permuted = lexical.build_index(
-            chunks.chunk_ids[::-1], [tok.encode(t) for t in chunks.texts[::-1]], tok.vocab_size()
+        tok, chunks, n = engine.tokenizer, engine.chunks, engine.chunk_count
+        longer = lexical.build_index(
+            [tok.encode(t) for t in [*chunks.texts, chunks.texts[0]]], tok.vocab_size()
         )
-        with pytest.raises(ValueError, match="lexical index ids"):
-            RetrievalEngine(chunks, tok, permuted, engine.vector_index, engine.config)
+        with pytest.raises(ValueError, match=f"^lexical index has {n + 1} rows for {n} chunks$"):
+            RetrievalEngine(chunks, tok, longer, engine.vector_index, engine.config)
 
     def test_lexical_index_of_another_vocabulary_rejected(self, small_engine):
         # Term j of the lexical index is vocab id j, so its term count is V.
         engine, *_ = small_engine
         tok, chunks = engine.tokenizer, engine.chunks
         terms = [tok.encode(t) for t in chunks.texts]
-        other = lexical.build_index(chunks.chunk_ids, terms, tok.vocab_size() + 1)
+        other = lexical.build_index(terms, tok.vocab_size() + 1)
         with pytest.raises(ValueError, match="lexical index terms do not follow the vocab"):
             RetrievalEngine(chunks, tok, other, engine.vector_index, engine.config)
+
+
+@pytest.fixture(scope="module")
+def line_id_index(tmp_path_factory):
+    """An index of a corpus whose lines carry no id, so document N is
+    ``line-N`` and file order is not id order (``line-10`` sorts before
+    ``line-2``), cut into 24-token chunks, so that some documents have 11 or
+    more (``#10`` sorts before ``#2``)."""
+    records = synthetic.make_corpus(40, seed=13, lexicon_size=60, words_per_doc=(150, 260))
+    root = tmp_path_factory.mktemp("line_ids")
+    write_jsonl([{"text": r["text"]} for r in records], root / "corpus.jsonl")
+    cfg = EngineConfig(
+        cleaning=CleaningConfig(chunk_size_tokens=24, chunk_overlap_tokens=8), vocab_size=2000
+    )
+    build_all(root / "corpus.jsonl", cfg, root / "index")
+    return root / "index"
+
+
+class TestChunkIdOrder:
+    """Rows are in chunk-id order, so ranking ties break on the row."""
+
+    def test_rows_follow_chunk_ids_after_build_and_load(self, line_id_index):
+        stored = parse_chunks((line_id_index / CHUNKS_FILE).read_bytes())
+        loaded = load_index(line_id_index).chunks
+        for ids in (stored.chunk_ids, loaded.chunk_ids):
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+        # Rows are not in file order: line-10 comes before line-2, and a
+        # document's chunk 10 before its chunk 2.
+        docs = list(dict.fromkeys(stored.doc_ids))
+        assert docs != sorted(docs, key=lambda d: int(d.split("-")[1]))
+        assert max(stored.doc_ids.count(d) for d in docs) >= 11
+
+    def test_hits_tie_break_on_chunk_id_in_every_mode(self, line_id_index):
+        engine = load_index(line_id_index)
+        words = " ".join(engine.chunks.texts[:30]).split()
+        queries = [" ".join(words[i : i + 1 + i % 3]) for i in range(0, 90, 3)]
+        ties = dict.fromkeys(FUSION_MODES, 0)
+        for mode in FUSION_MODES:
+            for text in queries:
+                hits = engine.retrieve(text, mode=mode, k_final=40).hits
+                order = [(-h.fused, h.chunk_id) for h in hits]
+                assert order == sorted(order), (mode, text)
+                ties[mode] += sum(a[0] == b[0] for a, b in zip(order, order[1:]))
+        assert sum(ties.values()) > 0, ties
 
 
 def _fifty_queries(engine, bench):
@@ -660,14 +707,15 @@ class TestPersistence:
     def test_load_computes_the_bm25_impacts(self, small_engine):
         engine, _, index_dir, *_ = small_engine
         reloaded = load_index(index_dir)
-        assert reloaded.config.bm25 in reloaded.lexical_index._impacts
+        params, _ = reloaded.lexical_index._impacts
+        assert params == reloaded.config.bm25
 
     def test_repeated_chunk_id_rejected(self, small_engine, tmp_path):
         # Re-saved with chunk 1 carrying chunk 0's id, and a digest to match.
         engine, *_ = small_engine
         index_dir = tmp_path / "repeated"
         save_index(engine, index_dir)
-        chunks = load_chunks(index_dir)
+        chunks = parse_chunks((index_dir / CHUNKS_FILE).read_bytes())
         chunks.chunk_ids[1] = chunks.chunk_ids[0]
         save_chunks(chunks, index_dir)
         manifest_path = index_dir / "manifest.json"
@@ -786,8 +834,11 @@ class TestPersistence:
             # Version 4 kept each term's string in lexical.npy, and an offset
             # per term held by a chunk, under the file names of version 5.
             (4, None),
+            # Version 5 kept the rows in build order, which need not be
+            # chunk-id order, under the file names of version 6.
+            (5, None),
         ],
-        ids=["v1", "v2", "v3", "v4"],
+        ids=["v1", "v2", "v3", "v4", "v5"],
     )
     def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version, files):
         engine, *_ = small_engine
@@ -937,7 +988,7 @@ class TestLoad:
             lexical_path.write_bytes(lexical_path.read_bytes()[:-1])
         elif outcome == "parse_error":
             # A repeated chunk id, with the digest to match.
-            chunks = load_chunks(index_dir)
+            chunks = parse_chunks((index_dir / CHUNKS_FILE).read_bytes())
             chunks.chunk_ids[1] = chunks.chunk_ids[0]
             save_chunks(chunks, index_dir)
             digest = hashlib.sha256((index_dir / "chunks.npy").read_bytes()).hexdigest()

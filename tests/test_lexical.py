@@ -14,13 +14,11 @@ from qrag.corpus import Chunk
 from qrag.lexical import (
     DENSE_DF,
     IMPACT_BLOCK,
-    IMPACT_CACHE_MAX,
     LEXICAL_FILE,
     BM25Params,
     InvertedIndex,
     bm25_score,
     build_index,
-    id_ranks,
     idf,
     parse,
     save,
@@ -37,10 +35,9 @@ EMPTY = np.array([], dtype=np.int64)
 
 
 def _hand_index():
-    """Three chunks of length 4: term 0 is twice in c1 only, term 1 once in
-    each, term 2 once in c2 and twice in c3, and term 3 in none."""
+    """Three chunks of length 4: term 0 is twice in row 0 only, term 1 once
+    in each, term 2 once in row 1 and twice in row 2, and term 3 in none."""
     return InvertedIndex(
-        ["c1", "c2", "c3"],
         np.array([4, 4, 4]),
         np.array([0, 1, 4, 6, 6]),
         np.array([0, 0, 1, 2, 1, 2]),
@@ -52,7 +49,6 @@ def _mixed_index():
     """Eight chunks, so a term is frequent at df >= 2: terms 1 and 3 are,
     and terms 0 and 2 are scored sparsely."""
     return InvertedIndex(
-        [f"c{i}" for i in range(8)],
         np.arange(3, 11),
         np.array([0, 1, 3, 4, 12]),
         np.array([1, 0, 5, 2, *range(8)]),
@@ -82,22 +78,18 @@ def _reference_score_rows(index, p, query_terms):
 def _index(chunks, model):
     """``build_index`` over each chunk's vocab ids, as ``build_all`` builds
     it."""
-    return build_index(
-        [c.chunk_id for c in chunks],
-        [model.encode(c.text) for c in chunks],
-        model.vocab_size(),
-    )
+    return build_index([model.encode(c.text) for c in chunks], model.vocab_size())
 
 
-def _reload(out_dir, chunk_ids, term_count):
-    """``parse`` of the ``lexical.npy`` in ``out_dir``."""
-    return parse((out_dir / LEXICAL_FILE).read_bytes(), chunk_ids, term_count)
+def _reload(out_dir, n, term_count):
+    """``parse`` of the ``lexical.npy`` of ``n`` chunks in ``out_dir``."""
+    return parse((out_dir / LEXICAL_FILE).read_bytes(), n, term_count)
 
 
 def _pairs(ix, term):
-    """``term``'s (chunk_id, tf) pairs in stored (row) order."""
+    """``term``'s (row, tf) pairs in stored (row) order."""
     rows, tfs = ix.postings(term)
-    return [(ix.chunk_ids[r], int(tf)) for r, tf in zip(rows.tolist(), tfs.tolist())]
+    return list(zip(rows.tolist(), tfs.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +109,7 @@ class TestBuildIndex:
     def test_repeated_term_single_posting_with_tf(self, word_model):
         ix = _index([Chunk("c0", "d", 0, 4, "w1 w1 w2 w3")], word_model)
         (term,) = word_model.encode("w1")
-        assert _pairs(ix, term) == [("c0", 2)]
+        assert _pairs(ix, term) == [(0, 2)]
 
     def test_absent_term_has_no_postings(self, word_model):
         ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
@@ -127,27 +119,25 @@ class TestBuildIndex:
         assert _pairs(ix, term) == []
 
     def test_postings_follow_row_order(self, word_model):
-        chunks = [Chunk(f"c{i}", "d", 0, 2, "w1 w2") for i in (3, 1, 2)]
+        chunks = [Chunk(f"c{i}", "d", 0, 2, "w1 w2") for i in range(3)]
         ix = _index(chunks, word_model)
         (term,) = word_model.encode("w1")
         assert ix.postings(term)[0].tolist() == [0, 1, 2]
-        assert [cid for cid, _ in _pairs(ix, term)] == ["c3", "c1", "c2"]
 
     @pytest.mark.parametrize("term_count", [7, 200, 300, 70_000])
     def test_postings_equal_a_counter_oracle(self, term_count):
         # Ids in one byte, in two and in four, repeated within chunks, and
         # empty chunks.
         rng = np.random.default_rng(term_count)
-        ids = [f"c{i}" for i in rng.permutation(60)]
         chunk_terms = [
-            rng.integers(0, term_count, int(rng.integers(0, 40))).tolist() for _ in ids
+            rng.integers(0, term_count, int(rng.integers(0, 40))).tolist() for _ in range(60)
         ]
         chunk_terms[3] = []
-        ix = build_index(ids, chunk_terms, term_count)
-        want: dict[int, list[tuple[str, int]]] = {}
-        for cid, terms in zip(ids, chunk_terms):
+        ix = build_index(chunk_terms, term_count)
+        want: dict[int, list[tuple[int, int]]] = {}
+        for row, terms in enumerate(chunk_terms):
             for term, tf in sorted(Counter(terms).items()):
-                want.setdefault(term, []).append((cid, tf))
+                want.setdefault(term, []).append((row, tf))
         assert len(ix.offsets) == term_count + 1
         assert ix.doc_len.tolist() == list(map(len, chunk_terms))
         for term in range(term_count):
@@ -155,38 +145,29 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_term_id_outside_the_vocab_rejected(self, bad):
-        with pytest.raises(ValueError, match=r"chunk 'd' holds a term id outside 0\.\.4"):
-            build_index(["c", "d"], [[0, 4], [1, bad]], 5)
-
-    def test_duplicate_chunk_id_rejected(self, word_model):
-        chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c0", "d", 0, 2, "w3 w4")]
-        with pytest.raises(ValueError, match="duplicate"):
-            _index(chunks, word_model)
+        with pytest.raises(ValueError, match=r"row 1 holds a term id outside 0\.\.4"):
+            build_index([[0, 4], [1, bad]], 5)
 
     def test_empty_chunk_list_rejected(self, word_model):
         with pytest.raises(ValueError, match="empty"):
-            build_index([], [], 10)
-
-    def test_fewer_term_lists_than_ids_rejected(self):
-        with pytest.raises(ValueError):
-            build_index(["c0", "c1"], [[1]], 10)
+            build_index([], 10)
 
     def test_avgdl_is_the_mean_doc_len(self):
-        ix = InvertedIndex(["c", "d"], np.array([2, 5]), np.array([0]), EMPTY, EMPTY)
+        ix = InvertedIndex(np.array([2, 5]), np.array([0]), EMPTY, EMPTY)
         assert ix.avgdl == 3.5
         assert ix.doc_len.tolist() == [2, 5]
 
     def test_no_chunks_rejected(self):
-        with pytest.raises(ValueError, match="doc_len has 0 entries for 0 chunks"):
-            InvertedIndex([], EMPTY, np.array([0]), EMPTY, EMPTY)
+        with pytest.raises(ValueError, match="doc_len has 0 entries: an index holds at least 1"):
+            InvertedIndex(EMPTY, np.array([0]), EMPTY, EMPTY)
 
     def test_nonpositive_tf_rejected(self):
         with pytest.raises(ValueError, match="tf"):
-            InvertedIndex(["c"], np.array([4]), np.array([0, 1]), np.array([0]), np.array([0]))
+            InvertedIndex(np.array([4]), np.array([0, 1]), np.array([0]), np.array([0]))
 
     def test_posting_for_unknown_chunk_rejected(self):
         with pytest.raises(ValueError, match=r"term 0 name a row outside 0\.\.0"):
-            InvertedIndex(["c"], np.array([4]), np.array([0, 1]), np.array([1]), np.array([1]))
+            InvertedIndex(np.array([4]), np.array([0, 1]), np.array([1]), np.array([1]))
 
     @pytest.mark.parametrize(
         "plist", [[(0, 1), (0, 2)], [(0, 1), (0, 2), (1, 1)]]
@@ -195,32 +176,30 @@ class TestBuildIndex:
         # A chunk named twice would count twice in df, and df > N makes idf
         # negative.
         rows, tfs = map(np.array, zip(*plist))
-        with pytest.raises(ValueError, match="term 0.*chunk_id 'c' twice"):
-            InvertedIndex(["c", "d"], np.array([4, 4]), np.array([0, len(rows)]), rows, tfs)
+        with pytest.raises(ValueError, match="^postings for term 0 name row 0 twice$"):
+            InvertedIndex(np.array([4, 4]), np.array([0, len(rows)]), rows, tfs)
 
     def test_postings_out_of_row_order_load(self):
-        # Rows follow the chunk order given (here not chunk-id order), and
-        # each term's postings are stored in row order.
-        ix = build_index(["c10", "c9"], [[0, 0, 1, 1], [1, 1, 1, 0]], 2)
-        assert _pairs(ix, 0) == [("c10", 2), ("c9", 1)]
+        # Each term's postings are stored in row order, whatever order the
+        # chunk's term ids come in.
+        ix = build_index([[0, 0, 1, 1], [1, 1, 1, 0]], 2)
+        assert _pairs(ix, 0) == [(0, 2), (1, 1)]
 
     @pytest.mark.parametrize("tf", [0, -1, 1.5, 2.0, "2", True, None])
     def test_tf_that_is_not_a_positive_int_rejected(self, tf):
         # A tf below 1 names its term; a tfs array of float, str, bool or
         # object dtype is refused as a whole, by name.
         with pytest.raises(ValueError, match="term 0|tfs must be a 1-d integer array"):
-            InvertedIndex(["c"], np.array([4]), np.array([0, 1]), np.array([0]), np.array([tf]))
+            InvertedIndex(np.array([4]), np.array([0, 1]), np.array([0]), np.array([tf]))
 
     def test_posting_on_a_chunk_of_length_0_rejected(self):
         # Its impact would divide by a norm built from avgdl, which is 0 when
         # every chunk is empty.
-        with pytest.raises(ValueError, match="term 0 name chunk_id 'c' of length 0"):
-            InvertedIndex(
-                ["c", "d"], np.array([0, 4]), np.array([0, 2]), np.array([0, 1]), np.array([1, 1])
-            )
+        with pytest.raises(ValueError, match="term 0 name row 0, a chunk of length 0"):
+            InvertedIndex(np.array([0, 4]), np.array([0, 2]), np.array([0, 1]), np.array([1, 1]))
 
     def test_chunks_of_length_0_without_postings_score_0(self):
-        ix = InvertedIndex(["c", "d"], np.array([0, 0]), np.array([0, 0]), EMPTY, EMPTY)
+        ix = InvertedIndex(np.array([0, 0]), np.array([0, 0]), EMPTY, EMPTY)
         assert ix.avgdl == 0.0
         scores, touched = score_rows(ix, BM25Params(), [0])
         assert scores.tolist() == [0.0, 0.0] and not touched.any()
@@ -231,7 +210,7 @@ class TestBuildIndex:
             BM25Params(k1=k1)
 
     def test_term_with_no_postings_has_df_zero(self):
-        ix = InvertedIndex(["c"], np.array([4]), np.array([0, 0, 0]), EMPTY, EMPTY)
+        ix = InvertedIndex(np.array([4]), np.array([0, 0, 0]), EMPTY, EMPTY)
         assert _pairs(ix, 0) == []
         assert idf(ix, 0) == idf(ix, 1)
 
@@ -258,7 +237,7 @@ class TestIdf:
         chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
         built = _index(chunks, synth_tokenizer)
         save(built, tmp_path)
-        reloaded = _reload(tmp_path, built.chunk_ids, synth_tokenizer.vocab_size())
+        reloaded = _reload(tmp_path, built.N, synth_tokenizer.vocab_size())
         for ix in (built, reloaded):
             dfs = {len(ix.postings(t)[0]) for t in _terms(ix)}
             assert len(dfs) > 20 and max(dfs) > ix.N / 2 and 0 in dfs
@@ -277,27 +256,28 @@ class TestIdf:
 class TestBm25Score:
     def test_hand_value(self):
         # idf(df=1, N=3) * (2 * 2.2) / (2 + 1.2 * (1 - 0.75 + 0.75 * 1))
-        score = bm25_score(_hand_index(), BM25Params(), [0], "c1")
+        score = bm25_score(_hand_index(), BM25Params(), [0], 0)
         assert score == pytest.approx(math.log(8.0 / 3.0) * 4.4 / 3.2, abs=1e-12)
 
     def test_no_matching_terms_scores_zero(self):
-        assert bm25_score(_hand_index(), BM25Params(), [0], "c2") == 0.0
+        assert bm25_score(_hand_index(), BM25Params(), [0], 1) == 0.0
 
     def test_b_zero_removes_length_dependence(self):
-        ix = InvertedIndex(
-            ["c1", "c2"], np.array([2, 40]), np.array([0, 2]), np.array([0, 1]), np.array([1, 1])
-        )
+        ix = InvertedIndex(np.array([2, 40]), np.array([0, 2]), np.array([0, 1]), np.array([1, 1]))
         p = BM25Params(k1=1.2, b=0.0)
-        assert bm25_score(ix, p, [0], "c1") == bm25_score(ix, p, [0], "c2")
+        assert bm25_score(ix, p, [0], 0) == bm25_score(ix, p, [0], 1)
 
     def test_duplicate_query_terms_counted_once(self):
         ix = _hand_index()
         p = BM25Params()
-        assert bm25_score(ix, p, [0, 0, 0], "c1") == bm25_score(ix, p, [0], "c1")
+        assert bm25_score(ix, p, [0, 0, 0], 0) == bm25_score(ix, p, [0], 0)
 
     def test_unknown_chunk_rejected(self):
-        with pytest.raises(KeyError, match="unknown chunk_id"):
-            bm25_score(_hand_index(), BM25Params(), [0], "nope")
+        # A row past the chunks is refused, and a negative one is not read
+        # from the end.
+        for row in (-1, 3):
+            with pytest.raises(IndexError, match=f"^row out of range: {row}$"):
+                bm25_score(_hand_index(), BM25Params(), [0], row)
 
     def test_tf_monotonicity(self):
         rng = np.random.default_rng(11)
@@ -308,13 +288,12 @@ class TestBm25Score:
             prev = None
             for bump in range(4):
                 ix = InvertedIndex(
-                    ["c", "d"],
                     np.array([dl, other]),
                     np.array([0, 1]),
                     np.array([0]),
                     np.array([tf + bump]),
                 )
-                score = bm25_score(ix, BM25Params(), [0], "c")
+                score = bm25_score(ix, BM25Params(), [0], 0)
                 if prev is not None:
                     assert score >= prev
                 prev = score
@@ -337,7 +316,7 @@ class TestSearch:
         ]
         ix = _index(chunks, word_model)
         results = search(ix, BM25Params(), word_model.encode("w9"), 3)
-        assert results[0][0] == "c1"
+        assert results[0][0] == 1
 
     def test_matches_brute_force_exactly(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
@@ -351,13 +330,13 @@ class TestSearch:
             got = search(ix, p, terms, 10)
             brute = sorted(
                 (
-                    (c.chunk_id, bm25_score(ix, p, terms, c.chunk_id))
-                    for c in chunks
-                    if bm25_score(ix, p, terms, c.chunk_id) > 0.0
+                    (row, bm25_score(ix, p, terms, row))
+                    for row in range(len(chunks))
+                    if bm25_score(ix, p, terms, row) > 0.0
                 ),
                 key=lambda kv: (-kv[1], kv[0]),
             )[:10]
-            assert got == brute  # ids and bitwise-equal scores
+            assert got == brute  # rows and bitwise-equal scores
 
     def test_k_larger_than_candidates_returns_all(self, word_model):
         chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c1", "d", 0, 2, "w3 w4")]
@@ -387,7 +366,7 @@ class TestSearch:
         ix, p = _hand_index(), BM25Params()
         calls = (
             lambda: search(ix, p, [0, bad], 3),
-            lambda: bm25_score(ix, p, [bad, 0], "c1"),
+            lambda: bm25_score(ix, p, [bad, 0], 0),
             lambda: score_rows(ix, p, [bad]),
             lambda: ix.postings(bad),
             lambda: idf(ix, bad),
@@ -428,7 +407,7 @@ class TestImpacts:
         chunks = _random_corpus(rng, 80, word_model, vocab)
         built = _index(chunks, word_model)
         save(built, tmp_path)
-        reloaded = _reload(tmp_path, [c.chunk_id for c in chunks], word_model.vocab_size())
+        reloaded = _reload(tmp_path, len(chunks), word_model.vocab_size())
         p = BM25Params(k1=k1, b=b)
         for ix in (built, reloaded):
             for _ in range(20):
@@ -457,7 +436,7 @@ class TestImpacts:
                 rows = ix.rows[lo:hi].tolist()
                 got = dense[slot, rows] if slot >= 0 else impacts[at : at + hi - lo]
                 for row, impact in zip(rows, got.tolist()):
-                    assert impact == bm25_score(ix, p, [term], ix.chunk_ids[row]) > 0.0
+                    assert impact == bm25_score(ix, p, [term], row) > 0.0
 
     def test_dense_rows_spread_each_frequent_terms_impacts(self):
         ix = _mixed_index()
@@ -468,17 +447,22 @@ class TestImpacts:
         for row, term in zip(dense, [1, 3]):
             rows, _ = ix.postings(term)
             want = np.zeros(ix.N)
-            want[rows] = [bm25_score(ix, p, [term], ix.chunk_ids[r]) for r in rows]
+            want[rows] = [bm25_score(ix, p, [term], r) for r in rows]
             assert row.tobytes() == want.tobytes()
 
     def test_impacts_are_kept_per_params(self):
+        # One entry, for the last params: equal params reuse it, and other
+        # params compute and keep their own in its place.
         ix = _hand_index()
         first = ix.impacts(BM25Params())
         assert ix.impacts(BM25Params(k1=1.2, b=0.75)) is first
-        assert ix.impacts(BM25Params(k1=2.0)) is not first
-        for i in range(2 * IMPACT_CACHE_MAX):
-            ix.impacts(BM25Params(k1=float(i)))
-        assert len(ix._impacts) <= IMPACT_CACHE_MAX
+        assert ix._impacts == (BM25Params(), first)
+        other = ix.impacts(BM25Params(k1=2.0))
+        assert other is not first
+        assert other.dense.tobytes() != first.dense.tobytes()
+        assert ix._impacts[0] == BM25Params(k1=2.0) and ix._impacts[1] is other
+        again = ix.impacts(BM25Params())
+        assert again is not first and again.dense.tobytes() == first.dense.tobytes()
 
     def test_impacts_scratch_does_not_grow_with_the_index(self):
         rng = np.random.default_rng(53)
@@ -490,7 +474,6 @@ class TestImpacts:
             # Row-major nonzeros: rows increase within each term.
             term_of, rows = np.nonzero(rng.random((n_terms, n_rows)) < density)
             ix = InvertedIndex(
-                [f"c{i}" for i in range(n_rows)],
                 rng.integers(1, 50, n_rows),
                 np.searchsorted(term_of, np.arange(n_terms + 1)),
                 rows,
@@ -516,7 +499,7 @@ class TestImpacts:
 def _assert_bm25_bytes(ix, p, terms):
     """``score_rows`` against ``bm25_score`` of every chunk, byte for byte."""
     scores, touched = score_rows(ix, p, terms)
-    want = np.array([bm25_score(ix, p, terms, cid) for cid in ix.chunk_ids])
+    want = np.array([bm25_score(ix, p, terms, row) for row in range(ix.N)])
     assert scores.tobytes() == want.tobytes()
     assert np.array_equal(touched, want > 0.0)
 
@@ -526,14 +509,13 @@ def _random_index(rng, n_chunks, dfs):
     tfs, then a filler term (``len(dfs)``) in every other chunk, then a term
     (``len(dfs) + 1``) in none. Each chunk is one longer than its tfs add
     up to, so none has length 0."""
-    ids = [f"c{i}" for i in rng.permutation(n_chunks)]
     term_rows = [np.sort(rng.choice(n_chunks, df, False)) for df in dfs]
     term_rows += [np.arange(0, n_chunks, 2), EMPTY]
     rows = np.concatenate(term_rows)
     tfs = rng.integers(1, 4, len(rows))
     doc_len = 1 + np.bincount(rows, weights=tfs, minlength=n_chunks).astype(np.int64)
     offsets = np.cumsum([0, *map(len, term_rows)])
-    return InvertedIndex(ids, doc_len, offsets, rows, tfs)
+    return InvertedIndex(doc_len, offsets, rows, tfs)
 
 
 def _is_dense(ix, term):
@@ -615,15 +597,9 @@ class TestDenseRows:
         assert kinds == {True, False, None}
 
 
-def _sorted_top(ids, scores, rows, k):
-    """``top_rows`` as it was before integer id ranks: a Python sort of the
-    pool keyed on (-score, id)."""
-    return [int(i) for i in sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]]
-
-
-def _shuffled_ids(rng, n):
-    """``n`` distinct ids whose ascending order is not their row order."""
-    return [f"{'zab'[i % 3]}{i}" for i in rng.permutation(n)]
+def _sorted_top(scores, rows, k):
+    """``top_rows`` as a Python sort of the pool keyed on (-score, row)."""
+    return [int(i) for i in sorted(rows, key=lambda i: (-scores[i], i))[:k]]
 
 
 class TestTopRows:
@@ -632,13 +608,11 @@ class TestTopRows:
         values = np.array([0.0, -0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, -2.0])
         for _ in range(300):
             n = int(rng.integers(1, 40))
-            ids = _shuffled_ids(rng, n)
             scores = rng.choice(values, n)
             rows = rng.permutation(n)[: int(rng.integers(0, n + 1))]
             for k in (1, 2, 5, len(rows), len(rows) + 3):
                 if k >= 1:
-                    got = top_rows(id_ranks(ids), scores, rows, k)
-                    assert got == _sorted_top(ids, scores, rows, k)
+                    assert top_rows(scores, rows, k) == _sorted_top(scores, rows, k)
 
     def test_every_row_path_matches_the_sorted_oracle(self):
         # ``rows`` of None partitions the scores themselves, with no gather.
@@ -646,11 +620,9 @@ class TestTopRows:
         values = np.array([0.0, -0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, -2.0])
         for _ in range(300):
             n = int(rng.integers(1, 40))
-            ids = _shuffled_ids(rng, n)
             scores = rng.choice(values, n)
             for k in (1, 2, 5, n, n + 3):
-                want = _sorted_top(ids, scores, range(n), k)
-                assert top_rows(id_ranks(ids), scores, None, k) == want
+                assert top_rows(scores, None, k) == _sorted_top(scores, range(n), k)
 
     def test_touched_rows_rank_as_the_touched_pool(self):
         # As from ``score_rows``: 0.0 exactly on the rows no term touched.
@@ -658,56 +630,48 @@ class TestTopRows:
         pools = set()
         for _ in range(300):
             n = int(rng.integers(1, 40))
-            ids = _shuffled_ids(rng, n)
             scores = rng.choice([1.0, 2.0, 2.5, 4.0], n) * (rng.random(n) < rng.random())
             touched = scores > 0.0
             for k in (1, 2, 5, n, n + 3):
                 pool = touched_rows(touched, k)
                 pools.add(pool is None)
-                want = _sorted_top(ids, scores, np.flatnonzero(touched), k)
-                assert top_rows(id_ranks(ids), scores, pool, k) == want
+                want = _sorted_top(scores, np.flatnonzero(touched), k)
+                assert top_rows(scores, pool, k) == want
         assert pools == {True, False}
 
     def test_negative_zero_ties_positive_zero(self):
-        ids = ["b", "a", "c"]
-        rows = np.arange(3)
+        rows = np.array([1, 2, 0])
         for scores in ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]):
             scores = np.array(scores)
-            assert top_rows(id_ranks(ids), scores, rows, 3) == [1, 0, 2]
-            assert top_rows(id_ranks(ids), scores, rows, 1) == [1]
+            assert top_rows(scores, rows, 3) == [0, 1, 2]
+            assert top_rows(scores, rows, 1) == [0]
 
     def test_k_at_least_the_pool_returns_it_all_in_order(self):
-        ids = ["d", "c", "b", "a"]
         scores = np.array([1.0, 2.0, 1.0, 2.0])
-        rows = np.array([0, 1, 2, 3])
+        rows = np.array([3, 2, 1, 0])
         for k in (4, 9):
-            assert top_rows(id_ranks(ids), scores, rows, k) == [3, 1, 2, 0]
+            assert top_rows(scores, rows, k) == [1, 3, 0, 2]
 
     def test_empty_pool(self):
-        ids = ["b", "a"]
         empty = np.flatnonzero(np.zeros(2, dtype=bool))
-        assert top_rows(id_ranks(ids), np.ones(2), empty, 5) == []
-
-    def test_id_ranks_order_rows_as_their_ids(self):
-        ids = ["c9", "a10", "a9", "b", "a1"]
-        assert id_ranks(ids).tolist() == [4, 1, 2, 3, 0]
-        assert id_ranks([]).tolist() == []
+        assert top_rows(np.ones(2), empty, 5) == []
 
     def test_rrf_ranking_matches_the_sorted_oracle(self):
+        # The candidates' rows are distinct but neither contiguous nor in
+        # candidate order.
         rng = np.random.default_rng(19)
         for _ in range(100):
             n = int(rng.integers(1, 30))
-            ids = _shuffled_ids(rng, n)
+            rows = rng.choice(1000, n, replace=False)
             sparse = rng.choice([0.0, 1.0, 2.0, 4.0], n)
             dense = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.75], n)
             cfg = FusionConfig(mode="rrf", k_final=int(rng.integers(1, n + 3)))
-            got = [
-                (ids[i], fused)
-                for i, fused in rank_candidates(id_ranks(ids), sparse, dense, cfg)
-            ]
+            got = [(int(rows[i]), fused) for i, fused in rank_candidates(rows, sparse, dense, cfg)]
+            sparse_of = dict(zip(rows.tolist(), sparse))
+            dense_of = dict(zip(rows.tolist(), dense))
             lists = [
-                [ids[i] for i in _sorted_top(ids, sparse, np.flatnonzero(sparse > 0), n)],
-                [ids[i] for i in _sorted_top(ids, dense, range(n), n)],
+                _sorted_top(sparse_of, rows[sparse > 0], n),
+                _sorted_top(dense_of, rows, n),
             ]
             fused = fuse_rrf(lists, cfg.rrf_k)
             want = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.k_final]
@@ -717,14 +681,13 @@ class TestTopRows:
         rng = np.random.default_rng(23)
         basis = rng.normal(size=(4, 6))
         basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-        ids = _shuffled_ids(rng, 30)
         # Four distinct vectors over 30 rows: every score ties with others.
-        ix = VectorIndex(ids, basis[rng.integers(0, 4, 30)])
+        ix = VectorIndex(basis[rng.integers(0, 4, 30)])
         for _ in range(10):
             q = rng.normal(size=6)
             scores = ix.scan(q)
             for k in (1, 7, 30, 40):
-                want = [(ids[i], float(scores[i])) for i in _sorted_top(ids, scores, range(30), k)]
+                want = [(i, float(scores[i])) for i in _sorted_top(scores, range(30), k)]
                 assert search_exact(ix, q, k) == want
 
 
@@ -750,10 +713,9 @@ class TestPersistence:
         chunks = _random_corpus(rng, 50, word_model, vocab)
         ix = _index(chunks, word_model)
         save(ix, tmp_path)
-        reloaded = _reload(tmp_path, [c.chunk_id for c in chunks], word_model.vocab_size())
+        reloaded = _reload(tmp_path, len(chunks), word_model.vocab_size())
         assert reloaded.N == ix.N
         assert reloaded.avgdl == ix.avgdl
-        assert reloaded.chunk_ids == ix.chunk_ids
         for name in ("doc_len", "offsets", "rows", "tfs"):
             got, want = getattr(reloaded, name), getattr(ix, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -772,8 +734,8 @@ class TestPersistence:
         terms = word_model.encode("w1 w5 w9")
         scores, touched = score_rows(ix, p, terms)
         assert touched.any()
-        for i, cid in enumerate(ix.chunk_ids):
-            assert scores[i] == bm25_score(ix, p, terms, cid)
+        for i in range(ix.N):
+            assert scores[i] == bm25_score(ix, p, terms, i)
             assert touched[i] == (scores[i] > 0.0)
 
     def test_load_then_save_is_byte_identical(self, word_model, tmp_path):
@@ -782,8 +744,7 @@ class TestPersistence:
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         save(_index(chunks, word_model), tmp_path / "a")
-        ids = [c.chunk_id for c in chunks]
-        save(_reload(tmp_path / "a", ids, word_model.vocab_size()), tmp_path / "b")
+        save(_reload(tmp_path / "a", len(chunks), word_model.vocab_size()), tmp_path / "b")
         assert (tmp_path / "b" / LEXICAL_FILE).read_bytes() == (
             tmp_path / "a" / LEXICAL_FILE
         ).read_bytes()
@@ -791,13 +752,13 @@ class TestPersistence:
     @pytest.mark.parametrize("tf, width", [(1, "|u1"), (255, "|u1"), (256, "<u2")])
     def test_tfs_stored_in_the_narrowest_width(self, tmp_path, tf, width):
         one = np.array([0, 1])
-        save(InvertedIndex(["c"], np.array([tf]), one, one[:1], np.array([tf])), tmp_path)
+        save(InvertedIndex(np.array([tf]), one, one[:1], np.array([tf])), tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
             arrays = [np.lib.format.read_array(fh) for _ in range(4)]
         assert [a.dtype.str for a in arrays] == ["<i4", "<i8", "|u1", width]
         assert arrays[3].tolist() == [tf]
-        reloaded = _reload(tmp_path, ["c"], 1)
-        assert _pairs(reloaded, 0) == [("c", tf)]
+        reloaded = _reload(tmp_path, 1, 1)
+        assert _pairs(reloaded, 0) == [(0, tf)]
         # The rows and the tfs are held as stored.
         assert (reloaded.rows.dtype.str, reloaded.tfs.dtype.str) == ("|u1", width)
 
@@ -807,15 +768,14 @@ class TestPersistence:
     )
     def test_rows_stored_in_the_narrowest_width(self, tmp_path, n, width):
         # One term on the first and the last of n chunks.
-        ids = [f"c{i}" for i in range(n)]
         rows = np.unique(np.array([0, n - 1], dtype="<i4"))
         tfs = np.ones(len(rows), np.uint8)
-        ix = InvertedIndex(ids, np.ones(n, "<i4"), np.array([0, len(rows)]), rows, tfs)
+        ix = InvertedIndex(np.ones(n, "<i4"), np.array([0, len(rows)]), rows, tfs)
         save(ix, tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
             arrays = [np.lib.format.read_array(fh) for _ in range(4)]
         assert (arrays[2].dtype.str, arrays[2].tolist()) == (width, rows.tolist())
-        reloaded = _reload(tmp_path, ids, 1)
+        reloaded = _reload(tmp_path, n, 1)
         # Held as stored, as the index built from <i4 rows holds them too.
         assert reloaded.rows.dtype.str == ix.rows.dtype.str == width
         assert np.array_equal(reloaded.rows, ix.rows)
@@ -829,23 +789,22 @@ class TestPersistence:
         save(_index(chunks, word_model), tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
             assert [np.lib.format.read_array(fh) for _ in range(4)][2].dtype.str == "<u2"
-        ix = _reload(tmp_path, [c.chunk_id for c in chunks], word_model.vocab_size())
+        ix = _reload(tmp_path, len(chunks), word_model.vocab_size())
         p = BM25Params()
         for _ in range(5):
             terms = word_model.encode(" ".join(rng.choice(vocab, size=6)))
             scores, _ = score_rows(ix, p, terms)
-            assert scores.tolist() == [bm25_score(ix, p, terms, cid) for cid in ix.chunk_ids]
+            assert scores.tolist() == [bm25_score(ix, p, terms, row) for row in range(ix.N)]
 
     def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
         chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
         save(_index(chunks, synth_tokenizer), tmp_path)
-        ids = [c.chunk_id for c in chunks]
         data = (tmp_path / LEXICAL_FILE).read_bytes()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ix = parse(data, ids, synth_tokenizer.vocab_size())
+            ix = parse(data, len(chunks), synth_tokenizer.vocab_size())
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -875,20 +834,20 @@ def _write_lexical_file(out_dir, **arrays):
 class TestLoadValidation:
     def test_valid_file_loads(self, tmp_path):
         _write_lexical_file(tmp_path)
-        assert _pairs(_reload(tmp_path, ["c"], 1), 0) == [("c", 3)]
+        assert _pairs(_reload(tmp_path, 1, 1), 0) == [(0, 3)]
 
     def test_posting_for_unknown_chunk_names_term_and_chunk(self, tmp_path):
         # Row 1 of a one-chunk index names no chunk.
         _write_lexical_file(tmp_path, rows=np.array([1], dtype="<i4"))
         with pytest.raises(ValueError, match=r"^lexical.npy: postings for term 0 name a row outside 0\.\.0$"):
-            _reload(tmp_path, ["c"], 1)
+            _reload(tmp_path, 1, 1)
 
     @pytest.mark.parametrize("dtype", ["<i8", "<u8"])
     def test_a_row_beyond_int32_is_refused_not_wrapped(self, tmp_path, dtype):
         # 2**32 would wrap to row 0 as <i4.
         _write_lexical_file(tmp_path, rows=np.array([2**32], dtype=dtype))
         with pytest.raises(ValueError, match=r"term 0 name a row outside 0\.\.0"):
-            _reload(tmp_path, ["c"], 1)
+            _reload(tmp_path, 1, 1)
 
     @pytest.mark.parametrize(
         "tf, match",
@@ -904,7 +863,7 @@ class TestLoadValidation:
         # dtype is refused as a whole, by name.
         _write_lexical_file(tmp_path, tfs=np.array([tf]))
         with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, ["c"], 1)
+            _reload(tmp_path, 1, 1)
 
     def test_duplicate_posting_names_term_and_chunk(self, tmp_path):
         _write_lexical_file(
@@ -914,8 +873,8 @@ class TestLoadValidation:
             rows=np.array([0, 0], dtype="<i4"),
             tfs=np.array([1, 2], dtype=np.uint8),
         )
-        with pytest.raises(ValueError, match="term 0.*chunk_id 'c' twice"):
-            _reload(tmp_path, ["c", "d"], 1)
+        with pytest.raises(ValueError, match="^lexical.npy: postings for term 0 name row 0 twice$"):
+            _reload(tmp_path, 2, 1)
 
     def test_rows_out_of_order_name_term(self, tmp_path):
         _write_lexical_file(
@@ -926,7 +885,7 @@ class TestLoadValidation:
             tfs=np.array([1, 1, 1], dtype=np.uint8),
         )
         with pytest.raises(ValueError, match="term 1 are not in increasing row order"):
-            _reload(tmp_path, ["c", "d"], 2)
+            _reload(tmp_path, 2, 2)
 
     def test_rows_may_restart_at_each_term(self, tmp_path):
         _write_lexical_file(
@@ -936,8 +895,8 @@ class TestLoadValidation:
             rows=np.array([0, 1, 0], dtype="<i4"),
             tfs=np.array([1, 2, 3], dtype=np.uint8),
         )
-        ix = _reload(tmp_path, ["c", "d"], 3)
-        assert [_pairs(ix, t) for t in range(3)] == [[("c", 1), ("d", 2)], [], [("c", 3)]]
+        ix = _reload(tmp_path, 2, 3)
+        assert [_pairs(ix, t) for t in range(3)] == [[(0, 1), (1, 2)], [], [(0, 3)]]
 
     @pytest.mark.parametrize(
         "terms, offsets",
@@ -958,7 +917,7 @@ class TestLoadValidation:
             "|offsets has 1 entries for a vocabulary of 1"
         )
         with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, ["c"], len(terms))
+            _reload(tmp_path, 1, len(terms))
 
     @pytest.mark.parametrize("term_count", [0, 2, 2500])
     def test_offsets_that_do_not_fit_the_vocab_rejected(self, tmp_path, term_count):
@@ -969,7 +928,7 @@ class TestLoadValidation:
             rf"\(vocab size \+ 1 = {term_count + 1}\)$"
         )
         with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, ["c"], term_count)
+            _reload(tmp_path, 1, term_count)
 
     def test_an_index_of_the_earlier_layout_rejected(self, tmp_path):
         # Before term j was vocab id j, a terms array of JSON bytes came
@@ -979,27 +938,27 @@ class TestLoadValidation:
             for arr in ([4], terms, [0, 1], [0], [3]):
                 np.lib.format.write_array(fh, np.asarray(arr))
         with pytest.raises(ValueError, match="^lexical.npy: trailing bytes after the tfs array$"):
-            _reload(tmp_path, ["c"], 1)
+            _reload(tmp_path, 1, 1)
 
     def test_tfs_must_match_rows(self, tmp_path):
         _write_lexical_file(tmp_path, tfs=np.array([3, 3], dtype=np.uint8))
         with pytest.raises(ValueError, match="tfs must match rows"):
-            _reload(tmp_path, ["c"], 1)
+            _reload(tmp_path, 1, 1)
 
     def test_wrong_doc_len_count_rejected(self, tmp_path):
         _write_lexical_file(tmp_path, doc_len=np.array([4, 4], dtype="<i4"))
         with pytest.raises(ValueError, match="doc_len has 2 entries for 1 chunks"):
-            _reload(tmp_path, ["c"], 1)
+            _reload(tmp_path, 1, 1)
 
     def test_posting_on_a_chunk_of_length_0_names_term_and_chunk(self, tmp_path):
         _write_lexical_file(tmp_path, doc_len=np.array([0], dtype="<i4"))
-        with pytest.raises(ValueError, match="term 0 name chunk_id 'c' of length 0"):
-            _reload(tmp_path, ["c"], 1)
+        with pytest.raises(ValueError, match="term 0 name row 0, a chunk of length 0"):
+            _reload(tmp_path, 1, 1)
 
     def test_negative_doc_len_rejected(self, tmp_path):
         _write_lexical_file(tmp_path, doc_len=np.array([-1], dtype="<i4"))
         with pytest.raises(ValueError, match="doc_len must be >= 0"):
-            _reload(tmp_path, ["c"], 1)
+            _reload(tmp_path, 1, 1)
 
     @pytest.mark.parametrize("name", ["doc_len", "offsets", "rows", "tfs"])
     def test_non_integer_or_2d_array_named(self, tmp_path, name):
@@ -1009,12 +968,12 @@ class TestLoadValidation:
         for bad in (np.array(good, dtype=np.float64), np.array([good])):
             _write_lexical_file(tmp_path, **{name: bad})
             with pytest.raises(ValueError, match=f"{name} must be a 1-d integer array"):
-                _reload(tmp_path, ["c"], 1)
+                _reload(tmp_path, 1, 1)
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
         _write_lexical_file(tmp_path, offsets=np.array([0, 1], dtype=object))
         with pytest.raises(ValueError, match="lexical.npy: .*allow_pickle"):
-            _reload(tmp_path, ["c"], 1)
+            _reload(tmp_path, 1, 1)
 
     def test_truncated_or_padded_file_rejected(self, tmp_path):
         _write_lexical_file(tmp_path)
@@ -1023,4 +982,4 @@ class TestLoadValidation:
         for damaged, match in ((whole[:-1], "lexical.npy"), (whole + b"\0", "trailing")):
             path.write_bytes(damaged)
             with pytest.raises(ValueError, match=match):
-                _reload(tmp_path, ["c"], 1)
+                _reload(tmp_path, 1, 1)

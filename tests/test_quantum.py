@@ -1,9 +1,12 @@
+import ast
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrag.lexical import id_ranks
+import qrag.quantum
 from qrag.quantum import (
     AmplitudeState,
     FusionConfig,
@@ -203,8 +206,10 @@ DENSE = np.array([0.9, 0.1, 0.7])
 
 
 def _rank(cfg, ids=IDS, sparse=SPARSE, dense=DENSE):
-    """``rank_candidates`` as (id, fused) pairs."""
-    ranked = rank_candidates(id_ranks(ids), sparse, dense, cfg)
+    """``rank_candidates`` as (id, fused) pairs, each candidate at the row an
+    index in chunk-id order gives it: its id's rank among the ids."""
+    rows = np.argsort(np.argsort(ids))
+    ranked = rank_candidates(rows, sparse, dense, cfg)
     return [(ids[i], fused) for i, fused in ranked]
 
 
@@ -318,3 +323,20 @@ class TestFusionConfig:
     def test_dict_round_trip(self):
         cfg = FusionConfig(mode="rrf", w_semantic=0.7, w_lexical=0.3, k_final=5)
         assert FusionConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_quantum_imports_only_numpy_the_stdlib_and_records():
+    """The fusion kernel stands apart from the index modules: it imports
+    numpy, the standard library and ``qrag._records``, nothing else."""
+    tree = ast.parse(Path(qrag.quantum.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module is None, f"import from {node.module!r}"
+            assert [alias.name for alias in node.names] == ["_records"]
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - {"numpy"} <= set(sys.stdlib_module_names)

@@ -207,13 +207,13 @@ def _row_major_scan(ix, q):
 
 def _hand_vector_index():
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], dtype=np.float32)
-    return VectorIndex(["d1", "d2", "d3"], rows)
+    return VectorIndex(rows)
 
 
 class TestSearchExact:
     def test_hand_example(self):
         results = search_exact(_hand_vector_index(), np.array([1.0, 0.0]), 3)
-        assert [cid for cid, _ in results] == ["d1", "d3", "d2"]
+        assert [row for row, _ in results] == [0, 2, 1]
         assert results[0][1] == pytest.approx(1.0, abs=1e-6)
         assert results[1][1] == pytest.approx(0.6, abs=1e-6)
         assert results[2][1] == pytest.approx(0.0, abs=1e-6)
@@ -221,7 +221,7 @@ class TestSearchExact:
     def test_indexed_row_self_match(self):
         ix = _hand_vector_index()
         results = search_exact(ix, ix.cols[:, 2], 1)
-        assert results[0][0] == "d3"
+        assert results[0][0] == 2
         assert results[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_prefix_property(self):
@@ -230,7 +230,7 @@ class TestSearchExact:
         assert search_exact(ix, q, 1) == search_exact(ix, q, 3)[:1]
 
     def test_empty_index_rejected(self):
-        ix = VectorIndex([], np.zeros((0, 4), dtype=np.float32))
+        ix = VectorIndex(np.zeros((0, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="empty index"):
             search_exact(ix, np.ones(4), 1)
 
@@ -246,13 +246,12 @@ class TestSearchExact:
         dims = [*range(1, 10), 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300, 512]
         for dim in dims:
             for n in (0, 1, 200, SCAN_BLOCK_ROWS, 2 * SCAN_BLOCK_ROWS + 7):
-                ids = [f"c{i:04d}" for i in range(n)]
                 if n:
                     vectors = rng.standard_normal((n, dim), dtype=np.float32)
-                    ix = VectorIndex.build(ids, vectors)
+                    ix = VectorIndex.build(n, vectors)
                     del vectors
                 else:
-                    ix = VectorIndex([], np.zeros((0, dim), dtype=np.float32))
+                    ix = VectorIndex(np.zeros((0, dim), dtype=np.float32))
                 q = rng.standard_normal(dim)
                 scores = ix.scan(q)
                 assert scores.shape == (n,)
@@ -285,12 +284,11 @@ class TestSearchExact:
     def test_ranking_matches_brute_force(self):
         rng = np.random.default_rng(19)
         vectors = [rng.standard_normal(16) for _ in range(100)]
-        ids = [f"c{i:03d}" for i in range(100)]
-        ix = VectorIndex.build(ids, vectors)
+        ix = VectorIndex.build(100, vectors)
         q = rng.standard_normal(16)
         got = search_exact(ix, q, 10)
         brute = sorted(
-            ((cid, cosine(ix.cols[:, i], q)) for i, cid in enumerate(ids)),
+            ((i, cosine(ix.cols[:, i], q)) for i in range(100)),
             key=lambda kv: (-kv[1], kv[0]),
         )[:10]
         assert got == brute
@@ -299,7 +297,7 @@ class TestSearchExact:
 class TestVectorIndexInvariants:
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(21)
-        ix = VectorIndex.build(["a", "b"], [rng.standard_normal(8) * 9 for _ in range(2)])
+        ix = VectorIndex.build(2, [rng.standard_normal(8) * 9 for _ in range(2)])
         for row in ix.cols.T:
             assert abs(math.sqrt(float(np.dot(row, row))) - 1.0) < 1e-6
 
@@ -307,10 +305,9 @@ class TestVectorIndexInvariants:
         rng = np.random.default_rng(25)
         n, dim = 3000, 64
         vectors = rng.standard_normal((n, dim))
-        ids = [f"c{i}" for i in range(n)]
         tracemalloc.start()
         try:
-            ix = VectorIndex.build(ids, vectors)
+            ix = VectorIndex.build(n, vectors)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,10 +321,9 @@ class TestVectorIndexInvariants:
         rng = np.random.default_rng(31)
         n, dim = 8000, 64
         vectors = rng.standard_normal((n, dim))
-        ids = [f"c{i}" for i in range(n)]
         tracemalloc.start()
         try:
-            ix = VectorIndex.build(ids, vectors)
+            ix = VectorIndex.build(n, vectors)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -340,12 +336,12 @@ class TestVectorIndexInvariants:
     def test_parse_peak_is_the_matrix_and_a_row_block(self, tmp_path):
         rng = np.random.default_rng(35)
         n, dim = 8000, 64
-        ix = VectorIndex.build([f"c{i}" for i in range(n)], rng.standard_normal((n, dim)))
+        ix = VectorIndex.build(n, rng.standard_normal((n, dim)))
         save(ix, tmp_path)
         data = (tmp_path / VECTORS_FILE).read_bytes()
         tracemalloc.start()
         try:
-            parsed = parse(data, ix.ids)
+            parsed = parse(data, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -357,20 +353,20 @@ class TestVectorIndexInvariants:
     @pytest.mark.parametrize("n_vectors", [0, 1, 3])
     def test_vector_count_must_match_the_ids(self, n_vectors):
         vectors = np.random.default_rng(33).standard_normal((n_vectors, 4))
-        with pytest.raises(ValueError, match=f"{n_vectors} vectors for 2 ids"):
-            VectorIndex.build(["a", "b"], vectors)
+        with pytest.raises(ValueError, match=f"{n_vectors} vectors for 2 rows"):
+            VectorIndex.build(2, vectors)
 
     def test_vectors_of_another_shape_rejected(self):
         with pytest.raises(ValueError, match=r"vector 1 has shape \(1,\), expected \(4,\)"):
-            VectorIndex.build(["a", "b"], [np.ones(4), np.ones(1)])
+            VectorIndex.build(2, [np.ones(4), np.ones(1)])
         with pytest.raises(ValueError, match=r"vector 0 has shape \(1, 4\), expected \(4,\)"):
-            VectorIndex.build(["a"], [np.ones((1, 4))])
+            VectorIndex.build(1, [np.ones((1, 4))])
 
     def test_scan_scratch_does_not_grow_with_the_index(self):
         rng = np.random.default_rng(27)
         dim = 136
         for n in (SCAN_BLOCK_ROWS, 2 * SCAN_BLOCK_ROWS + 5):
-            ix = VectorIndex.build([f"c{i}" for i in range(n)], rng.standard_normal((n, dim)))
+            ix = VectorIndex.build(n, rng.standard_normal((n, dim)))
             q = rng.standard_normal(dim)
             tracemalloc.start()
             try:
@@ -383,22 +379,20 @@ class TestVectorIndexInvariants:
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError, match="unit-norm"):
-            VectorIndex(["a"], np.array([[3.0, 4.0]], dtype=np.float32))
+            VectorIndex(np.array([[3.0, 4.0]], dtype=np.float32))
 
     def test_degenerate_row_rejected(self):
         with pytest.raises(ValueError, match="degenerate_embedding"):
-            VectorIndex.build(["a"], [np.zeros(4)])
+            VectorIndex.build(1, [np.zeros(4)])
 
 
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(23)
-        ix = VectorIndex.build(
-            [f"c{i}" for i in range(20)], [rng.standard_normal(16) for _ in range(20)]
-        )
+        ix = VectorIndex.build(20, [rng.standard_normal(16) for _ in range(20)])
         save(ix, tmp_path)
-        reloaded = parse((tmp_path / VECTORS_FILE).read_bytes(), ix.ids)
-        assert reloaded.ids == ix.ids
+        reloaded = parse((tmp_path / VECTORS_FILE).read_bytes(), 20)
+        assert len(reloaded) == len(ix) == 20
         assert reloaded.cols.dtype == ix.cols.dtype == np.float32
         assert np.array_equal(reloaded.cols, ix.cols)
         q = rng.standard_normal(16)
@@ -407,7 +401,7 @@ class TestPersistence:
     def test_save_writes_the_bytes_of_np_save_in_bounded_scratch(self, tmp_path):
         rng = np.random.default_rng(29)
         n, dim = 16 * ROW_BLOCK_ROWS + 3, 64
-        ix = VectorIndex.build([f"c{i}" for i in range(n)], rng.standard_normal((n, dim)))
+        ix = VectorIndex.build(n, rng.standard_normal((n, dim)))
         tracemalloc.start()
         try:
             save(ix, tmp_path)
@@ -424,26 +418,34 @@ class TestPersistence:
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / VECTORS_FILE).write_bytes(b"NOTMAGIC" + b"\x00" * 12)
         with pytest.raises(ValueError, match=VECTORS_FILE):
-            parse((tmp_path / VECTORS_FILE).read_bytes(), ["a"])
+            parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
 
     @pytest.mark.parametrize(
         "matrix, match",
         [
             (np.array([[1.0, 0.0]], dtype=np.float64), "expected a <f4 matrix, got <f8"),
             (np.array([[1.0, 0.0]], dtype=">f4"), "expected a <f4 matrix, got >f4"),
-            (np.array([1.0, 0.0], dtype="<f4"), "ids must match matrix rows"),
-            (np.array([[1.0, 0.0], [0.0, 1.0]], dtype="<f4"), "ids must match matrix rows"),
+            pytest.param(
+                np.array([1.0, 0.0], dtype="<f4"),
+                "expected a 2-d matrix, got 1 dimensions",
+                id="one_dimension",
+            ),
+            pytest.param(
+                np.array([[1.0, 0.0], [0.0, 1.0]], dtype="<f4"),
+                "the matrix has 2 rows for 1 chunks",
+                id="two_rows_for_one_chunk",
+            ),
         ],
     )
     def test_wrong_dtype_or_shape_rejected(self, tmp_path, matrix, match):
         np.save(tmp_path / VECTORS_FILE, matrix)
         with pytest.raises(ValueError, match=f"{VECTORS_FILE}: {match}"):
-            parse((tmp_path / VECTORS_FILE).read_bytes(), ["a"])
+            parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
         np.save(tmp_path / VECTORS_FILE, np.array([[1.0]], dtype=object), allow_pickle=True)
         with pytest.raises(ValueError, match=f"{VECTORS_FILE}: .*allow_pickle"):
-            parse((tmp_path / VECTORS_FILE).read_bytes(), ["a"])
+            parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
 
 
 class TestLoadExternal:
