@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lexical import npy_arrays
+from . import _npy
 from .tokenizer import TokenizerModel, _is_punct, normalize
 
 logger = logging.getLogger(__name__)
@@ -228,12 +228,15 @@ def preprocess(
 
     Rejections are counted per reason in ``stats["rejected_by_reason"]`` and
     dropped duplicates in ``stats["deduped"]``; nothing is dropped silently.
+    A kept document with the id of an earlier kept one is a ``ValueError``
+    naming the id, since the two would give the same chunk ids.
     """
     if stats is None:
         stats = {}
     rejected = stats.setdefault("rejected_by_reason", {})
     stats.setdefault("deduped", 0)
     seen: set[str] = set()
+    kept: set[str] = set()
     for raw in docs:
         try:
             doc = clean_text(raw, cfg)
@@ -248,6 +251,9 @@ def preprocess(
         if reason is not None:
             rejected[reason] = rejected.get(reason, 0) + 1
             continue
+        if doc.doc_id in kept:
+            raise ValueError(f"two kept documents have the id {doc.doc_id!r}")
+        kept.add(doc.doc_id)
         yield doc
 
 
@@ -288,8 +294,15 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
 
 # -- persistence -------------------------------------------------------------
 
-# The arrays of ``chunks.npy``, in file order.
-CHUNK_ARRAYS = ("ids", "token_offset", "token_count", "text offsets", "text encodings", "text")
+# The arrays of ``chunks.npy``, in file order (see ``save_chunks``).
+CHUNK_ARRAYS = (
+    _npy.Array("ids", "uint8", 1, None),
+    _npy.Array("token_offset", "integer", 1, "N"),
+    _npy.Array("token_count", "integer", 1, "N"),
+    _npy.Array("text offsets", "integer", 1, "N + 1"),
+    _npy.Array("text encodings", "integer", 1, "N"),
+    _npy.Array("text", "uint8", 1, "the last offset"),
+)
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -363,12 +376,10 @@ class ChunkTable(Sequence[Chunk]):
 
 
 def save_chunks(chunks: ChunkTable, out_dir: str | Path) -> None:
-    """Write the chunks as six consecutive ``.npy`` arrays of one file
-    (``CHUNK_ARRAYS``): the UTF-8 bytes of a JSON list of
-    ``[chunk_id, doc_id]`` pairs (``uint8``), the token offsets and the token
-    counts (``<i4``), the N + 1 byte offsets of each text in the last array
-    (``<i8``), each text's encoding (``uint8``: ``PAGE`` or ``UTF16``), and
-    every text (``uint8``).
+    """Write ``CHUNK_ARRAYS``: the ``[chunk_id, doc_id]`` pairs as the UTF-8
+    bytes of a JSON list, the token offsets and counts (``<i4``), the N + 1
+    offsets of each text's bytes in the last array (``<i8``), each text's
+    encoding (``PAGE`` or ``UTF16``) and every text's bytes.
 
     A text is stored in ``GURMUKHI_PAGE``, one byte per codepoint, when the
     page holds each of its characters, and in UTF-16-LE otherwise. Chunks
@@ -393,9 +404,7 @@ def save_chunks(chunks: ChunkTable, out_dir: str | Path) -> None:
         np.array(encodings, dtype=np.uint8),
         np.frombuffer(b"".join(texts), np.uint8),
     )
-    with (Path(out_dir) / CHUNKS_FILE).open("wb") as fh:
-        for arr in arrays:
-            np.lib.format.write_array(fh, arr, allow_pickle=False)
+    _npy.write(Path(out_dir) / CHUNKS_FILE, arrays)
 
 
 def parse_chunks(data: bytes) -> ChunkTable:
@@ -413,8 +422,8 @@ def parse_chunks(data: bytes) -> ChunkTable:
     faults on every load.
     """
     try:
-        ids, token_offset, token_count, ends, encodings, text = npy_arrays(data, CHUNK_ARRAYS)
-        pairs = _check_arrays(ids, token_offset, token_count, ends, encodings, text)
+        ids, token_offset, token_count, ends, encodings, text = _npy.read(data, CHUNK_ARRAYS)
+        pairs = _check_arrays(ids, token_offset, token_count, ends, encodings)
         view = text.data
         bounds = ends.tolist()
         texts = [
@@ -444,39 +453,21 @@ def _check_arrays(
     token_count: np.ndarray,
     ends: np.ndarray,
     encodings: np.ndarray,
-    text: np.ndarray,
 ) -> list[list[str]]:
-    """The ``[chunk_id, doc_id]`` pairs, once the arrays are found to agree."""
-    for name, arr in (("ids", ids), ("texts", text)):
-        if arr.ndim != 1 or arr.dtype != np.uint8:
-            raise ValueError(f"{name} must be a 1-d uint8 array")
-    for name, arr in (
-        ("token_offset", token_offset),
-        ("token_count", token_count),
-        ("text offsets", ends),
-        ("text encodings", encodings),
-    ):
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            raise ValueError(f"{name} must be a 1-d integer array")
+    """The ``[chunk_id, doc_id]`` pairs, once the arrays, which agree with
+    ``CHUNK_ARRAYS``, are found to mean chunks."""
     pairs = json.loads(str(ids.data, "utf-8"))
     if type(pairs) is not list or not all(
         type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
         for p in pairs
     ):
         raise ValueError("ids must be a JSON list of [chunk_id, doc_id] string pairs")
-    n = len(pairs)
-    if not len(token_offset) == len(token_count) == len(ends) - 1 == len(encodings) == n:
-        raise ValueError(
-            f"array lengths disagree: {n} id pairs, {len(token_offset)} token offsets, "
-            f"{len(token_count)} token counts, {len(ends)} text offsets (N + 1) and "
-            f"{len(encodings)} text encodings"
-        )
+    if len(pairs) != len(token_offset):
+        raise ValueError(f"ids has {len(pairs)} pairs for {len(token_offset)} chunks")
     if (token_offset < 0).any() or (token_count < 0).any():
         raise ValueError("token_offset and token_count must be >= 0")
-    if ends[0] != 0 or ends[-1] != len(text):
-        raise ValueError(f"text offsets must run from 0 to the text byte count {len(text)}")
-    if (ends[1:] < ends[:-1]).any():
-        raise ValueError("text offsets must not decrease")
+    if ends[0] != 0 or (ends[1:] < ends[:-1]).any():
+        raise ValueError("text offsets must not decrease, and the first must be 0")
     if not np.isin(encodings, (PAGE, UTF16)).all():
         raise ValueError(f"text encodings must be {PAGE} (the page) or {UTF16} (UTF-16-LE)")
     odd = (np.diff(ends) % 2 == 1) & (encodings == UTF16)

@@ -510,6 +510,13 @@ def _check_digests(manifest: IndexManifest, digests: Mapping[str, Future]) -> No
             raise ValueError(f"digest mismatch: {name}")
 
 
+def _parse_tokenizer(data: bytes) -> TokenizerModel:
+    try:
+        return TokenizerModel.from_json(data.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{TOKENIZER_FILE}: {exc}") from None
+
+
 def load_index(in_dir: str | Path) -> RetrievalEngine:
     """Load a persisted engine, verifying the format version, that the
     manifest lists exactly ``INDEX_FILES`` and agrees with itself and with
@@ -552,7 +559,7 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
                     f"{corpus_mod.CHUNKS_FILE} holds {len(chunks)} chunks"
                 )
             n = len(chunks)
-            tok = load(TOKENIZER_FILE, lambda data: TokenizerModel.from_json(data.decode("utf-8")))
+            tok = load(TOKENIZER_FILE, _parse_tokenizer)
             lex_index = load(
                 lexical.LEXICAL_FILE, lambda data: lexical.parse(data, n, tok.vocab_size())
             )

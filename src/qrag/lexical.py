@@ -8,7 +8,6 @@ score the same term space: term j is vocab id j. Scoring uses the
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,9 +15,17 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _npy
+
 LEXICAL_FILE = "lexical.npy"
-# The arrays of ``lexical.npy``, in file order.
-LEXICAL_ARRAYS = ("doc_len", "offsets", "rows", "tfs")
+# The arrays of ``lexical.npy``, in file order: term j's postings are
+# positions offsets[j] to offsets[j + 1] of the rows and of the tfs.
+LEXICAL_ARRAYS = (
+    _npy.Array("doc_len", "integer", 1, "N"),
+    _npy.Array("offsets", "integer", 1, "V + 1"),
+    _npy.Array("rows", "integer", 1, "the last offset"),
+    _npy.Array("tfs", "integer", 1, "the last offset"),
+)
 
 # Postings per block of ``InvertedIndex.impacts``: its scratch is a few
 # arrays of this length (256 KiB each in float64), whatever the index size.
@@ -360,43 +367,11 @@ def search(
 
 
 def save(index: InvertedIndex, out_dir: str | Path) -> None:
-    """Write the doc lengths, the offsets, the rows and the tfs as
-    consecutive ``.npy`` arrays of one file, each as the index holds it: the
-    rows in the narrowest unsigned type that holds N - 1 (``uint16`` up to
-    65,536 chunks), the tfs in the narrowest unsigned type that holds the
-    largest."""
-    with (Path(out_dir) / LEXICAL_FILE).open("wb") as fh:
-        for arr in (index.doc_len, index.offsets, index.rows, index.tfs):
-            np.lib.format.write_array(fh, arr, allow_pickle=False)
-
-
-def npy_arrays(data: bytes, names: Sequence[str]) -> list[np.ndarray]:
-    """The consecutive ``.npy`` arrays (format 1.0) that fill ``data``, one
-    per name, as read-only views of ``data``: nothing is copied, so a caller
-    copies what it keeps. Every array file of an index is read with it.
-    Object arrays are refused without unpickling; each refusal is a
-    ``ValueError``, naming the array that is cut short or followed by bytes.
-    """
-    stream = io.BytesIO(data)  # shares the bytes object until written to
-    arrays = []
-    for name in names:
-        if np.lib.format.read_magic(stream) != (1, 0):
-            raise ValueError(f"{name} must be an array of .npy format 1.0")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
-        if dtype.hasobject:
-            raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
-        if min(shape, default=0) < 0:
-            raise ValueError(f"{name} has a negative dimension: {shape}")
-        start, count = stream.tell(), math.prod(shape)
-        size, left = count * dtype.itemsize, len(data) - start
-        if left < size:
-            raise ValueError(f"the {name} array is cut short: {left} of {size} bytes")
-        arr = np.frombuffer(data, dtype, count, start)
-        arrays.append(arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape))
-        stream.seek(start + size)
-    if stream.tell() < len(data):
-        raise ValueError(f"trailing bytes after the {names[-1]} array")
-    return arrays
+    """Write ``LEXICAL_ARRAYS``, each as the index holds it: the rows in the
+    narrowest unsigned type that holds N - 1 (``uint16`` up to 65,536
+    chunks), the tfs in the narrowest unsigned type that holds the largest."""
+    arrays = (index.doc_len, index.offsets, index.rows, index.tfs)
+    _npy.write(Path(out_dir) / LEXICAL_FILE, arrays)
 
 
 def parse(data: bytes, n: int, term_count: int) -> InvertedIndex:
@@ -404,15 +379,7 @@ def parse(data: bytes, n: int, term_count: int) -> InvertedIndex:
     chunks; term j is vocab id j of ``term_count``, so ``offsets`` must hold
     ``term_count + 1`` entries. The index keeps no view of ``data``."""
     try:
-        doc_len, offsets, rows, tfs = npy_arrays(data, LEXICAL_ARRAYS)
-        if doc_len.ndim == 1 and len(doc_len) != n:
-            raise ValueError(f"doc_len has {len(doc_len)} entries for {n} chunks")
-        # Offsets that are not 1-d are refused by name with the other arrays.
-        if offsets.ndim == 1 and len(offsets) != term_count + 1:
-            raise ValueError(
-                f"offsets has {len(offsets)} entries for a vocabulary of {term_count} "
-                f"(vocab size + 1 = {term_count + 1})"
-            )
-        return InvertedIndex(doc_len.copy(), offsets.copy(), rows.copy(), tfs.copy())
+        arrays = _npy.read(data, LEXICAL_ARRAYS, N=n, V=term_count)
+        return InvertedIndex(*(arr.copy() for arr in arrays))
     except ValueError as exc:
         raise ValueError(f"{LEXICAL_FILE}: {exc}") from None

@@ -21,10 +21,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import _records
-from .lexical import npy_arrays, top_rows
+from . import _npy, _records
+from .lexical import top_rows
 
 VECTORS_FILE = "vectors.npy"
+VECTOR_ARRAYS = (_npy.Array("vectors", "<f4", 2, "N"),)
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -208,7 +209,7 @@ class VectorIndex:
             dots = np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0]
             self._norms[start : start + len(rows)] = np.sqrt(dots)
             start += len(rows)
-        bad = np.flatnonzero(np.abs(self._norms - 1.0) > 1e-6)
+        bad = np.flatnonzero(~(np.abs(self._norms - 1.0) <= 1e-6))  # NaN too
         if len(bad):
             raise ValueError(f"rows not unit-norm: {bad[:5].tolist()}")
 
@@ -353,28 +354,20 @@ def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[int, f
 
 
 def save(index: VectorIndex, out_dir: str | Path) -> None:
-    """Write ``vectors.npy``: the ``.npy`` header of a ``<f4`` ``(N, dim)``
-    matrix, then its rows, transposed from ``cols`` ``ROW_BLOCK_ROWS`` at a
-    time, so no whole copy of the matrix is made. The bytes are those of
+    """Write ``vectors.npy``, the ``<f4`` ``(N, dim)`` matrix of
+    ``VECTOR_ARRAYS``: its rows, transposed from ``cols`` ``ROW_BLOCK_ROWS``
+    at a time, so no whole copy of the matrix is made. The bytes are those of
     ``np.save`` of the whole matrix."""
     n = len(index)
-    header = {"descr": "<f4", "fortran_order": False, "shape": (n, index.dim)}
-    with (Path(out_dir) / VECTORS_FILE).open("wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for start in range(0, n, ROW_BLOCK_ROWS):
-            block = index.cols[:, start : start + ROW_BLOCK_ROWS].T
-            fh.write(np.ascontiguousarray(block, dtype="<f4"))
+    rows = (index.cols[:, i : i + ROW_BLOCK_ROWS].T for i in range(0, n, ROW_BLOCK_ROWS))
+    _npy.write(Path(out_dir) / VECTORS_FILE, [_npy.Blocks("<f4", (n, index.dim), rows)])
 
 
 def parse(data: bytes, n: int) -> VectorIndex:
     """The index of the matrix in ``data``, the bytes of a ``vectors.npy``
     of ``n`` chunks. The index keeps no view of ``data``."""
     try:
-        (matrix,) = npy_arrays(data, ("vectors",))
-        if matrix.dtype != np.dtype("<f4"):
-            raise ValueError(f"expected a <f4 matrix, got {matrix.dtype.str}")
-        if matrix.ndim == 2 and len(matrix) != n:
-            raise ValueError(f"the matrix has {len(matrix)} rows for {n} chunks")
+        (matrix,) = _npy.read(data, VECTOR_ARRAYS, N=n)
         return VectorIndex(matrix)
     except ValueError as exc:
         raise ValueError(f"{VECTORS_FILE}: {exc}") from None

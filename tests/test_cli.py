@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -170,6 +172,28 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "error: manifest config.embedder.dim is 128, but vectors.npy holds 256" in err
+
+    def test_a_damaged_array_header_is_one_error_line(self, workspace, tmp_path, capsys):
+        # Byte 10 opens the header dict of each file's first array. With the
+        # manifest re-signed, the parser is reached and refuses it by name.
+        root, bench = workspace
+        built = tmp_path / "built"
+        args = ["--out", str(built), "--config", str(root / "cfg.json")]
+        assert main(["build", "--corpus", str(root / "corpus.jsonl"), *args]) == 0
+        for name in ("chunks.npy", "lexical.npy", "vectors.npy"):
+            index = tmp_path / name
+            shutil.copytree(built, index)
+            data = bytearray((index / name).read_bytes())
+            data[10] ^= 0xFF
+            (index / name).write_bytes(data)
+            manifest = json.loads((index / "manifest.json").read_text(encoding="utf-8"))
+            manifest["files"][name] = hashlib.sha256(data).hexdigest()
+            (index / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            capsys.readouterr()
+            code = main(["query", bench.queries[0]["text"], "--index", str(index)])
+            assert code == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: {name}: the ") and "array has a damaged header" in line
 
     def test_misspelt_config_key_is_an_error_exit(self, workspace, tmp_path, capsys):
         root, _ = workspace

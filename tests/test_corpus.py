@@ -373,19 +373,24 @@ def _texts(arrays, blob, encoding=UTF16):
 # Each fault: a change to the six arrays of STORE, and what the refusal says.
 STORE_FAULTS = {
     "too_few_arrays": (lambda a: a[:4], "EOF"),
-    "object_array": (lambda a: [a[0].astype(object), *a[1:]], "Object arrays cannot be"),
+    "object_array": (
+        lambda a: [a[0].astype(object), *a[1:]], r"ids must be a 1-d uint8 array, got \|O of shape"
+    ),
     "ids_not_uint8": (lambda a: [a[0].astype(np.int32), *a[1:]], "ids must be a 1-d uint8"),
-    "texts_not_uint8": (lambda a: [*a[:5], a[5].astype("<u2")], "texts must be a 1-d uint8"),
+    "texts_not_uint8": (lambda a: [*a[:5], a[5].astype("<u2")], "text must be a 1-d uint8"),
     "float_text_offsets": (
         lambda a: [*a[:3], a[3].astype(float), *a[4:]], "text offsets must be a 1-d integer"
     ),
     "token_offset_2d": (lambda a: [a[0], a[1].reshape(2, 2), *a[2:]], "token_offset must be"),
-    "short_token_offset": (lambda a: [a[0], a[1][:3], *a[2:]], "array lengths disagree"),
+    "short_token_offset": (
+        lambda a: [a[0], a[1][:3], *a[2:]], "token_count has 4 entries for 3 chunks$"
+    ),
     "long_token_count": (
-        lambda a: [*a[:2], np.append(a[2], 1), *a[3:]], "array lengths disagree"
+        lambda a: [*a[:2], np.append(a[2], 1), *a[3:]], "token_count has 5 entries for 4 chunks$"
     ),
     "short_text_offsets": (
-        lambda a: [*a[:3], a[3][:4], a[4], a[5][:15]], "array lengths disagree"
+        lambda a: [*a[:3], a[3][:4], a[4], a[5][:15]],
+        r"text offsets has 4 entries for 4 chunks \(N \+ 1 = 5\)$",
     ),
     "negative_token_offset": (
         lambda a: [a[0], a[1] - 1, *a[2:]], "token_offset and token_count must be >= 0"
@@ -394,10 +399,11 @@ STORE_FAULTS = {
         lambda a: [*a[:2], a[2] - 1, *a[3:]], "token_offset and token_count must be >= 0"
     ),
     "offsets_not_from_0": (
-        lambda a: [*a[:3], a[3] + 2, *a[4:]], "text offsets must run from 0 to the text"
+        lambda a: [*a[:3], a[3] + [2, 0, 0, 0, 0], *a[4:]],
+        "text offsets must not decrease, and the first must be 0$",
     ),
     "offsets_short_of_the_text": (
-        lambda a: [*a[:5], a[5][:21]], "text offsets must run from 0 to the text"
+        lambda a: [*a[:5], a[5][:21]], "text has 21 entries for text offsets ending at 23$"
     ),
     "decreasing_offsets": (
         lambda a: [*a[:3], a[3][[0, 2, 1, 3, 4]], *a[4:]], "text offsets must not decrease"
@@ -421,9 +427,11 @@ STORE_FAULTS = {
     "float_encodings": (
         lambda a: [*a[:4], a[4].astype(float), a[5]], "text encodings must be a 1-d integer"
     ),
-    "short_encodings": (lambda a: [*a[:4], a[4][:3], a[5]], "and 3 text encodings$"),
+    "short_encodings": (
+        lambda a: [*a[:4], a[4][:3], a[5]], "text encodings has 3 entries for 4 chunks$"
+    ),
     "long_encodings": (
-        lambda a: [*a[:4], np.append(a[4], 0), a[5]], "and 5 text encodings$"
+        lambda a: [*a[:4], np.append(a[4], 0), a[5]], "text encodings has 5 entries for 4 chunks$"
     ),
     "ids_bad_json": (lambda a: [np.frombuffer(b"[[", np.uint8), *a[1:]], "Expecting value"),
     "ids_bad_utf8": (lambda a: [np.frombuffer(b"\xff", np.uint8), *a[1:]], "'utf-8' codec"),
@@ -435,6 +443,9 @@ STORE_FAULTS = {
     ),
     "ids_a_string": (lambda a: [_ids([["a", "d"]] * 3 + ["ad"]), *a[1:]], "ids must"),
     "ids_a_triple": (lambda a: [_ids([["a", "d", "e"]] * 4), *a[1:]], "ids must"),
+    "ids_one_pair_short": (
+        lambda a: [_ids([["a", "d"]] * 3), *a[1:]], "ids has 3 pairs for 4 chunks$"
+    ),
     "ids_a_repeated_chunk_id": (
         lambda a: [_ids([["a", "d"], ["b", "d"], ["a", "e"], ["c", "e"]]), *a[1:]],
         "chunk_id 'a' is listed twice$",

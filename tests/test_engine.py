@@ -116,6 +116,23 @@ class TestBuildAll:
         with pytest.raises(RuntimeError, match="empty corpus"):
             build_all(tmp_path / "c.jsonl", EngineConfig(vocab_size=500), tmp_path / "i")
 
+    def test_a_repeated_document_id_fails_ingest_naming_it(self, tmp_path):
+        records = synthetic.make_corpus(20, seed=3)
+        records[1]["id"] = records[0]["id"]
+        synthetic.write_jsonl(records, tmp_path / "corpus.jsonl")
+        match = r"^build stage 'ingest\+filter' failed: two kept documents have the id 'doc00000'$"
+        with pytest.raises(RuntimeError, match=match):
+            build_all(tmp_path / "corpus.jsonl", EngineConfig(vocab_size=300), tmp_path / "index")
+        assert not (tmp_path / "index").exists()
+
+    def test_a_repeated_record_is_dropped_as_a_duplicate(self, tmp_path):
+        records = synthetic.make_corpus(20, seed=3)
+        records[1] = records[0]
+        synthetic.write_jsonl(records, tmp_path / "corpus.jsonl")
+        build_all(tmp_path / "corpus.jsonl", EngineConfig(vocab_size=300), tmp_path / "index")
+        stats = json.loads((tmp_path / "index" / "stats.json").read_text(encoding="utf-8"))
+        assert stats["deduped"] == 1
+
     def test_stats_written(self, small_engine):
         _, _, index_dir, _, _ = small_engine
         stats = json.loads((index_dir / "stats.json").read_text(encoding="utf-8"))

@@ -692,15 +692,17 @@ class TestTopRows:
 
 
 def test_lexical_imports_only_numpy_and_the_stdlib():
-    """``lexical`` stands alone: no other ``qrag`` module, nothing beyond
-    numpy and the standard library."""
+    """``lexical`` stands alone: no index or tokenizer module, nothing beyond
+    numpy, the standard library and ``qrag._npy``, the array file format."""
     tree = ast.parse(Path(qrag.lexical.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module is None, f"import from {node.module!r}"
+            assert [alias.name for alias in node.names] == ["_npy"]
         elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, f"relative import from {node.module!r}"
             imported.add(node.module.split(".")[0])
     assert "numpy" in imported
     assert imported - {"numpy"} <= set(sys.stdlib_module_names)
@@ -915,6 +917,7 @@ class TestLoadValidation:
         match = (
             "offsets must (run from 0 to the posting count 1|not decrease)"
             "|offsets has 1 entries for a vocabulary of 1"
+            "|rows has 1 entries for offsets ending at [02]"
         )
         with pytest.raises(ValueError, match=match):
             _reload(tmp_path, 1, len(terms))
@@ -932,17 +935,20 @@ class TestLoadValidation:
 
     def test_an_index_of_the_earlier_layout_rejected(self, tmp_path):
         # Before term j was vocab id j, a terms array of JSON bytes came
-        # second, so the file holds five arrays: it is refused by name.
+        # second, so the file holds five arrays: the terms are read as the
+        # offsets, and refused by their count.
         terms = np.frombuffer(b'["t"]', dtype=np.uint8)
         with (tmp_path / LEXICAL_FILE).open("wb") as fh:
             for arr in ([4], terms, [0, 1], [0], [3]):
                 np.lib.format.write_array(fh, np.asarray(arr))
-        with pytest.raises(ValueError, match="^lexical.npy: trailing bytes after the tfs array$"):
+        match = r"^lexical.npy: offsets has 5 entries for a vocabulary of 1 \(vocab size \+ 1 = 2\)$"
+        with pytest.raises(ValueError, match=match):
             _reload(tmp_path, 1, 1)
 
     def test_tfs_must_match_rows(self, tmp_path):
         _write_lexical_file(tmp_path, tfs=np.array([3, 3], dtype=np.uint8))
-        with pytest.raises(ValueError, match="tfs must match rows"):
+        match = "^lexical.npy: tfs has 2 entries for offsets ending at 1$"
+        with pytest.raises(ValueError, match=match):
             _reload(tmp_path, 1, 1)
 
     def test_wrong_doc_len_count_rejected(self, tmp_path):
@@ -972,7 +978,8 @@ class TestLoadValidation:
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
         _write_lexical_file(tmp_path, offsets=np.array([0, 1], dtype=object))
-        with pytest.raises(ValueError, match="lexical.npy: .*allow_pickle"):
+        match = r"^lexical.npy: offsets must be a 1-d integer array, got \|O of shape \(2,\)$"
+        with pytest.raises(ValueError, match=match):
             _reload(tmp_path, 1, 1)
 
     def test_truncated_or_padded_file_rejected(self, tmp_path):

@@ -381,6 +381,13 @@ class TestVectorIndexInvariants:
         with pytest.raises(ValueError, match="unit-norm"):
             VectorIndex(np.array([[3.0, 4.0]], dtype=np.float32))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_row_that_is_not_finite_is_not_unit_norm(self, value):
+        # A NaN norm fails every comparison, so it is refused by one that
+        # must hold, not let through by one that must fail.
+        with pytest.raises(ValueError, match=r"rows not unit-norm: \[1\]"):
+            VectorIndex(np.array([[0.6, 0.8], [value, 0.0]], dtype=np.float32))
+
     def test_degenerate_row_rejected(self):
         with pytest.raises(ValueError, match="degenerate_embedding"):
             VectorIndex.build(1, [np.zeros(4)])
@@ -423,16 +430,24 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "matrix, match",
         [
-            (np.array([[1.0, 0.0]], dtype=np.float64), "expected a <f4 matrix, got <f8"),
-            (np.array([[1.0, 0.0]], dtype=">f4"), "expected a <f4 matrix, got >f4"),
+            pytest.param(
+                np.array([[1.0, 0.0]], dtype=np.float64),
+                "vectors must be a 2-d <f4 array, got <f8 of shape \\(1, 2\\)$",
+                id="float64",
+            ),
+            pytest.param(
+                np.array([[1.0, 0.0]], dtype=">f4"),
+                "vectors must be a 2-d <f4 array, got >f4 of shape \\(1, 2\\)$",
+                id="big_endian_f4",
+            ),
             pytest.param(
                 np.array([1.0, 0.0], dtype="<f4"),
-                "expected a 2-d matrix, got 1 dimensions",
+                "vectors must be a 2-d <f4 array, got <f4 of shape \\(2,\\)$",
                 id="one_dimension",
             ),
             pytest.param(
                 np.array([[1.0, 0.0], [0.0, 1.0]], dtype="<f4"),
-                "the matrix has 2 rows for 1 chunks",
+                "vectors has 2 rows for 1 chunks",
                 id="two_rows_for_one_chunk",
             ),
         ],
@@ -444,7 +459,8 @@ class TestPersistence:
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
         np.save(tmp_path / VECTORS_FILE, np.array([[1.0]], dtype=object), allow_pickle=True)
-        with pytest.raises(ValueError, match=f"{VECTORS_FILE}: .*allow_pickle"):
+        match = rf"^{VECTORS_FILE}: vectors must be a 2-d <f4 array, got \|O of shape"
+        with pytest.raises(ValueError, match=match):
             parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
 
 
