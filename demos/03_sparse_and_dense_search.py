@@ -24,7 +24,7 @@ lines = [r["text"] for r in records]
 tok = train_bpe(lines, vocab_size=2000)
 chunk_terms = [tok.encode(r["text"]) for r in records]
 chunks = [
-    Chunk(r["id"] + "#0", r["id"], 0, len(ids), r["text"])
+    Chunk(r["id"] + "#0", 0, len(ids), r["text"])
     for r, ids in zip(records, chunk_terms)
 ]
 # Row i of both indexes is chunks[i], in chunk-id order, as the engine

@@ -52,6 +52,8 @@ GURMUKHI_PAGE = "".join(
     for b in range(0x80)
 ) + "".join(map(chr, range(GURMUKHI_LO, GURMUKHI_HI + 1)))
 _PAGE_MAP = codecs.charmap_build(GURMUKHI_PAGE)
+# A chunk id: a non-empty doc id, which may hold "#", then "#" and a number.
+_CHUNK_ID = re.compile(r".+#[0-9]+", re.DOTALL)
 # Each chunk's text encoding in ``chunks.npy``: the page, or UTF-16-LE for a
 # text with a character outside it.
 PAGE, UTF16 = 0, 1
@@ -83,13 +85,17 @@ class CleanDocument:
 
 @dataclass(frozen=True, slots=True)
 class Chunk:
-    """A retrievable passage: a token window over a cleaned document."""
+    """A retrievable passage: a token window over a cleaned document. Its id
+    is ``<doc_id>#<n>``, for the document's n-th window."""
 
     chunk_id: str
-    doc_id: str
     token_offset: int
     token_count: int
     text: str
+
+    @property
+    def doc_id(self) -> str:
+        return self.chunk_id.rpartition("#")[0]
 
 
 @dataclass(frozen=True)
@@ -279,7 +285,6 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
             chunks.append(
                 Chunk(
                     chunk_id=f"{doc.doc_id}#{index}",
-                    doc_id=doc.doc_id,
                     token_offset=offset,
                     token_count=count,
                     text=tok.decode(ids[offset:end]),
@@ -317,7 +322,6 @@ class ChunkTable(Sequence[Chunk]):
     """
 
     chunk_ids: list[str]
-    doc_ids: list[str]
     token_offsets: np.ndarray
     token_counts: np.ndarray
     texts: list[str]
@@ -337,7 +341,6 @@ class ChunkTable(Sequence[Chunk]):
         chunks = list(chunks)
         return cls(
             [c.chunk_id for c in chunks],
-            [c.doc_id for c in chunks],
             np.array([c.token_offset for c in chunks], dtype="<i4"),
             np.array([c.token_count for c in chunks], dtype="<i4"),
             [c.text for c in chunks],
@@ -347,28 +350,17 @@ class ChunkTable(Sequence[Chunk]):
         return len(self.chunk_ids)
 
     def __getitem__(self, i):
+        row = (self.chunk_ids[i], self.token_offsets[i], self.token_counts[i], self.texts[i])
         if isinstance(i, slice):
-            return ChunkTable(
-                self.chunk_ids[i],
-                self.doc_ids[i],
-                self.token_offsets[i],
-                self.token_counts[i],
-                self.texts[i],
-            )
-        return Chunk(
-            self.chunk_ids[i],
-            self.doc_ids[i],
-            int(self.token_offsets[i]),
-            int(self.token_counts[i]),
-            self.texts[i],
-        )
+            return ChunkTable(*row)
+        chunk_id, offset, count, text = row
+        return Chunk(chunk_id, int(offset), int(count), text)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChunkTable):
             return NotImplemented
         return (
             self.chunk_ids == other.chunk_ids
-            and self.doc_ids == other.doc_ids
             and np.array_equal(self.token_offsets, other.token_offsets)
             and np.array_equal(self.token_counts, other.token_counts)
             and self.texts == other.texts
@@ -376,17 +368,17 @@ class ChunkTable(Sequence[Chunk]):
 
 
 def save_chunks(chunks: ChunkTable, out_dir: str | Path) -> None:
-    """Write ``CHUNK_ARRAYS``: the ``[chunk_id, doc_id]`` pairs as the UTF-8
-    bytes of a JSON list, the token offsets and counts (``<i4``), the N + 1
-    offsets of each text's bytes in the last array (``<i8``), each text's
-    encoding (``PAGE`` or ``UTF16``) and every text's bytes.
+    """Write ``CHUNK_ARRAYS``: the chunk ids as the UTF-8 bytes of a JSON
+    list, the token offsets and counts (``<i4``), the N + 1 offsets of each
+    text's bytes in the last array (``<i8``), each text's encoding (``PAGE``
+    or ``UTF16``) and every text's bytes.
 
     A text is stored in ``GURMUKHI_PAGE``, one byte per codepoint, when the
     page holds each of its characters, and in UTF-16-LE otherwise. Chunks
     are at least half Gurmukhi, which takes 2 bytes a codepoint in UTF-16
     and 3 in UTF-8.
     """
-    ids = json.dumps(list(zip(chunks.chunk_ids, chunks.doc_ids)), ensure_ascii=False)
+    ids = json.dumps(chunks.chunk_ids, ensure_ascii=False)
     encodings: list[int] = []
     texts: list[bytes] = []
     for text in chunks.texts:
@@ -423,20 +415,14 @@ def parse_chunks(data: bytes) -> ChunkTable:
     """
     try:
         ids, token_offset, token_count, ends, encodings, text = _npy.read(data, CHUNK_ARRAYS)
-        pairs = _check_arrays(ids, token_offset, token_count, ends, encodings)
+        chunk_ids = _check_arrays(ids, token_offset, token_count, ends, encodings)
         view = text.data
         bounds = ends.tolist()
         texts = [
             _decode(view[lo:hi], encoding)
             for lo, hi, encoding in zip(bounds, bounds[1:], encodings.tolist())
         ]
-        return ChunkTable(
-            [cid for cid, _ in pairs],
-            [did for _, did in pairs],
-            token_offset.copy(),
-            token_count.copy(),
-            texts,
-        )
+        return ChunkTable(chunk_ids, token_offset.copy(), token_count.copy(), texts)
     except ValueError as exc:
         raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
 
@@ -453,17 +439,17 @@ def _check_arrays(
     token_count: np.ndarray,
     ends: np.ndarray,
     encodings: np.ndarray,
-) -> list[list[str]]:
-    """The ``[chunk_id, doc_id]`` pairs, once the arrays, which agree with
-    ``CHUNK_ARRAYS``, are found to mean chunks."""
-    pairs = json.loads(str(ids.data, "utf-8"))
-    if type(pairs) is not list or not all(
-        type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
-        for p in pairs
-    ):
-        raise ValueError("ids must be a JSON list of [chunk_id, doc_id] string pairs")
-    if len(pairs) != len(token_offset):
-        raise ValueError(f"ids has {len(pairs)} pairs for {len(token_offset)} chunks")
+) -> list[str]:
+    """The chunk ids, once the arrays, which agree with ``CHUNK_ARRAYS``, are
+    found to mean chunks."""
+    chunk_ids = json.loads(str(ids.data, "utf-8"))
+    if type(chunk_ids) is not list:
+        raise ValueError("ids must be a JSON list of chunk ids")
+    for cid in chunk_ids:
+        if type(cid) is not str or not _CHUNK_ID.fullmatch(cid):
+            raise ValueError(f"ids must be chunk ids <doc id>#<n>, not {cid!r}")
+    if len(chunk_ids) != len(token_offset):
+        raise ValueError(f"ids has {len(chunk_ids)} entries for {len(token_offset)} chunks")
     if (token_offset < 0).any() or (token_count < 0).any():
         raise ValueError("token_offset and token_count must be >= 0")
     if ends[0] != 0 or (ends[1:] < ends[:-1]).any():
@@ -472,6 +458,6 @@ def _check_arrays(
         raise ValueError(f"text encodings must be {PAGE} (the page) or {UTF16} (UTF-16-LE)")
     odd = (np.diff(ends) % 2 == 1) & (encodings == UTF16)
     if odd.any():
-        cid = pairs[int(np.argmax(odd))][0]
+        cid = chunk_ids[int(np.argmax(odd))]
         raise ValueError(f"chunk {cid!r} has an odd byte count: a UTF-16 code unit is 2 bytes")
-    return pairs
+    return chunk_ids

@@ -44,7 +44,7 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 MANIFEST_FILE = "manifest.json"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
@@ -124,8 +124,6 @@ class IndexManifest:
     format_version: int
     created_at: str
     chunk_count: int
-    tokenizer_sha256: str
-    embedder: EmbedderSpec
     config: EngineConfig
     files: dict[str, str]
 
@@ -448,8 +446,6 @@ def save_index(
             format_version=FORMAT_VERSION,
             created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             chunk_count=engine.chunk_count,
-            tokenizer_sha256=files[TOKENIZER_FILE],
-            embedder=engine.config.embedder,
             config=engine.config,
             files=files,
         )
@@ -468,8 +464,8 @@ def save_index(
 
 
 def _read_manifest(src: Path) -> IndexManifest:
-    """The manifest of the index at ``src``, once its format version, its
-    file list and the fields that repeat one another are found to agree."""
+    """The manifest of the index at ``src``, once its format version and its
+    file list are found to be this format's."""
     manifest_path = src / MANIFEST_FILE
     if not manifest_path.exists():
         raise FileNotFoundError(f"missing file: {manifest_path}")
@@ -491,10 +487,6 @@ def _read_manifest(src: Path) -> IndexManifest:
     for name in INDEX_FILES:
         if name not in manifest.files:
             raise ValueError(f"manifest does not list: {name}")
-    if manifest.tokenizer_sha256 != manifest.files[TOKENIZER_FILE]:
-        raise ValueError(f"manifest tokenizer_sha256 is not the digest of {TOKENIZER_FILE}")
-    if manifest.embedder != manifest.config.embedder:
-        raise ValueError("manifest embedder is not config.embedder")
     return manifest
 
 
@@ -519,8 +511,8 @@ def _parse_tokenizer(data: bytes) -> TokenizerModel:
 
 def load_index(in_dir: str | Path) -> RetrievalEngine:
     """Load a persisted engine, verifying the format version, that the
-    manifest lists exactly ``INDEX_FILES`` and agrees with itself and with
-    the files, and each file's digest.
+    manifest lists exactly ``INDEX_FILES`` and agrees with the files, and
+    each file's digest.
 
     Each file is read once, in ``INDEX_FILES`` order, and parsed from the
     bytes read while one worker thread hashes the same bytes (``hashlib``

@@ -186,7 +186,6 @@ class TokenizerModel:
             "word_end_marker": WORD_END,
             "vocab": self.vocab,
             "merges": [list(pair) for pair in self.merges],
-            "special": {"unk": self.vocab[UNK_TOKEN], "pad": self.vocab[PAD_TOKEN]},
         }
         return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
@@ -195,17 +194,27 @@ class TokenizerModel:
 
     @classmethod
     def from_json(cls, text: str) -> "TokenizerModel":
+        """The model ``to_json`` wrote; each refusal is a ``ValueError``
+        naming the key at fault."""
         payload = json.loads(text)
+        if type(payload) is not dict:
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         version = payload.get("version")
         if version != 1:
             raise ValueError(f"unsupported version: {version}")
         for key, fixed in (("normalization", NORMALIZATION), ("word_end_marker", WORD_END)):
             if payload.get(key) != fixed:
                 raise ValueError(f"unsupported {key}: {payload.get(key)!r} (only {fixed!r})")
-        return cls(
-            vocab={str(k): int(v) for k, v in payload["vocab"].items()},
-            merges=[(pair[0], pair[1]) for pair in payload["merges"]],
-        )
+        vocab, merges = payload.get("vocab"), payload.get("merges")
+        if type(vocab) is not dict or not all(type(i) is int for i in vocab.values()):
+            raise ValueError("vocab must be an object of int ids")
+        if UNK_TOKEN not in vocab or PAD_TOKEN not in vocab:
+            raise ValueError(f"vocab must hold {UNK_TOKEN} and {PAD_TOKEN}")
+        if type(merges) is not list or not all(
+            type(p) is list and len(p) == 2 and all(type(s) is str for s in p) for p in merges
+        ):
+            raise ValueError("merges must be a list of pairs of strings")
+        return cls(vocab=vocab, merges=list(map(tuple, merges)))
 
     @classmethod
     def load(cls, path: str | Path) -> "TokenizerModel":

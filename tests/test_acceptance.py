@@ -88,7 +88,7 @@ def test_bm25_brute_force_oracle():
             chunks = []
             for i in range(n_chunks):
                 words = [lexicon[j] for j in rng.integers(0, len(lexicon), size=rng.integers(4, 25))]
-                chunks.append(Chunk(f"c{i:03d}", "d", 0, len(words), " ".join(words)))
+                chunks.append(Chunk(f"c{i:03d}", 0, len(words), " ".join(words)))
             index = lexical.build_index([tok.encode(c.text) for c in chunks], tok.vocab_size())
             params = BM25Params()
             for _ in range(5):

@@ -165,7 +165,7 @@ class TestErrors:
         args = ["--out", str(index), "--config", str(root / "cfg.json")]
         assert main(["build", "--corpus", str(root / "corpus.jsonl"), *args]) == 0
         manifest = json.loads((index / "manifest.json").read_text(encoding="utf-8"))
-        manifest["config"]["embedder"]["dim"] = manifest["embedder"]["dim"] = 128
+        manifest["config"]["embedder"]["dim"] = 128
         (index / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         code = main(["query", bench.queries[0]["text"], "--index", str(index)])

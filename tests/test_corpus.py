@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 import unicodedata
@@ -298,10 +299,32 @@ class TestConfigValidation:
 
 class TestChunkRecord:
     def test_chunk_has_slots_and_stays_frozen(self):
-        c = Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ")
+        c = Chunk("d#0", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ")
         assert not hasattr(c, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.text = "x"
+
+
+class TestChunkId:
+    """A chunk id is its document's id, then "#" and the window's number."""
+
+    @pytest.mark.parametrize(
+        "chunk_id, doc_id", [("d#0", "d"), ("ਕ#12", "ਕ"), ("a#b#3", "a#b"), ("a b#0", "a b")]
+    )
+    def test_the_doc_id_is_the_chunk_id_before_its_last_hash(self, tmp_path, chunk_id, doc_id):
+        assert Chunk(chunk_id, 0, 1, "ਕ").doc_id == doc_id
+        save_chunks(ChunkTable.from_chunks([Chunk(chunk_id, 0, 1, "ਕ")]), tmp_path)
+        (loaded,) = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
+        assert (loaded.chunk_id, loaded.doc_id) == (chunk_id, doc_id)
+
+    @pytest.mark.parametrize(
+        "chunk_id", ["d", "d#", "#0", "d#x", "d#-1", "d#1.0", "d# 1", "d#0\n", "d#\u0661", ""]
+    )
+    def test_an_id_that_is_not_doc_id_hash_number_is_refused_by_name(self, tmp_path, chunk_id):
+        save_chunks(ChunkTable.from_chunks([Chunk(chunk_id, 0, 1, "ਕ")]), tmp_path)
+        match = f"^chunks.npy: ids must be chunk ids <doc id>#<n>, not {re.escape(repr(chunk_id))}$"
+        with pytest.raises(ValueError, match=match):
+            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
 
 
 class TestChunkTable:
@@ -311,7 +334,7 @@ class TestChunkTable:
     def test_increasing_ids_accepted(self):
         # Ordered as strings: "d#10" sorts before "d#2".
         ids = ["d#0", "d#1", "d#10", "d#2", "e#0"]
-        table = ChunkTable.from_chunks([Chunk(cid, "d", 0, 1, "ਕ") for cid in ids])
+        table = ChunkTable.from_chunks([Chunk(cid, 0, 1, "ਕ") for cid in ids])
         assert table.chunk_ids == ids
         assert table[1:4].chunk_ids == ids[1:4]
         assert ChunkTable.from_chunks([]).chunk_ids == []
@@ -321,23 +344,23 @@ class TestChunkTable:
         with pytest.raises(
             ValueError, match="^chunk_id 'd#10' follows 'd#2': chunk ids must increase$"
         ):
-            ChunkTable.from_chunks([Chunk(cid, "d", 0, 1, "ਕ") for cid in ids])
+            ChunkTable.from_chunks([Chunk(cid, 0, 1, "ਕ") for cid in ids])
 
     @pytest.mark.parametrize("ids", [["a", "a"], ["a", "b", "a"], ["a", "b", "c", "b"]])
     def test_repeated_id_rejected(self, ids):
         repeated = next(cid for cid in ids if ids.count(cid) > 1)
         with pytest.raises(ValueError, match=f"^chunk_id '{repeated}' is listed twice$"):
-            ChunkTable.from_chunks([Chunk(cid, "d", 0, 1, "ਕ") for cid in ids])
+            ChunkTable.from_chunks([Chunk(cid, 0, 1, "ਕ") for cid in ids])
 
 
 STORE = ChunkTable.from_chunks(
     [
-        Chunk("d#0", "d", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
-        Chunk("d#1", "d", 2, 2, "ਹੈ ਜੀ"),
-        Chunk("e#0", "e", 0, 0, ""),
+        Chunk("d#0", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
+        Chunk("d#1", 2, 2, "ਹੈ ਜੀ"),
+        Chunk("e#0", 0, 0, ""),
         # Outside the page: UTF-16-LE, where a codepoint beyond U+FFFF takes
         # two code units.
-        Chunk("ਕ#0", "ਕ", 7, 1, "𝄞 ਕ"),
+        Chunk("ਕ#0", 7, 1, "𝄞 ਕ"),
     ]
 )
 
@@ -435,24 +458,33 @@ STORE_FAULTS = {
     ),
     "ids_bad_json": (lambda a: [np.frombuffer(b"[[", np.uint8), *a[1:]], "Expecting value"),
     "ids_bad_utf8": (lambda a: [np.frombuffer(b"\xff", np.uint8), *a[1:]], "'utf-8' codec"),
-    "ids_an_object": (lambda a: [_ids({"d#0": "d"}), *a[1:]], "ids must be a JSON list"),
-    "ids_a_short_pair": (lambda a: [_ids([["a", "d"]] * 3 + [["a"]]), *a[1:]], "ids must"),
-    "ids_an_int_doc_id": (lambda a: [_ids([["a", "d"]] * 3 + [["a", 1]]), *a[1:]], "ids must"),
-    "ids_a_null_chunk_id": (
-        lambda a: [_ids([["a", "d"]] * 3 + [[None, "d"]]), *a[1:]], "ids must"
+    "ids_an_object": (
+        lambda a: [_ids({"d#0": "d"}), *a[1:]], "ids must be a JSON list of chunk ids$"
     ),
-    "ids_a_string": (lambda a: [_ids([["a", "d"]] * 3 + ["ad"]), *a[1:]], "ids must"),
-    "ids_a_triple": (lambda a: [_ids([["a", "d", "e"]] * 4), *a[1:]], "ids must"),
-    "ids_one_pair_short": (
-        lambda a: [_ids([["a", "d"]] * 3), *a[1:]], "ids has 3 pairs for 4 chunks$"
+    "ids_a_string": (lambda a: [_ids("d#0"), *a[1:]], "ids must be a JSON list of chunk ids$"),
+    # Format 6 stored a [chunk_id, doc_id] pair per chunk.
+    "ids_the_pairs_of_format_6": (
+        lambda a: [_ids([[c.chunk_id, c.doc_id] for c in STORE]), *a[1:]],
+        r"ids must be chunk ids <doc id>#<n>, not \['d#0', 'd'\]$",
+    ),
+    "ids_an_int_chunk_id": (
+        lambda a: [_ids(["d#0", "d#1", "e#0", 1]), *a[1:]],
+        "ids must be chunk ids <doc id>#<n>, not 1$",
+    ),
+    "ids_a_null_chunk_id": (
+        lambda a: [_ids(["d#0", "d#1", "e#0", None]), *a[1:]],
+        "ids must be chunk ids <doc id>#<n>, not None$",
+    ),
+    "ids_one_short": (
+        lambda a: [_ids(["d#0", "d#1", "e#0"]), *a[1:]], "ids has 3 entries for 4 chunks$"
     ),
     "ids_a_repeated_chunk_id": (
-        lambda a: [_ids([["a", "d"], ["b", "d"], ["a", "e"], ["c", "e"]]), *a[1:]],
-        "chunk_id 'a' is listed twice$",
+        lambda a: [_ids(["a#0", "b#0", "a#0", "c#0"]), *a[1:]],
+        "chunk_id 'a#0' is listed twice$",
     ),
     "ids_out_of_order": (
-        lambda a: [_ids([["a", "d"], ["c", "d"], ["b", "e"], ["d", "e"]]), *a[1:]],
-        "chunk_id 'b' follows 'c': chunk ids must increase$",
+        lambda a: [_ids(["a#0", "c#0", "b#0", "d#0"]), *a[1:]],
+        "chunk_id 'b#0' follows 'c#0': chunk ids must increase$",
     ),
 }
 
@@ -470,7 +502,7 @@ class TestGurmukhiPage:
         defined = bytes(b for b, ch in enumerate(GURMUKHI_PAGE) if ch != "\ufffe")
         text = "".join(GURMUKHI_PAGE[b] for b in defined)
         assert len(defined) == 256 - 25
-        save_chunks(ChunkTable.from_chunks([Chunk("p#0", "p", 0, 0, text)]), tmp_path)
+        save_chunks(ChunkTable.from_chunks([Chunk("p#0", 0, 0, text)]), tmp_path)
         *_, ends, encodings, blob = _read_arrays(tmp_path)
         assert (ends.tolist(), encodings.tolist()) == ([0, len(defined)], [PAGE])
         assert blob.tobytes() == defined
@@ -484,14 +516,14 @@ class TestGurmukhiPage:
 
     def test_chunks_outside_the_page_fall_back_to_utf_16(self, tmp_path):
         chunks = [
-            Chunk("a#0", "a", 0, 2, "ਸਤਿ ਨਾਮ। ੴ ੧੨੩॥"),
-            Chunk("b#0", "b", 0, 1, "café ਕ"),  # a Latin-1 letter
-            Chunk("c#0", "c", 0, 1, "ਹੈ\u200cਜੀ\u200d 42 ok\n"),
-            Chunk("d#0", "d", 0, 1, "𝄞 ਕ"),  # an astral character
-            Chunk("e#0", "e", 0, 1, "ਕ\x07ਖ"),  # a C0 control
-            Chunk("f#0", "f", 0, 0, ""),
-            Chunk("g#0", "g", 0, 1, "\ufffe"),  # the page's undefined marker
-            Chunk("h#0", "h", 0, 1, "ਕ\x00ਖ"),
+            Chunk("a#0", 0, 2, "ਸਤਿ ਨਾਮ। ੴ ੧੨੩॥"),
+            Chunk("b#0", 0, 1, "café ਕ"),  # a Latin-1 letter
+            Chunk("c#0", 0, 1, "ਹੈ\u200cਜੀ\u200d 42 ok\n"),
+            Chunk("d#0", 0, 1, "𝄞 ਕ"),  # an astral character
+            Chunk("e#0", 0, 1, "ਕ\x07ਖ"),  # a C0 control
+            Chunk("f#0", 0, 0, ""),
+            Chunk("g#0", 0, 1, "\ufffe"),  # the page's undefined marker
+            Chunk("h#0", 0, 1, "ਕ\x00ਖ"),
         ]
         save_chunks(ChunkTable.from_chunks(chunks), tmp_path)
         *_, ends, encodings, blob = _read_arrays(tmp_path)
@@ -527,14 +559,14 @@ class TestChunkPersistence:
         assert (ends.dtype.str, token_offset.dtype.str, token_count.dtype.str) == (
             "<i8", "<i4", "<i4"
         )
-        assert json.loads(ids.tobytes()) == [[c.chunk_id, c.doc_id] for c in STORE]
+        assert json.loads(ids.tobytes()) == STORE.chunk_ids
 
     def test_load_holds_no_copy_of_the_text_bytes(self, tmp_path):
         rng = random.Random(0)
         letters = [chr(c) for c in range(0x0A15, 0x0A39)]
         words = ("".join(rng.choices(letters, k=5)) for _ in range(400 * 600))
         chunks = [
-            Chunk(f"d{i:03d}#0", f"d{i:03d}", 0, 600, " ".join(islice(words, 600)))
+            Chunk(f"d{i:03d}#0", 0, 600, " ".join(islice(words, 600)))
             for i in range(400)
         ]
         save_chunks(ChunkTable.from_chunks(chunks), tmp_path)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from qrag import lexical, semantic, synthetic
+from qrag.cli import main
 from qrag.corpus import CHUNKS_FILE, CleaningConfig, parse_chunks
 from qrag.engine import (
     INDEX_FILES,
@@ -95,8 +96,6 @@ def _re_sign(index_dir, name, data):
     manifest = json.loads((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
     digest = hashlib.sha256(data).hexdigest()
     manifest["files"][name] = digest
-    if name == TOKENIZER_FILE:
-        manifest["tokenizer_sha256"] = digest
     (index_dir / MANIFEST_FILE).write_text(json.dumps(manifest), encoding="utf-8")
 
 
@@ -166,3 +165,32 @@ def test_every_damaged_file_fails_cleanly(pristine, tmp_path, name):
         if fault is not None:
             faults.append(f"{label}: {fault}")
     assert not faults, f"{len(faults)} cases of {name}:\n" + "\n".join(faults[:20])
+
+
+# Valid JSON in the wrong shape, which no flipped or cut byte makes, from the
+# undamaged payload.
+TOKENIZER_SHAPES = {
+    "a_list": lambda p: [],
+    "an_empty_object": lambda p: {},
+    "no_merges": lambda p: {key: value for key, value in p.items() if key != "merges"},
+    "a_float_id": lambda p: {**p, "vocab": {**p["vocab"], "<pad>": 1.0}},
+    "a_3_item_merge": lambda p: {**p, "merges": [[*p["merges"][0], "x"], *p["merges"][1:]]},
+    # The ids stay dense from 0: only the token is missing.
+    "no_unk": lambda p: {
+        **p, "vocab": {("<unk?>" if t == "<unk>" else t): i for t, i in p["vocab"].items()}
+    },
+}
+
+
+@pytest.mark.parametrize("shape", TOKENIZER_SHAPES, ids=list(TOKENIZER_SHAPES))
+def test_a_tokenizer_of_the_wrong_shape_fails_cleanly(pristine, tmp_path, capsys, shape):
+    index_dir = tmp_path / "index"
+    shutil.copytree(pristine, index_dir)
+    payload = TOKENIZER_SHAPES[shape](json.loads((pristine / TOKENIZER_FILE).read_bytes()))
+    _re_sign(index_dir, TOKENIZER_FILE, json.dumps(payload).encode())
+    with pytest.raises(ValueError, match=f"^{TOKENIZER_FILE}: "):
+        load_index(index_dir)
+    capsys.readouterr()
+    assert main(["query", QUERIES[0], "--index", str(index_dir)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {TOKENIZER_FILE}: ")

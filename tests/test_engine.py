@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qrag import _records, lexical, quantum, semantic, synthetic
-from qrag.corpus import CHUNKS_FILE, CleaningConfig, parse_chunks, save_chunks
+from qrag.corpus import CHUNKS_FILE, ChunkTable, CleaningConfig, parse_chunks, save_chunks
 from qrag.engine import (
     CONTEXT_DELIMITER,
     INDEX_FILES,
@@ -79,7 +79,7 @@ class TestBuildAll:
         # offset, encoding), then a byte per codepoint of its Gurmukhi text.
         engine, _, index_dir, _, _ = small_engine
         chunks = engine.chunks
-        ids = json.dumps([[c.chunk_id, c.doc_id] for c in chunks], ensure_ascii=False)
+        ids = json.dumps(chunks.chunk_ids, ensure_ascii=False)
         fixed = 6 * 128 + len(ids.encode()) + 8 + 17 * len(chunks)
         size = (index_dir / "chunks.npy").stat().st_size
         assert size <= fixed + sum(len(c.text) for c in chunks)
@@ -477,9 +477,10 @@ class TestChunkIdOrder:
             assert all(a < b for a, b in zip(ids, ids[1:]))
         # Rows are not in file order: line-10 comes before line-2, and a
         # document's chunk 10 before its chunk 2.
-        docs = list(dict.fromkeys(stored.doc_ids))
+        doc_ids = [c.doc_id for c in stored]
+        docs = list(dict.fromkeys(doc_ids))
         assert docs != sorted(docs, key=lambda d: int(d.split("-")[1]))
-        assert max(stored.doc_ids.count(d) for d in docs) >= 11
+        assert max(doc_ids.count(d) for d in docs) >= 11
 
     def test_hits_tie_break_on_chunk_id_in_every_mode(self, line_id_index):
         engine = load_index(line_id_index)
@@ -854,8 +855,11 @@ class TestPersistence:
             # Version 5 kept the rows in build order, which need not be
             # chunk-id order, under the file names of version 6.
             (5, None),
+            # Version 6 kept a doc id beside each chunk id in chunks.npy, and
+            # the tokenizer digest and the embedder twice in the manifest.
+            (6, None),
         ],
-        ids=["v1", "v2", "v3", "v4", "v5"],
+        ids=["v1", "v2", "v3", "v4", "v5", "v6"],
     )
     def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version, files):
         engine, *_ = small_engine
@@ -881,7 +885,7 @@ def _edit_manifest(index_dir, edit):
 
 def _set_dim(dim):
     def edit(manifest):
-        manifest["config"]["embedder"]["dim"] = manifest["embedder"]["dim"] = dim
+        manifest["config"]["embedder"]["dim"] = dim
 
     return edit
 
@@ -900,14 +904,6 @@ MANIFEST_FAULTS = {
     "chunk_count_above_the_chunks": (
         lambda m: m.update(chunk_count=m["chunk_count"] + 1),
         "^manifest chunk_count is {m}, but chunks.npy holds {n} chunks$",
-    ),
-    "tokenizer_sha256_not_the_file_digest": (
-        lambda m: m.update(tokenizer_sha256="0" * 64),
-        "^manifest tokenizer_sha256 is not the digest of tokenizer.json$",
-    ),
-    "embedder_not_config_embedder": (
-        lambda m: m["embedder"].update(dim=128),
-        "^manifest embedder is not config.embedder$",
     ),
 }
 
@@ -945,6 +941,34 @@ class TestLoad:
         _edit_manifest(tmp_path / "index", edit)
         n = engine.chunk_count
         with pytest.raises(ValueError, match=match.format(n=n, m=n + 1)):
+            load_index(tmp_path / "index")
+
+    @pytest.mark.parametrize("key", ["tokenizer_sha256", "embedder"])
+    def test_a_field_of_format_6_is_an_unknown_key(self, small_engine, tmp_path, key):
+        # Format 6 repeated the digest of tokenizer.json and config.embedder.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        value = {"tokenizer_sha256": "0" * 64, "embedder": {"kind": "hash_projection"}}[key]
+        _edit_manifest(tmp_path / "index", lambda m: m.update({key: value}))
+        with pytest.raises(ValueError, match=f"^unknown key: {key}$"):
+            load_index(tmp_path / "index")
+
+    def test_a_re_signed_chunk_id_without_a_number_is_refused_by_name(
+        self, small_engine, tmp_path
+    ):
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        chunks = engine.chunks
+        bad = chunks.chunk_ids[0].rpartition("#")[0]  # still the first in order
+        ids = [bad, *chunks.chunk_ids[1:]]
+        save_chunks(
+            ChunkTable(ids, chunks.token_offsets, chunks.token_counts, chunks.texts),
+            tmp_path / "index",
+        )
+        digest = hashlib.sha256((tmp_path / "index" / CHUNKS_FILE).read_bytes()).hexdigest()
+        _edit_manifest(tmp_path / "index", lambda m: m["files"].update({CHUNKS_FILE: digest}))
+        match = f"^chunks.npy: ids must be chunk ids <doc id>#<n>, not {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "index")
 
     def test_a_dim_that_matches_the_vectors_loads(self, small_engine, tmp_path):

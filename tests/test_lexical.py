@@ -101,25 +101,25 @@ def word_model():
 
 class TestBuildIndex:
     def test_equal_lengths_give_avgdl(self, word_model):
-        chunks = [Chunk(f"c{i}", "d", 0, 4, "w1 w2 w3 w4") for i in range(3)]
+        chunks = [Chunk(f"c{i}", 0, 4, "w1 w2 w3 w4") for i in range(3)]
         ix = _index(chunks, word_model)
         assert ix.N == 3
         assert ix.avgdl == pytest.approx(ix.doc_len[0])
 
     def test_repeated_term_single_posting_with_tf(self, word_model):
-        ix = _index([Chunk("c0", "d", 0, 4, "w1 w1 w2 w3")], word_model)
+        ix = _index([Chunk("c0", 0, 4, "w1 w1 w2 w3")], word_model)
         (term,) = word_model.encode("w1")
         assert _pairs(ix, term) == [(0, 2)]
 
     def test_absent_term_has_no_postings(self, word_model):
-        ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
+        ix = _index([Chunk("c0", 0, 2, "w1 w2")], word_model)
         (term,) = word_model.encode("w9")
         # Term j is vocab id j, held by a chunk or not.
         assert len(ix.offsets) == word_model.vocab_size() + 1
         assert _pairs(ix, term) == []
 
     def test_postings_follow_row_order(self, word_model):
-        chunks = [Chunk(f"c{i}", "d", 0, 2, "w1 w2") for i in range(3)]
+        chunks = [Chunk(f"c{i}", 0, 2, "w1 w2") for i in range(3)]
         ix = _index(chunks, word_model)
         (term,) = word_model.encode("w1")
         assert ix.postings(term)[0].tolist() == [0, 1, 2]
@@ -234,7 +234,7 @@ class TestIdf:
 
     def test_kept_idfs_are_idf_bitwise(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(400, seed=7, lexicon_size=300)
-        chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
+        chunks = [Chunk(r["id"] + "#0", 0, 0, r["text"]) for r in records]
         built = _index(chunks, synth_tokenizer)
         save(built, tmp_path)
         reloaded = _reload(tmp_path, built.N, synth_tokenizer.vocab_size())
@@ -303,16 +303,16 @@ def _random_corpus(rng, n_chunks, model, vocab):
     chunks = []
     for i in range(n_chunks):
         words = rng.choice(vocab, size=rng.integers(4, 30))
-        chunks.append(Chunk(f"c{i:03d}", "d", 0, len(words), " ".join(words)))
+        chunks.append(Chunk(f"c{i:03d}", 0, len(words), " ".join(words)))
     return chunks
 
 
 class TestSearch:
     def test_unique_term_ranks_first(self, word_model):
         chunks = [
-            Chunk("c0", "d", 0, 3, "w1 w2 w3"),
-            Chunk("c1", "d", 0, 3, "w9 w2 w3"),
-            Chunk("c2", "d", 0, 3, "w4 w5 w6"),
+            Chunk("c0", 0, 3, "w1 w2 w3"),
+            Chunk("c1", 0, 3, "w9 w2 w3"),
+            Chunk("c2", 0, 3, "w4 w5 w6"),
         ]
         ix = _index(chunks, word_model)
         results = search(ix, BM25Params(), word_model.encode("w9"), 3)
@@ -339,12 +339,12 @@ class TestSearch:
             assert got == brute  # rows and bitwise-equal scores
 
     def test_k_larger_than_candidates_returns_all(self, word_model):
-        chunks = [Chunk("c0", "d", 0, 2, "w1 w2"), Chunk("c1", "d", 0, 2, "w3 w4")]
+        chunks = [Chunk("c0", 0, 2, "w1 w2"), Chunk("c1", 0, 2, "w3 w4")]
         ix = _index(chunks, word_model)
         assert len(search(ix, BM25Params(), word_model.encode("w1"), 50)) == 1
 
     def test_empty_query_returns_empty(self, word_model):
-        ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
+        ix = _index([Chunk("c0", 0, 2, "w1 w2")], word_model)
         assert search(ix, BM25Params(), word_model.encode("   "), 5) == []
 
     def test_prefix_property(self, word_model):
@@ -378,7 +378,7 @@ class TestSearch:
     def test_unheld_ids_have_no_postings(self, word_model):
         # A word of a fresh symbol is <unk>, and a word of known symbols
         # that no chunk holds is its own pieces: neither scores a chunk.
-        ix = _index([Chunk("c0", "d", 0, 2, "w1 w2")], word_model)
+        ix = _index([Chunk("c0", 0, 2, "w1 w2")], word_model)
         fresh = word_model.encode("w9 ਙ")
         assert word_model.unk_id in fresh
         for term in fresh:
@@ -800,7 +800,7 @@ class TestPersistence:
 
     def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
-        chunks = [Chunk(r["id"] + "#0", r["id"], 0, 0, r["text"]) for r in records]
+        chunks = [Chunk(r["id"] + "#0", 0, 0, r["text"]) for r in records]
         save(_index(chunks, synth_tokenizer), tmp_path)
         data = (tmp_path / LEXICAL_FILE).read_bytes()
         tracemalloc.start()

@@ -55,7 +55,7 @@ def _chunks(n):
     # UTF-16-LE; the others are in the one-byte page.
     texts = ("ਸਤਿ ਨਾਮ" * (i % 3) + ("𝄞" if i % 5 == 0 else "") for i in range(n))
     return ChunkTable.from_chunks(
-        Chunk(f"d{i:04d}#0", f"d{i:04d}", i, 3, text) for i, text in enumerate(texts)
+        Chunk(f"d{i:04d}#0", i, 3, text) for i, text in enumerate(texts)
     )
 
 

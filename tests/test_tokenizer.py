@@ -147,7 +147,7 @@ class TestTrainBpe:
         # every line: counting whitespace tokens first must not change it.
         model = train_bpe(synth_lines[:80], vocab_size=3000)
         digest = hashlib.sha256(model.to_json().encode("utf-8")).hexdigest()
-        assert digest == "155ee6da0aad5d0f6ad287c6bd58b1b2c9e4cd3fd034866647c614270c2d38b9"
+        assert digest == "58a3ebbc9c0a6b28f5cdd7325e497e33d6f2dc65682e598c7bbbf41829aca7ce"
 
     def test_training_splits_each_distinct_token_once(self, synth_lines, monkeypatch):
         calls: Counter[str] = Counter()
@@ -426,7 +426,14 @@ class TestSerialization:
         assert payload["word_end_marker"] == "</w>"
         assert isinstance(payload["vocab"], dict)
         assert all(len(pair) == 2 for pair in payload["merges"])
-        assert payload["special"]["unk"] == synth_tokenizer.unk_id
+        # The special tokens are in the vocab; nothing else names their ids.
+        assert set(payload) == {"version", "normalization", "word_end_marker", "vocab", "merges"}
+
+    def test_a_file_that_names_the_special_ids_still_loads(self):
+        model = train_bpe(["ab ab cd"], vocab_size=20)
+        payload = json.loads(model.to_json())
+        payload["special"] = {"unk": model.unk_id, "pad": model.vocab["<pad>"]}
+        assert TokenizerModel.from_json(json.dumps(payload)) == model
 
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError, match="unsupported version"):
@@ -451,3 +458,67 @@ class TestSerialization:
         assert a == b
         a.encode("ab")
         assert a == b
+
+
+def _payload(change):
+    payload = json.loads(train_bpe(["ab ab cd"], vocab_size=20).to_json())
+    change(payload)
+    return payload
+
+
+# Each JSON value that is not a model, and the refusal, which names the key.
+SHAPE_FAULTS = {
+    "a_list": ([], "^expected a JSON object, got list$"),
+    "an_empty_object": ({}, "^unsupported version: None$"),
+    "no_vocab": (_payload(lambda p: p.pop("vocab")), "^vocab must be an object of int ids$"),
+    "no_merges": (
+        _payload(lambda p: p.pop("merges")), "^merges must be a list of pairs of strings$"
+    ),
+    "a_vocab_list": (
+        _payload(lambda p: p.update(vocab=["<unk>"])), "^vocab must be an object of int ids$"
+    ),
+    "a_float_id": (
+        _payload(lambda p: p["vocab"].update(a=1.9)), "^vocab must be an object of int ids$"
+    ),
+    "a_bool_id": (
+        _payload(lambda p: p["vocab"].update(a=True)), "^vocab must be an object of int ids$"
+    ),
+    "a_string_id": (
+        _payload(lambda p: p["vocab"].update(a="1")), "^vocab must be an object of int ids$"
+    ),
+    "no_unk": (
+        # The ids stay dense from 0: only the token is missing.
+        _payload(lambda p: p["vocab"].update({"<unk?>": p["vocab"].pop("<unk>")})),
+        "^vocab must hold <unk> and <pad>$",
+    ),
+    "no_pad": (
+        # The ids stay dense from 0: only the token is missing.
+        _payload(lambda p: p["vocab"].update({"<pad?>": p["vocab"].pop("<pad>")})),
+        "^vocab must hold <unk> and <pad>$",
+    ),
+    "merges_an_object": (
+        _payload(lambda p: p.update(merges={})), "^merges must be a list of pairs of strings$"
+    ),
+    "a_3_item_merge": (
+        _payload(lambda p: p["merges"][0].append("c")),
+        "^merges must be a list of pairs of strings$",
+    ),
+    "a_1_item_merge": (
+        _payload(lambda p: p["merges"][0].pop()), "^merges must be a list of pairs of strings$"
+    ),
+    "a_merge_of_ints": (
+        _payload(lambda p: p["merges"].append([1, 2])),
+        "^merges must be a list of pairs of strings$",
+    ),
+    "a_merge_string": (
+        _payload(lambda p: p["merges"].append("ab")),
+        "^merges must be a list of pairs of strings$",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", SHAPE_FAULTS, ids=list(SHAPE_FAULTS))
+def test_json_that_is_not_a_model_is_refused_by_key(fault):
+    payload, match = SHAPE_FAULTS[fault]
+    with pytest.raises(ValueError, match=match):
+        TokenizerModel.from_json(json.dumps(payload))
