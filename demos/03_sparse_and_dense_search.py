@@ -52,13 +52,19 @@ for t in tok.encode(rare_term):
 
 # -- dense leg -------------------------------------------------------------------
 
-# One row of token vectors per vocab id, filled as embeds first need them,
-# and each id's weight: its idf where a chunk holds it, 1.0 where none does.
+# Each vocab id's weight: its idf where a chunk holds it, 1.0 where none
+# does. The table holds no vectors: embedding every chunk takes them from one
+# matrix of the whole vocabulary's, computed once and then dropped, and a
+# query's embed computes the vectors of its own ids.
 spec = EmbedderSpec(kind="hash_projection", dim=256)
 weights = np.where(np.diff(index.offsets) > 0, index.idfs, 1.0)
 table = semantic.TokenTable(tok.tokens, weights, spec.dim)
-vectors = [semantic.embed(ids, table) for ids in chunk_terms]
+matrix = semantic.token_matrix(tok.tokens, spec.dim)
+vectors = [semantic.embed(ids, table, matrix) for ids in chunk_terms]
 vindex = VectorIndex.build(len(chunks), vectors)
+print(f"\ntoken matrix for the build: {matrix.shape[0]} x {matrix.shape[1]} float64, "
+      f"{matrix.nbytes / 2**20:.2f} MiB, dropped once every chunk is embedded")
+del matrix
 
 # A paraphrase-like query: most of the words of doc 7, shuffled.
 words = lines[7].split()
@@ -69,8 +75,10 @@ print(f"\ndense search for a shuffled subset of doc 7's words:")
 for row, score in semantic.search_exact(vindex, q, 3):
     print(f"  row {row} = {chunks[row].chunk_id}: cosine={score:.4f}")
 
-print(f"\ntoken table: {table.filled.sum()} of {len(table.tokens)} rows filled")
 print("\nexact self-match:")
 q_self = semantic.embed(tok.encode(lines[7]), table)
 row, score = semantic.search_exact(vindex, q_self, 1)[0]
 print(f"  row {row} = {chunks[row].chunk_id}: cosine={score:.4f}")
+# A query's own vectors are the matrix's rows, bit for bit.
+assert np.array_equal(q_self, vectors[7])
+print(f"token table: {len(table.weights)} weights, no vectors")

@@ -141,7 +141,8 @@ def ingest_jsonl(path: str | Path, stats: dict | None = None) -> Iterator[RawDoc
                 text = obj["text"]
                 if not isinstance(text, str):
                     raise ValueError("text is not a string")
-            except (UnicodeDecodeError, ValueError, KeyError) as exc:
+            # RecursionError: JSON nested deeper than the decoder's limit.
+            except (UnicodeDecodeError, ValueError, KeyError, RecursionError) as exc:
                 logger.debug("skipping line %d of %s: %s", lineno, path, exc)
                 if stats is not None:
                     stats["malformed"] += 1
@@ -442,7 +443,10 @@ def _check_arrays(
 ) -> list[str]:
     """The chunk ids, once the arrays, which agree with ``CHUNK_ARRAYS``, are
     found to mean chunks."""
-    chunk_ids = json.loads(str(ids.data, "utf-8"))
+    try:
+        chunk_ids = json.loads(str(ids.data, "utf-8"))
+    except RecursionError as exc:  # JSON nested too deep
+        raise ValueError(f"ids: {exc}") from None
     if type(chunk_ids) is not list:
         raise ValueError("ids must be a JSON list of chunk ids")
     for cid in chunk_ids:

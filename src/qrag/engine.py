@@ -182,7 +182,8 @@ def _truncate_to_budget(text: str, budget: int, tok: TokenizerModel) -> str:
 
 
 class RetrievalEngine:
-    """An immutable, shareable retrieval engine over built indexes."""
+    """An immutable, shareable retrieval engine over built indexes: a
+    retrieve writes nothing into it but the tokenizer's bounded word cache."""
 
     def __init__(
         self,
@@ -204,8 +205,9 @@ class RetrievalEngine:
         self.lexical_index = lexical_index
         self.vector_index = vector_index
         self.config = config
-        # The dense leg's token vectors, one row per vocab id; an engine
-        # whose chunk vectors come from a file has no text encoder.
+        # The dense leg's weight of each vocab id; a query's token vectors are
+        # computed by each embed. An engine whose chunk vectors come from a
+        # file has no text encoder.
         self.token_table = None
         if config.embedder.kind == "hash_projection":
             self.token_table = _token_table(tokenizer, lexical_index, config.embedder.dim)
@@ -360,8 +362,8 @@ def prepare(
 
 
 def _token_table(tok: TokenizerModel, index: InvertedIndex, dim: int) -> semantic.TokenTable:
-    """The dense leg's token table: each vocab id's weight is its idf where a
-    chunk holds it, and 1.0 where none does."""
+    """The dense leg's weights: each vocab id's is its idf where a chunk
+    holds it, and 1.0 where none does."""
     weights = np.where(np.diff(index.offsets) > 0, index.idfs, 1.0)
     return semantic.TokenTable(tok.tokens, weights, dim)
 
@@ -390,13 +392,14 @@ def build_all(
             vec_index = semantic.load_external_embeddings(cfg.embedder.path, chunks.chunk_ids)
         else:
             table = _token_table(tok, lex_index, cfg.embedder.dim)
+            # Every token's vector, computed once for all the chunks' embeds
+            # and freed with the stage: the engine holds none.
+            matrix = semantic.token_matrix(tok.tokens, cfg.embedder.dim)
             # popleft drops each chunk's ids once they are embedded.
             n = len(chunks)
-            vectors = (semantic.embed(chunk_terms.popleft(), table) for _ in range(n))
+            vectors = (semantic.embed(chunk_terms.popleft(), table, matrix) for _ in range(n))
             vec_index = VectorIndex.build(n, vectors)
-            # Freed before the engine below makes its own, so that the two
-            # tables are never held at once.
-            del table, vectors
+            del matrix, vectors
 
     engine = RetrievalEngine(chunks, tok, lex_index, vec_index, cfg)
     with _stage("save"):
@@ -471,7 +474,7 @@ def _read_manifest(src: Path) -> IndexManifest:
         raise FileNotFoundError(f"missing file: {manifest_path}")
     try:
         raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ValueError(f"{MANIFEST_FILE}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{MANIFEST_FILE}: expected a JSON object")
@@ -505,7 +508,7 @@ def _check_digests(manifest: IndexManifest, digests: Mapping[str, Future]) -> No
 def _parse_tokenizer(data: bytes) -> TokenizerModel:
     try:
         return TokenizerModel.from_json(data.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # the latter: JSON nested too deep
         raise ValueError(f"{TOKENIZER_FILE}: {exc}") from None
 
 

@@ -4,10 +4,10 @@ exact-scan vector index.
 The built-in embedder maps each vocabulary token to a pseudo-random unit
 vector seeded by an FNV-1a hash of its bytes, then L2-normalizes the
 IDF-weighted bag-of-tokens sum. A ``TokenTable`` holds one vocabulary's
-vectors and weights, keyed by vocab id, and each engine owns its own: the
-module keeps no state. It is fully deterministic across platforms, which
-makes the whole retrieval stack testable without any ML dependency;
-externally computed embeddings can be loaded from JSONL instead.
+weights, keyed by vocab id, and no vectors: an embed computes the vectors of
+its own ids, and the module keeps no state. It is fully deterministic across
+platforms, which makes the whole retrieval stack testable without any ML
+dependency; externally computed embeddings can be loaded from JSONL instead.
 """
 
 from __future__ import annotations
@@ -103,32 +103,44 @@ def token_vector(token: str, dim: int) -> np.ndarray:
     return token_vectors([token], dim)[0]
 
 
-class TokenTable:
-    """One vocabulary's token vectors and dense-leg weights, by vocab id.
+def token_matrix(tokens: Sequence[str], dim: int) -> np.ndarray:
+    """``token_vectors(tokens, dim)``, computed ``ROW_BLOCK_ROWS`` tokens at
+    a time, so that its scratch stays a few blocks whatever the vocabulary.
+    Each row is the same bits either way."""
+    matrix = np.empty((len(tokens), dim), dtype=np.float64)
+    for start in range(0, len(tokens), ROW_BLOCK_ROWS):
+        matrix[start : start + ROW_BLOCK_ROWS] = token_vectors(
+            tokens[start : start + ROW_BLOCK_ROWS], dim
+        )
+    return matrix
 
-    Row ``i`` of ``rows`` is ``token_vector(tokens[i], dim)``, computed the
-    first time an embed needs it, so memory grows with the ids embedded and
-    never past the vocabulary. ``weights[i]`` is id ``i``'s weight, one
-    float64 per token. Safe under concurrent use: a row is written before it
-    is marked filled, and threads racing on one row write the same bytes.
-    """
+
+class TokenTable:
+    """One vocabulary's dense-leg weights by vocab id, and the dim of its
+    token vectors: ``weights[i]`` is id ``i``'s weight, one float64 per
+    token. It holds no vectors, so it never grows, and it is never written
+    after it is made."""
 
     def __init__(self, tokens: Sequence[str], weights: np.ndarray, dim: int) -> None:
         self.tokens = tokens
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.shape != (len(tokens),):
             raise ValueError(f"{len(self.weights)} weights for {len(tokens)} tokens")
-        self.rows = np.zeros((len(tokens), dim), dtype=np.float64)
-        self.filled = np.zeros(len(tokens), dtype=bool)
+        self.dim = dim
 
 
-def embed(ids: Sequence[int], table: TokenTable | None) -> np.ndarray:
+def embed(
+    ids: Sequence[int], table: TokenTable | None, matrix: np.ndarray | None = None
+) -> np.ndarray:
     """L2-normalized sum of the ids' token vectors, each weighted by its
     count times its table weight, in first-appearance order.
 
-    ``table`` is None for an engine without a text encoder. Raises
-    ``ValueError("degenerate_embedding")`` when the weighted sum vanishes
-    (all-zero weights or antipodal cancellation).
+    The vectors of the distinct ids are computed here, unless ``matrix``,
+    ``token_matrix`` of the table's tokens, is given to take them from: a
+    caller that embeds every chunk of a corpus computes it once. Both give
+    the same bits. ``table`` is None for an engine without a text encoder.
+    Raises ``ValueError("degenerate_embedding")`` when the weighted sum
+    vanishes (all-zero weights or antipodal cancellation).
     """
     if table is None:
         raise ValueError(
@@ -141,13 +153,12 @@ def embed(ids: Sequence[int], table: TokenTable | None) -> np.ndarray:
     order = np.fromiter(counts, dtype=np.intp, count=len(counts))
     if order.min() < 0 or order.max() >= len(table.tokens):
         raise ValueError("token id out of range")
-    missing = order[~table.filled[order]]
-    if len(missing):
-        new = [table.tokens[i] for i in missing]
-        table.rows[missing] = token_vectors(new, table.rows.shape[1])
-        table.filled[missing] = True
+    if matrix is None:
+        vectors = token_vectors([table.tokens[i] for i in order], table.dim)
+    else:
+        vectors = matrix[order]
     weights = np.fromiter(counts.values(), dtype=np.float64, count=len(order))
-    vec = (weights * table.weights[order]) @ table.rows[order]
+    vec = (weights * table.weights[order]) @ vectors
     norm = math.sqrt(float(np.dot(vec, vec)))
     if norm < 1e-12:
         raise ValueError("degenerate_embedding")

@@ -58,7 +58,8 @@ class SearchHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def log_message(self, fmt: str, *args) -> None:
-        logger.debug("%s - %s", self.address_string(), fmt % args)
+        # Formatted by logging, and only when DEBUG is on.
+        logger.debug("%s - " + fmt, self.address_string(), *args)
 
     def do_GET(self) -> None:
         if self.path == "/v1/health":
@@ -82,7 +83,7 @@ class SearchHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):  # the last: nested too deep
             self._send_json(400, {"error": "invalid JSON body"})
             return
         if not isinstance(payload, dict) or not isinstance(payload.get("query"), str):

@@ -90,6 +90,15 @@ class TestIngest:
         assert [d.doc_id for d in docs] == ["a"]
         assert stats["malformed"] == 1
 
+    def test_json_nested_too_deep_is_malformed(self, tmp_path):
+        # Deeper than the JSON decoder's recursion limit: a RecursionError
+        # that failed the whole build before.
+        nested = b'{"id": "b", "text": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        path = _write_jsonl(tmp_path, [json.dumps({"id": "a", "text": "one"}).encode(), nested])
+        stats = {}
+        assert [d.doc_id for d in ingest_jsonl(path, stats)] == ["a"]
+        assert stats["malformed"] == 1
+
     def test_non_string_text_is_malformed(self, tmp_path):
         path = _write_jsonl(tmp_path, [json.dumps({"id": "a", "text": 7}).encode()])
         stats = {}
@@ -458,6 +467,11 @@ STORE_FAULTS = {
     ),
     "ids_bad_json": (lambda a: [np.frombuffer(b"[[", np.uint8), *a[1:]], "Expecting value"),
     "ids_bad_utf8": (lambda a: [np.frombuffer(b"\xff", np.uint8), *a[1:]], "'utf-8' codec"),
+    # Deeper than the JSON decoder's recursion limit: a RecursionError before.
+    "ids_nested_too_deep": (
+        lambda a: [np.frombuffer(b"[" * 100_000 + b"]" * 100_000, np.uint8), *a[1:]],
+        "ids: maximum recursion depth exceeded",
+    ),
     "ids_an_object": (
         lambda a: [_ids({"d#0": "d"}), *a[1:]], "ids must be a JSON list of chunk ids$"
     ),

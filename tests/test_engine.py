@@ -527,16 +527,50 @@ def dim16_index(small_engine, tmp_path_factory):
     return out
 
 
+def _state(engine):
+    """Each numpy array reachable from ``engine``, by path, as its dtype,
+    shape and digest, and one digest of every other value it reaches: all of
+    the engine but the tokenizer's word cache, which ``WORD_CACHE_MAX``
+    bounds."""
+    arrays, values, seen = {}, hashlib.sha256(), set()
+
+    def walk(path, obj):
+        if isinstance(obj, np.ndarray):
+            digest = hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()
+            arrays[path] = (obj.dtype.str, obj.shape, digest)
+        elif obj is None or isinstance(obj, (str, bytes, int, float, np.generic)):
+            values.update(f"{path}={obj!r}\n".encode())
+        elif id(obj) in seen or obj is engine.tokenizer._word_cache:
+            return
+        else:
+            seen.add(id(obj))
+            if isinstance(obj, dict):
+                items = obj.items()
+            elif isinstance(obj, (list, tuple)):
+                items = list(enumerate(obj))
+            elif hasattr(obj, "__slots__"):
+                items = [(name, getattr(obj, name)) for name in obj.__slots__]
+            else:
+                assert hasattr(obj, "__dict__") and not callable(obj), type(obj)
+                items = vars(obj).items()
+            values.update(f"{path}:{type(obj).__name__}:{len(items)}\n".encode())
+            for key, value in items:
+                values.update(f"{path}[{key!r}]\n".encode())
+                walk(f"{path}[{key!r}]", value)
+
+    walk("engine", engine)
+    return arrays, values.hexdigest()
+
+
 class TestTokenTables:
-    """Each engine owns its token vectors; the package keeps no state."""
+    """Each engine owns its dense-leg weights and no token vectors: an embed
+    computes its own ids' vectors. The package keeps no state."""
 
     def test_table_covers_the_vocabulary_with_idf_weights(self, small_engine):
         _, _, index_dir, *_ = small_engine
         engine = load_index(index_dir)
         table = engine.token_table
         vocab = engine.tokenizer.vocab
-        assert table.rows.shape == (len(vocab), engine.config.embedder.dim)
-        assert not table.filled.any()
         li = engine.lexical_index
         # An id's idf where a chunk holds it, 1.0 (not the idf of df 0) where none does.
         want = [
@@ -545,8 +579,46 @@ class TestTokenTables:
         ]
         assert table.weights.tolist() == want
         assert 1.0 in want and len(set(want)) > 2
-        _answers(engine, _fifty_queries(engine, small_engine[1]))
-        assert 0 < table.filled.sum() <= len(vocab)
+
+    def test_a_loaded_engine_holds_no_token_vectors(self, small_engine):
+        _, _, index_dir, *_ = small_engine
+        engine = load_index(index_dir)
+        v, dim = engine.tokenizer.vocab_size(), engine.config.embedder.dim
+        shapes = {path: shape for path, (_, shape, _) in _state(engine)[0].items()}
+        assert shapes["engine['token_table']['weights']"] == (v,)
+        assert not [p for p, shape in shapes.items() if {v, dim} <= set(shape)]
+
+    def test_retrieves_leave_a_loaded_engine_unchanged(self, small_engine):
+        # Every array and value a retrieve could write, the tokenizer's
+        # bounded word cache aside: no token vector is stored at query time.
+        _, bench, index_dir, *_ = small_engine
+        engine = load_index(index_dir)
+        queries = _fifty_queries(small_engine[0], bench)
+        before = _state(engine)
+        paths = before[0].keys()
+        for owner in ("chunks", "lexical_index", "vector_index", "token_table"):
+            assert any(p.startswith(f"engine[{owner!r}]") for p in paths), owner
+        assert any(p.startswith("engine['lexical_index']['_impacts']") for p in paths)
+        cached = len(engine.tokenizer._word_cache)
+        for i in range(200):
+            engine.retrieve(queries[i % 50], mode=FUSION_MODES[i % len(FUSION_MODES)])
+        assert _state(engine) == before
+        assert len(engine.tokenizer._word_cache) > cached
+
+    def test_a_query_embeds_a_chunk_as_the_build_did(self, small_engine):
+        # The build takes token vectors from one matrix of the vocabulary's;
+        # a query computes its own ids'. Both give the same bits.
+        engine, *_ = small_engine
+        tok, table = engine.tokenizer, engine.token_table
+        n = min(200, engine.chunk_count)
+        matrix = semantic.token_matrix(tok.tokens, engine.config.embedder.dim)
+        terms = [tok.encode(text) for text in engine.chunks.texts[:n]]
+        built = [semantic.embed(ids, table, matrix) for ids in terms]
+        queried = [semantic.embed(ids, table) for ids in terms]
+        assert [v.tobytes() for v in queried] == [v.tobytes() for v in built]
+        # And the stored vectors are those embeds, as the build rounds them.
+        cols = engine.vector_index.cols[:, :n]
+        assert VectorIndex.build(n, queried).cols.tobytes() == cols.copy().tobytes()
 
     def test_a_query_id_no_chunk_holds_weighs_1_and_has_no_postings(self, small_engine):
         # Fresh words' pieces and <unk> (a Malayalam letter): df = 0, so no
@@ -598,11 +670,6 @@ class TestTokenTables:
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected] * 4
-        # No row is marked filled before its vector is written.
-        table = engine.token_table
-        filled = np.flatnonzero(table.filled)
-        tokens = [engine.tokenizer.tokens[i] for i in filled]
-        assert table.rows[filled].tobytes() == semantic.token_vectors(tokens, 256).tobytes()
 
     def test_retrieves_leave_module_level_containers_unchanged(
         self, small_engine, dim16_index
@@ -969,6 +1036,19 @@ class TestLoad:
         _edit_manifest(tmp_path / "index", lambda m: m["files"].update({CHUNKS_FILE: digest}))
         match = f"^chunks.npy: ids must be chunk ids <doc id>#<n>, not {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=match):
+            load_index(tmp_path / "index")
+
+    @pytest.mark.parametrize("name", ["manifest.json", "tokenizer.json"])
+    def test_json_nested_too_deep_is_refused_by_file(self, small_engine, tmp_path, name):
+        # Deeper than the JSON decoder's recursion limit: a RecursionError before.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        data = b"[" * 100_000 + b"]" * 100_000
+        if name == "tokenizer.json":  # re-signed, so that the parser reads it
+            digest = hashlib.sha256(data).hexdigest()
+            _edit_manifest(tmp_path / "index", lambda m: m["files"].update({name: digest}))
+        (tmp_path / "index" / name).write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{name}: maximum recursion depth exceeded"):
             load_index(tmp_path / "index")
 
     def test_a_dim_that_matches_the_vectors_loads(self, small_engine, tmp_path):

@@ -20,6 +20,7 @@ from qrag.semantic import (
     parse,
     save,
     search_exact,
+    token_matrix,
     token_vector,
     token_vectors,
 )
@@ -140,18 +141,22 @@ class TestEmbed:
         with pytest.raises(ValueError, match="dim must be an int"):
             EmbedderSpec(dim=dim)
 
-    def test_rows_fill_on_first_use_and_never_pass_the_vocabulary(self):
+    def test_the_table_holds_its_weights_and_no_vectors(self):
         tokens = [f"t{i}" for i in range(10)]
         weights = [1.0, 1.0, 1.0, 2.5] + [1.0] * 6
         table = TokenTable(tokens, weights, 16)
-        assert table.rows.shape == (10, 16) and not table.filled.any()
-        embed([3, 1, 3], table)
-        assert np.flatnonzero(table.filled).tolist() == [1, 3]
         for start in range(0, 40, 4):
             embed([i % 10 for i in range(start, start + 7)], table)
-        assert table.filled.sum() == len(tokens) == len(table.rows)
-        assert table.rows.tobytes() == token_vectors(tokens, 16).tobytes()
-        assert table.weights.tolist() == weights
+        assert vars(table).keys() == {"tokens", "weights", "dim"}
+        assert table.tokens is tokens and table.dim == 16
+        assert table.weights.shape == (10,) and table.weights.tolist() == weights
+
+    def test_the_matrix_is_every_token_vector_block_by_block(self):
+        # More tokens than a block, and a last block that is not full.
+        tokens = [f"t{i}" for i in range(2 * ROW_BLOCK_ROWS + 37)]
+        matrix = token_matrix(tokens, 16)
+        assert matrix.shape == (len(tokens), 16) and matrix.dtype == np.float64
+        assert matrix.tobytes() == token_vectors(tokens, 16).tobytes()
 
     def test_weights_are_count_times_idf_in_first_appearance_order(self):
         tokens = ["a", "b", "c"]

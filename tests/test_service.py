@@ -119,6 +119,13 @@ class TestSearch:
         assert status == 400
         assert "error" in payload
 
+    def test_json_nested_too_deep_is_400(self, server):
+        # Deeper than the JSON decoder's recursion limit: the handler thread
+        # raised RecursionError and closed the connection unanswered before.
+        base, _ = server
+        status, payload = _post(base + "/v1/search", None, raw=b"[" * 100_000)
+        assert (status, payload) == (400, {"error": "invalid JSON body"})
+
     def test_empty_query_after_tokenization_is_400(self, server):
         base, _ = server
         status, payload = _post(base + "/v1/search", {"query": "   "})
@@ -315,3 +322,31 @@ class TestHandlerErrors:
         records = [r for r in caplog.records if r.name == "qrag.service"]
         assert [r.levelno for r in records] == [logging.ERROR]
         assert records[0].exc_info[0] is RuntimeError
+
+
+class TestRequestLog:
+    class Arg:
+        """A log argument that counts how often it is formatted."""
+
+        def __init__(self):
+            self.formatted = 0
+
+        def __str__(self):
+            self.formatted += 1
+            return "GET /v1/health HTTP/1.1"
+
+    def test_nothing_is_formatted_below_debug(self, caplog):
+        handler = SearchHandler.__new__(SearchHandler)
+        handler.client_address = ("127.0.0.1", 5000)
+        arg = self.Arg()
+        with caplog.at_level(logging.INFO, logger="qrag.service"):
+            handler.log_message('"%s" %s %s', arg, "200", "-")
+        assert arg.formatted == 0
+        assert not [r for r in caplog.records if r.name == "qrag.service"]
+
+    def test_each_request_logs_one_debug_line(self, server, caplog):
+        base, _ = server
+        with caplog.at_level(logging.DEBUG, logger="qrag.service"):
+            assert _get(base + "/v1/health")[0] == 200
+        records = [r for r in caplog.records if r.name == "qrag.service"]
+        assert [r.getMessage() for r in records] == ['127.0.0.1 - "GET /v1/health HTTP/1.1" 200 -']
