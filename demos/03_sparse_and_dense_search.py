@@ -56,7 +56,7 @@ for t in tok.encode(rare_term):
 # does. The table holds no vectors: embedding every chunk takes them from one
 # matrix of the whole vocabulary's, computed once and then dropped, and a
 # query's embed computes the vectors of its own ids.
-spec = EmbedderSpec(kind="hash_projection", dim=256)
+spec = EmbedderSpec(dim=256)
 weights = np.where(np.diff(index.offsets) > 0, index.idfs, 1.0)
 table = semantic.TokenTable(tok.tokens, weights, spec.dim)
 matrix = semantic.token_matrix(tok.tokens, spec.dim)

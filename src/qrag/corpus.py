@@ -8,7 +8,6 @@ state (the set of digests already seen).
 
 from __future__ import annotations
 
-import codecs
 import hashlib
 import html
 import json
@@ -20,7 +19,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,24 +38,8 @@ GURMUKHI_HI = 0x0A7F
 
 CHUNKS_FILE = "chunks.npy"
 
-# The one-byte code page of the chunk texts in ``chunks.npy``; editing it
-# changes the index format. Bytes 0x80-0xFF are the Gurmukhi block
-# U+0A00-U+0A7F. Bytes 0x00-0x7F are ASCII, except the C0 controls that
-# cleaning strips (``_CTRL_RE``): four of their slots carry the danda, the
-# double danda, ZWNJ and ZWJ, and the rest are undefined (U+FFFE), so a
-# decode of one is refused. NUL stays defined because the stdlib builds its
-# fast encoding map only when byte 0 is U+0000.
-_PAGE_SLOTS = {0x01: "\u0964", 0x02: "\u0965", 0x03: "\u200c", 0x04: "\u200d"}
-GURMUKHI_PAGE = "".join(
-    _PAGE_SLOTS.get(b, "\ufffe" if b and _CTRL_RE.match(chr(b)) else chr(b))
-    for b in range(0x80)
-) + "".join(map(chr, range(GURMUKHI_LO, GURMUKHI_HI + 1)))
-_PAGE_MAP = codecs.charmap_build(GURMUKHI_PAGE)
 # A chunk id: a non-empty doc id, which may hold "#", then "#" and a number.
 _CHUNK_ID = re.compile(r".+#[0-9]+", re.DOTALL)
-# Each chunk's text encoding in ``chunks.npy``: the page, or UTF-16-LE for a
-# text with a character outside it.
-PAGE, UTF16 = 0, 1
 
 
 @dataclass(frozen=True)
@@ -85,8 +68,9 @@ class CleanDocument:
 
 @dataclass(frozen=True, slots=True)
 class Chunk:
-    """A retrievable passage: a token window over a cleaned document. Its id
-    is ``<doc_id>#<n>``, for the document's n-th window."""
+    """A retrievable passage, a row of a ``ChunkTable``: a token window over
+    a cleaned document. Its id is ``<doc_id>#<n>``, for the document's n-th
+    window."""
 
     chunk_id: str
     token_offset: int
@@ -264,38 +248,47 @@ def preprocess(
         yield doc
 
 
-def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[Chunk]:
+class Window(NamedTuple):
+    """One token window of a document: its chunk id, its offset among the
+    document's ids, and its ids, a view of the document's."""
+
+    chunk_id: str
+    token_offset: int
+    ids: np.ndarray
+
+    @property
+    def token_count(self) -> int:
+        return len(self.ids)
+
+
+def token_type(vocab_size: int) -> np.dtype:
+    """The narrowest unsigned type that holds every id of a vocabulary."""
+    return np.min_scalar_type(max(vocab_size - 1, 0)).newbyteorder("<")
+
+
+def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[Window]:
     """Slide a token window of ``chunk_size_tokens`` with stride
-    ``chunk_size_tokens - chunk_overlap_tokens`` over the document.
+    ``chunk_size_tokens - chunk_overlap_tokens`` over the document's ids,
+    which are encoded once and held in ``token_type``.
 
     The final partial window is emitted only when it holds at least
-    ``min_tokens`` tokens; chunk text is the decode of its token span.
+    ``min_tokens`` tokens; a chunk's text is the decode of its window's ids.
     """
-    ids = tok.encode(doc.text)
+    ids = np.array(tok.encode(doc.text), dtype=token_type(tok.vocab_size()))
     n = len(ids)
     if n == 0:
         return []
     stride = cfg.chunk_size_tokens - cfg.chunk_overlap_tokens
-    chunks: list[Chunk] = []
+    windows: list[Window] = []
     offset = 0
-    index = 0
     while True:
         end = min(offset + cfg.chunk_size_tokens, n)
-        count = end - offset
-        if offset == 0 or count >= cfg.min_tokens:
-            chunks.append(
-                Chunk(
-                    chunk_id=f"{doc.doc_id}#{index}",
-                    token_offset=offset,
-                    token_count=count,
-                    text=tok.decode(ids[offset:end]),
-                )
-            )
-            index += 1
+        if offset == 0 or end - offset >= cfg.min_tokens:
+            windows.append(Window(f"{doc.doc_id}#{len(windows)}", offset, ids[offset:end]))
         if end >= n:
             break
         offset += stride
-    return chunks
+    return windows
 
 
 # -- persistence -------------------------------------------------------------
@@ -305,29 +298,43 @@ CHUNK_ARRAYS = (
     _npy.Array("ids", "uint8", 1, None),
     _npy.Array("token_offset", "integer", 1, "N"),
     _npy.Array("token_count", "integer", 1, "N"),
-    _npy.Array("text offsets", "integer", 1, "N + 1"),
-    _npy.Array("text encodings", "integer", 1, "N"),
-    _npy.Array("text", "uint8", 1, "the last offset"),
+    _npy.Array("token ids", "integer", 1, None),
 )
 
 
 @dataclass(eq=False, repr=False, slots=True)
 class ChunkTable(Sequence[Chunk]):
-    """Chunks held as columns: row i of each is chunk i. This is how a chunk
-    store is saved and loaded, and how an engine keeps its chunks, with no
-    object per chunk; indexing makes a ``Chunk`` (a slice, a ``ChunkTable``).
+    """Chunks held as columns: row i of each is chunk i. This is how a build
+    makes its chunks, how they are saved and loaded, and how an engine keeps
+    them, with no object per chunk; indexing makes a ``Chunk`` (a slice, a
+    ``ChunkTable``).
 
     The chunk ids strictly increase, so a row's number is its id's rank, and
     an index that addresses chunks by row orders them as their ids do. The
     table is the only holder of the ids.
+
+    A chunk is stored as its vocab ids: row i's are ``token_counts[i]`` ids
+    of ``tokens``, from ``bounds[i]`` to ``bounds[i + 1]``, and its text is
+    their ``tokenizer.decode``. ``texts`` decodes each row on first use and
+    keeps the string in its slot of ``text_slots``, one per chunk, so a
+    table decodes no text until asked, and a row once, unless threads race
+    on it: each then stores an equal string.
     """
 
     chunk_ids: list[str]
     token_offsets: np.ndarray
     token_counts: np.ndarray
-    texts: list[str]
+    tokens: np.ndarray
+    tokenizer: TokenizerModel
+    bounds: np.ndarray = field(init=False)
+    text_slots: list[str | None] = field(init=False)
+    # Each vocab id's decoded piece, ``tokenizer.pieces`` as an array.
+    pieces: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        """Refuse ids that do not increase, a negative offset or count,
+        counts that do not add up to the ids, and an id outside the
+        vocabulary, each a ``ValueError``."""
         ids = self.chunk_ids
         if not all(map(operator.lt, ids, ids[1:])):
             i = next(i for i in range(1, len(ids)) if ids[i - 1] >= ids[i])
@@ -336,26 +343,69 @@ class ChunkTable(Sequence[Chunk]):
             raise ValueError(
                 f"chunk_id {ids[i]!r} follows {ids[i - 1]!r}: chunk ids must increase"
             )
+        counts = self.token_counts.astype(np.int64)
+        if (self.token_offsets < 0).any() or (counts < 0).any():
+            raise ValueError("token_offset and token_count must be >= 0")
+        self.bounds = np.concatenate(([0], np.cumsum(counts)))
+        if self.bounds[-1] != len(self.tokens):
+            raise ValueError(
+                f"token_count adds up to {self.bounds[-1]}, but there are "
+                f"{len(self.tokens)} token ids"
+            )
+        v = self.tokenizer.vocab_size()
+        if len(self.tokens) and not (0 <= self.tokens.min() and self.tokens.max() < v):
+            bad = self.tokens[(self.tokens < 0) | (self.tokens >= v)][0]
+            raise ValueError(f"token id {bad} is outside the vocabulary of {v}")
+        self.text_slots = [None] * len(ids)
+        self.pieces = np.array(self.tokenizer.pieces, dtype=object)
 
     @classmethod
-    def from_chunks(cls, chunks: Iterable[Chunk]) -> "ChunkTable":
-        chunks = list(chunks)
+    def from_windows(cls, windows: Sequence[Window], tok: TokenizerModel) -> "ChunkTable":
+        """The table of ``windows``, in their order, over ``tok``'s ids."""
+        dtype = token_type(tok.vocab_size())
+        tokens = np.concatenate([np.zeros(0, dtype), *(w.ids for w in windows)])
         return cls(
-            [c.chunk_id for c in chunks],
-            np.array([c.token_offset for c in chunks], dtype="<i4"),
-            np.array([c.token_count for c in chunks], dtype="<i4"),
-            [c.text for c in chunks],
+            [w.chunk_id for w in windows],
+            np.array([w.token_offset for w in windows], dtype="<i4"),
+            np.array([len(w.ids) for w in windows], dtype="<i4"),
+            tokens.astype(dtype, copy=False),
+            tok,
         )
+
+    def token_ids(self, row: int) -> np.ndarray:
+        """Row ``row``'s vocab ids, a view of ``tokens``; 0 <= row < N."""
+        return self.tokens[self.bounds[row] : self.bounds[row + 1]]
+
+    def texts(self, rows: Iterable[int]) -> list[str]:
+        """The texts of ``rows``, each 0 <= row < N. A row not decoded yet is
+        decoded, ``tokenizer.decode`` of its ids as one join of their pieces,
+        and kept, so later calls return the same string."""
+        slots = self.text_slots
+        out = []
+        for row in rows:
+            text = slots[row]
+            if text is None:
+                text = slots[row] = "".join(self.pieces[self.token_ids(row)].tolist()).strip()
+            out.append(text)
+        return out
+
+    def text(self, row: int) -> str:
+        """Row ``row``'s text: ``texts([row])[0]``."""
+        return self.texts((row,))[0]
 
     def __len__(self) -> int:
         return len(self.chunk_ids)
 
     def __getitem__(self, i):
-        row = (self.chunk_ids[i], self.token_offsets[i], self.token_counts[i], self.texts[i])
+        rows = range(len(self))[i]  # IndexError past either end
         if isinstance(i, slice):
-            return ChunkTable(*row)
-        chunk_id, offset, count, text = row
-        return Chunk(chunk_id, int(offset), int(count), text)
+            windows = [
+                Window(self.chunk_ids[r], int(self.token_offsets[r]), self.token_ids(r))
+                for r in rows
+            ]
+            return ChunkTable.from_windows(windows, self.tokenizer)
+        offset, count = int(self.token_offsets[rows]), int(self.token_counts[rows])
+        return Chunk(self.chunk_ids[rows], offset, count, self.text(rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChunkTable):
@@ -364,85 +414,40 @@ class ChunkTable(Sequence[Chunk]):
             self.chunk_ids == other.chunk_ids
             and np.array_equal(self.token_offsets, other.token_offsets)
             and np.array_equal(self.token_counts, other.token_counts)
-            and self.texts == other.texts
+            and np.array_equal(self.tokens, other.tokens)
+            and self.tokenizer == other.tokenizer
         )
 
 
 def save_chunks(chunks: ChunkTable, out_dir: str | Path) -> None:
     """Write ``CHUNK_ARRAYS``: the chunk ids as the UTF-8 bytes of a JSON
-    list, the token offsets and counts (``<i4``), the N + 1 offsets of each
-    text's bytes in the last array (``<i8``), each text's encoding (``PAGE``
-    or ``UTF16``) and every text's bytes.
-
-    A text is stored in ``GURMUKHI_PAGE``, one byte per codepoint, when the
-    page holds each of its characters, and in UTF-16-LE otherwise. Chunks
-    are at least half Gurmukhi, which takes 2 bytes a codepoint in UTF-16
-    and 3 in UTF-8.
-    """
+    list, the token offsets and counts (``<i4``), and every chunk's vocab
+    ids, one chunk after another, in ``token_type``."""
     ids = json.dumps(chunks.chunk_ids, ensure_ascii=False)
-    encodings: list[int] = []
-    texts: list[bytes] = []
-    for text in chunks.texts:
-        try:
-            texts.append(codecs.charmap_encode(text, "strict", _PAGE_MAP)[0])
-            encodings.append(PAGE)
-        except UnicodeEncodeError:
-            texts.append(text.encode("utf-16-le"))
-            encodings.append(UTF16)
     arrays = (
         np.frombuffer(ids.encode(), np.uint8),
         np.asarray(chunks.token_offsets, dtype="<i4"),
         np.asarray(chunks.token_counts, dtype="<i4"),
-        np.cumsum([0, *map(len, texts)], dtype="<i8"),
-        np.array(encodings, dtype=np.uint8),
-        np.frombuffer(b"".join(texts), np.uint8),
+        np.asarray(chunks.tokens, dtype=token_type(chunks.tokenizer.vocab_size())),
     )
     _npy.write(Path(out_dir) / CHUNKS_FILE, arrays)
 
 
-def parse_chunks(data: bytes) -> ChunkTable:
-    """The chunks in ``data``, the bytes of a ``chunks.npy``; each refusal is
-    a ``ValueError`` naming ``chunks.npy``, a byte the page leaves undefined
-    and invalid UTF-16-LE included.
-
-    Every text is decoded here, from a view of the text array in ``data``,
-    and the table keeps no view of ``data``. Freeing ``data`` (6.6 MB on the
-    benchmark index) raises glibc's mmap threshold to its size, so the BM25
-    arrays loaded next, and their scratch, come from the heap, whose freed
-    space stays resident: a loaded ``serve`` child peaks 3-4 MiB higher
-    than when each text was read on its own. Reading each file into an
-    anonymous mapping instead avoided that, but paid about 10 ms of page
-    faults on every load.
-    """
+def parse_chunks(data: bytes, tok: TokenizerModel) -> ChunkTable:
+    """The chunks in ``data``, the bytes of a ``chunks.npy`` of ``tok``'s
+    vocab ids; each refusal is a ``ValueError`` naming ``chunks.npy``, an id
+    outside the vocabulary included. The table holds copies of the arrays,
+    no view of ``data``, and no text is decoded here."""
     try:
-        ids, token_offset, token_count, ends, encodings, text = _npy.read(data, CHUNK_ARRAYS)
-        chunk_ids = _check_arrays(ids, token_offset, token_count, ends, encodings)
-        view = text.data
-        bounds = ends.tolist()
-        texts = [
-            _decode(view[lo:hi], encoding)
-            for lo, hi, encoding in zip(bounds, bounds[1:], encodings.tolist())
-        ]
-        return ChunkTable(chunk_ids, token_offset.copy(), token_count.copy(), texts)
+        ids, token_offset, token_count, tokens = _npy.read(data, CHUNK_ARRAYS)
+        chunk_ids = _chunk_ids(ids, len(token_offset))
+        return ChunkTable(chunk_ids, token_offset.copy(), token_count.copy(), tokens.copy(), tok)
     except ValueError as exc:
         raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
 
 
-def _decode(data: memoryview, encoding: int) -> str:
-    if encoding == UTF16:
-        return str(data, "utf-16-le")
-    return codecs.charmap_decode(data, "strict", GURMUKHI_PAGE)[0]
-
-
-def _check_arrays(
-    ids: np.ndarray,
-    token_offset: np.ndarray,
-    token_count: np.ndarray,
-    ends: np.ndarray,
-    encodings: np.ndarray,
-) -> list[str]:
-    """The chunk ids, once the arrays, which agree with ``CHUNK_ARRAYS``, are
-    found to mean chunks."""
+def _chunk_ids(ids: np.ndarray, n: int) -> list[str]:
+    """The ``n`` chunk ids that the ``ids`` array holds as JSON."""
     try:
         chunk_ids = json.loads(str(ids.data, "utf-8"))
     except RecursionError as exc:  # JSON nested too deep
@@ -452,16 +457,6 @@ def _check_arrays(
     for cid in chunk_ids:
         if type(cid) is not str or not _CHUNK_ID.fullmatch(cid):
             raise ValueError(f"ids must be chunk ids <doc id>#<n>, not {cid!r}")
-    if len(chunk_ids) != len(token_offset):
-        raise ValueError(f"ids has {len(chunk_ids)} entries for {len(token_offset)} chunks")
-    if (token_offset < 0).any() or (token_count < 0).any():
-        raise ValueError("token_offset and token_count must be >= 0")
-    if ends[0] != 0 or (ends[1:] < ends[:-1]).any():
-        raise ValueError("text offsets must not decrease, and the first must be 0")
-    if not np.isin(encodings, (PAGE, UTF16)).all():
-        raise ValueError(f"text encodings must be {PAGE} (the page) or {UTF16} (UTF-16-LE)")
-    odd = (np.diff(ends) % 2 == 1) & (encodings == UTF16)
-    if odd.any():
-        cid = chunk_ids[int(np.argmax(odd))]
-        raise ValueError(f"chunk {cid!r} has an odd byte count: a UTF-16 code unit is 2 bytes")
+    if len(chunk_ids) != n:
+        raise ValueError(f"ids has {len(chunk_ids)} entries for {n} chunks")
     return chunk_ids

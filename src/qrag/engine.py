@@ -36,7 +36,7 @@ import numpy as np
 from . import _records
 from . import corpus as corpus_mod
 from . import lexical, quantum, semantic
-from .corpus import Chunk, ChunkTable, CleaningConfig
+from .corpus import ChunkTable, CleaningConfig
 from .lexical import BM25Params, InvertedIndex
 from .quantum import FusionConfig
 from .semantic import EmbedderSpec, VectorIndex
@@ -44,16 +44,17 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 MANIFEST_FILE = "manifest.json"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
 CONTEXT_DELIMITER = "---"
-# Every file of an index but the manifest, which lists each one's digest.
-# Chunk ids are stored only in the chunks file, in increasing order; the others
-# address chunks by row.
+# Every file of an index but the manifest, which lists each one's digest, in
+# load order: the chunks are vocab ids of the tokenizer. Chunk ids are stored
+# only in the chunks file, in increasing order; the others address chunks by
+# row.
 INDEX_FILES = (
-    corpus_mod.CHUNKS_FILE, TOKENIZER_FILE, lexical.LEXICAL_FILE, semantic.VECTORS_FILE
+    TOKENIZER_FILE, corpus_mod.CHUNKS_FILE, lexical.LEXICAL_FILE, semantic.VECTORS_FILE
 )
 
 
@@ -182,8 +183,11 @@ def _truncate_to_budget(text: str, budget: int, tok: TokenizerModel) -> str:
 
 
 class RetrievalEngine:
-    """An immutable, shareable retrieval engine over built indexes: a
-    retrieve writes nothing into it but the tokenizer's bounded word cache."""
+    """A shareable retrieval engine over built indexes. A retrieve writes
+    into it only two bounded caches: the tokenizer's word cache
+    (``WORD_CACHE_MAX`` tokens) and the chunk table's text slots, one per
+    chunk, each filled with its chunk's decoded text when a response first
+    returns it."""
 
     def __init__(
         self,
@@ -206,11 +210,8 @@ class RetrievalEngine:
         self.vector_index = vector_index
         self.config = config
         # The dense leg's weight of each vocab id; a query's token vectors are
-        # computed by each embed. An engine whose chunk vectors come from a
-        # file has no text encoder.
-        self.token_table = None
-        if config.embedder.kind == "hash_projection":
-            self.token_table = _token_table(tokenizer, lexical_index, config.embedder.dim)
+        # computed by each embed.
+        self.token_table = _token_table(tokenizer, lexical_index, config.embedder.dim)
         self._sep_cost = tokenizer.token_count(CONTEXT_DELIMITER)
 
     @property
@@ -282,18 +283,20 @@ class RetrievalEngine:
         dense = dense_scores[rows] if use_dense else None
         ranked = quantum.rank_candidates(rows, sparse, dense, cfg)
         hit_rows = rows[[i for i, _ in ranked]].tolist()
-        ids, texts = self.chunks.chunk_ids, self.chunks.texts
+        ids, texts = self.chunks.chunk_ids, self.chunks.texts(hit_rows)
         hits = [
             ScoredHit(
                 chunk_id=ids[row],
-                text=texts[row],
+                text=text,
                 rank=position,
                 fused=fused,
                 sparse_raw=None if sparse is None else float(sparse[i]),
                 dense_cos=None if dense is None else float(dense[i]),
                 quantum=float(dense[i]) if quantum_modes else None,
             )
-            for position, (row, (i, fused)) in enumerate(zip(hit_rows, ranked), start=1)
+            for position, (row, text, (i, fused)) in enumerate(
+                zip(hit_rows, texts, ranked), start=1
+            )
         ]
         timings["fusion"] = (time.perf_counter() - t0) * 1000.0
 
@@ -350,14 +353,12 @@ def prepare(
         tok = train_bpe((d.text for d in docs), cfg.vocab_size)
 
     with _stage("chunk"):
-        chunks: list[Chunk] = []
-        for doc in docs:
-            chunks.extend(corpus_mod.chunk(doc, cfg.cleaning, tok))
-        stats["chunks"] = len(chunks)
-        if not chunks:
+        windows = [w for doc in docs for w in corpus_mod.chunk(doc, cfg.cleaning, tok)]
+        stats["chunks"] = len(windows)
+        if not windows:
             raise ValueError("empty corpus after chunking")
-        chunks.sort(key=attrgetter("chunk_id"))
-        table = ChunkTable.from_chunks(chunks)
+        windows.sort(key=attrgetter("chunk_id"))
+        table = ChunkTable.from_windows(windows, tok)
     return tok, table
 
 
@@ -371,8 +372,10 @@ def _token_table(tok: TokenizerModel, index: InvertedIndex, dim: int) -> semanti
 def build_all(
     corpus_path: str | Path, cfg: EngineConfig, out_dir: str | Path
 ) -> IndexManifest:
-    """Run ``prepare``, then encode each chunk once and build the lexical
-    index and the vectors from its vocab ids, then persist everything.
+    """Run ``prepare``, then encode each chunk's text once and build the
+    lexical index and the vectors from its vocab ids, then persist
+    everything. A window that splits a word encodes to other ids than its
+    own, so the text is encoded, not the window's ids taken.
 
     Deterministic: rebuilding from identical inputs writes byte-identical
     index files (the manifest timestamp aside).
@@ -383,23 +386,21 @@ def build_all(
     tok, chunks = prepare(corpus_path, cfg, stats)
 
     with _stage("lexical_index"):
-        chunk_terms = deque(tok.encode(text) for text in chunks.texts)
+        n = len(chunks)
+        chunk_terms = deque(
+            tok.encode(tok.decode(chunks.token_ids(row).tolist())) for row in range(n)
+        )
         lex_index = lexical.build_index(chunk_terms, tok.vocab_size())
 
     with _stage("embed"):
-        if cfg.embedder.kind == "external_file":
-            chunk_terms.clear()
-            vec_index = semantic.load_external_embeddings(cfg.embedder.path, chunks.chunk_ids)
-        else:
-            table = _token_table(tok, lex_index, cfg.embedder.dim)
-            # Every token's vector, computed once for all the chunks' embeds
-            # and freed with the stage: the engine holds none.
-            matrix = semantic.token_matrix(tok.tokens, cfg.embedder.dim)
-            # popleft drops each chunk's ids once they are embedded.
-            n = len(chunks)
-            vectors = (semantic.embed(chunk_terms.popleft(), table, matrix) for _ in range(n))
-            vec_index = VectorIndex.build(n, vectors)
-            del matrix, vectors
+        table = _token_table(tok, lex_index, cfg.embedder.dim)
+        # Every token's vector, computed once for all the chunks' embeds and
+        # freed with the stage: the engine holds none.
+        matrix = semantic.token_matrix(tok.tokens, cfg.embedder.dim)
+        # popleft drops each chunk's ids once they are embedded.
+        vectors = (semantic.embed(chunk_terms.popleft(), table, matrix) for _ in range(n))
+        vec_index = VectorIndex.build(n, vectors)
+        del matrix, vectors
 
     engine = RetrievalEngine(chunks, tok, lex_index, vec_index, cfg)
     with _stage("save"):
@@ -519,7 +520,9 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
 
     Each file is read once, in ``INDEX_FILES`` order, and parsed from the
     bytes read while one worker thread hashes the same bytes (``hashlib``
-    releases the GIL), so the digests cover exactly what was parsed. A
+    releases the GIL), so the digests cover exactly what was parsed. No
+    chunk text is decoded: the chunk table decodes each when it is first
+    asked for it. A
     digest mismatch is reported ahead of any parse error. The worker does
     nothing but hash, and it is joined before the load returns or raises.
     Logs one INFO line with each file's read and parse seconds, the
@@ -547,19 +550,19 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
             return parsed
 
         try:
-            chunks = load(corpus_mod.CHUNKS_FILE, corpus_mod.parse_chunks)
+            tok = load(TOKENIZER_FILE, _parse_tokenizer)
+            chunks = load(corpus_mod.CHUNKS_FILE, lambda data: corpus_mod.parse_chunks(data, tok))
             if len(chunks) != manifest.chunk_count:
                 raise ValueError(
                     f"manifest chunk_count is {manifest.chunk_count}, but "
                     f"{corpus_mod.CHUNKS_FILE} holds {len(chunks)} chunks"
                 )
             n = len(chunks)
-            tok = load(TOKENIZER_FILE, _parse_tokenizer)
             lex_index = load(
                 lexical.LEXICAL_FILE, lambda data: lexical.parse(data, n, tok.vocab_size())
             )
             vec_index = load(semantic.VECTORS_FILE, lambda data: semantic.parse(data, n))
-            if config.embedder.kind == "hash_projection" and vec_index.dim != config.embedder.dim:
+            if vec_index.dim != config.embedder.dim:
                 raise ValueError(
                     f"manifest config.embedder.dim is {config.embedder.dim}, but "
                     f"{semantic.VECTORS_FILE} holds {vec_index.dim}-dim vectors"

@@ -1,13 +1,13 @@
 """Dense retrieval leg: deterministic hash-projection embeddings and an
 exact-scan vector index.
 
-The built-in embedder maps each vocabulary token to a pseudo-random unit
-vector seeded by an FNV-1a hash of its bytes, then L2-normalizes the
-IDF-weighted bag-of-tokens sum. A ``TokenTable`` holds one vocabulary's
-weights, keyed by vocab id, and no vectors: an embed computes the vectors of
+The embedder maps each vocabulary token to a pseudo-random unit vector
+seeded by an FNV-1a hash of its bytes, then L2-normalizes the IDF-weighted
+bag-of-tokens sum. A ``TokenTable`` holds one vocabulary's weights and
+seeds, keyed by vocab id, and no vectors: an embed computes the vectors of
 its own ids, and the module keeps no state. It is fully deterministic across
 platforms, which makes the whole retrieval stack testable without any ML
-dependency; externally computed embeddings can be loaded from JSONL instead.
+dependency.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .lexical import top_rows
 VECTORS_FILE = "vectors.npy"
 VECTOR_ARRAYS = (_npy.Array("vectors", "<f4", 2, "N"),)
 
-_MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -44,22 +43,15 @@ ROW_BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class EmbedderSpec:
-    """Which embedder to use: the built-in hash projection or an external file."""
+    """The hash-projection embedder's width: the dim of every vector."""
 
-    kind: str = "hash_projection"
     dim: int = 256
-    path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("hash_projection", "external_file"):
-            raise ValueError(f"unknown embedder kind: {self.kind}")
         if type(self.dim) is not int:  # a bool is an int: refused too
             raise ValueError(f"dim must be an int, got {self.dim!r}")
-        if self.kind == "hash_projection":
-            if self.dim < 2 or self.dim & (self.dim - 1):
-                raise ValueError("hash_projection dim must be a power of two >= 2")
-        elif not self.path:
-            raise ValueError("external_file embedder requires a path")
+        if self.dim < 2 or self.dim & (self.dim - 1):
+            raise ValueError("hash_projection dim must be a power of two >= 2")
 
     def to_dict(self) -> dict:
         return _records.to_dict(self)
@@ -69,18 +61,40 @@ class EmbedderSpec:
         return _records.from_dict(cls, d)
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+def _fnv1a64(tokens: Sequence[str]) -> np.ndarray:
+    """The 64-bit FNV-1a hash of each token's UTF-8 bytes, as ``uint64``.
+
+    The tokens' bytes, longest first, are the columns of a zero-padded
+    ``(width, n)`` matrix, and each byte position is one xor and one
+    multiply over the tokens that reach it, a prefix of the columns.
+    ``uint64`` products wrap mod 2^64, as FNV-1a's do.
+    """
+    data = [t.encode("utf-8") for t in tokens]
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    order = np.argsort(-lengths, kind="stable")
+    width = max(int(lengths.max(initial=0)), 1)
+    matrix = np.array([data[i] for i in order], dtype=f"S{width}").view(np.uint8)
+    rows = matrix.reshape(len(data), width).T.astype(np.uint64)
+    reach = np.count_nonzero(lengths[:, None] > np.arange(width), axis=0)
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for row, count in zip(rows, reach.tolist()):
+        part = h[:count]
+        np.bitwise_xor(part, row[:count], out=part)
+        np.multiply(part, prime, out=part)
+    hashes = np.empty_like(h)
+    hashes[order] = h
+    return hashes
 
 
 def token_vectors(tokens: Sequence[str], dim: int) -> np.ndarray:
-    """Deterministic unit vectors, one row per token.
+    """Deterministic unit vectors, one row per token: ``seed_vectors`` of
+    the FNV-1a hash of each token's UTF-8 bytes."""
+    return seed_vectors(_fnv1a64(tokens), dim)
 
-    The FNV-1a hash of a token's UTF-8 bytes seeds a SplitMix64 stream;
+
+def seed_vectors(seeds: np.ndarray, dim: int) -> np.ndarray:
+    """One unit vector per ``uint64`` seed, which seeds a SplitMix64 stream;
     each output maps to uniform [-1, 1) via its top 53 bits. SplitMix64 is
     counter-based, so output ``i`` mixes ``seed + i * gamma``, and every
     stream is one ``uint64`` array expression whose products wrap mod 2^64.
@@ -88,7 +102,6 @@ def token_vectors(tokens: Sequence[str], dim: int) -> np.ndarray:
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    seeds = np.array([_fnv1a64(t.encode("utf-8")) for t in tokens], dtype=np.uint64)
     z = seeds[:, None] + np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
@@ -116,37 +129,32 @@ def token_matrix(tokens: Sequence[str], dim: int) -> np.ndarray:
 
 
 class TokenTable:
-    """One vocabulary's dense-leg weights by vocab id, and the dim of its
-    token vectors: ``weights[i]`` is id ``i``'s weight, one float64 per
-    token. It holds no vectors, so it never grows, and it is never written
-    after it is made."""
+    """One vocabulary's dense-leg weights by vocab id, the seeds of its token
+    vectors, and their dim: ``weights[i]`` is id ``i``'s weight, one float64
+    per token, and ``seeds[i]`` the FNV-1a hash of its token, one ``uint64``,
+    hashed once here so that no embed hashes. It holds no vectors, so it
+    never grows, and it is never written after it is made."""
 
     def __init__(self, tokens: Sequence[str], weights: np.ndarray, dim: int) -> None:
         self.tokens = tokens
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.shape != (len(tokens),):
             raise ValueError(f"{len(self.weights)} weights for {len(tokens)} tokens")
+        self.seeds = _fnv1a64(tokens)
         self.dim = dim
 
 
-def embed(
-    ids: Sequence[int], table: TokenTable | None, matrix: np.ndarray | None = None
-) -> np.ndarray:
+def embed(ids: Sequence[int], table: TokenTable, matrix: np.ndarray | None = None) -> np.ndarray:
     """L2-normalized sum of the ids' token vectors, each weighted by its
     count times its table weight, in first-appearance order.
 
-    The vectors of the distinct ids are computed here, unless ``matrix``,
-    ``token_matrix`` of the table's tokens, is given to take them from: a
-    caller that embeds every chunk of a corpus computes it once. Both give
-    the same bits. ``table`` is None for an engine without a text encoder.
-    Raises ``ValueError("degenerate_embedding")`` when the weighted sum
-    vanishes (all-zero weights or antipodal cancellation).
+    The vectors of the distinct ids are computed here from their seeds,
+    unless ``matrix``, ``token_matrix`` of the table's tokens, is given to
+    take them from: a caller that embeds every chunk of a corpus computes it
+    once. Both give the same bits. Raises
+    ``ValueError("degenerate_embedding")`` when the weighted sum vanishes
+    (all-zero weights or antipodal cancellation).
     """
-    if table is None:
-        raise ValueError(
-            "external_file embedder has no text encoder; use hash_projection "
-            "or supply query vectors directly"
-        )
     if not ids:
         raise ValueError("empty token list")
     counts = Counter(ids)
@@ -154,7 +162,7 @@ def embed(
     if order.min() < 0 or order.max() >= len(table.tokens):
         raise ValueError("token id out of range")
     if matrix is None:
-        vectors = token_vectors([table.tokens[i] for i in order], table.dim)
+        vectors = seed_vectors(table.seeds[order], table.dim)
     else:
         vectors = matrix[order]
     weights = np.fromiter(counts.values(), dtype=np.float64, count=len(order))
@@ -382,28 +390,3 @@ def parse(data: bytes, n: int) -> VectorIndex:
         return VectorIndex(matrix)
     except ValueError as exc:
         raise ValueError(f"{VECTORS_FILE}: {exc}") from None
-
-
-def load_external_embeddings(path: str | Path, ids: Sequence[str]) -> VectorIndex:
-    """Build a VectorIndex from JSONL rows {"id": str, "vector": [float, ...]}:
-    row i is the vector of ``ids[i]``.
-
-    Every expected id must be present; rows are L2-normalized on load.
-    """
-    by_id: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for obj in _records.read_jsonl(path):
-        vec = np.asarray(obj["vector"], dtype=np.float64)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"non-finite vector for id: {obj['id']}")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ValueError(
-                f"inconsistent dim for id {obj['id']}: {vec.shape[0]} != {dim}"
-            )
-        by_id[str(obj["id"])] = vec
-    missing = [cid for cid in ids if cid not in by_id]
-    if missing:
-        raise ValueError(f"missing embedding for id: {missing[0]}")
-    return VectorIndex.build(len(ids), (by_id[cid] for cid in ids))

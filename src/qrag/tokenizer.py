@@ -96,7 +96,7 @@ class TokenizerModel:
     _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     tokens: list[str] = field(init=False, repr=False, compare=False)
     # Each id's decoded text: its token with the word-end marker a space.
-    _pieces: list[str] = field(init=False, repr=False, compare=False)
+    pieces: list[str] = field(init=False, repr=False, compare=False)
     _word_cache: dict[str, list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -107,7 +107,7 @@ class TokenizerModel:
         if ids != list(range(len(ids))):
             raise ValueError("vocabulary ids must be dense from 0")
         self.tokens = sorted(self.vocab, key=self.vocab.__getitem__)  # by id
-        self._pieces = [
+        self.pieces = [
             t[: -len(WORD_END)] + " " if t.endswith(WORD_END) else t for t in self.tokens
         ]
 
@@ -168,11 +168,11 @@ class TokenizerModel:
         For text whose codepoints all occur in the training data,
         ``decode(encode(text)) == normalize(text)``.
         """
-        n = len(self._pieces)
+        n = len(self.pieces)
         if len(ids) and not (0 <= min(ids) and max(ids) < n):
             bad = next(i for i in ids if not 0 <= i < n)
             raise ValueError(f"token id out of range: {bad}")
-        return "".join(map(self._pieces.__getitem__, ids)).strip()
+        return "".join(map(self.pieces.__getitem__, ids)).strip()
 
     def token_count(self, text: str) -> int:
         return len(self.encode(text))

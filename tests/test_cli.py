@@ -7,7 +7,8 @@ import pytest
 
 from qrag import synthetic
 from qrag.cli import main
-from qrag.corpus import CHUNKS_FILE, PAGE, parse_chunks
+from qrag.corpus import CHUNKS_FILE, parse_chunks
+from qrag.tokenizer import TokenizerModel
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +135,16 @@ class TestIngest:
         stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
         assert stats["chunks"] == 120
         assert (out / "tokenizer.json").exists()
-        # The chunk store of format 4: six arrays, every planted text in the
-        # one-byte Gurmukhi page.
+        # The chunk store of format 8: four arrays, the last every chunk's
+        # vocab ids, which decode to its text.
         with (out / "chunks.npy").open("rb") as fh:
-            *_, encodings, texts = [np.lib.format.read_array(fh) for _ in range(6)]
-        assert encodings.tolist() == [PAGE] * 120
-        chunks = parse_chunks((out / CHUNKS_FILE).read_bytes())
-        assert len(texts) == sum(len(c.text) for c in chunks)
+            *_, counts, tokens = [np.lib.format.read_array(fh) for _ in range(4)]
+        tok = TokenizerModel.load(out / "tokenizer.json")
+        assert tokens.dtype == np.uint16 and len(tokens) == counts.sum()
+        chunks = parse_chunks((out / CHUNKS_FILE).read_bytes(), tok)
+        assert [tok.encode(c.text) for c in chunks] == [
+            chunks.token_ids(i).tolist() for i in range(len(chunks))
+        ]
 
 
 class TestErrors:

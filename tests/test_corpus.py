@@ -3,19 +3,14 @@ import json
 import math
 import random
 import re
-import sys
 import tracemalloc
 import unicodedata
-from itertools import islice
 
 import numpy as np
 import pytest
 
 from qrag.corpus import (
     CHUNKS_FILE,
-    GURMUKHI_PAGE,
-    PAGE,
-    UTF16,
     Chunk,
     ChunkTable,
     CleanDocument,
@@ -30,9 +25,10 @@ from qrag.corpus import (
     preprocess,
     quality_check,
     save_chunks,
-    _strip_markup,
+    token_type,
+    Window,
 )
-from qrag.tokenizer import train_bpe
+from qrag.tokenizer import normalize, train_bpe
 
 CFG = CleaningConfig()
 
@@ -258,9 +254,15 @@ class TestChunk:
     def test_chunk_text_is_decode_of_span(self, unit_token_model):
         doc = _doc_of_tokens(300, unit_token_model)
         ids = unit_token_model.encode(doc.text)
-        for c in chunk(doc, CFG, unit_token_model):
+        windows = chunk(doc, CFG, unit_token_model)
+        table = ChunkTable.from_windows(windows, unit_token_model)
+        for w, c in zip(windows, table, strict=True):
             span = ids[c.token_offset : c.token_offset + c.token_count]
+            assert w.ids.tolist() == span
             assert c.text == unit_token_model.decode(span)
+        # The ids are held once per document, in the narrowest type.
+        assert windows[0].ids.dtype == np.uint8
+        assert windows[0].ids.base is windows[1].ids.base
 
     def test_spans_cover_document_with_fixed_overlap(self, unit_token_model):
         rng = np.random.default_rng(5)
@@ -314,74 +316,114 @@ class TestChunkRecord:
             c.text = "x"
 
 
+# The vocabulary size of ``store_model``: its codepoints, two specials and
+# the merges of the pairs that occur twice.
+STORE_V = 18
+
+
+@pytest.fixture(scope="module")
+def store_model():
+    tok = train_bpe(["ਸਤਿ ਨਾਮ ਹੈ ਜੀ 𝄞 ਕ ਸਤਿ ਨਾਮ"], vocab_size=40)
+    assert tok.vocab_size() == STORE_V
+    return tok
+
+
+def _table(chunk_ids, tok, text="ਕ"):
+    """A table of one window of ``text`` per chunk id, in the given order."""
+    ids = np.array(tok.encode(text))
+    return ChunkTable.from_windows([Window(cid, 0, ids) for cid in chunk_ids], tok)
+
+
 class TestChunkId:
     """A chunk id is its document's id, then "#" and the window's number."""
 
     @pytest.mark.parametrize(
         "chunk_id, doc_id", [("d#0", "d"), ("ਕ#12", "ਕ"), ("a#b#3", "a#b"), ("a b#0", "a b")]
     )
-    def test_the_doc_id_is_the_chunk_id_before_its_last_hash(self, tmp_path, chunk_id, doc_id):
+    def test_the_doc_id_is_the_chunk_id_before_its_last_hash(
+        self, tmp_path, store_model, chunk_id, doc_id
+    ):
         assert Chunk(chunk_id, 0, 1, "ਕ").doc_id == doc_id
-        save_chunks(ChunkTable.from_chunks([Chunk(chunk_id, 0, 1, "ਕ")]), tmp_path)
-        (loaded,) = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
+        save_chunks(_table([chunk_id], store_model), tmp_path)
+        (loaded,) = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
         assert (loaded.chunk_id, loaded.doc_id) == (chunk_id, doc_id)
 
     @pytest.mark.parametrize(
         "chunk_id", ["d", "d#", "#0", "d#x", "d#-1", "d#1.0", "d# 1", "d#0\n", "d#\u0661", ""]
     )
-    def test_an_id_that_is_not_doc_id_hash_number_is_refused_by_name(self, tmp_path, chunk_id):
-        save_chunks(ChunkTable.from_chunks([Chunk(chunk_id, 0, 1, "ਕ")]), tmp_path)
+    def test_an_id_that_is_not_doc_id_hash_number_is_refused_by_name(
+        self, tmp_path, store_model, chunk_id
+    ):
+        save_chunks(_table([chunk_id], store_model), tmp_path)
         match = f"^chunks.npy: ids must be chunk ids <doc id>#<n>, not {re.escape(repr(chunk_id))}$"
         with pytest.raises(ValueError, match=match):
-            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
+            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
 
 
 class TestChunkTable:
     """A table's chunk ids strictly increase: a row's number is its id's
-    rank."""
+    rank. Each row's text is decoded on first use and kept."""
 
-    def test_increasing_ids_accepted(self):
+    def test_increasing_ids_accepted(self, store_model):
         # Ordered as strings: "d#10" sorts before "d#2".
         ids = ["d#0", "d#1", "d#10", "d#2", "e#0"]
-        table = ChunkTable.from_chunks([Chunk(cid, 0, 1, "ਕ") for cid in ids])
+        table = _table(ids, store_model)
         assert table.chunk_ids == ids
         assert table[1:4].chunk_ids == ids[1:4]
-        assert ChunkTable.from_chunks([]).chunk_ids == []
+        assert _table([], store_model).chunk_ids == []
 
-    def test_decreasing_id_rejected(self):
+    def test_decreasing_id_rejected(self, store_model):
         ids = ["d#0", "d#1", "d#2", "d#10"]
         with pytest.raises(
             ValueError, match="^chunk_id 'd#10' follows 'd#2': chunk ids must increase$"
         ):
-            ChunkTable.from_chunks([Chunk(cid, 0, 1, "ਕ") for cid in ids])
+            _table(ids, store_model)
 
     @pytest.mark.parametrize("ids", [["a", "a"], ["a", "b", "a"], ["a", "b", "c", "b"]])
-    def test_repeated_id_rejected(self, ids):
+    def test_repeated_id_rejected(self, store_model, ids):
         repeated = next(cid for cid in ids if ids.count(cid) > 1)
         with pytest.raises(ValueError, match=f"^chunk_id '{repeated}' is listed twice$"):
-            ChunkTable.from_chunks([Chunk(cid, 0, 1, "ਕ") for cid in ids])
+            _table(ids, store_model)
+
+    def test_a_text_is_decoded_once_on_first_use(self, store_model):
+        table = _store(store_model)
+        assert table.text_slots == [None] * 4
+        first = table.text(3)
+        assert first == "𝄞 ਕ" and table.text_slots == [None, None, None, first]
+        assert table.text(3) is first and table[3].text is first and table[-1].text is first
+        texts = table.texts([1, 3, 1])
+        assert texts == ["ਹੈ ਜੀ", first, "ਹੈ ਜੀ"] and texts[0] is texts[2] and texts[1] is first
+        assert [c.text for c in table] == [text for _, _, text in STORE_ROWS]
+        assert table.text_slots == [text for _, _, text in STORE_ROWS]
+        # Each text is the tokenizer's decode of its row's ids.
+        for row in range(len(table)):
+            assert table.text(row) == store_model.decode(table.token_ids(row).tolist())
 
 
-STORE = ChunkTable.from_chunks(
-    [
-        Chunk("d#0", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ"),
-        Chunk("d#1", 2, 2, "ਹੈ ਜੀ"),
-        Chunk("e#0", 0, 0, ""),
-        # Outside the page: UTF-16-LE, where a codepoint beyond U+FFFF takes
-        # two code units.
-        Chunk("ਕ#0", 7, 1, "𝄞 ਕ"),
-    ]
+# The chunks of STORE: id, token offset, text.
+STORE_ROWS = (
+    ("d#0", 0, "ਸਤਿ ਨਾਮ ਹੈ"),
+    ("d#1", 2, "ਹੈ ਜੀ"),
+    ("e#0", 0, ""),
+    # A codepoint beyond U+FFFF: one vocab symbol like any other.
+    ("ਕ#0", 7, "𝄞 ਕ"),
 )
+
+
+def _store(tok):
+    windows = [Window(cid, offset, np.array(tok.encode(text))) for cid, offset, text in STORE_ROWS]
+    return ChunkTable.from_windows(windows, tok)
+
+
+@pytest.fixture()
+def store_arrays(tmp_path, store_model):
+    save_chunks(_store(store_model), tmp_path)
+    return _read_arrays(tmp_path)
 
 
 def _read_arrays(tmp_path):
     with (tmp_path / "chunks.npy").open("rb") as fh:
-        return [np.lib.format.read_array(fh) for _ in range(6)]
-
-
-def _store_arrays(tmp_path):
-    save_chunks(STORE, tmp_path)
-    return _read_arrays(tmp_path)
+        return [np.lib.format.read_array(fh) for _ in range(4)]
 
 
 def _write_arrays(tmp_path, arrays):
@@ -394,24 +436,26 @@ def _ids(value):
     return np.frombuffer(json.dumps(value).encode(), np.uint8)
 
 
-def _texts(arrays, blob, encoding=UTF16):
-    """``arrays`` with the text offsets and bytes replaced by ``blob``'s, all
-    in the first chunk, and every text in ``encoding``."""
-    ends = np.array([0, len(blob), len(blob), len(blob), len(blob)], "<i8")
-    encodings = np.full(4, encoding, np.uint8)
-    return [*arrays[:3], ends, encodings, np.frombuffer(blob, np.uint8)]
+def _with_token(arrays, at, value, dtype=None):
+    """``arrays`` with token id ``at`` set to ``value``, in ``dtype``."""
+    tokens = arrays[3].astype(dtype or arrays[3].dtype)
+    tokens[at] = value
+    return [*arrays[:3], tokens]
 
 
-# Each fault: a change to the six arrays of STORE, and what the refusal says.
+# Each fault: a change to the four arrays of the store, and what the refusal
+# says.
 STORE_FAULTS = {
-    "too_few_arrays": (lambda a: a[:4], "EOF"),
+    "too_few_arrays": (lambda a: a[:3], "EOF"),
     "object_array": (
         lambda a: [a[0].astype(object), *a[1:]], r"ids must be a 1-d uint8 array, got \|O of shape"
     ),
     "ids_not_uint8": (lambda a: [a[0].astype(np.int32), *a[1:]], "ids must be a 1-d uint8"),
-    "texts_not_uint8": (lambda a: [*a[:5], a[5].astype("<u2")], "text must be a 1-d uint8"),
-    "float_text_offsets": (
-        lambda a: [*a[:3], a[3].astype(float), *a[4:]], "text offsets must be a 1-d integer"
+    "token_ids_not_integer": (
+        lambda a: [*a[:3], a[3].astype(float)], "token ids must be a 1-d integer array"
+    ),
+    "token_ids_2d": (
+        lambda a: [*a[:3], a[3].reshape(-1, 1)], "token ids must be a 1-d integer array"
     ),
     "token_offset_2d": (lambda a: [a[0], a[1].reshape(2, 2), *a[2:]], "token_offset must be"),
     "short_token_offset": (
@@ -420,50 +464,28 @@ STORE_FAULTS = {
     "long_token_count": (
         lambda a: [*a[:2], np.append(a[2], 1), *a[3:]], "token_count has 5 entries for 4 chunks$"
     ),
-    "short_text_offsets": (
-        lambda a: [*a[:3], a[3][:4], a[4], a[5][:15]],
-        r"text offsets has 4 entries for 4 chunks \(N \+ 1 = 5\)$",
-    ),
     "negative_token_offset": (
         lambda a: [a[0], a[1] - 1, *a[2:]], "token_offset and token_count must be >= 0"
     ),
     "negative_token_count": (
         lambda a: [*a[:2], a[2] - 1, *a[3:]], "token_offset and token_count must be >= 0"
     ),
-    "offsets_not_from_0": (
-        lambda a: [*a[:3], a[3] + [2, 0, 0, 0, 0], *a[4:]],
-        "text offsets must not decrease, and the first must be 0$",
+    "counts_short_of_the_token_ids": (
+        lambda a: [*a[:2], a[2] - [1, 0, 0, 0], a[3]],
+        r"token_count adds up to (\d+), but there are (?!\1)\d+ token ids$",
     ),
-    "offsets_short_of_the_text": (
-        lambda a: [*a[:5], a[5][:21]], "text has 21 entries for text offsets ending at 23$"
+    "counts_past_the_token_ids": (
+        lambda a: [*a[:3], a[3][:-1]],
+        r"token_count adds up to (\d+), but there are (?!\1)\d+ token ids$",
     ),
-    "decreasing_offsets": (
-        lambda a: [*a[:3], a[3][[0, 2, 1, 3, 4]], *a[4:]], "text offsets must not decrease"
+    # Decoded lazily, such an id would fail a retrieve long after the load.
+    "an_id_of_the_vocabulary_size": (
+        lambda a: _with_token(a, 1, STORE_V),
+        f"token id {STORE_V} is outside the vocabulary of {STORE_V}$",
     ),
-    # The last chunk, in UTF-16-LE, keeps 7 of its 8 bytes.
-    "odd_offset": (
-        lambda a: [*a[:3], a[3] + [0, 0, 0, 1, 0], *a[4:]],
-        "chunk 'ਕ#0' has an odd byte count: a UTF-16 code unit is 2 bytes$",
-    ),
-    "odd_utf16_text": (lambda a: _texts(a, b"a\x00b"), "chunk 'd#0' has an odd byte count"),
-    "lone_high_surrogate": (lambda a: _texts(a, b"\x00\xd8"), "'utf-16-le' codec can't"),
-    "lone_low_surrogate": (lambda a: _texts(a, b"\x00\xdca\x00"), "'utf-16-le' codec can't"),
-    "undefined_page_byte": (
-        lambda a: _texts(a, b"\xa8\x05", PAGE),
-        "'charmap' codec can't decode byte 0x05 in position 1",
-    ),
-    "encoding_2": (
-        lambda a: [*a[:4], np.array([0, 0, 2, 1], np.uint8), a[5]],
-        r"text encodings must be 0 \(the page\) or 1 \(UTF-16-LE\)$",
-    ),
-    "float_encodings": (
-        lambda a: [*a[:4], a[4].astype(float), a[5]], "text encodings must be a 1-d integer"
-    ),
-    "short_encodings": (
-        lambda a: [*a[:4], a[4][:3], a[5]], "text encodings has 3 entries for 4 chunks$"
-    ),
-    "long_encodings": (
-        lambda a: [*a[:4], np.append(a[4], 0), a[5]], "text encodings has 5 entries for 4 chunks$"
+    "a_negative_id": (
+        lambda a: _with_token(a, -1, -1, np.int16),
+        f"token id -1 is outside the vocabulary of {STORE_V}$",
     ),
     "ids_bad_json": (lambda a: [np.frombuffer(b"[[", np.uint8), *a[1:]], "Expecting value"),
     "ids_bad_utf8": (lambda a: [np.frombuffer(b"\xff", np.uint8), *a[1:]], "'utf-8' codec"),
@@ -478,7 +500,7 @@ STORE_FAULTS = {
     "ids_a_string": (lambda a: [_ids("d#0"), *a[1:]], "ids must be a JSON list of chunk ids$"),
     # Format 6 stored a [chunk_id, doc_id] pair per chunk.
     "ids_the_pairs_of_format_6": (
-        lambda a: [_ids([[c.chunk_id, c.doc_id] for c in STORE]), *a[1:]],
+        lambda a: [_ids([[cid, cid.rpartition("#")[0]] for cid, _, _ in STORE_ROWS]), *a[1:]],
         r"ids must be chunk ids <doc id>#<n>, not \['d#0', 'd'\]$",
     ),
     "ids_an_int_chunk_id": (
@@ -503,123 +525,83 @@ STORE_FAULTS = {
 }
 
 
-class TestGurmukhiPage:
-    def test_the_page_is_pinned(self):
-        # The page is part of the index format: an edit to it needs a new
-        # engine.FORMAT_VERSION, and then a new table here.
-        table = {0x00: 0x00, 0x01: 0x0964, 0x02: 0x0965, 0x03: 0x200C, 0x04: 0x200D}
-        table.update((b, b) for b in (0x09, 0x0A, 0x0D, *range(0x20, 0x7F)))
-        table.update((b, 0x0A00 + b - 0x80) for b in range(0x80, 0x100))
-        assert [ord(ch) for ch in GURMUKHI_PAGE] == [table.get(b, 0xFFFE) for b in range(256)]
-
-    def test_every_page_byte_round_trips_both_ways(self, tmp_path):
-        defined = bytes(b for b, ch in enumerate(GURMUKHI_PAGE) if ch != "\ufffe")
-        text = "".join(GURMUKHI_PAGE[b] for b in defined)
-        assert len(defined) == 256 - 25
-        save_chunks(ChunkTable.from_chunks([Chunk("p#0", 0, 0, text)]), tmp_path)
-        *_, ends, encodings, blob = _read_arrays(tmp_path)
-        assert (ends.tolist(), encodings.tolist()) == ([0, len(defined)], [PAGE])
-        assert blob.tobytes() == defined
-        assert parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())[0].text == text
-
-    def test_only_controls_that_cleaning_strips_give_up_their_slots(self):
-        # So no cleaned text has a character that lost its byte to the page.
-        moved = [chr(b) for b in range(0x80) if GURMUKHI_PAGE[b] != chr(b)]
-        assert len(moved) == 4 + 25
-        assert all(_strip_markup(ch) == "" for ch in moved)
-
-    def test_chunks_outside_the_page_fall_back_to_utf_16(self, tmp_path):
-        chunks = [
-            Chunk("a#0", 0, 2, "ਸਤਿ ਨਾਮ। ੴ ੧੨੩॥"),
-            Chunk("b#0", 0, 1, "café ਕ"),  # a Latin-1 letter
-            Chunk("c#0", 0, 1, "ਹੈ\u200cਜੀ\u200d 42 ok\n"),
-            Chunk("d#0", 0, 1, "𝄞 ਕ"),  # an astral character
-            Chunk("e#0", 0, 1, "ਕ\x07ਖ"),  # a C0 control
-            Chunk("f#0", 0, 0, ""),
-            Chunk("g#0", 0, 1, "\ufffe"),  # the page's undefined marker
-            Chunk("h#0", 0, 1, "ਕ\x00ਖ"),
-        ]
-        save_chunks(ChunkTable.from_chunks(chunks), tmp_path)
-        *_, ends, encodings, blob = _read_arrays(tmp_path)
-        assert encodings.dtype == np.uint8
-        assert encodings.tolist() == [PAGE, UTF16, PAGE, UTF16, UTF16, PAGE, UTF16, PAGE]
-        sizes = np.diff(ends).tolist()
-        assert sizes == [
-            len(c.text) if e == PAGE else len(c.text.encode("utf-16-le"))
-            for c, e in zip(chunks, encodings.tolist())
-        ]
-        assert list(parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())) == chunks
-
-
 class TestChunkPersistence:
-    def test_store_round_trip(self, tmp_path):
-        save_chunks(STORE, tmp_path)
-        assert parse_chunks((tmp_path / CHUNKS_FILE).read_bytes()) == STORE
+    def test_store_round_trip(self, tmp_path, store_model):
+        save_chunks(_store(store_model), tmp_path)
+        loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+        assert loaded == _store(store_model)
+        assert [(c.chunk_id, c.token_offset, c.text) for c in loaded] == list(STORE_ROWS)
 
-    def test_empty_store_round_trip(self, tmp_path):
-        save_chunks(ChunkTable.from_chunks([]), tmp_path)
-        assert list(parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())) == []
+    def test_empty_store_round_trip(self, tmp_path, store_model):
+        save_chunks(_table([], store_model), tmp_path)
+        assert list(parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)) == []
 
-    def test_page_text_takes_one_byte_per_codepoint(self, tmp_path):
-        ids, token_offset, token_count, ends, encodings, blob = _store_arrays(tmp_path)
-        assert encodings.tolist() == [PAGE, PAGE, PAGE, UTF16]
-        assert ends.tolist() == [0, 10, 15, 15, 23]
-        assert [len(c.text) for c in STORE[:3]] == [10, 5, 0]
-        assert blob.tobytes() == (
-            bytes([0xB8, 0xA4, 0xBF, 0x20, 0xA8, 0xBE, 0xAE, 0x20, 0xB9, 0xC8])
-            + bytes([0xB9, 0xC8, 0x20, 0x9C, 0xC0])
-            + STORE[3].text.encode("utf-16-le")
+    def test_ids_take_the_narrowest_unsigned_type(self, store_model, store_arrays):
+        ids, token_offset, token_count, tokens = store_arrays
+        expected = [store_model.encode(text) for _, _, text in STORE_ROWS]
+        assert token_count.tolist() == [len(e) for e in expected]
+        assert tokens.tolist() == [i for e in expected for i in e]
+        assert (tokens.dtype.str, token_offset.dtype.str, token_count.dtype.str) == (
+            "|u1", "<i4", "<i4"
         )
-        assert (ends.dtype.str, token_offset.dtype.str, token_count.dtype.str) == (
-            "<i8", "<i4", "<i4"
-        )
-        assert json.loads(ids.tobytes()) == STORE.chunk_ids
+        assert json.loads(ids.tobytes()) == [cid for cid, _, _ in STORE_ROWS]
+        # One byte a vocab id up to 256 ids, two up to 65,536.
+        assert [token_type(v).str for v in (1, 256, 257, 65536, 65537)] == [
+            "|u1", "|u1", "<u2", "<u2", "<u4"
+        ]
 
     def test_load_holds_no_copy_of_the_text_bytes(self, tmp_path):
+        # A load keeps no view of the bytes read and decodes no text: each
+        # text slot stays empty until its text is asked for.
         rng = random.Random(0)
         letters = [chr(c) for c in range(0x0A15, 0x0A39)]
-        words = ("".join(rng.choices(letters, k=5)) for _ in range(400 * 600))
-        chunks = [
-            Chunk(f"d{i:03d}#0", 0, 600, " ".join(islice(words, 600)))
-            for i in range(400)
-        ]
-        save_chunks(ChunkTable.from_chunks(chunks), tmp_path)
-        size = (tmp_path / "chunks.npy").stat().st_size
+        words = [normalize("".join(rng.choices(letters, k=5))) for _ in range(2000)]
+        texts = [" ".join(rng.choices(words, k=600)) for _ in range(400)]
+        tok = train_bpe(texts, vocab_size=3000)
+        windows = [Window(f"d{i:03d}#0", 0, np.array(tok.encode(t))) for i, t in enumerate(texts)]
+        save_chunks(ChunkTable.from_windows(windows, tok), tmp_path)
+        data = (tmp_path / CHUNKS_FILE).read_bytes()
         tracemalloc.start()
         try:
-            loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
+            loaded = parse_chunks(data, tok)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert list(loaded) == chunks
-        strings = sum(map(sys.getsizeof, loaded.texts))
-        # The file is read once and its texts are decoded from views of it,
-        # so besides the strings the load peaks at the file's bytes plus the
-        # ids and offsets, about 450 bytes per chunk: a copy of the 2.9 MB of
-        # text bytes would add as much again. Once loaded, the table holds
-        # no part of the file.
-        assert peak <= strings + size + 64 * 1024 + 1024 * len(chunks)
-        assert held <= strings + 64 * 1024 + 256 * len(chunks)
+        assert loaded.text_slots == [None] * len(texts)
+        for arr in (loaded.token_offsets, loaded.token_counts, loaded.tokens):
+            assert arr.base is None and arr.flags.owndata
+        # The table holds its arrays, 2 bytes a token id and 8 a chunk
+        # besides, the ids and the slots: no part of the file, and no text.
+        tokens = loaded.tokens.nbytes
+        assert tokens == 2 * sum(len(w.ids) for w in windows)
+        assert held <= tokens + 64 * 1024 + 256 * len(texts)
+        assert peak <= held + 64 * 1024
+        assert [c.text for c in loaded] == texts
 
     @pytest.mark.parametrize("fault", STORE_FAULTS, ids=list(STORE_FAULTS))
-    def test_each_fault_is_a_value_error_naming_the_file(self, tmp_path, fault):
+    def test_each_fault_is_a_value_error_naming_the_file(
+        self, tmp_path, store_model, store_arrays, fault
+    ):
         change, match = STORE_FAULTS[fault]
-        _write_arrays(tmp_path, change(_store_arrays(tmp_path)))
+        _write_arrays(tmp_path, change(store_arrays))
         with pytest.raises(ValueError, match=r"^chunks\.npy: .*" + match):
-            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
+            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
 
     @pytest.mark.parametrize(
         "resize, match",
         [
-            (lambda data: data + b"\0", "trailing bytes after the text array$"),
-            (lambda data: data[:-3], "the text array is cut short: 20 of 23 bytes$"),
+            (lambda data: data + b"\0", "trailing bytes after the token ids array$"),
+            (
+                lambda data: data[:-3],
+                r"the token ids array is cut short: (\d+) of (?!\1)\d+ bytes$",
+            ),
             (lambda data: data[:150], r"the ids array is cut short: 22 of \d+ bytes$"),
         ],
-        ids=["trailing", "cut_in_the_texts", "cut_in_the_ids"],
+        ids=["trailing", "cut_in_the_token_ids", "cut_in_the_ids"],
     )
-    def test_trailing_or_missing_bytes_are_refused(self, tmp_path, resize, match):
-        save_chunks(STORE, tmp_path)
+    def test_trailing_or_missing_bytes_are_refused(self, tmp_path, store_model, resize, match):
+        save_chunks(_store(store_model), tmp_path)
         path = tmp_path / "chunks.npy"
         path.write_bytes(resize(path.read_bytes()))
         with pytest.raises(ValueError, match=r"^chunks\.npy: " + match):
-            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes())
+            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)

@@ -69,19 +69,20 @@ class TestBuildAll:
     def test_manifest_matches_chunks_file(self, small_engine):
         engine, bench, index_dir, _, _ = small_engine
         manifest = json.loads((index_dir / "manifest.json").read_text(encoding="utf-8"))
-        stored = parse_chunks((index_dir / CHUNKS_FILE).read_bytes())
+        stored = parse_chunks((index_dir / CHUNKS_FILE).read_bytes(), engine.tokenizer)
         assert manifest["chunk_count"] == len(stored) == engine.chunk_count
         assert stored == engine.chunks
 
     def test_chunks_file_takes_one_byte_per_codepoint_of_text(self, small_engine):
-        # Besides six 128-byte array headers, the ids and one more text
-        # offset, each chunk costs 17 bytes (token offset and count, text
-        # offset, encoding), then a byte per codepoint of its Gurmukhi text.
+        # Besides four 128-byte array headers and the ids, each chunk costs
+        # 8 bytes (token offset and count), then 2 bytes per vocab id of a
+        # vocabulary above 256: at most one byte per codepoint of its text.
         engine, _, index_dir, _, _ = small_engine
         chunks = engine.chunks
         ids = json.dumps(chunks.chunk_ids, ensure_ascii=False)
-        fixed = 6 * 128 + len(ids.encode()) + 8 + 17 * len(chunks)
+        fixed = 4 * 128 + len(ids.encode()) + 8 * len(chunks)
         size = (index_dir / "chunks.npy").stat().st_size
+        assert size == fixed + 2 * int(chunks.token_counts.sum())
         assert size <= fixed + sum(len(c.text) for c in chunks)
 
     def test_double_build_byte_identical(self, small_engine, tmp_path):
@@ -150,67 +151,15 @@ class TestBuildAll:
         assert [m.split()[2].rstrip(":") for m in logged] == stages
         assert all(m.endswith(" s") for m in logged)
 
-    def test_stage_errors_carry_stage_name(self, small_engine, tmp_path):
+    def test_stage_errors_carry_stage_name(self, small_engine, tmp_path, monkeypatch):
         _, _, _, corpus_path, cfg = small_engine
-        from dataclasses import replace
 
-        from qrag.semantic import EmbedderSpec
+        def no_matrix(tokens, dim):
+            raise ValueError("no token matrix")
 
-        broken = replace(
-            cfg, embedder=EmbedderSpec(kind="external_file", path=str(tmp_path / "none.jsonl"))
-        )
-        with pytest.raises(RuntimeError, match="stage 'embed'"):
-            build_all(corpus_path, broken, tmp_path / "i")
-
-
-class TestExternalEmbeddings:
-    @pytest.fixture()
-    def external_engine(self, small_engine, tmp_path):
-        # Reuse the hash-projection build to learn the chunk ids, then
-        # rebuild against an external embedding file for those ids.
-        engine, bench, _, corpus_path, cfg = small_engine
-        from dataclasses import replace
-
-        from qrag.semantic import EmbedderSpec
-
-        ext_path = tmp_path / "external.jsonl"
-        with ext_path.open("w", encoding="utf-8") as fh:
-            for i, c in enumerate(engine.chunks):
-                vec = engine.vector_index.cols[:, i]
-                fh.write(
-                    json.dumps({"id": c.chunk_id, "vector": [float(x) for x in vec]})
-                    + "\n"
-                )
-        ext_cfg = replace(
-            cfg, embedder=EmbedderSpec(kind="external_file", path=str(ext_path))
-        )
-        build_all(corpus_path, ext_cfg, tmp_path / "ext_index")
-        return load_index(tmp_path / "ext_index"), bench
-
-    def test_build_uses_external_vectors(self, external_engine, small_engine):
-        ext, _ = external_engine
-        base, *_ = small_engine
-        assert ext.chunks.chunk_ids == base.chunks.chunk_ids
-        assert len(ext.vector_index) == len(base.vector_index)
-        assert ext.vector_index.dim == base.vector_index.dim
-
-    def test_sparse_retrieval_still_works(self, external_engine):
-        ext, bench = external_engine
-        q = next(q for q in bench.queries if q["kind"] == "lexical")
-        resp = ext.retrieve(q["text"], mode="sparse_only")
-        assert resp.hits[0].chunk_id == bench.targets[q["qid"]] + "#0"
-
-    def test_text_queries_cannot_use_dense_modes(self, external_engine):
-        ext, bench = external_engine
-        with pytest.raises(ValueError, match="hash_projection"):
-            ext.retrieve(bench.queries[0]["text"], mode="dense_only")
-
-    def test_supplied_query_vectors_search_directly(self, external_engine):
-        # Callers with their own query embeddings bypass the text encoder
-        # and search the vector index directly.
-        ext, _ = external_engine
-        results = semantic.search_exact(ext.vector_index, ext.vector_index.cols[:, 5], 1)
-        assert results[0][0] == 5
+        monkeypatch.setattr(semantic, "token_matrix", no_matrix)
+        with pytest.raises(RuntimeError, match="^build stage 'embed' failed: no token matrix$"):
+            build_all(corpus_path, cfg, tmp_path / "i")
 
 
 def _scalar_lexical_norms(hits):
@@ -435,9 +384,8 @@ class TestRowSpace:
     def test_lexical_index_of_another_row_count_rejected(self, small_engine):
         engine, *_ = small_engine
         tok, chunks, n = engine.tokenizer, engine.chunks, engine.chunk_count
-        longer = lexical.build_index(
-            [tok.encode(t) for t in [*chunks.texts, chunks.texts[0]]], tok.vocab_size()
-        )
+        texts = [c.text for c in chunks]
+        longer = lexical.build_index([tok.encode(t) for t in [*texts, texts[0]]], tok.vocab_size())
         with pytest.raises(ValueError, match=f"^lexical index has {n + 1} rows for {n} chunks$"):
             RetrievalEngine(chunks, tok, longer, engine.vector_index, engine.config)
 
@@ -445,7 +393,7 @@ class TestRowSpace:
         # Term j of the lexical index is vocab id j, so its term count is V.
         engine, *_ = small_engine
         tok, chunks = engine.tokenizer, engine.chunks
-        terms = [tok.encode(t) for t in chunks.texts]
+        terms = [tok.encode(c.text) for c in chunks]
         other = lexical.build_index(terms, tok.vocab_size() + 1)
         with pytest.raises(ValueError, match="lexical index terms do not follow the vocab"):
             RetrievalEngine(chunks, tok, other, engine.vector_index, engine.config)
@@ -471,8 +419,8 @@ class TestChunkIdOrder:
     """Rows are in chunk-id order, so ranking ties break on the row."""
 
     def test_rows_follow_chunk_ids_after_build_and_load(self, line_id_index):
-        stored = parse_chunks((line_id_index / CHUNKS_FILE).read_bytes())
         loaded = load_index(line_id_index).chunks
+        stored = parse_chunks((line_id_index / CHUNKS_FILE).read_bytes(), loaded.tokenizer)
         for ids in (stored.chunk_ids, loaded.chunk_ids):
             assert all(a < b for a, b in zip(ids, ids[1:]))
         # Rows are not in file order: line-10 comes before line-2, and a
@@ -484,7 +432,7 @@ class TestChunkIdOrder:
 
     def test_hits_tie_break_on_chunk_id_in_every_mode(self, line_id_index):
         engine = load_index(line_id_index)
-        words = " ".join(engine.chunks.texts[:30]).split()
+        words = " ".join(c.text for c in engine.chunks[:30]).split()
         queries = [" ".join(words[i : i + 1 + i % 3]) for i in range(0, 90, 3)]
         ties = dict.fromkeys(FUSION_MODES, 0)
         for mode in FUSION_MODES:
@@ -530,8 +478,9 @@ def dim16_index(small_engine, tmp_path_factory):
 def _state(engine):
     """Each numpy array reachable from ``engine``, by path, as its dtype,
     shape and digest, and one digest of every other value it reaches: all of
-    the engine but the tokenizer's word cache, which ``WORD_CACHE_MAX``
-    bounds."""
+    the engine but its two bounded caches, the tokenizer's word cache, which
+    ``WORD_CACHE_MAX`` bounds, and the chunk table's text slots, one per
+    chunk."""
     arrays, values, seen = {}, hashlib.sha256(), set()
 
     def walk(path, obj):
@@ -540,7 +489,9 @@ def _state(engine):
             arrays[path] = (obj.dtype.str, obj.shape, digest)
         elif obj is None or isinstance(obj, (str, bytes, int, float, np.generic)):
             values.update(f"{path}={obj!r}\n".encode())
-        elif id(obj) in seen or obj is engine.tokenizer._word_cache:
+        elif id(obj) in seen or any(
+            obj is cache for cache in (engine.tokenizer._word_cache, engine.chunks.text_slots)
+        ):
             return
         else:
             seen.add(id(obj))
@@ -589,8 +540,8 @@ class TestTokenTables:
         assert not [p for p, shape in shapes.items() if {v, dim} <= set(shape)]
 
     def test_retrieves_leave_a_loaded_engine_unchanged(self, small_engine):
-        # Every array and value a retrieve could write, the tokenizer's
-        # bounded word cache aside: no token vector is stored at query time.
+        # Every array and value a retrieve could write, the two bounded
+        # caches aside: no token vector is stored at query time.
         _, bench, index_dir, *_ = small_engine
         engine = load_index(index_dir)
         queries = _fifty_queries(small_engine[0], bench)
@@ -600,10 +551,13 @@ class TestTokenTables:
             assert any(p.startswith(f"engine[{owner!r}]") for p in paths), owner
         assert any(p.startswith("engine['lexical_index']['_impacts']") for p in paths)
         cached = len(engine.tokenizer._word_cache)
+        assert engine.chunks.text_slots == [None] * engine.chunk_count
         for i in range(200):
             engine.retrieve(queries[i % 50], mode=FUSION_MODES[i % len(FUSION_MODES)])
         assert _state(engine) == before
         assert len(engine.tokenizer._word_cache) > cached
+        slots = engine.chunks.text_slots
+        assert len(slots) == engine.chunk_count and slots.count(None) < len(slots)
 
     def test_a_query_embeds_a_chunk_as_the_build_did(self, small_engine):
         # The build takes token vectors from one matrix of the vocabulary's;
@@ -612,7 +566,7 @@ class TestTokenTables:
         tok, table = engine.tokenizer, engine.token_table
         n = min(200, engine.chunk_count)
         matrix = semantic.token_matrix(tok.tokens, engine.config.embedder.dim)
-        terms = [tok.encode(text) for text in engine.chunks.texts[:n]]
+        terms = [tok.encode(c.text) for c in engine.chunks[:n]]
         built = [semantic.embed(ids, table, matrix) for ids in terms]
         queried = [semantic.embed(ids, table) for ids in terms]
         assert [v.tobytes() for v in queried] == [v.tobytes() for v in built]
@@ -649,6 +603,8 @@ class TestTokenTables:
         assert alone[0] != alone[1]
 
     def test_threads_racing_on_row_fills_answer_as_a_sequential_run(self, small_engine):
+        # The rows are the chunk table's text slots, which a fresh load
+        # leaves empty and the first response to return a chunk fills.
         _, bench, index_dir, *_ = small_engine
         queries = _fifty_queries(small_engine[0], bench)
         expected = _answers(load_index(index_dir), queries)
@@ -670,6 +626,13 @@ class TestTokenTables:
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected] * 4
+        chunks, tok = engine.chunks, engine.tokenizer
+        slots = chunks.text_slots
+        assert len(slots) == engine.chunk_count
+        filled = [row for row, text in enumerate(slots) if text is not None]
+        assert len(filled) > 50
+        for row in filled:
+            assert slots[row] == tok.decode(chunks.token_ids(row).tolist())
 
     def test_retrieves_leave_module_level_containers_unchanged(
         self, small_engine, dim16_index
@@ -800,7 +763,7 @@ class TestPersistence:
         engine, *_ = small_engine
         index_dir = tmp_path / "repeated"
         save_index(engine, index_dir)
-        chunks = parse_chunks((index_dir / CHUNKS_FILE).read_bytes())
+        chunks = parse_chunks((index_dir / CHUNKS_FILE).read_bytes(), engine.tokenizer)
         chunks.chunk_ids[1] = chunks.chunk_ids[0]
         save_chunks(chunks, index_dir)
         manifest_path = index_dir / "manifest.json"
@@ -925,8 +888,11 @@ class TestPersistence:
             # Version 6 kept a doc id beside each chunk id in chunks.npy, and
             # the tokenizer digest and the embedder twice in the manifest.
             (6, None),
+            # Version 7 kept each chunk's text in chunks.npy, in a one-byte
+            # Gurmukhi page or UTF-16-LE, where version 8 keeps its vocab ids.
+            (7, None),
         ],
-        ids=["v1", "v2", "v3", "v4", "v5", "v6"],
+        ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7"],
     )
     def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version, files):
         engine, *_ = small_engine
@@ -1029,13 +995,37 @@ class TestLoad:
         bad = chunks.chunk_ids[0].rpartition("#")[0]  # still the first in order
         ids = [bad, *chunks.chunk_ids[1:]]
         save_chunks(
-            ChunkTable(ids, chunks.token_offsets, chunks.token_counts, chunks.texts),
+            ChunkTable(
+                ids, chunks.token_offsets, chunks.token_counts, chunks.tokens, chunks.tokenizer
+            ),
             tmp_path / "index",
         )
         digest = hashlib.sha256((tmp_path / "index" / CHUNKS_FILE).read_bytes()).hexdigest()
         _edit_manifest(tmp_path / "index", lambda m: m["files"].update({CHUNKS_FILE: digest}))
         match = f"^chunks.npy: ids must be chunk ids <doc id>#<n>, not {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=match):
+            load_index(tmp_path / "index")
+
+    def test_a_re_signed_id_of_the_vocabulary_size_is_refused_by_the_load(
+        self, small_engine, tmp_path
+    ):
+        # Texts are decoded when a response first returns them, so an id
+        # outside the vocabulary must be refused here, not met by a retrieve.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "index")
+        v = engine.tokenizer.vocab_size()
+        path = tmp_path / "index" / CHUNKS_FILE
+        with path.open("rb") as fh:
+            arrays = [np.lib.format.read_array(fh) for _ in range(4)]
+        arrays[3][len(arrays[3]) // 2] = v
+        with path.open("wb") as fh:
+            for arr in arrays:
+                np.lib.format.write_array(fh, arr)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        _edit_manifest(tmp_path / "index", lambda m: m["files"].update({CHUNKS_FILE: digest}))
+        with pytest.raises(
+            ValueError, match=f"^chunks.npy: token id {v} is outside the vocabulary of {v}$"
+        ):
             load_index(tmp_path / "index")
 
     @pytest.mark.parametrize("name", ["manifest.json", "tokenizer.json"])
@@ -1109,7 +1099,7 @@ class TestLoad:
             lexical_path.write_bytes(lexical_path.read_bytes()[:-1])
         elif outcome == "parse_error":
             # A repeated chunk id, with the digest to match.
-            chunks = parse_chunks((index_dir / CHUNKS_FILE).read_bytes())
+            chunks = parse_chunks((index_dir / CHUNKS_FILE).read_bytes(), engine.tokenizer)
             chunks.chunk_ids[1] = chunks.chunk_ids[0]
             save_chunks(chunks, index_dir)
             digest = hashlib.sha256((index_dir / "chunks.npy").read_bytes()).hexdigest()
@@ -1132,6 +1122,7 @@ class TestLoad:
         for arr in (
             loaded.chunks.token_offsets,
             loaded.chunks.token_counts,
+            loaded.chunks.tokens,
             li.doc_len,
             li.offsets,
             li.rows,

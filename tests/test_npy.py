@@ -11,11 +11,12 @@ import pytest
 
 import qrag
 from qrag import _npy
-from qrag.corpus import CHUNK_ARRAYS, CHUNKS_FILE, Chunk, ChunkTable, save_chunks
+from qrag.corpus import CHUNK_ARRAYS, CHUNKS_FILE, ChunkTable, Window, save_chunks
 from qrag.lexical import LEXICAL_ARRAYS, LEXICAL_FILE, build_index
 from qrag.lexical import save as save_lexical
 from qrag.semantic import ROW_BLOCK_ROWS, VECTOR_ARRAYS, VECTORS_FILE, VectorIndex
 from qrag.semantic import save as save_vectors
+from qrag.tokenizer import TokenizerModel
 
 SRC = Path(qrag.__file__).parent
 
@@ -51,12 +52,12 @@ def test_only_the_npy_module_knows_the_format():
 
 
 def _chunks(n):
-    # Every fifth text holds an astral character, so it is stored in
-    # UTF-16-LE; the others are in the one-byte page.
-    texts = ("ਸਤਿ ਨਾਮ" * (i % 3) + ("𝄞" if i % 5 == 0 else "") for i in range(n))
-    return ChunkTable.from_chunks(
-        Chunk(f"d{i:04d}#0", i, 3, text) for i, text in enumerate(texts)
-    )
+    # A vocabulary of 300 ids, so they are stored as uint16; every third
+    # chunk holds no id.
+    tok = TokenizerModel({f"t{i}": i for i in range(300)}, [])
+    ids = np.random.default_rng(n).integers(0, 300, 4 * n)
+    windows = [Window(f"d{i:04d}#0", i, ids[4 * i : 4 * i + i % 3]) for i in range(n)]
+    return ChunkTable.from_windows(windows, tok)
 
 
 def _numpy_bytes(arrays):

@@ -1,10 +1,10 @@
-import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qrag import synthetic
 from qrag.semantic import (
     ROW_BLOCK_ROWS,
     SCAN_BLOCK_ROWS,
@@ -16,7 +16,6 @@ from qrag.semantic import (
     _fnv1a64,
     cosine,
     embed,
-    load_external_embeddings,
     parse,
     save,
     search_exact,
@@ -24,15 +23,25 @@ from qrag.semantic import (
     token_vector,
     token_vectors,
 )
+from qrag.tokenizer import train_bpe
 
-SPEC = EmbedderSpec(kind="hash_projection", dim=256)
+SPEC = EmbedderSpec(dim=256)
 
 _MASK64 = (1 << 64) - 1
 
 
+def _scalar_fnv1a64(data):
+    """The reference FNV-1a: one step per byte, in Python ints."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & _MASK64
+    return h
+
+
 def _scalar_token_vector(token, dim):
     """The reference: one SplitMix64 step per output, in Python ints."""
-    state = _fnv1a64(token.encode("utf-8"))
+    state = _scalar_fnv1a64(token.encode("utf-8"))
     values = np.empty(dim, dtype=np.float64)
     for i in range(dim):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -42,6 +51,38 @@ def _scalar_token_vector(token, dim):
         values[i] = ((z ^ (z >> 31)) >> 11) * (2.0**-53) * 2.0 - 1.0
     values /= math.sqrt(float(np.dot(values, values)))
     return values
+
+
+@pytest.fixture(scope="module")
+def benchmark_vocab():
+    """The 2,500 tokens of the benchmark corpus's tokenizer."""
+    spec = dict(n_docs=10000, n_lexical=4000, n_semantic=4000, seed=0, lexicon_size=1500)
+    bench = synthetic.make_planted_benchmark(**spec, words_per_doc=(90, 120))
+    return train_bpe([r["text"] for r in bench.records], 2500).tokens
+
+
+class TestFnv1a:
+    """The array FNV-1a that seeds each token vector equals the byte loop."""
+
+    def test_every_benchmark_vocab_token(self, benchmark_vocab):
+        assert len(benchmark_vocab) == 2500
+        hashes = _fnv1a64(benchmark_vocab)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == [_scalar_fnv1a64(t.encode("utf-8")) for t in benchmark_vocab]
+
+    def test_multi_byte_tokens_of_1_to_45_bytes(self):
+        # Codepoints of 1 (ASCII), 2 (Latin-1), 3 (Gurmukhi) and 4 (astral)
+        # UTF-8 bytes, mixed, in tokens of every length from 1 to 45 bytes.
+        rng = np.random.default_rng(11)
+        alphabet = ["a", "~", "é", "ß", "ਕ", "ੴ", "\u200d", "𝄞", "😀"]
+        tokens = []
+        while len(tokens) < 2000:
+            token = "".join(rng.choice(alphabet, size=rng.integers(1, 16)))
+            if len(token.encode("utf-8")) <= 45:
+                tokens.append(token)
+        assert {len(t.encode("utf-8")) for t in tokens} == set(range(1, 46))
+        for batch in (tokens, tokens[:1], tokens[::-1][:54], [], ["", "a", ""]):
+            assert _fnv1a64(batch).tolist() == [_scalar_fnv1a64(t.encode()) for t in batch]
 
 
 class TestTokenVector:
@@ -122,11 +163,6 @@ class TestEmbed:
         with pytest.raises(ValueError, match="empty token list"):
             embed([], TokenTable(["a"], [1.0], 256))
 
-    def test_external_spec_cannot_embed_text(self):
-        # An engine over an external_file embedder has no token table.
-        with pytest.raises(ValueError, match="hash_projection"):
-            embed([0], None)
-
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_id_outside_the_table_rejected(self, bad):
         with pytest.raises(ValueError, match="token id out of range"):
@@ -134,7 +170,7 @@ class TestEmbed:
 
     def test_dim_must_be_power_of_two(self):
         with pytest.raises(ValueError):
-            EmbedderSpec(kind="hash_projection", dim=100)
+            EmbedderSpec(dim=100)
 
     @pytest.mark.parametrize("dim", [256.0, "256", None, True])
     def test_dim_that_is_not_an_int_rejected(self, dim):
@@ -147,9 +183,11 @@ class TestEmbed:
         table = TokenTable(tokens, weights, 16)
         for start in range(0, 40, 4):
             embed([i % 10 for i in range(start, start + 7)], table)
-        assert vars(table).keys() == {"tokens", "weights", "dim"}
+        assert vars(table).keys() == {"tokens", "weights", "seeds", "dim"}
         assert table.tokens is tokens and table.dim == 16
         assert table.weights.shape == (10,) and table.weights.tolist() == weights
+        # Each token hashed once, as the seed of its vector: 8 bytes a token.
+        assert table.seeds.tolist() == [_scalar_fnv1a64(t.encode()) for t in tokens]
 
     def test_the_matrix_is_every_token_vector_block_by_block(self):
         # More tokens than a block, and a last block that is not full.
@@ -467,47 +505,3 @@ class TestPersistence:
         match = rf"^{VECTORS_FILE}: vectors must be a 2-d <f4 array, got \|O of shape"
         with pytest.raises(ValueError, match=match):
             parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
-
-
-class TestLoadExternal:
-    def _write(self, tmp_path, rows):
-        path = tmp_path / "ext.jsonl"
-        path.write_text(
-            "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
-        )
-        return path
-
-    def test_happy_path(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                {"id": "a", "vector": [1.0, 0.0, 0.0, 0.0]},
-                {"id": "b", "vector": [0.0, 1.0, 0.0, 0.0]},
-            ],
-        )
-        ix = load_external_embeddings(path, ["a", "b"])
-        assert len(ix) == 2
-        assert ix.dim == 4
-
-    def test_rows_normalized_on_load(self, tmp_path):
-        path = self._write(tmp_path, [{"id": "a", "vector": [3.0, 4.0, 0.0, 0.0]}])
-        ix = load_external_embeddings(path, ["a"])
-        assert np.allclose(ix.cols[:, 0], [0.6, 0.8, 0.0, 0.0], atol=1e-7)
-
-    def test_missing_id_named(self, tmp_path):
-        path = self._write(tmp_path, [{"id": "a", "vector": [1.0, 0.0]}])
-        with pytest.raises(ValueError, match="missing embedding for id: b"):
-            load_external_embeddings(path, ["a", "b"])
-
-    def test_inconsistent_dim_rejected(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [{"id": "a", "vector": [1.0, 0.0]}, {"id": "b", "vector": [1.0, 0.0, 0.0]}],
-        )
-        with pytest.raises(ValueError, match="inconsistent dim"):
-            load_external_embeddings(path, ["a", "b"])
-
-    def test_non_finite_rejected(self, tmp_path):
-        path = self._write(tmp_path, [{"id": "a", "vector": [1.0, float("nan")]}])
-        with pytest.raises(ValueError, match="non-finite"):
-            load_external_embeddings(path, ["a"])
