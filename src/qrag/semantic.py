@@ -1,13 +1,14 @@
 """Dense retrieval leg: deterministic hash-projection embeddings and an
 exact-scan vector index.
 
-The embedder maps each vocabulary token to a pseudo-random unit vector
-seeded by an FNV-1a hash of its bytes, then L2-normalizes the IDF-weighted
-bag-of-tokens sum. A ``TokenTable`` holds one vocabulary's weights and
-seeds, keyed by vocab id, and no vectors: an embed computes the vectors of
-its own ids, and the module keeps no state. It is fully deterministic across
-platforms, which makes the whole retrieval stack testable without any ML
-dependency.
+The built-in embedder maps each vocabulary token to a pseudo-random unit
+vector seeded by an FNV-1a hash of its bytes, then L2-normalizes the
+IDF-weighted bag-of-tokens sum. A ``TokenTable`` holds one vocabulary's
+weights and seeds, keyed by vocab id, and no vectors: an embed computes the
+vectors of its own ids, and the module keeps no state. It is fully
+deterministic across platforms, which makes the whole retrieval stack
+testable without any ML dependency; externally computed embeddings can be
+loaded from JSONL instead.
 """
 
 from __future__ import annotations
@@ -43,15 +44,22 @@ ROW_BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class EmbedderSpec:
-    """The hash-projection embedder's width: the dim of every vector."""
+    """Which embedder to use: the built-in hash projection or an external file."""
 
+    kind: str = "hash_projection"
     dim: int = 256
+    path: str | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in ("hash_projection", "external_file"):
+            raise ValueError(f"unknown embedder kind: {self.kind}")
         if type(self.dim) is not int:  # a bool is an int: refused too
             raise ValueError(f"dim must be an int, got {self.dim!r}")
-        if self.dim < 2 or self.dim & (self.dim - 1):
-            raise ValueError("hash_projection dim must be a power of two >= 2")
+        if self.kind == "hash_projection":
+            if self.dim < 2 or self.dim & (self.dim - 1):
+                raise ValueError("hash_projection dim must be a power of two >= 2")
+        elif not self.path:
+            raise ValueError("external_file embedder requires a path")
 
     def to_dict(self) -> dict:
         return _records.to_dict(self)
@@ -144,17 +152,24 @@ class TokenTable:
         self.dim = dim
 
 
-def embed(ids: Sequence[int], table: TokenTable, matrix: np.ndarray | None = None) -> np.ndarray:
+def embed(
+    ids: Sequence[int], table: TokenTable | None, matrix: np.ndarray | None = None
+) -> np.ndarray:
     """L2-normalized sum of the ids' token vectors, each weighted by its
     count times its table weight, in first-appearance order.
 
     The vectors of the distinct ids are computed here from their seeds,
     unless ``matrix``, ``token_matrix`` of the table's tokens, is given to
     take them from: a caller that embeds every chunk of a corpus computes it
-    once. Both give the same bits. Raises
-    ``ValueError("degenerate_embedding")`` when the weighted sum vanishes
-    (all-zero weights or antipodal cancellation).
+    once. Both give the same bits. ``table`` is None for an engine without a
+    text encoder. Raises ``ValueError("degenerate_embedding")`` when the
+    weighted sum vanishes (all-zero weights or antipodal cancellation).
     """
+    if table is None:
+        raise ValueError(
+            "external_file embedder has no text encoder; use hash_projection "
+            "or supply query vectors directly"
+        )
     if not ids:
         raise ValueError("empty token list")
     counts = Counter(ids)
@@ -390,3 +405,28 @@ def parse(data: bytes, n: int) -> VectorIndex:
         return VectorIndex(matrix)
     except ValueError as exc:
         raise ValueError(f"{VECTORS_FILE}: {exc}") from None
+
+
+def load_external_embeddings(path: str | Path, ids: Sequence[str]) -> VectorIndex:
+    """Build a VectorIndex from JSONL rows {"id": str, "vector": [float, ...]}:
+    row i is the vector of ``ids[i]``.
+
+    Every expected id must be present; rows are L2-normalized on load.
+    """
+    by_id: dict[str, np.ndarray] = {}
+    dim: int | None = None
+    for obj in _records.read_jsonl(path):
+        vec = np.asarray(obj["vector"], dtype=np.float64)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"non-finite vector for id: {obj['id']}")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ValueError(
+                f"inconsistent dim for id {obj['id']}: {vec.shape[0]} != {dim}"
+            )
+        by_id[str(obj["id"])] = vec
+    missing = [cid for cid in ids if cid not in by_id]
+    if missing:
+        raise ValueError(f"missing embedding for id: {missing[0]}")
+    return VectorIndex.build(len(ids), (by_id[cid] for cid in ids))

@@ -162,6 +162,53 @@ class TestBuildAll:
             build_all(corpus_path, cfg, tmp_path / "i")
 
 
+class TestExternalEmbeddings:
+    @pytest.fixture()
+    def external_engine(self, small_engine, tmp_path):
+        # Reuse the hash-projection build to learn the chunk ids, then
+        # rebuild against an external embedding file for those ids.
+        engine, bench, _, corpus_path, cfg = small_engine
+        from qrag.semantic import EmbedderSpec
+
+        ext_path = tmp_path / "external.jsonl"
+        with ext_path.open("w", encoding="utf-8") as fh:
+            for i, chunk_id in enumerate(engine.chunks.chunk_ids):
+                vec = engine.vector_index.cols[:, i]
+                fh.write(
+                    json.dumps({"id": chunk_id, "vector": [float(x) for x in vec]}) + "\n"
+                )
+        ext_cfg = replace(
+            cfg, embedder=EmbedderSpec(kind="external_file", path=str(ext_path))
+        )
+        build_all(corpus_path, ext_cfg, tmp_path / "ext_index")
+        return load_index(tmp_path / "ext_index"), bench
+
+    def test_build_uses_external_vectors(self, external_engine, small_engine):
+        ext, _ = external_engine
+        base, *_ = small_engine
+        assert ext.chunks.chunk_ids == base.chunks.chunk_ids
+        assert len(ext.vector_index) == len(base.vector_index)
+        assert ext.vector_index.dim == base.vector_index.dim
+
+    def test_sparse_retrieval_still_works(self, external_engine):
+        ext, bench = external_engine
+        q = next(q for q in bench.queries if q["kind"] == "lexical")
+        resp = ext.retrieve(q["text"], mode="sparse_only")
+        assert resp.hits[0].chunk_id == bench.targets[q["qid"]] + "#0"
+
+    def test_text_queries_cannot_use_dense_modes(self, external_engine):
+        ext, bench = external_engine
+        with pytest.raises(ValueError, match="hash_projection"):
+            ext.retrieve(bench.queries[0]["text"], mode="dense_only")
+
+    def test_supplied_query_vectors_search_directly(self, external_engine):
+        # Callers with their own query embeddings bypass the text encoder
+        # and search the vector index directly.
+        ext, _ = external_engine
+        results = semantic.search_exact(ext.vector_index, ext.vector_index.cols[:, 5], 1)
+        assert results[0][0] == 5
+
+
 def _scalar_lexical_norms(hits):
     """Min-max of the hits' positive BM25 scores in Python floats; 0 elsewhere."""
     pool = [h.sparse_raw for h in hits if h.sparse_raw > 0.0]

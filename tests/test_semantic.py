@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from qrag.semantic import (
     _fnv1a64,
     cosine,
     embed,
+    load_external_embeddings,
     parse,
     save,
     search_exact,
@@ -162,6 +164,11 @@ class TestEmbed:
     def test_empty_tokens_rejected(self):
         with pytest.raises(ValueError, match="empty token list"):
             embed([], TokenTable(["a"], [1.0], 256))
+
+    def test_external_spec_cannot_embed_text(self):
+        # An engine over an external_file embedder has no token table.
+        with pytest.raises(ValueError, match="hash_projection"):
+            embed([0], None)
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_id_outside_the_table_rejected(self, bad):
@@ -505,3 +512,47 @@ class TestPersistence:
         match = rf"^{VECTORS_FILE}: vectors must be a 2-d <f4 array, got \|O of shape"
         with pytest.raises(ValueError, match=match):
             parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
+
+
+class TestLoadExternal:
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "ext.jsonl"
+        path.write_text(
+            "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
+        )
+        return path
+
+    def test_happy_path(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            [
+                {"id": "a", "vector": [1.0, 0.0, 0.0, 0.0]},
+                {"id": "b", "vector": [0.0, 1.0, 0.0, 0.0]},
+            ],
+        )
+        ix = load_external_embeddings(path, ["a", "b"])
+        assert len(ix) == 2
+        assert ix.dim == 4
+
+    def test_rows_normalized_on_load(self, tmp_path):
+        path = self._write(tmp_path, [{"id": "a", "vector": [3.0, 4.0, 0.0, 0.0]}])
+        ix = load_external_embeddings(path, ["a"])
+        assert np.allclose(ix.cols[:, 0], [0.6, 0.8, 0.0, 0.0], atol=1e-7)
+
+    def test_missing_id_named(self, tmp_path):
+        path = self._write(tmp_path, [{"id": "a", "vector": [1.0, 0.0]}])
+        with pytest.raises(ValueError, match="missing embedding for id: b"):
+            load_external_embeddings(path, ["a", "b"])
+
+    def test_inconsistent_dim_rejected(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            [{"id": "a", "vector": [1.0, 0.0]}, {"id": "b", "vector": [1.0, 0.0, 0.0]}],
+        )
+        with pytest.raises(ValueError, match="inconsistent dim"):
+            load_external_embeddings(path, ["a", "b"])
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = self._write(tmp_path, [{"id": "a", "vector": [1.0, float("nan")]}])
+        with pytest.raises(ValueError, match="non-finite"):
+            load_external_embeddings(path, ["a"])
