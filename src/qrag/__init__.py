@@ -55,7 +55,6 @@ from .semantic import (
     VectorIndex,
     cosine,
     embed,
-    load_external_embeddings,
     search_exact,
     token_vector,
     token_vectors,

@@ -44,7 +44,7 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 MANIFEST_FILE = "manifest.json"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
@@ -210,11 +210,8 @@ class RetrievalEngine:
         self.vector_index = vector_index
         self.config = config
         # The dense leg's weight of each vocab id; a query's token vectors are
-        # computed by each embed. An engine whose chunk vectors come from a
-        # file has no text encoder.
-        self.token_table = None
-        if config.embedder.kind == "hash_projection":
-            self.token_table = _token_table(tokenizer, lexical_index, config.embedder.dim)
+        # computed by each embed.
+        self.token_table = _token_table(tokenizer, lexical_index, config.embedder.dim)
         self._sep_cost = tokenizer.token_count(CONTEXT_DELIMITER)
 
     @property
@@ -396,18 +393,14 @@ def build_all(
         lex_index = lexical.build_index(chunk_terms, tok.vocab_size())
 
     with _stage("embed"):
-        if cfg.embedder.kind == "external_file":
-            chunk_terms.clear()
-            vec_index = semantic.load_external_embeddings(cfg.embedder.path, chunks.chunk_ids)
-        else:
-            table = _token_table(tok, lex_index, cfg.embedder.dim)
-            # Every token's vector, computed once for all the chunks' embeds
-            # and freed with the stage: the engine holds none.
-            matrix = semantic.token_matrix(tok.tokens, cfg.embedder.dim)
-            # popleft drops each chunk's ids once they are embedded.
-            vectors = (semantic.embed(chunk_terms.popleft(), table, matrix) for _ in range(n))
-            vec_index = VectorIndex.build(n, vectors)
-            del matrix, vectors
+        table = _token_table(tok, lex_index, cfg.embedder.dim)
+        # Every token's vector, computed once for all the chunks' embeds and
+        # freed with the stage: the engine holds none.
+        matrix = semantic.token_matrix(tok.tokens, cfg.embedder.dim)
+        # popleft drops each chunk's ids once they are embedded.
+        vectors = (semantic.embed(chunk_terms.popleft(), table, matrix) for _ in range(n))
+        vec_index = VectorIndex.build(n, vectors)
+        del matrix, vectors
 
     engine = RetrievalEngine(chunks, tok, lex_index, vec_index, cfg)
     with _stage("save"):
@@ -439,8 +432,10 @@ def save_index(
     the manifest carries per-file digests.
 
     The files are written into a sibling temp directory that then takes the
-    place of ``out_dir``, so a failure part-way leaves any previous index
-    whole, and no file of an earlier format is left behind.
+    place of ``out_dir``, so an exception part-way leaves any previous index
+    whole, and no file of an earlier format is left behind. A crash of the
+    process between the two renames leaves ``out_dir`` missing, with the old
+    and the new index only under their temp names (ROADMAP.md item 9).
     """
     out = Path(os.path.abspath(out_dir))
     _check_replaceable(out)
@@ -569,7 +564,7 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
                 lexical.LEXICAL_FILE, lambda data: lexical.parse(data, n, tok.vocab_size())
             )
             vec_index = load(semantic.VECTORS_FILE, lambda data: semantic.parse(data, n))
-            if config.embedder.kind == "hash_projection" and vec_index.dim != config.embedder.dim:
+            if vec_index.dim != config.embedder.dim:
                 raise ValueError(
                     f"manifest config.embedder.dim is {config.embedder.dim}, but "
                     f"{semantic.VECTORS_FILE} holds {vec_index.dim}-dim vectors"

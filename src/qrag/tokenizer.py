@@ -165,8 +165,11 @@ class TokenizerModel:
         """Invert ``encode``: join each id's piece, the word-end marker made a
         space, then trim.
 
-        For text whose codepoints all occur in the training data,
-        ``decode(encode(text)) == normalize(text)``.
+        ``decode(encode(text)) == normalize(text)`` when the vocabulary holds
+        each codepoint ``c`` of ``normalize(text)`` both as ``c`` and as
+        ``c</w>``. A codepoint seen in training only inside words has no
+        ``c</w>``, so a word that ends in it decodes with ``<unk>`` in that
+        place (ROADMAP.md item 14).
         """
         n = len(self.pieces)
         if len(ids) and not (0 <= min(ids) and max(ids) < n):

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from qrag import synthetic
 from qrag.engine import EngineConfig, build_all, load_index
 from qrag.tokenizer import train_bpe
+
+# Property tests draw the same examples on every run, so a failure is
+# reproducible, and are not timed per example on a loaded host.
+settings.register_profile("qrag", derandomize=True, deadline=None)
+settings.load_profile("qrag")
 
 
 @pytest.fixture(scope="session")

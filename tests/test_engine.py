@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrag import _records, lexical, quantum, semantic, synthetic
 from qrag.corpus import CHUNKS_FILE, ChunkTable, CleaningConfig, parse_chunks, save_chunks
@@ -160,53 +162,6 @@ class TestBuildAll:
         monkeypatch.setattr(semantic, "token_matrix", no_matrix)
         with pytest.raises(RuntimeError, match="^build stage 'embed' failed: no token matrix$"):
             build_all(corpus_path, cfg, tmp_path / "i")
-
-
-class TestExternalEmbeddings:
-    @pytest.fixture()
-    def external_engine(self, small_engine, tmp_path):
-        # Reuse the hash-projection build to learn the chunk ids, then
-        # rebuild against an external embedding file for those ids.
-        engine, bench, _, corpus_path, cfg = small_engine
-        from qrag.semantic import EmbedderSpec
-
-        ext_path = tmp_path / "external.jsonl"
-        with ext_path.open("w", encoding="utf-8") as fh:
-            for i, chunk_id in enumerate(engine.chunks.chunk_ids):
-                vec = engine.vector_index.cols[:, i]
-                fh.write(
-                    json.dumps({"id": chunk_id, "vector": [float(x) for x in vec]}) + "\n"
-                )
-        ext_cfg = replace(
-            cfg, embedder=EmbedderSpec(kind="external_file", path=str(ext_path))
-        )
-        build_all(corpus_path, ext_cfg, tmp_path / "ext_index")
-        return load_index(tmp_path / "ext_index"), bench
-
-    def test_build_uses_external_vectors(self, external_engine, small_engine):
-        ext, _ = external_engine
-        base, *_ = small_engine
-        assert ext.chunks.chunk_ids == base.chunks.chunk_ids
-        assert len(ext.vector_index) == len(base.vector_index)
-        assert ext.vector_index.dim == base.vector_index.dim
-
-    def test_sparse_retrieval_still_works(self, external_engine):
-        ext, bench = external_engine
-        q = next(q for q in bench.queries if q["kind"] == "lexical")
-        resp = ext.retrieve(q["text"], mode="sparse_only")
-        assert resp.hits[0].chunk_id == bench.targets[q["qid"]] + "#0"
-
-    def test_text_queries_cannot_use_dense_modes(self, external_engine):
-        ext, bench = external_engine
-        with pytest.raises(ValueError, match="hash_projection"):
-            ext.retrieve(bench.queries[0]["text"], mode="dense_only")
-
-    def test_supplied_query_vectors_search_directly(self, external_engine):
-        # Callers with their own query embeddings bypass the text encoder
-        # and search the vector index directly.
-        ext, _ = external_engine
-        results = semantic.search_exact(ext.vector_index, ext.vector_index.cols[:, 5], 1)
-        assert results[0][0] == 5
 
 
 def _scalar_lexical_norms(hits):
@@ -374,6 +329,22 @@ class TestRetrieve:
             assert engine.tokenizer.token_count(resp.context) <= (
                 engine.config.context_budget_tokens
             )
+
+    @settings(max_examples=200)
+    @given(data=st.data(), mode=st.sampled_from(FUSION_MODES), k=st.integers(1, 60))
+    def test_any_query_answers_within_budget_or_is_refused(self, small_engine, data, mode, k):
+        engine, bench, *_ = small_engine
+        words = sorted({w for rec in bench.records for w in rec["text"].split()})
+        query = data.draw(
+            st.one_of(st.text(), st.lists(st.sampled_from(words), max_size=12).map(" ".join))
+        )
+        try:
+            resp = engine.retrieve(query, mode=mode, k_final=k)
+        except ValueError:
+            return
+        assert len(resp.hits) <= k
+        budget = engine.config.context_budget_tokens
+        assert engine.tokenizer.token_count(resp.context) <= budget
 
     def test_quantum_overlap_matches_amplitude_states(self, small_engine):
         engine, bench, *_ = small_engine
@@ -938,8 +909,10 @@ class TestPersistence:
             # Version 7 kept each chunk's text in chunks.npy, in a one-byte
             # Gurmukhi page or UTF-16-LE, where version 8 keeps its vocab ids.
             (7, None),
+            # Version 8 kept config.embedder.kind, and a path for external_file.
+            (8, None),
         ],
-        ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7"],
+        ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"],
     )
     def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version, files):
         engine, *_ = small_engine
@@ -953,6 +926,20 @@ class TestPersistence:
         _edit_manifest(tmp_path / "old", edit)
         match = f"^unsupported version: {version}; rebuild the index$"
         with pytest.raises(ValueError, match=match):
+            load_index(tmp_path / "old")
+
+    def test_a_version_8_external_file_index_asks_for_a_rebuild(self, small_engine, tmp_path):
+        # Version 8 could read the chunk vectors from a JSONL file named in
+        # the config; such an index is refused like any other of version 8.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "old")
+
+        def edit(manifest):
+            manifest["format_version"] = 8
+            manifest["config"]["embedder"].update(kind="external_file", path="v.jsonl")
+
+        _edit_manifest(tmp_path / "old", edit)
+        with pytest.raises(ValueError, match="^unsupported version: 8; rebuild the index$"):
             load_index(tmp_path / "old")
 
 

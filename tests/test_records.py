@@ -22,8 +22,8 @@ from qrag.semantic import EmbedderSpec
 DEFAULT_CONFIG_JSON = (
     '{"bm25": {"b": 0.75, "k1": 1.2}, "cleaning": {"chunk_overlap_tokens": 64, '
     '"chunk_size_tokens": 256, "max_punct_ratio": 0.5, "min_gurmukhi_fraction": 0.5, '
-    '"min_tokens": 10}, "context_budget_tokens": 1024, "embedder": {"dim": 256, '
-    '"kind": "hash_projection"}, "fusion": {"k_dense": 50, "k_final": 10, '
+    '"min_tokens": 10}, "context_budget_tokens": 1024, "embedder": {"dim": 256}, '
+    '"fusion": {"k_dense": 50, "k_final": 10, '
     '"k_sparse": 50, "mode": "quantum_interference", "rrf_k": 60, '
     '"signed_fidelity": true, "w_lexical": 0.4, "w_semantic": 0.6}, '
     '"vocab_size": 32000}'
@@ -37,13 +37,6 @@ def _dumps(d):
 class TestGoldenBytes:
     def test_default_config(self):
         assert _dumps(EngineConfig().to_dict()) == DEFAULT_CONFIG_JSON
-
-    def test_external_embedder_config(self):
-        cfg = EngineConfig(embedder=EmbedderSpec(kind="external_file", path="x"))
-        expected = DEFAULT_CONFIG_JSON.replace(
-            '"kind": "hash_projection"}', '"kind": "external_file", "path": "x"}'
-        )
-        assert _dumps(cfg.to_dict()) == expected
 
     def test_hit_leaves_out_absent_scores(self):
         hit = ScoredHit(chunk_id="c", text="t", rank=1, fused=0.5, dense_cos=0.25)
@@ -61,6 +54,8 @@ class TestUnknownKeys:
             ({"bm25": {"k2": 1.0}}, "bm25.k2"),
             ({"embedder": {"dims": 64}}, "embedder.dims"),
             ({"fusion": {"mdoe": "rrf"}}, "fusion.mdoe"),
+            ({"embedder": {"kind": "hash_projection"}}, "embedder.kind"),
+            ({"embedder": {"path": "v.jsonl"}}, "embedder.path"),
         ],
     )
     def test_engine_config_names_the_dotted_key(self, d, key):
@@ -111,7 +106,7 @@ class TestWrongTypes:
             ({"bm25": {"b": False}}, "bm25.b: expected float, got bool"),
             ({"fusion": {"signed_fidelity": 1}}, "fusion.signed_fidelity: expected bool, got int"),
             ({"fusion": {"mode": None}}, "fusion.mode: expected str, got NoneType"),
-            ({"embedder": {"path": 3}}, "embedder.path: expected str, got int"),
+            ({"embedder": {"dim": "256"}}, "embedder.dim: expected int, got str"),
             ({"cleaning": []}, "cleaning: expected dict, got list"),
         ],
     )
@@ -128,7 +123,8 @@ class TestWrongTypes:
         assert cfg.bm25 == BM25Params(k1=2.0)
 
     def test_optional_field_accepts_null(self):
-        assert EmbedderSpec.from_dict({"path": None}) == EmbedderSpec()
+        hit = {"chunk_id": "c", "text": "t", "rank": 1, "fused": 0.5, "dense_cos": None}
+        assert _records.from_dict(ScoredHit, hit) == ScoredHit("c", "t", 1, 0.5)
 
     def test_list_items_are_named_by_index(self):
         d = {"per_query": {}, "macro": {}, "evaluated": 0, "skipped_no_relevant": ["a", 2]}
@@ -153,7 +149,7 @@ class TestRoundTrips:
         cfg = EngineConfig(
             cleaning=CleaningConfig(min_tokens=3, chunk_size_tokens=128),
             bm25=BM25Params(k1=1.5, b=0.5),
-            embedder=EmbedderSpec(kind="external_file", path="v.jsonl"),
+            embedder=EmbedderSpec(dim=64),
             fusion=FusionConfig(mode="rrf", w_semantic=0.3, w_lexical=0.7),
             vocab_size=1234,
             context_budget_tokens=512,
@@ -165,8 +161,8 @@ class TestRoundTrips:
         assert FusionConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_embedder_spec(self):
-        for spec in (EmbedderSpec(dim=64), EmbedderSpec(kind="external_file", path="p")):
-            assert EmbedderSpec.from_dict(spec.to_dict()) == spec
+        spec = EmbedderSpec(dim=64)
+        assert EmbedderSpec.from_dict(spec.to_dict()) == spec
 
     def test_manifest(self, manifest_dict):
         manifest = IndexManifest.from_dict(json.loads(_dumps(manifest_dict)))

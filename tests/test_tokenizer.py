@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qrag import tokenizer
 from qrag.tokenizer import (
@@ -196,6 +198,13 @@ class TestEncode:
         ids = model.encode("abz c")
         assert ids == [3, 0, 5]
         assert [model.tokens[i] for i in ids] == ["ab", "<unk>", "c</w>"]
+
+    @settings(max_examples=300)
+    @given(a=st.text(), b=st.text())
+    def test_token_counts_add_across_a_space(self, small_engine, a, b):
+        # format_context counts a context as the sum of what it joins.
+        tok = small_engine[0].tokenizer
+        assert tok.token_count(a + " " + b) == tok.token_count(a) + tok.token_count(b)
 
     def test_word_cache_holds_the_vocab_dicts_ids(self, synth_tokenizer, synth_lines):
         model = TokenizerModel(vocab=synth_tokenizer.vocab, merges=synth_tokenizer.merges)
@@ -402,6 +411,17 @@ class TestDecode:
     def test_round_trip_on_corpus_lines(self, synth_tokenizer, synth_lines):
         for line in synth_lines[:100]:
             assert synth_tokenizer.decode(synth_tokenizer.encode(line)) == normalize(line)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_round_trip_over_codepoints_with_both_forms(self, small_engine, data):
+        # The contract holds for a codepoint c that the vocabulary holds both
+        # as c and as c</w>: inside a word and at its end.
+        tok = small_engine[0].tokenizer
+        both = sorted(t for t in tok.vocab if len(t) == 1 and t + WORD_END in tok.vocab)
+        text = data.draw(st.text(st.sampled_from(both + [" ", "\t", "\n"])))
+        assume(set(normalize(text)) <= {" ", *both})
+        assert tok.decode(tok.encode(text)) == normalize(text)
 
     def test_round_trip_with_punctuation_and_literal_marker(self):
         model = train_bpe(["ab, xy . a</w>b ab"], vocab_size=200)
