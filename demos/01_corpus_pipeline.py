@@ -56,5 +56,9 @@ tok = train_bpe([long_text], vocab_size=500)
 long_doc = clean_text(RawDocument("long", long_text), cfg)
 pieces = chunk(long_doc, cfg, tok)
 print(f"\n{len(tok.encode(long_doc.text))} tokens -> {len(pieces)} chunks:")
+# Each chunk stores its terms, encode of its text: the ids both retrieval
+# legs index, whose count is its BM25 length and its context cost.
 for c in pieces:
-    print(f"  {c.chunk_id}: offset={c.token_offset} count={c.token_count}")
+    text = tok.decode(c.ids.tolist())
+    assert tok.encode(text) == c.ids.tolist()
+    print(f"  {c.chunk_id}: {len(c.ids)} terms, text {text[:24]!r}...")

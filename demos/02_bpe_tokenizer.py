@@ -14,7 +14,7 @@ lines = [rec["text"] for rec in make_corpus(80, seed=1, lexicon_size=60)]
 
 # -- watch the vocabulary grow -----------------------------------------------
 
-for vocab_size in (90, 120, 200, 400):
+for vocab_size in (120, 160, 200, 400):
     model = train_bpe(lines, vocab_size=vocab_size)
     n_tokens = sum(len(model.encode(line)) for line in lines[:20])
     print(

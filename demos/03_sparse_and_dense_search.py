@@ -2,9 +2,9 @@
 Sparse and dense retrieval legs
 ===============================
 
-Encodes each chunk once and builds both the BM25 inverted index and the
-exact-scan vector index from its vocab ids, the one term space of both
-legs, then contrasts what each leg is good at: exact term matches versus
+Encodes each chunk once into a chunk table and builds both the BM25
+inverted index and the exact-scan vector index from the table's vocab ids,
+the one term space of both legs, then contrasts what each leg is good at: exact term matches versus
 bag-of-subwords similarity. Both indexes address a chunk by its row, and
 the chunks are listed in chunk-id order, so a search maps each row it
 returns to its chunk's id.
@@ -13,7 +13,7 @@ returns to its chunk's id.
 import numpy as np
 
 from qrag import lexical, semantic
-from qrag.corpus import Chunk
+from qrag.corpus import ChunkTable, Window
 from qrag.lexical import BM25Params
 from qrag.semantic import EmbedderSpec, VectorIndex
 from qrag.synthetic import make_corpus
@@ -22,19 +22,19 @@ from qrag.tokenizer import train_bpe
 records = make_corpus(50, seed=9, lexicon_size=120, words_per_doc=(10, 18))
 lines = [r["text"] for r in records]
 tok = train_bpe(lines, vocab_size=2000)
-chunk_terms = [tok.encode(r["text"]) for r in records]
-chunks = [
-    Chunk(r["id"] + "#0", 0, len(ids), r["text"])
-    for r, ids in zip(records, chunk_terms)
-]
-# Row i of both indexes is chunks[i], in chunk-id order, as the engine
-# keeps them; only this list holds the ids.
-assert [c.chunk_id for c in chunks] == sorted(c.chunk_id for c in chunks)
+# One chunk per record: its id and its terms, encode of its text.
+chunks = ChunkTable.from_windows(
+    [Window(r["id"] + "#0", np.array(tok.encode(r["text"]))) for r in records], tok
+)
+# Row i of both indexes is chunk i of the table, in chunk-id order, as the
+# engine keeps them; only the table holds the ids.
+assert chunks.chunk_ids == sorted(chunks.chunk_ids)
 
 # -- BM25 ----------------------------------------------------------------------
 
-# Term j of the index is vocab id j, held by a chunk or not.
-index = lexical.build_index(chunk_terms, tok.vocab_size())
+# Term j of the index is vocab id j, held by a chunk or not; row i's length
+# is the table's token count of chunk i.
+index = lexical.build_index(chunks.tokens, chunks.token_counts, tok.vocab_size())
 params = BM25Params()
 held = int(np.count_nonzero(np.diff(index.offsets)))
 print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, "
@@ -43,7 +43,7 @@ print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, "
 query = " ".join(lines[7].split()[:3])
 print(f"\nBM25 search for {query!r}:")
 for row, score in lexical.search(index, params, tok.encode(query), 3):
-    print(f"  row {row} = {chunks[row].chunk_id}: {score:.4f}")
+    print(f"  row {row} = {chunks.chunk_ids[row]}: {score:.4f}")
 
 rare_term = lines[7].split()[0]
 print(f"idf({rare_term!r} tokens):")
@@ -53,14 +53,17 @@ for t in tok.encode(rare_term):
 # -- dense leg -------------------------------------------------------------------
 
 # Each vocab id's weight: its idf where a chunk holds it, 1.0 where none
-# does. The table holds no vectors: embedding every chunk takes them from one
+# does (the engine also gives <unk> and <pad> 0.0, as no text stands for them).
+# The table holds no vectors: embedding every chunk takes them from one
 # matrix of the whole vocabulary's, computed once and then dropped, and a
 # query's embed computes the vectors of its own ids.
 spec = EmbedderSpec(dim=256)
 weights = np.where(np.diff(index.offsets) > 0, index.idfs, 1.0)
 table = semantic.TokenTable(tok.tokens, weights, spec.dim)
 matrix = semantic.token_matrix(tok.tokens, spec.dim)
-vectors = [semantic.embed(ids, table, matrix) for ids in chunk_terms]
+vectors = [
+    semantic.embed(chunks.token_ids(row).tolist(), table, matrix) for row in range(len(chunks))
+]
 vindex = VectorIndex.build(len(chunks), vectors)
 print(f"\ntoken matrix for the build: {matrix.shape[0]} x {matrix.shape[1]} float64, "
       f"{matrix.nbytes / 2**20:.2f} MiB, dropped once every chunk is embedded")
@@ -73,12 +76,12 @@ paraphrase = " ".join(rng.permutation(words)[: int(0.7 * len(words))])
 q = semantic.embed(tok.encode(paraphrase), table)
 print(f"\ndense search for a shuffled subset of doc 7's words:")
 for row, score in semantic.search_exact(vindex, q, 3):
-    print(f"  row {row} = {chunks[row].chunk_id}: cosine={score:.4f}")
+    print(f"  row {row} = {chunks.chunk_ids[row]}: cosine={score:.4f}")
 
 print("\nexact self-match:")
 q_self = semantic.embed(tok.encode(lines[7]), table)
 row, score = semantic.search_exact(vindex, q_self, 1)[0]
-print(f"  row {row} = {chunks[row].chunk_id}: cosine={score:.4f}")
+print(f"  row {row} = {chunks.chunk_ids[row]}: cosine={score:.4f}")
 # A query's own vectors are the matrix's rows, bit for bit.
 assert np.array_equal(q_self, vectors[7])
 print(f"token table: {len(table.weights)} weights, no vectors")

@@ -70,10 +70,9 @@ class CleanDocument:
 class Chunk:
     """A retrievable passage, a row of a ``ChunkTable``: a token window over
     a cleaned document. Its id is ``<doc_id>#<n>``, for the document's n-th
-    window."""
+    window; ``token_count`` is the length of ``encode(text)``."""
 
     chunk_id: str
-    token_offset: int
     token_count: int
     text: str
 
@@ -249,16 +248,11 @@ def preprocess(
 
 
 class Window(NamedTuple):
-    """One token window of a document: its chunk id, its offset among the
-    document's ids, and its ids, a view of the document's."""
+    """One token window of a document: its chunk id and its terms, the
+    vocab ids of ``encode`` of its text."""
 
     chunk_id: str
-    token_offset: int
     ids: np.ndarray
-
-    @property
-    def token_count(self) -> int:
-        return len(self.ids)
 
 
 def token_type(vocab_size: int) -> np.dtype:
@@ -269,22 +263,26 @@ def token_type(vocab_size: int) -> np.dtype:
 def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[Window]:
     """Slide a token window of ``chunk_size_tokens`` with stride
     ``chunk_size_tokens - chunk_overlap_tokens`` over the document's ids,
-    which are encoded once and held in ``token_type``.
+    which are encoded once.
 
     The final partial window is emitted only when it holds at least
-    ``min_tokens`` tokens; a chunk's text is the decode of its window's ids.
+    ``min_tokens`` tokens. A chunk's ids, held in ``token_type``, are its
+    terms, ``encode`` of the decode of its window: a word that the window
+    splits is encoded anew from the piece in it.
     """
-    ids = np.array(tok.encode(doc.text), dtype=token_type(tok.vocab_size()))
+    ids = tok.encode(doc.text)
     n = len(ids)
     if n == 0:
         return []
+    dtype = token_type(tok.vocab_size())
     stride = cfg.chunk_size_tokens - cfg.chunk_overlap_tokens
     windows: list[Window] = []
     offset = 0
     while True:
         end = min(offset + cfg.chunk_size_tokens, n)
         if offset == 0 or end - offset >= cfg.min_tokens:
-            windows.append(Window(f"{doc.doc_id}#{len(windows)}", offset, ids[offset:end]))
+            terms = tok.encode(tok.decode(ids[offset:end]))
+            windows.append(Window(f"{doc.doc_id}#{len(windows)}", np.array(terms, dtype)))
         if end >= n:
             break
         offset += stride
@@ -296,7 +294,6 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
 # The arrays of ``chunks.npy``, in file order (see ``save_chunks``).
 CHUNK_ARRAYS = (
     _npy.Array("ids", "uint8", 1, None),
-    _npy.Array("token_offset", "integer", 1, "N"),
     _npy.Array("token_count", "integer", 1, "N"),
     _npy.Array("token ids", "integer", 1, None),
 )
@@ -313,16 +310,18 @@ class ChunkTable(Sequence[Chunk]):
     an index that addresses chunks by row orders them as their ids do. The
     table is the only holder of the ids.
 
-    A chunk is stored as its vocab ids: row i's are ``token_counts[i]`` ids
-    of ``tokens``, from ``bounds[i]`` to ``bounds[i + 1]``, and its text is
-    their ``tokenizer.decode``. ``texts`` decodes each row on first use and
+    A chunk is stored as its terms, the vocab ids that both retrieval legs
+    index: row i's are ``token_counts[i]`` ids of ``tokens``, from
+    ``bounds[i]`` to ``bounds[i + 1]``, and its text is their
+    ``tokenizer.decode``, whose ``encode`` they are. So ``token_counts[i]``,
+    the length of the stored terms, is also row i's BM25 length and its cost
+    in a context's token budget. ``texts`` decodes each row on first use and
     keeps the string in its slot of ``text_slots``, one per chunk, so a
     table decodes no text until asked, and a row once, unless threads race
     on it: each then stores an equal string.
     """
 
     chunk_ids: list[str]
-    token_offsets: np.ndarray
     token_counts: np.ndarray
     tokens: np.ndarray
     tokenizer: TokenizerModel
@@ -332,9 +331,9 @@ class ChunkTable(Sequence[Chunk]):
     pieces: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        """Refuse ids that do not increase, a negative offset or count,
-        counts that do not add up to the ids, and an id outside the
-        vocabulary, each a ``ValueError``."""
+        """Refuse ids that do not increase, a negative count, counts that
+        do not add up to the ids, and an id outside the vocabulary, each a
+        ``ValueError``."""
         ids = self.chunk_ids
         if not all(map(operator.lt, ids, ids[1:])):
             i = next(i for i in range(1, len(ids)) if ids[i - 1] >= ids[i])
@@ -344,8 +343,8 @@ class ChunkTable(Sequence[Chunk]):
                 f"chunk_id {ids[i]!r} follows {ids[i - 1]!r}: chunk ids must increase"
             )
         counts = self.token_counts.astype(np.int64)
-        if (self.token_offsets < 0).any() or (counts < 0).any():
-            raise ValueError("token_offset and token_count must be >= 0")
+        if (counts < 0).any():
+            raise ValueError("token_count must be >= 0")
         self.bounds = np.concatenate(([0], np.cumsum(counts)))
         if self.bounds[-1] != len(self.tokens):
             raise ValueError(
@@ -366,7 +365,6 @@ class ChunkTable(Sequence[Chunk]):
         tokens = np.concatenate([np.zeros(0, dtype), *(w.ids for w in windows)])
         return cls(
             [w.chunk_id for w in windows],
-            np.array([w.token_offset for w in windows], dtype="<i4"),
             np.array([len(w.ids) for w in windows], dtype="<i4"),
             tokens.astype(dtype, copy=False),
             tok,
@@ -399,20 +397,15 @@ class ChunkTable(Sequence[Chunk]):
     def __getitem__(self, i):
         rows = range(len(self))[i]  # IndexError past either end
         if isinstance(i, slice):
-            windows = [
-                Window(self.chunk_ids[r], int(self.token_offsets[r]), self.token_ids(r))
-                for r in rows
-            ]
+            windows = [Window(self.chunk_ids[r], self.token_ids(r)) for r in rows]
             return ChunkTable.from_windows(windows, self.tokenizer)
-        offset, count = int(self.token_offsets[rows]), int(self.token_counts[rows])
-        return Chunk(self.chunk_ids[rows], offset, count, self.text(rows))
+        return Chunk(self.chunk_ids[rows], int(self.token_counts[rows]), self.text(rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChunkTable):
             return NotImplemented
         return (
             self.chunk_ids == other.chunk_ids
-            and np.array_equal(self.token_offsets, other.token_offsets)
             and np.array_equal(self.token_counts, other.token_counts)
             and np.array_equal(self.tokens, other.tokens)
             and self.tokenizer == other.tokenizer
@@ -421,12 +414,11 @@ class ChunkTable(Sequence[Chunk]):
 
 def save_chunks(chunks: ChunkTable, out_dir: str | Path) -> None:
     """Write ``CHUNK_ARRAYS``: the chunk ids as the UTF-8 bytes of a JSON
-    list, the token offsets and counts (``<i4``), and every chunk's vocab
-    ids, one chunk after another, in ``token_type``."""
+    list, the token counts (``<i4``), and every chunk's vocab ids, one chunk
+    after another, in ``token_type``."""
     ids = json.dumps(chunks.chunk_ids, ensure_ascii=False)
     arrays = (
         np.frombuffer(ids.encode(), np.uint8),
-        np.asarray(chunks.token_offsets, dtype="<i4"),
         np.asarray(chunks.token_counts, dtype="<i4"),
         np.asarray(chunks.tokens, dtype=token_type(chunks.tokenizer.vocab_size())),
     )
@@ -439,9 +431,9 @@ def parse_chunks(data: bytes, tok: TokenizerModel) -> ChunkTable:
     outside the vocabulary included. The table holds copies of the arrays,
     no view of ``data``, and no text is decoded here."""
     try:
-        ids, token_offset, token_count, tokens = _npy.read(data, CHUNK_ARRAYS)
-        chunk_ids = _chunk_ids(ids, len(token_offset))
-        return ChunkTable(chunk_ids, token_offset.copy(), token_count.copy(), tokens.copy(), tok)
+        ids, token_count, tokens = _npy.read(data, CHUNK_ARRAYS)
+        chunk_ids = _chunk_ids(ids, len(token_count))
+        return ChunkTable(chunk_ids, token_count.copy(), tokens.copy(), tok)
     except ValueError as exc:
         raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
 

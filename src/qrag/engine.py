@@ -22,7 +22,6 @@ import math
 import os
 import shutil
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -44,15 +43,15 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 MANIFEST_FILE = "manifest.json"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
 CONTEXT_DELIMITER = "---"
 # Every file of an index but the manifest, which lists each one's digest, in
-# load order: the chunks are vocab ids of the tokenizer. Chunk ids are stored
-# only in the chunks file, in increasing order; the others address chunks by
-# row.
+# load order: the chunks are vocab ids of the tokenizer, and the lexical
+# index takes their counts as its chunk lengths. Chunk ids are stored only
+# in the chunks file, in increasing order; the others address chunks by row.
 INDEX_FILES = (
     TOKENIZER_FILE, corpus_mod.CHUNKS_FILE, lexical.LEXICAL_FILE, semantic.VECTORS_FILE
 )
@@ -225,7 +224,8 @@ class RetrievalEngine:
         k_final: int | None = None,
         fusion: FusionConfig | None = None,
     ) -> RetrievalResponse:
-        """Run the hybrid pipeline for one query.
+        """Run the hybrid pipeline for one query: its ``<unk>`` ids dropped,
+        none left is a ``ValueError``.
 
         Every hit carries all component scores that were computed for it, so
         ablations can be read off a single response.
@@ -240,10 +240,12 @@ class RetrievalEngine:
         t_start = time.perf_counter()
 
         t0 = time.perf_counter()
-        terms = self.tokenizer.encode(query)
+        ids = self.tokenizer.encode(query)
+        # <unk> stands for no text a chunk holds: it may not steer a leg.
+        terms = [t for t in ids if t != self.tokenizer.unk_id]
         timings["tokenize"] = (time.perf_counter() - t0) * 1000.0
         if not terms:
-            raise ValueError("empty query")
+            raise ValueError("no query term is in the vocabulary" if ids else "empty query")
 
         use_sparse = cfg.mode != "dense_only"
         use_dense = cfg.mode != "sparse_only"
@@ -303,7 +305,7 @@ class RetrievalEngine:
         t0 = time.perf_counter()
         context = format_context(
             [h.text for h in hits],
-            self.lexical_index.doc_len[hit_rows].tolist(),
+            self.chunks.token_counts[hit_rows].tolist(),
             self._sep_cost,
             self.config.context_budget_tokens,
             self.tokenizer,
@@ -364,18 +366,19 @@ def prepare(
 
 def _token_table(tok: TokenizerModel, index: InvertedIndex, dim: int) -> semantic.TokenTable:
     """The dense leg's weights: each vocab id's is its idf where a chunk
-    holds it, and 1.0 where none does."""
+    holds it, 1.0 where none does, and 0.0 for ``<unk>`` and ``<pad>``,
+    which stand for no text."""
     weights = np.where(np.diff(index.offsets) > 0, index.idfs, 1.0)
+    weights[[tok.vocab[t] for t in tok.special_tokens]] = 0.0
     return semantic.TokenTable(tok.tokens, weights, dim)
 
 
 def build_all(
     corpus_path: str | Path, cfg: EngineConfig, out_dir: str | Path
 ) -> IndexManifest:
-    """Run ``prepare``, then encode each chunk's text once and build the
-    lexical index and the vectors from its vocab ids, then persist
-    everything. A window that splits a word encodes to other ids than its
-    own, so the text is encoded, not the window's ids taken.
+    """Run ``prepare``, then build the lexical index and the vectors from
+    the chunk table's stored terms, each chunk's vocab ids, then persist
+    everything.
 
     Deterministic: rebuilding from identical inputs writes byte-identical
     index files (the manifest timestamp aside).
@@ -386,19 +389,17 @@ def build_all(
     tok, chunks = prepare(corpus_path, cfg, stats)
 
     with _stage("lexical_index"):
-        n = len(chunks)
-        chunk_terms = deque(
-            tok.encode(tok.decode(chunks.token_ids(row).tolist())) for row in range(n)
-        )
-        lex_index = lexical.build_index(chunk_terms, tok.vocab_size())
+        lex_index = lexical.build_index(chunks.tokens, chunks.token_counts, tok.vocab_size())
 
     with _stage("embed"):
+        n = len(chunks)
         table = _token_table(tok, lex_index, cfg.embedder.dim)
         # Every token's vector, computed once for all the chunks' embeds and
         # freed with the stage: the engine holds none.
         matrix = semantic.token_matrix(tok.tokens, cfg.embedder.dim)
-        # popleft drops each chunk's ids once they are embedded.
-        vectors = (semantic.embed(chunk_terms.popleft(), table, matrix) for _ in range(n))
+        vectors = (
+            semantic.embed(chunks.token_ids(row).tolist(), table, matrix) for row in range(n)
+        )
         vec_index = VectorIndex.build(n, vectors)
         del matrix, vectors
 
@@ -524,11 +525,10 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
     bytes read while one worker thread hashes the same bytes (``hashlib``
     releases the GIL), so the digests cover exactly what was parsed. No
     chunk text is decoded: the chunk table decodes each when it is first
-    asked for it. A
-    digest mismatch is reported ahead of any parse error. The worker does
-    nothing but hash, and it is joined before the load returns or raises.
-    Logs one INFO line with each file's read and parse seconds, the
-    impacts' seconds and the wait for the digests.
+    asked for it. A digest mismatch is reported ahead of any parse error.
+    The worker does nothing but hash, and it is joined before the load
+    returns or raises. Logs one INFO line with each file's read and parse
+    seconds, the impacts' seconds and the wait for the digests.
     """
     src = Path(in_dir)
     manifest = _read_manifest(src)
@@ -561,7 +561,8 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
                 )
             n = len(chunks)
             lex_index = load(
-                lexical.LEXICAL_FILE, lambda data: lexical.parse(data, n, tok.vocab_size())
+                lexical.LEXICAL_FILE,
+                lambda data: lexical.parse(data, chunks.token_counts, tok.vocab_size()),
             )
             vec_index = load(semantic.VECTORS_FILE, lambda data: semantic.parse(data, n))
             if vec_index.dim != config.embedder.dim:

@@ -19,9 +19,9 @@ from . import _npy
 
 LEXICAL_FILE = "lexical.npy"
 # The arrays of ``lexical.npy``, in file order: term j's postings are
-# positions offsets[j] to offsets[j + 1] of the rows and of the tfs.
+# positions offsets[j] to offsets[j + 1] of the rows and of the tfs. The
+# chunks' lengths are not stored here: they are the chunk table's counts.
 LEXICAL_ARRAYS = (
-    _npy.Array("doc_len", "integer", 1, "N"),
     _npy.Array("offsets", "integer", 1, "V + 1"),
     _npy.Array("rows", "integer", 1, "the last offset"),
     _npy.Array("tfs", "integer", 1, "the last offset"),
@@ -61,7 +61,8 @@ class Impacts(NamedTuple):
 
 class InvertedIndex:
     """BM25 postings as shared arrays, addressed by row and by term: row i
-    is chunk i, one per entry of ``doc_len``, and term j is vocab id j, for
+    is chunk i, of length ``doc_len[i]`` (an engine's chunk table's token
+    counts, which ``save`` does not write), and term j is vocab id j, for
     each of the ``len(offsets) - 1`` ids of the vocabulary, held by a chunk
     or not.
 
@@ -208,41 +209,30 @@ def _row_type(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0)).newbyteorder("<")
 
 
-def build_index(chunk_terms: Iterable[Sequence[int]], term_count: int) -> InvertedIndex:
-    """Index each chunk's term ids: row i holds the i-th sequence of
-    ``chunk_terms``, and term j is id j of ``term_count``.
+def build_index(tokens: np.ndarray, counts: np.ndarray, term_count: int) -> InvertedIndex:
+    """Index the chunks whose term ids are ``tokens``, one chunk after
+    another: row i holds the next ``counts[i]`` ids, and is that long, and
+    term j is id j of ``term_count``.
 
-    Each chunk's distinct ids and their counts, its term frequencies, come
-    from one ``np.unique`` and are kept in the narrowest types that hold
-    them, so no array as long as the corpus's tokens is made. One stable
-    argsort of the whole term column then orders the postings by term, each
-    term's in row order.
+    Each id becomes one key, ``term * N + row``, in the narrowest unsigned
+    type that holds ``term_count * N``. One ``np.unique``, a sort and a
+    run-length count, orders the distinct keys by term, and each term's by
+    row: each is a posting, and its count the tf.
     """
-    term_type = np.min_scalar_type(max(term_count - 1, 0))
-    doc_len: list[int] = []
-    terms: list[np.ndarray] = []
-    tfs: list[np.ndarray] = []
-    for row, ids in enumerate(chunk_terms):
-        term, tf = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
-        if len(term) and not (0 <= term[0] and term[-1] < term_count):
-            raise ValueError(f"row {row} holds a term id outside 0..{term_count - 1}")
-        doc_len.append(len(ids))
-        terms.append(term.astype(term_type))
-        tfs.append(tf.astype(np.min_scalar_type(len(ids))))
-    if not terms:
+    n = len(counts)
+    if not n:
         raise ValueError("empty chunk list")
-    distinct = list(map(len, terms))
-    term_col = np.concatenate(terms)
-    del terms
-    order = np.argsort(term_col, kind="stable")
+    bad = (tokens < 0) | (tokens >= term_count)
+    if bad.any():
+        row = int(np.searchsorted(np.cumsum(counts), np.argmax(bad), "right"))
+        raise ValueError(f"row {row} holds a term id outside 0..{term_count - 1}")
+    key_type = np.min_scalar_type(max(term_count, 1) * n)
+    keys = tokens.astype(key_type) * n + np.repeat(np.arange(n, dtype=key_type), counts)
+    keys, tfs = np.unique(keys, return_counts=True)
+    terms, rows = np.divmod(keys, n)
     offsets = np.zeros(term_count + 1, dtype="<i8")
-    np.cumsum(np.bincount(term_col, minlength=term_count), out=offsets[1:])
-    del term_col
-    n = len(distinct)
-    rows = np.repeat(np.arange(n, dtype=_row_type(n)), distinct)
-    return InvertedIndex(
-        np.array(doc_len, dtype=np.int64), offsets, rows[order], np.concatenate(tfs)[order]
-    )
+    np.cumsum(np.bincount(terms, minlength=term_count), out=offsets[1:])
+    return InvertedIndex(counts, offsets, rows, tfs)
 
 
 def idf(index: InvertedIndex, term: int) -> float:
@@ -370,16 +360,17 @@ def save(index: InvertedIndex, out_dir: str | Path) -> None:
     """Write ``LEXICAL_ARRAYS``, each as the index holds it: the rows in the
     narrowest unsigned type that holds N - 1 (``uint16`` up to 65,536
     chunks), the tfs in the narrowest unsigned type that holds the largest."""
-    arrays = (index.doc_len, index.offsets, index.rows, index.tfs)
+    arrays = (index.offsets, index.rows, index.tfs)
     _npy.write(Path(out_dir) / LEXICAL_FILE, arrays)
 
 
-def parse(data: bytes, n: int, term_count: int) -> InvertedIndex:
-    """The index in ``data``, the bytes of a ``lexical.npy``, of ``n``
-    chunks; term j is vocab id j of ``term_count``, so ``offsets`` must hold
-    ``term_count + 1`` entries. The index keeps no view of ``data``."""
+def parse(data: bytes, doc_len: np.ndarray, term_count: int) -> InvertedIndex:
+    """The index in ``data``, the bytes of a ``lexical.npy``, of chunks of
+    lengths ``doc_len``, the chunk table's ``token_counts``; term j is vocab
+    id j of ``term_count``, so ``offsets`` must hold ``term_count + 1``
+    entries. The index keeps no view of ``data``."""
     try:
-        arrays = _npy.read(data, LEXICAL_ARRAYS, N=n, V=term_count)
-        return InvertedIndex(*(arr.copy() for arr in arrays))
+        arrays = _npy.read(data, LEXICAL_ARRAYS, V=term_count)
+        return InvertedIndex(doc_len, *(arr.copy() for arr in arrays))
     except ValueError as exc:
         raise ValueError(f"{LEXICAL_FILE}: {exc}") from None

@@ -165,11 +165,10 @@ class TokenizerModel:
         """Invert ``encode``: join each id's piece, the word-end marker made a
         space, then trim.
 
-        ``decode(encode(text)) == normalize(text)`` when the vocabulary holds
-        each codepoint ``c`` of ``normalize(text)`` both as ``c`` and as
-        ``c</w>``. A codepoint seen in training only inside words has no
-        ``c</w>``, so a word that ends in it decodes with ``<unk>`` in that
-        place (ROADMAP.md item 14).
+        ``decode(encode(text)) == normalize(text)`` for any text whose
+        codepoints were all seen in training: ``train_bpe`` gives each such
+        codepoint ``c`` both symbols, ``c`` and ``c</w>``. A codepoint never
+        seen encodes to ``<unk>``, which decodes to the literal ``"<unk>"``.
         """
         n = len(self.pieces)
         if len(ids) and not (0 <= min(ids) and max(ids) < n):
@@ -229,7 +228,9 @@ def train_bpe(corpus: Iterable[str], vocab_size: int) -> TokenizerModel:
 
     Whitespace tokens are counted first, and each distinct one is split once
     into words of codepoint symbols, the word-end marker fused to the final
-    codepoint. The most frequent adjacent pair is merged until
+    codepoint. The base symbols are both forms, ``c`` and ``c</w>``, of
+    every codepoint seen, whether or not the corpus ends a word with it. The
+    most frequent adjacent pair is merged until
     ``vocab_size`` is reached or no pair occurs at least twice; ties between
     equal counts break lexicographically on the pair, so training is
     deterministic across platforms and runs.
@@ -249,7 +250,8 @@ def train_bpe(corpus: Iterable[str], vocab_size: int) -> TokenizerModel:
     symbol_lists = [list(w) for w in word_freqs]
     freqs = list(word_freqs.values())
 
-    initial_symbols = sorted({s for syms in symbol_lists for s in syms})
+    seen = {s[0] for syms in symbol_lists for s in syms}
+    initial_symbols = sorted(seen | {c + WORD_END for c in seen})
     specials = [UNK_TOKEN, PAD_TOKEN]
     if vocab_size < len(initial_symbols) + len(specials):
         raise ValueError(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qrag import evalkit, lexical, quantum, semantic, synthetic
-from qrag.corpus import Chunk
+from qrag.corpus import ChunkTable, Window
 from qrag.engine import (
     CONTEXT_DELIMITER,
     INDEX_FILES,
@@ -85,11 +85,12 @@ def test_bm25_brute_force_oracle():
             ]
             tok = train_bpe(lines, vocab_size=2000)
             n_chunks = int(rng.integers(20, 101))
-            chunks = []
+            windows = []
             for i in range(n_chunks):
                 words = [lexicon[j] for j in rng.integers(0, len(lexicon), size=rng.integers(4, 25))]
-                chunks.append(Chunk(f"c{i:03d}", 0, len(words), " ".join(words)))
-            index = lexical.build_index([tok.encode(c.text) for c in chunks], tok.vocab_size())
+                windows.append(Window(f"c{i:03d}", np.array(tok.encode(" ".join(words)))))
+            chunks = ChunkTable.from_windows(windows, tok)
+            index = lexical.build_index(chunks.tokens, chunks.token_counts, tok.vocab_size())
             params = BM25Params()
             for _ in range(5):
                 query = " ".join(lexicon[j] for j in rng.integers(0, len(lexicon), size=3))

@@ -135,10 +135,10 @@ class TestIngest:
         stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
         assert stats["chunks"] == 120
         assert (out / "tokenizer.json").exists()
-        # The chunk store of format 8: four arrays, the last every chunk's
+        # The chunk store of format 10: three arrays, the last every chunk's
         # vocab ids, which decode to its text.
         with (out / "chunks.npy").open("rb") as fh:
-            *_, counts, tokens = [np.lib.format.read_array(fh) for _ in range(4)]
+            *_, counts, tokens = [np.lib.format.read_array(fh) for _ in range(3)]
         tok = TokenizerModel.load(out / "tokenizer.json")
         assert tokens.dtype == np.uint16 and len(tokens) == counts.sum()
         chunks = parse_chunks((out / CHUNKS_FILE).read_bytes(), tok)

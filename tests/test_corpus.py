@@ -220,62 +220,92 @@ class TestQualityCheck:
         assert quality_check(doc, CFG) is None
 
 
+# Distinct words, each of which the unit token model holds as one token.
+NUMBERS = [f"{i:03d}" for i in range(1000)]
+
+
 @pytest.fixture(scope="module")
 def unit_token_model():
-    # "ਕਾ" repeats, so it merges into a single token per occurrence.
-    return train_bpe(["ਕਾ " * 50], vocab_size=50)
+    # Each number occurs twice, so it merges into a single token.
+    return train_bpe([" ".join(NUMBERS)] * 2, vocab_size=1200)
 
 
 def _doc_of_tokens(n, model):
-    text = ("ਕਾ " * n).strip()
+    text = " ".join(NUMBERS[:n])
     doc = CleanDocument("doc", text, 1.0, dedup_key(text))
     assert len(model.encode(text)) == n
     return doc
 
 
+def _spans(windows, doc, model):
+    """Each window's (offset, length) among the document's ids: every id of
+    the document is a distinct whole word, so a window's ids are its span
+    and its first id gives the offset."""
+    ids = model.encode(doc.text)
+    return [(ids.index(int(w.ids[0])), len(w.ids)) for w in windows]
+
+
 class TestChunk:
     def test_600_tokens_three_windows(self, unit_token_model):
-        chunks = chunk(_doc_of_tokens(600, unit_token_model), CFG, unit_token_model)
-        assert [(c.token_offset, c.token_count) for c in chunks] == [
-            (0, 256),
-            (192, 256),
-            (384, 216),
-        ]
+        doc = _doc_of_tokens(600, unit_token_model)
+        chunks = chunk(doc, CFG, unit_token_model)
+        assert _spans(chunks, doc, unit_token_model) == [(0, 256), (192, 256), (384, 216)]
         assert [c.chunk_id for c in chunks] == ["doc#0", "doc#1", "doc#2"]
 
     def test_short_doc_single_window(self, unit_token_model):
-        chunks = chunk(_doc_of_tokens(100, unit_token_model), CFG, unit_token_model)
-        assert [(c.token_offset, c.token_count) for c in chunks] == [(0, 100)]
+        doc = _doc_of_tokens(100, unit_token_model)
+        chunks = chunk(doc, CFG, unit_token_model)
+        assert _spans(chunks, doc, unit_token_model) == [(0, 100)]
 
     def test_260_tokens_two_windows(self, unit_token_model):
-        chunks = chunk(_doc_of_tokens(260, unit_token_model), CFG, unit_token_model)
-        assert [(c.token_offset, c.token_count) for c in chunks] == [(0, 256), (192, 68)]
+        doc = _doc_of_tokens(260, unit_token_model)
+        chunks = chunk(doc, CFG, unit_token_model)
+        assert _spans(chunks, doc, unit_token_model) == [(0, 256), (192, 68)]
 
     def test_chunk_text_is_decode_of_span(self, unit_token_model):
         doc = _doc_of_tokens(300, unit_token_model)
         ids = unit_token_model.encode(doc.text)
         windows = chunk(doc, CFG, unit_token_model)
         table = ChunkTable.from_windows(windows, unit_token_model)
-        for w, c in zip(windows, table, strict=True):
-            span = ids[c.token_offset : c.token_offset + c.token_count]
-            assert w.ids.tolist() == span
+        spans = _spans(windows, doc, unit_token_model)
+        for w, c, (offset, count) in zip(windows, table, spans, strict=True):
+            span = ids[offset : offset + count]
+            # A window of whole words: its terms are its own ids.
+            assert w.ids.tolist() == span and c.token_count == count
             assert c.text == unit_token_model.decode(span)
-        # The ids are held once per document, in the narrowest type.
-        assert windows[0].ids.dtype == np.uint8
-        assert windows[0].ids.base is windows[1].ids.base
+        # The ids are held in the narrowest type.
+        assert windows[0].ids.dtype == token_type(unit_token_model.vocab_size()) == np.uint16
+
+    def test_a_window_that_splits_a_word_stores_the_terms_of_its_text(self):
+        # No pair repeats, so every codepoint is a token: "ਕਾਖ" is ਕ ਾ ਖ</w>,
+        # and windows of 2 ids split it and "ਗਘ". Each split piece is a word
+        # of its own, ending in a symbol (ਾ</w>, ਗ</w>) that no corpus word
+        # ends in: training holds both forms of every codepoint.
+        tok = train_bpe(["ਕਾਖ ਗਘ"], vocab_size=20)
+        text = "ਕਾਖ ਗਘ"
+        windows = chunk(
+            CleanDocument("d", text, 1.0, dedup_key(text)),
+            CleaningConfig(min_tokens=1, chunk_size_tokens=2, chunk_overlap_tokens=0),
+            tok,
+        )
+        assert [[tok.tokens[i] for i in w.ids] for w in windows] == [
+            ["ਕ", "ਾ</w>"], ["ਖ</w>", "ਗ</w>"], ["ਘ</w>"]
+        ]
+        for w in windows:
+            assert w.ids.tolist() == tok.encode(tok.decode(w.ids.tolist()))
 
     def test_spans_cover_document_with_fixed_overlap(self, unit_token_model):
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(10, 900))
-            chunks = chunk(_doc_of_tokens(n, unit_token_model), CFG, unit_token_model)
+            doc = _doc_of_tokens(n, unit_token_model)
+            spans = _spans(chunk(doc, CFG, unit_token_model), doc, unit_token_model)
             covered = set()
-            for c in chunks:
-                covered.update(range(c.token_offset, c.token_offset + c.token_count))
+            for offset, count in spans:
+                covered.update(range(offset, offset + count))
             assert covered == set(range(n))
-            for a, b in zip(chunks, chunks[1:]):
-                overlap = (a.token_offset + a.token_count) - b.token_offset
-                assert overlap == CFG.chunk_overlap_tokens
+            for (a, a_count), (b, _) in zip(spans, spans[1:]):
+                assert (a + a_count) - b == CFG.chunk_overlap_tokens
 
     def test_chunk_ids_unique(self, unit_token_model):
         chunks = chunk(_doc_of_tokens(700, unit_token_model), CFG, unit_token_model)
@@ -310,15 +340,15 @@ class TestConfigValidation:
 
 class TestChunkRecord:
     def test_chunk_has_slots_and_stays_frozen(self):
-        c = Chunk("d#0", 0, 3, "ਸਤਿ ਨਾਮ ਹੈ")
+        c = Chunk("d#0", 3, "ਸਤਿ ਨਾਮ ਹੈ")
         assert not hasattr(c, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.text = "x"
 
 
-# The vocabulary size of ``store_model``: its codepoints, two specials and
-# the merges of the pairs that occur twice.
-STORE_V = 18
+# The vocabulary size of ``store_model``: both forms of its 12 codepoints,
+# two specials and the merges of the pairs that occur twice.
+STORE_V = 30
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +361,7 @@ def store_model():
 def _table(chunk_ids, tok, text="ਕ"):
     """A table of one window of ``text`` per chunk id, in the given order."""
     ids = np.array(tok.encode(text))
-    return ChunkTable.from_windows([Window(cid, 0, ids) for cid in chunk_ids], tok)
+    return ChunkTable.from_windows([Window(cid, ids) for cid in chunk_ids], tok)
 
 
 class TestChunkId:
@@ -343,7 +373,7 @@ class TestChunkId:
     def test_the_doc_id_is_the_chunk_id_before_its_last_hash(
         self, tmp_path, store_model, chunk_id, doc_id
     ):
-        assert Chunk(chunk_id, 0, 1, "ਕ").doc_id == doc_id
+        assert Chunk(chunk_id, 1, "ਕ").doc_id == doc_id
         save_chunks(_table([chunk_id], store_model), tmp_path)
         (loaded,) = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
         assert (loaded.chunk_id, loaded.doc_id) == (chunk_id, doc_id)
@@ -393,25 +423,25 @@ class TestChunkTable:
         assert table.text(3) is first and table[3].text is first and table[-1].text is first
         texts = table.texts([1, 3, 1])
         assert texts == ["ਹੈ ਜੀ", first, "ਹੈ ਜੀ"] and texts[0] is texts[2] and texts[1] is first
-        assert [c.text for c in table] == [text for _, _, text in STORE_ROWS]
-        assert table.text_slots == [text for _, _, text in STORE_ROWS]
+        assert [c.text for c in table] == [text for _, text in STORE_ROWS]
+        assert table.text_slots == [text for _, text in STORE_ROWS]
         # Each text is the tokenizer's decode of its row's ids.
         for row in range(len(table)):
             assert table.text(row) == store_model.decode(table.token_ids(row).tolist())
 
 
-# The chunks of STORE: id, token offset, text.
+# The chunks of STORE: id, text.
 STORE_ROWS = (
-    ("d#0", 0, "ਸਤਿ ਨਾਮ ਹੈ"),
-    ("d#1", 2, "ਹੈ ਜੀ"),
-    ("e#0", 0, ""),
+    ("d#0", "ਸਤਿ ਨਾਮ ਹੈ"),
+    ("d#1", "ਹੈ ਜੀ"),
+    ("e#0", ""),
     # A codepoint beyond U+FFFF: one vocab symbol like any other.
-    ("ਕ#0", 7, "𝄞 ਕ"),
+    ("ਕ#0", "𝄞 ਕ"),
 )
 
 
 def _store(tok):
-    windows = [Window(cid, offset, np.array(tok.encode(text))) for cid, offset, text in STORE_ROWS]
+    windows = [Window(cid, np.array(tok.encode(text))) for cid, text in STORE_ROWS]
     return ChunkTable.from_windows(windows, tok)
 
 
@@ -423,7 +453,7 @@ def store_arrays(tmp_path, store_model):
 
 def _read_arrays(tmp_path):
     with (tmp_path / "chunks.npy").open("rb") as fh:
-        return [np.lib.format.read_array(fh) for _ in range(4)]
+        return [np.lib.format.read_array(fh) for _ in range(3)]
 
 
 def _write_arrays(tmp_path, arrays):
@@ -438,44 +468,42 @@ def _ids(value):
 
 def _with_token(arrays, at, value, dtype=None):
     """``arrays`` with token id ``at`` set to ``value``, in ``dtype``."""
-    tokens = arrays[3].astype(dtype or arrays[3].dtype)
+    tokens = arrays[2].astype(dtype or arrays[2].dtype)
     tokens[at] = value
-    return [*arrays[:3], tokens]
+    return [*arrays[:2], tokens]
 
 
-# Each fault: a change to the four arrays of the store, and what the refusal
+# Each fault: a change to the three arrays of the store, and what the refusal
 # says.
 STORE_FAULTS = {
-    "too_few_arrays": (lambda a: a[:3], "EOF"),
+    "too_few_arrays": (lambda a: a[:2], "EOF"),
     "object_array": (
         lambda a: [a[0].astype(object), *a[1:]], r"ids must be a 1-d uint8 array, got \|O of shape"
     ),
     "ids_not_uint8": (lambda a: [a[0].astype(np.int32), *a[1:]], "ids must be a 1-d uint8"),
     "token_ids_not_integer": (
-        lambda a: [*a[:3], a[3].astype(float)], "token ids must be a 1-d integer array"
+        lambda a: [*a[:2], a[2].astype(float)], "token ids must be a 1-d integer array"
     ),
     "token_ids_2d": (
-        lambda a: [*a[:3], a[3].reshape(-1, 1)], "token ids must be a 1-d integer array"
+        lambda a: [*a[:2], a[2].reshape(-1, 1)], "token ids must be a 1-d integer array"
     ),
-    "token_offset_2d": (lambda a: [a[0], a[1].reshape(2, 2), *a[2:]], "token_offset must be"),
-    "short_token_offset": (
-        lambda a: [a[0], a[1][:3], *a[2:]], "token_count has 4 entries for 3 chunks$"
-    ),
+    "token_count_2d": (lambda a: [a[0], a[1].reshape(2, 2), a[2]], "token_count must be"),
+    "short_token_count": (lambda a: [a[0], a[1][:3], a[2]], "ids has 4 entries for 3 chunks$"),
     "long_token_count": (
-        lambda a: [*a[:2], np.append(a[2], 1), *a[3:]], "token_count has 5 entries for 4 chunks$"
+        lambda a: [a[0], np.append(a[1], 1), a[2]], "ids has 4 entries for 5 chunks$"
     ),
-    "negative_token_offset": (
-        lambda a: [a[0], a[1] - 1, *a[2:]], "token_offset and token_count must be >= 0"
-    ),
-    "negative_token_count": (
-        lambda a: [*a[:2], a[2] - 1, *a[3:]], "token_offset and token_count must be >= 0"
+    "negative_token_count": (lambda a: [a[0], a[1] - 1, a[2]], "token_count must be >= 0$"),
+    # Format 9 stored each chunk's token offset ahead of its count: read as
+    # this format, its counts are the token ids, and its ids are left over.
+    "token_offset_array_of_format_9": (
+        lambda a: [a[0], np.zeros_like(a[1]), *a[1:]], "trailing bytes after the token ids array$"
     ),
     "counts_short_of_the_token_ids": (
-        lambda a: [*a[:2], a[2] - [1, 0, 0, 0], a[3]],
+        lambda a: [a[0], a[1] - [1, 0, 0, 0], a[2]],
         r"token_count adds up to (\d+), but there are (?!\1)\d+ token ids$",
     ),
     "counts_past_the_token_ids": (
-        lambda a: [*a[:3], a[3][:-1]],
+        lambda a: [*a[:2], a[2][:-1]],
         r"token_count adds up to (\d+), but there are (?!\1)\d+ token ids$",
     ),
     # Decoded lazily, such an id would fail a retrieve long after the load.
@@ -500,7 +528,7 @@ STORE_FAULTS = {
     "ids_a_string": (lambda a: [_ids("d#0"), *a[1:]], "ids must be a JSON list of chunk ids$"),
     # Format 6 stored a [chunk_id, doc_id] pair per chunk.
     "ids_the_pairs_of_format_6": (
-        lambda a: [_ids([[cid, cid.rpartition("#")[0]] for cid, _, _ in STORE_ROWS]), *a[1:]],
+        lambda a: [_ids([[cid, cid.rpartition("#")[0]] for cid, _ in STORE_ROWS]), *a[1:]],
         r"ids must be chunk ids <doc id>#<n>, not \['d#0', 'd'\]$",
     ),
     "ids_an_int_chunk_id": (
@@ -530,21 +558,21 @@ class TestChunkPersistence:
         save_chunks(_store(store_model), tmp_path)
         loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
         assert loaded == _store(store_model)
-        assert [(c.chunk_id, c.token_offset, c.text) for c in loaded] == list(STORE_ROWS)
+        assert [(c.chunk_id, c.text) for c in loaded] == list(STORE_ROWS)
+        counts = [len(store_model.encode(text)) for _, text in STORE_ROWS]
+        assert [c.token_count for c in loaded] == counts
 
     def test_empty_store_round_trip(self, tmp_path, store_model):
         save_chunks(_table([], store_model), tmp_path)
         assert list(parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)) == []
 
     def test_ids_take_the_narrowest_unsigned_type(self, store_model, store_arrays):
-        ids, token_offset, token_count, tokens = store_arrays
-        expected = [store_model.encode(text) for _, _, text in STORE_ROWS]
+        ids, token_count, tokens = store_arrays
+        expected = [store_model.encode(text) for _, text in STORE_ROWS]
         assert token_count.tolist() == [len(e) for e in expected]
         assert tokens.tolist() == [i for e in expected for i in e]
-        assert (tokens.dtype.str, token_offset.dtype.str, token_count.dtype.str) == (
-            "|u1", "<i4", "<i4"
-        )
-        assert json.loads(ids.tobytes()) == [cid for cid, _, _ in STORE_ROWS]
+        assert (tokens.dtype.str, token_count.dtype.str) == ("|u1", "<i4")
+        assert json.loads(ids.tobytes()) == [cid for cid, _ in STORE_ROWS]
         # One byte a vocab id up to 256 ids, two up to 65,536.
         assert [token_type(v).str for v in (1, 256, 257, 65536, 65537)] == [
             "|u1", "|u1", "<u2", "<u2", "<u4"
@@ -558,7 +586,7 @@ class TestChunkPersistence:
         words = [normalize("".join(rng.choices(letters, k=5))) for _ in range(2000)]
         texts = [" ".join(rng.choices(words, k=600)) for _ in range(400)]
         tok = train_bpe(texts, vocab_size=3000)
-        windows = [Window(f"d{i:03d}#0", 0, np.array(tok.encode(t))) for i, t in enumerate(texts)]
+        windows = [Window(f"d{i:03d}#0", np.array(tok.encode(t))) for i, t in enumerate(texts)]
         save_chunks(ChunkTable.from_windows(windows, tok), tmp_path)
         data = (tmp_path / CHUNKS_FILE).read_bytes()
         tracemalloc.start()
@@ -568,7 +596,7 @@ class TestChunkPersistence:
         finally:
             tracemalloc.stop()
         assert loaded.text_slots == [None] * len(texts)
-        for arr in (loaded.token_offsets, loaded.token_counts, loaded.tokens):
+        for arr in (loaded.token_counts, loaded.tokens):
             assert arr.base is None and arr.flags.owndata
         # The table holds its arrays, 2 bytes a token id and 8 a chunk
         # besides, the ids and the slots: no part of the file, and no text.

@@ -100,14 +100,14 @@ def _re_sign(index_dir, name, data):
 
 
 def _parsers(index_dir):
-    """Each file's parser, given the chunk count, the vocab size and the
-    tokenizer of the undamaged index."""
+    """Each file's parser, given the chunk count, the chunk lengths, the
+    vocab size and the tokenizer of the undamaged index."""
     engine = load_index(index_dir)
     n, v = engine.chunk_count, engine.tokenizer.vocab_size()
     return {
         CHUNKS_FILE: lambda data: parse_chunks(data, engine.tokenizer),
         TOKENIZER_FILE: lambda data: TokenizerModel.from_json(data.decode("utf-8")),
-        LEXICAL_FILE: lambda data: lexical.parse(data, n, v),
+        LEXICAL_FILE: lambda data: lexical.parse(data, engine.chunks.token_counts, v),
         VECTORS_FILE: lambda data: semantic.parse(data, n),
     }
 

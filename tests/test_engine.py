@@ -76,13 +76,13 @@ class TestBuildAll:
         assert stored == engine.chunks
 
     def test_chunks_file_takes_one_byte_per_codepoint_of_text(self, small_engine):
-        # Besides four 128-byte array headers and the ids, each chunk costs
-        # 8 bytes (token offset and count), then 2 bytes per vocab id of a
+        # Besides three 128-byte array headers and the ids, each chunk costs
+        # 4 bytes (its token count), then 2 bytes per vocab id of a
         # vocabulary above 256: at most one byte per codepoint of its text.
         engine, _, index_dir, _, _ = small_engine
         chunks = engine.chunks
         ids = json.dumps(chunks.chunk_ids, ensure_ascii=False)
-        fixed = 4 * 128 + len(ids.encode()) + 8 * len(chunks)
+        fixed = 3 * 128 + len(ids.encode()) + 4 * len(chunks)
         size = (index_dir / "chunks.npy").stat().st_size
         assert size == fixed + 2 * int(chunks.token_counts.sum())
         assert size <= fixed + sum(len(c.text) for c in chunks)
@@ -310,6 +310,26 @@ class TestRetrieve:
         with pytest.raises(ValueError, match="empty query"):
             engine.retrieve("   ")
 
+    @pytest.mark.parametrize("mode", FUSION_MODES)
+    def test_a_query_of_unknown_codepoints_only_is_refused(self, small_engine, mode):
+        # Its ids are all <unk>: no term to search for, as for an empty one.
+        engine, *_ = small_engine
+        assert set(engine.tokenizer.encode("hello world")) == {engine.tokenizer.unk_id}
+        with pytest.raises(ValueError, match="^no query term is in the vocabulary$"):
+            engine.retrieve("hello world", mode=mode)
+
+    @pytest.mark.parametrize("mode", FUSION_MODES)
+    def test_unknown_codepoints_leave_a_query_answered_as_without_them(
+        self, small_engine, mode
+    ):
+        # "hello" encodes to <unk> ids alone; ਕ is a word of no chunk, the
+        # other a word of the corpus.
+        engine, bench, *_ = small_engine
+        for query in ("ਕ", bench.records[0]["text"].split()[0]):
+            alone, mixed = (engine.retrieve(q, mode=mode) for q in (query, query + " hello"))
+            assert (mixed.hits, mixed.context) == (alone.hits, alone.context)
+        assert alone.hits
+
     def test_fractional_k_final_rejected_by_name(self, small_engine):
         engine, bench, *_ = small_engine
         with pytest.raises(ValueError, match="k_final must be >= 1 and an int"):
@@ -402,8 +422,12 @@ class TestRowSpace:
     def test_lexical_index_of_another_row_count_rejected(self, small_engine):
         engine, *_ = small_engine
         tok, chunks, n = engine.tokenizer, engine.chunks, engine.chunk_count
-        texts = [c.text for c in chunks]
-        longer = lexical.build_index([tok.encode(t) for t in [*texts, texts[0]]], tok.vocab_size())
+        first = chunks.token_ids(0)
+        longer = lexical.build_index(
+            np.concatenate([chunks.tokens, first]),
+            np.append(chunks.token_counts, len(first)),
+            tok.vocab_size(),
+        )
         with pytest.raises(ValueError, match=f"^lexical index has {n + 1} rows for {n} chunks$"):
             RetrievalEngine(chunks, tok, longer, engine.vector_index, engine.config)
 
@@ -411,8 +435,7 @@ class TestRowSpace:
         # Term j of the lexical index is vocab id j, so its term count is V.
         engine, *_ = small_engine
         tok, chunks = engine.tokenizer, engine.chunks
-        terms = [tok.encode(c.text) for c in chunks]
-        other = lexical.build_index(terms, tok.vocab_size() + 1)
+        other = lexical.build_index(chunks.tokens, chunks.token_counts, tok.vocab_size() + 1)
         with pytest.raises(ValueError, match="lexical index terms do not follow the vocab"):
             RetrievalEngine(chunks, tok, other, engine.vector_index, engine.config)
 
@@ -541,13 +564,15 @@ class TestTokenTables:
         table = engine.token_table
         vocab = engine.tokenizer.vocab
         li = engine.lexical_index
-        # An id's idf where a chunk holds it, 1.0 (not the idf of df 0) where none does.
+        # An id's idf where a chunk holds it, 1.0 (not the idf of df 0) where
+        # none does, and 0.0 for <unk> and <pad>, which stand for no text.
         want = [
             lexical.idf(li, i) if len(li.postings(i)[0]) else 1.0
             for i in range(len(vocab))
         ]
+        want[vocab["<unk>"]] = want[vocab["<pad>"]] = 0.0
         assert table.weights.tolist() == want
-        assert 1.0 in want and len(set(want)) > 2
+        assert 1.0 in want and len(set(want)) > 3
 
     def test_a_loaded_engine_holds_no_token_vectors(self, small_engine):
         _, _, index_dir, *_ = small_engine
@@ -594,7 +619,8 @@ class TestTokenTables:
 
     def test_a_query_id_no_chunk_holds_weighs_1_and_has_no_postings(self, small_engine):
         # Fresh words' pieces and <unk> (a Malayalam letter): df = 0, so no
-        # postings, and table weight 1.0, not the idf of df 0.
+        # postings, and table weight 1.0, not the idf of df 0; <unk> weighs
+        # 0.0.
         engine, bench, *_ = small_engine
         li, tok, table = engine.lexical_index, engine.tokenizer, engine.token_table
         corpus_words = {w for rec in bench.records for w in rec["text"].split()}
@@ -603,8 +629,9 @@ class TestTokenTables:
         ids = tok.encode(" ".join(fresh) + " ഷ")
         unheld = {i for i in ids if not len(li.postings(i)[0])}
         assert tok.unk_id in unheld and len(unheld) > 1
-        for i in unheld:
+        for i in unheld - {tok.unk_id}:
             assert table.weights[i] == 1.0 != lexical.idf(li, i)
+        assert table.weights[tok.unk_id] == 0.0
 
     def test_engines_of_two_dims_answer_as_each_does_alone(self, small_engine, dim16_index):
         _, bench, index_dir, *_ = small_engine
@@ -675,6 +702,20 @@ class TestTokenTables:
         assert sizes() == before
 
 
+@pytest.fixture(scope="module")
+def split_engine(tmp_path_factory):
+    """An index of 24-token windows at stride 19 over a 300-document planted
+    corpus with a vocabulary of 300: about half its windows split a word."""
+    bench = synthetic.make_planted_benchmark(n_docs=300)
+    root = tmp_path_factory.mktemp("split")
+    synthetic.write_jsonl(bench.records, root / "corpus.jsonl")
+    cfg = EngineConfig(
+        cleaning=CleaningConfig(chunk_size_tokens=24, chunk_overlap_tokens=5), vocab_size=300
+    )
+    build_all(root / "corpus.jsonl", cfg, root / "index")
+    return load_index(root / "index"), bench
+
+
 class TestTokenCounts:
     """The counts ``format_context`` budgets with, pinned to the tokenizer."""
 
@@ -683,6 +724,22 @@ class TestTokenCounts:
         tok = engine.tokenizer
         for row, chunk in enumerate(engine.chunks):
             assert engine.lexical_index.doc_len[row] == tok.token_count(chunk.text)
+            assert chunk.token_count == engine.lexical_index.doc_len[row]
+
+    def test_stored_terms_are_the_encode_of_each_text(self, split_engine):
+        # One id sequence per chunk, the terms both legs index: its length is
+        # the chunk's BM25 length and its context cost. A window that splits
+        # a word stores the piece in it encoded as a word of its own.
+        engine, bench = split_engine
+        tok, chunks = engine.tokenizer, engine.chunks
+        words = {w for rec in bench.records for w in rec["text"].split()}
+        split = 0
+        for row in range(len(chunks)):
+            text, ids = chunks.text(row), chunks.token_ids(row).tolist()
+            assert ids == tok.encode(text)
+            assert chunks.token_counts[row] == len(ids) == engine.lexical_index.doc_len[row]
+            split += not {text.split()[0], text.split()[-1]} <= words
+        assert split > len(chunks) // 4
 
     def test_counts_add_up_across_the_delimiter(self, small_engine):
         engine, *_ = small_engine
@@ -817,7 +874,7 @@ class TestPersistence:
         offsets = li.offsets[:-1] if extra < 0 else np.append(li.offsets, li.offsets[-1])
         path = tmp_path / "index" / "lexical.npy"
         with path.open("wb") as fh:
-            for arr in (li.doc_len, offsets, li.rows, li.tfs):
+            for arr in (offsets, li.rows, li.tfs):
                 np.lib.format.write_array(fh, arr)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         _edit_manifest(tmp_path / "index", lambda m: m["files"].update({"lexical.npy": digest}))
@@ -911,8 +968,11 @@ class TestPersistence:
             (7, None),
             # Version 8 kept config.embedder.kind, and a path for external_file.
             (8, None),
+            # Version 9 kept each chunk's window ids and its token offset in
+            # chunks.npy, and each chunk's length again in lexical.npy.
+            (9, None),
         ],
-        ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"],
+        ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"],
     )
     def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version, files):
         engine, *_ = small_engine
@@ -1029,9 +1089,7 @@ class TestLoad:
         bad = chunks.chunk_ids[0].rpartition("#")[0]  # still the first in order
         ids = [bad, *chunks.chunk_ids[1:]]
         save_chunks(
-            ChunkTable(
-                ids, chunks.token_offsets, chunks.token_counts, chunks.tokens, chunks.tokenizer
-            ),
+            ChunkTable(ids, chunks.token_counts, chunks.tokens, chunks.tokenizer),
             tmp_path / "index",
         )
         digest = hashlib.sha256((tmp_path / "index" / CHUNKS_FILE).read_bytes()).hexdigest()
@@ -1050,8 +1108,8 @@ class TestLoad:
         v = engine.tokenizer.vocab_size()
         path = tmp_path / "index" / CHUNKS_FILE
         with path.open("rb") as fh:
-            arrays = [np.lib.format.read_array(fh) for _ in range(4)]
-        arrays[3][len(arrays[3]) // 2] = v
+            arrays = [np.lib.format.read_array(fh) for _ in range(3)]
+        arrays[2][len(arrays[2]) // 2] = v
         with path.open("wb") as fh:
             for arr in arrays:
                 np.lib.format.write_array(fh, arr)
@@ -1154,7 +1212,6 @@ class TestLoad:
         loaded = load_index(index_dir)
         li, vi = loaded.lexical_index, loaded.vector_index
         for arr in (
-            loaded.chunks.token_offsets,
             loaded.chunks.token_counts,
             loaded.chunks.tokens,
             li.doc_len,
@@ -1176,6 +1233,8 @@ class TestLoad:
         assert vi.cols.flags.c_contiguous and vi.cols.nbytes == n * dim * 4
         # The rows in the narrowest unsigned type that holds n - 1.
         assert li.rows.dtype == np.min_scalar_type(n - 1)
+        # The chunk lengths are the chunk table's counts, held once.
+        assert li.doc_len is loaded.chunks.token_counts
         # Each posting's impact is held once: in its term's dense row, or
         # else in the sparse terms' postings.
         impacts, dense = li.impacts(loaded.config.bm25)

@@ -75,15 +75,25 @@ def _reference_score_rows(index, p, query_terms):
     return scores, touched
 
 
+def _build(chunk_terms, term_count):
+    """``build_index`` over the chunks of ``chunk_terms``, one sequence of
+    term ids each, as a chunk table holds them: one array of every id, and
+    each chunk's count."""
+    counts = np.array(list(map(len, chunk_terms)), dtype="<i4")
+    tokens = np.array([t for terms in chunk_terms for t in terms], dtype=np.int64)
+    return build_index(tokens, counts, term_count)
+
+
 def _index(chunks, model):
     """``build_index`` over each chunk's vocab ids, as ``build_all`` builds
     it."""
-    return build_index([model.encode(c.text) for c in chunks], model.vocab_size())
+    return _build([model.encode(c.text) for c in chunks], model.vocab_size())
 
 
-def _reload(out_dir, n, term_count):
-    """``parse`` of the ``lexical.npy`` of ``n`` chunks in ``out_dir``."""
-    return parse((out_dir / LEXICAL_FILE).read_bytes(), n, term_count)
+def _reload(out_dir, doc_len, term_count):
+    """``parse`` of the ``lexical.npy`` in ``out_dir``, of chunks of lengths
+    ``doc_len``."""
+    return parse((out_dir / LEXICAL_FILE).read_bytes(), np.asarray(doc_len), term_count)
 
 
 def _pairs(ix, term):
@@ -101,25 +111,25 @@ def word_model():
 
 class TestBuildIndex:
     def test_equal_lengths_give_avgdl(self, word_model):
-        chunks = [Chunk(f"c{i}", 0, 4, "w1 w2 w3 w4") for i in range(3)]
+        chunks = [Chunk(f"c{i}", 4, "w1 w2 w3 w4") for i in range(3)]
         ix = _index(chunks, word_model)
         assert ix.N == 3
         assert ix.avgdl == pytest.approx(ix.doc_len[0])
 
     def test_repeated_term_single_posting_with_tf(self, word_model):
-        ix = _index([Chunk("c0", 0, 4, "w1 w1 w2 w3")], word_model)
+        ix = _index([Chunk("c0", 4, "w1 w1 w2 w3")], word_model)
         (term,) = word_model.encode("w1")
         assert _pairs(ix, term) == [(0, 2)]
 
     def test_absent_term_has_no_postings(self, word_model):
-        ix = _index([Chunk("c0", 0, 2, "w1 w2")], word_model)
+        ix = _index([Chunk("c0", 2, "w1 w2")], word_model)
         (term,) = word_model.encode("w9")
         # Term j is vocab id j, held by a chunk or not.
         assert len(ix.offsets) == word_model.vocab_size() + 1
         assert _pairs(ix, term) == []
 
     def test_postings_follow_row_order(self, word_model):
-        chunks = [Chunk(f"c{i}", 0, 2, "w1 w2") for i in range(3)]
+        chunks = [Chunk(f"c{i}", 2, "w1 w2") for i in range(3)]
         ix = _index(chunks, word_model)
         (term,) = word_model.encode("w1")
         assert ix.postings(term)[0].tolist() == [0, 1, 2]
@@ -133,7 +143,7 @@ class TestBuildIndex:
             rng.integers(0, term_count, int(rng.integers(0, 40))).tolist() for _ in range(60)
         ]
         chunk_terms[3] = []
-        ix = build_index(chunk_terms, term_count)
+        ix = _build(chunk_terms, term_count)
         want: dict[int, list[tuple[int, int]]] = {}
         for row, terms in enumerate(chunk_terms):
             for term, tf in sorted(Counter(terms).items()):
@@ -146,11 +156,21 @@ class TestBuildIndex:
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_term_id_outside_the_vocab_rejected(self, bad):
         with pytest.raises(ValueError, match=r"row 1 holds a term id outside 0\.\.4"):
-            build_index([[0, 4], [1, bad]], 5)
+            _build([[0, 4], [1, bad]], 5)
+
+    def test_keys_wider_than_32_bits(self):
+        # 70,000 terms over 70,000 chunks: term * N + row passes 2**32.
+        n = v = 70_000
+        chunk_terms = [[] for _ in range(n)]
+        chunk_terms[5] = [v - 1]
+        chunk_terms[-1] = [v - 1, 0, v - 1]
+        ix = _build(chunk_terms, v)
+        assert _pairs(ix, v - 1) == [(5, 1), (n - 1, 2)]
+        assert _pairs(ix, 0) == [(n - 1, 1)]
 
     def test_empty_chunk_list_rejected(self, word_model):
         with pytest.raises(ValueError, match="empty"):
-            build_index([], 10)
+            _build([], 10)
 
     def test_avgdl_is_the_mean_doc_len(self):
         ix = InvertedIndex(np.array([2, 5]), np.array([0]), EMPTY, EMPTY)
@@ -182,7 +202,7 @@ class TestBuildIndex:
     def test_postings_out_of_row_order_load(self):
         # Each term's postings are stored in row order, whatever order the
         # chunk's term ids come in.
-        ix = build_index([[0, 0, 1, 1], [1, 1, 1, 0]], 2)
+        ix = _build([[0, 0, 1, 1], [1, 1, 1, 0]], 2)
         assert _pairs(ix, 0) == [(0, 2), (1, 1)]
 
     @pytest.mark.parametrize("tf", [0, -1, 1.5, 2.0, "2", True, None])
@@ -234,10 +254,10 @@ class TestIdf:
 
     def test_kept_idfs_are_idf_bitwise(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(400, seed=7, lexicon_size=300)
-        chunks = [Chunk(r["id"] + "#0", 0, 0, r["text"]) for r in records]
+        chunks = [Chunk(r["id"] + "#0", 0, r["text"]) for r in records]
         built = _index(chunks, synth_tokenizer)
         save(built, tmp_path)
-        reloaded = _reload(tmp_path, built.N, synth_tokenizer.vocab_size())
+        reloaded = _reload(tmp_path, built.doc_len, synth_tokenizer.vocab_size())
         for ix in (built, reloaded):
             dfs = {len(ix.postings(t)[0]) for t in _terms(ix)}
             assert len(dfs) > 20 and max(dfs) > ix.N / 2 and 0 in dfs
@@ -303,16 +323,16 @@ def _random_corpus(rng, n_chunks, model, vocab):
     chunks = []
     for i in range(n_chunks):
         words = rng.choice(vocab, size=rng.integers(4, 30))
-        chunks.append(Chunk(f"c{i:03d}", 0, len(words), " ".join(words)))
+        chunks.append(Chunk(f"c{i:03d}", len(words), " ".join(words)))
     return chunks
 
 
 class TestSearch:
     def test_unique_term_ranks_first(self, word_model):
         chunks = [
-            Chunk("c0", 0, 3, "w1 w2 w3"),
-            Chunk("c1", 0, 3, "w9 w2 w3"),
-            Chunk("c2", 0, 3, "w4 w5 w6"),
+            Chunk("c0", 3, "w1 w2 w3"),
+            Chunk("c1", 3, "w9 w2 w3"),
+            Chunk("c2", 3, "w4 w5 w6"),
         ]
         ix = _index(chunks, word_model)
         results = search(ix, BM25Params(), word_model.encode("w9"), 3)
@@ -339,12 +359,12 @@ class TestSearch:
             assert got == brute  # rows and bitwise-equal scores
 
     def test_k_larger_than_candidates_returns_all(self, word_model):
-        chunks = [Chunk("c0", 0, 2, "w1 w2"), Chunk("c1", 0, 2, "w3 w4")]
+        chunks = [Chunk("c0", 2, "w1 w2"), Chunk("c1", 2, "w3 w4")]
         ix = _index(chunks, word_model)
         assert len(search(ix, BM25Params(), word_model.encode("w1"), 50)) == 1
 
     def test_empty_query_returns_empty(self, word_model):
-        ix = _index([Chunk("c0", 0, 2, "w1 w2")], word_model)
+        ix = _index([Chunk("c0", 2, "w1 w2")], word_model)
         assert search(ix, BM25Params(), word_model.encode("   "), 5) == []
 
     def test_prefix_property(self, word_model):
@@ -378,7 +398,7 @@ class TestSearch:
     def test_unheld_ids_have_no_postings(self, word_model):
         # A word of a fresh symbol is <unk>, and a word of known symbols
         # that no chunk holds is its own pieces: neither scores a chunk.
-        ix = _index([Chunk("c0", 0, 2, "w1 w2")], word_model)
+        ix = _index([Chunk("c0", 2, "w1 w2")], word_model)
         fresh = word_model.encode("w9 ਙ")
         assert word_model.unk_id in fresh
         for term in fresh:
@@ -407,7 +427,7 @@ class TestImpacts:
         chunks = _random_corpus(rng, 80, word_model, vocab)
         built = _index(chunks, word_model)
         save(built, tmp_path)
-        reloaded = _reload(tmp_path, len(chunks), word_model.vocab_size())
+        reloaded = _reload(tmp_path, built.doc_len, word_model.vocab_size())
         p = BM25Params(k1=k1, b=b)
         for ix in (built, reloaded):
             for _ in range(20):
@@ -715,7 +735,7 @@ class TestPersistence:
         chunks = _random_corpus(rng, 50, word_model, vocab)
         ix = _index(chunks, word_model)
         save(ix, tmp_path)
-        reloaded = _reload(tmp_path, len(chunks), word_model.vocab_size())
+        reloaded = _reload(tmp_path, ix.doc_len, word_model.vocab_size())
         assert reloaded.N == ix.N
         assert reloaded.avgdl == ix.avgdl
         for name in ("doc_len", "offsets", "rows", "tfs"):
@@ -745,8 +765,9 @@ class TestPersistence:
         chunks = _random_corpus(np.random.default_rng(43), 50, word_model, vocab)
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        save(_index(chunks, word_model), tmp_path / "a")
-        save(_reload(tmp_path / "a", len(chunks), word_model.vocab_size()), tmp_path / "b")
+        built = _index(chunks, word_model)
+        save(built, tmp_path / "a")
+        save(_reload(tmp_path / "a", built.doc_len, word_model.vocab_size()), tmp_path / "b")
         assert (tmp_path / "b" / LEXICAL_FILE).read_bytes() == (
             tmp_path / "a" / LEXICAL_FILE
         ).read_bytes()
@@ -756,10 +777,10 @@ class TestPersistence:
         one = np.array([0, 1])
         save(InvertedIndex(np.array([tf]), one, one[:1], np.array([tf])), tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
-            arrays = [np.lib.format.read_array(fh) for _ in range(4)]
-        assert [a.dtype.str for a in arrays] == ["<i4", "<i8", "|u1", width]
-        assert arrays[3].tolist() == [tf]
-        reloaded = _reload(tmp_path, 1, 1)
+            arrays = [np.lib.format.read_array(fh) for _ in range(3)]
+        assert [a.dtype.str for a in arrays] == ["<i8", "|u1", width]
+        assert arrays[2].tolist() == [tf]
+        reloaded = _reload(tmp_path, [tf], 1)
         assert _pairs(reloaded, 0) == [(0, tf)]
         # The rows and the tfs are held as stored.
         assert (reloaded.rows.dtype.str, reloaded.tfs.dtype.str) == ("|u1", width)
@@ -775,9 +796,9 @@ class TestPersistence:
         ix = InvertedIndex(np.ones(n, "<i4"), np.array([0, len(rows)]), rows, tfs)
         save(ix, tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
-            arrays = [np.lib.format.read_array(fh) for _ in range(4)]
-        assert (arrays[2].dtype.str, arrays[2].tolist()) == (width, rows.tolist())
-        reloaded = _reload(tmp_path, n, 1)
+            arrays = [np.lib.format.read_array(fh) for _ in range(3)]
+        assert (arrays[1].dtype.str, arrays[1].tolist()) == (width, rows.tolist())
+        reloaded = _reload(tmp_path, ix.doc_len, 1)
         # Held as stored, as the index built from <i4 rows holds them too.
         assert reloaded.rows.dtype.str == ix.rows.dtype.str == width
         assert np.array_equal(reloaded.rows, ix.rows)
@@ -788,10 +809,11 @@ class TestPersistence:
         vocab = np.array([f"w{i}" for i in range(40)])
         rng = np.random.default_rng(47)
         chunks = _random_corpus(rng, 300, word_model, vocab)
-        save(_index(chunks, word_model), tmp_path)
+        built = _index(chunks, word_model)
+        save(built, tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
-            assert [np.lib.format.read_array(fh) for _ in range(4)][2].dtype.str == "<u2"
-        ix = _reload(tmp_path, len(chunks), word_model.vocab_size())
+            assert [np.lib.format.read_array(fh) for _ in range(3)][1].dtype.str == "<u2"
+        ix = _reload(tmp_path, built.doc_len, word_model.vocab_size())
         p = BM25Params()
         for _ in range(5):
             terms = word_model.encode(" ".join(rng.choice(vocab, size=6)))
@@ -800,13 +822,14 @@ class TestPersistence:
 
     def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
-        chunks = [Chunk(r["id"] + "#0", 0, 0, r["text"]) for r in records]
-        save(_index(chunks, synth_tokenizer), tmp_path)
+        chunks = [Chunk(r["id"] + "#0", 0, r["text"]) for r in records]
+        built = _index(chunks, synth_tokenizer)
+        save(built, tmp_path)
         data = (tmp_path / LEXICAL_FILE).read_bytes()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ix = parse(data, len(chunks), synth_tokenizer.vocab_size())
+            ix = parse(data, built.doc_len, synth_tokenizer.vocab_size())
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -819,10 +842,11 @@ class TestPersistence:
 
 
 def _write_lexical_file(out_dir, **arrays):
-    """``lexical.npy`` for one chunk of length 4 and one term, term 0, with
-    one posting of tf 3, with any of the four arrays replaced by keyword."""
+    """``lexical.npy`` for one term, term 0, with one posting of tf 3, on
+    chunk 0, with any of the three arrays replaced by keyword. A chunk's
+    length is no part of the file: ``_reload`` takes them, [4] for one chunk
+    of length 4."""
     default = {
-        "doc_len": np.array([4], dtype="<i4"),
         "offsets": np.array([0, 1], dtype="<i8"),
         "rows": np.array([0], dtype="<i4"),
         "tfs": np.array([3], dtype=np.uint8),
@@ -836,20 +860,20 @@ def _write_lexical_file(out_dir, **arrays):
 class TestLoadValidation:
     def test_valid_file_loads(self, tmp_path):
         _write_lexical_file(tmp_path)
-        assert _pairs(_reload(tmp_path, 1, 1), 0) == [(0, 3)]
+        assert _pairs(_reload(tmp_path, [4], 1), 0) == [(0, 3)]
 
     def test_posting_for_unknown_chunk_names_term_and_chunk(self, tmp_path):
         # Row 1 of a one-chunk index names no chunk.
         _write_lexical_file(tmp_path, rows=np.array([1], dtype="<i4"))
         with pytest.raises(ValueError, match=r"^lexical.npy: postings for term 0 name a row outside 0\.\.0$"):
-            _reload(tmp_path, 1, 1)
+            _reload(tmp_path, [4], 1)
 
     @pytest.mark.parametrize("dtype", ["<i8", "<u8"])
     def test_a_row_beyond_int32_is_refused_not_wrapped(self, tmp_path, dtype):
         # 2**32 would wrap to row 0 as <i4.
         _write_lexical_file(tmp_path, rows=np.array([2**32], dtype=dtype))
         with pytest.raises(ValueError, match=r"term 0 name a row outside 0\.\.0"):
-            _reload(tmp_path, 1, 1)
+            _reload(tmp_path, [4], 1)
 
     @pytest.mark.parametrize(
         "tf, match",
@@ -865,39 +889,36 @@ class TestLoadValidation:
         # dtype is refused as a whole, by name.
         _write_lexical_file(tmp_path, tfs=np.array([tf]))
         with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, 1, 1)
+            _reload(tmp_path, [4], 1)
 
     def test_duplicate_posting_names_term_and_chunk(self, tmp_path):
         _write_lexical_file(
             tmp_path,
-            doc_len=np.array([4, 4], dtype="<i4"),
             offsets=np.array([0, 2], dtype="<i8"),
             rows=np.array([0, 0], dtype="<i4"),
             tfs=np.array([1, 2], dtype=np.uint8),
         )
         with pytest.raises(ValueError, match="^lexical.npy: postings for term 0 name row 0 twice$"):
-            _reload(tmp_path, 2, 1)
+            _reload(tmp_path, [4, 4], 1)
 
     def test_rows_out_of_order_name_term(self, tmp_path):
         _write_lexical_file(
             tmp_path,
-            doc_len=np.array([4, 4], dtype="<i4"),
             offsets=np.array([0, 1, 3], dtype="<i8"),
             rows=np.array([1, 1, 0], dtype="<i4"),
             tfs=np.array([1, 1, 1], dtype=np.uint8),
         )
         with pytest.raises(ValueError, match="term 1 are not in increasing row order"):
-            _reload(tmp_path, 2, 2)
+            _reload(tmp_path, [4, 4], 2)
 
     def test_rows_may_restart_at_each_term(self, tmp_path):
         _write_lexical_file(
             tmp_path,
-            doc_len=np.array([4, 4], dtype="<i4"),
             offsets=np.array([0, 2, 2, 3], dtype="<i8"),
             rows=np.array([0, 1, 0], dtype="<i4"),
             tfs=np.array([1, 2, 3], dtype=np.uint8),
         )
-        ix = _reload(tmp_path, 2, 3)
+        ix = _reload(tmp_path, [4, 4], 3)
         assert [_pairs(ix, t) for t in range(3)] == [[(0, 1), (1, 2)], [], [(0, 3)]]
 
     @pytest.mark.parametrize(
@@ -920,7 +941,7 @@ class TestLoadValidation:
             "|rows has 1 entries for offsets ending at [02]"
         )
         with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, 1, len(terms))
+            _reload(tmp_path, [4], len(terms))
 
     @pytest.mark.parametrize("term_count", [0, 2, 2500])
     def test_offsets_that_do_not_fit_the_vocab_rejected(self, tmp_path, term_count):
@@ -931,40 +952,39 @@ class TestLoadValidation:
             rf"\(vocab size \+ 1 = {term_count + 1}\)$"
         )
         with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, 1, term_count)
+            _reload(tmp_path, [4], term_count)
 
     def test_an_index_of_the_earlier_layout_rejected(self, tmp_path):
-        # Before term j was vocab id j, a terms array of JSON bytes came
-        # second, so the file holds five arrays: the terms are read as the
-        # offsets, and refused by their count.
+        # Up to format 9 the file began with the chunk lengths, and before
+        # term j was vocab id j a terms array of JSON bytes came next: in
+        # either layout the lengths are read as the offsets, and refused by
+        # their count.
         terms = np.frombuffer(b'["t"]', dtype=np.uint8)
-        with (tmp_path / LEXICAL_FILE).open("wb") as fh:
-            for arr in ([4], terms, [0, 1], [0], [3]):
-                np.lib.format.write_array(fh, np.asarray(arr))
-        match = r"^lexical.npy: offsets has 5 entries for a vocabulary of 1 \(vocab size \+ 1 = 2\)$"
-        with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, 1, 1)
+        for layout in (([4], [0, 1], [0], [3]), ([4], terms, [0, 1], [0], [3])):
+            with (tmp_path / LEXICAL_FILE).open("wb") as fh:
+                for arr in layout:
+                    np.lib.format.write_array(fh, np.asarray(arr))
+            match = (
+                r"^lexical.npy: offsets has 1 entries for a vocabulary of 1 \(vocab size \+ 1 = 2\)$"
+            )
+            with pytest.raises(ValueError, match=match):
+                _reload(tmp_path, [4], 1)
 
     def test_tfs_must_match_rows(self, tmp_path):
         _write_lexical_file(tmp_path, tfs=np.array([3, 3], dtype=np.uint8))
         match = "^lexical.npy: tfs has 2 entries for offsets ending at 1$"
         with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, 1, 1)
-
-    def test_wrong_doc_len_count_rejected(self, tmp_path):
-        _write_lexical_file(tmp_path, doc_len=np.array([4, 4], dtype="<i4"))
-        with pytest.raises(ValueError, match="doc_len has 2 entries for 1 chunks"):
-            _reload(tmp_path, 1, 1)
+            _reload(tmp_path, [4], 1)
 
     def test_posting_on_a_chunk_of_length_0_names_term_and_chunk(self, tmp_path):
-        _write_lexical_file(tmp_path, doc_len=np.array([0], dtype="<i4"))
+        _write_lexical_file(tmp_path)
         with pytest.raises(ValueError, match="term 0 name row 0, a chunk of length 0"):
-            _reload(tmp_path, 1, 1)
+            _reload(tmp_path, [0], 1)
 
     def test_negative_doc_len_rejected(self, tmp_path):
-        _write_lexical_file(tmp_path, doc_len=np.array([-1], dtype="<i4"))
+        _write_lexical_file(tmp_path)
         with pytest.raises(ValueError, match="doc_len must be >= 0"):
-            _reload(tmp_path, 1, 1)
+            _reload(tmp_path, [-1], 1)
 
     @pytest.mark.parametrize("name", ["doc_len", "offsets", "rows", "tfs"])
     def test_non_integer_or_2d_array_named(self, tmp_path, name):
@@ -972,15 +992,16 @@ class TestLoadValidation:
             "doc_len": [4], "offsets": [0, 1], "rows": [0], "tfs": [3]
         }[name]
         for bad in (np.array(good, dtype=np.float64), np.array([good])):
-            _write_lexical_file(tmp_path, **{name: bad})
+            # The chunk lengths come from the chunk table, not the file.
+            _write_lexical_file(tmp_path, **({} if name == "doc_len" else {name: bad}))
             with pytest.raises(ValueError, match=f"{name} must be a 1-d integer array"):
-                _reload(tmp_path, 1, 1)
+                _reload(tmp_path, bad if name == "doc_len" else [4], 1)
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
         _write_lexical_file(tmp_path, offsets=np.array([0, 1], dtype=object))
         match = r"^lexical.npy: offsets must be a 1-d integer array, got \|O of shape \(2,\)$"
         with pytest.raises(ValueError, match=match):
-            _reload(tmp_path, 1, 1)
+            _reload(tmp_path, [4], 1)
 
     def test_truncated_or_padded_file_rejected(self, tmp_path):
         _write_lexical_file(tmp_path)
@@ -989,4 +1010,4 @@ class TestLoadValidation:
         for damaged, match in ((whole[:-1], "lexical.npy"), (whole + b"\0", "trailing")):
             path.write_bytes(damaged)
             with pytest.raises(ValueError, match=match):
-                _reload(tmp_path, 1, 1)
+                _reload(tmp_path, [4], 1)

@@ -56,7 +56,7 @@ def _chunks(n):
     # chunk holds no id.
     tok = TokenizerModel({f"t{i}": i for i in range(300)}, [])
     ids = np.random.default_rng(n).integers(0, 300, 4 * n)
-    windows = [Window(f"d{i:04d}#0", i, ids[4 * i : 4 * i + i % 3]) for i in range(n)]
+    windows = [Window(f"d{i:04d}#0", ids[4 * i : 4 * i + i % 3]) for i in range(n)]
     return ChunkTable.from_windows(windows, tok)
 
 
@@ -79,7 +79,7 @@ STORES = {
         LEXICAL_FILE,
         LEXICAL_ARRAYS,
         lambda n, out: save_lexical(
-            build_index(np.random.default_rng(n).integers(0, 50, (n, 7)).tolist(), 50), out
+            build_index(np.random.default_rng(n).integers(0, 50, 7 * n), np.full(n, 7), 50), out
         ),
     ),
     "vectors": (

@@ -196,7 +196,7 @@ class TestRoundTrips:
         [
             ({"extra": 1}, "unknown key: extra"),
             ({"token_count": "1"}, "token_count: expected int, got str"),
-            ({"token_offset": True}, "token_offset: expected int, got bool"),
+            ({"token_count": True}, "token_count: expected int, got bool"),
             ({"token_count": 1.0}, "token_count: expected int, got float"),
             ({"text": None}, "text: expected str, got NoneType"),
             ({"chunk_id": ["d#0"]}, "chunk_id: expected str, got list"),
@@ -204,8 +204,8 @@ class TestRoundTrips:
     )
     def test_chunk_row_fault_is_named(self, change, match):
         # Chunk stands for a flat record of str and int fields.
-        good = {"chunk_id": "d#0", "token_offset": 0, "token_count": 1, "text": "t"}
-        assert _records.from_dict(Chunk, good) == Chunk("d#0", 0, 1, "t")
+        good = {"chunk_id": "d#0", "token_count": 1, "text": "t"}
+        assert _records.from_dict(Chunk, good) == Chunk("d#0", 1, "t")
         with pytest.raises(ValueError, match=f"^{match}$"):
             _records.from_dict(Chunk, {**good, **change})
 
@@ -213,12 +213,12 @@ class TestRoundTrips:
         "last, match", [({}, "missing key: text"), ({"txet": "t"}, "unknown key: txet")]
     )
     def test_chunk_row_missing_key_is_named(self, last, match):
-        row = {"chunk_id": "d#0", "token_offset": 0, "token_count": 1, **last}
+        row = {"chunk_id": "d#0", "token_count": 1, **last}
         with pytest.raises(ValueError, match=f"^{match}$"):
             _records.from_dict(Chunk, row)
 
     def test_chunk_row_with_unknown_key_is_rejected(self):
-        row = {"chunk_id": "d#0", "token_offset": 0, "token_count": 1}
+        row = {"chunk_id": "d#0", "token_count": 1}
         row.update(text="t", extra=1)
         with pytest.raises(ValueError, match="unknown key: extra"):
             _records.from_dict(Chunk, row)

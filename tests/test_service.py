@@ -131,6 +131,11 @@ class TestSearch:
         status, payload = _post(base + "/v1/search", {"query": "   "})
         assert status == 400
 
+    def test_a_query_of_unknown_codepoints_only_is_400(self, server):
+        base, _ = server
+        status, payload = _post(base + "/v1/search", {"query": "hello world"})
+        assert (status, payload) == (400, {"error": "no query term is in the vocabulary"})
+
     def test_bad_k_is_400(self, server):
         base, _ = server
         status, payload = _post(base + "/v1/search", {"query": "x", "k": 0})
