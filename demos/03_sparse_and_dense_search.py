@@ -5,9 +5,12 @@ Sparse and dense retrieval legs
 Encodes each chunk once into a chunk table and builds both the BM25
 inverted index and the exact-scan vector index from the table's vocab ids,
 the one term space of both legs, then contrasts what each leg is good at: exact term matches versus
-bag-of-subwords similarity. Both indexes address a chunk by its row, and
-the chunks are listed in chunk-id order, so a search maps each row it
-returns to its chunk's id.
+bag-of-subwords similarity. Each leg is searched with the calls the
+engine's retrieve makes: BM25 scores every row (``score_rows``) and ranks
+the touched ones (``touched_rows``, ``top_rows``); the dense leg scans every
+row (``scan``) and ranks them all (``top_rows``). Both indexes address a
+chunk by its row, and the chunks are listed in chunk-id order, so each
+returned row maps to its chunk's id.
 """
 
 import numpy as np
@@ -42,8 +45,10 @@ print(f"inverted index: N={index.N}, avgdl={index.avgdl:.1f}, "
 
 query = " ".join(lines[7].split()[:3])
 print(f"\nBM25 search for {query!r}:")
-for row, score in lexical.search(index, params, tok.encode(query), 3):
-    print(f"  row {row} = {chunks.chunk_ids[row]}: {score:.4f}")
+scores, touched = lexical.score_rows(index, params, tok.encode(query))
+print(f"  {int(touched.sum())} of {index.N} rows hold a query term")
+for row in lexical.top_rows(scores, lexical.touched_rows(touched, 3), 3):
+    print(f"  row {row} = {chunks.chunk_ids[row]}: {scores[row]:.4f}")
 
 rare_term = lines[7].split()[0]
 print(f"idf({rare_term!r} tokens):")
@@ -75,13 +80,15 @@ rng = np.random.default_rng(0)
 paraphrase = " ".join(rng.permutation(words)[: int(0.7 * len(words))])
 q = semantic.embed(tok.encode(paraphrase), table)
 print(f"\ndense search for a shuffled subset of doc 7's words:")
-for row, score in semantic.search_exact(vindex, q, 3):
-    print(f"  row {row} = {chunks.chunk_ids[row]}: cosine={score:.4f}")
+cosines = vindex.scan(q)
+for row in lexical.top_rows(cosines, None, 3):
+    print(f"  row {row} = {chunks.chunk_ids[row]}: cosine={cosines[row]:.4f}")
 
 print("\nexact self-match:")
 q_self = semantic.embed(tok.encode(lines[7]), table)
-row, score = semantic.search_exact(vindex, q_self, 1)[0]
-print(f"  row {row} = {chunks.chunk_ids[row]}: cosine={score:.4f}")
+cosines = vindex.scan(q_self)
+(row,) = lexical.top_rows(cosines, None, 1)
+print(f"  row {row} = {chunks.chunk_ids[row]}: cosine={cosines[row]:.4f}")
 # A query's own vectors are the matrix's rows, bit for bit.
 assert np.array_equal(q_self, vectors[7])
 print(f"token table: {len(table.weights)} weights, no vectors")

@@ -7,7 +7,6 @@ amplitude/fidelity/interference kernels and fused into the final ranking.
 """
 
 from .corpus import (
-    Chunk,
     CleanDocument,
     CleaningConfig,
     RawDocument,
@@ -37,7 +36,7 @@ from .evalkit import (
     recall_at_k,
     rouge_l,
 )
-from .lexical import BM25Params, InvertedIndex, bm25_score, build_index, idf, search
+from .lexical import BM25Params, InvertedIndex, bm25_score, build_index, idf
 from .quantum import (
     AmplitudeState,
     FusionConfig,
@@ -55,8 +54,6 @@ from .semantic import (
     VectorIndex,
     cosine,
     embed,
-    search_exact,
-    token_vector,
     token_vectors,
 )
 from .tokenizer import TokenizerModel, normalize, train_bpe

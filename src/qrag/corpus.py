@@ -66,21 +66,6 @@ class CleanDocument:
     dedup_digest: str
 
 
-@dataclass(frozen=True, slots=True)
-class Chunk:
-    """A retrievable passage, a row of a ``ChunkTable``: a token window over
-    a cleaned document. Its id is ``<doc_id>#<n>``, for the document's n-th
-    window; ``token_count`` is the length of ``encode(text)``."""
-
-    chunk_id: str
-    token_count: int
-    text: str
-
-    @property
-    def doc_id(self) -> str:
-        return self.chunk_id.rpartition("#")[0]
-
-
 @dataclass(frozen=True)
 class CleaningConfig:
     min_gurmukhi_fraction: float = 0.5
@@ -300,15 +285,15 @@ CHUNK_ARRAYS = (
 
 
 @dataclass(eq=False, repr=False, slots=True)
-class ChunkTable(Sequence[Chunk]):
+class ChunkTable:
     """Chunks held as columns: row i of each is chunk i. This is how a build
     makes its chunks, how they are saved and loaded, and how an engine keeps
-    them, with no object per chunk; indexing makes a ``Chunk`` (a slice, a
-    ``ChunkTable``).
+    them, with no object per chunk.
 
-    The chunk ids strictly increase, so a row's number is its id's rank, and
-    an index that addresses chunks by row orders them as their ids do. The
-    table is the only holder of the ids.
+    A chunk id is ``<doc_id>#<n>``, for its document's n-th window. The ids
+    strictly increase, so a row's number is its id's rank, and an index that
+    addresses chunks by row orders them as their ids do. The table is the
+    only holder of the ids.
 
     A chunk is stored as its terms, the vocab ids that both retrieval legs
     index: row i's are ``token_counts[i]`` ids of ``tokens``, from
@@ -387,19 +372,8 @@ class ChunkTable(Sequence[Chunk]):
             out.append(text)
         return out
 
-    def text(self, row: int) -> str:
-        """Row ``row``'s text: ``texts([row])[0]``."""
-        return self.texts((row,))[0]
-
     def __len__(self) -> int:
         return len(self.chunk_ids)
-
-    def __getitem__(self, i):
-        rows = range(len(self))[i]  # IndexError past either end
-        if isinstance(i, slice):
-            windows = [Window(self.chunk_ids[r], self.token_ids(r)) for r in rows]
-            return ChunkTable.from_windows(windows, self.tokenizer)
-        return Chunk(self.chunk_ids[rows], int(self.token_counts[rows]), self.text(rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChunkTable):

@@ -43,7 +43,7 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 MANIFEST_FILE = "manifest.json"
 TOKENIZER_FILE = "tokenizer.json"
 STATS_FILE = "stats.json"
@@ -222,7 +222,6 @@ class RetrievalEngine:
         query: str,
         mode: str | None = None,
         k_final: int | None = None,
-        fusion: FusionConfig | None = None,
     ) -> RetrievalResponse:
         """Run the hybrid pipeline for one query: its ``<unk>`` ids dropped,
         none left is a ``ValueError``.
@@ -230,7 +229,7 @@ class RetrievalEngine:
         Every hit carries all component scores that were computed for it, so
         ablations can be read off a single response.
         """
-        cfg = fusion if fusion is not None else self.config.fusion
+        cfg = self.config.fusion
         if mode is not None:
             cfg = replace(cfg, mode=mode)
         if k_final is not None:

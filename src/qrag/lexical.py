@@ -339,20 +339,6 @@ def touched_rows(touched: np.ndarray, k: int) -> np.ndarray | None:
     return np.flatnonzero(touched)
 
 
-def search(
-    index: InvertedIndex, p: BM25Params, terms: Sequence[int], k: int
-) -> list[tuple[int, float]]:
-    """BM25 top-k as (row, score) pairs for a query's term ids (no terms ->
-    [])."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not terms:
-        return []
-    scores, touched = score_rows(index, p, terms)
-    best = top_rows(scores, touched_rows(touched, k), k)
-    return [(i, float(scores[i])) for i in best]
-
-
 # -- persistence -------------------------------------------------------------
 
 

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from . import _records
 
 FUSION_MODES = (
     "sparse_only",
@@ -152,7 +150,6 @@ class FusionConfig:
     k_sparse: int = 50
     k_dense: int = 50
     k_final: int = 10
-    signed_fidelity: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in FUSION_MODES:
@@ -167,13 +164,6 @@ class FusionConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # a bool is an int: refused too
                 raise ValueError(f"{name} must be >= 1 and an int, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return _records.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "FusionConfig":
-        return _records.from_dict(cls, d)
 
 
 def rank_candidates(
@@ -220,8 +210,7 @@ def rank_candidates(
             ranked = pool[np.lexsort((rows[pool], -scores[pool]))]
             fused[ranked] += 1.0 / (cfg.rrf_k + np.arange(1, len(ranked) + 1))
     elif mode == "fidelity_rerank":
-        sq = dense * dense
-        fused = np.copysign(sq, dense) if cfg.signed_fidelity else sq
+        fused = np.copysign(dense * dense, dense)
     else:  # quantum_interference
         lex = normalize_lexical(sparse)
         amp = cfg.w_semantic * dense + cfg.w_lexical * lex

@@ -17,12 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _npy, _records
-from .lexical import top_rows
+from . import _npy
 
 VECTORS_FILE = "vectors.npy"
 VECTOR_ARRAYS = (_npy.Array("vectors", "<f4", 2, "N"),)
@@ -52,13 +51,6 @@ class EmbedderSpec:
             raise ValueError(f"dim must be an int, got {self.dim!r}")
         if self.dim < 2 or self.dim & (self.dim - 1):
             raise ValueError("hash_projection dim must be a power of two >= 2")
-
-    def to_dict(self) -> dict:
-        return _records.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "EmbedderSpec":
-        return _records.from_dict(cls, d)
 
 
 def _fnv1a64(tokens: Sequence[str]) -> np.ndarray:
@@ -109,11 +101,6 @@ def seed_vectors(seeds: np.ndarray, dim: int) -> np.ndarray:
     # One BLAS dot per row, the kernel of ``np.dot(v, v)`` for one vector.
     values /= np.sqrt(np.matmul(values[:, None, :], values[:, :, None]))[:, 0]
     return values
-
-
-def token_vector(token: str, dim: int) -> np.ndarray:
-    """The unit vector of one token: its row of ``token_vectors``."""
-    return token_vectors([token], dim)[0]
 
 
 def token_matrix(tokens: Sequence[str], dim: int) -> np.ndarray:
@@ -355,18 +342,6 @@ def _add_rows(res: np.ndarray, cols: np.ndarray, q: np.ndarray, buf: np.ndarray)
     buf[:m] *= q[:, None]
     for i in range(m):
         res += buf[i]
-
-
-def search_exact(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """Full-scan top-k as (row, cosine) pairs, by cosine descending, ties
-    broken by row ascending."""
-    if len(index) == 0:
-        raise ValueError("empty index")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = index.scan(q)
-    best = top_rows(scores, None, k)
-    return [(i, float(scores[i])) for i in best]
 
 
 # -- persistence -------------------------------------------------------------

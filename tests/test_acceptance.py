@@ -73,7 +73,7 @@ def test_kernel_oracle():
 
 
 def test_bm25_brute_force_oracle():
-    """search top-k equals brute-force bm25_score ranking bitwise on 20 corpora, < 5 s."""
+    """Indexed top-k equals brute-force bm25_score ranking bitwise on 20 corpora, < 5 s."""
     with criterion("bm25-oracle"):
         t0 = time.perf_counter()
         for trial in range(20):
@@ -95,7 +95,11 @@ def test_bm25_brute_force_oracle():
             for _ in range(5):
                 query = " ".join(lexicon[j] for j in rng.integers(0, len(lexicon), size=3))
                 terms = tok.encode(query)
-                got = lexical.search(index, params, terms, 10)
+                # The path ``retrieve`` takes: every row's score, then the
+                # top 10 of the touched rows.
+                scores, touched = lexical.score_rows(index, params, terms)
+                top = lexical.top_rows(scores, lexical.touched_rows(touched, 10), 10)
+                got = [(row, float(scores[row])) for row in top]
                 brute = sorted(
                     (
                         (row, lexical.bm25_score(index, params, terms, row))
@@ -259,7 +263,7 @@ def test_context_budget_fuzz(planted):
     with criterion("context-budget"):
         engine, *_ = planted
         tok = engine.tokenizer
-        texts = [c.text for c in engine.chunks]
+        texts = engine.chunks.texts(range(engine.chunk_count))
         sep_cost = tok.token_count(CONTEXT_DELIMITER)
         rng = np.random.default_rng(99)
         worst = 0

@@ -142,7 +142,7 @@ class TestIngest:
         tok = TokenizerModel.load(out / "tokenizer.json")
         assert tokens.dtype == np.uint16 and len(tokens) == counts.sum()
         chunks = parse_chunks((out / CHUNKS_FILE).read_bytes(), tok)
-        assert [tok.encode(c.text) for c in chunks] == [
+        assert [tok.encode(text) for text in chunks.texts(range(len(chunks)))] == [
             chunks.token_ids(i).tolist() for i in range(len(chunks))
         ]
 

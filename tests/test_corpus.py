@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -11,7 +10,6 @@ import pytest
 
 from qrag.corpus import (
     CHUNKS_FILE,
-    Chunk,
     ChunkTable,
     CleanDocument,
     CleaningConfig,
@@ -268,11 +266,12 @@ class TestChunk:
         windows = chunk(doc, CFG, unit_token_model)
         table = ChunkTable.from_windows(windows, unit_token_model)
         spans = _spans(windows, doc, unit_token_model)
-        for w, c, (offset, count) in zip(windows, table, spans, strict=True):
+        texts = table.texts(range(len(table)))
+        for row, (w, text, (offset, count)) in enumerate(zip(windows, texts, spans, strict=True)):
             span = ids[offset : offset + count]
             # A window of whole words: its terms are its own ids.
-            assert w.ids.tolist() == span and c.token_count == count
-            assert c.text == unit_token_model.decode(span)
+            assert w.ids.tolist() == span and table.token_counts[row] == count
+            assert text == unit_token_model.decode(span)
         # The ids are held in the narrowest type.
         assert windows[0].ids.dtype == token_type(unit_token_model.vocab_size()) == np.uint16
 
@@ -338,14 +337,6 @@ class TestConfigValidation:
             CleaningConfig(max_punct_ratio=ratio)
 
 
-class TestChunkRecord:
-    def test_chunk_has_slots_and_stays_frozen(self):
-        c = Chunk("d#0", 3, "ਸਤਿ ਨਾਮ ਹੈ")
-        assert not hasattr(c, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            c.text = "x"
-
-
 # The vocabulary size of ``store_model``: both forms of its 12 codepoints,
 # two specials and the merges of the pairs that occur twice.
 STORE_V = 30
@@ -373,10 +364,12 @@ class TestChunkId:
     def test_the_doc_id_is_the_chunk_id_before_its_last_hash(
         self, tmp_path, store_model, chunk_id, doc_id
     ):
-        assert Chunk(chunk_id, 1, "ਕ").doc_id == doc_id
         save_chunks(_table([chunk_id], store_model), tmp_path)
-        (loaded,) = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
-        assert (loaded.chunk_id, loaded.doc_id) == (chunk_id, doc_id)
+        loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+        # Stored and loaded whole, a "#" in its doc id included: the window's
+        # number follows the last one.
+        assert loaded.chunk_ids == [chunk_id]
+        assert chunk_id.rpartition("#")[0] == doc_id
 
     @pytest.mark.parametrize(
         "chunk_id", ["d", "d#", "#0", "d#x", "d#-1", "d#1.0", "d# 1", "d#0\n", "d#\u0661", ""]
@@ -399,7 +392,6 @@ class TestChunkTable:
         ids = ["d#0", "d#1", "d#10", "d#2", "e#0"]
         table = _table(ids, store_model)
         assert table.chunk_ids == ids
-        assert table[1:4].chunk_ids == ids[1:4]
         assert _table([], store_model).chunk_ids == []
 
     def test_decreasing_id_rejected(self, store_model):
@@ -418,16 +410,16 @@ class TestChunkTable:
     def test_a_text_is_decoded_once_on_first_use(self, store_model):
         table = _store(store_model)
         assert table.text_slots == [None] * 4
-        first = table.text(3)
+        (first,) = table.texts([3])
         assert first == "𝄞 ਕ" and table.text_slots == [None, None, None, first]
-        assert table.text(3) is first and table[3].text is first and table[-1].text is first
+        assert table.texts([3])[0] is first
         texts = table.texts([1, 3, 1])
         assert texts == ["ਹੈ ਜੀ", first, "ਹੈ ਜੀ"] and texts[0] is texts[2] and texts[1] is first
-        assert [c.text for c in table] == [text for _, text in STORE_ROWS]
+        assert table.texts(range(4)) == [text for _, text in STORE_ROWS]
         assert table.text_slots == [text for _, text in STORE_ROWS]
         # Each text is the tokenizer's decode of its row's ids.
-        for row in range(len(table)):
-            assert table.text(row) == store_model.decode(table.token_ids(row).tolist())
+        for row, text in enumerate(table.texts(range(len(table)))):
+            assert text == store_model.decode(table.token_ids(row).tolist())
 
 
 # The chunks of STORE: id, text.
@@ -558,13 +550,14 @@ class TestChunkPersistence:
         save_chunks(_store(store_model), tmp_path)
         loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
         assert loaded == _store(store_model)
-        assert [(c.chunk_id, c.text) for c in loaded] == list(STORE_ROWS)
+        assert list(zip(loaded.chunk_ids, loaded.texts(range(len(loaded))))) == list(STORE_ROWS)
         counts = [len(store_model.encode(text)) for _, text in STORE_ROWS]
-        assert [c.token_count for c in loaded] == counts
+        assert loaded.token_counts.tolist() == counts
 
     def test_empty_store_round_trip(self, tmp_path, store_model):
         save_chunks(_table([], store_model), tmp_path)
-        assert list(parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)) == []
+        loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+        assert len(loaded) == 0 and loaded.chunk_ids == [] and len(loaded.tokens) == 0
 
     def test_ids_take_the_narrowest_unsigned_type(self, store_model, store_arrays):
         ids, token_count, tokens = store_arrays
@@ -604,7 +597,7 @@ class TestChunkPersistence:
         assert tokens == 2 * sum(len(w.ids) for w in windows)
         assert held <= tokens + 64 * 1024 + 256 * len(texts)
         assert peak <= held + 64 * 1024
-        assert [c.text for c in loaded] == texts
+        assert loaded.texts(range(len(texts))) == texts
 
     @pytest.mark.parametrize("fault", STORE_FAULTS, ids=list(STORE_FAULTS))
     def test_each_fault_is_a_value_error_naming_the_file(

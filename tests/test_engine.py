@@ -85,7 +85,7 @@ class TestBuildAll:
         fixed = 3 * 128 + len(ids.encode()) + 4 * len(chunks)
         size = (index_dir / "chunks.npy").stat().st_size
         assert size == fixed + 2 * int(chunks.token_counts.sum())
-        assert size <= fixed + sum(len(c.text) for c in chunks)
+        assert size <= fixed + sum(map(len, chunks.texts(range(len(chunks)))))
 
     def test_double_build_byte_identical(self, small_engine, tmp_path):
         _, _, index_dir, corpus_path, cfg = small_engine
@@ -181,6 +181,29 @@ def _embed_query(engine, text):
     return semantic.embed(engine.tokenizer.encode(text), engine.token_table)
 
 
+def _by_score(engine, scored):
+    """(row, score) pairs as (chunk id, score) pairs sorted by (-score, row)."""
+    ids = engine.chunks.chunk_ids
+    return [(ids[row], score) for row, score in sorted(scored, key=lambda rs: (-rs[1], rs[0]))]
+
+
+def _bm25_ranking(engine, text):
+    """The sparse leg's brute-force oracle: every row that holds a query term,
+    ranked by ``bm25_score``."""
+    index, p = engine.lexical_index, engine.config.bm25
+    terms = engine.tokenizer.encode(text)
+    scored = [(row, lexical.bm25_score(index, p, terms, row)) for row in range(engine.chunk_count)]
+    return _by_score(engine, [(row, score) for row, score in scored if score > 0.0])
+
+
+def _cosine_ranking(engine, text):
+    """The dense leg's brute-force oracle: every row ranked by ``cosine``."""
+    q_emb, cols = _embed_query(engine, text), engine.vector_index.cols
+    return _by_score(
+        engine, [(row, semantic.cosine(cols[:, row], q_emb)) for row in range(engine.chunk_count)]
+    )
+
+
 class TestRetrieve:
     def test_planted_term_wins_sparse_only(self, small_engine):
         engine, bench, *_ = small_engine
@@ -192,28 +215,24 @@ class TestRetrieve:
 
     def test_chunk_text_query_self_matches_dense_only(self, small_engine):
         engine, *_ = small_engine
-        chunk = engine.chunks[17]
-        resp = engine.retrieve(chunk.text, mode="dense_only")
-        assert resp.hits[0].chunk_id == chunk.chunk_id
+        chunks = engine.chunks
+        resp = engine.retrieve(chunks.texts([17])[0], mode="dense_only")
+        assert resp.hits[0].chunk_id == chunks.chunk_ids[17]
         assert resp.hits[0].dense_cos == pytest.approx(1.0, abs=1e-6)
 
     def test_sparse_only_equals_lexical_search(self, small_engine):
         engine, bench, *_ = small_engine
         for q in bench.queries[:8]:
             resp = engine.retrieve(q["text"], mode="sparse_only", k_final=10)
-            terms = engine.tokenizer.encode(q["text"])
-            direct = lexical.search(engine.lexical_index, engine.config.bm25, terms, 10)
-            ids = engine.chunks.chunk_ids
-            assert [(h.chunk_id, h.fused) for h in resp.hits] == [(ids[r], s) for r, s in direct]
+            want = _bm25_ranking(engine, q["text"])[:10]
+            assert [(h.chunk_id, h.fused) for h in resp.hits] == want
 
     def test_dense_only_equals_search_exact(self, small_engine):
         engine, bench, *_ = small_engine
         for q in bench.queries[:8]:
             resp = engine.retrieve(q["text"], mode="dense_only", k_final=10)
-            q_emb = _embed_query(engine, q["text"])
-            direct = semantic.search_exact(engine.vector_index, q_emb, 10)
-            ids = engine.chunks.chunk_ids
-            assert [(h.chunk_id, h.fused) for h in resp.hits] == [(ids[r], s) for r, s in direct]
+            want = _cosine_ranking(engine, q["text"])[:10]
+            assert [(h.chunk_id, h.fused) for h in resp.hits] == want
 
     def test_interference_scores_follow_formula(self, small_engine):
         engine, bench, *_ = small_engine
@@ -276,23 +295,8 @@ class TestRetrieve:
         cfgf = engine.config.fusion
         for q in bench.queries[:6]:
             resp = engine.retrieve(q["text"], mode="rrf")
-            ids = engine.chunks.chunk_ids
-            sparse_ids = {
-                ids[row]
-                for row, _ in lexical.search(
-                    engine.lexical_index,
-                    engine.config.bm25,
-                    engine.tokenizer.encode(q["text"]),
-                    cfgf.k_sparse,
-                )
-            }
-            q_emb = _embed_query(engine, q["text"])
-            dense_ids = {
-                ids[row]
-                for row, _ in semantic.search_exact(
-                    engine.vector_index, q_emb, cfgf.k_dense
-                )
-            }
+            sparse_ids = {cid for cid, _ in _bm25_ranking(engine, q["text"])[: cfgf.k_sparse]}
+            dense_ids = {cid for cid, _ in _cosine_ranking(engine, q["text"])[: cfgf.k_dense]}
             for h in resp.hits:
                 assert h.chunk_id in sparse_ids | dense_ids
 
@@ -466,14 +470,14 @@ class TestChunkIdOrder:
             assert all(a < b for a, b in zip(ids, ids[1:]))
         # Rows are not in file order: line-10 comes before line-2, and a
         # document's chunk 10 before its chunk 2.
-        doc_ids = [c.doc_id for c in stored]
+        doc_ids = [cid.rpartition("#")[0] for cid in stored.chunk_ids]
         docs = list(dict.fromkeys(doc_ids))
         assert docs != sorted(docs, key=lambda d: int(d.split("-")[1]))
         assert max(doc_ids.count(d) for d in docs) >= 11
 
     def test_hits_tie_break_on_chunk_id_in_every_mode(self, line_id_index):
         engine = load_index(line_id_index)
-        words = " ".join(c.text for c in engine.chunks[:30]).split()
+        words = " ".join(engine.chunks.texts(range(30))).split()
         queries = [" ".join(words[i : i + 1 + i % 3]) for i in range(0, 90, 3)]
         ties = dict.fromkeys(FUSION_MODES, 0)
         for mode in FUSION_MODES:
@@ -489,7 +493,7 @@ def _fifty_queries(engine, bench):
     """50 distinct queries: the planted ones, windows of chunk words, and
     words of codepoints the tokenizer never saw (its unk piece)."""
     queries = [q["text"] for q in bench.queries]
-    words = " ".join(c.text for c in engine.chunks[:40]).split()
+    words = " ".join(engine.chunks.texts(range(40))).split()
     queries += [" ".join(words[i : i + 5]) for i in range(0, 20 * 7, 7)]
     queries += [f"{w} qzx{i} ഷ" for i, w in enumerate(words[:6])]
     queries = list(dict.fromkeys(queries))[:50]
@@ -609,7 +613,7 @@ class TestTokenTables:
         tok, table = engine.tokenizer, engine.token_table
         n = min(200, engine.chunk_count)
         matrix = semantic.token_matrix(tok.tokens, engine.config.embedder.dim)
-        terms = [tok.encode(c.text) for c in engine.chunks[:n]]
+        terms = [tok.encode(text) for text in engine.chunks.texts(range(n))]
         built = [semantic.embed(ids, table, matrix) for ids in terms]
         queried = [semantic.embed(ids, table) for ids in terms]
         assert [v.tobytes() for v in queried] == [v.tobytes() for v in built]
@@ -722,9 +726,10 @@ class TestTokenCounts:
     def test_doc_len_is_token_count_of_chunk_text(self, small_engine):
         engine, *_ = small_engine
         tok = engine.tokenizer
-        for row, chunk in enumerate(engine.chunks):
-            assert engine.lexical_index.doc_len[row] == tok.token_count(chunk.text)
-            assert chunk.token_count == engine.lexical_index.doc_len[row]
+        chunks = engine.chunks
+        for row, text in enumerate(chunks.texts(range(len(chunks)))):
+            assert engine.lexical_index.doc_len[row] == tok.token_count(text)
+            assert chunks.token_counts[row] == engine.lexical_index.doc_len[row]
 
     def test_stored_terms_are_the_encode_of_each_text(self, split_engine):
         # One id sequence per chunk, the terms both legs index: its length is
@@ -735,7 +740,7 @@ class TestTokenCounts:
         words = {w for rec in bench.records for w in rec["text"].split()}
         split = 0
         for row in range(len(chunks)):
-            text, ids = chunks.text(row), chunks.token_ids(row).tolist()
+            (text,), ids = chunks.texts([row]), chunks.token_ids(row).tolist()
             assert ids == tok.encode(text)
             assert chunks.token_counts[row] == len(ids) == engine.lexical_index.doc_len[row]
             split += not {text.split()[0], text.split()[-1]} <= words
@@ -746,7 +751,7 @@ class TestTokenCounts:
         tok = engine.tokenizer
         sep = f"\n{CONTEXT_DELIMITER}\n"
         sep_cost = tok.token_count(CONTEXT_DELIMITER)
-        pool = [c.text for c in engine.chunks] + ["", "  \n\t "]
+        pool = engine.chunks.texts(range(engine.chunk_count)) + ["", "  \n\t "]
         rng = np.random.default_rng(5)
         for _ in range(200):
             texts = [pool[int(i)] for i in rng.integers(len(pool), size=rng.integers(0, 8))]
@@ -848,7 +853,7 @@ class TestPersistence:
         ).hexdigest()
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(
-            ValueError, match=f"^chunks.npy: chunk_id '{chunks[0].chunk_id}' is listed twice$"
+            ValueError, match=f"^chunks.npy: chunk_id '{chunks.chunk_ids[0]}' is listed twice$"
         ):
             load_index(index_dir)
 
@@ -971,8 +976,11 @@ class TestPersistence:
             # Version 9 kept each chunk's window ids and its token offset in
             # chunks.npy, and each chunk's length again in lexical.npy.
             (9, None),
+            # Version 10 kept config.fusion.signed_fidelity, with the files of
+            # version 11.
+            (10, None),
         ],
-        ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"],
+        ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10"],
     )
     def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version, files):
         engine, *_ = small_engine
@@ -1000,6 +1008,20 @@ class TestPersistence:
 
         _edit_manifest(tmp_path / "old", edit)
         with pytest.raises(ValueError, match="^unsupported version: 8; rebuild the index$"):
+            load_index(tmp_path / "old")
+
+    def test_a_version_10_manifest_asks_for_a_rebuild(self, small_engine, tmp_path):
+        # Its config names fusion.signed_fidelity, which this version refuses
+        # as an unknown key; the version is checked first.
+        engine, *_ = small_engine
+        save_index(engine, tmp_path / "old")
+
+        def edit(manifest):
+            manifest["format_version"] = 10
+            manifest["config"]["fusion"]["signed_fidelity"] = True
+
+        _edit_manifest(tmp_path / "old", edit)
+        with pytest.raises(ValueError, match="^unsupported version: 10; rebuild the index$"):
             load_index(tmp_path / "old")
 
 

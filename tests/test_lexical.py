@@ -10,7 +10,6 @@ import pytest
 
 import qrag.lexical
 from qrag import synthetic
-from qrag.corpus import Chunk
 from qrag.lexical import (
     DENSE_DF,
     IMPACT_BLOCK,
@@ -23,12 +22,11 @@ from qrag.lexical import (
     parse,
     save,
     score_rows,
-    search,
     top_rows,
     touched_rows,
 )
 from qrag.quantum import FusionConfig, fuse_rrf, rank_candidates
-from qrag.semantic import VectorIndex, search_exact
+from qrag.semantic import VectorIndex
 from qrag.tokenizer import train_bpe
 
 EMPTY = np.array([], dtype=np.int64)
@@ -85,9 +83,17 @@ def _build(chunk_terms, term_count):
 
 
 def _index(chunks, model):
-    """``build_index`` over each chunk's vocab ids, as ``build_all`` builds
-    it."""
-    return _build([model.encode(c.text) for c in chunks], model.vocab_size())
+    """``build_index`` over the vocab ids of each (chunk id, text) pair's
+    text, as ``build_all`` builds it."""
+    return _build([model.encode(text) for _, text in chunks], model.vocab_size())
+
+
+def _ranked(ix, p, terms, k):
+    """The sparse leg's top ``k`` as ``retrieve`` ranks it, ``score_rows``
+    then ``top_rows`` over ``touched_rows``: (row, score) pairs by score
+    descending, then row."""
+    scores, touched = score_rows(ix, p, terms)
+    return [(row, float(scores[row])) for row in top_rows(scores, touched_rows(touched, k), k)]
 
 
 def _reload(out_dir, doc_len, term_count):
@@ -111,25 +117,25 @@ def word_model():
 
 class TestBuildIndex:
     def test_equal_lengths_give_avgdl(self, word_model):
-        chunks = [Chunk(f"c{i}", 4, "w1 w2 w3 w4") for i in range(3)]
+        chunks = [(f"c{i}", "w1 w2 w3 w4") for i in range(3)]
         ix = _index(chunks, word_model)
         assert ix.N == 3
         assert ix.avgdl == pytest.approx(ix.doc_len[0])
 
     def test_repeated_term_single_posting_with_tf(self, word_model):
-        ix = _index([Chunk("c0", 4, "w1 w1 w2 w3")], word_model)
+        ix = _index([("c0", "w1 w1 w2 w3")], word_model)
         (term,) = word_model.encode("w1")
         assert _pairs(ix, term) == [(0, 2)]
 
     def test_absent_term_has_no_postings(self, word_model):
-        ix = _index([Chunk("c0", 2, "w1 w2")], word_model)
+        ix = _index([("c0", "w1 w2")], word_model)
         (term,) = word_model.encode("w9")
         # Term j is vocab id j, held by a chunk or not.
         assert len(ix.offsets) == word_model.vocab_size() + 1
         assert _pairs(ix, term) == []
 
     def test_postings_follow_row_order(self, word_model):
-        chunks = [Chunk(f"c{i}", 2, "w1 w2") for i in range(3)]
+        chunks = [(f"c{i}", "w1 w2") for i in range(3)]
         ix = _index(chunks, word_model)
         (term,) = word_model.encode("w1")
         assert ix.postings(term)[0].tolist() == [0, 1, 2]
@@ -254,7 +260,7 @@ class TestIdf:
 
     def test_kept_idfs_are_idf_bitwise(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(400, seed=7, lexicon_size=300)
-        chunks = [Chunk(r["id"] + "#0", 0, r["text"]) for r in records]
+        chunks = [(r["id"] + "#0", r["text"]) for r in records]
         built = _index(chunks, synth_tokenizer)
         save(built, tmp_path)
         reloaded = _reload(tmp_path, built.doc_len, synth_tokenizer.vocab_size())
@@ -323,19 +329,22 @@ def _random_corpus(rng, n_chunks, model, vocab):
     chunks = []
     for i in range(n_chunks):
         words = rng.choice(vocab, size=rng.integers(4, 30))
-        chunks.append(Chunk(f"c{i:03d}", len(words), " ".join(words)))
+        chunks.append((f"c{i:03d}", " ".join(words)))
     return chunks
 
 
 class TestSearch:
+    """The search of the sparse leg: ``score_rows``, then ``top_rows`` over
+    ``touched_rows``."""
+
     def test_unique_term_ranks_first(self, word_model):
         chunks = [
-            Chunk("c0", 3, "w1 w2 w3"),
-            Chunk("c1", 3, "w9 w2 w3"),
-            Chunk("c2", 3, "w4 w5 w6"),
+            ("c0", "w1 w2 w3"),
+            ("c1", "w9 w2 w3"),
+            ("c2", "w4 w5 w6"),
         ]
         ix = _index(chunks, word_model)
-        results = search(ix, BM25Params(), word_model.encode("w9"), 3)
+        results = _ranked(ix, BM25Params(), word_model.encode("w9"), 3)
         assert results[0][0] == 1
 
     def test_matches_brute_force_exactly(self, word_model):
@@ -347,7 +356,7 @@ class TestSearch:
             ix = _index(chunks, word_model)
             query = " ".join(rng.choice(vocab, size=4))
             terms = word_model.encode(query)
-            got = search(ix, p, terms, 10)
+            got = _ranked(ix, p, terms, 10)
             brute = sorted(
                 (
                     (row, bm25_score(ix, p, terms, row))
@@ -359,13 +368,9 @@ class TestSearch:
             assert got == brute  # rows and bitwise-equal scores
 
     def test_k_larger_than_candidates_returns_all(self, word_model):
-        chunks = [Chunk("c0", 2, "w1 w2"), Chunk("c1", 2, "w3 w4")]
+        chunks = [("c0", "w1 w2"), ("c1", "w3 w4")]
         ix = _index(chunks, word_model)
-        assert len(search(ix, BM25Params(), word_model.encode("w1"), 50)) == 1
-
-    def test_empty_query_returns_empty(self, word_model):
-        ix = _index([Chunk("c0", 2, "w1 w2")], word_model)
-        assert search(ix, BM25Params(), word_model.encode("   "), 5) == []
+        assert len(_ranked(ix, BM25Params(), word_model.encode("w1"), 50)) == 1
 
     def test_prefix_property(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
@@ -375,8 +380,8 @@ class TestSearch:
         p = BM25Params()
         terms = word_model.encode("w1 w2 w3")
         for k in (1, 3, 7):
-            small = search(ix, p, terms, k)
-            bigger = search(ix, p, terms, k + 1)
+            small = _ranked(ix, p, terms, k)
+            bigger = _ranked(ix, p, terms, k + 1)
             assert bigger[:k] == small
 
     @pytest.mark.parametrize("bad", [-1, 4, 2**40])
@@ -385,7 +390,6 @@ class TestSearch:
         # negative one is not read from the end.
         ix, p = _hand_index(), BM25Params()
         calls = (
-            lambda: search(ix, p, [0, bad], 3),
             lambda: bm25_score(ix, p, [bad, 0], 0),
             lambda: score_rows(ix, p, [bad]),
             lambda: ix.postings(bad),
@@ -398,14 +402,14 @@ class TestSearch:
     def test_unheld_ids_have_no_postings(self, word_model):
         # A word of a fresh symbol is <unk>, and a word of known symbols
         # that no chunk holds is its own pieces: neither scores a chunk.
-        ix = _index([Chunk("c0", 2, "w1 w2")], word_model)
+        ix = _index([("c0", "w1 w2")], word_model)
         fresh = word_model.encode("w9 ਙ")
         assert word_model.unk_id in fresh
         for term in fresh:
             assert _pairs(ix, term) == []
         scores, touched = score_rows(ix, BM25Params(), fresh)
         assert scores.tolist() == [0.0] and not touched.any()
-        assert search(ix, BM25Params(), fresh, 3) == []
+        assert _ranked(ix, BM25Params(), fresh, 3) == []
 
     def test_scores_nonnegative(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
@@ -414,7 +418,7 @@ class TestSearch:
         ix = _index(chunks, word_model)
         for _ in range(10):
             terms = word_model.encode(" ".join(rng.choice(vocab, size=3)))
-            for _, score in search(ix, BM25Params(), terms, 20):
+            for _, score in _ranked(ix, BM25Params(), terms, 20):
                 assert score >= 0.0
 
 
@@ -707,8 +711,8 @@ class TestTopRows:
             q = rng.normal(size=6)
             scores = ix.scan(q)
             for k in (1, 7, 30, 40):
-                want = [(i, float(scores[i])) for i in _sorted_top(scores, range(30), k)]
-                assert search_exact(ix, q, k) == want
+                # The dense leg's top k, as ``retrieve`` ranks the scan.
+                assert top_rows(scores, None, k) == _sorted_top(scores, range(30), k)
 
 
 def test_lexical_imports_only_numpy_and_the_stdlib():
@@ -745,7 +749,7 @@ class TestPersistence:
         for _ in range(10):
             query = " ".join(rng.choice(vocab, size=4))
             terms = word_model.encode(query)
-            assert search(reloaded, p, terms, 10) == search(ix, p, terms, 10)
+            assert _ranked(reloaded, p, terms, 10) == _ranked(ix, p, terms, 10)
 
     def test_score_rows_matches_individual_scores(self, word_model):
         vocab = np.array([f"w{i}" for i in range(30)])
@@ -822,7 +826,7 @@ class TestPersistence:
 
     def test_load_keeps_no_per_posting_objects(self, synth_tokenizer, tmp_path):
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
-        chunks = [Chunk(r["id"] + "#0", 0, r["text"]) for r in records]
+        chunks = [(r["id"] + "#0", r["text"]) for r in records]
         built = _index(chunks, synth_tokenizer)
         save(built, tmp_path)
         data = (tmp_path / LEXICAL_FILE).read_bytes()

@@ -1,11 +1,12 @@
 """Dataclass <-> JSON conversion of every persisted or served record."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from qrag import _records
-from qrag.corpus import Chunk, CleaningConfig
+from qrag.corpus import CleaningConfig
 from qrag.engine import (
     EngineConfig,
     IndexManifest,
@@ -25,7 +26,7 @@ DEFAULT_CONFIG_JSON = (
     '"min_tokens": 10}, "context_budget_tokens": 1024, "embedder": {"dim": 256}, '
     '"fusion": {"k_dense": 50, "k_final": 10, '
     '"k_sparse": 50, "mode": "quantum_interference", "rrf_k": 60, '
-    '"signed_fidelity": true, "w_lexical": 0.4, "w_semantic": 0.6}, '
+    '"w_lexical": 0.4, "w_semantic": 0.6}, '
     '"vocab_size": 32000}'
 )
 
@@ -56,6 +57,7 @@ class TestUnknownKeys:
             ({"fusion": {"mdoe": "rrf"}}, "fusion.mdoe"),
             ({"embedder": {"kind": "hash_projection"}}, "embedder.kind"),
             ({"embedder": {"path": "v.jsonl"}}, "embedder.path"),
+            ({"fusion": {"signed_fidelity": True}}, "fusion.signed_fidelity"),
         ],
     )
     def test_engine_config_names_the_dotted_key(self, d, key):
@@ -63,12 +65,12 @@ class TestUnknownKeys:
             EngineConfig.from_dict(d)
 
     def test_fusion_config(self):
-        with pytest.raises(ValueError, match="unknown key: mdoe"):
-            FusionConfig.from_dict({"mdoe": "rrf"})
+        with pytest.raises(ValueError, match="^unknown key: fusion.mdoe$"):
+            EngineConfig.from_dict({"fusion": {"mode": "rrf", "mdoe": "rrf"}})
 
     def test_embedder_spec(self):
-        with pytest.raises(ValueError, match="unknown key: dims"):
-            EmbedderSpec.from_dict({"dims": 64})
+        with pytest.raises(ValueError, match="^unknown key: embedder.dims$"):
+            EngineConfig.from_dict({"embedder": {"dim": 64, "dims": 64}})
 
     def test_manifest_top_level(self, manifest_dict):
         manifest_dict["extra"] = 1
@@ -104,7 +106,7 @@ class TestWrongTypes:
             ({"vocab_size": 8000.0}, "vocab_size: expected int, got float"),
             ({"bm25": {"k1": "2"}}, "bm25.k1: expected float, got str"),
             ({"bm25": {"b": False}}, "bm25.b: expected float, got bool"),
-            ({"fusion": {"signed_fidelity": 1}}, "fusion.signed_fidelity: expected bool, got int"),
+            ({"fusion": {"k_final": True}}, "fusion.k_final: expected int, got bool"),
             ({"fusion": {"mode": None}}, "fusion.mode: expected str, got NoneType"),
             ({"embedder": {"dim": "256"}}, "embedder.dim: expected int, got str"),
             ({"cleaning": []}, "cleaning: expected dict, got list"),
@@ -132,6 +134,15 @@ class TestWrongTypes:
             _records.from_dict(MetricReport, d)
 
 
+@dataclass(frozen=True)
+class _Row:
+    """A flat record of str and int fields."""
+
+    chunk_id: str
+    token_count: int
+    text: str
+
+
 @pytest.fixture()
 def manifest_dict():
     cfg = EngineConfig(vocab_size=500, fusion=FusionConfig(mode="rrf", k_final=3))
@@ -157,12 +168,16 @@ class TestRoundTrips:
         assert EngineConfig.from_dict(json.loads(_dumps(cfg.to_dict()))) == cfg
 
     def test_fusion_config(self):
-        cfg = FusionConfig(mode="weighted_sum", signed_fidelity=False, k_dense=7)
-        assert FusionConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = EngineConfig(fusion=FusionConfig(mode="weighted_sum", k_dense=7))
+        d = cfg.to_dict()
+        assert d["fusion"]["mode"] == "weighted_sum" and d["fusion"]["k_dense"] == 7
+        assert EngineConfig.from_dict(d) == cfg
 
     def test_embedder_spec(self):
-        spec = EmbedderSpec(dim=64)
-        assert EmbedderSpec.from_dict(spec.to_dict()) == spec
+        cfg = EngineConfig(embedder=EmbedderSpec(dim=64))
+        d = cfg.to_dict()
+        assert d["embedder"] == {"dim": 64}
+        assert EngineConfig.from_dict(d) == cfg
 
     def test_manifest(self, manifest_dict):
         manifest = IndexManifest.from_dict(json.loads(_dumps(manifest_dict)))
@@ -203,11 +218,10 @@ class TestRoundTrips:
         ],
     )
     def test_chunk_row_fault_is_named(self, change, match):
-        # Chunk stands for a flat record of str and int fields.
         good = {"chunk_id": "d#0", "token_count": 1, "text": "t"}
-        assert _records.from_dict(Chunk, good) == Chunk("d#0", 1, "t")
+        assert _records.from_dict(_Row, good) == _Row("d#0", 1, "t")
         with pytest.raises(ValueError, match=f"^{match}$"):
-            _records.from_dict(Chunk, {**good, **change})
+            _records.from_dict(_Row, {**good, **change})
 
     @pytest.mark.parametrize(
         "last, match", [({}, "missing key: text"), ({"txet": "t"}, "unknown key: txet")]
@@ -215,10 +229,10 @@ class TestRoundTrips:
     def test_chunk_row_missing_key_is_named(self, last, match):
         row = {"chunk_id": "d#0", "token_count": 1, **last}
         with pytest.raises(ValueError, match=f"^{match}$"):
-            _records.from_dict(Chunk, row)
+            _records.from_dict(_Row, row)
 
     def test_chunk_row_with_unknown_key_is_rejected(self):
         row = {"chunk_id": "d#0", "token_count": 1}
         row.update(text="t", extra=1)
         with pytest.raises(ValueError, match="unknown key: extra"):
-            _records.from_dict(Chunk, row)
+            _records.from_dict(_Row, row)

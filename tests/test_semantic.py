@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qrag import synthetic
+from qrag.lexical import top_rows
 from qrag.semantic import (
     ROW_BLOCK_ROWS,
     SCAN_BLOCK_ROWS,
@@ -18,9 +19,7 @@ from qrag.semantic import (
     embed,
     parse,
     save,
-    search_exact,
     token_matrix,
-    token_vector,
     token_vectors,
 )
 from qrag.tokenizer import train_bpe
@@ -87,13 +86,13 @@ class TestFnv1a:
 
 class TestTokenVector:
     def test_deterministic(self):
-        a = token_vector("ਸਤਿ", 256)
-        b = token_vector("ਸਤਿ", 256)
+        a = token_vectors(["ਸਤਿ"], 256)[0]
+        b = token_vectors(["ਸਤਿ"], 256)[0]
         assert np.array_equal(a, b)
 
     def test_unit_norm(self):
         for token in ["a", "ਨਾਮ", "longer-token", ""]:
-            v = token_vector(token, 64)
+            v = token_vectors([token], 64)[0]
             assert abs(float(np.dot(v, v)) - 1.0) < 1e-9
 
     def test_distinct_tokens_nearly_orthogonal(self):
@@ -103,8 +102,8 @@ class TestTokenVector:
         rng = np.random.default_rng(42)
         cosines = []
         for i in range(1000):
-            a = token_vector(f"tok-a-{i}", 256)
-            b = token_vector(f"tok-b-{i}", 256)
+            a = token_vectors([f"tok-a-{i}"], 256)[0]
+            b = token_vectors([f"tok-b-{i}"], 256)[0]
             cosines.append(abs(cosine(a, b)))
         cosines = np.array(cosines)
         print(f"|cos| over 1000 token pairs: mean={cosines.mean():.4f} max={cosines.max():.4f}")
@@ -112,7 +111,7 @@ class TestTokenVector:
 
     def test_dim_validated(self):
         with pytest.raises(ValueError):
-            token_vector("x", 1)
+            token_vectors(["x"], 1)
 
     @pytest.mark.parametrize("dim", [*range(2, 10), 127, 128, 129, 256, 300, 512])
     def test_array_stream_equals_the_scalar_loop_bitwise(self, dim):
@@ -124,7 +123,7 @@ class TestTokenVector:
     def test_pinned_values(self):
         # Taken from the scalar loop, so a drift shared by both
         # implementations fails here.
-        assert [float(x).hex() for x in token_vector("ਸਤਿ", 256)[:4]] == [
+        assert [float(x).hex() for x in token_vectors(["ਸਤਿ"], 256)[0][:4]] == [
             "0x1.de7d5913efd9cp-7",
             "-0x1.39786363f4001p-7",
             "0x1.65edf21e97a20p-4",
@@ -135,7 +134,7 @@ class TestTokenVector:
 class TestEmbed:
     def test_single_token_equals_its_vector(self):
         v = embed([0], TokenTable(["ਸਤਿ"], [1.0], 256))
-        assert np.array_equal(v, token_vector("ਸਤਿ", 256))
+        assert np.array_equal(v, token_vectors(["ਸਤਿ"], 256)[0])
 
     def test_repeated_token_same_direction(self):
         table = TokenTable(["ਸਤਿ"], [1.0], 256)
@@ -146,8 +145,8 @@ class TestEmbed:
     def test_idf_weights_change_direction(self):
         unweighted = embed([0, 1], TokenTable(["a", "b"], [1.0, 1.0], 256))
         weighted = embed([0, 1], TokenTable(["a", "b"], [10.0, 0.1], 256))
-        assert cosine(weighted, token_vector("a", 256)) > cosine(
-            unweighted, token_vector("a", 256)
+        assert cosine(weighted, token_vectors(["a"], 256)[0]) > cosine(
+            unweighted, token_vectors(["a"], 256)[0]
         )
 
     @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
@@ -253,9 +252,18 @@ def _hand_vector_index():
     return VectorIndex(rows)
 
 
+def _ranked(ix, q, k):
+    """The dense leg's top ``k`` as ``retrieve`` ranks it, ``scan`` then
+    ``top_rows``: (row, cosine) pairs by cosine descending, then row."""
+    scores = ix.scan(q)
+    return [(row, float(scores[row])) for row in top_rows(scores, None, k)]
+
+
 class TestSearchExact:
+    """The exact search of the dense leg: ``scan``, then ``top_rows``."""
+
     def test_hand_example(self):
-        results = search_exact(_hand_vector_index(), np.array([1.0, 0.0]), 3)
+        results = _ranked(_hand_vector_index(), np.array([1.0, 0.0]), 3)
         assert [row for row, _ in results] == [0, 2, 1]
         assert results[0][1] == pytest.approx(1.0, abs=1e-6)
         assert results[1][1] == pytest.approx(0.6, abs=1e-6)
@@ -263,23 +271,18 @@ class TestSearchExact:
 
     def test_indexed_row_self_match(self):
         ix = _hand_vector_index()
-        results = search_exact(ix, ix.cols[:, 2], 1)
+        results = _ranked(ix, ix.cols[:, 2], 1)
         assert results[0][0] == 2
         assert results[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_prefix_property(self):
         ix = _hand_vector_index()
         q = np.array([0.3, 0.7])
-        assert search_exact(ix, q, 1) == search_exact(ix, q, 3)[:1]
-
-    def test_empty_index_rejected(self):
-        ix = VectorIndex(np.zeros((0, 4), dtype=np.float32))
-        with pytest.raises(ValueError, match="empty index"):
-            search_exact(ix, np.ones(4), 1)
+        assert _ranked(ix, q, 1) == _ranked(ix, q, 3)[:1]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            search_exact(_hand_vector_index(), np.ones(3), 1)
+            _hand_vector_index().scan(np.ones(3))
 
     def test_scan_bitwise_matches_pairwise_cosine(self):
         # Each branch of the pairwise sum (under 8 terms, up to 128, split)
@@ -329,7 +332,7 @@ class TestSearchExact:
         vectors = [rng.standard_normal(16) for _ in range(100)]
         ix = VectorIndex.build(100, vectors)
         q = rng.standard_normal(16)
-        got = search_exact(ix, q, 10)
+        got = _ranked(ix, q, 10)
         brute = sorted(
             ((i, cosine(ix.cols[:, i], q)) for i in range(100)),
             key=lambda kv: (-kv[1], kv[0]),
@@ -446,7 +449,7 @@ class TestPersistence:
         assert reloaded.cols.dtype == ix.cols.dtype == np.float32
         assert np.array_equal(reloaded.cols, ix.cols)
         q = rng.standard_normal(16)
-        assert search_exact(reloaded, q, 5) == search_exact(ix, q, 5)
+        assert _ranked(reloaded, q, 5) == _ranked(ix, q, 5)
 
     def test_save_writes_the_bytes_of_np_save_in_bounded_scratch(self, tmp_path):
         rng = np.random.default_rng(29)
