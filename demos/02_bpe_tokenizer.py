@@ -52,14 +52,7 @@ print("  out-of-vocab tokens:", [model.tokens[i] for i in oov[:8]])
 
 # -- serialization ---------------------------------------------------------------
 
-import tempfile
-from pathlib import Path
-
-with tempfile.TemporaryDirectory() as td:
-    path = Path(td) / "tokenizer.json"
-    model.save(path)
-    reloaded = TokenizerModel.load(path)
-    same = all(
-        reloaded.encode(line) == model.encode(line) for line in lines[:20]
-    )
-    print("\nreloaded model encodes identically:", same)
+text = model.to_json()
+reloaded = TokenizerModel.from_json(text)
+same = all(reloaded.encode(line) == model.encode(line) for line in lines[:20])
+print(f"\nserialized to {len(text):,} chars of JSON; reloaded model encodes identically:", same)

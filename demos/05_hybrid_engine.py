@@ -21,7 +21,8 @@ with tempfile.TemporaryDirectory() as td:
 
     cfg = EngineConfig(vocab_size=8000)
     manifest = build_all(td / "corpus.jsonl", cfg, td / "index")
-    print(f"built {manifest.chunk_count} chunks; files: {sorted(manifest.files)}")
+    files = sorted(p.name for p in (td / "index").iterdir())
+    print(f"built {manifest.chunk_count} chunks (format {manifest.format_version}); files: {files}")
 
     engine = load_index(td / "index")
 

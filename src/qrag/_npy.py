@@ -1,18 +1,16 @@
 """The one reader and the one writer of the ``.npy`` arrays of an index.
 
-Each array store (``chunks.npy``, ``lexical.npy``, ``vectors.npy``) is a
-file of consecutive ``.npy`` arrays of format 1.0, which the store declares
-as a schema: one ``Array`` per array, in file order. ``read`` checks every
-array against it, so a store checks only what its arrays mean. No other
-module knows the format.
+An index file is consecutive ``.npy`` arrays of format 1.0, which the index
+declares as a schema: one ``Array`` per array, in file order, each store's
+arrays among them. ``read`` checks every array against it, so a store
+checks only what its arrays mean. No other module knows the format.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,19 +44,36 @@ class Blocks(NamedTuple):
     blocks: Iterable[np.ndarray]
 
 
-def read(data: bytes, schema: Sequence[Array], **sizes: int) -> list[np.ndarray]:
-    """The arrays of ``schema`` that fill ``data``, as read-only views of
-    it: nothing is copied, so a caller copies what it keeps. ``sizes`` holds
-    "N" and "V" where known; one not given is set by the first array whose
-    rule names it. Each refusal is a ``ValueError`` naming the array: a
-    damaged header, a dtype, shape or length off the schema (so an object
-    array is refused without unpickling), an array cut short, or bytes after
-    the last.
+def read(
+    fh: BinaryIO,
+    schema: Sequence[Array],
+    end: int,
+    sizes: dict[str, int],
+    on_read: Callable[[bytes], object] | None = None,
+) -> Iterator[np.ndarray]:
+    """The arrays of ``schema``, read from ``fh`` one at a time and no
+    further than byte ``end``, each a read-only view of the bytes read for
+    it. ``on_read`` is given every bytes object read, in file order, before
+    it is checked. ``sizes`` holds "N" and "V" where known, and a caller may
+    add one between two arrays; one not given is set by the first array
+    whose rule names it. Each refusal is a ``ValueError`` naming the array:
+    a damaged header, a dtype, shape or length off the schema (so an object
+    array is refused without unpickling), an array cut short, or bytes
+    after the last before ``end``.
     """
-    stream = io.BytesIO(data)  # shares the bytes object until written to
-    arrays: list[np.ndarray] = []
     offsets = ("", 0)  # the name and the last entry of the last "+ 1" array
+
+    def take(n: int) -> bytes:
+        data = fh.read(max(0, min(n, end - fh.tell())))
+        if on_read is not None:
+            on_read(data)
+        return data
+
     for spec in schema:
+        head = take(10)  # the magic string, the version and the header length
+        if head[6:8] == b"\x01\x00" and len(head) == 10:
+            head += take(int.from_bytes(head[8:], "little"))
+        stream = io.BytesIO(head)
         # numpy's header parse lets tokenize.TokenError, SyntaxError and
         # TypeError out besides ValueError, and each of them means damage.
         try:
@@ -83,30 +98,28 @@ def read(data: bytes, schema: Sequence[Array], **sizes: int) -> list[np.ndarray]
         if spec.length is not None and shape[0] != want:
             unit = "rows" if spec.ndim > 1 else "entries"
             raise ValueError(f"{spec.name} has {shape[0]} {unit} for {what}")
-        start, count = stream.tell(), math.prod(shape)
-        size, left = count * dtype.itemsize, len(data) - start
+        count = math.prod(shape)
+        size, left = count * dtype.itemsize, end - fh.tell()
         if left < size:
             raise ValueError(f"the {spec.name} array is cut short: {left} of {size} bytes")
-        arr = np.frombuffer(data, dtype, count, start)
-        arrays.append(arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape))
+        arr = np.frombuffer(take(size), dtype, count)
+        arr = arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
         if spec.length in ("N + 1", "V + 1"):  # an offsets array
             offsets = (spec.name, int(arr[-1]))
-        stream.seek(start + size)
-    if stream.tell() < len(data):
-        raise ValueError(f"trailing bytes after the {schema[-1].name} array")
-    return arrays
+        if spec is schema[-1] and fh.tell() < end:
+            raise ValueError(f"trailing bytes after the {spec.name} array")
+        yield arr
 
 
-def write(path: str | Path, arrays: Iterable[np.ndarray | Blocks]) -> None:
-    """Write ``arrays`` to ``path`` one after another, each as the bytes of
+def write(fh: BinaryIO, arrays: Iterable[np.ndarray | Blocks]) -> None:
+    """Write ``arrays`` to ``fh`` one after another, each as the bytes of
     ``np.lib.format.write_array`` of it in C order; a ``Blocks`` as those of
     the whole array it stands for."""
-    with open(path, "wb") as fh:
-        for arr in arrays:
-            if isinstance(arr, np.ndarray):
-                arr = Blocks(arr.dtype, arr.shape, (arr,))
-            descr = np.lib.format.dtype_to_descr(np.dtype(arr.dtype))
-            header = {"descr": descr, "fortran_order": False, "shape": arr.shape}
-            np.lib.format.write_array_header_1_0(fh, header)
-            for block in arr.blocks:
-                fh.write(np.ascontiguousarray(block, dtype=arr.dtype))
+    for arr in arrays:
+        if isinstance(arr, np.ndarray):
+            arr = Blocks(arr.dtype, arr.shape, (arr,))
+        descr = np.lib.format.dtype_to_descr(np.dtype(arr.dtype))
+        header = {"descr": descr, "fortran_order": False, "shape": arr.shape}
+        np.lib.format.write_array_header_1_0(fh, header)
+        for block in arr.blocks:
+            fh.write(np.ascontiguousarray(block, dtype=arr.dtype))

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: ingest (clean + tokenize + chunk a raw corpus), build (build all
-indexes), query (print a retrieval response as JSON), eval (run a query set
-against qrels and print metrics), serve (HTTP search service).
+Subcommands: build (build all indexes from a raw corpus), query (print a
+retrieval response as JSON), eval (run a query set against qrels and print
+metrics), serve (HTTP search service).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import logging
 import sys
 from pathlib import Path
 
-from . import _records
-from . import corpus as corpus_mod
 from . import engine as engine_mod
 from . import evalkit
 from .quantum import FUSION_MODES
@@ -25,19 +23,6 @@ def _load_config(path: str | None) -> engine_mod.EngineConfig:
     if path is None:
         return engine_mod.EngineConfig()
     return engine_mod.EngineConfig.from_json_file(path)
-
-
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    out = Path(args.out)
-    stats: dict = {}
-    tok, chunks = engine_mod.prepare(args.infile, cfg, stats)
-    out.mkdir(parents=True, exist_ok=True)
-    tok.save(out / engine_mod.TOKENIZER_FILE)
-    corpus_mod.save_chunks(chunks, out)
-    _records.write_json(stats, out / engine_mod.STATS_FILE)
-    print(json.dumps(stats, ensure_ascii=False, sort_keys=True))
-    return 0
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -89,12 +74,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qrag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="clean, tokenize, and chunk a raw JSONL corpus")
-    p.add_argument("--in", dest="infile", required=True, help="raw corpus.jsonl")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="engine config JSON")
-    p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("build", help="build all indexes from a raw JSONL corpus")
     p.add_argument(

@@ -18,6 +18,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,8 +36,6 @@ _CTRL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
 
 GURMUKHI_LO = 0x0A00
 GURMUKHI_HI = 0x0A7F
-
-CHUNKS_FILE = "chunks.npy"
 
 # A chunk id: a non-empty doc id, which may hold "#", then "#" and a number.
 _CHUNK_ID = re.compile(r".+#[0-9]+", re.DOTALL)
@@ -276,7 +275,7 @@ def chunk(doc: CleanDocument, cfg: CleaningConfig, tok: TokenizerModel) -> list[
 
 # -- persistence -------------------------------------------------------------
 
-# The arrays of ``chunks.npy``, in file order (see ``save_chunks``).
+# The chunk arrays of an index file, in file order (see ``chunk_arrays``).
 CHUNK_ARRAYS = (
     _npy.Array("ids", "uint8", 1, None),
     _npy.Array("token_count", "integer", 1, "N"),
@@ -386,30 +385,27 @@ class ChunkTable:
         )
 
 
-def save_chunks(chunks: ChunkTable, out_dir: str | Path) -> None:
-    """Write ``CHUNK_ARRAYS``: the chunk ids as the UTF-8 bytes of a JSON
-    list, the token counts (``<i4``), and every chunk's vocab ids, one chunk
-    after another, in ``token_type``."""
+def chunk_arrays(chunks: ChunkTable) -> tuple[np.ndarray, ...]:
+    """The arrays of ``CHUNK_ARRAYS``: the chunk ids as the UTF-8 bytes of a
+    JSON list, the token counts (``<i4``), and every chunk's vocab ids, one
+    chunk after another, in ``token_type``."""
     ids = json.dumps(chunks.chunk_ids, ensure_ascii=False)
-    arrays = (
+    return (
         np.frombuffer(ids.encode(), np.uint8),
         np.asarray(chunks.token_counts, dtype="<i4"),
         np.asarray(chunks.tokens, dtype=token_type(chunks.tokenizer.vocab_size())),
     )
-    _npy.write(Path(out_dir) / CHUNKS_FILE, arrays)
 
 
-def parse_chunks(data: bytes, tok: TokenizerModel) -> ChunkTable:
-    """The chunks in ``data``, the bytes of a ``chunks.npy`` of ``tok``'s
-    vocab ids; each refusal is a ``ValueError`` naming ``chunks.npy``, an id
-    outside the vocabulary included. The table holds copies of the arrays,
-    no view of ``data``, and no text is decoded here."""
-    try:
-        ids, token_count, tokens = _npy.read(data, CHUNK_ARRAYS)
-        chunk_ids = _chunk_ids(ids, len(token_count))
-        return ChunkTable(chunk_ids, token_count.copy(), tokens.copy(), tok)
-    except ValueError as exc:
-        raise ValueError(f"{CHUNKS_FILE}: {exc}") from None
+def parse_chunks(arrays: Iterator[np.ndarray], tok: TokenizerModel) -> ChunkTable:
+    """The chunks of the next ``CHUNK_ARRAYS`` of ``arrays`` (as
+    ``_npy.read`` yields them), of ``tok``'s vocab ids; each refusal is a
+    ``ValueError``, an id outside the vocabulary included. The table holds
+    copies of the arrays, no view of the bytes read, and no text is decoded
+    here."""
+    ids, token_count, tokens = islice(arrays, len(CHUNK_ARRAYS))
+    chunk_ids = _chunk_ids(ids, len(token_count))
+    return ChunkTable(chunk_ids, token_count.copy(), tokens.copy(), tok)
 
 
 def _chunk_ids(ids: np.ndarray, n: int) -> list[str]:

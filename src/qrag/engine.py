@@ -20,19 +20,17 @@ import json
 import logging
 import math
 import os
-import shutil
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import _records
+from . import _npy, _records
 from . import corpus as corpus_mod
 from . import lexical, quantum, semantic
 from .corpus import ChunkTable, CleaningConfig
@@ -43,17 +41,27 @@ from .tokenizer import TokenizerModel, train_bpe
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 11
-MANIFEST_FILE = "manifest.json"
-TOKENIZER_FILE = "tokenizer.json"
+FORMAT_VERSION = 12
+INDEX_FILE = "index.npy"
 STATS_FILE = "stats.json"
 CONTEXT_DELIMITER = "---"
-# Every file of an index but the manifest, which lists each one's digest, in
-# load order: the chunks are vocab ids of the tokenizer, and the lexical
-# index takes their counts as its chunk lengths. Chunk ids are stored only
-# in the chunks file, in increasing order; the others address chunks by row.
-INDEX_FILES = (
-    TOKENIZER_FILE, corpus_mod.CHUNKS_FILE, lexical.LEXICAL_FILE, semantic.VECTORS_FILE
+# The sections of an index file, in file order: the manifest's and the
+# tokenizer's JSON as UTF-8, then each store's arrays; the chunks are vocab
+# ids of the tokenizer, and only they hold the chunk ids, which the other
+# stores address by row. The SHA-256 of every byte before it ends the file.
+INDEX_ARRAYS = (
+    _npy.Array("manifest", "uint8", 1, None),
+    _npy.Array("tokenizer", "uint8", 1, None),
+    *corpus_mod.CHUNK_ARRAYS,
+    *lexical.LEXICAL_ARRAYS,
+    *semantic.VECTOR_ARRAYS,
+)
+DIGEST_SIZE = hashlib.sha256().digest_size
+# The files of formats up to 11 but ``stats.json``, format 11's first; a save
+# deletes them, and a directory with a ``manifest.json`` is an index.
+EARLIER_FILES = (
+    "manifest.json", "tokenizer.json", "chunks.npy", "lexical.npy", "vectors.npy",
+    "chunks.jsonl", "lexical.jsonl", "doclen.jsonl", "vectors.bin", "vectors.ids",
 )
 
 
@@ -121,11 +129,11 @@ class RetrievalResponse:
 
 @dataclass
 class IndexManifest:
+    """The first section of an index file."""
+
     format_version: int
-    created_at: str
     chunk_count: int
     config: EngineConfig
-    files: dict[str, str]
 
     def to_dict(self) -> dict:
         return _records.to_dict(self)
@@ -380,7 +388,7 @@ def build_all(
     everything.
 
     Deterministic: rebuilding from identical inputs writes byte-identical
-    index files (the manifest timestamp aside).
+    files.
     """
     out = Path(out_dir)
     _check_replaceable(out)
@@ -409,165 +417,176 @@ def build_all(
     return manifest
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _check_replaceable(out: Path) -> None:
-    """Refuse a target that is not absent, empty or an index, so that no save
-    deletes unrelated files."""
-    if out.exists() and not (out / MANIFEST_FILE).is_file():
-        if not out.is_dir() or any(out.iterdir()):
-            raise ValueError(f"refusing to replace {out}: not an empty directory or an index")
+    """Refuse a target that is not absent, or a directory that holds an index
+    of any format or nothing but temp files of a save, so that no save
+    overwrites or deletes unrelated files."""
+    if not out.exists():
+        return
+    names = set(os.listdir(out)) if out.is_dir() else None
+    temps = (f".{INDEX_FILE}", f".{STATS_FILE}")
+    if names is None or (
+        not names & {INDEX_FILE, EARLIER_FILES[0]}
+        and not all(name.rpartition(".tmp-")[0] in temps for name in names)
+    ):
+        raise ValueError(f"refusing to replace {out}: not an empty directory or an index")
+
+
+def _dead(pid: str) -> bool:
+    """Whether no process has the id ``pid``, a decimal number."""
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except (ValueError, OSError):  # not a number, or another user's process
+        pass
+    return False
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _replace(path: Path, write: Callable[[Path], object]) -> None:
+    """Make ``path`` the file that ``write(tmp)`` writes to a temp file of
+    this process beside it, fsynced, by one ``os.replace``, then fsync the
+    directory: ``path`` is the old file or the whole new one at every
+    instant. First delete each temp file of ``path`` a dead process left."""
+    for stale in path.parent.glob(f".{path.name}.tmp-*"):
+        if _dead(stale.name.rpartition("-")[2]):
+            stale.unlink(missing_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    try:
+        write(tmp)
+        _fsync(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    _fsync(path.parent)
+
+
+def _write_index(path: Path, manifest: IndexManifest, engine: RetrievalEngine) -> None:
+    """Write the sections of ``INDEX_ARRAYS``, then their SHA-256, to ``path``."""
+    text = json.dumps(manifest.to_dict(), ensure_ascii=False, sort_keys=True)
+    arrays = (
+        np.frombuffer(text.encode(), np.uint8),
+        np.frombuffer(engine.tokenizer.to_json().encode(), np.uint8),
+        *corpus_mod.chunk_arrays(engine.chunks),
+        *lexical.index_arrays(engine.lexical_index),
+        *semantic.index_arrays(engine.vector_index),
+    )
+    with open(path, "w+b") as fh:
+        _npy.write(fh, arrays)
+        fh.seek(0)
+        sha256 = hashlib.sha256()
+        while block := fh.read(1 << 20):
+            sha256.update(block)
+        fh.write(sha256.digest())
 
 
 def save_index(
     engine: RetrievalEngine, out_dir: str | Path, stats: dict | None = None
 ) -> IndexManifest:
-    """Persist all engine state, and ``stats`` as ``stats.json`` when given;
-    the manifest carries per-file digests.
-
-    The files are written into a sibling temp directory that then takes the
-    place of ``out_dir``, so an exception part-way leaves any previous index
-    whole, and no file of an earlier format is left behind. A crash of the
-    process between the two renames leaves ``out_dir`` missing, with the old
-    and the new index only under their temp names (ROADMAP.md item 9).
-    """
-    out = Path(os.path.abspath(out_dir))
+    """Persist all engine state as the file ``INDEX_FILE`` in the directory
+    ``out_dir``, then ``stats`` as ``stats.json`` beside it (or delete that
+    without ``stats``), each by ``_replace``, so an exception or a crash at
+    any point leaves a whole index there, the old or the new; then delete
+    ``EARLIER_FILES`` there."""
+    out = Path(out_dir)
     _check_replaceable(out)
-    tmp = out.with_name(f".{out.name}.tmp-{os.getpid()}")
-    shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir(parents=True)
-    try:
-        corpus_mod.save_chunks(engine.chunks, tmp)
-        engine.tokenizer.save(tmp / TOKENIZER_FILE)
-        lexical.save(engine.lexical_index, tmp)
-        semantic.save(engine.vector_index, tmp)
-        files = {name: _sha256_file(tmp / name) for name in INDEX_FILES}
-        manifest = IndexManifest(
-            format_version=FORMAT_VERSION,
-            created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            chunk_count=engine.chunk_count,
-            config=engine.config,
-            files=files,
-        )
-        _records.write_json(manifest.to_dict(), tmp / MANIFEST_FILE)
-        if stats is not None:
-            _records.write_json(stats, tmp / STATS_FILE)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    old = out.with_name(f".{out.name}.old-{os.getpid()}")
-    if out.exists():
-        out.rename(old)
-    tmp.rename(out)
-    shutil.rmtree(old, ignore_errors=True)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = IndexManifest(FORMAT_VERSION, engine.chunk_count, engine.config)
+    _replace(out / INDEX_FILE, lambda tmp: _write_index(tmp, manifest, engine))
+    if stats is None:
+        (out / STATS_FILE).unlink(missing_ok=True)
+    else:
+        _replace(out / STATS_FILE, lambda tmp: _records.write_json(stats, tmp))
+    for name in EARLIER_FILES:
+        (out / name).unlink(missing_ok=True)
     return manifest
 
 
-def _read_manifest(src: Path) -> IndexManifest:
-    """The manifest of the index at ``src``, once its format version and its
-    file list are found to be this format's."""
-    manifest_path = src / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"missing file: {manifest_path}")
-    try:
-        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
-        raise ValueError(f"{MANIFEST_FILE}: {exc}") from None
+def _manifest(data: bytes) -> IndexManifest:
+    """The manifest in the JSON ``data``, once its format version is found
+    to be this format's: another version may have other keys."""
+    raw = json.loads(data)
     if not isinstance(raw, dict):
-        raise ValueError(f"{MANIFEST_FILE}: expected a JSON object")
-    # Check the version first: another version may have other keys.
+        raise ValueError("expected a JSON object")
     if raw.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported version: {raw.get('format_version')}; rebuild the index"
-        )
-    manifest = IndexManifest.from_dict(raw)
-    unknown = sorted(set(manifest.files) - set(INDEX_FILES))
-    if unknown:
-        raise ValueError(f"manifest lists an unknown file: {unknown[0]}")
-    for name in INDEX_FILES:
-        if name not in manifest.files:
-            raise ValueError(f"manifest does not list: {name}")
-    return manifest
+        raise ValueError(f"unsupported version: {raw.get('format_version')}; rebuild the index")
+    return IndexManifest.from_dict(raw)
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _check_digests(manifest: IndexManifest, digests: Mapping[str, Future]) -> None:
-    """Wait for each digest, in read order; refuse the first that differs
-    from the manifest's."""
-    for name, digest in digests.items():
-        if digest.result() != manifest.files[name]:
-            raise ValueError(f"digest mismatch: {name}")
-
-
-def _parse_tokenizer(data: bytes) -> TokenizerModel:
+def _named(name: str, parse: Callable[[], Any]) -> Any:
+    """``parse()``, each refusal a ``ValueError`` that starts with ``name``."""
     try:
-        return TokenizerModel.from_json(data.decode("utf-8"))
+        return parse()
     except (ValueError, RecursionError) as exc:  # the latter: JSON nested too deep
-        raise ValueError(f"{TOKENIZER_FILE}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def load_index(in_dir: str | Path) -> RetrievalEngine:
-    """Load a persisted engine, verifying the format version, that the
-    manifest lists exactly ``INDEX_FILES`` and agrees with the files, and
-    each file's digest.
-
-    Each file is read once, in ``INDEX_FILES`` order, and parsed from the
-    bytes read while one worker thread hashes the same bytes (``hashlib``
-    releases the GIL), so the digests cover exactly what was parsed. No
-    chunk text is decoded: the chunk table decodes each when it is first
-    asked for it. A digest mismatch is reported ahead of any parse error.
-    The worker does nothing but hash, and it is joined before the load
-    returns or raises. Logs one INFO line with each file's read and parse
-    seconds, the impacts' seconds and the wait for the digests.
+    """Load the engine persisted in the directory ``in_dir``, checking the
+    format version first. The index file is read once, a section at a time,
+    and each store parsed once read, while one worker thread hashes the same
+    bytes in file order, so the digest covers exactly the bytes parsed; a
+    digest mismatch is reported ahead of any parse error. A directory of
+    format 11 or earlier is refused by its ``manifest.json``'s version. Logs
+    one INFO line of each store's seconds, the impacts' and the digest wait.
     """
     src = Path(in_dir)
-    manifest = _read_manifest(src)
-    config = manifest.config
-    seconds: dict[str, tuple[float, float]] = {}
-    digests: dict[str, Future] = {}
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="qrag-digest") as hasher:
+    path, earlier = src / INDEX_FILE, src / EARLIER_FILES[0]
+    if not path.exists() and earlier.is_file():
+        _named(earlier.name, lambda: _manifest(earlier.read_bytes()))
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"missing file: {path}") from None
+    seconds: dict[str, float] = {}
+    with fh, ThreadPoolExecutor(max_workers=1, thread_name_prefix="qrag-digest") as hasher:
+        end = max(os.fstat(fh.fileno()).st_size - DIGEST_SIZE, 0)
+        sha256 = hashlib.sha256()
 
-        def load(name: str, parse: Callable[[bytes], Any]) -> Any:
-            path = src / name
+        def hash_later(data: bytes) -> None:
+            hasher.submit(sha256.update, data)
+
+        def check_digest() -> None:  # hashing what the parse left unread first
+            while fh.tell() < end and (block := fh.read(min(end - fh.tell(), 1 << 20))):
+                hash_later(block)
+            fh.seek(end)
+            if fh.read() != hasher.submit(sha256.digest).result():
+                raise ValueError("digest mismatch")
+
+        sizes: dict[str, int] = {}
+        arrays = _npy.read(fh, INDEX_ARRAYS, end, sizes, hash_later)
+
+        def parse(store: str, parser: Callable[[], Any]) -> Any:
             t0 = time.perf_counter()
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except FileNotFoundError:
-                raise FileNotFoundError(f"missing file: {path}") from None
-            digests[name] = hasher.submit(_sha256, data)
-            t1 = time.perf_counter()
-            parsed = parse(data)
-            seconds[name] = (t1 - t0, time.perf_counter() - t1)
+            parsed = _named(store, parser)
+            seconds[store] = time.perf_counter() - t0
             return parsed
 
         try:
-            tok = load(TOKENIZER_FILE, _parse_tokenizer)
-            chunks = load(corpus_mod.CHUNKS_FILE, lambda data: corpus_mod.parse_chunks(data, tok))
-            if len(chunks) != manifest.chunk_count:
-                raise ValueError(
-                    f"manifest chunk_count is {manifest.chunk_count}, but "
-                    f"{corpus_mod.CHUNKS_FILE} holds {len(chunks)} chunks"
-                )
-            n = len(chunks)
-            lex_index = load(
-                lexical.LEXICAL_FILE,
-                lambda data: lexical.parse(data, chunks.token_counts, tok.vocab_size()),
+            manifest = parse("manifest", lambda: _manifest(next(arrays).tobytes()))
+            config = manifest.config
+            sizes["N"] = manifest.chunk_count
+            tok = parse(
+                "tokenizer", lambda: TokenizerModel.from_json(str(next(arrays).data, "utf-8"))
             )
-            vec_index = load(semantic.VECTORS_FILE, lambda data: semantic.parse(data, n))
+            sizes["V"] = tok.vocab_size()
+            chunks = parse("chunks", lambda: corpus_mod.parse_chunks(arrays, tok))
+            lex_index = parse("lexical", lambda: lexical.parse(arrays, chunks.token_counts))
+            vec_index = parse("vectors", lambda: semantic.parse(arrays))
+            arrays.close()  # the generator holds the last array's bytes
             if vec_index.dim != config.embedder.dim:
                 raise ValueError(
                     f"manifest config.embedder.dim is {config.embedder.dim}, but "
-                    f"{semantic.VECTORS_FILE} holds {vec_index.dim}-dim vectors"
+                    f"the vectors are {vec_index.dim}-dim"
                 )
             # Paid here rather than by the first query; build_all, which never
             # queries, does not pay for them.
@@ -575,15 +594,15 @@ def load_index(in_dir: str | Path) -> RetrievalEngine:
             lex_index.impacts(config.bm25)
             impacts_s = time.perf_counter() - t0
         except Exception:
-            _check_digests(manifest, digests)
+            check_digest()
             raise
         t0 = time.perf_counter()
-        _check_digests(manifest, digests)
+        check_digest()
         wait_s = time.perf_counter() - t0
     logger.info(
         "loaded index %s: %s; impacts %.3f s; digest wait %.3f s",
         src,
-        "; ".join(f"{name} read {r:.3f} s parse {p:.3f} s" for name, (r, p) in seconds.items()),
+        "; ".join(f"{store} {s:.3f} s" for store, s in seconds.items()),
         impacts_s,
         wait_s,
     )

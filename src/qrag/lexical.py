@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _npy
 
-LEXICAL_FILE = "lexical.npy"
-# The arrays of ``lexical.npy``, in file order: term j's postings are
+# The lexical arrays of an index file, in file order: term j's postings are
 # positions offsets[j] to offsets[j + 1] of the rows and of the tfs. The
 # chunks' lengths are not stored here: they are the chunk table's counts.
 LEXICAL_ARRAYS = (
@@ -62,14 +61,14 @@ class Impacts(NamedTuple):
 class InvertedIndex:
     """BM25 postings as shared arrays, addressed by row and by term: row i
     is chunk i, of length ``doc_len[i]`` (an engine's chunk table's token
-    counts, which ``save`` does not write), and term j is vocab id j, for
-    each of the ``len(offsets) - 1`` ids of the vocabulary, held by a chunk
-    or not.
+    counts, which ``index_arrays`` leaves out), and term j is vocab id j,
+    for each of the ``len(offsets) - 1`` ids of the vocabulary, held by a
+    chunk or not.
 
     Term j's postings are ``rows[offsets[j]:offsets[j + 1]]``, strictly
     increasing, with their term frequencies at the same positions of
     ``tfs``. Both are held in the narrowest unsigned type, the rows in the
-    one that holds N - 1, as ``save`` writes them. For the last
+    one that holds N - 1, as an index file stores them. For the last
     ``BM25Params`` it scored under, the index also keeps the ``impacts``: one
     dense float64 row of N impacts for each term in at least 1 /
     ``DENSE_DF`` of the chunks (at most ``DENSE_DF`` times the bytes of those
@@ -342,21 +341,17 @@ def touched_rows(touched: np.ndarray, k: int) -> np.ndarray | None:
 # -- persistence -------------------------------------------------------------
 
 
-def save(index: InvertedIndex, out_dir: str | Path) -> None:
-    """Write ``LEXICAL_ARRAYS``, each as the index holds it: the rows in the
-    narrowest unsigned type that holds N - 1 (``uint16`` up to 65,536
+def index_arrays(index: InvertedIndex) -> tuple[np.ndarray, ...]:
+    """The arrays of ``LEXICAL_ARRAYS``, each as the index holds it: the rows
+    in the narrowest unsigned type that holds N - 1 (``uint16`` up to 65,536
     chunks), the tfs in the narrowest unsigned type that holds the largest."""
-    arrays = (index.offsets, index.rows, index.tfs)
-    _npy.write(Path(out_dir) / LEXICAL_FILE, arrays)
+    return (index.offsets, index.rows, index.tfs)
 
 
-def parse(data: bytes, doc_len: np.ndarray, term_count: int) -> InvertedIndex:
-    """The index in ``data``, the bytes of a ``lexical.npy``, of chunks of
-    lengths ``doc_len``, the chunk table's ``token_counts``; term j is vocab
-    id j of ``term_count``, so ``offsets`` must hold ``term_count + 1``
-    entries. The index keeps no view of ``data``."""
-    try:
-        arrays = _npy.read(data, LEXICAL_ARRAYS, V=term_count)
-        return InvertedIndex(doc_len, *(arr.copy() for arr in arrays))
-    except ValueError as exc:
-        raise ValueError(f"{LEXICAL_FILE}: {exc}") from None
+def parse(arrays: Iterator[np.ndarray], doc_len: np.ndarray) -> InvertedIndex:
+    """The index of the next ``LEXICAL_ARRAYS`` of ``arrays`` (as
+    ``_npy.read`` yields them, with "V" the vocab size: term j is vocab id
+    j), of chunks of lengths ``doc_len``, the chunk table's
+    ``token_counts``. The index keeps no view of the bytes read."""
+    offsets, rows, tfs = islice(arrays, len(LEXICAL_ARRAYS))
+    return InvertedIndex(doc_len, offsets.copy(), rows.copy(), tfs.copy())

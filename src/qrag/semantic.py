@@ -5,9 +5,13 @@ The embedder maps each vocabulary token to a pseudo-random unit vector
 seeded by an FNV-1a hash of its bytes, then L2-normalizes the IDF-weighted
 bag-of-tokens sum. A ``TokenTable`` holds one vocabulary's weights and
 seeds, keyed by vocab id, and no vectors: an embed computes the vectors of
-its own ids, and the module keeps no state. It is fully deterministic across
-platforms, which makes the whole retrieval stack testable without any ML
-dependency.
+its own ids, and the module keeps no state. Its vectors are a function of
+the tokens alone, which makes the whole retrieval stack testable without
+any ML dependency. They are not the same bits on every CPU: the embed's
+weighted sum and the norms go through BLAS (``@``, ``np.matmul``,
+``np.dot``), so the dense scores can differ in their last bits with the
+BLAS kernel numpy picks (OpenBLAS chooses one per CPU), while the rankings
+seen so far do not.
 """
 
 from __future__ import annotations
@@ -15,15 +19,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from pathlib import Path
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import _npy
 
-VECTORS_FILE = "vectors.npy"
 VECTOR_ARRAYS = (_npy.Array("vectors", "<f4", 2, "N"),)
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -35,7 +37,7 @@ _FNV_PRIME = 0x100000001B3
 # dimensions at a time, into one of them.
 SCAN_BLOCK_ROWS = 8192
 # Rows per block that an index converts between row order and its columns
-# (filling them in ``build`` and ``__init__``, writing them in ``save``):
+# (filling them in ``build`` and ``__init__``, writing them in ``index_arrays``):
 # its scratch, 512 KiB of float64 at dim 256, whatever the index size.
 ROW_BLOCK_ROWS = 256
 
@@ -89,8 +91,10 @@ def seed_vectors(seeds: np.ndarray, dim: int) -> np.ndarray:
     """One unit vector per ``uint64`` seed, which seeds a SplitMix64 stream;
     each output maps to uniform [-1, 1) via its top 53 bits. SplitMix64 is
     counter-based, so output ``i`` mixes ``seed + i * gamma``, and every
-    stream is one ``uint64`` array expression whose products wrap mod 2^64.
-    Identical on every platform.
+    stream is one ``uint64`` array expression whose products wrap mod 2^64,
+    so the uniform values are the same on every platform; the norm that
+    scales each row is a BLAS product, whose last bits may differ with the
+    BLAS kernel.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -182,7 +186,7 @@ class VectorIndex:
     """Exact-scan index over L2-normalized chunk embeddings, one per row:
     row i is chunk i.
 
-    The embeddings are held once, at the width ``save`` stores them, as the
+    The embeddings are held once, at the width an index file stores them, as the
     C-contiguous float32 ``(dim, N)`` matrix ``cols``: row ``d`` is
     embedding dimension ``d`` across all chunks. So a freshly built index
     and a reloaded one score identically. Each chunk's norm is kept as a
@@ -191,7 +195,7 @@ class VectorIndex:
 
     def __init__(self, matrix: np.ndarray) -> None:
         """``matrix`` holds one embedding per row; it is rounded to float32
-        as ``save`` would store it."""
+        as an index file would store it."""
         if matrix.ndim != 2:
             raise ValueError(f"expected a 2-d matrix, got {matrix.ndim} dimensions")
         n = matrix.shape[0]
@@ -347,21 +351,19 @@ def _add_rows(res: np.ndarray, cols: np.ndarray, q: np.ndarray, buf: np.ndarray)
 # -- persistence -------------------------------------------------------------
 
 
-def save(index: VectorIndex, out_dir: str | Path) -> None:
-    """Write ``vectors.npy``, the ``<f4`` ``(N, dim)`` matrix of
-    ``VECTOR_ARRAYS``: its rows, transposed from ``cols`` ``ROW_BLOCK_ROWS``
-    at a time, so no whole copy of the matrix is made. The bytes are those of
-    ``np.save`` of the whole matrix."""
+def index_arrays(index: VectorIndex) -> tuple[_npy.Blocks]:
+    """The ``<f4`` ``(N, dim)`` matrix of ``VECTOR_ARRAYS``: its rows,
+    transposed from ``cols`` ``ROW_BLOCK_ROWS`` at a time, so no whole copy
+    of the matrix is made. Written, they are the bytes of ``np.save`` of the
+    whole matrix."""
     n = len(index)
     rows = (index.cols[:, i : i + ROW_BLOCK_ROWS].T for i in range(0, n, ROW_BLOCK_ROWS))
-    _npy.write(Path(out_dir) / VECTORS_FILE, [_npy.Blocks("<f4", (n, index.dim), rows)])
+    return (_npy.Blocks("<f4", (n, index.dim), rows),)
 
 
-def parse(data: bytes, n: int) -> VectorIndex:
-    """The index of the matrix in ``data``, the bytes of a ``vectors.npy``
-    of ``n`` chunks. The index keeps no view of ``data``."""
-    try:
-        (matrix,) = _npy.read(data, VECTOR_ARRAYS, N=n)
-        return VectorIndex(matrix)
-    except ValueError as exc:
-        raise ValueError(f"{VECTORS_FILE}: {exc}") from None
+def parse(arrays: Iterator[np.ndarray]) -> VectorIndex:
+    """The index of the next ``VECTOR_ARRAYS`` of ``arrays`` (as
+    ``_npy.read`` yields them, with "N" the chunk count). The index keeps no
+    view of the bytes read."""
+    (matrix,) = islice(arrays, len(VECTOR_ARRAYS))
+    return VectorIndex(matrix)

@@ -16,7 +16,6 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
-from pathlib import Path
 from typing import Iterable, Sequence
 
 NORMALIZATION = "nfc_collapse"
@@ -191,9 +190,6 @@ class TokenizerModel:
         }
         return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
     @classmethod
     def from_json(cls, text: str) -> "TokenizerModel":
         """The model ``to_json`` wrote; each refusal is a ``ValueError``
@@ -217,10 +213,6 @@ class TokenizerModel:
         ):
             raise ValueError("merges must be a list of pairs of strings")
         return cls(vocab=vocab, merges=list(map(tuple, merges)))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TokenizerModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def train_bpe(corpus: Iterable[str], vocab_size: int) -> TokenizerModel:

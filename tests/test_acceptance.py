@@ -14,7 +14,7 @@ from qrag import evalkit, lexical, quantum, semantic, synthetic
 from qrag.corpus import ChunkTable, Window
 from qrag.engine import (
     CONTEXT_DELIMITER,
-    INDEX_FILES,
+    INDEX_FILE,
     STATS_FILE,
     EngineConfig,
     build_all,
@@ -252,7 +252,10 @@ def test_persistence_determinism(planted, tmp_path):
         assert before == after
 
         build_all(corpus_path, cfg, tmp_path / "rebuild")
-        for name in INDEX_FILES + (STATS_FILE,):
+        names = sorted(p.name for p in (root / "index").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "rebuild").iterdir())
+        assert names == [INDEX_FILE, STATS_FILE]
+        for name in names:
             assert (tmp_path / "rebuild" / name).read_bytes() == (
                 root / "index" / name
             ).read_bytes(), name

@@ -1,14 +1,12 @@
-import hashlib
 import json
 import shutil
 
-import numpy as np
 import pytest
 
+import index_file
 from qrag import synthetic
 from qrag.cli import main
-from qrag.corpus import CHUNKS_FILE, parse_chunks
-from qrag.tokenizer import TokenizerModel
+from qrag.engine import INDEX_FILE, STATS_FILE
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +47,8 @@ class TestBuildAndQuery:
         assert code == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["chunk_count"] == 120
-        assert (root / "index" / "manifest.json").exists()
+        assert manifest == index_file.manifest(root / "index")
+        assert sorted(p.name for p in (root / "index").iterdir()) == [INDEX_FILE, STATS_FILE]
 
     def test_build_accepts_corpus_directory(self, workspace, capsys, tmp_path):
         root, _ = workspace
@@ -65,7 +64,7 @@ class TestBuildAndQuery:
             ]
         )
         assert code == 0
-        assert (tmp_path / "index" / "manifest.json").exists()
+        assert (tmp_path / "index" / INDEX_FILE).exists()
         capsys.readouterr()
 
     def test_query_prints_response_json(self, workspace, capsys):
@@ -116,37 +115,6 @@ class TestBuildAndQuery:
         assert (root / "report.json").exists()
 
 
-class TestIngest:
-    def test_ingest_writes_chunks_and_stats(self, workspace, capsys):
-        root, _ = workspace
-        out = root / "ingested"
-        code = main(
-            [
-                "ingest",
-                "--in",
-                str(root / "corpus.jsonl"),
-                "--out",
-                str(out),
-                "--config",
-                str(root / "cfg.json"),
-            ]
-        )
-        assert code == 0
-        stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
-        assert stats["chunks"] == 120
-        assert (out / "tokenizer.json").exists()
-        # The chunk store of format 10: three arrays, the last every chunk's
-        # vocab ids, which decode to its text.
-        with (out / "chunks.npy").open("rb") as fh:
-            *_, counts, tokens = [np.lib.format.read_array(fh) for _ in range(3)]
-        tok = TokenizerModel.load(out / "tokenizer.json")
-        assert tokens.dtype == np.uint16 and len(tokens) == counts.sum()
-        chunks = parse_chunks((out / CHUNKS_FILE).read_bytes(), tok)
-        assert [tok.encode(text) for text in chunks.texts(range(len(chunks)))] == [
-            chunks.token_ids(i).tolist() for i in range(len(chunks))
-        ]
-
-
 class TestErrors:
     def test_missing_index_is_an_error_exit(self, tmp_path, capsys):
         code = main(["query", "x", "--index", str(tmp_path / "nope")])
@@ -154,6 +122,7 @@ class TestErrors:
         assert "error" in capsys.readouterr().err
 
     def test_manifest_that_is_not_an_object_is_an_error_exit(self, tmp_path, capsys):
+        # A manifest.json and no index file: a directory of format 11 or earlier.
         (tmp_path / "index").mkdir()
         (tmp_path / "index" / "manifest.json").write_text("[]", encoding="utf-8")
         code = main(["query", "x", "--index", str(tmp_path / "index")])
@@ -168,36 +137,31 @@ class TestErrors:
         index = tmp_path / "index"
         args = ["--out", str(index), "--config", str(root / "cfg.json")]
         assert main(["build", "--corpus", str(root / "corpus.jsonl"), *args]) == 0
-        manifest = json.loads((index / "manifest.json").read_text(encoding="utf-8"))
-        manifest["config"]["embedder"]["dim"] = 128
-        (index / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        index_file.edit_manifest(index, lambda m: m["config"]["embedder"].update(dim=128))
         capsys.readouterr()
         code = main(["query", bench.queries[0]["text"], "--index", str(index)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: manifest config.embedder.dim is 128, but vectors.npy holds 256" in err
+        assert "error: manifest config.embedder.dim is 128, but the vectors are 256-dim" in err
 
     def test_a_damaged_array_header_is_one_error_line(self, workspace, tmp_path, capsys):
-        # Byte 10 opens the header dict of each file's first array. With the
-        # manifest re-signed, the parser is reached and refuses it by name.
+        # Byte 10 opens the header dict of each store's first array. With the
+        # file re-signed, the parser is reached and refuses it by name.
         root, bench = workspace
         built = tmp_path / "built"
         args = ["--out", str(built), "--config", str(root / "cfg.json")]
         assert main(["build", "--corpus", str(root / "corpus.jsonl"), *args]) == 0
-        for name in ("chunks.npy", "lexical.npy", "vectors.npy"):
-            index = tmp_path / name
+        for store, names in index_file.STORES.values():
+            index = tmp_path / store
             shutil.copytree(built, index)
-            data = bytearray((index / name).read_bytes())
+            data = bytearray(index_file.sections(index)[names[0]])
             data[10] ^= 0xFF
-            (index / name).write_bytes(data)
-            manifest = json.loads((index / "manifest.json").read_text(encoding="utf-8"))
-            manifest["files"][name] = hashlib.sha256(data).hexdigest()
-            (index / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            index_file.replace_sections(index, {names[0]: bytes(data)})
             capsys.readouterr()
             code = main(["query", bench.queries[0]["text"], "--index", str(index)])
             assert code == 1
             (line,) = capsys.readouterr().err.splitlines()
-            assert line.startswith(f"error: {name}: the ") and "array has a damaged header" in line
+            assert line.startswith(f"error: {store}: the ") and "array has a damaged header" in line
 
     def test_misspelt_config_key_is_an_error_exit(self, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -220,9 +184,21 @@ class TestErrors:
         assert not (tmp_path / "index").exists()
 
     def test_ingest_of_empty_corpus_is_an_error_exit(self, tmp_path, capsys):
+        # There is no ingest command: build writes the one index file.
         synthetic.write_jsonl(
             [{"id": "a", "text": "english only text here"}], tmp_path / "c.jsonl"
         )
-        code = main(["ingest", "--in", str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exit_:
+            main(["ingest", "--in", str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'ingest'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_build_of_empty_corpus_is_an_error_exit(self, tmp_path, capsys):
+        synthetic.write_jsonl(
+            [{"id": "a", "text": "english only text here"}], tmp_path / "c.jsonl"
+        )
+        code = main(["build", "--corpus", str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "empty corpus after filtering" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import random
@@ -8,8 +9,9 @@ import unicodedata
 import numpy as np
 import pytest
 
+from qrag import _npy
 from qrag.corpus import (
-    CHUNKS_FILE,
+    CHUNK_ARRAYS,
     ChunkTable,
     CleanDocument,
     CleaningConfig,
@@ -22,13 +24,26 @@ from qrag.corpus import (
     parse_chunks,
     preprocess,
     quality_check,
-    save_chunks,
+    chunk_arrays,
     token_type,
     Window,
 )
 from qrag.tokenizer import normalize, train_bpe
 
 CFG = CleaningConfig()
+# A file of the chunk arrays alone, as a test writes them.
+CHUNKS_FILE = "chunks.npy"
+
+
+def _save_chunks(chunks, out_dir):
+    """Write the chunk arrays of ``chunks`` alone, as the file ``CHUNKS_FILE``."""
+    with open(out_dir / CHUNKS_FILE, "wb") as fh:
+        _npy.write(fh, chunk_arrays(chunks))
+
+
+def _arrays(data):
+    """The chunk arrays in ``data``, read as a load reads them."""
+    return _npy.read(io.BytesIO(data), CHUNK_ARRAYS, len(data), {})
 
 
 def _write_jsonl(tmp_path, lines):
@@ -364,8 +379,8 @@ class TestChunkId:
     def test_the_doc_id_is_the_chunk_id_before_its_last_hash(
         self, tmp_path, store_model, chunk_id, doc_id
     ):
-        save_chunks(_table([chunk_id], store_model), tmp_path)
-        loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+        _save_chunks(_table([chunk_id], store_model), tmp_path)
+        loaded = parse_chunks(_arrays((tmp_path / CHUNKS_FILE).read_bytes()), store_model)
         # Stored and loaded whole, a "#" in its doc id included: the window's
         # number follows the last one.
         assert loaded.chunk_ids == [chunk_id]
@@ -377,10 +392,10 @@ class TestChunkId:
     def test_an_id_that_is_not_doc_id_hash_number_is_refused_by_name(
         self, tmp_path, store_model, chunk_id
     ):
-        save_chunks(_table([chunk_id], store_model), tmp_path)
-        match = f"^chunks.npy: ids must be chunk ids <doc id>#<n>, not {re.escape(repr(chunk_id))}$"
+        _save_chunks(_table([chunk_id], store_model), tmp_path)
+        match = f"^ids must be chunk ids <doc id>#<n>, not {re.escape(repr(chunk_id))}$"
         with pytest.raises(ValueError, match=match):
-            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+            parse_chunks(_arrays((tmp_path / CHUNKS_FILE).read_bytes()), store_model)
 
 
 class TestChunkTable:
@@ -439,7 +454,7 @@ def _store(tok):
 
 @pytest.fixture()
 def store_arrays(tmp_path, store_model):
-    save_chunks(_store(store_model), tmp_path)
+    _save_chunks(_store(store_model), tmp_path)
     return _read_arrays(tmp_path)
 
 
@@ -547,16 +562,16 @@ STORE_FAULTS = {
 
 class TestChunkPersistence:
     def test_store_round_trip(self, tmp_path, store_model):
-        save_chunks(_store(store_model), tmp_path)
-        loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+        _save_chunks(_store(store_model), tmp_path)
+        loaded = parse_chunks(_arrays((tmp_path / CHUNKS_FILE).read_bytes()), store_model)
         assert loaded == _store(store_model)
         assert list(zip(loaded.chunk_ids, loaded.texts(range(len(loaded))))) == list(STORE_ROWS)
         counts = [len(store_model.encode(text)) for _, text in STORE_ROWS]
         assert loaded.token_counts.tolist() == counts
 
     def test_empty_store_round_trip(self, tmp_path, store_model):
-        save_chunks(_table([], store_model), tmp_path)
-        loaded = parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+        _save_chunks(_table([], store_model), tmp_path)
+        loaded = parse_chunks(_arrays((tmp_path / CHUNKS_FILE).read_bytes()), store_model)
         assert len(loaded) == 0 and loaded.chunk_ids == [] and len(loaded.tokens) == 0
 
     def test_ids_take_the_narrowest_unsigned_type(self, store_model, store_arrays):
@@ -580,11 +595,11 @@ class TestChunkPersistence:
         texts = [" ".join(rng.choices(words, k=600)) for _ in range(400)]
         tok = train_bpe(texts, vocab_size=3000)
         windows = [Window(f"d{i:03d}#0", np.array(tok.encode(t))) for i, t in enumerate(texts)]
-        save_chunks(ChunkTable.from_windows(windows, tok), tmp_path)
-        data = (tmp_path / CHUNKS_FILE).read_bytes()
+        _save_chunks(ChunkTable.from_windows(windows, tok), tmp_path)
+        arrays = list(_arrays((tmp_path / CHUNKS_FILE).read_bytes()))
         tracemalloc.start()
         try:
-            loaded = parse_chunks(data, tok)
+            loaded = parse_chunks(iter(arrays), tok)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -605,8 +620,8 @@ class TestChunkPersistence:
     ):
         change, match = STORE_FAULTS[fault]
         _write_arrays(tmp_path, change(store_arrays))
-        with pytest.raises(ValueError, match=r"^chunks\.npy: .*" + match):
-            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+        with pytest.raises(ValueError, match=match):
+            parse_chunks(_arrays((tmp_path / CHUNKS_FILE).read_bytes()), store_model)
 
     @pytest.mark.parametrize(
         "resize, match",
@@ -621,8 +636,8 @@ class TestChunkPersistence:
         ids=["trailing", "cut_in_the_token_ids", "cut_in_the_ids"],
     )
     def test_trailing_or_missing_bytes_are_refused(self, tmp_path, store_model, resize, match):
-        save_chunks(_store(store_model), tmp_path)
+        _save_chunks(_store(store_model), tmp_path)
         path = tmp_path / "chunks.npy"
         path.write_bytes(resize(path.read_bytes()))
-        with pytest.raises(ValueError, match=r"^chunks\.npy: " + match):
-            parse_chunks((tmp_path / CHUNKS_FILE).read_bytes(), store_model)
+        with pytest.raises(ValueError, match="^" + match):
+            parse_chunks(_arrays((tmp_path / CHUNKS_FILE).read_bytes()), store_model)

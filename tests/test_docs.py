@@ -4,10 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from qrag.corpus import CHUNK_ARRAYS, CHUNKS_FILE
-from qrag.engine import FORMAT_VERSION, INDEX_FILES, MANIFEST_FILE, STATS_FILE
-from qrag.lexical import LEXICAL_ARRAYS, LEXICAL_FILE
-from qrag.semantic import VECTOR_ARRAYS, VECTORS_FILE
+import index_file
+from qrag.engine import EARLIER_FILES, FORMAT_VERSION, INDEX_ARRAYS, INDEX_FILE, STATS_FILE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,7 +17,11 @@ def _section(title: str) -> str:
     return text[start : end if end != -1 else len(text)]
 
 
-@pytest.mark.parametrize("name", INDEX_FILES + (MANIFEST_FILE, STATS_FILE))
+# The files of format 11, which the section names as what a save replaces.
+FORMAT_11_FILES = EARLIER_FILES[:5]
+
+
+@pytest.mark.parametrize("name", (INDEX_FILE, STATS_FILE) + FORMAT_11_FILES)
 def test_index_layout_names_every_file(name):
     assert f"`{name}`" in _section("Index layout")
 
@@ -37,26 +39,21 @@ def test_index_layout_states_the_format_version():
 
 def _table_rows(section: str) -> list[tuple[str, ...]]:
     """The body rows of the section's one table, each cell without its
-    backticks; a blank file cell repeats the one above."""
-    rows, file = [], ""
+    backticks; a blank store cell repeats the one above."""
+    rows, store = [], ""
     for line in section.splitlines():
-        if not line.startswith("| ") or line.startswith("| file "):
+        if not line.startswith("| ") or line.startswith("| store "):
             continue
         cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
-        file = cells[0] or file
-        rows.append((file, *cells[1:]))
+        store = cells[0] or store
+        rows.append((store, *cells[1:]))
     return rows
 
 
 def test_index_layout_table_is_the_array_schemas():
-    schemas = (
-        (CHUNKS_FILE, CHUNK_ARRAYS),
-        (LEXICAL_FILE, LEXICAL_ARRAYS),
-        (VECTORS_FILE, VECTOR_ARRAYS),
-    )
+    store_of = {name: store for store, names in index_file.STORES.values() for name in names}
     expected = [
-        (file, a.name, a.dtype, str(a.ndim), a.length or "any")
-        for file, schema in schemas
-        for a in schema
+        (store_of[a.name], a.name, a.dtype, str(a.ndim), a.length or "any")
+        for a in INDEX_ARRAYS
     ]
     assert _table_rows(_section("Index layout")) == expected

@@ -1,8 +1,11 @@
 import hashlib
+import io
 import json
 import logging
 import math
+import os
 import re
+import shutil
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,11 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrag import _records, lexical, quantum, semantic, synthetic
-from qrag.corpus import CHUNKS_FILE, ChunkTable, CleaningConfig, parse_chunks, save_chunks
+import index_file
+from qrag import _npy, _records, lexical, quantum, semantic, synthetic
+from qrag.corpus import CHUNK_ARRAYS, CleaningConfig, parse_chunks
 from qrag.engine import (
     CONTEXT_DELIMITER,
-    INDEX_FILES,
+    DIGEST_SIZE,
+    EARLIER_FILES,
+    INDEX_FILE,
+    STATS_FILE,
     EngineConfig,
     RetrievalEngine,
     build_all,
@@ -30,6 +37,12 @@ from qrag.quantum import FUSION_MODES, fuse_rrf, interference_score, normalize_l
 from qrag.semantic import VectorIndex
 from qrag.synthetic import write_jsonl
 from qrag.tokenizer import TokenizerModel, train_bpe
+
+
+def _stored_chunks(index_dir, tok):
+    """The chunk table that the chunk sections of ``index_dir`` hold."""
+    data = b"".join(index_file.sections(index_dir)[a.name] for a in CHUNK_ARRAYS)
+    return parse_chunks(_npy.read(io.BytesIO(data), CHUNK_ARRAYS, len(data), {}), tok)
 
 
 class TestEngineConfig:
@@ -70,9 +83,14 @@ class TestEngineConfig:
 class TestBuildAll:
     def test_manifest_matches_chunks_file(self, small_engine):
         engine, bench, index_dir, _, _ = small_engine
-        manifest = json.loads((index_dir / "manifest.json").read_text(encoding="utf-8"))
-        stored = parse_chunks((index_dir / CHUNKS_FILE).read_bytes(), engine.tokenizer)
+        manifest = index_file.manifest(index_dir)
+        stored = _stored_chunks(index_dir, engine.tokenizer)
         assert manifest["chunk_count"] == len(stored) == engine.chunk_count
+        assert manifest == {
+            "chunk_count": engine.chunk_count,
+            "config": engine.config.to_dict(),
+            "format_version": 12,
+        }
         assert stored == engine.chunks
 
     def test_chunks_file_takes_one_byte_per_codepoint_of_text(self, small_engine):
@@ -83,14 +101,16 @@ class TestBuildAll:
         chunks = engine.chunks
         ids = json.dumps(chunks.chunk_ids, ensure_ascii=False)
         fixed = 3 * 128 + len(ids.encode()) + 4 * len(chunks)
-        size = (index_dir / "chunks.npy").stat().st_size
+        found = index_file.sections(index_dir)
+        size = sum(len(found[a.name]) for a in CHUNK_ARRAYS)
         assert size == fixed + 2 * int(chunks.token_counts.sum())
         assert size <= fixed + sum(map(len, chunks.texts(range(len(chunks)))))
 
     def test_double_build_byte_identical(self, small_engine, tmp_path):
         _, _, index_dir, corpus_path, cfg = small_engine
         build_all(corpus_path, cfg, tmp_path / "again")
-        for name in INDEX_FILES:
+        assert sorted(p.name for p in index_dir.iterdir()) == [INDEX_FILE, STATS_FILE]
+        for name in (INDEX_FILE, STATS_FILE):
             assert (tmp_path / "again" / name).read_bytes() == (
                 index_dir / name
             ).read_bytes(), name
@@ -465,7 +485,7 @@ class TestChunkIdOrder:
 
     def test_rows_follow_chunk_ids_after_build_and_load(self, line_id_index):
         loaded = load_index(line_id_index).chunks
-        stored = parse_chunks((line_id_index / CHUNKS_FILE).read_bytes(), loaded.tokenizer)
+        stored = _stored_chunks(line_id_index, loaded.tokenizer)
         for ids in (stored.chunk_ids, loaded.chunk_ids):
             assert all(a < b for a, b in zip(ids, ids[1:]))
         # Rows are not in file order: line-10 comes before line-2, and a
@@ -816,10 +836,27 @@ class TestFormatContext:
             assert context_model.token_count(context) <= budget
 
 
-# The files of a version 1 index.
-V1_FILES = (
-    "chunks.jsonl", "tokenizer.json", "lexical.jsonl", "doclen.jsonl", "vectors.bin", "vectors.ids"
-)
+def _earlier_index(index_dir, manifest):
+    """A directory of format 11's files, ``manifest`` its ``manifest.json``."""
+    index_dir.mkdir()
+    for name in EARLIER_FILES[1:5] + (STATS_FILE,):
+        (index_dir / name).write_bytes(b"")
+    (index_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _manifest_of(engine, version):
+    """A manifest.json of ``version``, with the keys of format 11."""
+    return {
+        "format_version": version,
+        "created_at": "2025-01-01T00:00:00+00:00",
+        "chunk_count": engine.chunk_count,
+        "config": engine.config.to_dict(),
+        "files": dict.fromkeys(EARLIER_FILES[1:5], "0" * 64),
+    }
+
+
+def _answers_of(engine, queries):
+    return [engine.retrieve(t).to_json(include_timings=False) for t in queries]
 
 
 class TestPersistence:
@@ -843,88 +880,78 @@ class TestPersistence:
         engine, *_ = small_engine
         index_dir = tmp_path / "repeated"
         save_index(engine, index_dir)
-        chunks = parse_chunks((index_dir / CHUNKS_FILE).read_bytes(), engine.tokenizer)
-        chunks.chunk_ids[1] = chunks.chunk_ids[0]
-        save_chunks(chunks, index_dir)
-        manifest_path = index_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["files"]["chunks.npy"] = hashlib.sha256(
-            (index_dir / "chunks.npy").read_bytes()
-        ).hexdigest()
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(
-            ValueError, match=f"^chunks.npy: chunk_id '{chunks.chunk_ids[0]}' is listed twice$"
-        ):
+        ids = list(engine.chunks.chunk_ids)
+        ids[1] = ids[0]
+        index_file.replace_sections(index_dir, {"ids": index_file.json_array(ids)})
+        with pytest.raises(ValueError, match=f"^chunks: chunk_id '{ids[0]}' is listed twice$"):
             load_index(index_dir)
 
     def test_unsupported_version_rejected(self, small_engine, tmp_path):
         engine, *_ = small_engine
         save_index(engine, tmp_path / "v99")
-        manifest_path = tmp_path / "v99" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format_version"] = 99
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match="unsupported version"):
+        index_file.edit_manifest(tmp_path / "v99", lambda m: m.update(format_version=99))
+        match = "^manifest: unsupported version: 99; rebuild the index$"
+        with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "v99")
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_lexical_offsets_that_do_not_fit_the_vocab_refused(
         self, small_engine, tmp_path, extra
     ):
-        # Term j is vocab id j: lexical.npy holds one offset per vocab id and
+        # Term j is vocab id j: the index holds one offset per vocab id and
         # one more. Drop the last, or add a term no chunk holds.
         engine, *_ = small_engine
         save_index(engine, tmp_path / "index")
         li, v = engine.lexical_index, engine.tokenizer.vocab_size()
         offsets = li.offsets[:-1] if extra < 0 else np.append(li.offsets, li.offsets[-1])
-        path = tmp_path / "index" / "lexical.npy"
-        with path.open("wb") as fh:
-            for arr in (offsets, li.rows, li.tfs):
-                np.lib.format.write_array(fh, arr)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        _edit_manifest(tmp_path / "index", lambda m: m["files"].update({"lexical.npy": digest}))
-        match = f"^lexical.npy: offsets has {v + 1 + extra} entries for a vocabulary of {v} "
+        index_file.replace_sections(tmp_path / "index", {"offsets": offsets})
+        match = f"^lexical: offsets has {v + 1 + extra} entries for a vocabulary of {v} "
         with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "index")
 
     def test_tampered_file_digest_mismatch(self, small_engine, tmp_path):
         engine, *_ = small_engine
         save_index(engine, tmp_path / "tampered")
-        path = tmp_path / "tampered" / "tokenizer.json"
-        path.write_text(path.read_text(encoding="utf-8") + " ", encoding="utf-8")
-        with pytest.raises(ValueError, match="digest mismatch: tokenizer.json"):
+        path = tmp_path / "tampered" / INDEX_FILE
+        data = path.read_bytes()
+        at = data.index(b'"merges"')  # in the tokenizer, which still parses
+        path.write_bytes(data[:at] + b" " + data[at + 1 :])
+        with pytest.raises(ValueError, match="^digest mismatch$"):
             load_index(tmp_path / "tampered")
 
     def test_missing_file_named(self, small_engine, tmp_path):
         engine, *_ = small_engine
         save_index(engine, tmp_path / "missing")
-        (tmp_path / "missing" / "vectors.npy").unlink()
-        with pytest.raises(FileNotFoundError, match="vectors.npy"):
+        (tmp_path / "missing" / INDEX_FILE).unlink()
+        with pytest.raises(FileNotFoundError, match=f"missing file: .*{INDEX_FILE}$"):
             load_index(tmp_path / "missing")
 
-    @pytest.mark.parametrize("name", INDEX_FILES)
+    @pytest.mark.parametrize("name", ["tokenizer.json", "chunks.npy", "lexical.npy", "vectors.npy"])
     def test_manifest_must_list_every_index_file(self, small_engine, tmp_path, name):
+        # Up to format 11 the manifest listed each file of the index. The one
+        # file of format 12 holds every store in order, and a file without
+        # one is refused by the store read in its place.
         engine, *_ = small_engine
-        save_index(engine, tmp_path / "unlisted")
-        manifest_path = tmp_path / "unlisted" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        del manifest["files"][name]
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match=f"manifest does not list: {name}"):
-            load_index(tmp_path / "unlisted")
+        save_index(engine, tmp_path / "index")
+        store, names = index_file.STORES[name]
+        index_file.replace_sections(tmp_path / "index", dict.fromkeys(names, b""))
+        with pytest.raises(ValueError, match=f"^{store}: "):
+            load_index(tmp_path / "index")
 
     def test_manifest_unknown_file_rejected(self, small_engine, tmp_path):
+        # Up to format 11 a manifest could list a file unknown to the format;
+        # an array after the last store is refused.
         engine, *_ = small_engine
         save_index(engine, tmp_path / "extra")
-        manifest_path = tmp_path / "extra" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["files"]["notes.txt"] = "00"
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown file: notes.txt"):
+        vectors = index_file.sections(tmp_path / "extra")["vectors"]
+        extra = index_file.array_bytes(np.zeros(3, np.uint8))
+        index_file.replace_sections(tmp_path / "extra", {"vectors": vectors + extra})
+        with pytest.raises(ValueError, match="^vectors: trailing bytes after the vectors array$"):
             load_index(tmp_path / "extra")
 
     def test_missing_manifest_named(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="manifest.json"):
+        # The manifest is the first section of the index file.
+        with pytest.raises(FileNotFoundError, match=f"missing file: .*{INDEX_FILE}$"):
             load_index(tmp_path)
 
     @pytest.mark.parametrize(
@@ -936,63 +963,40 @@ class TestPersistence:
             ("{", "manifest.json: Expecting property name"),
         ],
     )
-    def test_manifest_that_is_not_an_object_named(self, small_engine, tmp_path, text, match):
-        engine, *_ = small_engine
-        save_index(engine, tmp_path / "bad")
+    def test_manifest_that_is_not_an_object_named(self, tmp_path, text, match):
+        # A manifest.json and no index file: a directory of format 11 or
+        # earlier, whose version the manifest states.
+        (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "manifest.json").write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "bad")
 
-    @pytest.mark.parametrize(
-        "version, files",
-        [
-            # Version 1 kept JSONL and raw binary files under other names.
-            (1, lambda files: dict.fromkeys(V1_FILES, "0" * 64)),
-            # Version 2 kept the chunks in chunks.jsonl, one JSON object a line.
-            (
-                2,
-                lambda files: {
-                    ("chunks.jsonl" if name == "chunks.npy" else name): digest
-                    for name, digest in files.items()
-                },
-            ),
-            # Version 3 kept every chunk text in UTF-16-LE and the postings
-            # rows as <i4, under the file names of version 4.
-            (3, None),
-            # Version 4 kept each term's string in lexical.npy, and an offset
-            # per term held by a chunk, under the file names of version 5.
-            (4, None),
-            # Version 5 kept the rows in build order, which need not be
-            # chunk-id order, under the file names of version 6.
-            (5, None),
-            # Version 6 kept a doc id beside each chunk id in chunks.npy, and
-            # the tokenizer digest and the embedder twice in the manifest.
-            (6, None),
-            # Version 7 kept each chunk's text in chunks.npy, in a one-byte
-            # Gurmukhi page or UTF-16-LE, where version 8 keeps its vocab ids.
-            (7, None),
-            # Version 8 kept config.embedder.kind, and a path for external_file.
-            (8, None),
-            # Version 9 kept each chunk's window ids and its token offset in
-            # chunks.npy, and each chunk's length again in lexical.npy.
-            (9, None),
-            # Version 10 kept config.fusion.signed_fidelity, with the files of
-            # version 11.
-            (10, None),
-        ],
-        ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10"],
-    )
-    def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version, files):
+    @pytest.mark.parametrize("text", ["[]", "null", '"v2"', "{"])
+    def test_a_manifest_section_that_is_not_an_object_is_named(
+        self, small_engine, tmp_path, text
+    ):
         engine, *_ = small_engine
-        save_index(engine, tmp_path / "old")
+        save_index(engine, tmp_path / "index")
+        data = np.frombuffer(text.encode(), np.uint8)
+        index_file.replace_sections(tmp_path / "index", {"manifest": data})
+        with pytest.raises(ValueError, match="^manifest: (expected a JSON object|Expecting)"):
+            load_index(tmp_path / "index")
 
-        def edit(manifest):
-            manifest["format_version"] = version
-            if files is not None:
-                manifest["files"] = files(manifest["files"])
-
-        _edit_manifest(tmp_path / "old", edit)
-        match = f"^unsupported version: {version}; rebuild the index$"
+    # Each version up to 11 kept its index as files beside a manifest.json.
+    # Version 1 kept JSONL and raw binary files, version 2 the chunks in
+    # chunks.jsonl; version 3 kept every chunk text in UTF-16-LE and the
+    # postings rows as <i4; version 4 each term's string in lexical.npy;
+    # version 5 the rows in build order; version 6 a doc id beside each
+    # chunk id, and the tokenizer digest and the embedder twice in the
+    # manifest; version 7 each chunk's text, where version 8 kept its vocab
+    # ids; version 8 config.embedder.kind, version 9 each chunk's window ids
+    # and token offset, version 10 config.fusion.signed_fidelity, and
+    # version 11 the files of format 12's sections.
+    @pytest.mark.parametrize("version", range(1, 12), ids=[f"v{v}" for v in range(1, 12)])
+    def test_an_earlier_version_asks_for_a_rebuild(self, small_engine, tmp_path, version):
+        engine, *_ = small_engine
+        _earlier_index(tmp_path / "old", _manifest_of(engine, version))
+        match = f"^manifest.json: unsupported version: {version}; rebuild the index$"
         with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "old")
 
@@ -1000,36 +1004,35 @@ class TestPersistence:
         # Version 8 could read the chunk vectors from a JSONL file named in
         # the config; such an index is refused like any other of version 8.
         engine, *_ = small_engine
-        save_index(engine, tmp_path / "old")
-
-        def edit(manifest):
-            manifest["format_version"] = 8
-            manifest["config"]["embedder"].update(kind="external_file", path="v.jsonl")
-
-        _edit_manifest(tmp_path / "old", edit)
-        with pytest.raises(ValueError, match="^unsupported version: 8; rebuild the index$"):
+        manifest = _manifest_of(engine, 8)
+        manifest["config"]["embedder"].update(kind="external_file", path="v.jsonl")
+        _earlier_index(tmp_path / "old", manifest)
+        match = "^manifest.json: unsupported version: 8; rebuild the index$"
+        with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "old")
 
     def test_a_version_10_manifest_asks_for_a_rebuild(self, small_engine, tmp_path):
         # Its config names fusion.signed_fidelity, which this version refuses
         # as an unknown key; the version is checked first.
         engine, *_ = small_engine
-        save_index(engine, tmp_path / "old")
-
-        def edit(manifest):
-            manifest["format_version"] = 10
-            manifest["config"]["fusion"]["signed_fidelity"] = True
-
-        _edit_manifest(tmp_path / "old", edit)
-        with pytest.raises(ValueError, match="^unsupported version: 10; rebuild the index$"):
+        manifest = _manifest_of(engine, 10)
+        manifest["config"]["fusion"]["signed_fidelity"] = True
+        _earlier_index(tmp_path / "old", manifest)
+        match = "^manifest.json: unsupported version: 10; rebuild the index$"
+        with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "old")
 
-
-def _edit_manifest(index_dir, edit):
-    path = index_dir / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    edit(manifest)
-    path.write_text(json.dumps(manifest), encoding="utf-8")
+    def test_a_build_replaces_a_format_11_directory(self, small_engine, tmp_path):
+        # Every file that an earlier format wrote goes; any other file stays.
+        engine, bench, _, corpus_path, cfg = small_engine
+        target = tmp_path / "old"
+        _earlier_index(target, _manifest_of(engine, 11))
+        for name in EARLIER_FILES[5:] + ("notes.txt",):
+            (target / name).write_bytes(b"v1")
+        build_all(corpus_path, cfg, target)
+        assert sorted(p.name for p in target.iterdir()) == [INDEX_FILE, "notes.txt", STATS_FILE]
+        queries = [q["text"] for q in bench.queries[:3]]
+        assert _answers_of(load_index(target), queries) == _answers_of(engine, queries)
 
 
 def _set_dim(dim):
@@ -1039,20 +1042,20 @@ def _set_dim(dim):
     return edit
 
 
-# Each way a manifest can disagree with itself or with the files it lists,
-# and the refusal, which names the field.
+# Each way a manifest can disagree with itself or with the sections after
+# it, and the refusal, which names the field or the section.
 MANIFEST_FAULTS = {
     "dim_below_the_vectors": (
         _set_dim(128),
-        "^manifest config.embedder.dim is 128, but vectors.npy holds 256-dim vectors$",
+        "^manifest config.embedder.dim is 128, but the vectors are 256-dim$",
     ),
     "chunk_count_below_the_chunks": (
         lambda m: m.update(chunk_count=5),
-        "^manifest chunk_count is 5, but chunks.npy holds {n} chunks$",
+        "^chunks: token_count has {n} entries for 5 chunks$",
     ),
     "chunk_count_above_the_chunks": (
         lambda m: m.update(chunk_count=m["chunk_count"] + 1),
-        "^manifest chunk_count is {m}, but chunks.npy holds {n} chunks$",
+        "^chunks: token_count has {n} entries for {m} chunks$",
     ),
 }
 
@@ -1064,7 +1067,7 @@ def _flip(offset):
     return change
 
 
-# Byte 8 is the header length of a .npy array, and a letter of tokenizer.json.
+# Byte 8 is the header length of a store's first .npy array.
 TAMPERS = {
     "header_byte": _flip(8),
     "data_byte": _flip(-1),
@@ -1079,15 +1082,15 @@ def _owner(arr):
 
 
 class TestLoad:
-    """``load_index`` reads each file once, hashes it on a worker thread and
-    checks the manifest against the files."""
+    """``load_index`` reads the index file once, hashes it on a worker
+    thread and checks the manifest against the sections after it."""
 
     @pytest.mark.parametrize("fault", MANIFEST_FAULTS, ids=list(MANIFEST_FAULTS))
     def test_manifest_that_disagrees_is_refused_by_field(self, small_engine, tmp_path, fault):
         engine, *_ = small_engine
         save_index(engine, tmp_path / "index")
         edit, match = MANIFEST_FAULTS[fault]
-        _edit_manifest(tmp_path / "index", edit)
+        index_file.edit_manifest(tmp_path / "index", edit)
         n = engine.chunk_count
         with pytest.raises(ValueError, match=match.format(n=n, m=n + 1)):
             load_index(tmp_path / "index")
@@ -1098,8 +1101,8 @@ class TestLoad:
         engine, *_ = small_engine
         save_index(engine, tmp_path / "index")
         value = {"tokenizer_sha256": "0" * 64, "embedder": {"kind": "hash_projection"}}[key]
-        _edit_manifest(tmp_path / "index", lambda m: m.update({key: value}))
-        with pytest.raises(ValueError, match=f"^unknown key: {key}$"):
+        index_file.edit_manifest(tmp_path / "index", lambda m: m.update({key: value}))
+        with pytest.raises(ValueError, match=f"^manifest: unknown key: {key}$"):
             load_index(tmp_path / "index")
 
     def test_a_re_signed_chunk_id_without_a_number_is_refused_by_name(
@@ -1110,13 +1113,8 @@ class TestLoad:
         chunks = engine.chunks
         bad = chunks.chunk_ids[0].rpartition("#")[0]  # still the first in order
         ids = [bad, *chunks.chunk_ids[1:]]
-        save_chunks(
-            ChunkTable(ids, chunks.token_counts, chunks.tokens, chunks.tokenizer),
-            tmp_path / "index",
-        )
-        digest = hashlib.sha256((tmp_path / "index" / CHUNKS_FILE).read_bytes()).hexdigest()
-        _edit_manifest(tmp_path / "index", lambda m: m["files"].update({CHUNKS_FILE: digest}))
-        match = f"^chunks.npy: ids must be chunk ids <doc id>#<n>, not {re.escape(repr(bad))}$"
+        index_file.replace_sections(tmp_path / "index", {"ids": index_file.json_array(ids)})
+        match = f"^chunks: ids must be chunk ids <doc id>#<n>, not {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "index")
 
@@ -1128,17 +1126,11 @@ class TestLoad:
         engine, *_ = small_engine
         save_index(engine, tmp_path / "index")
         v = engine.tokenizer.vocab_size()
-        path = tmp_path / "index" / CHUNKS_FILE
-        with path.open("rb") as fh:
-            arrays = [np.lib.format.read_array(fh) for _ in range(3)]
-        arrays[2][len(arrays[2]) // 2] = v
-        with path.open("wb") as fh:
-            for arr in arrays:
-                np.lib.format.write_array(fh, arr)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        _edit_manifest(tmp_path / "index", lambda m: m["files"].update({CHUNKS_FILE: digest}))
+        tokens = index_file.arrays(tmp_path / "index")["token ids"].copy()
+        tokens[len(tokens) // 2] = v
+        index_file.replace_sections(tmp_path / "index", {"token ids": tokens})
         with pytest.raises(
-            ValueError, match=f"^chunks.npy: token id {v} is outside the vocabulary of {v}$"
+            ValueError, match=f"^chunks: token id {v} is outside the vocabulary of {v}$"
         ):
             load_index(tmp_path / "index")
 
@@ -1147,46 +1139,55 @@ class TestLoad:
         # Deeper than the JSON decoder's recursion limit: a RecursionError before.
         engine, *_ = small_engine
         save_index(engine, tmp_path / "index")
-        data = b"[" * 100_000 + b"]" * 100_000
-        if name == "tokenizer.json":  # re-signed, so that the parser reads it
-            digest = hashlib.sha256(data).hexdigest()
-            _edit_manifest(tmp_path / "index", lambda m: m["files"].update({name: digest}))
-        (tmp_path / "index" / name).write_bytes(data)
-        with pytest.raises(ValueError, match=f"^{name}: maximum recursion depth exceeded"):
+        store, (section,) = index_file.STORES[name]
+        data = np.frombuffer(b"[" * 100_000 + b"]" * 100_000, np.uint8)
+        index_file.replace_sections(tmp_path / "index", {section: data})
+        with pytest.raises(ValueError, match=f"^{store}: maximum recursion depth exceeded"):
             load_index(tmp_path / "index")
 
     def test_a_dim_that_matches_the_vectors_loads(self, small_engine, tmp_path):
         engine, *_ = small_engine
         save_index(engine, tmp_path / "index")
-        _edit_manifest(tmp_path / "index", _set_dim(256))
+        index_file.edit_manifest(tmp_path / "index", _set_dim(256))
         assert load_index(tmp_path / "index").config.embedder.dim == 256
 
     @pytest.mark.parametrize("tamper", TAMPERS, ids=list(TAMPERS))
-    @pytest.mark.parametrize("name", INDEX_FILES)
+    @pytest.mark.parametrize("name", index_file.STORES)
     def test_tampered_file_is_a_digest_mismatch(self, small_engine, tmp_path, name, tamper):
-        # Reported ahead of whatever error parsing the same bytes gives.
+        # The store's bytes changed and the digest kept: reported ahead of
+        # whatever error parsing the same bytes gives.
         engine, *_ = small_engine
         save_index(engine, tmp_path / "index")
-        path = tmp_path / "index" / name
-        path.write_bytes(TAMPERS[tamper](path.read_bytes()))
-        with pytest.raises(ValueError, match=f"^digest mismatch: {name}$"):
+        path = tmp_path / "index" / INDEX_FILE
+        digest = path.read_bytes()[-DIGEST_SIZE:]
+        found = index_file.sections(tmp_path / "index")
+        first, *rest = index_file.STORES[name][1]
+        store = b"".join(found[n] for n in (first, *rest))
+        for n in rest:
+            del found[n]
+        found[first] = TAMPERS[tamper](store)
+        path.write_bytes(b"".join(found.values()) + digest)
+        with pytest.raises(ValueError, match="^digest mismatch$"):
             load_index(tmp_path / "index")
 
     def test_an_earlier_digest_mismatch_comes_before_a_later_parse_error(
         self, small_engine, tmp_path
     ):
+        # The tokenizer's JSON cut short, which its parse refuses, and the
+        # vectors cut short: neither is re-signed.
         engine, *_ = small_engine
         save_index(engine, tmp_path / "index")
-        tok = tmp_path / "index" / "tokenizer.json"
-        tok.write_bytes(tok.read_bytes() + b" ")
-        vectors = tmp_path / "index" / "vectors.npy"
-        vectors.write_bytes(vectors.read_bytes()[:-1])
-        with pytest.raises(ValueError, match="^digest mismatch: tokenizer.json$"):
+        path = tmp_path / "index" / INDEX_FILE
+        digest = path.read_bytes()[-DIGEST_SIZE:]
+        found = index_file.sections(tmp_path / "index")
+        found["tokenizer"] = found["tokenizer"][:-1] + b" "
+        found["vectors"] = found["vectors"][:-1]
+        path.write_bytes(b"".join(found.values()) + digest)
+        with pytest.raises(ValueError, match="^digest mismatch$"):
             load_index(tmp_path / "index")
 
     def test_each_index_file_is_opened_once(self, small_engine, monkeypatch):
         import builtins
-        import io
 
         _, _, index_dir, *_ = small_engine
         opened: list[str] = []
@@ -1199,27 +1200,23 @@ class TestLoad:
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)
         load_index(index_dir)
-        assert {name: opened.count(name) for name in INDEX_FILES} == dict.fromkeys(
-            INDEX_FILES, 1
-        )
+        assert opened == [INDEX_FILE]
 
     @pytest.mark.parametrize("outcome", ["loads", "digest_mismatch", "parse_error", "missing"])
     def test_no_thread_outlives_the_load(self, small_engine, tmp_path, outcome):
         engine, *_ = small_engine
         index_dir = tmp_path / "index"
         save_index(engine, index_dir)
-        lexical_path = index_dir / "lexical.npy"
+        path = index_dir / INDEX_FILE
         if outcome == "digest_mismatch":
-            lexical_path.write_bytes(lexical_path.read_bytes()[:-1])
+            path.write_bytes(path.read_bytes()[:-1])
         elif outcome == "parse_error":
             # A repeated chunk id, with the digest to match.
-            chunks = parse_chunks((index_dir / CHUNKS_FILE).read_bytes(), engine.tokenizer)
-            chunks.chunk_ids[1] = chunks.chunk_ids[0]
-            save_chunks(chunks, index_dir)
-            digest = hashlib.sha256((index_dir / "chunks.npy").read_bytes()).hexdigest()
-            _edit_manifest(index_dir, lambda m: m["files"].update({"chunks.npy": digest}))
+            ids = list(engine.chunks.chunk_ids)
+            ids[1] = ids[0]
+            index_file.replace_sections(index_dir, {"ids": index_file.json_array(ids)})
         elif outcome == "missing":
-            lexical_path.unlink()
+            path.unlink()
         before = threading.enumerate()
         try:
             load_index(index_dir)
@@ -1250,7 +1247,7 @@ class TestLoad:
         loaded = load_index(index_dir)
         li, vi = loaded.lexical_index, loaded.vector_index
         n, dim = loaded.chunk_count, loaded.config.embedder.dim
-        # The float32 columns, as vectors.npy stores them: no float64 copy.
+        # The float32 columns, as the index file stores them: no float64 copy.
         assert vi.cols.dtype == np.float32 and vi.cols.shape == (dim, n)
         assert vi.cols.flags.c_contiguous and vi.cols.nbytes == n * dim * 4
         # The rows in the narrowest unsigned type that holds n - 1.
@@ -1270,14 +1267,129 @@ class TestLoad:
         with caplog.at_level(logging.INFO, logger="qrag.engine"):
             load_index(index_dir)
         (line,) = [r.getMessage() for r in caplog.records]
-        assert line.startswith(f"loaded index {index_dir}: ")
-        for name in INDEX_FILES:
-            assert re.search(rf"{re.escape(name)} read \d+\.\d{{3}} s parse \d+\.\d{{3}} s", line)
-        assert re.search(r"; impacts \d+\.\d{3} s; digest wait \d+\.\d{3} s$", line)
+        stores = "; ".join(rf"{store} \d+\.\d{{3}} s" for store, _ in index_file.STORES.values())
+        assert re.fullmatch(
+            rf"loaded index {re.escape(str(index_dir))}: {stores}; "
+            r"impacts \d+\.\d{3} s; digest wait \d+\.\d{3} s",
+            line,
+        )
 
 
+# The exit status of a child killed by ``_kill_at``.
+KILLED = 9
+
+
+class _Counted:
+    """A file whose writes count as file operations of ``_kill_at``."""
+
+    def __init__(self, fh, tick):
+        self._fh, self._tick = fh, tick
+
+    def write(self, data):
+        self._tick()
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _kill_at(step, action):
+    """Run ``action`` in a forked child that ends with ``os._exit(KILLED)``
+    at its ``step``-th file operation instead of doing it (never, for step
+    0): a write to a file, an fsync, a rename or replace, or a delete.
+    Return the child's exit status and its count of operations."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: it leaves only by os._exit
+        status = 1
+        try:
+            os.close(read_end)
+            count = 0
+
+            def tick():
+                nonlocal count
+                count += 1
+                if count == step:
+                    os._exit(KILLED)
+
+            def counted(op):
+                def run(*args, **kwargs):
+                    tick()
+                    return op(*args, **kwargs)
+
+                return run
+
+            for name in ("fsync", "replace", "rename", "unlink", "rmdir"):
+                setattr(os, name, counted(getattr(os, name)))
+            real_open = io.open
+            import builtins
+
+            builtins.open = io.open = lambda *a, **k: _Counted(real_open(*a, **k), tick)
+            action()
+            status = 0
+        finally:
+            os.write(write_end, str(count).encode())
+            os._exit(status)
+    os.close(write_end)
+    with os.fdopen(read_end) as fh:
+        count = int(fh.read() or 0)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status), count
+
+
+@pytest.fixture(scope="module")
+def two_indexes(tmp_path_factory):
+    """Two small indexes of different corpora: (engine, directory) each."""
+    root = tmp_path_factory.mktemp("two_indexes")
+    cfg = EngineConfig(
+        cleaning=CleaningConfig(chunk_size_tokens=64, chunk_overlap_tokens=16), vocab_size=300
+    )
+    built = []
+    for seed in (1, 2):
+        synthetic.write_jsonl(synthetic.make_corpus(30, seed=seed), root / f"c{seed}.jsonl")
+        build_all(root / f"c{seed}.jsonl", cfg, root / f"index{seed}")
+        built.append((load_index(root / f"index{seed}"), root / f"index{seed}"))
+    return built
+
+
+QUERIES = ("ਸਤਿ ਨਾਮ", "ਕਰਤਾ ਪੁਰਖ ਨਿਰਭਉ")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestAtomicSave:
-    """``save_index`` replaces a directory only once the new index is whole."""
+    """``save_index`` replaces the index file only once the new one is whole."""
+
+    def test_a_kill_at_each_file_operation_leaves_the_old_index_or_the_new(
+        self, two_indexes, tmp_path
+    ):
+        (old, old_dir), (new, _) = two_indexes
+        answers = {"old": _answers_of(old, QUERIES), "new": _answers_of(new, QUERIES)}
+        target = tmp_path / "index"
+
+        def save():
+            save_index(new, target, {"chunks": new.chunk_count})
+
+        shutil.copytree(old_dir, target)
+        status, steps = _kill_at(0, save)
+        assert status == 0 and steps > 20
+        shutil.rmtree(target)
+        seen = []
+        for step in range(1, steps + 1):
+            shutil.copytree(old_dir, target)
+            assert _kill_at(step, save)[0] == KILLED, step
+            loaded = _answers_of(load_index(target), QUERIES)
+            assert loaded in answers.values(), step
+            seen.append("old" if loaded == answers["old"] else "new")
+            shutil.rmtree(target)
+        # The old index until the new one takes its name, then the new one.
+        olds = seen.count("old")
+        assert 0 < olds < len(seen) and seen == ["old"] * olds + ["new"] * (len(seen) - olds)
 
     def test_crash_while_saving_keeps_previous_index(
         self, small_engine, tmp_path, monkeypatch
@@ -1289,11 +1401,14 @@ class TestAtomicSave:
         queries = [q["text"] for q in bench.queries[:5]]
         responses = [engine.retrieve(t).to_json(include_timings=False) for t in queries]
 
-        def failing_save(index, out_dir):
-            (out_dir / semantic.VECTORS_FILE).write_bytes(b"partial")
-            raise OSError("disk full")
+        def failing_arrays(index):
+            def rows():
+                yield index.cols[:, :1].T
+                raise OSError("disk full")
 
-        monkeypatch.setattr(semantic, "save", failing_save)
+            return (_npy.Blocks("<f4", (len(index), index.dim), rows()),)
+
+        monkeypatch.setattr(semantic, "index_arrays", failing_arrays)
         with pytest.raises(OSError, match="disk full"):
             save_index(engine, target)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index"]
@@ -1310,11 +1425,11 @@ class TestAtomicSave:
         target = tmp_path / "index"
         build_all(corpus_path, cfg, target)
         before = {p.name: p.read_bytes() for p in target.iterdir()}
-        assert "stats.json" in before
+        assert STATS_FILE in before
         write_json = _records.write_json
 
         def failing_write_json(obj, path):
-            if Path(path).name == "stats.json":
+            if Path(path).name.startswith(f".{STATS_FILE}.tmp-"):
                 raise OSError("disk full")
             write_json(obj, path)
 
@@ -1329,15 +1444,42 @@ class TestAtomicSave:
         engine, *_ = small_engine
         target = tmp_path / "index"
         save_index(engine, target)
-        # Files an earlier format left behind are gone after the swap.
+        # Files an earlier format left behind are gone after the save.
         for stale in ("lexical.jsonl", "doclen.jsonl", "vectors.bin", "vectors.ids"):
             (target / stale).write_text("v1", encoding="utf-8")
         save_index(engine, target)
-        assert sorted(p.name for p in target.iterdir()) == sorted(
-            INDEX_FILES + ("manifest.json",)
-        )
+        assert sorted(p.name for p in target.iterdir()) == [INDEX_FILE]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index"]
         load_index(target)
+
+    def test_a_save_without_stats_leaves_no_stats_file(self, small_engine, tmp_path):
+        engine, _, index_dir, *_ = small_engine
+        shutil.copytree(index_dir, tmp_path / "index")
+        save_index(engine, tmp_path / "index")
+        assert sorted(p.name for p in (tmp_path / "index").iterdir()) == [INDEX_FILE]
+
+    def test_a_temp_file_of_a_killed_save_breaks_no_load_or_build(
+        self, two_indexes, tmp_path
+    ):
+        (old, old_dir), (new, _) = two_indexes
+        target = tmp_path / "index"
+        shutil.copytree(old_dir, target)
+        # Killed at its second write, the save leaves its temp file.
+        assert _kill_at(2, lambda: save_index(new, target))[0] == KILLED
+        (temp,) = [p.name for p in target.iterdir() if p.name.startswith(f".{INDEX_FILE}")]
+        # A live process's temp file is kept: process 1 always runs.
+        (target / f".{INDEX_FILE}.tmp-1").write_bytes(b"partial")
+        assert _answers_of(load_index(target), QUERIES) == _answers_of(old, QUERIES)
+        save_index(new, target)
+        names = sorted(p.name for p in target.iterdir())
+        assert names == [f".{INDEX_FILE}.tmp-1", INDEX_FILE] and temp not in names
+        assert _answers_of(load_index(target), QUERIES) == _answers_of(new, QUERIES)
+        # A save killed in a new directory leaves one to build into.
+        fresh = tmp_path / "fresh"
+        assert _kill_at(2, lambda: save_index(new, fresh))[0] == KILLED
+        assert [p.name.rpartition("-")[0] for p in fresh.iterdir()] == [f".{INDEX_FILE}.tmp"]
+        save_index(old, fresh)
+        assert sorted(p.name for p in fresh.iterdir()) == [INDEX_FILE]
 
     def test_empty_directory_is_replaced(self, small_engine, tmp_path):
         engine, *_ = small_engine

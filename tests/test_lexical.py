@@ -1,4 +1,5 @@
 import ast
+import io
 import math
 import sys
 import tracemalloc
@@ -9,18 +10,18 @@ import numpy as np
 import pytest
 
 import qrag.lexical
-from qrag import synthetic
+from qrag import _npy, synthetic
 from qrag.lexical import (
     DENSE_DF,
     IMPACT_BLOCK,
-    LEXICAL_FILE,
+    LEXICAL_ARRAYS,
     BM25Params,
     InvertedIndex,
     bm25_score,
     build_index,
     idf,
+    index_arrays,
     parse,
-    save,
     score_rows,
     top_rows,
     touched_rows,
@@ -30,6 +31,8 @@ from qrag.semantic import VectorIndex
 from qrag.tokenizer import train_bpe
 
 EMPTY = np.array([], dtype=np.int64)
+# A file of the lexical arrays alone, as a test writes them.
+LEXICAL_FILE = "lexical.npy"
 
 
 def _hand_index():
@@ -96,10 +99,23 @@ def _ranked(ix, p, terms, k):
     return [(row, float(scores[row])) for row in top_rows(scores, touched_rows(touched, k), k)]
 
 
+def _save(index, out_dir):
+    """Write the lexical arrays of ``index`` alone, as ``LEXICAL_FILE``."""
+    with open(out_dir / LEXICAL_FILE, "wb") as fh:
+        _npy.write(fh, index_arrays(index))
+
+
+def _arrays(data, term_count):
+    """The lexical arrays in ``data``, read as a load reads them for a
+    vocabulary of ``term_count``."""
+    return _npy.read(io.BytesIO(data), LEXICAL_ARRAYS, len(data), {"V": term_count})
+
+
 def _reload(out_dir, doc_len, term_count):
-    """``parse`` of the ``lexical.npy`` in ``out_dir``, of chunks of lengths
+    """``parse`` of the ``LEXICAL_FILE`` in ``out_dir``, of chunks of lengths
     ``doc_len``."""
-    return parse((out_dir / LEXICAL_FILE).read_bytes(), np.asarray(doc_len), term_count)
+    data = (out_dir / LEXICAL_FILE).read_bytes()
+    return parse(_arrays(data, term_count), np.asarray(doc_len))
 
 
 def _pairs(ix, term):
@@ -262,7 +278,7 @@ class TestIdf:
         records = synthetic.make_corpus(400, seed=7, lexicon_size=300)
         chunks = [(r["id"] + "#0", r["text"]) for r in records]
         built = _index(chunks, synth_tokenizer)
-        save(built, tmp_path)
+        _save(built, tmp_path)
         reloaded = _reload(tmp_path, built.doc_len, synth_tokenizer.vocab_size())
         for ix in (built, reloaded):
             dfs = {len(ix.postings(t)[0]) for t in _terms(ix)}
@@ -430,7 +446,7 @@ class TestImpacts:
         rng = np.random.default_rng(47)
         chunks = _random_corpus(rng, 80, word_model, vocab)
         built = _index(chunks, word_model)
-        save(built, tmp_path)
+        _save(built, tmp_path)
         reloaded = _reload(tmp_path, built.doc_len, word_model.vocab_size())
         p = BM25Params(k1=k1, b=b)
         for ix in (built, reloaded):
@@ -738,7 +754,7 @@ class TestPersistence:
         rng = np.random.default_rng(37)
         chunks = _random_corpus(rng, 50, word_model, vocab)
         ix = _index(chunks, word_model)
-        save(ix, tmp_path)
+        _save(ix, tmp_path)
         reloaded = _reload(tmp_path, ix.doc_len, word_model.vocab_size())
         assert reloaded.N == ix.N
         assert reloaded.avgdl == ix.avgdl
@@ -770,8 +786,8 @@ class TestPersistence:
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         built = _index(chunks, word_model)
-        save(built, tmp_path / "a")
-        save(_reload(tmp_path / "a", built.doc_len, word_model.vocab_size()), tmp_path / "b")
+        _save(built, tmp_path / "a")
+        _save(_reload(tmp_path / "a", built.doc_len, word_model.vocab_size()), tmp_path / "b")
         assert (tmp_path / "b" / LEXICAL_FILE).read_bytes() == (
             tmp_path / "a" / LEXICAL_FILE
         ).read_bytes()
@@ -779,7 +795,7 @@ class TestPersistence:
     @pytest.mark.parametrize("tf, width", [(1, "|u1"), (255, "|u1"), (256, "<u2")])
     def test_tfs_stored_in_the_narrowest_width(self, tmp_path, tf, width):
         one = np.array([0, 1])
-        save(InvertedIndex(np.array([tf]), one, one[:1], np.array([tf])), tmp_path)
+        _save(InvertedIndex(np.array([tf]), one, one[:1], np.array([tf])), tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
             arrays = [np.lib.format.read_array(fh) for _ in range(3)]
         assert [a.dtype.str for a in arrays] == ["<i8", "|u1", width]
@@ -798,7 +814,7 @@ class TestPersistence:
         rows = np.unique(np.array([0, n - 1], dtype="<i4"))
         tfs = np.ones(len(rows), np.uint8)
         ix = InvertedIndex(np.ones(n, "<i4"), np.array([0, len(rows)]), rows, tfs)
-        save(ix, tmp_path)
+        _save(ix, tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
             arrays = [np.lib.format.read_array(fh) for _ in range(3)]
         assert (arrays[1].dtype.str, arrays[1].tolist()) == (width, rows.tolist())
@@ -814,7 +830,7 @@ class TestPersistence:
         rng = np.random.default_rng(47)
         chunks = _random_corpus(rng, 300, word_model, vocab)
         built = _index(chunks, word_model)
-        save(built, tmp_path)
+        _save(built, tmp_path)
         with (tmp_path / LEXICAL_FILE).open("rb") as fh:
             assert [np.lib.format.read_array(fh) for _ in range(3)][1].dtype.str == "<u2"
         ix = _reload(tmp_path, built.doc_len, word_model.vocab_size())
@@ -828,12 +844,12 @@ class TestPersistence:
         records = synthetic.make_corpus(3000, seed=5, lexicon_size=400)
         chunks = [(r["id"] + "#0", r["text"]) for r in records]
         built = _index(chunks, synth_tokenizer)
-        save(built, tmp_path)
-        data = (tmp_path / LEXICAL_FILE).read_bytes()
+        _save(built, tmp_path)
+        arrays = list(_arrays((tmp_path / LEXICAL_FILE).read_bytes(), synth_tokenizer.vocab_size()))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ix = parse(data, built.doc_len, synth_tokenizer.vocab_size())
+            ix = parse(iter(arrays), built.doc_len)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -869,7 +885,7 @@ class TestLoadValidation:
     def test_posting_for_unknown_chunk_names_term_and_chunk(self, tmp_path):
         # Row 1 of a one-chunk index names no chunk.
         _write_lexical_file(tmp_path, rows=np.array([1], dtype="<i4"))
-        with pytest.raises(ValueError, match=r"^lexical.npy: postings for term 0 name a row outside 0\.\.0$"):
+        with pytest.raises(ValueError, match=r"^postings for term 0 name a row outside 0\.\.0$"):
             _reload(tmp_path, [4], 1)
 
     @pytest.mark.parametrize("dtype", ["<i8", "<u8"])
@@ -902,7 +918,7 @@ class TestLoadValidation:
             rows=np.array([0, 0], dtype="<i4"),
             tfs=np.array([1, 2], dtype=np.uint8),
         )
-        with pytest.raises(ValueError, match="^lexical.npy: postings for term 0 name row 0 twice$"):
+        with pytest.raises(ValueError, match="^postings for term 0 name row 0 twice$"):
             _reload(tmp_path, [4, 4], 1)
 
     def test_rows_out_of_order_name_term(self, tmp_path):
@@ -952,7 +968,7 @@ class TestLoadValidation:
         # One offset per vocab id, and one more: term j is vocab id j.
         _write_lexical_file(tmp_path)
         match = (
-            f"^lexical.npy: offsets has 2 entries for a vocabulary of {term_count} "
+            f"^offsets has 2 entries for a vocabulary of {term_count} "
             rf"\(vocab size \+ 1 = {term_count + 1}\)$"
         )
         with pytest.raises(ValueError, match=match):
@@ -969,14 +985,14 @@ class TestLoadValidation:
                 for arr in layout:
                     np.lib.format.write_array(fh, np.asarray(arr))
             match = (
-                r"^lexical.npy: offsets has 1 entries for a vocabulary of 1 \(vocab size \+ 1 = 2\)$"
+                r"^offsets has 1 entries for a vocabulary of 1 \(vocab size \+ 1 = 2\)$"
             )
             with pytest.raises(ValueError, match=match):
                 _reload(tmp_path, [4], 1)
 
     def test_tfs_must_match_rows(self, tmp_path):
         _write_lexical_file(tmp_path, tfs=np.array([3, 3], dtype=np.uint8))
-        match = "^lexical.npy: tfs has 2 entries for offsets ending at 1$"
+        match = "^tfs has 2 entries for offsets ending at 1$"
         with pytest.raises(ValueError, match=match):
             _reload(tmp_path, [4], 1)
 
@@ -1003,7 +1019,7 @@ class TestLoadValidation:
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
         _write_lexical_file(tmp_path, offsets=np.array([0, 1], dtype=object))
-        match = r"^lexical.npy: offsets must be a 1-d integer array, got \|O of shape \(2,\)$"
+        match = r"^offsets must be a 1-d integer array, got \|O of shape \(2,\)$"
         with pytest.raises(ValueError, match=match):
             _reload(tmp_path, [4], 1)
 
@@ -1011,7 +1027,7 @@ class TestLoadValidation:
         _write_lexical_file(tmp_path)
         path = tmp_path / LEXICAL_FILE
         whole = path.read_bytes()
-        for damaged, match in ((whole[:-1], "lexical.npy"), (whole + b"\0", "trailing")):
+        for damaged, match in ((whole[:-1], "cut short"), (whole + b"\0", "trailing")):
             path.write_bytes(damaged)
             with pytest.raises(ValueError, match=match):
                 _reload(tmp_path, [4], 1)

@@ -1,6 +1,7 @@
 """The ``.npy`` format has one home, ``qrag._npy``: its reader and its
-writer serve the three array stores, each store's file holds the bytes that
-numpy writes, and a damaged header is a ``ValueError`` naming the array."""
+writer serve the three array stores, each store's arrays are written as the
+bytes that numpy writes, and a damaged header is a ``ValueError`` naming the
+array."""
 
 import ast
 import io
@@ -11,11 +12,10 @@ import pytest
 
 import qrag
 from qrag import _npy
-from qrag.corpus import CHUNK_ARRAYS, CHUNKS_FILE, ChunkTable, Window, save_chunks
-from qrag.lexical import LEXICAL_ARRAYS, LEXICAL_FILE, build_index
-from qrag.lexical import save as save_lexical
-from qrag.semantic import ROW_BLOCK_ROWS, VECTOR_ARRAYS, VECTORS_FILE, VectorIndex
-from qrag.semantic import save as save_vectors
+from qrag import lexical, semantic
+from qrag.corpus import CHUNK_ARRAYS, ChunkTable, Window, chunk_arrays
+from qrag.lexical import LEXICAL_ARRAYS, build_index
+from qrag.semantic import ROW_BLOCK_ROWS, VECTOR_ARRAYS, VectorIndex
 from qrag.tokenizer import TokenizerModel
 
 SRC = Path(qrag.__file__).parent
@@ -72,21 +72,30 @@ def _numpy_arrays(data, count):
     return [np.lib.format.read_array(stream, allow_pickle=False) for _ in range(count)]
 
 
-# Each store: its file, its schema, and how to save a store of n rows.
+def _read(data, schema, **sizes):
+    """The arrays of ``schema`` that fill ``data``."""
+    return list(_npy.read(io.BytesIO(data), schema, len(data), sizes))
+
+
+def _written(arrays):
+    buf = io.BytesIO()
+    _npy.write(buf, arrays)
+    return buf.getvalue()
+
+
+# Each store: its schema, and the arrays it writes for a store of n rows.
 STORES = {
-    "chunks": (CHUNKS_FILE, CHUNK_ARRAYS, lambda n, out: save_chunks(_chunks(n), out)),
+    "chunks": (CHUNK_ARRAYS, lambda n: chunk_arrays(_chunks(n))),
     "lexical": (
-        LEXICAL_FILE,
         LEXICAL_ARRAYS,
-        lambda n, out: save_lexical(
-            build_index(np.random.default_rng(n).integers(0, 50, 7 * n), np.full(n, 7), 50), out
+        lambda n: lexical.index_arrays(
+            build_index(np.random.default_rng(n).integers(0, 50, 7 * n), np.full(n, 7), 50)
         ),
     ),
     "vectors": (
-        VECTORS_FILE,
         VECTOR_ARRAYS,
-        lambda n, out: save_vectors(
-            VectorIndex.build(n, np.random.default_rng(n).standard_normal((n, 24))), out
+        lambda n: semantic.index_arrays(
+            VectorIndex.build(n, np.random.default_rng(n).standard_normal((n, 24)))
         ),
     ),
 }
@@ -94,17 +103,19 @@ STORES = {
 
 @pytest.mark.parametrize("n", [1, ROW_BLOCK_ROWS, 2 * ROW_BLOCK_ROWS + 3])
 @pytest.mark.parametrize("store", STORES)
-def test_each_store_writes_the_bytes_of_numpy_and_reads_them_back(tmp_path, store, n):
-    name, schema, save = STORES[store]
-    save(n, tmp_path)
-    data = (tmp_path / name).read_bytes()
+def test_each_store_writes_the_bytes_of_numpy_and_reads_them_back(store, n):
+    schema, arrays = STORES[store]
+    data = _written(arrays(n))
     expected = _numpy_arrays(data, len(schema))
     assert data == _numpy_bytes(expected)
-    arrays = _npy.read(data, schema)
-    for arr, want in zip(arrays, expected, strict=True):
+    read = []
+    got = _npy.read(io.BytesIO(data), schema, len(data), {}, read.append)
+    for arr, want in zip(got, expected, strict=True):
         assert arr.dtype == want.dtype and np.array_equal(arr, want)
         # A read-only view of the bytes read: nothing is copied.
-        assert not arr.flags.writeable and _owner(arr) is data
+        assert not arr.flags.writeable and _owner(arr) is read[-1]
+    # Every byte read is given to ``on_read``, in file order.
+    assert b"".join(read) == data
 
 
 def _owner(arr):
@@ -126,7 +137,7 @@ GOOD = "{'descr': '<i8', 'fortran_order': False, 'shape': (3,), }"
 
 
 def test_a_hand_made_header_reads():
-    assert _npy.read(_with_header(GOOD), SCHEMA, N=3)[0].tolist() == [0, 0, 0]
+    assert _read(_with_header(GOOD), SCHEMA, N=3)[0].tolist() == [0, 0, 0]
 
 
 # Headers that numpy's parse refuses: the unclosed one in its legacy-header
@@ -147,7 +158,7 @@ DAMAGED_HEADERS = {
 @pytest.mark.parametrize("header", DAMAGED_HEADERS.values(), ids=list(DAMAGED_HEADERS))
 def test_each_damaged_header_is_a_value_error_naming_the_array(header):
     with pytest.raises(ValueError, match="^the counts array has a damaged header: "):
-        _npy.read(_with_header(header), SCHEMA, N=3)
+        _read(_with_header(header), SCHEMA, N=3)
 
 
 @pytest.mark.parametrize(
@@ -164,7 +175,7 @@ def test_each_damaged_header_is_a_value_error_naming_the_array(header):
 def test_a_header_off_the_schema_is_refused_by_name(shape, dtype, match):
     header = GOOD.replace("(3,)", shape).replace("<i8", dtype)
     with pytest.raises(ValueError, match="^counts must be a 1-d integer array, " + match):
-        _npy.read(_with_header(header), SCHEMA, N=3)
+        _read(_with_header(header), SCHEMA, N=3)
 
 
 @pytest.mark.parametrize(
@@ -181,12 +192,24 @@ def test_a_header_off_the_schema_is_refused_by_name(shape, dtype, match):
 )
 def test_a_file_cut_short_padded_or_of_another_version_is_refused(data, match):
     with pytest.raises(ValueError, match=match):
-        _npy.read(data, SCHEMA, N=3)
+        _read(data, SCHEMA, N=3)
 
 
 def test_a_size_not_given_is_set_by_the_first_array_it_rules():
     schema = (*SCHEMA, _npy.Array("ends", "integer", 1, "N + 1"))
     data = _numpy_bytes([np.arange(3), np.arange(4)])
-    assert [len(a) for a in _npy.read(data, schema)] == [3, 4]
+    assert [len(a) for a in _read(data, schema)] == [3, 4]
     with pytest.raises(ValueError, match=r"^ends has 4 entries for 2 chunks \(N \+ 1 = 3\)$"):
-        _npy.read(_numpy_bytes([np.arange(2), np.arange(4)]), schema)
+        _read(_numpy_bytes([np.arange(2), np.arange(4)]), schema)
+
+
+def test_no_byte_past_the_end_is_read():
+    # The bytes after ``end`` (an index file's digest) belong to no array.
+    data = _with_header(GOOD)
+    stream = io.BytesIO(data + b"digest")
+    assert [a.tolist() for a in _npy.read(stream, SCHEMA, len(data), {"N": 3})] == [[0, 0, 0]]
+    assert stream.tell() == len(data)
+    with pytest.raises(ValueError, match=r"^the counts array is cut short: 23 of 24 bytes$"):
+        list(_npy.read(io.BytesIO(data + b"digest"), SCHEMA, len(data) - 1, {"N": 3}))
+    with pytest.raises(ValueError, match=r"^the counts array has a damaged header: EOF"):
+        list(_npy.read(io.BytesIO(data + b"digest"), SCHEMA, 40, {"N": 3}))

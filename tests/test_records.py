@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+import index_file
 from qrag import _records
 from qrag.corpus import CleaningConfig
 from qrag.engine import (
@@ -83,18 +84,15 @@ class TestUnknownKeys:
             IndexManifest.from_dict(manifest_dict)
 
     def test_manifest_missing_key(self, manifest_dict):
-        del manifest_dict["files"]
-        with pytest.raises(ValueError, match="missing key: files"):
+        del manifest_dict["chunk_count"]
+        with pytest.raises(ValueError, match="missing key: chunk_count"):
             IndexManifest.from_dict(manifest_dict)
 
     def test_load_index_rejects_unknown_manifest_key(self, small_engine, tmp_path):
         engine, *_ = small_engine
         save_index(engine, tmp_path)
-        path = tmp_path / "manifest.json"
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        manifest["config"]["bm25"]["k3"] = 1.0
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match="config.bm25.k3"):
+        index_file.edit_manifest(tmp_path, lambda m: m["config"]["bm25"].update(k3=1.0))
+        with pytest.raises(ValueError, match="^manifest: unknown key: config.bm25.k3$"):
             load_index(tmp_path)
 
 
@@ -146,13 +144,7 @@ class _Row:
 @pytest.fixture()
 def manifest_dict():
     cfg = EngineConfig(vocab_size=500, fusion=FusionConfig(mode="rrf", k_final=3))
-    return IndexManifest(
-        format_version=1,
-        created_at="2025-01-01T00:00:00+00:00",
-        chunk_count=2,
-        config=cfg,
-        files={"chunks.jsonl": "cd"},
-    ).to_dict()
+    return IndexManifest(format_version=1, chunk_count=2, config=cfg).to_dict()
 
 
 class TestRoundTrips:

@@ -1,15 +1,16 @@
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qrag import synthetic
+from qrag import _npy, synthetic
 from qrag.lexical import top_rows
 from qrag.semantic import (
     ROW_BLOCK_ROWS,
     SCAN_BLOCK_ROWS,
-    VECTORS_FILE,
+    VECTOR_ARRAYS,
     EmbedderSpec,
     TokenTable,
     VectorIndex,
@@ -17,12 +18,26 @@ from qrag.semantic import (
     _fnv1a64,
     cosine,
     embed,
+    index_arrays,
     parse,
-    save,
     token_matrix,
     token_vectors,
 )
 from qrag.tokenizer import train_bpe
+
+# A file of the vector arrays alone, as a test writes them.
+VECTORS_FILE = "vectors.npy"
+
+
+def _save(index, out_dir):
+    with open(out_dir / VECTORS_FILE, "wb") as fh:
+        _npy.write(fh, index_arrays(index))
+
+
+def _arrays(data, n):
+    """The vector arrays in ``data``, read as a load reads them for ``n``
+    chunks."""
+    return _npy.read(io.BytesIO(data), VECTOR_ARRAYS, len(data), {"N": n})
 
 SPEC = EmbedderSpec(dim=256)
 
@@ -383,11 +398,11 @@ class TestVectorIndexInvariants:
         rng = np.random.default_rng(35)
         n, dim = 8000, 64
         ix = VectorIndex.build(n, rng.standard_normal((n, dim)))
-        save(ix, tmp_path)
-        data = (tmp_path / VECTORS_FILE).read_bytes()
+        _save(ix, tmp_path)
+        arrays = list(_arrays((tmp_path / VECTORS_FILE).read_bytes(), n))
         tracemalloc.start()
         try:
-            parsed = parse(data, n)
+            parsed = parse(iter(arrays))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -443,8 +458,8 @@ class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(23)
         ix = VectorIndex.build(20, [rng.standard_normal(16) for _ in range(20)])
-        save(ix, tmp_path)
-        reloaded = parse((tmp_path / VECTORS_FILE).read_bytes(), 20)
+        _save(ix, tmp_path)
+        reloaded = parse(_arrays((tmp_path / VECTORS_FILE).read_bytes(), 20))
         assert len(reloaded) == len(ix) == 20
         assert reloaded.cols.dtype == ix.cols.dtype == np.float32
         assert np.array_equal(reloaded.cols, ix.cols)
@@ -457,7 +472,7 @@ class TestPersistence:
         ix = VectorIndex.build(n, rng.standard_normal((n, dim)))
         tracemalloc.start()
         try:
-            save(ix, tmp_path)
+            _save(ix, tmp_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -470,8 +485,8 @@ class TestPersistence:
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / VECTORS_FILE).write_bytes(b"NOTMAGIC" + b"\x00" * 12)
-        with pytest.raises(ValueError, match=VECTORS_FILE):
-            parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
+        with pytest.raises(ValueError, match="^the vectors array has a damaged header"):
+            parse(_arrays((tmp_path / VECTORS_FILE).read_bytes(), 1))
 
     @pytest.mark.parametrize(
         "matrix, match",
@@ -500,11 +515,11 @@ class TestPersistence:
     )
     def test_wrong_dtype_or_shape_rejected(self, tmp_path, matrix, match):
         np.save(tmp_path / VECTORS_FILE, matrix)
-        with pytest.raises(ValueError, match=f"{VECTORS_FILE}: {match}"):
-            parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
+        with pytest.raises(ValueError, match=f"^{match}"):
+            parse(_arrays((tmp_path / VECTORS_FILE).read_bytes(), 1))
 
     def test_object_array_refused_without_unpickling(self, tmp_path):
         np.save(tmp_path / VECTORS_FILE, np.array([[1.0]], dtype=object), allow_pickle=True)
-        match = rf"^{VECTORS_FILE}: vectors must be a 2-d <f4 array, got \|O of shape"
+        match = r"^vectors must be a 2-d <f4 array, got \|O of shape"
         with pytest.raises(ValueError, match=match):
-            parse((tmp_path / VECTORS_FILE).read_bytes(), 1)
+            parse(_arrays((tmp_path / VECTORS_FILE).read_bytes(), 1))

@@ -444,17 +444,13 @@ class TestDecode:
 
 
 class TestSerialization:
-    def test_round_trip_preserves_encodings(self, synth_tokenizer, synth_lines, tmp_path):
-        path = tmp_path / "tokenizer.json"
-        synth_tokenizer.save(path)
-        reloaded = TokenizerModel.load(path)
+    def test_round_trip_preserves_encodings(self, synth_tokenizer, synth_lines):
+        reloaded = TokenizerModel.from_json(synth_tokenizer.to_json())
         for line in synth_lines[200:250]:
             assert synth_tokenizer.encode(line) == reloaded.encode(line)
 
-    def test_wire_format_fields(self, synth_tokenizer, tmp_path):
-        path = tmp_path / "tokenizer.json"
-        synth_tokenizer.save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+    def test_wire_format_fields(self, synth_tokenizer):
+        payload = json.loads(synth_tokenizer.to_json())
         assert payload["version"] == 1
         assert payload["normalization"] == "nfc_collapse"
         assert payload["word_end_marker"] == "</w>"
